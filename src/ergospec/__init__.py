@@ -55,6 +55,7 @@ from .spectrum import (
     unitary_spectrum,
 )
 from .ergodic import (
+    Analysis,
     ErgodicReport,
     PeripheralDecomposition,
     is_pole,

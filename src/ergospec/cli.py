@@ -18,7 +18,8 @@ from .ensembles import (
     random_circulant_stochastic_instance,
     random_polynomial_instance,
 )
-from .positivity import check_positive, domination_check, nisa_suite
+from .ergodic import Analysis
+from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .report import analyze, summarize
 from .serialize import (
     canonical_dumps,
@@ -36,7 +37,10 @@ def _build_config(args):
         overrides["tol_char"] = args.tol_char
     if getattr(args, "max_cesaro", None) is not None:
         overrides["cesaro_max_side"] = args.max_cesaro
-    return ToleranceConfig(**overrides)
+    try:
+        return ToleranceConfig(**overrides)
+    except ValueError as exc:  # an out-of-range flag is an input error
+        raise ErgospecError(str(exc)) from exc
 
 
 def _add_common(parser):
@@ -181,9 +185,10 @@ def cmd_ensemble(args):
         rep = instance[0] if isinstance(instance, tuple) else instance
         try:
             if args.ensemble in ("circulant", "polynomial"):
-                nisa_suite(rep, config, seed)
+                analysis = Analysis(rep, config, seed)
+                nisa_suite_of(analysis)
                 if check_positive(rep, config).is_positive:
-                    domination_check(rep, config, seed)
+                    domination_check_of(analysis)
             else:
                 report = analyze(rep, config, seed,
                                  sections=["spectrum", "ergodic", "poles",
@@ -251,10 +256,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ErgospecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ErgospecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,6 @@ class ToleranceConfig:
     tol_rank: float = 1e-10
     tol_char: float = 1e-8
     tol_cluster: float = 1e-7
-    tol_orth: float = 1e-12
     tol_hom: float = 1e-8
     tol_commute: float = 1e-8
     cesaro_max_side: int = 10_000
@@ -29,12 +28,10 @@ class ToleranceConfig:
     max_dim: int = 256
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_char", "tol_cluster", "tol_orth",
-                     "tol_hom", "tol_commute", "cesaro_target"):
+        for name in ("tol_rank", "tol_char", "tol_cluster", "tol_hom",
+                     "tol_commute", "cesaro_target"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.tol_orth > self.tol_rank:
-            raise ValueError("tol_orth must not exceed tol_rank")
         if self.cesaro_max_side < 1 or self.cesaro_power < 1:
             raise ValueError("cesaro budgets must be positive")
 

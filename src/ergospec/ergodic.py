@@ -5,10 +5,14 @@ Two independent routes are always computed and cross-checked: the algebraic
 route (fixed space versus the range of 1 - T, solved from bases) and the
 constructive ergodic net (the exact kernel average for a finite monoid, a
 composed Cesaro rectangle mean for N^k).
+
+`Analysis` holds the routes of one input and computes each of them once;
+the public verdict functions are thin wrappers over it.
 """
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -159,7 +163,6 @@ class PoleVerdict:
     status: str
     projection: np.ndarray = None
     eigenspace_dim: int = 0
-    riesz: bool = False     # always true for a pole in finite dimension
     complement_clear: bool = None  # chi absent from the spectrum of T|ker(P)
 
     @property
@@ -192,8 +195,7 @@ def is_pole(rep, chi, config=None, seed=DEFAULT_SEED):
         if trivially_absent:
             zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
             return PoleVerdict(NOT_IN_SPECTRUM, projection=zero,
-                               eigenspace_dim=0, riesz=True,
-                               complement_clear=True)
+                               eigenspace_dim=0, complement_clear=True)
 
     if not analysis.is_ume:
         return PoleVerdict(NOT_POLE, eigenspace_dim=analysis.fix_dim)
@@ -207,7 +209,7 @@ def is_pole(rep, chi, config=None, seed=DEFAULT_SEED):
     else:
         complement_clear = True
     return PoleVerdict(POLE, projection=projection,
-                       eigenspace_dim=analysis.fix_dim, riesz=True,
+                       eigenspace_dim=analysis.fix_dim,
                        complement_clear=complement_clear)
 
 
@@ -220,53 +222,6 @@ class PeripheralDecomposition:
     stability_witness: object = None  # element with ||T_s restricted|| < 1
     stability_norm: float = None
     cross_residual: float = 0.0  # max ||P_chi P_tau|| over distinct characters
-
-
-def peripheral_decomposition(rep, config=None, seed=DEFAULT_SEED):
-    """Split C^n into the reversible part E_r (joint unimodular
-    eigenspaces) and the stable part E_s, with the commuting projection.
-
-    P is the sum of the mean ergodic projections of the rotated
-    representations; pairwise products of those projections must vanish.
-    """
-    config = DEFAULT_CONFIG if config is None else config
-    spectrum = unitary_spectrum(rep, config, seed)
-    n = rep.dim
-
-    projections = []
-    for chi in spectrum.characters:
-        verdict = is_pole(rep, chi, config, seed)
-        if not verdict.is_pole:
-            raise NonPoleSpectrum(chi)
-        projections.append(verdict.projection)
-
-    cross = 0.0
-    for a, b in itertools.combinations(projections, 2):
-        cross = max(cross, operator_norm(a @ b), operator_norm(b @ a))
-
-    if projections:
-        total = sum(projections)
-    else:
-        total = np.zeros((n, n), dtype=np.complex128)
-    reversible = column_space(total, config.tol_rank, scale=1.0)
-    eye = np.eye(n, dtype=np.complex128)
-    stable = column_space(eye - total, config.tol_rank, scale=1.0)
-
-    witness, witness_norm = None, None
-    if stable.dim > 0:
-        restricted = restrict(rep, stable, config)
-        verdict = stability_verdict(restricted, config, seed)
-        witness, witness_norm = verdict.witness, verdict.witness_norm
-
-    return PeripheralDecomposition(
-        characters=spectrum.characters,
-        reversible=reversible,
-        stable=stable,
-        projection=total,
-        stability_witness=witness,
-        stability_norm=witness_norm,
-        cross_residual=cross,
-    )
 
 
 STABLE = "stable"
@@ -322,43 +277,6 @@ def _witness_search_free(rep, config):
         degree += 1
 
 
-def stability_verdict(rep, config=None, seed=DEFAULT_SEED):
-    """Stable iff the unitary spectrum is empty; a norm-contraction witness
-    is produced whenever possible.
-
-    For a finite monoid the verdict is cross-checked against the exact
-    criterion that the zero matrix occurs in T(S)."""
-    config = DEFAULT_CONFIG if config is None else config
-    spectrum = unitary_spectrum(rep, config, seed)
-
-    if len(spectrum) > 0:
-        verdict = StabilityVerdict(NOT_STABLE,
-                                   blocking_character=spectrum.characters[0])
-        if rep.is_finite:
-            verdict.zero_in_range = any(operator_norm(a) <= config.tol_hom
-                                        for a in rep.matrices)
-        return verdict
-
-    if rep.is_finite:
-        zero_in_range = any(operator_norm(a) <= config.tol_hom for a in rep.matrices)
-        witness, norm = None, None
-        for s, a in enumerate(rep.matrices):
-            n = operator_norm(a)
-            if n < 1.0:
-                witness, norm = s, n
-                break
-        return StabilityVerdict(STABLE, witness=witness, witness_norm=norm,
-                                zero_in_range=zero_in_range)
-
-    if rep.dim == 0:
-        return StabilityVerdict(STABLE, witness=(0,) * rep.semigroup.rank,
-                                witness_norm=0.0)
-    exponents, norm, degree, exceeded = _witness_search_free(rep, config)
-    if exceeded:
-        return StabilityVerdict(STABLE, budget_exceeded=True, max_degree_tried=degree)
-    return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm)
-
-
 @dataclass
 class InfinitySemigroup:
     operators: list  # distinct matrices, each a limit point of the net
@@ -410,35 +328,152 @@ class QuasiCompactnessVerdict:
         return self.status == QUASI_COMPACT
 
 
+class Analysis:
+    """One Certified representation under one configuration and seed, with
+    each route computed on first use and at most once (poles per character).
+
+    Verdicts read the routes they need from here. Each route is
+    deterministic, so sharing its result gives the bits of recomputing it.
+    """
+
+    def __init__(self, rep, config=None, seed=DEFAULT_SEED):
+        self.rep = rep
+        self.config = DEFAULT_CONFIG if config is None else config
+        self.seed = seed
+        self._poles = {}
+
+    @cached_property
+    def spectrum(self):
+        return unitary_spectrum(self.rep, self.config, self.seed)
+
+    @cached_property
+    def ergodic(self):
+        return mean_ergodic_analysis(self.rep, self.config, self.seed)
+
+    def pole(self, chi):
+        # repr tells -0.0 from 0.0, so equal keys mean bit-equal characters
+        key = repr(chi.canonical_key())
+        if key not in self._poles:
+            self._poles[key] = is_pole(self.rep, chi, self.config, self.seed)
+        return self._poles[key]
+
+    @cached_property
+    def decomposition(self):
+        """Split C^n into the reversible part E_r (joint unimodular
+        eigenspaces) and the stable part E_s, with the commuting projection.
+
+        P is the sum of the mean ergodic projections of the rotated
+        representations; pairwise products of those projections must
+        vanish.
+        """
+        rep, config = self.rep, self.config
+        n = rep.dim
+        projections = []
+        for chi in self.spectrum.characters:
+            verdict = self.pole(chi)
+            if not verdict.is_pole:
+                raise NonPoleSpectrum(chi)
+            projections.append(verdict.projection)
+
+        cross = 0.0
+        for a, b in itertools.combinations(projections, 2):
+            cross = max(cross, operator_norm(a @ b), operator_norm(b @ a))
+
+        total = sum(projections) if projections else np.zeros((n, n), dtype=np.complex128)
+        reversible = column_space(total, config.tol_rank, scale=1.0)
+        eye = np.eye(n, dtype=np.complex128)
+        stable = column_space(eye - total, config.tol_rank, scale=1.0)
+
+        witness, witness_norm = None, None
+        if stable.dim > 0:
+            restricted = restrict(rep, stable, config)
+            verdict = Analysis(restricted, config, self.seed).stability
+            witness, witness_norm = verdict.witness, verdict.witness_norm
+
+        return PeripheralDecomposition(
+            characters=self.spectrum.characters,
+            reversible=reversible,
+            stable=stable,
+            projection=total,
+            stability_witness=witness,
+            stability_norm=witness_norm,
+            cross_residual=cross,
+        )
+
+    @cached_property
+    def stability(self):
+        """Stable iff the unitary spectrum is empty; a norm-contraction
+        witness is produced whenever possible.
+
+        For a finite monoid the verdict is cross-checked against the exact
+        criterion that the zero matrix occurs in T(S)."""
+        rep, config = self.rep, self.config
+        zero_in_range = None
+        if rep.is_finite:
+            zero_in_range = any(operator_norm(a) <= config.tol_hom for a in rep.matrices)
+
+        if len(self.spectrum) > 0:
+            return StabilityVerdict(NOT_STABLE,
+                                    blocking_character=self.spectrum.characters[0],
+                                    zero_in_range=zero_in_range)
+
+        if rep.is_finite:
+            witness, norm = None, None
+            for s, a in enumerate(rep.matrices):
+                n = operator_norm(a)
+                if n < 1.0:
+                    witness, norm = s, n
+                    break
+            return StabilityVerdict(STABLE, witness=witness, witness_norm=norm,
+                                    zero_in_range=zero_in_range)
+
+        if rep.dim == 0:
+            return StabilityVerdict(STABLE, witness=(0,) * rep.semigroup.rank,
+                                    witness_norm=0.0)
+        exponents, norm, degree, exceeded = _witness_search_free(rep, config)
+        if exceeded:
+            return StabilityVerdict(STABLE, budget_exceeded=True,
+                                    max_degree_tried=degree)
+        return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm)
+
+    @cached_property
+    def quasi_compactness(self):
+        """Riesz-point criterion, cross-checked against the peripheral
+        decomposition and the trivial finite-dimensional norm witness.
+
+        For valid Certified finite-dimensional input the verdict is always
+        quasi-compact; the value of the operation is the agreement of the
+        three independent computations."""
+        spectrum = self.spectrum
+        verdicts = [self.pole(chi) for chi in spectrum.characters]
+        riesz_all = all(verdict.is_pole for verdict in verdicts)
+        dims = [space.dim for space in spectrum.eigenspaces]
+        consistent = self.decomposition.reversible.dim == sum(dims)
+
+        # in finite dimension every operator is compact: distance 0 at the neutral element
+        witness = (self.rep.semigroup.neutral, 0.0)
+
+        status = QUASI_COMPACT if riesz_all else "not_quasi_compact"
+        return QuasiCompactnessVerdict(
+            status=status,
+            characters=spectrum.characters,
+            eigenspace_dims=dims,
+            riesz_all=riesz_all,
+            norm_witness=witness,
+            decomposition_consistent=consistent,
+        )
+
+
+def peripheral_decomposition(rep, config=None, seed=DEFAULT_SEED):
+    """E_r + E_s with its projection; see Analysis.decomposition."""
+    return Analysis(rep, config, seed).decomposition
+
+
+def stability_verdict(rep, config=None, seed=DEFAULT_SEED):
+    """The stability verdict; see Analysis.stability."""
+    return Analysis(rep, config, seed).stability
+
+
 def quasi_compactness_verdict(rep, config=None, seed=DEFAULT_SEED):
-    """Riesz-point criterion, cross-checked against the peripheral
-    decomposition and the trivial finite-dimensional norm witness.
-
-    For valid Certified finite-dimensional input the verdict is always
-    quasi-compact; the value of the operation is the agreement of the
-    three independent computations."""
-    config = DEFAULT_CONFIG if config is None else config
-    spectrum = unitary_spectrum(rep, config, seed)
-    riesz_all = True
-    dims = []
-    for chi, space in zip(spectrum.characters, spectrum.eigenspaces):
-        verdict = is_pole(rep, chi, config, seed)
-        riesz_all = riesz_all and verdict.is_pole and verdict.riesz
-        dims.append(space.dim)
-
-    decomposition = peripheral_decomposition(rep, config, seed)
-    consistent = decomposition.reversible.dim == sum(dims)
-
-    # in finite dimension every operator is compact: distance 0 at the neutral element
-    neutral = rep.semigroup.neutral
-    witness = (neutral, 0.0)
-
-    status = QUASI_COMPACT if riesz_all else "not_quasi_compact"
-    return QuasiCompactnessVerdict(
-        status=status,
-        characters=spectrum.characters,
-        eigenspace_dims=dims,
-        riesz_all=riesz_all,
-        norm_witness=witness,
-        decomposition_consistent=consistent,
-    )
+    """The quasi-compactness verdict; see Analysis.quasi_compactness."""
+    return Analysis(rep, config, seed).quasi_compactness

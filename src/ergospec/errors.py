@@ -87,12 +87,6 @@ class DominationViolation(ErgospecError):
         super().__init__(f"dim ker(chi - T) = {dims[0]} > dim fix(T) = {dims[1]}")
 
 
-class WitnessSearchBudgetExceeded(ErgospecError):
-    def __init__(self, max_degree):
-        self.max_degree = max_degree
-        super().__init__(f"no contraction witness found up to total degree {max_degree}")
-
-
 class ParseError(ErgospecError):
     def __init__(self, message, line=None, column=None):
         self.line, self.column = line, column

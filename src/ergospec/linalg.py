@@ -69,12 +69,6 @@ class Subspace:
     def zero(n):
         return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
 
-    @staticmethod
-    def from_vectors(vectors, tol=None):
-        """Span of the given (column) vectors, orthonormalized by SVD."""
-        mat = np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors])
-        return column_space(mat, tol)
-
 
 def null_space(a, tol=None, scale=0.0):
     """Orthonormal basis of the numerical kernel of `a`.

@@ -12,8 +12,7 @@ import numpy as np
 from .characters import trivial_character
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import DominationViolation, EquivalenceViolation, NotBounded
-from .ergodic import is_pole, mean_ergodic_analysis, quasi_compactness_verdict
-from .spectrum import unitary_spectrum
+from .ergodic import Analysis
 
 
 @dataclass
@@ -51,20 +50,24 @@ class NisaReport:
 def nisa_suite(rep, config=None, seed=DEFAULT_SEED):
     """Evaluate the three equivalent verdicts for a positive representation
     by three independent routes and assert they agree."""
-    config = DEFAULT_CONFIG if config is None else config
+    return nisa_suite_of(Analysis(rep, config, seed))
+
+
+def nisa_suite_of(analysis):
+    """nisa_suite on the routes already shared in `analysis`."""
+    rep, config = analysis.rep, analysis.config
     if not rep.boundedness.is_certified:
         raise NotBounded("nisa_suite requires a Certified representation")
     cert = check_positive(rep, config)
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
 
-    qc = quasi_compactness_verdict(rep, config, seed)
-    ergodic = mean_ergodic_analysis(rep, config, seed)
-    pole = is_pole(rep, trivial_character(rep.semigroup), config, seed)
+    qc = analysis.quasi_compactness
+    ergodic = analysis.ergodic
+    pole = analysis.pole(trivial_character(rep.semigroup))
 
     fix_dim = ergodic.fix_dim
     ume_finite = ergodic.is_ume and np.isfinite(fix_dim)
-    riesz = pole.counts_as_pole and pole.riesz
     projection_rank = 0
     if ergodic.mean_projection is not None:
         projection_rank = int(round(np.trace(ergodic.mean_projection).real))
@@ -72,7 +75,7 @@ def nisa_suite(rep, config=None, seed=DEFAULT_SEED):
     report = NisaReport(
         quasi_compact=qc.is_quasi_compact,
         ume_with_finite_fix=bool(ume_finite),
-        trivial_char_riesz=bool(riesz),
+        trivial_char_riesz=pole.counts_as_pole,
         fix_dim=fix_dim,
         projection_rank=projection_rank,
     )
@@ -96,18 +99,22 @@ class DominationReport:
 def domination_check(rep, config=None, seed=DEFAULT_SEED):
     """dim ker(chi - T) <= dim fix(T) for every spectral character of a
     positive uniformly mean ergodic representation."""
-    config = DEFAULT_CONFIG if config is None else config
+    return domination_check_of(Analysis(rep, config, seed))
+
+
+def domination_check_of(analysis):
+    """domination_check on the routes already shared in `analysis`."""
+    rep, config = analysis.rep, analysis.config
     cert = check_positive(rep, config)
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
-    ergodic = mean_ergodic_analysis(rep, config, seed)
+    ergodic = analysis.ergodic
     if not ergodic.is_ume:
         raise ValueError("domination check requires a uniformly mean ergodic input")
 
-    spectrum = unitary_spectrum(rep, config, seed)
     fix_dim = ergodic.fix_dim
     profile = []
-    for chi, space in zip(spectrum.characters, spectrum.eigenspaces):
+    for chi, space in zip(analysis.spectrum.characters, analysis.spectrum.eigenspaces):
         profile.append((chi, space.dim))
         if space.dim > fix_dim:
             raise DominationViolation(chi, (space.dim, fix_dim))

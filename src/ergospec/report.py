@@ -10,15 +10,8 @@ import time
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
-from .ergodic import (
-    is_pole,
-    mean_ergodic_analysis,
-    peripheral_decomposition,
-    quasi_compactness_verdict,
-    semigroup_at_infinity,
-    stability_verdict,
-)
-from .positivity import check_positive, domination_check, nisa_suite
+from .ergodic import Analysis, semigroup_at_infinity
+from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
 from .serialize import (
     character_to_json,
@@ -26,7 +19,6 @@ from .serialize import (
     matrix_to_json,
     representation_to_json,
 )
-from .spectrum import unitary_spectrum
 
 
 @dataclass
@@ -42,10 +34,6 @@ class AnalysisReport:
         return self.data
 
 
-def _character_entry(chi):
-    return character_to_json(chi)
-
-
 def _complex_str(z):
     return f"{z.real:+.6f}{z.imag:+.6f}i"
 
@@ -57,6 +45,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
     sections: optional iterable restricting the analysis
     ("spectrum", "ergodic", "poles", "decomposition", "stability",
     "quasicompact", "positivity"); dependencies are pulled in as needed.
+    Every section reads one shared Analysis, so each route runs at most once.
     """
     config = DEFAULT_CONFIG if config is None else config
     wanted = set(sections) if sections is not None else {
@@ -87,10 +76,11 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         report["timings"] = timings
         return AnalysisReport(report, violations)
 
-    spectrum = timed("spectrum", lambda: unitary_spectrum(rep, config, seed))
+    analysis = Analysis(rep, config, seed)
+    spectrum = timed("spectrum", lambda: analysis.spectrum)
     report["unitary_spectrum"] = {
         "count": len(spectrum),
-        "characters": [_character_entry(c) for c in spectrum.characters],
+        "characters": [character_to_json(c) for c in spectrum.characters],
         "eigenspace_dims": [sp.dim for sp in spectrum.eigenspaces],
         "eigenspace_bases": [matrix_to_json(sp.basis) for sp in spectrum.eigenspaces],
         "decomposition_seed": spectrum.decomposition.seed,
@@ -98,7 +88,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
     }
 
     if "ergodic" in wanted or "poles" in wanted or "quasicompact" in wanted:
-        ergodic = timed("ergodic", lambda: mean_ergodic_analysis(rep, config, seed))
+        ergodic = timed("ergodic", lambda: analysis.ergodic)
         entry = {
             "is_uniformly_mean_ergodic": ergodic.is_ume,
             "fix_dim": ergodic.fix_dim,
@@ -127,12 +117,12 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         def pole_table():
             rows = []
             for chi in spectrum.characters:
-                verdict = is_pole(rep, chi, config, seed)
+                verdict = analysis.pole(chi)
                 rows.append({
-                    "character": _character_entry(chi),
+                    "character": character_to_json(chi),
                     "status": verdict.status,
                     "eigenspace_dim": verdict.eigenspace_dim,
-                    "riesz": verdict.riesz,
+                    "riesz": verdict.counts_as_pole,
                     "complement_clear": verdict.complement_clear,
                 })
                 if not verdict.is_pole:
@@ -144,12 +134,11 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         report["poles"] = timed("poles", pole_table)
 
     if "decomposition" in wanted:
-        decomposition = timed("decomposition",
-                              lambda: peripheral_decomposition(rep, config, seed))
+        decomposition = timed("decomposition", lambda: analysis.decomposition)
         report["peripheral_decomposition"] = {
             "reversible_dim": decomposition.reversible.dim,
             "stable_dim": decomposition.stable.dim,
-            "characters": [_character_entry(c) for c in decomposition.characters],
+            "characters": [character_to_json(c) for c in decomposition.characters],
             "projection": matrix_to_json(decomposition.projection),
             "cross_residual": decomposition.cross_residual,
             "stability_witness": list(decomposition.stability_witness)
@@ -163,7 +152,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
             violations.append("pairwise products of spectral projections do not vanish")
 
     if "stability" in wanted:
-        stability = timed("stability", lambda: stability_verdict(rep, config, seed))
+        stability = timed("stability", lambda: analysis.stability)
         report["stability"] = {
             "status": stability.status,
             "witness": list(stability.witness) if isinstance(stability.witness, tuple)
@@ -171,7 +160,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
             "witness_norm": stability.witness_norm,
             "budget_exceeded": stability.budget_exceeded,
             "zero_in_range": stability.zero_in_range,
-            "blocking_character": _character_entry(stability.blocking_character)
+            "blocking_character": character_to_json(stability.blocking_character)
             if stability.blocking_character is not None else None,
         }
         if rep.is_finite:
@@ -185,8 +174,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
             }
 
     if "quasicompact" in wanted:
-        qc = timed("quasicompact",
-                   lambda: quasi_compactness_verdict(rep, config, seed))
+        qc = timed("quasicompact", lambda: analysis.quasi_compactness)
         report["quasi_compactness"] = {
             "status": qc.status,
             "eigenspace_dims": qc.eigenspace_dims,
@@ -213,7 +201,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
             def positive_suites():
                 out = {}
                 try:
-                    nisa = nisa_suite(rep, config, seed)
+                    nisa = nisa_suite_of(analysis)
                     out["nisa"] = {
                         "quasi_compact": nisa.quasi_compact,
                         "ume_with_finite_fix": nisa.ume_with_finite_fix,
@@ -226,10 +214,10 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
                     out["nisa"] = {"error": str(exc)}
                     violations.append(f"nisa suite: {exc}")
                 try:
-                    domination = domination_check(rep, config, seed)
+                    domination = domination_check_of(analysis)
                     out["domination"] = {
                         "fix_dim": domination.fix_dim,
-                        "profile": [{"character": _character_entry(c), "dim": d}
+                        "profile": [{"character": character_to_json(c), "dim": d}
                                     for c, d in domination.profile],
                     }
                 except Exception as exc:

@@ -17,7 +17,6 @@ from .errors import (
     BadNeutral,
     HomomorphismViolation,
     MismatchedSemigroup,
-    NotBounded,
     NotCommuting,
     NotInvariant,
 )
@@ -145,12 +144,6 @@ def representation_from_generators(monoid, generator_indices, generator_matrices
         missing = [s for s in monoid.elements() if s not in known]
         raise ValueError(f"generators do not generate the monoid; missing {missing}")
     return validate_representation(monoid, [known[s] for s in monoid.elements()], config)
-
-
-def _require_certified(rep):
-    if not rep.boundedness.is_certified:
-        raise NotBounded("operation requires a Certified boundedness certificate; "
-                         "run certify_boundedness first")
 
 
 def certify_boundedness(rep, config=None, seed=DEFAULT_SEED):

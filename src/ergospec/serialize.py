@@ -117,8 +117,3 @@ def character_from_json(data, semigroup):
         values = [complex(v["re"], v["im"]) for v in data["gen_values"]]
         return character_from_gen_values(semigroup, values)
     raise ParseError("character needs either angles or gen_values")
-
-
-def subspace_to_json(space):
-    return {"ambient_dim": space.ambient_dim, "dim": space.dim,
-            "basis": matrix_to_json(space.basis)}

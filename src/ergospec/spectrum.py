@@ -43,13 +43,6 @@ class UnitarySpectrumResult:
         tol = DEFAULT_CONFIG.tol_cluster if tol is None else tol
         return any(char_distance(chi, c) <= tol for c in self.characters)
 
-    def index_of(self, chi, tol=None):
-        tol = DEFAULT_CONFIG.tol_cluster if tol is None else tol
-        for i, c in enumerate(self.characters):
-            if char_distance(chi, c) <= tol:
-                return i
-        return None
-
 
 def eigenspace(rep, chi, config=None):
     """ker(chi - T): the joint kernel over the generating matrices.

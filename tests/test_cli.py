@@ -131,6 +131,20 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, expected", [
+    (["--tol-rank", "0"], 2),
+    (["--max-cesaro", "0"], 2),
+    (["--tol-rank", "1e-13"], 0),
+])
+def test_tolerance_flags_exit_codes(capsys, flags, expected):
+    # an out-of-range flag is an input error: one line on stderr, exit 2
+    code, _, err = run(capsys, "analyze", fixture_path("klein_four"), *flags)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_custom_tolerances_recorded(capsys):
     code, out, _ = run(capsys, "analyze", fixture_path("identity_3"),
                        "--format", "json", "--tol-rank", "1e-9",

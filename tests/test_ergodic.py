@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
+from ergospec import ergodic
 from ergospec.ergodic import _kernel_average
 
 from conftest import n1_rep
@@ -80,7 +83,7 @@ def test_is_pole_diagonal_rotation():
     rep = n1_rep(np.diag([1j, 0.5]).astype(complex))
     chi = es.character_from_gen_values(rep.semigroup, [1j])
     verdict = es.is_pole(rep, chi)
-    assert verdict.is_pole and verdict.riesz
+    assert verdict.is_pole and verdict.counts_as_pole
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
     assert verdict.complement_clear
 
@@ -267,3 +270,35 @@ def test_norm_convergence_implies_mean_projection():
     assert es.operator_norm(powers[1] - limit) < es.operator_norm(powers[0] - limit)
     report = es.mean_ergodic_analysis(rep)
     assert es.operator_norm(report.mean_projection - limit) < 1e-10
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of ergodic.<name> through every package binding of it."""
+    original = getattr(ergodic, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "ergospec":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
+    # PeripheralDecomposition is built once per run of the decomposition
+    calls = {name: _count_calls(monkeypatch, name)
+             for name in ("is_pole", "PeripheralDecomposition",
+                          "mean_ergodic_analysis", "unitary_spectrum")}
+    report = es.analyze(klein_rep)
+    assert report.ok
+    assert report.data["positivity"]["nisa"]["agree"]
+    assert len(calls["is_pole"]) == 3             # one per spectral character
+    assert len(calls["PeripheralDecomposition"]) == 1
+    # one for T, one per rotation inside the pole test
+    assert len(calls["mean_ergodic_analysis"]) <= 4
+    assert len(calls["unitary_spectrum"]) <= 5

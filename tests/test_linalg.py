@@ -224,7 +224,7 @@ def test_null_space_properties_random(seed):
     if space.dim:
         assert np.linalg.norm(mat @ space.basis) < 1e-8 * max(1, np.linalg.norm(mat))
         gram = space.basis.conj().T @ space.basis
-        assert np.linalg.norm(gram - np.eye(space.dim)) <= DEFAULT_CONFIG.tol_orth * 10
+        assert np.linalg.norm(gram - np.eye(space.dim)) <= 1e-11
 
 
 @settings(max_examples=25, deadline=None)
