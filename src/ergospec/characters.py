@@ -190,15 +190,19 @@ def enumerate_unitary_dual(monoid):
     return result
 
 
-def nearest_character(candidates, values, tol):
+def nearest_character(candidates, values, tol, candidate_values=None):
     """Match a tuple of complex values against exact characters.
 
     Returns the unique candidate whose value tuple is within tol of
-    `values` in max norm, or None.
+    `values` in max norm, or None. `candidate_values`, the value tuples of
+    the candidates, spares a caller that matches many tuples their
+    recomputation.
     """
+    if candidate_values is None:
+        candidate_values = [chi.values() for chi in candidates]
     best, best_dist = None, float("inf")
-    for chi in candidates:
-        dist = max(abs(a - b) for a, b in zip(chi.values(), values))
+    for chi, chi_values in zip(candidates, candidate_values):
+        dist = max(abs(a - b) for a, b in zip(chi_values, values))
         if dist < best_dist:
             best, best_dist = chi, dist
     if best is not None and best_dist <= tol:

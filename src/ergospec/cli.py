@@ -181,9 +181,9 @@ def cmd_ensemble(args):
     failures = 0
     for index in range(args.count):
         seed = args.seed + index
-        instance = maker(seed, max_rank=args.k, max_dim=args.n, config=config)
-        rep = instance[0] if isinstance(instance, tuple) else instance
         try:
+            instance = maker(seed, max_rank=args.k, max_dim=args.n, config=config)
+            rep = instance[0] if isinstance(instance, tuple) else instance
             if args.ensemble in ("circulant", "polynomial"):
                 analysis = Analysis(rep, config, seed)
                 nisa_suite_of(analysis)
@@ -195,9 +195,12 @@ def cmd_ensemble(args):
                                            "decomposition", "quasicompact"])
                 if not report.ok:
                     raise ErgospecError("; ".join(report.violations))
-        except ErgospecError as exc:
+        # a numerical or sampling error fails its instance, not the suite
+        except (ErgospecError, ValueError, RuntimeError) as exc:
             failures += 1
-            print(f"instance {index} (seed {seed}): FAIL - {exc}")
+            detail = exc if isinstance(exc, ErgospecError) \
+                else f"{type(exc).__name__}: {exc}"
+            print(f"instance {index} (seed {seed}): FAIL - {detail}")
             continue
         if args.verbose:
             print(f"instance {index} (seed {seed}): ok")

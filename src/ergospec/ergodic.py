@@ -185,13 +185,18 @@ def is_pole(rep, chi, config=None, seed=DEFAULT_SEED):
     spectrum of T restricted to ker(P).
     """
     config = DEFAULT_CONFIG if config is None else config
-    rotated = rotate(rep, char_conj(chi))
-    analysis = mean_ergodic_analysis(rotated, config, seed)
+    rotated = Analysis(rotate(rep, char_conj(chi)), config, seed)
+    return _pole_verdict(rep, chi, rotated)
+
+
+def _pole_verdict(rep, chi, rotated):
+    """is_pole, given the Analysis of the rotated representation conj(chi) T."""
+    config, seed = rotated.config, rotated.seed
+    analysis = rotated.ergodic
 
     if analysis.fix_dim == 0:
-        spectrum = unitary_spectrum(rotated, config, seed)
-        trivially_absent = not spectrum.contains(trivial_character(rep.semigroup),
-                                                 config.tol_cluster)
+        trivially_absent = not rotated.spectrum.contains(
+            trivial_character(rep.semigroup), config.tol_cluster)
         if trivially_absent:
             zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
             return PoleVerdict(NOT_IN_SPECTRUM, projection=zero,
@@ -334,17 +339,22 @@ class Analysis:
 
     Verdicts read the routes they need from here. Each route is
     deterministic, so sharing its result gives the bits of recomputing it.
+    `block_decomposition`, when given, is the joint block decomposition of
+    rep's generators under this config and seed, as certification over N^k
+    computed it.
     """
 
-    def __init__(self, rep, config=None, seed=DEFAULT_SEED):
+    def __init__(self, rep, config=None, seed=DEFAULT_SEED, block_decomposition=None):
         self.rep = rep
         self.config = DEFAULT_CONFIG if config is None else config
         self.seed = seed
+        self._block_decomposition = block_decomposition
         self._poles = {}
 
     @cached_property
     def spectrum(self):
-        return unitary_spectrum(self.rep, self.config, self.seed)
+        return unitary_spectrum(self.rep, self.config, self.seed,
+                                self._block_decomposition)
 
     @cached_property
     def ergodic(self):
@@ -354,7 +364,16 @@ class Analysis:
         # repr tells -0.0 from 0.0, so equal keys mean bit-equal characters
         key = repr(chi.canonical_key())
         if key not in self._poles:
-            self._poles[key] = is_pole(self.rep, chi, self.config, self.seed)
+            trivial = trivial_character(self.rep.semigroup)
+            if key == repr(trivial.canonical_key()) and all(
+                    a.tobytes() == b.tobytes() for a, b in
+                    zip(rotate(self.rep, char_conj(chi)).matrices, self.rep.matrices)):
+                # the rotation by the trivial character kept every bit of T
+                # (1 * z can flip the sign of a zero part), so this analysis
+                # is the one the pole test would build
+                self._poles[key] = _pole_verdict(self.rep, chi, self)
+            else:
+                self._poles[key] = is_pole(self.rep, chi, self.config, self.seed)
         return self._poles[key]
 
     @cached_property

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import DimensionMismatch, NotCommuting
@@ -82,7 +83,9 @@ def null_space(a, tol=None, scale=0.0):
     a = as_complex_matrix(a)
     if a.shape[0] == 0:
         return Subspace.full(a.shape[1])
-    _, s, vh = np.linalg.svd(a)
+    # V is square either way; only a wide matrix needs the full factors,
+    # since its thin V^H lacks the kernel rows
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     if s.size == 0:
         return Subspace.full(a.shape[1])
     cutoff = tol * max(float(s[0]), scale)
@@ -98,7 +101,7 @@ def column_space(a, tol=None, scale=0.0):
     a = as_complex_matrix(a)
     if a.shape[1] == 0:
         return Subspace.zero(a.shape[0])
-    u, s, _ = np.linalg.svd(a)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0:
         return Subspace.zero(a.shape[0])
     cutoff = tol * max(float(s[0]), scale)
@@ -271,16 +274,27 @@ def _common_triangular(mats, config):
     return u
 
 
-def _invariant_subspace(mat, selected, cluster_gap):
-    """Orthonormal basis of the spectral subspace of `mat` for the
-    eigenvalues in `selected`, via a sorted Schur form."""
+def _invariant_subspace(schur_form, selected, cluster_gap):
+    """Orthonormal basis of the spectral subspace for the eigenvalues in
+    `selected`, by reordering the complex Schur form (t, z) of the matrix
+    so that they lead.
+
+    This is the reordering (LAPACK trsen) that a sorted Schur
+    factorization applies to the unsorted one, with the same selection,
+    so one factorization serves every cluster and the bases keep their
+    bits."""
+    t, z = schur_form
     selected = np.asarray(selected)
 
-    def want(z):
-        return bool(np.min(np.abs(z - selected)) < cluster_gap / 2)
+    def want(w):
+        return bool(np.min(np.abs(w - selected)) < cluster_gap / 2)
 
-    _, z, sdim = scipy.linalg.schur(mat, output="complex", sort=want)
-    return z[:, :sdim], int(sdim)
+    select = np.array([want(w) for w in np.diag(t)], dtype=np.int32)
+    trsen, = scipy.linalg.lapack.get_lapack_funcs(("trsen",), (t,))
+    _, zs, _, sdim, _, _, info = trsen(select, t, z, job="N")
+    if info != 0:
+        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    return zs[:, :sdim], int(sdim)
 
 
 def _runs_from_diagonals(diags, radius):
@@ -319,9 +333,10 @@ def _try_split(mats, splitter, radius, config, rng, warnings):
     if len(clusters) < 2:
         return None
 
+    schur_form = scipy.linalg.schur(splitter, output="complex")
     bases = []
     for cluster in clusters:
-        basis, sdim = _invariant_subspace(splitter, eigs[cluster], radius)
+        basis, sdim = _invariant_subspace(schur_form, eigs[cluster], radius)
         if sdim != len(cluster) or sdim in (0, d):
             return None
         bases.append(basis)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import trivial_character
+from .characters import char_distance, trivial_character
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import DominationViolation, EquivalenceViolation, NotBounded
 from .ergodic import Analysis
@@ -64,7 +64,12 @@ def nisa_suite_of(analysis):
 
     qc = analysis.quasi_compactness
     ergodic = analysis.ergodic
-    pole = analysis.pole(trivial_character(rep.semigroup))
+    # over N^k the spectrum holds the trivial character as v/|v|; its pole
+    # verdict is the one the spectral characters already have
+    trivial = trivial_character(rep.semigroup)
+    pole = analysis.pole(next(
+        (chi for chi in analysis.spectrum.characters
+         if char_distance(chi, trivial) <= config.tol_cluster), trivial))
 
     fix_dim = ergodic.fix_dim
     ume_finite = ergodic.is_ume and np.isfinite(fix_dim)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .ergodic import Analysis, semigroup_at_infinity
+from .linalg import joint_block_decomposition
 from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
 from .serialize import (
@@ -68,7 +69,15 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         timings[name] = round(time.perf_counter() - start, 6)
         return result
 
-    rep = timed("certify", lambda: certify_boundedness(rep, config, seed))
+    def certify():
+        # over N^k certification and the spectrum read one joint block
+        # decomposition of the generators; a derived representation (rotated,
+        # restricted) computes its own
+        decomposition = None if rep.is_finite else \
+            joint_block_decomposition(rep.family(), config, seed)
+        return certify_boundedness(rep, config, seed, decomposition), decomposition
+
+    rep, decomposition = timed("certify", certify)
     report["boundedness"] = rep.boundedness.to_json()
     if not rep.boundedness.is_certified:
         report["skipped"] = {"reason": "representation is not certified bounded; "
@@ -76,7 +85,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         report["timings"] = timings
         return AnalysisReport(report, violations)
 
-    analysis = Analysis(rep, config, seed)
+    analysis = Analysis(rep, config, seed, decomposition)
     spectrum = timed("spectrum", lambda: analysis.spectrum)
     report["unitary_spectrum"] = {
         "count": len(spectrum),

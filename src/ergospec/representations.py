@@ -146,7 +146,7 @@ def representation_from_generators(monoid, generator_indices, generator_matrices
     return validate_representation(monoid, [known[s] for s in monoid.elements()], config)
 
 
-def certify_boundedness(rep, config=None, seed=DEFAULT_SEED):
+def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
     """Attach a boundedness certificate.
 
     Finite monoids are always bounded (finite range). Over N^k the joint
@@ -154,14 +154,18 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED):
     admissible iff every generator value has modulus <= 1 + tol_char, and
     each generator with a peripheral value acts on the block as that exact
     scalar (no nilpotent part). Any violation yields an Unbounded
-    certificate with the growth direction.
+    certificate with the growth direction. `decomposition` is
+    joint_block_decomposition(rep.family(), config, seed) when the caller
+    already holds it.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
         cert = BoundednessCertificate(CERTIFIED, detail="finite range")
         return replace(rep, boundedness=cert)
 
-    decomp = joint_block_decomposition(rep.matrices, config, seed)
+    decomp = decomposition
+    if decomp is None:
+        decomp = joint_block_decomposition(rep.family(), config, seed)
     u = decomp.unitary
     transformed = [u.conj().T @ a @ u for a in rep.matrices]
     for b, block in enumerate(decomp.block_slices()):

@@ -44,20 +44,22 @@ class UnitarySpectrumResult:
         return any(char_distance(chi, c) <= tol for c in self.characters)
 
 
-def eigenspace(rep, chi, config=None):
+def eigenspace(rep, chi, config=None, norms=None):
     """ker(chi - T): the joint kernel over the generating matrices.
 
     For N^k the generators suffice (a joint generator eigenvector is an
     eigenvector of every product); for a finite monoid all elements are
-    intersected.
+    intersected. `norms`, the operator norms of rep.matrices, spares a
+    caller that tests many characters their recomputation.
     """
     config = DEFAULT_CONFIG if config is None else config
     n = rep.dim
     eye = np.eye(n, dtype=np.complex128)
     kernels = []
-    for s, mat in zip(rep.generating_elements(), rep.matrices):
+    for index, (s, mat) in enumerate(zip(rep.generating_elements(), rep.matrices)):
+        norm = operator_norm(mat) if norms is None else norms[index]
         kernels.append(null_space(chi(s) * eye - mat, config.tol_rank,
-                                  scale=max(1.0, operator_norm(mat))))
+                                  scale=max(1.0, norm)))
         if kernels[-1].dim == 0:
             return Subspace.zero(n)
     return subspace_intersect(kernels, config.tol_rank)
@@ -67,13 +69,15 @@ def _candidate_characters(rep, decomposition, config):
     """Unimodular per-block value tuples, turned into characters."""
     semigroup = rep.semigroup
     is_finite = rep.is_finite
-    dual = enumerate_unitary_dual(semigroup) if is_finite else None
+    if is_finite:
+        dual = enumerate_unitary_dual(semigroup)
+        dual_values = [chi.values() for chi in dual]
     seen = []
     for values in decomposition.block_values:
         if any(abs(abs(v) - 1.0) > config.tol_char for v in values):
             continue
         if is_finite:
-            chi = nearest_character(dual, values, 10 * config.tol_char)
+            chi = nearest_character(dual, values, 10 * config.tol_char, dual_values)
             if chi is None:
                 continue
         else:
@@ -84,22 +88,26 @@ def _candidate_characters(rep, decomposition, config):
     return seen
 
 
-def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED):
+def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
-    outcome (a stable representation), not an error.
+    outcome (a stable representation), not an error. `decomposition` is
+    joint_block_decomposition(rep.family(), config, seed) when the caller
+    already holds it (certification over N^k computes it).
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("unitary_spectrum requires a Certified representation")
 
-    decomposition = joint_block_decomposition(rep.family(), config, seed)
+    if decomposition is None:
+        decomposition = joint_block_decomposition(rep.family(), config, seed)
     candidates = _candidate_characters(rep, decomposition, config)
+    norms = [operator_norm(a) for a in rep.matrices]
 
     characters, spaces, witnesses = [], [], []
     for chi in candidates:
-        space = eigenspace(rep, chi, config)
+        space = eigenspace(rep, chi, config, norms)
         if space.dim == 0:
             continue
         characters.append(chi)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ergospec import cli
 from ergospec.cli import main
 
 from conftest import FIXTURES
@@ -116,6 +117,23 @@ def test_ensemble_json_config(capsys, tmp_path):
     code, out, _ = run(capsys, "ensemble", "--config", str(config))
     assert code == 0
     assert "4/4 pass" in out
+
+
+def test_ensemble_counts_a_raising_instance_as_failed(capsys, monkeypatch):
+    sampler = cli.random_circulant_stochastic_instance
+
+    def flaky(seed, **kwargs):
+        if seed == 12:
+            raise RuntimeError("could not sample a certified positive instance")
+        return sampler(seed, **kwargs)
+
+    monkeypatch.setattr(cli, "random_circulant_stochastic_instance", flaky)
+    code, out, err = run(capsys, "ensemble", "--ensemble", "circulant",
+                         "--count", "3", "--n", "6", "--k", "2", "--seed", "11")
+    assert code == 1
+    assert "instance 1 (seed 12): FAIL - RuntimeError: could not sample" in out
+    assert "2/3 pass" in out
+    assert "Traceback" not in out + err
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -7,10 +7,11 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
-from ergospec import ergodic
+from ergospec import ergodic, linalg
 from ergospec.ergodic import _kernel_average
+from ergospec.serialize import load_representation
 
-from conftest import n1_rep
+from conftest import FIXTURES, cyclic_monoid, n1_rep
 
 
 def test_range_of_one_minus_identity():
@@ -272,33 +273,73 @@ def test_norm_convergence_implies_mean_projection():
     assert es.operator_norm(report.mean_projection - limit) < 1e-10
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of ergodic.<name> through every package binding of it."""
-    original = getattr(ergodic, name)
+def _count_calls(monkeypatch, name, module=ergodic):
+    """Count the calls of <module>.<name> through every package binding of it."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    for module_name, module in list(sys.modules.items()):
+    for module_name, package_module in list(sys.modules.items()):
         if module_name.split(".")[0] == "ergospec":
-            for attr, value in list(vars(module).items()):
+            for attr, value in list(vars(package_module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+                    monkeypatch.setattr(package_module, attr, counted)
     return calls
 
 
 def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
     # PeripheralDecomposition is built once per run of the decomposition
     calls = {name: _count_calls(monkeypatch, name)
-             for name in ("is_pole", "PeripheralDecomposition",
+             for name in ("is_pole", "_pole_verdict", "PeripheralDecomposition",
                           "mean_ergodic_analysis", "unitary_spectrum")}
     report = es.analyze(klein_rep)
     assert report.ok
     assert report.data["positivity"]["nisa"]["agree"]
-    assert len(calls["is_pole"]) == 3             # one per spectral character
+    assert len(calls["_pole_verdict"]) == 3       # one per spectral character
+    # the trivial character's verdict reads the analysis of T itself
+    assert len(calls["is_pole"]) == 2
     assert len(calls["PeripheralDecomposition"]) == 1
-    # one for T, one per rotation inside the pole test
-    assert len(calls["mean_ergodic_analysis"]) <= 4
-    assert len(calls["unitary_spectrum"]) <= 5
+    # one for T, one per nontrivial rotation inside the pole test
+    assert len(calls["mean_ergodic_analysis"]) == 3
+    assert len(calls["unitary_spectrum"]) <= 4
+
+
+@pytest.mark.parametrize("name, expected", [
+    # N^k: the spectrum holds the trivial character exactly (block value 1)
+    ("identity_3", {"mean_ergodic_analysis": 1, "is_pole": 0,
+                    "joint_block_decomposition": 1}),
+    # N^k: the spectrum holds it as v/|v|, which the positive suite reuses
+    ("circulant_stochastic_8", {"is_pole": 1}),
+])
+def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
+    rep, raw = load_representation(str(FIXTURES / f"{name}.json"))
+    calls = {route: _count_calls(monkeypatch, route, module)
+             for route, module in (("mean_ergodic_analysis", ergodic),
+                                   ("is_pole", ergodic),
+                                   ("joint_block_decomposition", linalg))}
+    report = es.analyze(rep, input_json=raw)
+    assert report.ok
+    assert report.data["unitary_spectrum"]["count"] == 1
+    assert report.data["positivity"]["nisa"]["trivial_char_riesz"]
+    assert {route: len(calls[route]) for route in expected} == expected
+
+
+def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
+    # certification and the spectrum share one joint block decomposition
+    rep, raw = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
+    calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
+    report = es.analyze(rep, input_json=raw, sections=["spectrum"])
+    assert report.data["boundedness"]["status"] == "certified"
+    assert len(calls) == 1
+
+
+def test_spectrum_takes_each_operator_norm_once(monkeypatch):
+    rep = es.regular_representation(cyclic_monoid(8))
+    decomposition = es.joint_block_decomposition(rep.family())
+    calls = _count_calls(monkeypatch, "operator_norm", linalg)
+    spectrum = es.unitary_spectrum(rep, decomposition=decomposition)
+    assert len(spectrum) == 8
+    assert len(calls) == 8                        # one per element matrix

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,11 @@ from ergospec.config import DEFAULT_CONFIG
 from ergospec.errors import DimensionMismatch, NotCommuting
 from ergospec.linalg import (
     Subspace,
+    _invariant_subspace,
+    _single_linkage_clusters,
     as_complex_matrix,
     column_space,
+    null_space,
     projection_onto_along,
 )
 
@@ -249,3 +253,66 @@ def test_subspace_sum_dim_bounds_random(seed):
 def test_as_complex_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_complex_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _clustered_matrix(rng, n):
+    """A non-normal matrix whose eigenvalues sit in a few tight clusters,
+    with Jordan cells of sizes up to 3 among them."""
+    centres = rng.uniform(0.3, 1.0, 4) * np.exp(2j * np.pi * rng.random(4))
+    t = np.zeros((n, n), dtype=np.complex128)
+    pos = 0
+    while pos < n:
+        size = min(int(rng.integers(1, 4)), n - pos)
+        t[pos:pos + size, pos:pos + size] = \
+            centres[rng.integers(0, 4)] * np.eye(size) + 0.3 * np.eye(size, k=1)
+        pos += size
+    t += 1e-9 * np.diag(rng.standard_normal(n))
+    q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return q @ t @ np.linalg.inv(q)
+
+
+@pytest.mark.parametrize("n", [2, 6, 24, 80])
+def test_reordered_schur_matches_sorted_schur(n):
+    # one Schur form reordered per cluster gives the bits of a sorted Schur
+    # factorization per cluster; n = 80 takes LAPACK's multishift QR path
+    for seed in range(4):
+        mat = _clustered_matrix(np.random.default_rng([n, seed]), n)
+        eigs = np.linalg.eigvals(mat)
+        form = scipy.linalg.schur(mat, output="complex")
+        for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
+            for cluster in _single_linkage_clusters(eigs, radius):
+                selected = eigs[cluster]
+
+                def want(z):
+                    return bool(np.min(np.abs(z - selected)) < radius / 2)
+
+                _, z, sdim = scipy.linalg.schur(mat, output="complex", sort=want)
+                basis, dim = _invariant_subspace(form, selected, radius)
+                assert dim == sdim
+                assert basis.tobytes() == z[:, :sdim].tobytes()
+
+
+def test_tall_kernels_take_thin_factors(monkeypatch):
+    rng = np.random.default_rng(8)
+    cols = rng.standard_normal((48, 4)) + 1j * rng.standard_normal((48, 4))
+    tall = cols @ (rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7)))
+    u, s, vh = np.linalg.svd(tall)              # full factors, as before
+    rank = int(np.sum(s > DEFAULT_CONFIG.tol_rank * s[0]))
+    assert rank == 4
+
+    requested = []
+    full_svd = np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, **kwargs):
+        requested.append((np.shape(a), full_matrices))
+        return full_svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    kernel = null_space(tall)
+    image = column_space(tall)
+    assert kernel.basis.tobytes() == vh[rank:].conj().T.tobytes()
+    assert image.basis.tobytes() == u[:, :rank].tobytes()
+    assert requested == [((48, 7), False), ((48, 7), False)]
+    # a wide matrix still needs the full V^H for its kernel
+    assert null_space(tall.T).dim == 44
+    assert requested[-1] == ((7, 48), True)
