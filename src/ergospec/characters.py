@@ -117,11 +117,11 @@ def char_eval(chi, s):
 
 
 def char_distance(chi, tau):
-    """Canonical metric: max angular distance over the generating data."""
+    """Canonical metric: max angular distance over the generators."""
     if chi.is_exact and tau.is_exact:
         worst = 0.0
-        for a, b in zip(chi.angles, tau.angles):
-            d = float((a - b) % 1)
+        for g in chi.semigroup.generators:
+            d = float((chi.angles[g] - tau.angles[g]) % 1)
             worst = max(worst, min(d, 1.0 - d) * 2 * math.pi)
         return worst
     return max(abs(cmath.phase(a / b)) for a, b in zip(chi.gen_values, tau.gen_values))

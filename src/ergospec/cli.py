@@ -21,11 +21,7 @@ from .ensembles import (
 from .ergodic import Analysis
 from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .report import analyze, summarize
-from .serialize import (
-    canonical_dumps,
-    character_from_json,
-    load_representation,
-)
+from .serialize import canonical_dumps, load_character, load_representation
 from .spectrum import laplace_falsifier
 
 
@@ -138,8 +134,7 @@ def cmd_falsify(args):
     rep, _ = load_representation(args.path, config)
     from .representations import certify_boundedness
     rep = certify_boundedness(rep, config, args.seed)
-    with open(args.character) as fh:
-        chi = character_from_json(json.load(fh), rep.semigroup)
+    chi = load_character(args.character, rep.semigroup)
     verdict = laplace_falsifier(rep, chi, trials=args.trials, config=config,
                                 seed=args.seed)
     if args.format == "json":

@@ -33,18 +33,15 @@ from .spectrum import eigenspace, unitary_spectrum
 
 
 def range_of_one_minus(rep, config=None):
-    """rg(1 - T): the sum of the column spaces of I - T_s.
-
-    Generators suffice over N^k because
-    1 - T_g T_h = (1 - T_g) + T_g (1 - T_h); every element is summed for a
-    finite monoid.
+    """rg(1 - T): the sum of the column spaces of I - T_g over the
+    generators g, which suffice because 1 - T_g T_h = (1 - T_g) + T_g (1 - T_h).
     """
     config = DEFAULT_CONFIG if config is None else config
     eye = np.eye(rep.dim, dtype=np.complex128)
     # the scale floor keeps I - T_s near the identity from reading as full rank
     spaces = [column_space(eye - a, config.tol_rank,
                            scale=max(1.0, operator_norm(a)))
-              for a in rep.matrices]
+              for a in rep.family()]
     return subspace_sum(spaces, config.tol_rank)
 
 
@@ -325,7 +322,6 @@ class QuasiCompactnessVerdict:
     characters: list
     eigenspace_dims: list
     riesz_all: bool
-    norm_witness: object           # (element, distance) with distance < 1
     decomposition_consistent: bool
 
     @property
@@ -340,8 +336,7 @@ class Analysis:
     Verdicts read the routes they need from here. Each route is
     deterministic, so sharing its result gives the bits of recomputing it.
     `block_decomposition`, when given, is the joint block decomposition of
-    rep's generators under this config and seed, as certification over N^k
-    computed it.
+    rep.kernel_family() under this config and seed.
     """
 
     def __init__(self, rep, config=None, seed=DEFAULT_SEED, block_decomposition=None):
@@ -458,27 +453,22 @@ class Analysis:
     @cached_property
     def quasi_compactness(self):
         """Riesz-point criterion, cross-checked against the peripheral
-        decomposition and the trivial finite-dimensional norm witness.
+        decomposition.
 
         For valid Certified finite-dimensional input the verdict is always
         quasi-compact; the value of the operation is the agreement of the
-        three independent computations."""
+        two independent computations."""
         spectrum = self.spectrum
         verdicts = [self.pole(chi) for chi in spectrum.characters]
         riesz_all = all(verdict.is_pole for verdict in verdicts)
         dims = [space.dim for space in spectrum.eigenspaces]
         consistent = self.decomposition.reversible.dim == sum(dims)
-
-        # in finite dimension every operator is compact: distance 0 at the neutral element
-        witness = (self.rep.semigroup.neutral, 0.0)
-
         status = QUASI_COMPACT if riesz_all else "not_quasi_compact"
         return QuasiCompactnessVerdict(
             status=status,
             characters=spectrum.characters,
             eigenspace_dims=dims,
             riesz_all=riesz_all,
-            norm_witness=witness,
             decomposition_consistent=consistent,
         )
 

@@ -70,11 +70,9 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         return result
 
     def certify():
-        # over N^k certification and the spectrum read one joint block
-        # decomposition of the generators; a derived representation (rotated,
-        # restricted) computes its own
-        decomposition = None if rep.is_finite else \
-            joint_block_decomposition(rep.family(), config, seed)
+        # certification and the spectrum read one joint block decomposition;
+        # a derived representation (rotated, restricted) computes its own
+        decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
         return certify_boundedness(rep, config, seed, decomposition), decomposition
 
     rep, decomposition = timed("certify", certify)
@@ -188,10 +186,6 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
             "status": qc.status,
             "eigenspace_dims": qc.eigenspace_dims,
             "riesz_all": qc.riesz_all,
-            "norm_witness": {"element": qc.norm_witness[0]
-                             if not isinstance(qc.norm_witness[0], tuple)
-                             else list(qc.norm_witness[0]),
-                             "distance": qc.norm_witness[1]},
             "decomposition_consistent": qc.decomposition_consistent,
         }
         if not qc.is_quasi_compact or not qc.decomposition_consistent:

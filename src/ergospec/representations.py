@@ -21,7 +21,7 @@ from .errors import (
     NotInvariant,
 )
 from .linalg import as_complex_matrix, joint_block_decomposition, operator_norm
-from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid
+from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid, kernel_group
 
 CERTIFIED = "certified"
 UNBOUNDED = "unbounded"
@@ -59,9 +59,22 @@ class Representation:
         return isinstance(self.semigroup, FiniteCommutativeMonoid)
 
     def family(self):
-        """The matrices that generate the image: all elements for a finite
-        monoid, the generators for N^k."""
+        """The matrices of the semigroup's generators."""
+        if self.is_finite:
+            return [self.matrices[g] for g in self.semigroup.generators]
         return list(self.matrices)
+
+    def kernel_family(self):
+        """T_(g+e) per generator g, where e is the minimal idempotent (the
+        neutral element over N^k). A unitary character takes the same value
+        at g and at g+e, and T_(g+e) is diagonalizable: it is annihilated by
+        x^(d+1) - x, d the order of g+e in the kernel group. T_g itself can
+        carry nilpotent Jordan cells, whose eigenvalues scatter."""
+        if not self.is_finite:
+            return self.family()
+        e = kernel_group(self.semigroup).identity
+        return [self.matrices[self.semigroup.add(g, e)]
+                for g in self.semigroup.generators]
 
     def matrix(self, s):
         """The matrix representing an arbitrary element."""
@@ -72,13 +85,6 @@ class Representation:
             if exponent:
                 result = result @ np.linalg.matrix_power(gen, int(exponent))
         return result
-
-    def generating_elements(self):
-        """Elements whose matrices are stored directly."""
-        if self.is_finite:
-            return list(self.semigroup.elements())
-        k = self.semigroup.rank
-        return [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
 
 
 def validate_representation(semigroup, matrices, config=None):
@@ -155,8 +161,8 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
     each generator with a peripheral value acts on the block as that exact
     scalar (no nilpotent part). Any violation yields an Unbounded
     certificate with the growth direction. `decomposition` is
-    joint_block_decomposition(rep.family(), config, seed) when the caller
-    already holds it.
+    joint_block_decomposition(rep.kernel_family(), config, seed) when the
+    caller already holds it.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
@@ -165,7 +171,7 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
 
     decomp = decomposition
     if decomp is None:
-        decomp = joint_block_decomposition(rep.family(), config, seed)
+        decomp = joint_block_decomposition(rep.kernel_family(), config, seed)
     u = decomp.unitary
     transformed = [u.conj().T @ a @ u for a in rep.matrices]
     for b, block in enumerate(decomp.block_slices()):
@@ -174,7 +180,7 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
             if abs(psi) > 1.0 + config.tol_char:
                 cert = BoundednessCertificate(
                     UNBOUNDED,
-                    witness=tuple(1 if i == j else 0 for i in range(len(values))),
+                    witness=rep.semigroup.generators[j],
                     detail=f"block {b}: generator {j} has joint value of modulus "
                            f"{abs(psi):.6f} > 1")
                 return replace(rep, boundedness=cert)
@@ -186,7 +192,7 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
                 if defect > config.tol_rank * scale * max(1, width):
                     cert = BoundednessCertificate(
                         UNBOUNDED,
-                        witness=tuple(1 if i == j else 0 for i in range(len(values))),
+                        witness=rep.semigroup.generators[j],
                         detail=f"block {b}: generator {j} is peripheral but acts "
                                f"with nilpotent defect {defect:.3e}")
                     return replace(rep, boundedness=cert)
@@ -214,7 +220,7 @@ def restrict(rep, subspace, config=None):
     basis = subspace.basis
     proj = basis @ basis.conj().T
     eye = np.eye(rep.dim)
-    for label, a in zip(rep.generating_elements(), rep.matrices):
+    for label, a in zip(rep.semigroup.generators, rep.family()):
         residual = operator_norm((eye - proj) @ a @ proj)
         if residual > config.tol_hom * max(1.0, operator_norm(a)):
             raise NotInvariant(label, residual)

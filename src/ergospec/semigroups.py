@@ -2,10 +2,12 @@
 
 Finite monoids are given by explicit row-major Cayley tables with a named
 neutral element; N^k elements are exponent tuples. Both carriers share the
-divisibility preorder s <= t iff s + r = t for some r.
+divisibility preorder s <= t iff s + r = t for some r, and both name a
+generating set, `generators`, which every linear-algebra route reads.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +36,24 @@ class FiniteCommutativeMonoid:
 
     def elements(self):
         return range(self.size)
+
+    @cached_property
+    def generators(self):
+        """A generating set, greedily in element order: each element that
+        the earlier ones do not generate. The one-element monoid gets its
+        neutral element, so every family of generator matrices is nonempty."""
+        gens, closure = [], {self.neutral}
+        for s in self.elements():
+            if s not in closure:
+                gens.append(s)
+                frontier = list(closure)
+                while frontier:
+                    x = frontier.pop()
+                    for y in (self.table[x][g] for g in gens):
+                        if y not in closure:
+                            closure.add(y)
+                            frontier.append(y)
+        return tuple(gens) or (self.neutral,)
 
     @property
     def is_finite(self):
@@ -64,6 +84,12 @@ class FreeCommutativeMonoid:
     @property
     def neutral(self):
         return (0,) * self.rank
+
+    @property
+    def generators(self):
+        """The k unit exponent tuples."""
+        return tuple(tuple(int(i == j) for i in range(self.rank))
+                     for j in range(self.rank))
 
     @property
     def is_finite(self):

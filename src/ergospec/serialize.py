@@ -8,6 +8,7 @@ Representations: {"semigroup": {...}, "dim": n,
 Characters:      {"angles": [["p", "q"], ...]} or {"gen_values": [{"re": .., "im": ..}, ...]}
 """
 
+import contextlib
 import hashlib
 import json
 from fractions import Fraction
@@ -85,14 +86,35 @@ def representation_from_json(data, config=None):
     return rep
 
 
-def load_representation(path, config=None):
+def _read_json(path):
     with open(path) as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return representation_from_json(data, config), data
+
+
+@contextlib.contextmanager
+def _decoding(what):
+    """Report data that does not have the shape the decoder reads as a
+    ParseError: a missing key, a ragged table, a non-numeric entry."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def load_representation(path, config=None):
+    data = _read_json(path)
+    with _decoding("representation"):
+        return representation_from_json(data, config), data
+
+
+def load_character(path, semigroup):
+    data = _read_json(path)
+    with _decoding("character"):
+        return character_from_json(data, semigroup)
 
 
 def character_to_json(chi):

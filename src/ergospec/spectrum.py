@@ -45,20 +45,18 @@ class UnitarySpectrumResult:
 
 
 def eigenspace(rep, chi, config=None, norms=None):
-    """ker(chi - T): the joint kernel over the generating matrices.
-
-    For N^k the generators suffice (a joint generator eigenvector is an
-    eigenvector of every product); for a finite monoid all elements are
-    intersected. `norms`, the operator norms of rep.matrices, spares a
-    caller that tests many characters their recomputation.
+    """ker(chi - T): the joint kernel over the generator matrices, which
+    suffice because a joint generator eigenvector is an eigenvector of every
+    product. `norms`, the operator norms of rep.family(), spares a caller
+    that tests many characters their recomputation.
     """
     config = DEFAULT_CONFIG if config is None else config
     n = rep.dim
     eye = np.eye(n, dtype=np.complex128)
     kernels = []
-    for index, (s, mat) in enumerate(zip(rep.generating_elements(), rep.matrices)):
+    for index, (g, mat) in enumerate(zip(rep.semigroup.generators, rep.family())):
         norm = operator_norm(mat) if norms is None else norms[index]
-        kernels.append(null_space(chi(s) * eye - mat, config.tol_rank,
+        kernels.append(null_space(chi(g) * eye - mat, config.tol_rank,
                                   scale=max(1.0, norm)))
         if kernels[-1].dim == 0:
             return Subspace.zero(n)
@@ -66,12 +64,13 @@ def eigenspace(rep, chi, config=None, norms=None):
 
 
 def _candidate_characters(rep, decomposition, config):
-    """Unimodular per-block value tuples, turned into characters."""
+    """Unimodular per-block value tuples on the generators, turned into
+    characters."""
     semigroup = rep.semigroup
     is_finite = rep.is_finite
     if is_finite:
         dual = enumerate_unitary_dual(semigroup)
-        dual_values = [chi.values() for chi in dual]
+        dual_values = [tuple(chi(g) for g in semigroup.generators) for chi in dual]
     seen = []
     for values in decomposition.block_values:
         if any(abs(abs(v) - 1.0) > config.tol_char for v in values):
@@ -93,17 +92,17 @@ def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. `decomposition` is
-    joint_block_decomposition(rep.family(), config, seed) when the caller
-    already holds it (certification over N^k computes it).
+    joint_block_decomposition(rep.kernel_family(), config, seed) when the
+    caller already holds it.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("unitary_spectrum requires a Certified representation")
 
     if decomposition is None:
-        decomposition = joint_block_decomposition(rep.family(), config, seed)
+        decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
     candidates = _candidate_characters(rep, decomposition, config)
-    norms = [operator_norm(a) for a in rep.matrices]
+    norms = [operator_norm(a) for a in rep.family()]
 
     characters, spaces, witnesses = [], [], []
     for chi in candidates:
@@ -125,13 +124,13 @@ def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
 
 
 def approximate_eigenvector_check(rep, chi, v, eps):
-    """True iff max_s ||chi(s) v - T_s v|| <= eps over the generating set."""
+    """True iff max_g ||chi(g) v - T_g v|| <= eps over the generators g."""
     v = np.asarray(v, dtype=np.complex128)
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise NotNormalized("test vector must have unit norm")
     worst = 0.0
-    for s, mat in zip(rep.generating_elements(), rep.matrices):
-        worst = max(worst, float(np.linalg.norm(chi(s) * v - mat @ v)))
+    for g, mat in zip(rep.semigroup.generators, rep.family()):
+        worst = max(worst, float(np.linalg.norm(chi(g) * v - mat @ v)))
     return worst <= eps
 
 
@@ -180,8 +179,7 @@ def laplace_falsifier(rep, chi, trials=64, config=None, seed=DEFAULT_SEED):
                                  for i in range(m - 1)]
                 candidates.append((elements, signs))
     else:
-        k = rep.semigroup.rank
-        base = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+        base = list(rep.semigroup.generators)
         candidates.append((base, [np.conj(chi(g)) for g in base]))
 
     for elements, coeffs in candidates:

@@ -61,6 +61,27 @@ def cyclic_monoid(m):
     return es.validate_monoid([[(i + j) % m for j in range(m)] for i in range(m)], 0)
 
 
+def chain_monoid(c):
+    """L_c: the chain {0, ..., c-1} under max."""
+    return es.validate_monoid([[max(i, j) for j in range(c)] for i in range(c)], 0)
+
+
+def truncated_monoid(c):
+    """T_c: truncated addition min(i + j, c) on {0, ..., c}."""
+    return es.validate_monoid([[min(i + j, c) for j in range(c + 1)]
+                               for i in range(c + 1)], 0)
+
+
+def relabeled(monoid, rng):
+    """The same monoid with element i renamed perm[i], the neutral one too."""
+    perm = rng.permutation(monoid.size)
+    table = [[0] * monoid.size for _ in range(monoid.size)]
+    for i in monoid.elements():
+        for j in monoid.elements():
+            table[perm[i]][perm[j]] = int(perm[monoid.add(i, j)])
+    return es.validate_monoid(table, int(perm[monoid.neutral]))
+
+
 def product_monoid(a, b):
     """Cayley table of the direct product, indexed row-major."""
     size = a.size * b.size

@@ -144,6 +144,38 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+def _drop_matrices(data):
+    del data["matrices"]
+
+
+def _ragged_table(data):
+    data["semigroup"]["table"][1].pop()
+
+
+def _text_entry(data):
+    data["matrices"]["list"][0]["re"][0] = "one"
+
+
+@pytest.mark.parametrize("mutate", [_drop_matrices, _ragged_table, _text_entry])
+def test_malformed_representation_exit_code(capsys, tmp_path, mutate):
+    data = json.loads((FIXTURES / "klein_four.json").read_text())
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("error: malformed representation: ")
+    assert err.count("\n") == 1
+
+
+def test_malformed_character_exit_code(capsys, tmp_path):
+    char_path = tmp_path / "short.json"
+    char_path.write_text(json.dumps({"angles": [["0"], ["0", "1"]]}))
+    code, _, err = run(capsys, "falsify", fixture_path("klein_four"), str(char_path))
+    assert code == 2
+    assert err.startswith("error: malformed character: ")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/rep.json")
     assert code == 2

@@ -223,7 +223,6 @@ def test_quasi_compactness_klein(klein_rep):
     verdict = es.quasi_compactness_verdict(klein_rep)
     assert verdict.is_quasi_compact
     assert sorted(verdict.eigenspace_dims) == [1, 1, 2]
-    assert verdict.norm_witness == (0, 0.0)
     assert verdict.decomposition_consistent
 
 
@@ -274,12 +273,13 @@ def test_norm_convergence_implies_mean_projection():
 
 
 def _count_calls(monkeypatch, name, module=ergodic):
-    """Count the calls of <module>.<name> through every package binding of it."""
+    """Record the positional arguments of each call of <module>.<name>
+    through every package binding of it."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module_name, package_module in list(sys.modules.items()):
@@ -336,10 +336,20 @@ def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["klein_four", "threshold", "semilattice"])
+def test_spectrum_op_decomposes_finite_generators_once(name, monkeypatch):
+    # one decomposition of T_(g+e), one matrix per generator g, not per element
+    rep, raw = load_representation(str(FIXTURES / f"{name}.json"))
+    calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
+    es.analyze(rep, input_json=raw, sections=["spectrum"])
+    assert [len(args[0]) for args in calls] == [len(rep.semigroup.generators)]
+    assert len(rep.semigroup.generators) < rep.semigroup.size
+
+
 def test_spectrum_takes_each_operator_norm_once(monkeypatch):
     rep = es.regular_representation(cyclic_monoid(8))
-    decomposition = es.joint_block_decomposition(rep.family())
+    decomposition = es.joint_block_decomposition(rep.kernel_family())
     calls = _count_calls(monkeypatch, "operator_norm", linalg)
     spectrum = es.unitary_spectrum(rep, decomposition=decomposition)
     assert len(spectrum) == 8
-    assert len(calls) == 8                        # one per element matrix
+    assert len(calls) == 1                        # one per generator matrix

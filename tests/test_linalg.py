@@ -99,10 +99,12 @@ def test_joint_decomposition_klein_family(klein_rep):
     dec = es.joint_block_decomposition(klein_rep.family())
     sizes = np.diff(list(dec.block_starts) + [4]).tolist()
     rows = sorted(tuple(int(round(v.real)) for v in vals) for vals in dec.block_values)
-    # the trivial row is a joint eigenvalue of multiplicity two; the sign
-    # pattern (1,-1,-1,1) has no joint eigenvector and appears in no block
+    # block values sit on the generators 1 and 2: the trivial pair is a joint
+    # eigenvalue of multiplicity two; det, (-1, -1), has no joint
+    # eigenvector and appears in no block
+    assert klein_rep.semigroup.generators == (1, 2)
     assert sorted(sizes) == [1, 1, 2]
-    assert rows == sorted([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1)])
+    assert rows == sorted([(1, 1), (-1, 1), (1, -1)])
 
 
 def test_joint_decomposition_single_jordan_block():

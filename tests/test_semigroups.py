@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import ergospec as es
@@ -10,8 +11,19 @@ from ergospec.errors import (
     NotCommutative,
 )
 from ergospec.semigroups import add_exponents, element_order
+from ergospec.serialize import load_representation
 
-from conftest import free, klein_table, monoid_pool
+from conftest import (
+    FIXTURES,
+    chain_monoid,
+    cyclic_monoid,
+    free,
+    klein_table,
+    monoid_pool,
+    product_monoid,
+    relabeled,
+    truncated_monoid,
+)
 
 
 def test_validate_klein_four(klein_monoid):
@@ -138,3 +150,44 @@ def test_exponent_overflow():
 def test_free_monoid_requires_positive_rank():
     with pytest.raises(ValueError):
         free(0)
+
+
+def _closure(monoid, gens):
+    """The submonoid generated by gens, by graph search over the table."""
+    seen, frontier = {monoid.neutral}, [monoid.neutral]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = monoid.add(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _generator_cases():
+    for name in ("klein_four", "semilattice", "threshold"):
+        semigroup = load_representation(str(FIXTURES / f"{name}.json"))[0].semigroup
+        yield name, semigroup
+    atoms = [cyclic_monoid(5), cyclic_monoid(6), chain_monoid(3), truncated_monoid(4)]
+    monoids = atoms + [product_monoid(a, b) for a, b in itertools.combinations(atoms, 2)]
+    rng = np.random.default_rng(17)
+    for index, monoid in enumerate(monoids):
+        for copy in range(3):
+            yield f"monoid {index} copy {copy}", relabeled(monoid, rng)
+
+
+def test_generators_generate_the_monoid():
+    for name, monoid in _generator_cases():
+        gens = monoid.generators
+        assert gens and len(set(gens)) == len(gens), name
+        assert _closure(monoid, gens) == set(monoid.elements()), name
+        # greedy: no generator lies in the submonoid of the earlier ones
+        for i, g in enumerate(gens):
+            assert g not in _closure(monoid, gens[:i]), name
+
+
+def test_generators_of_small_monoids():
+    assert cyclic_monoid(7).generators == (1,)
+    assert es.validate_monoid([[0]], 0).generators == (0,)
+    assert free(3).generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -5,7 +5,7 @@ import ergospec as es
 from ergospec.errors import NotBounded, NotNormalized
 from ergospec.spectrum import brute_force_spectrum
 
-from conftest import free, n1_rep
+from conftest import free, n1_rep, relabeled, truncated_monoid
 
 
 def klein_char(monoid, row):
@@ -179,3 +179,16 @@ def test_witnesses_are_joint_eigenvectors(klein_rep):
     spectrum = es.unitary_spectrum(klein_rep)
     for chi, witness in zip(spectrum.characters, spectrum.witnesses):
         assert es.approximate_eigenvector_check(klein_rep, chi, witness, 1e-8)
+
+
+def test_truncated_regular_representation_keeps_its_one_character():
+    # T_g of truncated addition carries nilpotent Jordan cells whose
+    # eigenvalues scatter by about eps^(1/7); decomposing them can push a
+    # block value past tol_char and lose the trivial character
+    for seed in range(40):
+        monoid = relabeled(truncated_monoid(7), np.random.default_rng(seed))
+        rep = es.regular_representation(monoid)
+        report = es.analyze(rep, sections=["spectrum", "stability"])
+        assert report.ok, seed
+        assert report.data["unitary_spectrum"]["count"] == 1, seed
+        assert report.data["unitary_spectrum"]["eigenspace_dims"] == [1], seed
