@@ -18,7 +18,6 @@ from .characters import (
     UnitaryCharacter,
     char_conj,
     char_distance,
-    char_eval,
     char_mul,
     character_from_gen_values,
     enumerate_unitary_dual,
@@ -31,7 +30,6 @@ from .linalg import (
     joint_block_decomposition,
     null_space,
     operator_norm,
-    spectral_radius,
     subspace_intersect,
     subspace_sum,
 )
@@ -40,7 +38,6 @@ from .representations import (
     certify_boundedness,
     direct_sum,
     dual_representation,
-    identity_representation,
     regular_representation,
     representation_from_generators,
     restrict,

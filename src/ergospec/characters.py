@@ -112,10 +112,6 @@ def char_conj(chi):
                             gen_values=tuple(z.conjugate() for z in chi.gen_values))
 
 
-def char_eval(chi, s):
-    return chi(s)
-
-
 def char_distance(chi, tau):
     """Canonical metric: max angular distance over the generators."""
     if chi.is_exact and tau.is_exact:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import char_conj, trivial_character
+from .characters import trivial_character
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NonPoleSpectrum, NotBounded
 from .linalg import (
@@ -27,22 +27,38 @@ from .linalg import (
     projection_onto_along,
     subspace_sum,
 )
-from .representations import restrict, rotate
+from .representations import restrict
 from .semigroups import kernel_group
 from .spectrum import eigenspace, unitary_spectrum
 
 
-def range_of_one_minus(rep, config=None):
-    """rg(1 - T): the sum of the column spaces of I - T_g over the
-    generators g, which suffice because 1 - T_g T_h = (1 - T_g) + T_g (1 - T_h).
+def range_of_one_minus(rep, config=None, chi=None):
+    """rg(chi - T), by default rg(1 - T): the sum of the column spaces of
+    chi(g) - T_g over the generators g, which suffice because
+    chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) + T_g (chi(h) - T_h).
     """
     config = DEFAULT_CONFIG if config is None else config
+    if chi is None:
+        chi = trivial_character(rep.semigroup)
     eye = np.eye(rep.dim, dtype=np.complex128)
-    # the scale floor keeps I - T_s near the identity from reading as full rank
-    spaces = [column_space(eye - a, config.tol_rank,
+    # the scale floor keeps chi(g) - T_g near zero from reading as full rank
+    spaces = [column_space(chi(g) * eye - a, config.tol_rank,
                            scale=max(1.0, operator_norm(a)))
-              for a in rep.family()]
+              for g, a in zip(rep.semigroup.generators, rep.family())]
     return subspace_sum(spaces, config.tol_rank)
+
+
+def _split(rep, chi, config, fix=None):
+    """ker(chi - T), rg(chi - T) and the projection onto the first along
+    the second, or None when they are not direct complements. `fix`, when
+    given, is eigenspace(rep, chi, config)."""
+    if fix is None:
+        fix = eigenspace(rep, chi, config)
+    rng_space = range_of_one_minus(rep, config, chi)
+    projection = None
+    if is_direct_complement(fix, rng_space, config.tol_rank):
+        projection = projection_onto_along(fix, rng_space)
+    return fix, rng_space, projection
 
 
 def _kernel_average(rep):
@@ -121,16 +137,9 @@ def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED):
     if not rep.boundedness.is_certified:
         raise NotBounded("mean_ergodic_analysis requires a Certified representation")
 
-    fix = eigenspace(rep, trivial_character(rep.semigroup), config)
-    rng_space = range_of_one_minus(rep, config)
-    ume = is_direct_complement(fix, rng_space, config.tol_rank)
-
-    projection = None
-    if ume:
-        projection = projection_onto_along(fix, rng_space)
-
-    report = ErgodicReport(fix_space=fix, range_space=rng_space, is_ume=ume,
-                           mean_projection=projection)
+    fix, rng_space, projection = _split(rep, trivial_character(rep.semigroup), config)
+    report = ErgodicReport(fix_space=fix, range_space=rng_space,
+                           is_ume=projection is not None, mean_projection=projection)
 
     if rep.is_finite:
         khat = _kernel_average(rep)
@@ -160,7 +169,7 @@ class PoleVerdict:
     status: str
     projection: np.ndarray = None
     eigenspace_dim: int = 0
-    complement_clear: bool = None  # chi absent from the spectrum of T|ker(P)
+    complement_clear: bool = None  # chi not a joint eigenvalue of T|ker(P)
 
     @property
     def is_pole(self):
@@ -174,44 +183,30 @@ class PoleVerdict:
 
 
 def is_pole(rep, chi, config=None, seed=DEFAULT_SEED):
-    """Pole test via rotation: chi is a pole of T iff the constant
-    character is a pole of conj(chi) T, i.e. iff the rotated representation
-    is uniformly mean ergodic with the matching kernel.
+    """Pole test: chi is a pole of T iff ker(chi - T) and rg(chi - T) are
+    direct complements; see Analysis.pole."""
+    return Analysis(rep, config, seed).pole(chi)
 
-    The verdict is post-checked: chi must be absent from the unitary
-    spectrum of T restricted to ker(P).
+
+def _pole_verdict(rep, chi, config, spectrum, fix=None):
+    """is_pole, given the unitary spectrum of T and, when chi is in it,
+    its eigenspace.
+
+    The verdict is post-checked: chi must not be a joint eigenvalue of T
+    restricted to rg(chi - T), the kernel of the projection.
     """
-    config = DEFAULT_CONFIG if config is None else config
-    rotated = Analysis(rotate(rep, char_conj(chi)), config, seed)
-    return _pole_verdict(rep, chi, rotated)
+    fix, rng_space, projection = _split(rep, chi, config, fix)
+    if fix.dim == 0 and not spectrum.contains(chi, config.tol_cluster):
+        zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
+        return PoleVerdict(NOT_IN_SPECTRUM, projection=zero,
+                           eigenspace_dim=0, complement_clear=True)
 
+    if projection is None:
+        return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
 
-def _pole_verdict(rep, chi, rotated):
-    """is_pole, given the Analysis of the rotated representation conj(chi) T."""
-    config, seed = rotated.config, rotated.seed
-    analysis = rotated.ergodic
-
-    if analysis.fix_dim == 0:
-        trivially_absent = not rotated.spectrum.contains(
-            trivial_character(rep.semigroup), config.tol_cluster)
-        if trivially_absent:
-            zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-            return PoleVerdict(NOT_IN_SPECTRUM, projection=zero,
-                               eigenspace_dim=0, complement_clear=True)
-
-    if not analysis.is_ume:
-        return PoleVerdict(NOT_POLE, eigenspace_dim=analysis.fix_dim)
-
-    projection = analysis.mean_projection
-    complement_clear = None
-    if analysis.range_space.dim > 0:
-        restricted = restrict(rep, analysis.range_space, config)
-        sub_spectrum = unitary_spectrum(restricted, config, seed)
-        complement_clear = not sub_spectrum.contains(chi, config.tol_cluster)
-    else:
-        complement_clear = True
-    return PoleVerdict(POLE, projection=projection,
-                       eigenspace_dim=analysis.fix_dim,
+    complement_clear = rng_space.dim == 0 or eigenspace(
+        restrict(rep, rng_space, config), chi, config).dim == 0
+    return PoleVerdict(POLE, projection=projection, eigenspace_dim=fix.dim,
                        complement_clear=complement_clear)
 
 
@@ -355,20 +350,17 @@ class Analysis:
     def ergodic(self):
         return mean_ergodic_analysis(self.rep, self.config, self.seed)
 
+    @cached_property
+    def _eigenspaces(self):
+        return {repr(chi.canonical_key()): space for chi, space in
+                zip(self.spectrum.characters, self.spectrum.eigenspaces)}
+
     def pole(self, chi):
         # repr tells -0.0 from 0.0, so equal keys mean bit-equal characters
         key = repr(chi.canonical_key())
         if key not in self._poles:
-            trivial = trivial_character(self.rep.semigroup)
-            if key == repr(trivial.canonical_key()) and all(
-                    a.tobytes() == b.tobytes() for a, b in
-                    zip(rotate(self.rep, char_conj(chi)).matrices, self.rep.matrices)):
-                # the rotation by the trivial character kept every bit of T
-                # (1 * z can flip the sign of a zero part), so this analysis
-                # is the one the pole test would build
-                self._poles[key] = _pole_verdict(self.rep, chi, self)
-            else:
-                self._poles[key] = is_pole(self.rep, chi, self.config, self.seed)
+            self._poles[key] = _pole_verdict(self.rep, chi, self.config, self.spectrum,
+                                             self._eigenspaces.get(key))
         return self._poles[key]
 
     @cached_property
@@ -376,9 +368,8 @@ class Analysis:
         """Split C^n into the reversible part E_r (joint unimodular
         eigenspaces) and the stable part E_s, with the commuting projection.
 
-        P is the sum of the mean ergodic projections of the rotated
-        representations; pairwise products of those projections must
-        vanish.
+        P is the sum of the pole projections onto ker(chi - T) along
+        rg(chi - T); pairwise products of those projections must vanish.
         """
         rep, config = self.rep, self.config
         n = rep.dim

@@ -34,16 +34,6 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
-def spectral_radius(a):
-    """Largest eigenvalue modulus."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("spectral radius needs a square matrix")
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvals(a)).max())
-
-
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^n held as an orthonormal column basis."""
@@ -57,10 +47,6 @@ class Subspace:
 
     def projector(self):
         return self.basis @ self.basis.conj().T
-
-    def contains(self, v, tol=1e-8):
-        v = np.asarray(v, dtype=np.complex128)
-        return np.linalg.norm(self.projector() @ v - v) <= tol * max(1.0, np.linalg.norm(v))
 
     @staticmethod
     def full(n):

@@ -71,7 +71,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
 
     def certify():
         # certification and the spectrum read one joint block decomposition;
-        # a derived representation (rotated, restricted) computes its own
+        # the restriction to E_s computes its own
         decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
         return certify_boundedness(rep, config, seed, decomposition), decomposition
 

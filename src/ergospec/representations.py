@@ -251,17 +251,6 @@ def direct_sum(rep1, rep2):
                           matrices=tuple(mats), boundedness=cert)
 
 
-def identity_representation(semigroup, dim):
-    """Every element acts as the identity on C^dim."""
-    eye = np.eye(dim, dtype=np.complex128)
-    if isinstance(semigroup, FreeCommutativeMonoid):
-        mats = (eye.copy(),) * semigroup.rank
-    else:
-        mats = tuple(eye.copy() for _ in semigroup.elements())
-    return Representation(semigroup=semigroup, dim=dim, matrices=mats,
-                          boundedness=BoundednessCertificate(CERTIFIED, detail="identity"))
-
-
 def regular_representation(monoid):
     """Left translations on C^|S|; entrywise 0/1, hence positive."""
     m = monoid.size

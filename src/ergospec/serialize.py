@@ -98,10 +98,11 @@ def _read_json(path):
 @contextlib.contextmanager
 def _decoding(what):
     """Report data that does not have the shape the decoder reads as a
-    ParseError: a missing key, a ragged table, a non-numeric entry."""
+    ParseError: a missing key, a ragged table, a non-numeric entry, a list
+    where an object belongs."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -156,7 +156,12 @@ def _text_entry(data):
     data["matrices"]["list"][0]["re"][0] = "one"
 
 
-@pytest.mark.parametrize("mutate", [_drop_matrices, _ragged_table, _text_entry])
+def _list_semigroup(data):
+    data["semigroup"] = []
+
+
+@pytest.mark.parametrize("mutate", [_drop_matrices, _ragged_table, _text_entry,
+                                    _list_semigroup])
 def test_malformed_representation_exit_code(capsys, tmp_path, mutate):
     data = json.loads((FIXTURES / "klein_four.json").read_text())
     mutate(data)

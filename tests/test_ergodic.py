@@ -7,11 +7,11 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
-from ergospec import ergodic, linalg
+from ergospec import characters, ergodic, linalg
 from ergospec.ergodic import _kernel_average
 from ergospec.serialize import load_representation
 
-from conftest import FIXTURES, cyclic_monoid, n1_rep
+from conftest import FIXTURES, chain_monoid, cyclic_monoid, n1_rep, product_monoid
 
 
 def test_range_of_one_minus_identity():
@@ -252,6 +252,25 @@ def test_rotation_covariance_of_poles():
         assert before == after
 
 
+# the first five seeds from 500 whose instance has a nonempty unitary spectrum
+@pytest.mark.parametrize("seed", [None, 500, 501, 502, 503, 506])
+def test_pole_matches_the_rotated_mean_ergodic_analysis(seed, klein_rep):
+    # chi is a pole of T iff 1 is a pole of conj(chi) T (the rotation lemma)
+    if seed is None:
+        rep = klein_rep
+    else:
+        rep, _ = random_certified_instance(seed, max_rank=2, max_dim=10)
+    spectrum = es.unitary_spectrum(rep)
+    assert len(spectrum) > 0
+    for chi in spectrum.characters:
+        verdict = es.is_pole(rep, chi)
+        rotated = es.mean_ergodic_analysis(es.rotate(rep, es.char_conj(chi)))
+        assert verdict.is_pole == rotated.is_ume
+        assert verdict.eigenspace_dim == rotated.fix_dim
+        if rotated.is_ume:
+            assert es.operator_norm(verdict.projection - rotated.mean_projection) <= 1e-10
+
+
 def test_spectrum_isolation(klein_rep):
     for rep in (klein_rep, n1_rep(np.diag([1.0, 1j, 0.5]).astype(complex))):
         spectrum = es.unitary_spectrum(rep)
@@ -299,12 +318,24 @@ def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
     assert report.ok
     assert report.data["positivity"]["nisa"]["agree"]
     assert len(calls["_pole_verdict"]) == 3       # one per spectral character
-    # the trivial character's verdict reads the analysis of T itself
-    assert len(calls["is_pole"]) == 2
+    assert len(calls["is_pole"]) == 0             # no second Analysis per pole
     assert len(calls["PeripheralDecomposition"]) == 1
-    # one for T, one per nontrivial rotation inside the pole test
-    assert len(calls["mean_ergodic_analysis"]) == 3
-    assert len(calls["unitary_spectrum"]) <= 4
+    assert len(calls["mean_ergodic_analysis"]) == 1
+    assert len(calls["unitary_spectrum"]) == 1    # E_s = 0, so T's alone
+
+
+def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
+    # L2 x Z4: one spectrum of T and one of T restricted to E_s; the
+    # pole tests read T's spectrum and derive no representation of their own
+    rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
+    calls = {route: _count_calls(monkeypatch, route, module)
+             for route, module in (("enumerate_unitary_dual", characters),
+                                   ("unitary_spectrum", ergodic))}
+    report = es.analyze(rep)
+    assert report.ok
+    assert report.data["unitary_spectrum"]["count"] == 4
+    assert {route: len(found) for route, found in calls.items()} == \
+        {"enumerate_unitary_dual": 2, "unitary_spectrum": 2}
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -312,13 +343,14 @@ def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
     ("identity_3", {"mean_ergodic_analysis": 1, "is_pole": 0,
                     "joint_block_decomposition": 1}),
     # N^k: the spectrum holds it as v/|v|, which the positive suite reuses
-    ("circulant_stochastic_8", {"is_pole": 1}),
+    ("circulant_stochastic_8", {"is_pole": 0, "_pole_verdict": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     rep, raw = load_representation(str(FIXTURES / f"{name}.json"))
     calls = {route: _count_calls(monkeypatch, route, module)
              for route, module in (("mean_ergodic_analysis", ergodic),
                                    ("is_pole", ergodic),
+                                   ("_pole_verdict", ergodic),
                                    ("joint_block_decomposition", linalg))}
     report = es.analyze(rep, input_json=raw)
     assert report.ok
