@@ -11,7 +11,7 @@ the public verdict functions are thin wrappers over it.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,8 +70,8 @@ def _kernel_average(rep):
 
 
 def _cesaro_rectangle_chain(rep, reference, config):
-    """Dyadic Cesaro rectangle means C_N and their cesaro_power-fold
-    composition, with distances to `reference` recorded per side.
+    """The distances of the dyadic Cesaro rectangle means C_N and of their
+    cesaro_power-fold composition to `reference`, one entry per side.
 
     C_N factors over the commuting generators as a product of one-
     dimensional averages A_g(N) = (1/N) sum_{i<N} T_g^i, which double via
@@ -97,16 +97,15 @@ def _cesaro_rectangle_chain(rep, reference, config):
                           operator_norm(composed - reference)))
         else:
             trace.append((side, float("nan"), float("nan")))
-        return composed
 
-    composed = record()
+    record()
     while side * 2 <= config.cesaro_max_side:
         averages = [(avg + powm @ avg) / 2.0
                     for avg, powm in zip(averages, powers)]
         powers = [powm @ powm for powm in powers]
         side *= 2
-        composed = record()
-    return trace, composed
+        record()
+    return trace
 
 
 @dataclass
@@ -150,10 +149,9 @@ def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED):
         else:
             report.kernel_average_residual = float("nan")
     else:
-        trace, _ = _cesaro_rectangle_chain(rep, projection, config)
-        report.cesaro_trace = trace
+        report.cesaro_trace = _cesaro_rectangle_chain(rep, projection, config)
         if projection is not None:
-            best = min(t[2] for t in trace)
+            best = min(t[2] for t in report.cesaro_trace)
             if best > config.cesaro_target:
                 report.net_divergence = True
     return report
@@ -274,6 +272,27 @@ def _witness_search_free(rep, config):
         degree += 1
 
 
+def _stable_verdict(rep, config):
+    """The STABLE verdict of a representation whose unitary spectrum is
+    empty, with a norm-contraction witness: the first element with
+    ||T_s|| < 1 of a finite monoid, the smallest such exponent of N^k."""
+    if rep.is_finite:
+        for s, a in enumerate(rep.matrices):
+            norm = operator_norm(a)
+            if norm < 1.0:
+                return StabilityVerdict(STABLE, witness=s, witness_norm=norm)
+        return StabilityVerdict(STABLE)
+
+    if rep.dim == 0:
+        return StabilityVerdict(STABLE, witness=(0,) * rep.semigroup.rank,
+                                witness_norm=0.0)
+    exponents, norm, degree, exceeded = _witness_search_free(rep, config)
+    if exceeded:
+        return StabilityVerdict(STABLE, budget_exceeded=True,
+                                max_degree_tried=degree)
+    return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm)
+
+
 @dataclass
 class InfinitySemigroup:
     operators: list  # distinct matrices, each a limit point of the net
@@ -373,12 +392,13 @@ class Analysis:
         """
         rep, config = self.rep, self.config
         n = rep.dim
-        projections = []
+        verdicts = []
         for chi in self.spectrum.characters:
             verdict = self.pole(chi)
             if not verdict.is_pole:
                 raise NonPoleSpectrum(chi)
-            projections.append(verdict.projection)
+            verdicts.append(verdict)
+        projections = [verdict.projection for verdict in verdicts]
 
         cross = 0.0
         for a, b in itertools.combinations(projections, 2):
@@ -389,10 +409,19 @@ class Analysis:
         eye = np.eye(n, dtype=np.complex128)
         stable = column_space(eye - total, config.tol_rank, scale=1.0)
 
+        # T|E_s is stable when its unitary spectrum is empty, and the pole
+        # verdicts of T settle that without a spectrum of the restriction.
+        # P_chi P_tau = 0 for distinct characters puts E_s = ker P inside
+        # every rg(chi - T). A unimodular joint eigenvector v of T|E_s is
+        # one of T, for some spectral chi, and so lies in rg(chi - T): the
+        # post-check then finds chi in the spectrum of T|rg(chi - T).
+        # Conversely a v that the post-check finds lies in rg(chi - T) and
+        # in ker(chi - T) = rg P_chi, which lies in every rg(tau - T) with
+        # tau != chi, hence in E_s. So T|E_s has an empty unitary spectrum
+        # exactly when every post-check is clear.
         witness, witness_norm = None, None
-        if stable.dim > 0:
-            restricted = restrict(rep, stable, config)
-            verdict = Analysis(restricted, config, self.seed).stability
+        if stable.dim > 0 and all(verdict.complement_clear for verdict in verdicts):
+            verdict = _stable_verdict(restrict(rep, stable, config), config)
             witness, witness_norm = verdict.witness, verdict.witness_norm
 
         return PeripheralDecomposition(
@@ -421,25 +450,7 @@ class Analysis:
             return StabilityVerdict(NOT_STABLE,
                                     blocking_character=self.spectrum.characters[0],
                                     zero_in_range=zero_in_range)
-
-        if rep.is_finite:
-            witness, norm = None, None
-            for s, a in enumerate(rep.matrices):
-                n = operator_norm(a)
-                if n < 1.0:
-                    witness, norm = s, n
-                    break
-            return StabilityVerdict(STABLE, witness=witness, witness_norm=norm,
-                                    zero_in_range=zero_in_range)
-
-        if rep.dim == 0:
-            return StabilityVerdict(STABLE, witness=(0,) * rep.semigroup.rank,
-                                    witness_norm=0.0)
-        exponents, norm, degree, exceeded = _witness_search_free(rep, config)
-        if exceeded:
-            return StabilityVerdict(STABLE, budget_exceeded=True,
-                                    max_degree_tried=degree)
-        return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm)
+        return replace(_stable_verdict(rep, config), zero_in_range=zero_in_range)
 
     @cached_property
     def quasi_compactness(self):
@@ -453,7 +464,8 @@ class Analysis:
         verdicts = [self.pole(chi) for chi in spectrum.characters]
         riesz_all = all(verdict.is_pole for verdict in verdicts)
         dims = [space.dim for space in spectrum.eigenspaces]
-        consistent = self.decomposition.reversible.dim == sum(dims)
+        # the decomposition exists only when every spectral character is a pole
+        consistent = riesz_all and self.decomposition.reversible.dim == sum(dims)
         status = QUASI_COMPACT if riesz_all else "not_quasi_compact"
         return QuasiCompactnessVerdict(
             status=status,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .ergodic import Analysis, semigroup_at_infinity
+from .errors import NonPoleSpectrum
 from .linalg import joint_block_decomposition
 from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
@@ -70,8 +71,8 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         return result
 
     def certify():
-        # certification and the spectrum read one joint block decomposition;
-        # the restriction to E_s computes its own
+        # certification and the spectrum read one joint block decomposition,
+        # the only one the analysis computes
         decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
         return certify_boundedness(rep, config, seed, decomposition), decomposition
 
@@ -141,22 +142,27 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         report["poles"] = timed("poles", pole_table)
 
     if "decomposition" in wanted:
-        decomposition = timed("decomposition", lambda: analysis.decomposition)
-        report["peripheral_decomposition"] = {
-            "reversible_dim": decomposition.reversible.dim,
-            "stable_dim": decomposition.stable.dim,
-            "characters": [character_to_json(c) for c in decomposition.characters],
-            "projection": matrix_to_json(decomposition.projection),
-            "cross_residual": decomposition.cross_residual,
-            "stability_witness": list(decomposition.stability_witness)
-            if isinstance(decomposition.stability_witness, tuple)
-            else decomposition.stability_witness,
-            "stability_norm": decomposition.stability_norm,
-        }
-        if decomposition.reversible.dim + decomposition.stable.dim != rep.dim:
-            violations.append("peripheral decomposition does not span the space")
-        if decomposition.cross_residual > 10 * config.tol_hom:
-            violations.append("pairwise products of spectral projections do not vanish")
+        try:
+            decomposition = timed("decomposition", lambda: analysis.decomposition)
+        except NonPoleSpectrum as exc:  # a failed verdict, not an input error
+            report["peripheral_decomposition"] = {"error": str(exc)}
+            violations.append(f"peripheral decomposition: {exc}")
+        else:
+            report["peripheral_decomposition"] = {
+                "reversible_dim": decomposition.reversible.dim,
+                "stable_dim": decomposition.stable.dim,
+                "characters": [character_to_json(c) for c in decomposition.characters],
+                "projection": matrix_to_json(decomposition.projection),
+                "cross_residual": decomposition.cross_residual,
+                "stability_witness": list(decomposition.stability_witness)
+                if isinstance(decomposition.stability_witness, tuple)
+                else decomposition.stability_witness,
+                "stability_norm": decomposition.stability_norm,
+            }
+            if decomposition.reversible.dim + decomposition.stable.dim != rep.dim:
+                violations.append("peripheral decomposition does not span the space")
+            if decomposition.cross_residual > 10 * config.tol_hom:
+                violations.append("pairwise products of spectral projections do not vanish")
 
     if "stability" in wanted:
         stability = timed("stability", lambda: analysis.stability)
@@ -250,7 +256,9 @@ def summarize(report_data):
         lines.append(f"ergodic      : ume={erg['is_uniformly_mean_ergodic']} "
                      f"fix_dim={erg['fix_dim']} range_dim={erg['range_dim']}")
     dec = report_data.get("peripheral_decomposition")
-    if dec:
+    if dec and "error" in dec:
+        lines.append(f"decomposition: {dec['error']}")
+    elif dec:
         lines.append(f"decomposition: reversible {dec['reversible_dim']} + "
                      f"stable {dec['stable_dim']}")
     stab = report_data.get("stability")

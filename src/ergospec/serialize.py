@@ -34,12 +34,27 @@ def semigroup_to_json(semigroup):
     return semigroup.to_json()
 
 
+def _integer(value, name):
+    """`value`, which schema/v1 requires to be an integer. Python counts a
+    bool as an int, JSON does not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def semigroup_from_json(data):
     kind = data.get("type")
     if kind == "cayley":
-        return validate_monoid(data["table"], data["neutral"])
+        table = data["table"]
+        size = _integer(data["size"], "size")
+        if size != len(table):
+            raise ValueError(f"size {size} does not match the {len(table)} rows of the table")
+        for row in table:
+            for entry in row:
+                _integer(entry, "a Cayley table entry")
+        return validate_monoid(table, _integer(data["neutral"], "neutral"))
     if kind == "free_commutative":
-        return FreeCommutativeMonoid(rank=int(data["rank"]))
+        return FreeCommutativeMonoid(rank=_integer(data["rank"], "rank"))
     raise ParseError(f"unknown semigroup type {kind!r}")
 
 
@@ -54,7 +69,7 @@ def matrix_to_json(mat):
 
 
 def matrix_from_json(data):
-    rows, cols = int(data["rows"]), int(data["cols"])
+    rows, cols = _integer(data["rows"], "rows"), _integer(data["cols"], "cols")
     re = np.asarray(data["re"], dtype=np.float64)
     im = np.asarray(data["im"], dtype=np.float64)
     if re.size != rows * cols or im.size != rows * cols:
@@ -81,7 +96,7 @@ def representation_from_json(data, config=None):
         raise ParseError(f'matrices must be given per "{expected}" for this semigroup')
     mats = [matrix_from_json(m) for m in data["matrices"]["list"]]
     rep = validate_representation(semigroup, mats, config)
-    if rep.dim != int(data["dim"]):
+    if rep.dim != _integer(data["dim"], "dim"):
         raise ParseError(f'declared dim {data["dim"]} does not match matrices ({rep.dim})')
     return rep
 

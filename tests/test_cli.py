@@ -160,10 +160,39 @@ def _list_semigroup(data):
     data["semigroup"] = []
 
 
-@pytest.mark.parametrize("mutate", [_drop_matrices, _ragged_table, _text_entry,
-                                    _list_semigroup])
-def test_malformed_representation_exit_code(capsys, tmp_path, mutate):
-    data = json.loads((FIXTURES / "klein_four.json").read_text())
+# each of these Cayley entries reads as the integer 1 under int()
+def _fractional_entry(data):
+    data["semigroup"]["table"][1][0] = 1.5
+
+
+def _string_entry(data):
+    data["semigroup"]["table"][1][0] = "1"
+
+
+def _bool_entry(data):
+    data["semigroup"]["table"][1][0] = True
+
+
+def _wrong_size(data):
+    data["semigroup"]["size"] = 7
+
+
+def _fractional_dim(data):
+    data["dim"] = 4.7
+
+
+def _fractional_rank(data):
+    data["semigroup"]["rank"] = 1.9
+
+
+@pytest.mark.parametrize("name, mutate", [
+    pytest.param("klein_four", mutate, id=mutate.__name__) for mutate in (
+        _drop_matrices, _ragged_table, _text_entry, _list_semigroup,
+        _fractional_entry, _string_entry, _bool_entry, _wrong_size,
+        _fractional_dim)] + [
+    pytest.param("identity_3", _fractional_rank, id="_fractional_rank")])
+def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
     mutate(data)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -179,6 +208,37 @@ def test_malformed_character_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "falsify", fixture_path("klein_four"), str(char_path))
     assert code == 2
     assert err.startswith("error: malformed character: ")
+
+
+# N^1 with T = [[1, 1.5e-10], [0, 1]]: certified, spectrum {1}, and 1 is
+# not a pole, since ker(1 - T) = rg(1 - T) = span(e_1)
+NON_POLE = {"semigroup": {"type": "free_commutative", "rank": 1}, "dim": 2,
+            "matrices": {"per": "generator", "list": [
+                {"rows": 2, "cols": 2, "re": [1.0, 1.5e-10, 0.0, 1.0],
+                 "im": [0.0, 0.0, 0.0, 0.0]}]}}
+
+
+@pytest.mark.parametrize("command, violation", [
+    ("analyze", "spectral character failed the pole test"),
+    ("decompose", "peripheral decomposition: spectral character failed the pole test"),
+    ("quasicompact", "quasi-compactness cross-checks disagree"),
+], ids=["analyze", "decompose", "quasicompact"])
+def test_non_pole_spectrum_is_a_violation(capsys, tmp_path, command, violation):
+    # a failed verdict exits 1 with a report, never 2 as an input error
+    path = tmp_path / "non_pole.json"
+    path.write_text(json.dumps(NON_POLE))
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["boundedness"]["status"] == "certified"
+    assert data["unitary_spectrum"]["count"] == 1
+    assert violation in data["violations"]
+    if "quasi_compactness" in data:
+        assert data["quasi_compactness"]["status"] == "not_quasi_compact"
+        assert data["quasi_compactness"]["decomposition_consistent"] is False
+    if "peripheral_decomposition" in data:
+        assert data["peripheral_decomposition"] == {
+            "error": "spectral character failed the pole test"}
 
 
 def test_missing_file_exit_code(capsys):

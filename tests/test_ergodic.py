@@ -325,17 +325,51 @@ def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
 
 
 def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
-    # L2 x Z4: one spectrum of T and one of T restricted to E_s; the
-    # pole tests read T's spectrum and derive no representation of their own
+    # L2 x Z4 has E_s != 0: its witness comes from the pole verdicts of T,
+    # not from a spectrum of T restricted to E_s
     rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
     calls = {route: _count_calls(monkeypatch, route, module)
              for route, module in (("enumerate_unitary_dual", characters),
-                                   ("unitary_spectrum", ergodic))}
+                                   ("unitary_spectrum", ergodic),
+                                   ("joint_block_decomposition", linalg))}
     report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 4
+    assert report.data["peripheral_decomposition"]["stable_dim"] > 0
     assert {route: len(found) for route, found in calls.items()} == \
-        {"enumerate_unitary_dual": 2, "unitary_spectrum": 2}
+        {"enumerate_unitary_dual": 1, "unitary_spectrum": 1,
+         "joint_block_decomposition": 1}
+
+
+@pytest.mark.parametrize("case", ["threshold", "semilattice", "jordan_half",
+                                  *range(500, 510)])
+def test_stability_witness_matches_the_analysis_of_the_stable_part(case):
+    # oracle: the stability verdict of a separate Analysis of T|E_s
+    if isinstance(case, str):
+        rep, _ = load_representation(str(FIXTURES / f"{case}.json"))
+        rep = es.certify_boundedness(rep)
+    else:
+        rep, _ = random_certified_instance(case, max_rank=2, max_dim=10)
+    dec = es.peripheral_decomposition(rep)
+    assert dec.stable.dim > 0
+    oracle = ergodic.Analysis(es.restrict(rep, dec.stable)).stability
+    assert oracle.is_stable
+    assert dec.stability_witness == oracle.witness
+    assert dec.stability_norm == oracle.witness_norm
+
+
+def test_failed_post_check_leaves_the_stable_part_without_a_witness(monkeypatch):
+    rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
+    assert es.peripheral_decomposition(rep).stability_witness == (1,)
+    calls = {route: _count_calls(monkeypatch, route)
+             for route in ("_stable_verdict", "_witness_search_free")}
+    analysis = ergodic.Analysis(rep)
+    analysis.pole(analysis.spectrum.characters[0]).complement_clear = False
+    dec = analysis.decomposition
+    assert dec.stable.dim == 1
+    assert dec.stability_witness is None and dec.stability_norm is None
+    assert {route: len(found) for route, found in calls.items()} == \
+        {"_stable_verdict": 0, "_witness_search_free": 0}
 
 
 @pytest.mark.parametrize("name, expected", [
