@@ -27,9 +27,9 @@ from .linalg import (
     projection_onto_along,
     subspace_sum,
 )
-from .representations import restrict
+from .representations import restrict, restricted_family
 from .semigroups import kernel_group
-from .spectrum import eigenspace, unitary_spectrum
+from .spectrum import eigenspace, joint_eigenspace, unitary_spectrum
 
 
 def range_of_one_minus(rep, config=None, chi=None):
@@ -202,8 +202,9 @@ def _pole_verdict(rep, chi, config, spectrum, fix=None):
     if projection is None:
         return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
 
-    complement_clear = rng_space.dim == 0 or eigenspace(
-        restrict(rep, rng_space, config), chi, config).dim == 0
+    complement_clear = rng_space.dim == 0 or joint_eigenspace(
+        rep.semigroup.generators, restricted_family(rep, rng_space, config),
+        chi, config).dim == 0
     return PoleVerdict(POLE, projection=projection, eigenspace_dim=fix.dim,
                        complement_clear=complement_clear)
 
@@ -307,12 +308,17 @@ def semigroup_at_infinity(rep, config=None):
                          "finite monoids; use peripheral_decomposition for N^k")
     monoid = rep.semigroup
 
-    # operator identity classes, so tail sets become index sets
+    # operator identity classes, so tail sets become index sets; the SVD
+    # decides only where ||D||_F / sqrt(n) <= ||D||_2 <= ||D||_F leaves it open
     classes = []
     class_of = {}
+    screen = np.sqrt(rep.dim) * config.tol_hom
     for s in monoid.elements():
         for c_idx, representative in enumerate(classes):
-            if operator_norm(rep.matrices[s] - representative) <= config.tol_hom:
+            diff = rep.matrices[s] - representative
+            frobenius = np.linalg.norm(diff)
+            if frobenius <= config.tol_hom or (
+                    frobenius <= screen and operator_norm(diff) <= config.tol_hom):
                 class_of[s] = c_idx
                 break
         else:

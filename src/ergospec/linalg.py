@@ -183,21 +183,22 @@ class BlockDecomposition:
 
 def _single_linkage_clusters(values, radius):
     """Indices grouped by single-linkage chaining at the given radius."""
-    remaining = set(range(len(values)))
+    values = np.asarray(values)
+    near = np.abs(values[:, None] - values[None, :]) <= radius
+    unassigned = np.ones(len(values), dtype=bool)
     clusters = []
-    while remaining:
-        seed_idx = min(remaining, key=lambda i: (values[i].real, values[i].imag))
-        cluster = {seed_idx}
-        frontier = [seed_idx]
-        remaining.discard(seed_idx)
-        while frontier:
-            i = frontier.pop()
-            near = [j for j in remaining if abs(values[i] - values[j]) <= radius]
-            for j in near:
-                remaining.discard(j)
-                cluster.add(j)
-                frontier.append(j)
-        clusters.append(sorted(cluster))
+    # each cluster grows from the least unassigned value by (real, imag)
+    for seed_idx in np.lexsort((values.imag, values.real)):
+        if not unassigned[seed_idx]:
+            continue
+        frontier = np.zeros_like(unassigned)
+        frontier[seed_idx] = True
+        members = frontier.copy()
+        while frontier.any():
+            frontier = near[frontier].any(axis=0) & ~members
+            members |= frontier
+        unassigned &= ~members
+        clusters.append(np.flatnonzero(members).tolist())
     # deterministic order: by cluster centroid
     clusters.sort(key=lambda c: (np.mean(values[c]).real, np.mean(values[c]).imag))
     return clusters
@@ -271,11 +272,8 @@ def _invariant_subspace(schur_form, selected, cluster_gap):
     bits."""
     t, z = schur_form
     selected = np.asarray(selected)
-
-    def want(w):
-        return bool(np.min(np.abs(w - selected)) < cluster_gap / 2)
-
-    select = np.array([want(w) for w in np.diag(t)], dtype=np.int32)
+    distance = np.abs(np.diag(t)[:, None] - selected[None, :]).min(axis=1)
+    select = (distance < cluster_gap / 2).astype(np.int32)
     trsen, = scipy.linalg.lapack.get_lapack_funcs(("trsen",), (t,))
     _, zs, _, sdim, _, _, info = trsen(select, t, z, job="N")
     if info != 0:

@@ -22,6 +22,9 @@ from .errors import (
 
 _INT64_MAX = 2**63 - 1
 
+# table entries compared per row block in the associativity check
+_ASSOCIATIVITY_BLOCK = 2**22
+
 
 @dataclass(frozen=True)
 class FiniteCommutativeMonoid:
@@ -136,13 +139,15 @@ def validate_monoid(table, neutral):
     if bad.any():
         raise BadNeutral(int(np.argwhere(bad)[0][0]))
 
-    # (i+j)+k vs i+(j+k), both shaped (m, m, m)
-    left = arr[arr]
-    right = arr[:, arr]
-    diff = left != right
-    if diff.any():
-        i, j, k = np.argwhere(diff)[0]
-        raise NotAssociative(int(i), int(j), int(k))
+    # (i+j)+k vs i+(j+k) for one block of rows i at a time, each block
+    # shaped (rows, m, m), so the first witness in row-major order comes first
+    step = max(1, _ASSOCIATIVITY_BLOCK // (m * m))
+    for lo in range(0, m, step):
+        block = arr[lo:lo + step]
+        diff = arr[block] != block[:, arr]
+        if diff.any():
+            i, j, k = np.argwhere(diff)[0]
+            raise NotAssociative(int(i) + lo, int(j), int(k))
 
     rows = tuple(tuple(int(x) for x in row) for row in arr)
     return FiniteCommutativeMonoid(size=m, table=rows, neutral=int(neutral))

@@ -11,6 +11,7 @@ Characters:      {"angles": [["p", "q"], ...]} or {"gen_values": [{"re": .., "im
 import contextlib
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -137,11 +138,23 @@ def character_to_json(chi):
     return chi.to_json()
 
 
+def _angle(pair):
+    """The angle p/q mod 1 of a pair ["p", "q"], two strings holding
+    integers as schema/v1 requires."""
+    p, q = pair
+    for part in (p, q):
+        if not isinstance(part, str) or not re.fullmatch(r"-?[0-9]+", part):
+            raise ValueError(f"an angle part must be a string holding an integer, got {part!r}")
+    if int(q) == 0:
+        raise ValueError(f"angle {p}/{q} has a zero denominator")
+    return Fraction(int(p), int(q)) % 1
+
+
 def character_from_json(data, semigroup):
     if "angles" in data:
         if not isinstance(semigroup, FiniteCommutativeMonoid):
             raise ParseError("angle characters require a finite monoid")
-        angles = tuple(Fraction(int(p), int(q)) % 1 for p, q in data["angles"])
+        angles = tuple(_angle(pair) for pair in data["angles"])
         if len(angles) != semigroup.size:
             raise ParseError("need one angle per element")
         chi = UnitaryCharacter(semigroup, angles=angles)

@@ -50,11 +50,17 @@ def eigenspace(rep, chi, config=None, norms=None):
     product. `norms`, the operator norms of rep.family(), spares a caller
     that tests many characters their recomputation.
     """
+    return joint_eigenspace(rep.semigroup.generators, rep.family(), chi, config, norms)
+
+
+def joint_eigenspace(generators, family, chi, config=None, norms=None):
+    """The joint kernel of chi(g) - A_g over the generators g and their
+    matrices A_g in `family`; see eigenspace."""
     config = DEFAULT_CONFIG if config is None else config
-    n = rep.dim
+    n = family[0].shape[0]
     eye = np.eye(n, dtype=np.complex128)
     kernels = []
-    for index, (g, mat) in enumerate(zip(rep.semigroup.generators, rep.family())):
+    for index, (g, mat) in enumerate(zip(generators, family)):
         norm = operator_norm(mat) if norms is None else norms[index]
         kernels.append(null_space(chi(g) * eye - mat, config.tol_rank,
                                   scale=max(1.0, norm)))
@@ -71,17 +77,20 @@ def _candidate_characters(rep, decomposition, config):
     if is_finite:
         dual = enumerate_unitary_dual(semigroup)
         dual_values = [tuple(chi(g) for g in semigroup.generators) for chi in dual]
-    seen = []
+    seen, seen_angles = [], set()
     for values in decomposition.block_values:
         if any(abs(abs(v) - 1.0) > config.tol_char for v in values):
             continue
         if is_finite:
+            # distinct exact characters differ by a root of unity of order
+            # at most the monoid size, far beyond tol_cluster
             chi = nearest_character(dual, values, 10 * config.tol_char, dual_values)
-            if chi is None:
-                continue
-        else:
-            unit = tuple(v / abs(v) for v in values)
-            chi = UnitaryCharacter(semigroup, gen_values=unit)
+            if chi is not None and chi.angles not in seen_angles:
+                seen_angles.add(chi.angles)
+                seen.append(chi)
+            continue
+        unit = tuple(v / abs(v) for v in values)
+        chi = UnitaryCharacter(semigroup, gen_values=unit)
         if all(char_distance(chi, other) > config.tol_cluster for other in seen):
             seen.append(chi)
     return seen

@@ -203,11 +203,18 @@ def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
 
 
 def test_malformed_character_exit_code(capsys, tmp_path):
-    char_path = tmp_path / "short.json"
-    char_path.write_text(json.dumps({"angles": [["0"], ["0", "1"]]}))
-    code, _, err = run(capsys, "falsify", fixture_path("klein_four"), str(char_path))
-    assert code == 2
-    assert err.startswith("error: malformed character: ")
+    # schema/v1 angles are pairs of strings holding integers, q nonzero
+    for angles in ([["0"], ["0", "1"]],
+                   [[0, 1], [1.5, 2], [1, 2], [True, 1]],
+                   [["0", "1"], ["1.5", "2"], ["1", "2"], ["0", "1"]],
+                   [["0", "1"], ["1", "2"], ["1", "2"], [True, "1"]],
+                   [["0", "1"], ["1", "0"], ["0", "1"], ["0", "1"]]):
+        char_path = tmp_path / "malformed.json"
+        char_path.write_text(json.dumps({"angles": angles}))
+        code, _, err = run(capsys, "falsify", fixture_path("klein_four"), str(char_path))
+        assert code == 2, angles
+        assert err.startswith("error: malformed character: ")
+        assert err.count("\n") == 1, err
 
 
 # N^1 with T = [[1, 1.5e-10], [0, 1]]: certified, spectrum {1}, and 1 is

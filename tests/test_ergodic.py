@@ -419,3 +419,63 @@ def test_spectrum_takes_each_operator_norm_once(monkeypatch):
     spectrum = es.unitary_spectrum(rep, decomposition=decomposition)
     assert len(spectrum) == 8
     assert len(calls) == 1                        # one per generator matrix
+
+
+@pytest.mark.parametrize("m", [6, 12])
+def test_pole_post_check_conjugates_only_the_generators(m, monkeypatch):
+    # the post-check reads the generator matrices of T|rg(chi - T); its
+    # verdict is the one of the full restriction
+    rep = es.regular_representation(cyclic_monoid(m))
+    analysis = ergodic.Analysis(rep)
+    restricted = _count_calls(monkeypatch, "restrict")
+    verdicts = [analysis.pole(chi) for chi in analysis.spectrum.characters]
+    assert restricted == []
+    for chi, verdict in zip(analysis.spectrum.characters, verdicts):
+        rng_space = es.range_of_one_minus(rep, chi=chi)
+        full = es.restrict(rep, rng_space)
+        assert len(full.matrices) == m
+        assert verdict.complement_clear == (es.eigenspace(full, chi).dim == 0)
+
+
+def _classes_at_infinity_oracle(rep, tol):
+    """semigroup_at_infinity with a dense 2-norm per comparison."""
+    classes, class_of = [], {}
+    for s in rep.semigroup.elements():
+        for c_idx, representative in enumerate(classes):
+            if es.operator_norm(rep.matrices[s] - representative) <= tol:
+                class_of[s] = c_idx
+                break
+        else:
+            class_of[s] = len(classes)
+            classes.append(rep.matrices[s])
+    common = None
+    for s0 in rep.semigroup.elements():
+        tail = {class_of[s] for s in rep.semigroup.table[s0]}
+        common = tail if common is None else (common & tail)
+    return [classes[c] for c in sorted(common)]
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_frobenius_screen_keeps_the_classes_at_infinity(rank):
+    # Z8, a group, so every operator class is at infinity. T_0 = U and
+    # T_s = U + D_s with D_s of rank 1 (||D||_2 = ||D||_F) or spread over 4
+    # equal singular values (||D||_2 = ||D||_F / 2), with ||D||_2 on both
+    # sides of tol_hom, so matches and mismatches fall in and out of the
+    # screen
+    tol = DEFAULT_CONFIG.tol_hom
+    monoid = cyclic_monoid(8)
+    rng = np.random.default_rng(rank)
+    n = 4
+    top = np.linalg.qr(rng.standard_normal((n, n)))[0].astype(complex)
+    factors = (0.0, 0.5, 0.999, 1.001, 1.9, 2.1, 4.0, 0.25)
+    mats = []
+    for factor in factors:
+        u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        diff = u[:, :rank] @ v[:, :rank].conj().T
+        mats.append(top + factor * tol * diff)
+    rep = es.Representation(semigroup=monoid, dim=n, matrices=tuple(mats))
+    got = es.semigroup_at_infinity(rep).operators
+    expected = _classes_at_infinity_oracle(rep, tol)
+    assert 1 < len(expected) < 8
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]

@@ -315,3 +315,81 @@ def test_tall_kernels_take_thin_factors(monkeypatch):
     # a wide matrix still needs the full V^H for its kernel
     assert null_space(tall.T).dim == 44
     assert requested[-1] == ((7, 48), True)
+
+
+def _single_linkage_oracle(values, radius):
+    """The scalar loop that _single_linkage_clusters replaced."""
+    remaining = set(range(len(values)))
+    clusters = []
+    while remaining:
+        seed_idx = min(remaining, key=lambda i: (values[i].real, values[i].imag))
+        cluster = {seed_idx}
+        frontier = [seed_idx]
+        remaining.discard(seed_idx)
+        while frontier:
+            i = frontier.pop()
+            near = [j for j in remaining if abs(values[i] - values[j]) <= radius]
+            for j in near:
+                remaining.discard(j)
+                cluster.add(j)
+                frontier.append(j)
+        clusters.append(sorted(cluster))
+    clusters.sort(key=lambda c: (np.mean(values[c]).real, np.mean(values[c]).imag))
+    return clusters
+
+
+def _invariant_subspace_oracle(schur_form, selected, cluster_gap):
+    """_invariant_subspace with the per-entry selection loop it replaced."""
+    t, z = schur_form
+    selected = np.asarray(selected)
+
+    def want(w):
+        return bool(np.min(np.abs(w - selected)) < cluster_gap / 2)
+
+    select = np.array([want(w) for w in np.diag(t)], dtype=np.int32)
+    trsen, = scipy.linalg.lapack.get_lapack_funcs(("trsen",), (t,))
+    _, zs, _, sdim, _, _, info = trsen(select, t, z, job="N")
+    assert info == 0
+    return zs[:, :sdim], int(sdim)
+
+
+def _tight_clusters(rng, radius):
+    """Values in a few clusters whose spacings straddle `radius`: pairs
+    just inside and just outside it, chains of near-radius steps, and
+    exact repeats."""
+    centres = np.exp(2j * np.pi * rng.random(5)) * rng.uniform(0.2, 1.0, 5)
+    values = []
+    for centre in centres:
+        step = radius * rng.choice([0.5, 0.999, 1.001, 2.0])
+        angle = np.exp(2j * np.pi * rng.random())
+        values.extend(centre + angle * step * np.arange(int(rng.integers(1, 5))))
+        values.append(centre + radius * rng.uniform(-1.5, 1.5) * 1j)
+    values.append(values[0])
+    return rng.permutation(np.array(values, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_clusters_match_the_scalar_loop(seed):
+    rng = np.random.default_rng([7, seed])
+    for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
+        values = _tight_clusters(rng, radius)
+        assert _single_linkage_clusters(values, radius) == \
+            _single_linkage_oracle(values, radius)
+
+
+@pytest.mark.parametrize("n", [6, 24, 80])
+def test_selection_matches_the_scalar_loop(n):
+    # clustered spectra with Jordan scatter around the cluster radius
+    for seed in range(4):
+        mat = _clustered_matrix(np.random.default_rng([n, seed]), n)
+        eigs = np.linalg.eigvals(mat)
+        form = scipy.linalg.schur(mat, output="complex")
+        for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
+            clusters = _single_linkage_clusters(eigs, radius)
+            assert clusters == _single_linkage_oracle(eigs, radius)
+            for cluster in clusters:
+                basis, dim = _invariant_subspace(form, eigs[cluster], radius)
+                oracle_basis, oracle_dim = _invariant_subspace_oracle(
+                    form, eigs[cluster], radius)
+                assert dim == oracle_dim
+                assert basis.tobytes() == oracle_basis.tobytes()

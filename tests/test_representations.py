@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import ergospec as es
+from ergospec import representations
+from ergospec.config import DEFAULT_CONFIG
 from ergospec.errors import (
     BadNeutral,
     HomomorphismViolation,
@@ -12,7 +16,7 @@ from ergospec.errors import (
 from ergospec.linalg import Subspace
 from ergospec.representations import representation_from_generators
 
-from conftest import free, n1_rep
+from conftest import chain_monoid, cyclic_monoid, free, n1_rep, product_monoid
 
 
 def test_validate_klein_permutation_rep(klein_rep):
@@ -177,3 +181,105 @@ def test_matrix_of_free_element():
     rep = n1_rep(np.diag([0.25, 1.0]).astype(complex))
     np.testing.assert_allclose(rep.matrix((3,)), np.diag([0.25**3, 1.0]))
     np.testing.assert_allclose(rep.matrix((0,)), np.eye(2))
+
+
+def _conjugated_regular(monoid, seed):
+    """The regular representation in a seeded dense unitary basis."""
+    rng = np.random.default_rng(seed)
+    m = monoid.size
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return [q.conj().T @ a @ q for a in es.regular_representation(monoid).matrices], rng
+
+
+def _verdict(monoid, mats):
+    try:
+        es.validate_representation(monoid, mats)
+    except HomomorphismViolation as exc:
+        return exc.s, exc.t, exc.residual
+    return "accept"
+
+
+def _all_pairs_verdict(monoid, mats, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(representations, "_homomorphism_bound", lambda *args: math.inf)
+        return _verdict(monoid, mats)
+
+
+def _threshold(holds, low, high):
+    """The eps in [low, high] where holds(eps) turns false, by bisection in
+    log scale; holds(low) is true and holds(high) false."""
+    for _ in range(60):
+        mid = math.sqrt(low * high)
+        low, high = (mid, high) if holds(mid) else (low, mid)
+    return high
+
+
+@pytest.mark.parametrize("element", [1, 5], ids=["generator", "product"])
+def test_certificate_and_all_pairs_agree_across_the_thresholds(monkeypatch, element):
+    # L2 x Z3 with generators (1, 3); one T_s is moved by eps along a seeded
+    # unit direction, across the certificate's threshold tol_hom / 2 on its
+    # bound and across the all-pairs threshold on the residuals
+    monoid = product_monoid(chain_monoid(2), cyclic_monoid(3))
+    assert monoid.generators == (1, 3)
+    base, rng = _conjugated_regular(monoid, 11)
+    direction = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    direction /= np.linalg.norm(direction)
+
+    def perturbed(eps):
+        mats = list(base)
+        mats[element] = mats[element] + eps * direction
+        return mats
+
+    tol = DEFAULT_CONFIG.tol_hom
+    eta = es.operator_norm(base[monoid.neutral] - np.eye(6))
+
+    def certified(eps):
+        return representations._homomorphism_bound(monoid, perturbed(eps), eta) <= tol / 2
+
+    def all_pairs_accept(eps):
+        return _all_pairs_verdict(monoid, perturbed(eps), monkeypatch) == "accept"
+
+    eps_certificate = _threshold(certified, 1e-14, 1.0)
+    eps_all_pairs = _threshold(all_pairs_accept, 1e-14, 1.0)
+    assert eps_certificate < eps_all_pairs
+
+    bounds = []
+    bound = representations._homomorphism_bound
+    monkeypatch.setattr(representations, "_homomorphism_bound",
+                        lambda *args: bounds.append(bound(*args)) or bounds[-1])
+    for eps in (eps_certificate, eps_all_pairs):
+        for factor in (1 - 1e-6, 1.0, 1 + 1e-6):
+            mats = perturbed(eps * factor)
+            assert _verdict(monoid, mats) == _all_pairs_verdict(monoid, mats, monkeypatch)
+    # just below its threshold the certificate decides; at the all-pairs
+    # threshold the fallback names the witness
+    assert bounds[0] <= tol / 2 < bounds[2]
+    assert _verdict(monoid, perturbed(eps_all_pairs * (1 - 1e-6))) == "accept"
+    assert _verdict(monoid, perturbed(eps_all_pairs * (1 + 1e-6))) != "accept"
+
+
+@pytest.mark.parametrize("m, conjugated", [(16, False), (64, False), (32, True)],
+                         ids=["Z16", "Z64", "Z32-dense"])
+def test_regular_representation_validates_without_pair_svds(monkeypatch, m, conjugated):
+    # the generator certificate takes no SVD: the neutral check is the only one
+    monoid = cyclic_monoid(m)
+    mats = es.regular_representation(monoid).matrices
+    if conjugated:
+        mats, _ = _conjugated_regular(monoid, 3)
+    calls = []
+    norm = representations.operator_norm
+    monkeypatch.setattr(representations, "operator_norm",
+                        lambda a: calls.append(a.shape) or norm(a))
+    es.validate_representation(monoid, mats)
+    assert calls == [(m, m)]
+
+
+def test_restricted_family_is_the_family_of_the_restriction(klein_rep):
+    vec = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
+    space = Subspace(4, vec.reshape(4, 1))
+    family = representations.restricted_family(klein_rep, space)
+    expected = es.restrict(klein_rep, space).family()
+    assert [a.tobytes() for a in family] == [a.tobytes() for a in expected]
+    with pytest.raises(NotInvariant):
+        representations.restricted_family(
+            klein_rep, Subspace(4, np.eye(4, 1, dtype=complex)))

@@ -10,6 +10,7 @@ from ergospec.errors import (
     NotAssociative,
     NotCommutative,
 )
+from ergospec import semigroups
 from ergospec.semigroups import add_exponents, element_order
 from ergospec.serialize import load_representation
 
@@ -191,3 +192,33 @@ def test_generators_of_small_monoids():
     assert cyclic_monoid(7).generators == (1,)
     assert es.validate_monoid([[0]], 0).generators == (0,)
     assert free(3).generators == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _first_non_associative(table):
+    """The first (i, j, k) in row-major order with (i+j)+k != i+(j+k)."""
+    arr = np.asarray(table)
+    diff = arr[arr] != arr[:, arr]
+    return tuple(int(x) for x in np.argwhere(diff)[0]) if diff.any() else None
+
+
+@pytest.mark.parametrize("block", [1, 72, 108, 2**22])
+def test_associativity_witness_is_the_first_in_row_major_order(block, monkeypatch):
+    # row blocks of 1, 2 and 3 rows and of the whole table; each table is
+    # L6 (max) with one symmetric pair of entries changed
+    monkeypatch.setattr(semigroups, "_ASSOCIATIVITY_BLOCK", block)
+    rng = np.random.default_rng(block)
+    m = 6
+    rows = set()
+    for _ in range(40):
+        table = np.maximum.outer(np.arange(m), np.arange(m))
+        a, b = (int(x) for x in rng.integers(1, m, 2))
+        table[a, b] = table[b, a] = int(rng.integers(0, m))
+        expected = _first_non_associative(table)
+        if expected is None:
+            es.validate_monoid(table.tolist(), 0)
+            continue
+        with pytest.raises(NotAssociative) as err:
+            es.validate_monoid(table.tolist(), 0)
+        assert (err.value.i, err.value.j, err.value.k) == expected
+        rows.add(expected[0])
+    assert max(rows) >= 3
