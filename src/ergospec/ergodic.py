@@ -23,8 +23,10 @@ from .linalg import (
     Subspace,
     column_space,
     is_direct_complement,
+    largest_cross_product,
     operator_norm,
-    projection_onto_along,
+    operator_norms,
+    projection_coordinates,
     subspace_sum,
 )
 from .representations import restrict, restricted_family
@@ -42,23 +44,24 @@ def range_of_one_minus(rep, config=None, chi=None):
         chi = trivial_character(rep.semigroup)
     eye = np.eye(rep.dim, dtype=np.complex128)
     # the scale floor keeps chi(g) - T_g near zero from reading as full rank
-    spaces = [column_space(chi(g) * eye - a, config.tol_rank,
-                           scale=max(1.0, operator_norm(a)))
-              for g, a in zip(rep.semigroup.generators, rep.family())]
+    spaces = [column_space(chi(g) * eye - a, config.tol_rank, scale=max(1.0, norm))
+              for g, a, norm in zip(rep.semigroup.generators, rep.family(),
+                                    rep.generator_norms)]
     return subspace_sum(spaces, config.tol_rank)
 
 
 def _split(rep, chi, config, fix=None):
-    """ker(chi - T), rg(chi - T) and the projection onto the first along
-    the second, or None when they are not direct complements. `fix`, when
-    given, is eigenspace(rep, chi, config)."""
+    """ker(chi - T), rg(chi - T) and the coordinates W^H of the projection
+    fix.basis @ W^H onto the first along the second, or None when they are
+    not direct complements. `fix`, when given, is eigenspace(rep, chi,
+    config)."""
     if fix is None:
         fix = eigenspace(rep, chi, config)
     rng_space = range_of_one_minus(rep, config, chi)
-    projection = None
+    coordinates = None
     if is_direct_complement(fix, rng_space, config.tol_rank):
-        projection = projection_onto_along(fix, rng_space)
-    return fix, rng_space, projection
+        coordinates = projection_coordinates(fix, rng_space)
+    return fix, rng_space, coordinates
 
 
 def _kernel_average(rep):
@@ -77,26 +80,26 @@ def _cesaro_rectangle_chain(rep, reference, config):
     dimensional averages A_g(N) = (1/N) sum_{i<N} T_g^i, which double via
     A_g(2N) = (I + T_g^N) A_g(N) / 2. The composed mean C_N^p is itself a
     convex combination of the T_s, hence an ergodic net, and converges like
-    1/N^p instead of 1/N.
+    1/N^p instead of 1/N. The distances of all sides take one stacked norm.
     """
     n = rep.dim
     eye = np.eye(n, dtype=np.complex128)
     averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
     powers = [a.copy() for a in rep.matrices]       # T_g^N
     side = 1
-    trace = []
+    sides = []
+    differences = []                                # plain, composed per side
     p = config.cesaro_power
 
     def record():
+        sides.append(side)
+        if reference is None:
+            return
         mean = eye.copy()
         for avg in averages:
             mean = mean @ avg
         composed = np.linalg.matrix_power(mean, p)
-        if reference is not None:
-            trace.append((side, operator_norm(mean - reference),
-                          operator_norm(composed - reference)))
-        else:
-            trace.append((side, float("nan"), float("nan")))
+        differences.extend((mean - reference, composed - reference))
 
     record()
     while side * 2 <= config.cesaro_max_side:
@@ -105,7 +108,10 @@ def _cesaro_rectangle_chain(rep, reference, config):
         powers = [powm @ powm for powm in powers]
         side *= 2
         record()
-    return trace
+    if reference is None:
+        return [(s, float("nan"), float("nan")) for s in sides]
+    norms = operator_norms(differences)
+    return list(zip(sides, norms[0::2], norms[1::2]))
 
 
 @dataclass
@@ -136,7 +142,8 @@ def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED):
     if not rep.boundedness.is_certified:
         raise NotBounded("mean_ergodic_analysis requires a Certified representation")
 
-    fix, rng_space, projection = _split(rep, trivial_character(rep.semigroup), config)
+    fix, rng_space, coordinates = _split(rep, trivial_character(rep.semigroup), config)
+    projection = None if coordinates is None else fix.basis @ coordinates
     report = ErgodicReport(fix_space=fix, range_space=rng_space,
                            is_ume=projection is not None, mean_projection=projection)
 
@@ -168,6 +175,7 @@ class PoleVerdict:
     projection: np.ndarray = None
     eigenspace_dim: int = 0
     complement_clear: bool = None  # chi not a joint eigenvalue of T|ker(P)
+    factors: tuple = None  # a pole's (F, W^H): projection = F @ W^H, F orthonormal
 
     @property
     def is_pole(self):
@@ -193,20 +201,21 @@ def _pole_verdict(rep, chi, config, spectrum, fix=None):
     The verdict is post-checked: chi must not be a joint eigenvalue of T
     restricted to rg(chi - T), the kernel of the projection.
     """
-    fix, rng_space, projection = _split(rep, chi, config, fix)
+    fix, rng_space, coordinates = _split(rep, chi, config, fix)
     if fix.dim == 0 and not spectrum.contains(chi, config.tol_cluster):
         zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
         return PoleVerdict(NOT_IN_SPECTRUM, projection=zero,
                            eigenspace_dim=0, complement_clear=True)
 
-    if projection is None:
+    if coordinates is None:
         return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
 
     complement_clear = rng_space.dim == 0 or joint_eigenspace(
         rep.semigroup.generators, restricted_family(rep, rng_space, config),
         chi, config).dim == 0
-    return PoleVerdict(POLE, projection=projection, eigenspace_dim=fix.dim,
-                       complement_clear=complement_clear)
+    return PoleVerdict(POLE, projection=fix.basis @ coordinates, eigenspace_dim=fix.dim,
+                       complement_clear=complement_clear,
+                       factors=(fix.basis, coordinates))
 
 
 @dataclass
@@ -394,7 +403,8 @@ class Analysis:
         eigenspaces) and the stable part E_s, with the commuting projection.
 
         P is the sum of the pole projections onto ker(chi - T) along
-        rg(chi - T); pairwise products of those projections must vanish.
+        rg(chi - T); pairwise products of those projections must vanish,
+        and their largest norm is read off the projections' factors.
         """
         rep, config = self.rep, self.config
         n = rep.dim
@@ -405,10 +415,7 @@ class Analysis:
                 raise NonPoleSpectrum(chi)
             verdicts.append(verdict)
         projections = [verdict.projection for verdict in verdicts]
-
-        cross = 0.0
-        for a, b in itertools.combinations(projections, 2):
-            cross = max(cross, operator_norm(a @ b), operator_norm(b @ a))
+        cross = largest_cross_product([verdict.factors for verdict in verdicts])
 
         total = sum(projections) if projections else np.zeros((n, n), dtype=np.complex128)
         reversible = column_space(total, config.tol_rank, scale=1.0)
@@ -450,7 +457,7 @@ class Analysis:
         rep, config = self.rep, self.config
         zero_in_range = None
         if rep.is_finite:
-            zero_in_range = any(operator_norm(a) <= config.tol_hom for a in rep.matrices)
+            zero_in_range = min(operator_norms(rep.matrices)) <= config.tol_hom
 
         if len(self.spectrum) > 0:
             return StabilityVerdict(NOT_STABLE,

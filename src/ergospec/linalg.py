@@ -7,7 +7,9 @@ scale where the input matrix itself may be numerically zero.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,12 +28,43 @@ def as_complex_matrix(a):
     return arr
 
 
+# entries of one stacked array of same-shape matrices (4 MB of complex128)
+BLOCK_ENTRIES = 2**18
+
+
 def operator_norm(a):
-    """Largest singular value."""
+    """Largest singular value: the LAPACK call of np.linalg.norm(a, 2),
+    without its wrapper."""
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def operator_norms(mats):
+    """operator_norm of each matrix of an iterable of same-shape matrices.
+
+    One stacked SVD serves each block of at most BLOCK_ENTRIES entries (at
+    least one matrix), so extra memory stays bounded however many matrices
+    the iterable yields. LAPACK factors each matrix of the stack on its
+    own, so every norm has the bits of a separate call."""
+    norms, block = [], []
+
+    def flush():
+        stacked = np.asarray(block, dtype=np.complex128)
+        if stacked[0].size == 0:
+            norms.extend([0.0] * len(block))
+        else:
+            norms.extend(np.linalg.svd(stacked, compute_uv=False)[:, 0].tolist())
+        block.clear()
+
+    for a in mats:
+        if block and (len(block) + 1) * np.size(a) > BLOCK_ENTRIES:
+            flush()
+        block.append(a)
+    if block:
+        flush()
+    return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +96,12 @@ def null_space(a, tol=None, scale=0.0):
     Right singular vectors whose singular value is at most
     tol_rank * max(sigma_max, scale). A positive `scale` anchors the rank
     decision to the caller's context when `a` itself may be numerically
-    zero (e.g. I - T_s for T_s near the identity).
+    zero (e.g. I - T_s for T_s near the identity). `a` is read as it is,
+    with no copy and no finiteness scan: the package builds its matrices
+    from inputs that as_complex_matrix has checked.
     """
     tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    a = as_complex_matrix(a)
+    a = np.asarray(a, dtype=np.complex128)
     if a.shape[0] == 0:
         return Subspace.full(a.shape[1])
     # V is square either way; only a wide matrix needs the full factors,
@@ -84,7 +119,7 @@ def null_space(a, tol=None, scale=0.0):
 def column_space(a, tol=None, scale=0.0):
     """Orthonormal basis of the numerical column space of `a`."""
     tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    a = as_complex_matrix(a)
+    a = np.asarray(a, dtype=np.complex128)
     if a.shape[1] == 0:
         return Subspace.zero(a.shape[0])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -147,12 +182,57 @@ def is_direct_complement(f, r, tol=None):
     return bool(smin > math.sqrt(tol))
 
 
-def projection_onto_along(f, r):
-    """The (oblique) projection onto F along R, given a direct complement."""
+def projection_coordinates(f, r):
+    """W^H such that F.basis @ W^H is the (oblique) projection onto F along
+    R, given a direct complement: the first dim F rows of [F R]^(-1)."""
     n = f.ambient_dim
     basis = np.hstack([f.basis, r.basis])
     coords = np.linalg.solve(basis, np.eye(n, dtype=np.complex128))
-    return f.basis @ coords[: f.dim, :]
+    return coords[: f.dim, :]
+
+
+def projection_onto_along(f, r):
+    """The (oblique) projection onto F along R, given a direct complement."""
+    return f.basis @ projection_coordinates(f, r)
+
+
+def largest_cross_product(factors):
+    """max ||P_a P_b|| over ordered pairs a != b of projections given by
+    their factors (F, W^H), P = F W^H with F orthonormal; 0 for fewer than
+    two.
+
+    ||P_a P_b|| = ||W_a^H F_b W_b^H|| = ||(W_a^H F_b) R_b^H|| for the thin
+    QR W_b = Q_b R_b. So one Gram product W^H F of size D x D, D the sum of
+    the ranks, and norms of blocks of that size replace the r(r - 1) dense
+    n x n products and norms. Blocks of one shape take one stacked norm."""
+    if len(factors) < 2:
+        return 0.0
+    dims = [f.shape[1] for f, _ in factors]
+    starts = np.cumsum([0] + dims)
+    gram = np.vstack([wh for _, wh in factors]) @ np.hstack([f for f, _ in factors])
+    groups = defaultdict(list)       # rank -> indices of the factors
+    for index, dim in enumerate(dims):
+        groups[dim].append(index)
+    spans = {}
+    for dim, members in groups.items():
+        # column block b of the Gram matrix times R_b^H, one stacked QR per rank
+        coords = np.stack([factors[b][1] for b in members])
+        triangular = np.linalg.qr(coords.conj().transpose(0, 2, 1), mode="r")
+        for b, r in zip(members, triangular):
+            gram[:, starts[b]:starts[b + 1]] = gram[:, starts[b]:starts[b + 1]] @ r.conj().T
+        spans[dim] = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in members])
+    worst = 0.0
+    for dim_a, members_a in groups.items():
+        for dim_b, members_b in groups.items():
+            blocks = gram[np.ix_(spans[dim_a], spans[dim_b])].reshape(
+                len(members_a), dim_a, len(members_b), dim_b).transpose(0, 2, 1, 3)
+            if dim_a == dim_b:
+                blocks = blocks[~np.eye(len(members_a), dtype=bool)]
+            if blocks.size:
+                # all blocks together hold at most the D x D entries of the Gram
+                norms = np.linalg.svd(blocks.reshape(-1, dim_a, dim_b), compute_uv=False)
+                worst = max(worst, float(norms[:, 0].max()))
+    return worst
 
 
 @dataclass
@@ -185,6 +265,8 @@ def _single_linkage_clusters(values, radius):
     """Indices grouped by single-linkage chaining at the given radius."""
     values = np.asarray(values)
     near = np.abs(values[:, None] - values[None, :]) <= radius
+    if near.all():
+        return [list(range(len(values)))]
     unassigned = np.ones(len(values), dtype=bool)
     clusters = []
     # each cluster grows from the least unassigned value by (real, imag)
@@ -199,8 +281,12 @@ def _single_linkage_clusters(values, radius):
             members |= frontier
         unassigned &= ~members
         clusters.append(np.flatnonzero(members).tolist())
+    def centroid(cluster):
+        mean = np.mean(values[cluster])
+        return mean.real, mean.imag
+
     # deterministic order: by cluster centroid
-    clusters.sort(key=lambda c: (np.mean(values[c]).real, np.mean(values[c]).imag))
+    clusters.sort(key=centroid)
     return clusters
 
 
@@ -303,8 +389,25 @@ def _strict_lower_residual(mat, starts):
     return worst
 
 
+class _Splitter:
+    """A matrix whose spectral clusters may split a family, with its
+    eigenvalues and complex Schur form each computed once, on first use,
+    for every cluster radius tried."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @cached_property
+    def eigenvalues(self):
+        return np.linalg.eigvals(self.matrix)
+
+    @cached_property
+    def schur_form(self):
+        return scipy.linalg.schur(self.matrix, output="complex")
+
+
 def _try_split(mats, splitter, radius, config, rng, warnings):
-    """Attempt to split along the spectral clusters of `splitter`.
+    """Attempt to split along the spectral clusters of a _Splitter.
 
     The assembled basis is only accepted if every matrix actually comes
     out block upper triangular: the eigenvalues of a defective block
@@ -312,15 +415,14 @@ def _try_split(mats, splitter, radius, config, rng, warnings):
     one-dimensional subspaces are nearly parallel, which wrecks the
     orthogonalized basis. Returns (U, starts) or None."""
     d = mats[0].shape[0]
-    eigs = np.linalg.eigvals(splitter)
+    eigs = splitter.eigenvalues
     clusters = _single_linkage_clusters(eigs, radius)
     if len(clusters) < 2:
         return None
 
-    schur_form = scipy.linalg.schur(splitter, output="complex")
     bases = []
     for cluster in clusters:
-        basis, sdim = _invariant_subspace(schur_form, eigs[cluster], radius)
+        basis, sdim = _invariant_subspace(splitter.schur_form, eigs[cluster], radius)
         if sdim != len(cluster) or sdim in (0, d):
             return None
         bases.append(basis)
@@ -348,8 +450,10 @@ def _try_split(mats, splitter, radius, config, rng, warnings):
 
     for a in mats:
         transformed = q.conj().T @ a @ q
-        if _strict_lower_residual(transformed, child_starts) > \
-                config.tol_commute * max(1.0, operator_norm(a)):
+        residual = _strict_lower_residual(transformed, child_starts)
+        # the norm is needed only above the floor of max(1, ||a||)
+        if residual > config.tol_commute and \
+                residual > config.tol_commute * max(1.0, operator_norm(a)):
             return None
     warnings.extend(child_warnings)
     return q, child_starts
@@ -374,9 +478,10 @@ def _split_family(mats, config, rng, warnings):
     coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
     coeffs /= np.abs(coeffs).sum()
     generic = sum(c * a for c, a in zip(coeffs, mats))
+    splitters = [_Splitter(a) for a in (generic, *mats)]
 
     for radius in (fine, coarse):
-        for splitter in [generic, *mats]:
+        for splitter in splitters:
             result = _try_split(mats, splitter, radius, config, rng, warnings)
             if result is not None:
                 if radius is not fine:
@@ -401,6 +506,10 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
     separation transfers to the joint values); exhausted blocks are
     triangularized by deflating common eigenvectors. Raises NotCommuting
     if a pairwise commutator exceeds tol_commute relative to the norms.
+
+    Bit-equal matrices are split and checked once: a finite monoid's
+    kernel family lists T_(g+e) once per generator g, and g+e often
+    coincides. block_values still holds one value per input matrix.
     """
     config = DEFAULT_CONFIG if config is None else config
     mats = [as_complex_matrix(a) for a in family]
@@ -413,35 +522,46 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
     if n > config.max_dim:
         raise ValueError(f"dimension {n} exceeds supported maximum {config.max_dim}")
 
+    distinct, index = [], []         # index[i]: position of mats[i] in distinct
+    for a in mats:
+        index.append(next((j for j, b in enumerate(distinct) if np.array_equal(a, b)),
+                          len(distinct)))
+        if index[-1] == len(distinct):
+            distinct.append(a)
+
     # the max(1, .) floor keeps the bound meaningful for near-zero matrices
-    norms = [max(1.0, operator_norm(a)) for a in mats]
+    norms = [max(1.0, norm) for norm in operator_norms(distinct)]
+    checked = set()
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
+            pair = frozenset((index[i], index[j]))
+            if len(pair) == 1 or pair in checked:
+                continue
+            checked.add(pair)
             residual = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if residual > config.tol_commute * norms[i] * norms[j]:
+            if residual > config.tol_commute * norms[index[i]] * norms[index[j]]:
                 raise NotCommuting(i, j, residual)
 
     warnings = []
     rng = np.random.default_rng(seed)
-    unitary, starts = _split_family(mats, config, rng, warnings)
+    unitary, starts = _split_family(distinct, config, rng, warnings)
 
     # per-block diagonal values; diag(U^H A U) via one contraction per matrix
     diags = [np.einsum("ij,jk,ki->i", unitary.conj().T, a, unitary, optimize=True)
-             for a in mats]
+             for a in distinct]
     bounds = starts + [n]
     block_values = []
     for b in range(len(starts)):
         lo, hi = bounds[b], bounds[b + 1]
-        values = []
-        for m_idx, diag in enumerate(diags):
-            segment = diag[lo:hi]
-            spread = np.abs(segment - segment.mean()).max() if hi > lo else 0.0
-            if spread > config.tol_cluster:
+        segments = [diag[lo:hi] for diag in diags]
+        means = [segment.mean() for segment in segments]
+        spreads = [np.abs(segment - mean).max() for segment, mean in zip(segments, means)]
+        for m_idx, j in enumerate(index):
+            if spreads[j] > config.tol_cluster:
                 warnings.append(
-                    f"block {b}: diagonal spread {spread:.2e} of matrix {m_idx} "
+                    f"block {b}: diagonal spread {spreads[j]:.2e} of matrix {m_idx} "
                     f"exceeds tol_cluster (cluster instability)")
-            values.append(complex(segment.mean()))
-        block_values.append(tuple(values))
+        block_values.append(tuple(complex(means[j]) for j in index))
 
     # adjacent blocks whose joint tuples collide are merged and reported
     merged_starts, merged_values = [starts[0]], [block_values[0]]

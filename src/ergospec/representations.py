@@ -10,6 +10,7 @@ acted on by that generator as the scalar itself.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,13 @@ from .errors import (
     NotCommuting,
     NotInvariant,
 )
-from .linalg import as_complex_matrix, joint_block_decomposition, operator_norm
+from .linalg import (
+    BLOCK_ENTRIES,
+    as_complex_matrix,
+    joint_block_decomposition,
+    operator_norm,
+    operator_norms,
+)
 from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid, kernel_group
 
 CERTIFIED = "certified"
@@ -65,6 +72,12 @@ class Representation:
             return [self.matrices[g] for g in self.semigroup.generators]
         return list(self.matrices)
 
+    @cached_property
+    def generator_norms(self):
+        """The operator norm of each matrix of family(), taken once per
+        representation: the matrices never change."""
+        return operator_norms(self.family())
+
     def kernel_family(self):
         """T_(g+e) per generator g, where e is the minimal idempotent (the
         neutral element over N^k). A unitary character takes the same value
@@ -86,11 +99,6 @@ class Representation:
             if exponent:
                 result = result @ np.linalg.matrix_power(gen, int(exponent))
         return result
-
-
-# entries of one stacked row block in the generator certificate (4 MB of
-# complex128 per stacked array)
-_BLOCK_ENTRIES = 2**18
 
 
 def validate_representation(semigroup, matrices, config=None):
@@ -150,11 +158,11 @@ def validate_representation(semigroup, matrices, config=None):
     elif isinstance(semigroup, FreeCommutativeMonoid):
         if len(mats) != semigroup.rank:
             raise ValueError("N^k needs one matrix per generator")
+        norms = [max(1.0, norm) for norm in operator_norms(mats)]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 residual = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                bound = config.tol_commute * max(1.0, operator_norm(mats[i])) \
-                    * max(1.0, operator_norm(mats[j]))
+                bound = config.tol_commute * norms[i] * norms[j]
                 if residual > bound:
                     raise NotCommuting(i, j, residual)
     else:
@@ -168,7 +176,7 @@ def _homomorphism_bound(monoid, mats, eta):
     validate_representation derives. The products T_s T_g and T_g T_s are
     taken for one row block of elements at a time."""
     n = mats[0].shape[0]
-    block = max(1, _BLOCK_ENTRIES // (n * n))
+    block = max(1, BLOCK_ENTRIES // (n * n))
     table = np.asarray(monoid.table)
     delta = 0.0
     for lo in range(0, monoid.size, block):
@@ -259,7 +267,7 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
                 width = block.stop - block.start
                 diag_block = transformed[j][block, block]
                 defect = operator_norm(diag_block - psi * np.eye(width))
-                scale = max(1.0, operator_norm(rep.matrices[j]))
+                scale = max(1.0, rep.generator_norms[j])
                 if defect > config.tol_rank * scale * max(1, width):
                     cert = BoundednessCertificate(
                         UNBOUNDED,
@@ -307,9 +315,10 @@ def _invariant_basis(rep, subspace, config):
     basis = subspace.basis
     proj = basis @ basis.conj().T
     eye = np.eye(rep.dim)
-    for label, a in zip(rep.semigroup.generators, rep.family()):
-        residual = operator_norm((eye - proj) @ a @ proj)
-        if residual > config.tol_hom * max(1.0, operator_norm(a)):
+    residuals = operator_norms((eye - proj) @ a @ proj for a in rep.family())
+    for label, residual, norm in zip(rep.semigroup.generators, residuals,
+                                     rep.generator_norms):
+        if residual > config.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
     return basis
 

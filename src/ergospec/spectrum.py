@@ -44,13 +44,13 @@ class UnitarySpectrumResult:
         return any(char_distance(chi, c) <= tol for c in self.characters)
 
 
-def eigenspace(rep, chi, config=None, norms=None):
+def eigenspace(rep, chi, config=None):
     """ker(chi - T): the joint kernel over the generator matrices, which
     suffice because a joint generator eigenvector is an eigenvector of every
-    product. `norms`, the operator norms of rep.family(), spares a caller
-    that tests many characters their recomputation.
+    product.
     """
-    return joint_eigenspace(rep.semigroup.generators, rep.family(), chi, config, norms)
+    return joint_eigenspace(rep.semigroup.generators, rep.family(), chi, config,
+                            rep.generator_norms)
 
 
 def joint_eigenspace(generators, family, chi, config=None, norms=None):
@@ -111,11 +111,10 @@ def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
     if decomposition is None:
         decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
     candidates = _candidate_characters(rep, decomposition, config)
-    norms = [operator_norm(a) for a in rep.family()]
 
     characters, spaces, witnesses = [], [], []
     for chi in candidates:
-        space = eigenspace(rep, chi, config, norms)
+        space = eigenspace(rep, chi, config)
         if space.dim == 0:
             continue
         characters.append(chi)

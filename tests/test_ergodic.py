@@ -7,7 +7,7 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
-from ergospec import characters, ergodic, linalg
+from ergospec import characters, ergodic, linalg, representations
 from ergospec.ergodic import _kernel_average
 from ergospec.serialize import load_representation
 
@@ -415,10 +415,21 @@ def test_spectrum_op_decomposes_finite_generators_once(name, monkeypatch):
 def test_spectrum_takes_each_operator_norm_once(monkeypatch):
     rep = es.regular_representation(cyclic_monoid(8))
     decomposition = es.joint_block_decomposition(rep.kernel_family())
-    calls = _count_calls(monkeypatch, "operator_norm", linalg)
+    single = _count_calls(monkeypatch, "operator_norm", linalg)
+    stacked = []
+    norms = linalg.operator_norms
+
+    def counted(mats):
+        mats = list(mats)
+        stacked.append(len(mats))
+        return norms(mats)
+
+    for module in (linalg, representations):
+        monkeypatch.setattr(module, "operator_norms", counted)
     spectrum = es.unitary_spectrum(rep, decomposition=decomposition)
     assert len(spectrum) == 8
-    assert len(calls) == 1                        # one per generator matrix
+    # one norm per generator matrix, counted by the matrices each call takes
+    assert len(single) + sum(stacked) == 1
 
 
 @pytest.mark.parametrize("m", [6, 12])
