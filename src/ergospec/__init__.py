@@ -30,6 +30,7 @@ from .linalg import (
     joint_block_decomposition,
     null_space,
     operator_norm,
+    operator_norms,
     subspace_intersect,
     subspace_sum,
 )

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG
 from .errors import MismatchedSemigroup
 from .semigroups import FreeCommutativeMonoid, element_order, kernel_group
@@ -133,57 +135,50 @@ def enumerate_unitary_dual(monoid):
     order, and extend each character by the d-th roots of its value on
     d*g, where d is the index of the step. The result has exactly |K|
     characters.
+
+    Every character of K takes |K|-th roots of unity, so each angle is
+    carried as an integer numerator over |K|. A d-th root stays one: the
+    numerator at d*g is a multiple of |K| / |H|, H the subgroup reached
+    so far, and d divides |K| / |H|. Fractions are built once per
+    numerator, for the returned characters only.
     """
     group = kernel_group(monoid)
     e = group.identity
-    carrier = list(group.carrier)
+    order = len(group.carrier)
 
     subgroup = [e]
-    in_subgroup = {e}
-    chars = [{e: Fraction(0)}]  # partial characters: element -> angle
+    column = {e: 0}                           # element -> column of `numerators`
+    numerators = np.zeros((1, 1), dtype=np.int64)  # one row per partial character
 
-    while len(subgroup) < len(carrier):
-        outside = [g for g in carrier if g not in in_subgroup]
+    while len(subgroup) < order:
+        outside = [g for g in group.carrier if g not in column]
         g = max(outside, key=lambda x: element_order(monoid, group, x))
         # d = index of the extension: smallest j >= 1 with j*g in the subgroup
         d = 1
         power = g
-        while power not in in_subgroup:
+        while power not in column:
             power = monoid.add(power, g)
             d += 1
-        anchor = power  # = d*g, already has an angle in every partial character
-
-        new_chars = []
-        for partial in chars:
-            base = partial[anchor]
-            for t in range(d):
-                root = Fraction(base + t, d) % 1
-                extended = dict(partial)
-                jg = None
-                for j in range(1, d):
-                    jg = g if jg is None else monoid.add(jg, g)
-                    for h in subgroup:
-                        extended[monoid.add(h, jg)] = (partial[h] + j * root) % 1
-                new_chars.append(extended)
-        chars = new_chars
+        # power = d*g already has a numerator in every partial character;
+        # each character extends once per d-th root of its value there
+        roots = ((numerators[:, column[power], None] + order * np.arange(d)) // d).ravel()
+        rows = np.repeat(numerators, d, axis=0)
+        numerators = np.hstack([(rows + j * roots[:, None]) % order for j in range(d)])
 
         new_elements = []
         jg = None
         for j in range(1, d):
             jg = g if jg is None else monoid.add(jg, g)
             new_elements.extend(monoid.add(h, jg) for h in subgroup)
+        column.update((x, len(subgroup) + i) for i, x in enumerate(new_elements))
         subgroup.extend(new_elements)
-        in_subgroup.update(new_elements)
 
-    result = []
-    for table in chars:
-        angles = tuple(table[monoid.add(s, e)] for s in monoid.elements())
-        result.append(UnitaryCharacter(monoid, angles=angles))
-    result.sort(key=lambda chi: chi.angles)
-
-    if len({chi.angles for chi in result}) != len(carrier):
+    columns = [column[monoid.add(s, e)] for s in monoid.elements()]
+    keys = sorted(map(tuple, numerators[:, columns].tolist()))
+    if len(set(keys)) != order:
         raise AssertionError("dual enumeration lost or duplicated characters")
-    return result
+    angles = [Fraction(p, order) for p in range(order)]
+    return [UnitaryCharacter(monoid, angles=tuple(angles[p] for p in key)) for key in keys]
 
 
 def nearest_character(candidates, values, tol, candidate_values=None):

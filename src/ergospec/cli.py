@@ -7,11 +7,10 @@ applicable cross-check passed; 1 on verdict violations; 2 on input errors.
 
 import argparse
 import csv
-import json
 import sys
 
 from .config import DEFAULT_SEED, ToleranceConfig
-from .errors import ErgospecError
+from .errors import ErgospecError, ParseError
 from .characters import enumerate_unitary_dual
 from .ensembles import (
     random_certified_instance,
@@ -21,7 +20,13 @@ from .ensembles import (
 from .ergodic import Analysis
 from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .report import analyze, summarize
-from .serialize import canonical_dumps, load_character, load_representation
+from .serialize import (
+    _decoding,
+    _read_json,
+    canonical_dumps,
+    load_character,
+    load_representation,
+)
 from .spectrum import laplace_falsifier
 
 
@@ -159,19 +164,21 @@ def cmd_falsify(args):
 
 def cmd_ensemble(args):
     config = _build_config(args)
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        args.ensemble = loaded.get("ensemble", args.ensemble)
-        args.count = int(loaded.get("count", args.count))
-        args.n = int(loaded.get("n", args.n))
-        args.k = int(loaded.get("k", args.k))
-        args.seed = int(loaded.get("seed", args.seed))
     makers = {
         "circulant": random_circulant_stochastic_instance,
         "polynomial": random_polynomial_instance,
         "general": random_certified_instance,
     }
+    if args.config:
+        loaded = _read_json(args.config)
+        with _decoding("ensemble config"):
+            args.ensemble = loaded.get("ensemble", args.ensemble)
+            args.count = int(loaded.get("count", args.count))
+            args.n = int(loaded.get("n", args.n))
+            args.k = int(loaded.get("k", args.k))
+            args.seed = int(loaded.get("seed", args.seed))
+        if args.ensemble not in makers:
+            raise ParseError(f"unknown ensemble {args.ensemble!r} in the ensemble config")
     maker = makers[args.ensemble]
     failures = 0
     for index in range(args.count):
@@ -254,7 +261,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ErgospecError, FileNotFoundError) as exc:
+    # an unreadable path (missing, a directory) is an input error too
+    except (ErgospecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,7 +104,10 @@ def representation_from_json(data, config=None):
 
 def _read_json(path):
     with open(path) as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # a binary file is not JSON text
+            raise ParseError(f"not a text file: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -277,3 +277,38 @@ def test_custom_tolerances_recorded(capsys):
     assert data["tolerances"]["cesaro_max_side"] == 256
     sides = [row["side"] for row in data["ergodic"]["cesaro_trace"]]
     assert max(sides) <= 256
+
+
+def test_directory_input_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_into_a_directory_exit_code(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", fixture_path("klein_four"),
+                       "--report", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_binary_input_exit_code(capsys, tmp_path):
+    binary = tmp_path / "rep.json"
+    binary.write_bytes(bytes(range(128, 256)))
+    code, _, err = run(capsys, "analyze", str(binary))
+    assert code == 2
+    assert err.startswith("error: not a text file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "error: Expecting property name enclosed in double quotes"),
+    ('{"count": "many"}', "error: malformed ensemble config: ValueError: "),
+    ("[1, 2]", "error: malformed ensemble config: AttributeError: "),
+    ('{"ensemble": "nope"}', "error: unknown ensemble 'nope' in the ensemble config"),
+], ids=["not_json", "text_count", "list", "unknown_ensemble"])
+def test_malformed_ensemble_config_exit_code(capsys, tmp_path, text, message):
+    config = tmp_path / "ensemble.json"
+    config.write_text(text)
+    code, out, err = run(capsys, "ensemble", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1

@@ -490,3 +490,16 @@ def test_frobenius_screen_keeps_the_classes_at_infinity(rank):
     expected = _classes_at_infinity_oracle(rep, tol)
     assert 1 < len(expected) < 8
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_cross_residual_matches_the_dense_loop():
+    # eigenspaces of dimension 1, 2 and 3 under an oblique change of basis
+    rng = np.random.default_rng(7)
+    basis = np.eye(7) + 0.3 * rng.standard_normal((7, 7))
+    t = basis @ np.diag([1, 1j, 1j, -1, -1, -1, 0.5]) @ np.linalg.inv(basis)
+    analysis = ergodic.Analysis(n1_rep(t.astype(complex)))
+    assert sorted(space.dim for space in analysis.spectrum.eigenspaces) == [1, 2, 3]
+    projections = [analysis.pole(chi).projection for chi in analysis.spectrum.characters]
+    dense = max(es.operator_norm(projections[a] @ projections[b])
+                for a in range(3) for b in range(3) if a != b)
+    assert abs(analysis.decomposition.cross_residual - dense) <= 1e-13

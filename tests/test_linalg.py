@@ -15,9 +15,12 @@ from ergospec.linalg import (
     _single_linkage_clusters,
     as_complex_matrix,
     column_space,
+    largest_cross_product,
     null_space,
     projection_onto_along,
 )
+
+from conftest import chain_monoid
 
 
 def test_null_space_zero_matrix():
@@ -393,3 +396,60 @@ def test_selection_matches_the_scalar_loop(n):
                     form, eigs[cluster], radius)
                 assert dim == oracle_dim
                 assert basis.tobytes() == oracle_basis.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (2, 2), (3, 5), (8, 8), (64, 64)])
+def test_operator_norms_match_the_two_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    # 2^18 / 64^2 = 64 matrices fill a block, so 70 of them cross its boundary
+    count = 70 if shape == (64, 64) else 5
+    mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(count)]
+    expected = [float(np.linalg.norm(a, 2)) if a.size else 0.0 for a in mats]
+    assert es.operator_norms(mats) == expected
+    assert es.operator_norms(iter(mats)) == expected
+    assert [es.operator_norm(a) for a in mats] == expected
+    assert es.operator_norms([]) == []
+
+
+def _dense_cross_product(projections):
+    """max ||P_a P_b|| over ordered pairs, one dense norm per product."""
+    worst = 0.0
+    for a in range(len(projections)):
+        for b in range(len(projections)):
+            if a != b:
+                worst = max(worst, es.operator_norm(projections[a] @ projections[b]))
+    return worst
+
+
+@pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (2, 2), (3, 1), (1, 2, 3), (3, 2, 1, 2)])
+def test_cross_product_from_factors_matches_the_dense_loop(dims):
+    rng = np.random.default_rng(len(dims) * 10 + sum(dims))
+    n = 9
+    factors = []
+    for d in dims:
+        f, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+        wh = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+        factors.append((f, wh))
+    dense = _dense_cross_product([f @ wh for f, wh in factors])
+    assert largest_cross_product(factors) == pytest.approx(dense, rel=1e-13, abs=1e-13)
+
+
+def test_joint_decomposition_splits_repeated_matrices_once(monkeypatch):
+    # all 7 generators g of L8 have g + e = 7, so the kernel family is
+    # seven copies of T_7
+    rep = es.regular_representation(chain_monoid(8))
+    family = rep.kernel_family()
+    assert len(family) == 7 and all(np.array_equal(a, family[0]) for a in family)
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    dec = es.joint_block_decomposition(family)
+    assert len(calls) <= 9
+    assert all(len(values) == 7 and len(set(values)) == 1 for values in dec.block_values)
+    assert sorted(round(values[0].real, 9) for values in dec.block_values) == [0.0, 1.0]
