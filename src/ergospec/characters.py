@@ -137,10 +137,10 @@ def enumerate_unitary_dual(monoid):
     characters.
 
     Every character of K takes |K|-th roots of unity, so each angle is
-    carried as an integer numerator over |K|. A d-th root stays one: the
-    numerator at d*g is a multiple of |K| / |H|, H the subgroup reached
-    so far, and d divides |K| / |H|. Fractions are built once per
-    numerator, for the returned characters only.
+    carried as an integer numerator over |K|. The d-th roots keep integer
+    numerators: the numerator at d*g is a multiple of |K| / |H|, H the
+    subgroup reached so far, and d divides |K| / |H|. Fractions are built
+    once per numerator, for the returned characters only.
     """
     group = kernel_group(monoid)
     e = group.identity

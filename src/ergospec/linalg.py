@@ -191,11 +191,6 @@ def projection_coordinates(f, r):
     return coords[: f.dim, :]
 
 
-def projection_onto_along(f, r):
-    """The (oblique) projection onto F along R, given a direct complement."""
-    return f.basis @ projection_coordinates(f, r)
-
-
 def largest_cross_product(factors):
     """max ||P_a P_b|| over ordered pairs a != b of projections given by
     their factors (F, W^H), P = F W^H with F orthonormal; 0 for fewer than
@@ -281,6 +276,7 @@ def _single_linkage_clusters(values, radius):
             members |= frontier
         unassigned &= ~members
         clusters.append(np.flatnonzero(members).tolist())
+
     def centroid(cluster):
         mean = np.mean(values[cluster])
         return mean.real, mean.imag
@@ -451,7 +447,8 @@ def _try_split(mats, splitter, radius, config, rng, warnings):
     for a in mats:
         transformed = q.conj().T @ a @ q
         residual = _strict_lower_residual(transformed, child_starts)
-        # the norm is needed only above the floor of max(1, ||a||)
+        # the bound is at least tol_commute, so only a residual above it
+        # needs the norm
         if residual > config.tol_commute and \
                 residual > config.tol_commute * max(1.0, operator_norm(a)):
             return None
@@ -531,16 +528,12 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
 
     # the max(1, .) floor keeps the bound meaningful for near-zero matrices
     norms = [max(1.0, norm) for norm in operator_norms(distinct)]
-    checked = set()
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            pair = frozenset((index[i], index[j]))
-            if len(pair) == 1 or pair in checked:
-                continue
-            checked.add(pair)
-            residual = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if residual > config.tol_commute * norms[index[i]] * norms[index[j]]:
-                raise NotCommuting(i, j, residual)
+    first = [index.index(p) for p in range(len(distinct))]
+    for p in range(len(distinct)):
+        for q in range(p + 1, len(distinct)):
+            residual = operator_norm(distinct[p] @ distinct[q] - distinct[q] @ distinct[p])
+            if residual > config.tol_commute * norms[p] * norms[q]:
+                raise NotCommuting(first[p], first[q], residual)
 
     warnings = []
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from ergospec.linalg import (
     column_space,
     largest_cross_product,
     null_space,
-    projection_onto_along,
+    projection_coordinates,
 )
 
 from conftest import chain_monoid
@@ -74,7 +74,7 @@ def test_is_direct_complement_dimension_mismatch():
 def test_projection_onto_along_oblique():
     f = Subspace(2, np.eye(2, dtype=complex)[:, :1])
     r = Subspace(2, np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2))
-    p = projection_onto_along(f, r)
+    p = f.basis @ projection_coordinates(f, r)
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     np.testing.assert_allclose(p @ np.array([1.0, 0.0]), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(p @ np.array([1.0, 1.0]), [0.0, 0.0], atol=1e-12)
