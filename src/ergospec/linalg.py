@@ -363,6 +363,17 @@ def _invariant_subspace(schur_form, selected, cluster_gap):
     return zs[:, :sdim], int(sdim)
 
 
+def conjugated_diagonal(u, a):
+    """diag(U^H A U) for n x n factors, by one contraction that forms U^H A
+    first. For n >= 2 that is the order the greedy search of
+    np.einsum(..., optimize=True) picks, and at n = 1 the block
+    decomposition's U is 1, so the bits are the search's; naming the order
+    skips the search, which costs more than the contraction at desk
+    scale."""
+    return np.einsum("ij,jk,ki->i", u.conj().T, a, u,
+                     optimize=["einsum_path", (0, 1), (0, 1)])
+
+
 def _runs_from_diagonals(diags, radius):
     """Block starts from consecutive runs of near-equal joint diagonals."""
     d = diags[0].shape[0]
@@ -490,7 +501,7 @@ def _split_family(mats, config, rng, warnings):
     # no splitter separates the spectrum: triangularize by deflation and
     # read the block structure off the diagonal runs
     u = _common_triangular(mats, config)
-    diags = [np.einsum("ij,jk,ki->i", u.conj().T, a, u, optimize=True) for a in mats]
+    diags = [conjugated_diagonal(u, a) for a in mats]
     return u, _runs_from_diagonals(diags, coarse)
 
 
@@ -539,9 +550,8 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     unitary, starts = _split_family(distinct, config, rng, warnings)
 
-    # per-block diagonal values; diag(U^H A U) via one contraction per matrix
-    diags = [np.einsum("ij,jk,ki->i", unitary.conj().T, a, unitary, optimize=True)
-             for a in distinct]
+    # per-block diagonal values
+    diags = [conjugated_diagonal(unitary, a) for a in distinct]
     bounds = starts + [n]
     block_values = []
     for b in range(len(starts)):

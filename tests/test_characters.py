@@ -9,7 +9,13 @@ from ergospec.characters import UnitaryCharacter, nearest_character
 from ergospec.errors import MismatchedSemigroup
 from ergospec.semigroups import element_order
 
-from conftest import free, monoid_pool
+from conftest import (
+    cyclic_monoid,
+    free,
+    monoid_pool,
+    product_monoid,
+    truncated_monoid,
+)
 
 
 def sign_rows(characters):
@@ -67,6 +73,53 @@ def test_dual_agrees_with_exhaustive_search_small_monoids():
             continue
         dual = es.enumerate_unitary_dual(monoid)
         assert sorted(tuple(chi.angles) for chi in dual) == brute_force_dual(monoid)
+
+
+def fraction_dual(monoid):
+    """Reference: the cyclic-extension construction of enumerate_unitary_dual
+    in Fraction arithmetic, one dict of angles per partial character."""
+    group = es.kernel_group(monoid)
+    e = group.identity
+    subgroup, in_subgroup = [e], {e}
+    chars = [{e: Fraction(0)}]
+    while len(subgroup) < len(group.carrier):
+        outside = [g for g in group.carrier if g not in in_subgroup]
+        g = max(outside, key=lambda x: element_order(monoid, group, x))
+        d, power = 1, g
+        while power not in in_subgroup:
+            power = monoid.add(power, g)
+            d += 1
+        new_chars = []
+        for partial in chars:
+            for t in range(d):
+                root = Fraction(partial[power] + t, d) % 1
+                extended = dict(partial)
+                jg = None
+                for j in range(1, d):
+                    jg = g if jg is None else monoid.add(jg, g)
+                    for h in subgroup:
+                        extended[monoid.add(h, jg)] = (partial[h] + j * root) % 1
+                new_chars.append(extended)
+        chars = new_chars
+        new_elements = []
+        jg = None
+        for j in range(1, d):
+            jg = g if jg is None else monoid.add(jg, g)
+            new_elements.extend(monoid.add(h, jg) for h in subgroup)
+        subgroup.extend(new_elements)
+        in_subgroup.update(new_elements)
+    return sorted(tuple(table[monoid.add(s, e)] for s in monoid.elements())
+                  for table in chars)
+
+
+def test_dual_matches_the_fraction_reference():
+    # same characters in the same order, exact angles included
+    monoids = monoid_pool() + [cyclic_monoid(512), product_monoid(cyclic_monoid(4),
+                                                                  cyclic_monoid(6)),
+                               product_monoid(truncated_monoid(3), cyclic_monoid(4))]
+    for monoid in monoids:
+        dual = es.enumerate_unitary_dual(monoid)
+        assert [chi.angles for chi in dual] == fraction_dual(monoid)
 
 
 def test_dual_size_is_kernel_size():

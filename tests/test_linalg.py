@@ -15,6 +15,7 @@ from ergospec.linalg import (
     _single_linkage_clusters,
     as_complex_matrix,
     column_space,
+    conjugated_diagonal,
     largest_cross_product,
     null_space,
     projection_coordinates,
@@ -453,3 +454,16 @@ def test_joint_decomposition_splits_repeated_matrices_once(monkeypatch):
     assert len(calls) <= 9
     assert all(len(values) == 7 and len(set(values)) == 1 for values in dec.block_values)
     assert sorted(round(values[0].real, 9) for values in dec.block_values) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+def test_conjugated_diagonal_matches_the_searched_contraction(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    unitaries = [np.eye(n, dtype=complex)]
+    if n > 1:  # the block decomposition's U is 1 at n = 1
+        unitaries.append(np.linalg.qr(rng.standard_normal((n, n))
+                                      + 1j * rng.standard_normal((n, n)))[0])
+    for u in unitaries:
+        searched = np.einsum("ij,jk,ki->i", u.conj().T, a, u, optimize=True)
+        assert np.array_equal(conjugated_diagonal(u, a).view(float), searched.view(float))
