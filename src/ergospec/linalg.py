@@ -7,7 +7,6 @@ scale where the input matrix itself may be numerically zero.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,34 +198,40 @@ def largest_cross_product(factors):
     ||P_a P_b|| = ||W_a^H F_b W_b^H|| = ||(W_a^H F_b) R_b^H|| for the thin
     QR W_b = Q_b R_b. So one Gram product W^H F of size D x D, D the sum of
     the ranks, and norms of blocks of that size replace the r(r - 1) dense
-    n x n products and norms. Blocks of one shape take one stacked norm."""
+    n x n products and norms. Factors of one rank take one stacked QR, and
+    blocks of one shape one stacked norm."""
     if len(factors) < 2:
         return 0.0
-    dims = [f.shape[1] for f, _ in factors]
-    starts = np.cumsum([0] + dims)
+    dims = np.array([f.shape[1] for f, _ in factors])
+    starts = np.cumsum(dims) - dims
     gram = np.vstack([wh for _, wh in factors]) @ np.hstack([f for f, _ in factors])
-    groups = defaultdict(list)       # rank -> indices of the factors
-    for index, dim in enumerate(dims):
-        groups[dim].append(index)
-    spans = {}
-    for dim, members in groups.items():
-        # column block b of the Gram matrix times R_b^H, one stacked QR per rank
-        coords = np.stack([factors[b][1] for b in members])
-        triangular = np.linalg.qr(coords.conj().transpose(0, 2, 1), mode="r")
-        for b, r in zip(members, triangular):
-            gram[:, starts[b]:starts[b + 1]] = gram[:, starts[b]:starts[b + 1]] @ r.conj().T
-        spans[dim] = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in members])
+    groups = [np.flatnonzero(dims == dim) for dim in np.unique(dims)]
     worst = 0.0
-    for dim_a, members_a in groups.items():
-        for dim_b, members_b in groups.items():
-            blocks = gram[np.ix_(spans[dim_a], spans[dim_b])].reshape(
-                len(members_a), dim_a, len(members_b), dim_b).transpose(0, 2, 1, 3)
-            if dim_a == dim_b:
-                blocks = blocks[~np.eye(len(members_a), dtype=bool)]
-            if blocks.size:
-                # all blocks together hold at most the D x D entries of the Gram
-                norms = np.linalg.svd(blocks.reshape(-1, dim_a, dim_b), compute_uv=False)
-                worst = max(worst, float(norms[:, 0].max()))
+    for members_b in groups:
+        dim_b = dims[members_b[0]]
+        cols = (starts[members_b, None] + np.arange(dim_b)).ravel()
+        coords = np.stack([factors[b][1] for b in members_b])
+        if dim_b == 1:   # W_b is one column and R_b its length
+            r = np.linalg.norm(coords, axis=2, keepdims=True)
+        else:
+            r = np.linalg.qr(coords.conj().transpose(0, 2, 1), mode="r")
+        # scaled[j] holds the column block of members_b[j] times its R^H
+        scaled = gram[:, cols].reshape(-1, len(members_b), dim_b).transpose(1, 0, 2) \
+            @ r.conj().transpose(0, 2, 1)
+        for members_a in groups:
+            dim_a = dims[members_a[0]]
+            rows = (starts[members_a, None] + np.arange(dim_a)).ravel()
+            blocks = scaled[:, rows].reshape(len(members_b), len(members_a), dim_a, dim_b)
+            blocks = blocks[members_b[:, None] != members_a[None, :]]
+            if not blocks.size:
+                continue
+            # all blocks together hold at most the D x D entries of the Gram;
+            # the 2-norm of a row or column is its Frobenius norm
+            if min(dim_a, dim_b) == 1:
+                norms = np.linalg.norm(blocks, axis=(1, 2))
+            else:
+                norms = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+            worst = max(worst, float(norms.max()))
     return worst
 
 
