@@ -80,37 +80,32 @@ def _cesaro_rectangle_chain(rep, reference, config):
     dimensional averages A_g(N) = (1/N) sum_{i<N} T_g^i, which double via
     A_g(2N) = (I + T_g^N) A_g(N) / 2. The composed mean C_N^p is itself a
     convex combination of the T_s, hence an ergodic net, and converges like
-    1/N^p instead of 1/N. The distances of all sides take one stacked norm.
+    1/N^p instead of 1/N. The distances are taken by stacked norms as the
+    chain yields them, so at most one block of differences is held.
     """
-    n = rep.dim
-    eye = np.eye(n, dtype=np.complex128)
-    averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
-    powers = [a.copy() for a in rep.matrices]       # T_g^N
-    side = 1
-    sides = []
-    differences = []                                # plain, composed per side
-    p = config.cesaro_power
-
-    def record():
-        sides.append(side)
-        if reference is None:
-            return
-        mean = eye.copy()
-        for avg in averages:
-            mean = mean @ avg
-        composed = np.linalg.matrix_power(mean, p)
-        differences.extend((mean - reference, composed - reference))
-
-    record()
-    while side * 2 <= config.cesaro_max_side:
-        averages = [(avg + powm @ avg) / 2.0
-                    for avg, powm in zip(averages, powers)]
-        powers = [powm @ powm for powm in powers]
-        side *= 2
-        record()
+    sides = [1]
+    while sides[-1] * 2 <= config.cesaro_max_side:
+        sides.append(sides[-1] * 2)
     if reference is None:
-        return [(s, float("nan"), float("nan")) for s in sides]
-    norms = operator_norms(differences)
+        return [(side, float("nan"), float("nan")) for side in sides]
+
+    def differences():
+        """C_N - reference and C_N^p - reference, side after side."""
+        eye = np.eye(rep.dim, dtype=np.complex128)
+        averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
+        powers = [a.copy() for a in rep.matrices]       # T_g^N
+        for index in range(len(sides)):
+            if index:
+                averages = [(avg + powm @ avg) / 2.0
+                            for avg, powm in zip(averages, powers)]
+                powers = [powm @ powm for powm in powers]
+            mean = eye.copy()
+            for avg in averages:
+                mean = mean @ avg
+            yield mean - reference
+            yield np.linalg.matrix_power(mean, config.cesaro_power) - reference
+
+    norms = operator_norms(differences())
     return list(zip(sides, norms[0::2], norms[1::2]))
 
 
