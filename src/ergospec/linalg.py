@@ -368,7 +368,7 @@ def _invariant_subspace(schur_form, selected, cluster_gap):
     return zs[:, :sdim], int(sdim)
 
 
-def conjugated_diagonal(u, a):
+def _conjugated_diagonal(u, a):
     """diag(U^H A U) for n x n factors, by one contraction that forms U^H A
     first. For n >= 2 that is the order the greedy search of
     np.einsum(..., optimize=True) picks, and at n = 1 the block
@@ -506,7 +506,7 @@ def _split_family(mats, config, rng, warnings):
     # no splitter separates the spectrum: triangularize by deflation and
     # read the block structure off the diagonal runs
     u = _common_triangular(mats, config)
-    diags = [conjugated_diagonal(u, a) for a in mats]
+    diags = [_conjugated_diagonal(u, a) for a in mats]
     return u, _runs_from_diagonals(diags, coarse)
 
 
@@ -556,7 +556,7 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
     unitary, starts = _split_family(distinct, config, rng, warnings)
 
     # per-block diagonal values
-    diags = [conjugated_diagonal(unitary, a) for a in distinct]
+    diags = [_conjugated_diagonal(unitary, a) for a in distinct]
     bounds = starts + [n]
     block_values = []
     for b in range(len(starts)):

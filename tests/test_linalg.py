@@ -11,11 +11,11 @@ from ergospec.config import DEFAULT_CONFIG
 from ergospec.errors import DimensionMismatch, NotCommuting
 from ergospec.linalg import (
     Subspace,
+    _conjugated_diagonal,
     _invariant_subspace,
     _single_linkage_clusters,
     as_complex_matrix,
     column_space,
-    conjugated_diagonal,
     largest_cross_product,
     null_space,
     projection_coordinates,
@@ -466,4 +466,4 @@ def test_conjugated_diagonal_matches_the_searched_contraction(n):
                                       + 1j * rng.standard_normal((n, n)))[0])
     for u in unitaries:
         searched = np.einsum("ij,jk,ki->i", u.conj().T, a, u, optimize=True)
-        assert np.array_equal(conjugated_diagonal(u, a).view(float), searched.view(float))
+        assert np.array_equal(_conjugated_diagonal(u, a).view(float), searched.view(float))
