@@ -8,6 +8,7 @@ applicable cross-check passed; 1 on verdict violations; 2 on input errors.
 import argparse
 import csv
 import sys
+from functools import partial
 
 from .config import DEFAULT_SEED, ToleranceConfig
 from .errors import ErgospecError, ParseError
@@ -39,9 +40,12 @@ def _build_config(args):
     if getattr(args, "max_cesaro", None) is not None:
         overrides["cesaro_max_side"] = args.max_cesaro
     try:
-        return ToleranceConfig(**overrides)
+        config = ToleranceConfig(**overrides)
     except ValueError as exc:  # an out-of-range flag is an input error
         raise ErgospecError(str(exc)) from exc
+    if args.seed < 0:
+        raise ErgospecError(f"seed must be non-negative, got {args.seed}")
+    return config
 
 
 def _add_common(parser):
@@ -66,10 +70,10 @@ def _emit(args, report):
     return 0 if report.ok else 1
 
 
-def _run_sections(args, sections):
+def _run_sections(args):
     config = _build_config(args)
     rep, raw = load_representation(args.path, config)
-    report = analyze(rep, config, args.seed, input_json=raw, sections=sections)
+    report = analyze(rep, config, args.seed, input_json=raw, sections=args.sections)
     if getattr(args, "cesaro_csv", None):
         trace = report.to_json().get("ergodic", {}).get("cesaro_trace", [])
         with open(args.cesaro_csv, "w", newline="") as fh:
@@ -78,34 +82,6 @@ def _run_sections(args, sections):
             for row in trace:
                 writer.writerow([row["side"], row["plain"], row["composed"]])
     return _emit(args, report)
-
-
-def cmd_analyze(args):
-    return _run_sections(args, None)
-
-
-def cmd_spectrum(args):
-    return _run_sections(args, ["spectrum"])
-
-
-def cmd_ergodic(args):
-    return _run_sections(args, ["spectrum", "ergodic"])
-
-
-def cmd_decompose(args):
-    return _run_sections(args, ["spectrum", "decomposition"])
-
-
-def cmd_stability(args):
-    return _run_sections(args, ["spectrum", "stability"])
-
-
-def cmd_quasicompact(args):
-    return _run_sections(args, ["spectrum", "quasicompact"])
-
-
-def cmd_nisa(args):
-    return _run_sections(args, ["spectrum", "ergodic", "positivity"])
 
 
 def cmd_dual(args):
@@ -136,6 +112,8 @@ def _short_complex(z):
 
 def cmd_falsify(args):
     config = _build_config(args)
+    if args.trials < 1:
+        raise ErgospecError(f"trials must be at least 1, got {args.trials}")
     rep, _ = load_representation(args.path, config)
     from .representations import certify_boundedness
     rep = certify_boundedness(rep, config, args.seed)
@@ -163,7 +141,6 @@ def cmd_falsify(args):
 
 
 def cmd_ensemble(args):
-    config = _build_config(args)
     makers = {
         "circulant": random_circulant_stochastic_instance,
         "polynomial": random_polynomial_instance,
@@ -179,6 +156,14 @@ def cmd_ensemble(args):
             args.seed = int(loaded.get("seed", args.seed))
         if args.ensemble not in makers:
             raise ParseError(f"unknown ensemble {args.ensemble!r} in the ensemble config")
+    # checked after the merge, so that values read from the config are too
+    config = _build_config(args)
+    if args.count < 1:
+        raise ErgospecError(f"count must be at least 1, got {args.count}")
+    if not 2 <= args.n <= config.max_dim:
+        raise ErgospecError(f"n must lie in [2, {config.max_dim}], got {args.n}")
+    if args.k < 1:
+        raise ErgospecError(f"k must be at least 1, got {args.k}")
     maker = makers[args.ensemble]
     failures = 0
     for index in range(args.count):
@@ -210,55 +195,88 @@ def cmd_ensemble(args):
     return 0 if failures == 0 else 1
 
 
-def main(argv=None):
+def _add_sections(parser, sections, cesaro_csv=False):
+    """Arguments of a command that reports the given sections (all when
+    None) of one representation file."""
+    parser.add_argument("path", help="representation JSON")
+    _add_common(parser)
+    if cesaro_csv:
+        parser.add_argument("--cesaro-csv", dest="cesaro_csv", default=None,
+                            help="export the Cesaro trace as CSV")
+    parser.set_defaults(fn=_run_sections, sections=sections)
+
+
+def _add_dual(parser):
+    parser.add_argument("path")
+    _add_common(parser)
+    parser.set_defaults(fn=cmd_dual)
+
+
+def _add_falsify(parser):
+    parser.add_argument("path")
+    parser.add_argument("character", help="character JSON file")
+    parser.add_argument("--trials", type=int, default=64)
+    _add_common(parser)
+    parser.set_defaults(fn=cmd_falsify)
+
+
+def _add_ensemble(parser):
+    parser.add_argument("--ensemble", choices=["circulant", "polynomial", "general"],
+                        default="circulant")
+    parser.add_argument("--count", type=int, default=100)
+    parser.add_argument("--n", type=int, default=8)
+    parser.add_argument("--k", type=int, default=2)
+    parser.add_argument("--config", default=None,
+                        help='JSON config {"ensemble":..,"n":..,"k":..,"count":..,"seed":..}')
+    parser.add_argument("--verbose", action="store_true")
+    _add_common(parser)
+    parser.set_defaults(fn=cmd_ensemble)
+
+
+# name -> (help listed by `ergospec --help`, or None; the function that adds
+# the command's arguments and its `fn`)
+COMMANDS = {
+    "analyze": (None, partial(_add_sections, sections=None, cesaro_csv=True)),
+    "spectrum": (None, partial(_add_sections, sections=("spectrum",))),
+    "ergodic": (None, partial(_add_sections, sections=("spectrum", "ergodic"),
+                              cesaro_csv=True)),
+    "decompose": (None, partial(_add_sections, sections=("spectrum", "decomposition"))),
+    "stability": (None, partial(_add_sections, sections=("spectrum", "stability"))),
+    "quasicompact": (None, partial(_add_sections, sections=("spectrum", "quasicompact"))),
+    "nisa": (None, partial(_add_sections,
+                           sections=("spectrum", "ergodic", "positivity"))),
+    "dual": ("enumerate the unitary dual of a finite monoid", _add_dual),
+    "falsify": ("run the coefficient-inequality falsifier", _add_falsify),
+    "ensemble": ("run a seeded random equivalence suite", _add_ensemble),
+}
+
+
+def _top_level_parser():
+    """The parser of `ergospec` itself. Its commands take no arguments: it
+    only prints the help, the usage or the error for a missing or unknown
+    command."""
     parser = argparse.ArgumentParser(
         prog="ergospec",
         description="Spectral and ergodic analysis of bounded representations "
                     "of commutative semigroups")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in COMMANDS.items():
+        sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+    return parser
 
-    for name, fn, extra_csv in [
-        ("analyze", cmd_analyze, True),
-        ("spectrum", cmd_spectrum, False),
-        ("ergodic", cmd_ergodic, True),
-        ("decompose", cmd_decompose, False),
-        ("stability", cmd_stability, False),
-        ("quasicompact", cmd_quasicompact, False),
-        ("nisa", cmd_nisa, False),
-    ]:
-        p = sub.add_parser(name)
-        p.add_argument("path", help="representation JSON")
-        _add_common(p)
-        if extra_csv:
-            p.add_argument("--cesaro-csv", dest="cesaro_csv", default=None,
-                           help="export the Cesaro trace as CSV")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("dual", help="enumerate the unitary dual of a finite monoid")
-    p.add_argument("path")
-    _add_common(p)
-    p.set_defaults(fn=cmd_dual)
-
-    p = sub.add_parser("falsify", help="run the coefficient-inequality falsifier")
-    p.add_argument("path")
-    p.add_argument("character", help="character JSON file")
-    p.add_argument("--trials", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(fn=cmd_falsify)
-
-    p = sub.add_parser("ensemble", help="run a seeded random equivalence suite")
-    p.add_argument("--ensemble", choices=["circulant", "polynomial", "general"],
-                   default="circulant")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--config", default=None,
-                   help='JSON config {"ensemble":..,"n":..,"k":..,"count":..,"seed":..}')
-    p.add_argument("--verbose", action="store_true")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ensemble)
-
-    args = parser.parse_args(argv)
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:
+        parser = _top_level_parser()
+        parser.parse_args(argv)  # exits 0 after the help, 2 after an error
+        parser.error("the command must come first")  # should it return
+    # build only the invoked command's parser: building all ten took about a
+    # fifth of a small `analyze` call
+    name = argv[0]
+    parser = argparse.ArgumentParser(prog=f"ergospec {name}")
+    COMMANDS[name][1](parser)
+    args = parser.parse_args(argv[1:])
     try:
         return args.fn(args)
     # an unreadable path (missing, a directory) is an input error too

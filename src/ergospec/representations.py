@@ -102,7 +102,8 @@ class Representation:
 
 
 def validate_representation(semigroup, matrices, config=None):
-    """Check the homomorphism law and wrap the matrices.
+    """Check the homomorphism law and wrap the matrices, an iterable read
+    once: each is copied as it is read.
 
     Over a finite monoid the law T_s T_t = T_(s+t) is first certified from
     the generators G. With D(s, g) = T_(s+g) - T_s T_g and

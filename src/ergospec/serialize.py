@@ -95,7 +95,8 @@ def representation_from_json(data, config=None):
     expected = "element" if isinstance(semigroup, FiniteCommutativeMonoid) else "generator"
     if per != expected:
         raise ParseError(f'matrices must be given per "{expected}" for this semigroup')
-    mats = [matrix_from_json(m) for m in data["matrices"]["list"]]
+    # decoded one at a time, so that each is dropped once validation copies it
+    mats = (matrix_from_json(m) for m in data["matrices"]["list"])
     rep = validate_representation(semigroup, mats, config)
     if rep.dim != _integer(data["dim"], "dim"):
         raise ParseError(f'declared dim {data["dim"]} does not match matrices ({rep.dim})')

@@ -1,9 +1,12 @@
+import argparse
 import json
+import sys
 
 import pytest
 
 from ergospec import cli
 from ergospec.cli import main
+from ergospec.config import ToleranceConfig
 
 from conftest import FIXTURES
 
@@ -257,10 +260,26 @@ def test_missing_file_exit_code(capsys):
     (["--tol-rank", "0"], 2),
     (["--max-cesaro", "0"], 2),
     (["--tol-rank", "1e-13"], 0),
+    (["--seed", "-1"], 2),
+    (["dual", "--seed", "-1"], 2),
+    (["falsify", "--trials", "0"], 2),
+    (["falsify", "--trials", "-1"], 2),
+    (["ensemble", "--count", "-3"], 2),
+    (["ensemble", "--count", "0"], 2),
+    (["ensemble", "--count", "1", "--n", "1"], 2),
+    (["ensemble", "--count", "1", "--n", "257"], 2),
+    (["ensemble", "--count", "1", "--k", "0"], 2),
+    (["ensemble", "--count", "1", "--seed", "-5"], 2),
 ])
-def test_tolerance_flags_exit_codes(capsys, flags, expected):
-    # an out-of-range flag is an input error: one line on stderr, exit 2
-    code, _, err = run(capsys, "analyze", fixture_path("klein_four"), *flags)
+def test_tolerance_flags_exit_codes(capsys, tmp_path, flags, expected):
+    # an out-of-range flag is an input error: one line on stderr, exit 2;
+    # flags that name no command are given to analyze
+    command, *flags = flags if flags[0] in cli.COMMANDS else ["analyze", *flags]
+    char_path = tmp_path / "one.json"
+    char_path.write_text(json.dumps({"angles": [["0", "1"]] * 4}))
+    inputs = {"ensemble": [], "falsify": [fixture_path("klein_four"), str(char_path)]}
+    code, _, err = run(capsys, command,
+                       *inputs.get(command, [fixture_path("klein_four")]), *flags)
     assert code == expected
     assert "Traceback" not in err
     if expected == 2:
@@ -305,10 +324,76 @@ def test_binary_input_exit_code(capsys, tmp_path):
     ('{"count": "many"}', "error: malformed ensemble config: ValueError: "),
     ("[1, 2]", "error: malformed ensemble config: AttributeError: "),
     ('{"ensemble": "nope"}', "error: unknown ensemble 'nope' in the ensemble config"),
-], ids=["not_json", "text_count", "list", "unknown_ensemble"])
+    ('{"count": 0}', "error: count must be at least 1, got 0"),
+    ('{"n": 1}', "error: n must lie in [2, 256], got 1"),
+    ('{"k": 0}', "error: k must be at least 1, got 0"),
+    ('{"seed": -5}', "error: seed must be non-negative, got -5"),
+], ids=["not_json", "text_count", "list", "unknown_ensemble",
+        "zero_count", "n_one", "k_zero", "negative_seed"])
 def test_malformed_ensemble_config_exit_code(capsys, tmp_path, text, message):
     config = tmp_path / "ensemble.json"
     config.write_text(text)
     code, out, err = run(capsys, "ensemble", "--config", str(config))
     assert (code, out) == (2, "")
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_known_command_builds_one_parser(capsys, monkeypatch):
+    # only the invoked command's parser is built, not all ten
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, _, _ = run(capsys, "analyze", fixture_path("klein_four"), "--format", "json")
+    assert code == 0
+    assert built == ["ergospec analyze"]
+
+
+def test_top_level_help_and_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ergospec ")
+    for name in cli.COMMANDS:
+        assert name in out
+    for help_text in ["enumerate the unitary dual of a finite monoid",
+                      "run the coefficient-inequality falsifier",
+                      "run a seeded random equivalence suite"]:
+        assert help_text in out
+    for argv in [[], ["bogus"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ergospec ") and "ergospec: error: " in err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ergospec {command} ")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ergospec", "dual", fixture_path("klein_four"),
+                                      "--format", "json"])
+    code = main()
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+
+
+def test_flags_do_not_outlive_a_call(capsys):
+    # nothing built by one call, parser or parsed flags, reaches the next
+    first = run(capsys, "analyze", fixture_path("identity_3"), "--format", "json",
+                "--tol-rank", "1e-9")
+    second = run(capsys, "analyze", fixture_path("identity_3"), "--format", "json")
+    assert (first[0], second[0]) == (0, 0)
+    assert json.loads(first[1])["tolerances"]["tol_rank"] == 1e-9
+    assert json.loads(second[1])["tolerances"]["tol_rank"] == ToleranceConfig().tol_rank

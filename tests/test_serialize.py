@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ergospec.serialize import (
     semigroup_to_json,
 )
 
-from conftest import FIXTURES, SCHEMAS, free, load_fixture
+from conftest import FIXTURES, SCHEMAS, cyclic_monoid, free, load_fixture
 
 
 def test_semigroup_round_trip(klein_monoid):
@@ -141,3 +142,17 @@ def test_canonical_dumps_round_trip(klein_rep):
     data = representation_to_json(klein_rep)
     text = canonical_dumps(data)
     assert canonical_dumps(json.loads(text)) == text
+
+
+def test_decoding_holds_the_matrices_once():
+    # each matrix is decoded only when validation copies it, so decoding never
+    # holds the input twice: the peak above what is retained stays below it
+    data = representation_to_json(es.regular_representation(cyclic_monoid(128)))
+    tracemalloc.start()
+    try:
+        rep = representation_from_json(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.dim == 128
+    assert peak - retained < retained
