@@ -29,35 +29,35 @@ from .linalg import (
     projection_coordinates,
     subspace_sum,
 )
-from .representations import restrict, restricted_family
+from .representations import restrict
 from .semigroups import kernel_group
-from .spectrum import eigenspace, joint_eigenspace, unitary_spectrum
+from .spectrum import GeneratorSplits, eigenspace, unitary_spectrum
 
 
-def range_of_one_minus(rep, config=None, chi=None):
+def range_of_one_minus(rep, config=None, chi=None, splits=None):
     """rg(chi - T), by default rg(1 - T): the sum of the column spaces of
     chi(g) - T_g over the generators g, which suffice because
     chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) + T_g (chi(h) - T_h).
+    Each column space comes from `splits` (by default a fresh
+    GeneratorSplits), with the kernel of the same SVD.
     """
     config = DEFAULT_CONFIG if config is None else config
     if chi is None:
         chi = trivial_character(rep.semigroup)
-    eye = np.eye(rep.dim, dtype=np.complex128)
-    # the scale floor keeps chi(g) - T_g near zero from reading as full rank
-    spaces = [column_space(chi(g) * eye - a, config.tol_rank, scale=max(1.0, norm))
-              for g, a, norm in zip(rep.semigroup.generators, rep.family(),
-                                    rep.generator_norms)]
-    return subspace_sum(spaces, config.tol_rank)
+    splits = GeneratorSplits(rep, config) if splits is None else splits
+    return subspace_sum([splits(chi, index)[1]
+                         for index in range(len(rep.semigroup.generators))],
+                        config.tol_rank)
 
 
-def _split(rep, chi, config, fix=None):
+def _split(rep, chi, config, splits, fix=None):
     """ker(chi - T), rg(chi - T) and the coordinates W^H of the projection
     fix.basis @ W^H onto the first along the second, or None when they are
     not direct complements. `fix`, when given, is eigenspace(rep, chi,
-    config)."""
+    config, splits)."""
     if fix is None:
-        fix = eigenspace(rep, chi, config)
-    rng_space = range_of_one_minus(rep, config, chi)
+        fix = eigenspace(rep, chi, config, splits)
+    rng_space = range_of_one_minus(rep, config, chi, splits)
     coordinates = None
     if is_direct_complement(fix, rng_space, config.tol_rank):
         coordinates = projection_coordinates(fix, rng_space)
@@ -124,20 +124,22 @@ class ErgodicReport:
         return self.fix_space.dim
 
 
-def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED):
+def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED, splits=None):
     """Decide uniform mean ergodicity and build the mean ergodic projection.
 
     The verdict comes from the direct-complement test fix(T) + rg(1-T);
     the constructive ergodic net is then run and compared against the
     projection. A convergent-net failure while the algebraic verdict says
     ergodic is reported as net_divergence (a tolerance anomaly), never
-    silently resolved.
+    silently resolved. `splits` is the caller's GeneratorSplits of rep.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("mean_ergodic_analysis requires a Certified representation")
+    splits = GeneratorSplits(rep, config) if splits is None else splits
 
-    fix, rng_space, coordinates = _split(rep, trivial_character(rep.semigroup), config)
+    fix, rng_space, coordinates = _split(rep, trivial_character(rep.semigroup), config,
+                                         splits)
     projection = None if coordinates is None else fix.basis @ coordinates
     report = ErgodicReport(fix_space=fix, range_space=rng_space,
                            is_ume=projection is not None, mean_projection=projection)
@@ -169,7 +171,6 @@ class PoleVerdict:
     status: str
     projection: np.ndarray = None
     eigenspace_dim: int = 0
-    complement_clear: bool = None  # chi not a joint eigenvalue of T|ker(P)
     factors: tuple = None  # a pole's (F, W^H): projection = F @ W^H, F orthonormal
 
     @property
@@ -189,27 +190,24 @@ def is_pole(rep, chi, config=None, seed=DEFAULT_SEED):
     return Analysis(rep, config, seed).pole(chi)
 
 
-def _pole_verdict(rep, chi, config, spectrum, fix=None):
-    """is_pole, given the unitary spectrum of T and, when chi is in it,
-    its eigenspace.
+def _pole_verdict(rep, chi, config, spectrum, splits, fix=None):
+    """is_pole, given the unitary spectrum of T, the GeneratorSplits of rep
+    and, when chi is in the spectrum, its eigenspace.
 
-    The verdict is post-checked: chi must not be a joint eigenvalue of T
-    restricted to rg(chi - T), the kernel of the projection.
+    A pole needs no further check of the complement: when ker(chi - T) and
+    rg(chi - T) are direct complements, a chi-eigenvector of T restricted
+    to rg(chi - T) would lie in their intersection, which is 0.
     """
-    fix, rng_space, coordinates = _split(rep, chi, config, fix)
+    if fix is None:
+        fix = eigenspace(rep, chi, config, splits)
     if fix.dim == 0 and not spectrum.contains(chi, config.tol_cluster):
         zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-        return PoleVerdict(NOT_IN_SPECTRUM, projection=zero,
-                           eigenspace_dim=0, complement_clear=True)
+        return PoleVerdict(NOT_IN_SPECTRUM, projection=zero, eigenspace_dim=0)
 
+    _, _, coordinates = _split(rep, chi, config, splits, fix)
     if coordinates is None:
         return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
-
-    complement_clear = rng_space.dim == 0 or joint_eigenspace(
-        rep.semigroup.generators, restricted_family(rep, rng_space, config),
-        chi, config).dim == 0
     return PoleVerdict(POLE, projection=fix.basis @ coordinates, eigenspace_dim=fix.dim,
-                       complement_clear=complement_clear,
                        factors=(fix.basis, coordinates))
 
 
@@ -219,7 +217,7 @@ class PeripheralDecomposition:
     reversible: Subspace        # E_r, the sum of the unimodular eigenspaces
     stable: Subspace            # E_s, where the net decays to zero
     projection: np.ndarray      # onto E_r along E_s
-    stability_witness: object = None  # element with ||T_s restricted|| < 1
+    stability_witness: object = None  # element with ||T_s restricted|| <= 1 - tol_char
     stability_norm: float = None
     cross_residual: float = 0.0  # max ||P_chi P_tau|| over distinct characters
 
@@ -231,7 +229,7 @@ NOT_STABLE = "not_stable"
 @dataclass
 class StabilityVerdict:
     status: str
-    witness: object = None          # element with ||T_s|| < 1
+    witness: object = None          # element with ||T_s|| <= 1 - tol_char
     witness_norm: float = None
     blocking_character: object = None
     budget_exceeded: bool = False
@@ -244,7 +242,8 @@ class StabilityVerdict:
 
 
 def _witness_search_free(rep, config):
-    """Smallest (total-degree-lexicographic) exponent with ||T_s|| < 1."""
+    """Smallest (total-degree-lexicographic) exponent with
+    ||T_s|| <= 1 - tol_char."""
     k = rep.semigroup.rank
     power_cache = [{0: np.eye(rep.dim, dtype=np.complex128)} for _ in range(k)]
 
@@ -270,7 +269,7 @@ def _witness_search_free(rep, config):
                     mat = mat @ gen_power(j, e)
             evaluations += 1
             norm = operator_norm(mat)
-            if norm < 1.0:
+            if norm <= 1.0 - config.tol_char:
                 return exponents, norm, degree, False
             if evaluations >= config.witness_budget:
                 return None, None, degree, True
@@ -280,11 +279,14 @@ def _witness_search_free(rep, config):
 def _stable_verdict(rep, config):
     """The STABLE verdict of a representation whose unitary spectrum is
     empty, with a norm-contraction witness: the first element with
-    ||T_s|| < 1 of a finite monoid, the smallest such exponent of N^k."""
+    ||T_s|| <= 1 - tol_char of a finite monoid, the smallest such exponent
+    of N^k. The margin keeps a norm that rounding pulled just below 1, as
+    that of an identity restricted to a subspace, from passing for a
+    contraction."""
     if rep.is_finite:
         for s, a in enumerate(rep.matrices):
             norm = operator_norm(a)
-            if norm < 1.0:
+            if norm <= 1.0 - config.tol_char:
                 return StabilityVerdict(STABLE, witness=s, witness_norm=norm)
         return StabilityVerdict(STABLE)
 
@@ -369,15 +371,17 @@ class Analysis:
         self.seed = seed
         self._block_decomposition = block_decomposition
         self._poles = {}
+        # ker and rg of chi(g) - T_g, one SVD per character and generator
+        self.splits = GeneratorSplits(rep, self.config)
 
     @cached_property
     def spectrum(self):
         return unitary_spectrum(self.rep, self.config, self.seed,
-                                self._block_decomposition)
+                                self._block_decomposition, self.splits)
 
     @cached_property
     def ergodic(self):
-        return mean_ergodic_analysis(self.rep, self.config, self.seed)
+        return mean_ergodic_analysis(self.rep, self.config, self.seed, self.splits)
 
     @cached_property
     def _eigenspaces(self):
@@ -389,7 +393,7 @@ class Analysis:
         key = repr(chi.canonical_key())
         if key not in self._poles:
             self._poles[key] = _pole_verdict(self.rep, chi, self.config, self.spectrum,
-                                             self._eigenspaces.get(key))
+                                             self.splits, self._eigenspaces.get(key))
         return self._poles[key]
 
     @cached_property
@@ -417,18 +421,14 @@ class Analysis:
         eye = np.eye(n, dtype=np.complex128)
         stable = column_space(eye - total, config.tol_rank, scale=1.0)
 
-        # T|E_s is stable when its unitary spectrum is empty, and the pole
-        # verdicts of T settle that without a spectrum of the restriction.
-        # P_chi P_tau = 0 for distinct characters puts E_s = ker P inside
-        # every rg(chi - T). A unimodular joint eigenvector v of T|E_s is
-        # one of T, for some spectral chi, and so lies in rg(chi - T): the
-        # post-check then finds chi in the spectrum of T|rg(chi - T).
-        # Conversely a v that the post-check finds lies in rg(chi - T) and
-        # in ker(chi - T) = rg P_chi, which lies in every rg(tau - T) with
-        # tau != chi, hence in E_s. So T|E_s has an empty unitary spectrum
-        # exactly when every post-check is clear.
+        # T|E_s is stable, its unitary spectrum empty, by the pole verdicts
+        # of T alone. P_chi P_tau = 0 for distinct characters puts
+        # E_s = ker P inside every rg(chi - T). A unimodular joint
+        # eigenvector v of T|E_s is one of T, for some spectral chi, so it
+        # lies in ker(chi - T) and in rg(chi - T), whose intersection is 0
+        # for a pole.
         witness, witness_norm = None, None
-        if stable.dim > 0 and all(verdict.complement_clear for verdict in verdicts):
+        if stable.dim > 0:
             verdict = _stable_verdict(restrict(rep, stable, config), config)
             witness, witness_norm = verdict.witness, verdict.witness_norm
 

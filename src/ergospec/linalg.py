@@ -131,15 +131,44 @@ def column_space(a, tol=None, scale=0.0):
     return Subspace(a.shape[0], u[:, :rank])
 
 
-def subspace_sum(spaces, tol=None):
-    """Sum of subspaces via orthonormalization of the concatenated bases."""
+def kernel_and_range(a, tol=None, scale=0.0):
+    """(null_space(a, tol, scale), column_space(a, tol, scale)) of a square
+    matrix, bit for bit, from the one SVD that both take: the trailing rows
+    of V^H span the kernel and the leading columns of U the range (Golub
+    and Van Loan, Matrix Computations, 4th ed., 2.4)."""
+    tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[0]
+    if n == 0:
+        return Subspace.full(0), Subspace.zero(0)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    cutoff = tol * max(float(s[0]), scale)
+    if cutoff == 0.0:
+        return Subspace.full(n), Subspace.zero(n)
+    rank = int(np.sum(s > cutoff))
+    return Subspace(n, vh[rank:].conj().T), Subspace(n, u[:, :rank])
+
+
+def _same_ambient(spaces, operation):
+    """The list of spaces, after checking that it is nonempty and that they
+    share one ambient dimension."""
     spaces = list(spaces)
     if not spaces:
         raise ValueError("need at least one subspace")
-    n = spaces[0].ambient_dim
     for sp in spaces:
-        if sp.ambient_dim != n:
-            raise DimensionMismatch("subspace sum across different ambient dimensions")
+        if sp.ambient_dim != spaces[0].ambient_dim:
+            raise DimensionMismatch(f"subspace {operation} across different "
+                                    f"ambient dimensions")
+    return spaces
+
+
+def subspace_sum(spaces, tol=None):
+    """Sum of subspaces via orthonormalization of the concatenated bases; a
+    single subspace is its own sum, its basis already orthonormal."""
+    spaces = _same_ambient(spaces, "sum")
+    if len(spaces) == 1:
+        return spaces[0]
+    n = spaces[0].ambient_dim
     stacked = np.hstack([sp.basis for sp in spaces])
     if stacked.shape[1] == 0:
         return Subspace.zero(n)
@@ -147,14 +176,12 @@ def subspace_sum(spaces, tol=None):
 
 
 def subspace_intersect(spaces, tol=None):
-    """Intersection via the joint kernel of the complement projections."""
-    spaces = list(spaces)
-    if not spaces:
-        raise ValueError("need at least one subspace")
+    """Intersection via the joint kernel of the complement projections; a
+    single subspace is its own intersection."""
+    spaces = _same_ambient(spaces, "intersection")
+    if len(spaces) == 1:
+        return spaces[0]
     n = spaces[0].ambient_dim
-    for sp in spaces:
-        if sp.ambient_dim != n:
-            raise DimensionMismatch("subspace intersection across different ambient dimensions")
     eye = np.eye(n, dtype=np.complex128)
     stacked = np.vstack([eye - sp.projector() for sp in spaces])
     return null_space(stacked, tol, scale=1.0)
@@ -333,9 +360,16 @@ def _joint_eigenvector(mats, config):
 
 def _common_triangular(mats, config):
     """Unitary U with U^H A U upper triangular for every A, by deflation
-    against common eigenvectors."""
+    against common eigenvectors.
+
+    A family whose entries are all at most tol_commute is triangular in any
+    basis within the residual that _try_split accepts, so it keeps the
+    identity: deflating it would cost an eigvals, two SVDs and a QR per
+    column."""
     d = mats[0].shape[0]
     u = np.eye(d, dtype=np.complex128)
+    if all(np.abs(a).max() <= config.tol_commute for a in mats):
+        return u
     work = [a.copy() for a in mats]
     for col in range(d - 1):
         sub = [a[col:, col:] for a in work]

@@ -293,23 +293,8 @@ def rotate(rep, chi):
 
 
 def restrict(rep, subspace, config=None):
-    """Express the representation on an invariant subspace."""
-    basis = _invariant_basis(rep, subspace, config)
-    mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
-    return Representation(semigroup=rep.semigroup, dim=subspace.dim,
-                          matrices=mats, boundedness=rep.boundedness)
-
-
-def restricted_family(rep, subspace, config=None):
-    """restrict(rep, subspace, config).family(), conjugating only the
-    generator matrices."""
-    basis = _invariant_basis(rep, subspace, config)
-    return [basis.conj().T @ a @ basis for a in rep.family()]
-
-
-def _invariant_basis(rep, subspace, config):
-    """The basis of `subspace`, after checking that every generator leaves
-    it invariant."""
+    """Express the representation on an invariant subspace, after checking
+    that every generator leaves it invariant."""
     config = DEFAULT_CONFIG if config is None else config
     if subspace.ambient_dim != rep.dim:
         raise ValueError("subspace lives in a different ambient dimension")
@@ -321,7 +306,9 @@ def _invariant_basis(rep, subspace, config):
                                      rep.generator_norms):
         if residual > config.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
-    return basis
+    mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
+    return Representation(semigroup=rep.semigroup, dim=subspace.dim,
+                          matrices=mats, boundedness=rep.boundedness)
 
 
 def dual_representation(rep):

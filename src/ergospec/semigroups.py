@@ -42,21 +42,40 @@ class FiniteCommutativeMonoid:
 
     @cached_property
     def generators(self):
-        """A generating set, greedily in element order: each element that
-        the earlier ones do not generate. The one-element monoid gets its
-        neutral element, so every family of generator matrices is nonempty."""
-        gens, closure = [], {self.neutral}
-        for s in self.elements():
-            if s not in closure:
-                gens.append(s)
-                frontier = list(closure)
-                while frontier:
-                    x = frontier.pop()
-                    for y in (self.table[x][g] for g in gens):
-                        if y not in closure:
-                            closure.add(y)
-                            frontier.append(y)
+        """A small generating set that does not depend on the labels.
+
+        Each next generator is an element s whose adjunction grows the
+        generated submonoid C the most, the least label among equals;
+        C and s generate C + <s>, with <s> = {0, s, 2s, ...}. A cyclic
+        group takes one generator and a product of two cyclic factors two.
+        The one-element monoid gets its neutral element, so every family of
+        generator matrices is nonempty."""
+        table = np.asarray(self.table)
+        closure = np.zeros(self.size, dtype=bool)
+        closure[self.neutral] = True
+        gens = []
+        while not closure.all():
+            members = np.flatnonzero(closure)
+            best, best_size = None, 0
+            for s in np.flatnonzero(~closure):
+                grown = np.zeros(self.size, dtype=bool)
+                grown[table[np.ix_(members, self._multiples(s))]] = True
+                size = int(grown.sum())
+                if size > best_size:
+                    best, best_size, chosen = grown, size, int(s)
+                if size == self.size:
+                    break
+            gens.append(chosen)
+            closure = best
         return tuple(gens) or (self.neutral,)
+
+    def _multiples(self, s):
+        """The elements 0, s, 2s, ... of the submonoid <s>."""
+        seen, x = [], self.neutral
+        while x not in seen:
+            seen.append(x)
+            x = self.table[x][s]
+        return seen
 
     @property
     def is_finite(self):

@@ -23,9 +23,9 @@ from .errors import NotBounded, NotNormalized
 from .linalg import (
     Subspace,
     joint_block_decomposition,
+    kernel_and_range,
     null_space,
     operator_norm,
-    subspace_intersect,
 )
 
 
@@ -44,29 +44,57 @@ class UnitarySpectrumResult:
         return any(char_distance(chi, c) <= tol for c in self.characters)
 
 
-def eigenspace(rep, chi, config=None):
+class GeneratorSplits:
+    """ker and rg of chi(g) - T_g per (character, generator index), each
+    pair from one SVD taken on first use (linalg.kernel_and_range).
+
+    An Analysis holds one, so the spectrum, the mean ergodic split and the
+    poles factor each such matrix once. Characters are keyed by the repr of
+    their canonical key, which tells -0.0 from 0.0, so equal keys mean
+    bit-equal characters."""
+
+    def __init__(self, rep, config):
+        self.rep = rep
+        self.config = config
+        self._splits = {}
+
+    def __call__(self, chi, index):
+        key = (repr(chi.canonical_key()), index)
+        if key not in self._splits:
+            rep = self.rep
+            g = rep.semigroup.generators[index]
+            a = chi(g) * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
+            # the scale floor keeps chi(g) - T_g near zero from reading as
+            # full rank
+            self._splits[key] = kernel_and_range(
+                a, self.config.tol_rank, scale=max(1.0, rep.generator_norms[index]))
+        return self._splits[key]
+
+
+def eigenspace(rep, chi, config=None, splits=None):
     """ker(chi - T): the joint kernel over the generator matrices, which
     suffice because a joint generator eigenvector is an eigenvector of every
     product.
+
+    The first generator's kernel K comes from `splits` (by default a fresh
+    GeneratorSplits). Each later generator g cuts K down to the kernel of
+    (chi(g) - T_g) K, an n x dim K matrix, with the scale floor of its own
+    kernel.
     """
-    return joint_eigenspace(rep.semigroup.generators, rep.family(), chi, config,
-                            rep.generator_norms)
-
-
-def joint_eigenspace(generators, family, chi, config=None, norms=None):
-    """The joint kernel of chi(g) - A_g over the generators g and their
-    matrices A_g in `family`; see eigenspace."""
     config = DEFAULT_CONFIG if config is None else config
-    n = family[0].shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    kernels = []
-    for index, (g, mat) in enumerate(zip(generators, family)):
-        norm = operator_norm(mat) if norms is None else norms[index]
-        kernels.append(null_space(chi(g) * eye - mat, config.tol_rank,
-                                  scale=max(1.0, norm)))
-        if kernels[-1].dim == 0:
-            return Subspace.zero(n)
-    return subspace_intersect(kernels, config.tol_rank)
+    splits = GeneratorSplits(rep, config) if splits is None else splits
+    kernel, _ = splits(chi, 0)
+    family = rep.family()
+    eye = np.eye(rep.dim, dtype=np.complex128)
+    for index in range(1, len(family)):
+        if kernel.dim == 0:
+            break
+        g = rep.semigroup.generators[index]
+        inner = null_space((chi(g) * eye - family[index]) @ kernel.basis, config.tol_rank,
+                           scale=max(1.0, rep.generator_norms[index]))
+        if inner.dim < kernel.dim:   # else K's basis stays as it is
+            kernel = Subspace(rep.dim, kernel.basis @ inner.basis)
+    return kernel
 
 
 def _candidate_characters(rep, decomposition, config):
@@ -96,13 +124,14 @@ def _candidate_characters(rep, decomposition, config):
     return seen
 
 
-def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
+def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None,
+                     splits=None):
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. `decomposition` is
     joint_block_decomposition(rep.kernel_family(), config, seed) when the
-    caller already holds it.
+    caller already holds it; `splits`, the caller's GeneratorSplits of rep.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
@@ -114,7 +143,7 @@ def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
 
     characters, spaces, witnesses = [], [], []
     for chi in candidates:
-        space = eigenspace(rep, chi, config)
+        space = eigenspace(rep, chi, config, splits)
         if space.dim == 0:
             continue
         characters.append(chi)

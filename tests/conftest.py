@@ -73,8 +73,12 @@ def truncated_monoid(c):
 
 
 def relabeled(monoid, rng):
+    """The same monoid with its elements renamed by a random permutation."""
+    return permuted(monoid, rng.permutation(monoid.size))
+
+
+def permuted(monoid, perm):
     """The same monoid with element i renamed perm[i], the neutral one too."""
-    perm = rng.permutation(monoid.size)
     table = [[0] * monoid.size for _ in range(monoid.size)]
     for i in monoid.elements():
         for j in monoid.elements():

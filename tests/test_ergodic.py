@@ -86,7 +86,9 @@ def test_is_pole_diagonal_rotation():
     verdict = es.is_pole(rep, chi)
     assert verdict.is_pole and verdict.counts_as_pole
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
-    assert verdict.complement_clear
+    # oracle of the deleted post-check: chi is no eigenvalue of T|rg(chi - T)
+    rng_space = es.range_of_one_minus(rep, chi=chi)
+    assert es.eigenspace(es.restrict(rep, rng_space), chi).dim == 0
 
 
 def test_is_pole_det_not_in_spectrum(klein_rep):
@@ -358,18 +360,67 @@ def test_stability_witness_matches_the_analysis_of_the_stable_part(case):
     assert dec.stability_norm == oracle.witness_norm
 
 
-def test_failed_post_check_leaves_the_stable_part_without_a_witness(monkeypatch):
-    rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
-    assert es.peripheral_decomposition(rep).stability_witness == (1,)
-    calls = {route: _count_calls(monkeypatch, route)
-             for route in ("_stable_verdict", "_witness_search_free")}
-    analysis = ergodic.Analysis(rep)
-    analysis.pole(analysis.spectrum.characters[0]).complement_clear = False
-    dec = analysis.decomposition
-    assert dec.stable.dim == 1
-    assert dec.stability_witness is None and dec.stability_norm is None
-    assert {route: len(found) for route, found in calls.items()} == \
-        {"_stable_verdict": 0, "_witness_search_free": 0}
+def test_the_identity_is_no_contraction_witness():
+    # semilattice {0, 1}: T_0 = I restricted to E_s has norm 1 up to
+    # rounding, so the witness is 1, whose restriction vanishes
+    rep, _ = load_representation(str(FIXTURES / "semilattice.json"))
+    assert rep.semigroup.neutral == 0
+    dec = es.peripheral_decomposition(es.certify_boundedness(rep))
+    assert dec.stability_witness == 1
+    assert dec.stability_norm < 1e-15
+
+
+@pytest.mark.parametrize("reorthonormalized", [False, True],
+                         ids=["svd-basis", "reorthonormalized"])
+def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized,
+                                                               monkeypatch):
+    # rg(1 - T) as the SVD gives it, or orthonormalized once more as an
+    # extra column_space did before; the two bases differ in their last
+    # bits, which once brought T_0 = I in as a witness of norm 1 - 4e-16
+    range_of_one_minus = ergodic.range_of_one_minus
+
+    def patched(rep, config=None, chi=None, splits=None):
+        space = range_of_one_minus(rep, config, chi, splits)
+        return linalg.column_space(space.basis) if reorthonormalized else space
+
+    monkeypatch.setattr(ergodic, "range_of_one_minus", patched)
+    rep, _ = load_representation(str(FIXTURES / "threshold.json"))
+    dec = es.peripheral_decomposition(es.certify_boundedness(rep))
+    assert dec.stability_witness == 2
+    assert dec.stability_norm < 1e-15
+
+
+@pytest.mark.parametrize("case", ["Z8", "N1", "N1-dense"])
+def test_each_character_factors_its_generator_once(case, monkeypatch):
+    # one generator: the spectrum, the mean ergodic split and every pole
+    # read ker(chi - T) and rg(chi - T) off one n x n SVD per character
+    if case == "Z8":
+        rep = es.regular_representation(cyclic_monoid(8))
+    else:
+        t = np.diag([1.0, 1j, -1.0, 0.5, 0.25]).astype(complex)
+        if case == "N1-dense":
+            basis = np.eye(5) + 0.3 * np.random.default_rng(5).standard_normal((5, 5))
+            t = basis @ t @ np.linalg.inv(basis)
+        rep = n1_rep(t)
+    decomposition = es.joint_block_decomposition(rep.kernel_family())
+    svd = np.linalg.svd
+    factored = []
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            factored.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    analysis = ergodic.Analysis(rep, block_decomposition=decomposition)
+    characters = analysis.spectrum.characters
+    verdicts = [analysis.pole(chi) for chi in characters]
+    assert all(verdict.is_pole for verdict in verdicts)
+    assert factored == [(rep.dim, rep.dim)] * len(characters)
+    if rep.is_finite:
+        # exact characters: the mean ergodic split is the trivial pole's
+        assert analysis.ergodic.is_ume
+        assert len(factored) == len(characters)
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -433,19 +484,21 @@ def test_spectrum_takes_each_operator_norm_once(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [6, 12])
-def test_pole_post_check_conjugates_only_the_generators(m, monkeypatch):
-    # the post-check reads the generator matrices of T|rg(chi - T); its
-    # verdict is the one of the full restriction
+def test_no_pole_is_an_eigenvalue_on_its_range(m, monkeypatch):
+    # oracle of the deleted post-check, computed here: once ker(chi - T) and
+    # rg(chi - T) are direct complements, chi is no eigenvalue of
+    # T|rg(chi - T); the pole verdicts restrict nothing
     rep = es.regular_representation(cyclic_monoid(m))
     analysis = ergodic.Analysis(rep)
     restricted = _count_calls(monkeypatch, "restrict")
     verdicts = [analysis.pole(chi) for chi in analysis.spectrum.characters]
     assert restricted == []
     for chi, verdict in zip(analysis.spectrum.characters, verdicts):
+        assert verdict.is_pole
         rng_space = es.range_of_one_minus(rep, chi=chi)
         full = es.restrict(rep, rng_space)
         assert len(full.matrices) == m
-        assert verdict.complement_clear == (es.eigenspace(full, chi).dim == 0)
+        assert es.eigenspace(full, chi).dim == 0
 
 
 def _classes_at_infinity_oracle(rep, tol):

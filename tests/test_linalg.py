@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergospec as es
+from ergospec import linalg
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.errors import DimensionMismatch, NotCommuting
 from ergospec.linalg import (
@@ -16,12 +17,13 @@ from ergospec.linalg import (
     _single_linkage_clusters,
     as_complex_matrix,
     column_space,
+    kernel_and_range,
     largest_cross_product,
     null_space,
     projection_coordinates,
 )
 
-from conftest import chain_monoid
+from conftest import chain_monoid, cyclic_monoid, product_monoid, truncated_monoid
 
 
 def test_null_space_zero_matrix():
@@ -55,6 +57,32 @@ def test_subspace_sum_and_intersection():
     meet = es.subspace_intersect([s12, s23])
     assert meet.dim == 1
     assert abs(abs(meet.basis[1, 0]) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("rank, scale", [(0, 0.0), (0, 1.0), (1, 1.0), (3, 1.0),
+                                         (5, 2.0), (6, 0.0)])
+def test_kernel_and_range_are_null_space_and_column_space(rank, scale):
+    rng = np.random.default_rng(rank)
+    n = 6
+    a = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) \
+        @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
+    a += 1e-14 * rng.standard_normal((n, n))   # rank decided by the cutoff
+    kernel, range_ = kernel_and_range(a, scale=scale)
+    expected = null_space(a, scale=scale), column_space(a, scale=scale)
+    for got, want in zip((kernel, range_), expected):
+        assert got.ambient_dim == want.ambient_dim
+        assert got.basis.shape == want.basis.shape
+        assert got.basis.tobytes() == want.basis.tobytes()
+    zero = np.zeros((n, n), dtype=complex)
+    assert [space.dim for space in kernel_and_range(zero)] == [n, 0]
+    assert [space.dim for space in kernel_and_range(np.zeros((0, 0)))] == [0, 0]
+
+
+def test_a_single_subspace_is_its_own_sum_and_intersection(monkeypatch):
+    space = Subspace(3, np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1j)[0])
+    monkeypatch.setattr(np.linalg, "svd", None)   # no factorization at all
+    assert es.subspace_sum([space]) is space
+    assert es.subspace_intersect([space]) is space
 
 
 def test_is_direct_complement_45_degrees():
@@ -467,3 +495,27 @@ def test_conjugated_diagonal_matches_the_searched_contraction(n):
     for u in unitaries:
         searched = np.einsum("ij,jk,ki->i", u.conj().T, a, u, optimize=True)
         assert np.array_equal(_conjugated_diagonal(u, a).view(float), searched.view(float))
+
+
+@pytest.mark.parametrize("monoid", [chain_monoid(8), truncated_monoid(7),
+                                    product_monoid(chain_monoid(2), cyclic_monoid(12))],
+                         ids=["L8", "T7", "L2xZ12"])
+def test_a_numerically_zero_block_keeps_the_identity(monoid, monkeypatch):
+    # each family has a kernel block on which every matrix is zero up to
+    # rounding; it is triangular as it is, so no common eigenvector is
+    # deflated from it
+    family = es.regular_representation(monoid).kernel_family()
+    deflated = []
+    joint_eigenvector = linalg._joint_eigenvector
+    monkeypatch.setattr(linalg, "_joint_eigenvector",
+                        lambda *args: deflated.append(1) or joint_eigenvector(*args))
+    dec = es.joint_block_decomposition(family)
+    assert deflated == []
+    widths = [block.stop - block.start for block in dec.block_slices()]
+    assert any(width > 1 and max(map(abs, values)) < 1e-12
+               for width, values in zip(widths, dec.block_values))
+    # the residual that _try_split accepts
+    for a in family:
+        triangular = dec.unitary.conj().T @ a @ dec.unitary
+        assert np.abs(np.tril(triangular, -1)).max() <= \
+            DEFAULT_CONFIG.tol_commute * max(1.0, es.operator_norm(a))

@@ -188,6 +188,19 @@ def test_generators_generate_the_monoid():
             assert g not in _closure(monoid, gens[:i]), name
 
 
+@pytest.mark.parametrize("factors, count", [
+    ((cyclic_monoid(32),), 1),
+    ((cyclic_monoid(16), cyclic_monoid(4)), 2),
+    ((truncated_monoid(7), cyclic_monoid(4)), 2),
+], ids=["Z32", "Z16xZ4", "T7xZ4"])
+def test_generator_count_does_not_depend_on_the_labels(factors, count):
+    monoid = factors[0] if len(factors) == 1 else product_monoid(*factors)
+    assert len(monoid.generators) == count
+    rng = np.random.default_rng(count)
+    for copy in range(20):
+        assert len(relabeled(monoid, rng).generators) == count, copy
+
+
 def test_generators_of_small_monoids():
     assert cyclic_monoid(7).generators == (1,)
     assert es.validate_monoid([[0]], 0).generators == (0,)

@@ -5,7 +5,15 @@ import ergospec as es
 from ergospec.errors import NotBounded, NotNormalized
 from ergospec.spectrum import brute_force_spectrum
 
-from conftest import free, n1_rep, relabeled, truncated_monoid
+from conftest import (
+    cyclic_monoid,
+    free,
+    n1_rep,
+    permuted,
+    product_monoid,
+    relabeled,
+    truncated_monoid,
+)
 
 
 def klein_char(monoid, row):
@@ -192,3 +200,25 @@ def test_truncated_regular_representation_keeps_its_one_character():
         assert report.ok, seed
         assert report.data["unitary_spectrum"]["count"] == 1, seed
         assert report.data["unitary_spectrum"]["eigenspace_dims"] == [1], seed
+
+
+@pytest.mark.parametrize("factors", [
+    (cyclic_monoid(32),),
+    (cyclic_monoid(16), cyclic_monoid(4)),
+    (truncated_monoid(7), cyclic_monoid(4)),
+], ids=["Z32", "Z16xZ4", "T7xZ4"])
+def test_spectrum_does_not_depend_on_the_labels(factors):
+    # characters read in the canonical labeling, with their eigenspace
+    # dimensions, over 20 relabelings of the regular representation
+    monoid = factors[0] if len(factors) == 1 else product_monoid(*factors)
+
+    def spectrum_of(perm):
+        spectrum = es.unitary_spectrum(es.regular_representation(permuted(monoid, perm)))
+        return sorted((tuple(chi.angles[perm[s]] for s in monoid.elements()), space.dim)
+                      for chi, space in zip(spectrum.characters, spectrum.eigenspaces))
+
+    expected = spectrum_of(np.arange(monoid.size))
+    assert len(expected) == len(es.enumerate_unitary_dual(monoid))
+    rng = np.random.default_rng(monoid.size)
+    for copy in range(20):
+        assert spectrum_of(rng.permutation(monoid.size)) == expected, copy
