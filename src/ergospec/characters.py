@@ -126,7 +126,24 @@ def char_distance(chi, tau):
 
 
 def enumerate_unitary_dual(monoid):
-    """Every unitary character of a finite commutative monoid, exactly.
+    """Every unitary character of a finite commutative monoid, exactly, in
+    canonical order; see _dual_numerators."""
+    group, numerators = _dual_numerators(monoid)
+    return _characters_from_numerators(monoid, numerators, len(group.carrier))
+
+
+def _characters_from_numerators(monoid, rows, order):
+    """The exact characters whose angles are p / order, one row of
+    numerators p per character and one numerator per element."""
+    angles = [Fraction(p, order) for p in range(order)]
+    return [UnitaryCharacter(monoid, angles=tuple(angles[p] for p in row))
+            for row in rows.tolist()]
+
+
+def _dual_numerators(monoid):
+    """(K, N): the kernel group K and the dual of the monoid as an integer
+    array N, one row per character in canonical order and one column per
+    element, the character's angle at s being N[., s] / |K|.
 
     Characters factor through s -> s + e (e the minimal idempotent): any
     unimodular idempotent value must be 1, so restriction to the kernel
@@ -139,8 +156,7 @@ def enumerate_unitary_dual(monoid):
     Every character of K takes |K|-th roots of unity, so each angle is
     carried as an integer numerator over |K|. The d-th roots keep integer
     numerators: the numerator at d*g is a multiple of |K| / |H|, H the
-    subgroup reached so far, and d divides |K| / |H|. Fractions are built
-    once per numerator, for the returned characters only.
+    subgroup reached so far, and d divides |K| / |H|.
     """
     group = kernel_group(monoid)
     e = group.identity
@@ -174,28 +190,9 @@ def enumerate_unitary_dual(monoid):
         subgroup.extend(new_elements)
 
     columns = [column[monoid.add(s, e)] for s in monoid.elements()]
-    keys = sorted(map(tuple, numerators[:, columns].tolist()))
-    if len(set(keys)) != order:
+    table = numerators[:, columns]
+    # lexicographic row order, that of the angle tuples
+    table = table[np.lexsort(table.T[::-1])]
+    if len(table) != order or not np.diff(table, axis=0).any(axis=1).all():
         raise AssertionError("dual enumeration lost or duplicated characters")
-    angles = [Fraction(p, order) for p in range(order)]
-    return [UnitaryCharacter(monoid, angles=tuple(angles[p] for p in key)) for key in keys]
-
-
-def nearest_character(candidates, values, tol, candidate_values=None):
-    """Match a tuple of complex values against exact characters.
-
-    Returns the unique candidate whose value tuple is within tol of
-    `values` in max norm, or None. `candidate_values`, the value tuples of
-    the candidates, spares a caller that matches many tuples their
-    recomputation.
-    """
-    if candidate_values is None:
-        candidate_values = [chi.values() for chi in candidates]
-    best, best_dist = None, float("inf")
-    for chi, chi_values in zip(candidates, candidate_values):
-        dist = max(abs(a - b) for a, b in zip(chi_values, values))
-        if dist < best_dist:
-            best, best_dist = chi, dist
-    if best is not None and best_dist <= tol:
-        return best
-    return None
+    return group, table

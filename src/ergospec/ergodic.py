@@ -307,36 +307,30 @@ class InfinitySemigroup:
 
 def semigroup_at_infinity(rep, config=None):
     """The exact intersection of the tail sets {T_s : s >= s0} over all s0
-    (finite monoid only)."""
+    (finite monoid only), one operator per class of equal operators.
+
+    The intersection of the tail sets s0 + S is the minimal ideal, the
+    kernel group K, so the operators at infinity are T(K): its classes in
+    label order."""
     config = DEFAULT_CONFIG if config is None else config
     if not rep.is_finite:
         raise ValueError("the semigroup at infinity is only enumerated for "
                          "finite monoids; use peripheral_decomposition for N^k")
-    monoid = rep.semigroup
 
-    # operator identity classes, so tail sets become index sets; the SVD
-    # decides only where ||D||_F / sqrt(n) <= ||D||_2 <= ||D||_F leaves it open
+    # the SVD decides only where ||D||_F / sqrt(n) <= ||D||_2 <= ||D||_F
+    # leaves it open
     classes = []
-    class_of = {}
     screen = np.sqrt(rep.dim) * config.tol_hom
-    for s in monoid.elements():
-        for c_idx, representative in enumerate(classes):
-            diff = rep.matrices[s] - representative
+    for k in kernel_group(rep.semigroup).carrier:
+        for representative in classes:
+            diff = rep.matrices[k] - representative
             frobenius = np.linalg.norm(diff)
             if frobenius <= config.tol_hom or (
                     frobenius <= screen and operator_norm(diff) <= config.tol_hom):
-                class_of[s] = c_idx
                 break
         else:
-            class_of[s] = len(classes)
-            classes.append(rep.matrices[s])
-
-    common = None
-    for s0 in monoid.elements():
-        # {s : s >= s0} is exactly the row s0 + S of the Cayley table
-        tail = {class_of[s] for s in monoid.table[s0]}
-        common = tail if common is None else (common & tail)
-    return InfinitySemigroup(operators=[classes[c] for c in sorted(common)])
+            classes.append(rep.matrices[k])
+    return InfinitySemigroup(operators=classes)
 
 
 QUASI_COMPACT = "quasi_compact"
@@ -362,7 +356,7 @@ class Analysis:
     Verdicts read the routes they need from here. Each route is
     deterministic, so sharing its result gives the bits of recomputing it.
     `block_decomposition`, when given, is the joint block decomposition of
-    rep.kernel_family() under this config and seed.
+    rep.family() under this config and seed (N^k only).
     """
 
     def __init__(self, rep, config=None, seed=DEFAULT_SEED, block_decomposition=None):

@@ -553,10 +553,6 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
     separation transfers to the joint values); exhausted blocks are
     triangularized by deflating common eigenvectors. Raises NotCommuting
     if a pairwise commutator exceeds tol_commute relative to the norms.
-
-    Bit-equal matrices are split and checked once: a finite monoid's
-    kernel family lists T_(g+e) once per generator g, and g+e often
-    coincides. block_values still holds one value per input matrix.
     """
     config = DEFAULT_CONFIG if config is None else config
     mats = [as_complex_matrix(a) for a in family]
@@ -569,41 +565,33 @@ def joint_block_decomposition(family, config=None, seed=DEFAULT_SEED):
     if n > config.max_dim:
         raise ValueError(f"dimension {n} exceeds supported maximum {config.max_dim}")
 
-    distinct, index = [], []         # index[i]: position of mats[i] in distinct
-    for a in mats:
-        index.append(next((j for j, b in enumerate(distinct) if np.array_equal(a, b)),
-                          len(distinct)))
-        if index[-1] == len(distinct):
-            distinct.append(a)
-
     # the max(1, .) floor keeps the bound meaningful for near-zero matrices
-    norms = [max(1.0, norm) for norm in operator_norms(distinct)]
-    first = [index.index(p) for p in range(len(distinct))]
-    for p in range(len(distinct)):
-        for q in range(p + 1, len(distinct)):
-            residual = operator_norm(distinct[p] @ distinct[q] - distinct[q] @ distinct[p])
+    norms = [max(1.0, norm) for norm in operator_norms(mats)]
+    for p in range(len(mats)):
+        for q in range(p + 1, len(mats)):
+            residual = operator_norm(mats[p] @ mats[q] - mats[q] @ mats[p])
             if residual > config.tol_commute * norms[p] * norms[q]:
-                raise NotCommuting(first[p], first[q], residual)
+                raise NotCommuting(p, q, residual)
 
     warnings = []
     rng = np.random.default_rng(seed)
-    unitary, starts = _split_family(distinct, config, rng, warnings)
+    unitary, starts = _split_family(mats, config, rng, warnings)
 
     # per-block diagonal values
-    diags = [_conjugated_diagonal(unitary, a) for a in distinct]
+    diags = [_conjugated_diagonal(unitary, a) for a in mats]
     bounds = starts + [n]
     block_values = []
     for b in range(len(starts)):
         lo, hi = bounds[b], bounds[b + 1]
         segments = [diag[lo:hi] for diag in diags]
         means = [segment.mean() for segment in segments]
-        spreads = [np.abs(segment - mean).max() for segment, mean in zip(segments, means)]
-        for m_idx, j in enumerate(index):
-            if spreads[j] > config.tol_cluster:
+        for j, segment in enumerate(segments):
+            spread = np.abs(segment - means[j]).max()
+            if spread > config.tol_cluster:
                 warnings.append(
-                    f"block {b}: diagonal spread {spreads[j]:.2e} of matrix {m_idx} "
+                    f"block {b}: diagonal spread {spread:.2e} of matrix {j} "
                     f"exceeds tol_cluster (cluster instability)")
-        block_values.append(tuple(complex(means[j]) for j in index))
+        block_values.append(tuple(complex(mean) for mean in means))
 
     # adjacent blocks whose joint tuples collide are merged and reported
     merged_starts, merged_values = [starts[0]], [block_values[0]]

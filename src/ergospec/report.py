@@ -71,9 +71,11 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         return result
 
     def certify():
-        # certification and the spectrum read one joint block decomposition,
-        # the only one the analysis computes
-        decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
+        # over N^k certification and the spectrum read one joint block
+        # decomposition, the only one the analysis computes; a finite
+        # monoid needs none
+        decomposition = None if rep.is_finite else \
+            joint_block_decomposition(rep.family(), config, seed)
         return certify_boundedness(rep, config, seed, decomposition), decomposition
 
     rep, decomposition = timed("certify", certify)
@@ -91,9 +93,11 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         "characters": [character_to_json(c) for c in spectrum.characters],
         "eigenspace_dims": [sp.dim for sp in spectrum.eigenspaces],
         "eigenspace_bases": [matrix_to_json(sp.basis) for sp in spectrum.eigenspaces],
-        "decomposition_seed": spectrum.decomposition.seed,
-        "decomposition_warnings": list(spectrum.decomposition.warnings),
     }
+    if spectrum.decomposition is not None:
+        report["unitary_spectrum"].update(
+            decomposition_seed=spectrum.decomposition.seed,
+            decomposition_warnings=list(spectrum.decomposition.warnings))
 
     if "ergodic" in wanted or "poles" in wanted or "quasicompact" in wanted:
         ergodic = timed("ergodic", lambda: analysis.ergodic)
@@ -179,7 +183,8 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
             if stability.is_stable != bool(stability.zero_in_range):
                 violations.append("finite-monoid stability disagrees with the "
                                   "zero-in-range criterion")
-            infinity = semigroup_at_infinity(rep, config)
+            infinity = timed("semigroup_at_infinity",
+                             lambda: semigroup_at_infinity(rep, config))
             report["semigroup_at_infinity"] = {
                 "count": len(infinity.operators),
                 "operators": [matrix_to_json(op) for op in infinity.operators],

@@ -29,7 +29,7 @@ from .linalg import (
     operator_norm,
     operator_norms,
 )
-from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid, kernel_group
+from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid
 
 CERTIFIED = "certified"
 UNBOUNDED = "unbounded"
@@ -77,18 +77,6 @@ class Representation:
         """The operator norm of each matrix of family(), taken once per
         representation: the matrices never change."""
         return operator_norms(self.family())
-
-    def kernel_family(self):
-        """T_(g+e) per generator g, where e is the minimal idempotent (the
-        neutral element over N^k). A unitary character takes the same value
-        at g and at g+e, and T_(g+e) is diagonalizable: it is annihilated by
-        x^(d+1) - x, d the order of g+e in the kernel group. T_g itself can
-        carry nilpotent Jordan cells, whose eigenvalues scatter."""
-        if not self.is_finite:
-            return self.family()
-        e = kernel_group(self.semigroup).identity
-        return [self.matrices[self.semigroup.add(g, e)]
-                for g in self.semigroup.generators]
 
     def matrix(self, s):
         """The matrix representing an arbitrary element."""
@@ -139,6 +127,8 @@ def validate_representation(semigroup, matrices, config=None):
     for a in mats:
         if a.shape != (n, n):
             raise ValueError("all matrices must be square of equal dimension")
+    if n == 0:
+        raise ValueError("dimension must be at least 1")
     if n > config.max_dim:
         raise ValueError(f"dimension {n} exceeds supported maximum {config.max_dim}")
 
@@ -241,8 +231,8 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
     each generator with a peripheral value acts on the block as that exact
     scalar (no nilpotent part). Any violation yields an Unbounded
     certificate with the growth direction. `decomposition` is
-    joint_block_decomposition(rep.kernel_family(), config, seed) when the
-    caller already holds it.
+    joint_block_decomposition(rep.family(), config, seed) when the caller
+    already holds it.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
@@ -251,7 +241,7 @@ def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None)
 
     decomp = decomposition
     if decomp is None:
-        decomp = joint_block_decomposition(rep.kernel_family(), config, seed)
+        decomp = joint_block_decomposition(rep.family(), config, seed)
     u = decomp.unitary
     transformed = [u.conj().T @ a @ u for a in rep.matrices]
     for b, block in enumerate(decomp.block_slices()):

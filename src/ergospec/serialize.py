@@ -71,6 +71,8 @@ def matrix_to_json(mat):
 
 def matrix_from_json(data):
     rows, cols = _integer(data["rows"], "rows"), _integer(data["cols"], "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be nonnegative, got {rows} x {cols}")
     re = np.asarray(data["re"], dtype=np.float64)
     im = np.asarray(data["im"], dtype=np.float64)
     if re.size != rows * cols or im.size != rows * cols:

@@ -3,7 +3,8 @@
 In finite dimension the unitary spectrum coincides with the unitary point
 spectrum: a unitary character belongs to the spectrum exactly when the
 commuting family has a joint eigenvector for it. Candidates are read off
-the joint block decomposition and confirmed by a nonzero joint kernel.
+the trace multiplicities of the exact dual (finite monoid) or the joint
+block decomposition (N^k) and confirmed by a nonzero joint kernel.
 The coefficient-inequality falsifier provides an independent one-sided
 refutation route.
 """
@@ -14,9 +15,10 @@ import numpy as np
 
 from .characters import (
     UnitaryCharacter,
+    _characters_from_numerators,
+    _dual_numerators,
     char_distance,
     enumerate_unitary_dual,
-    nearest_character,
 )
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NotBounded, NotNormalized
@@ -34,7 +36,7 @@ class UnitarySpectrumResult:
     characters: list          # UnitaryCharacter, canonically ordered
     eigenspaces: list         # Subspace per character, each nonzero
     witnesses: list           # one joint eigenvector per character
-    decomposition: object = None
+    decomposition: object = None  # the joint block decomposition (N^k only)
 
     def __len__(self):
         return len(self.characters)
@@ -97,25 +99,34 @@ def eigenspace(rep, chi, config=None, splits=None):
     return kernel
 
 
+def _trace_multiplicities(rep):
+    """The dual of a finite monoid, as _dual_numerators gives it, and the
+    multiplicity of each character in T,
+
+        dim ker(chi - T) = (1/|K|) sum over k in K of conj chi(k) tr T_k,
+
+    by the orthogonality relations of the kernel group K (Serre, Linear
+    Representations of Finite Groups, 2.3): ker(chi - T) lies in rg T_e,
+    on which K acts as a group, and T_k vanishes on ker T_e."""
+    group, numerators = _dual_numerators(rep.semigroup)
+    order = len(group.carrier)
+    traces = np.array([np.trace(rep.matrices[k]) for k in group.carrier])
+    conjugates = np.exp(-2j * np.pi * np.arange(order) / order)
+    return numerators, (conjugates[numerators[:, group.carrier]] @ traces).real / order
+
+
 def _candidate_characters(rep, decomposition, config):
-    """Unimodular per-block value tuples on the generators, turned into
-    characters."""
+    """Finite monoid: the dual characters of trace multiplicity at least
+    1/2. N^k: unimodular per-block value tuples of the joint block
+    decomposition, turned into characters."""
     semigroup = rep.semigroup
-    is_finite = rep.is_finite
-    if is_finite:
-        dual = enumerate_unitary_dual(semigroup)
-        dual_values = [tuple(chi(g) for g in semigroup.generators) for chi in dual]
-    seen, seen_angles = [], set()
+    if rep.is_finite:
+        numerators, multiplicities = _trace_multiplicities(rep)
+        return _characters_from_numerators(semigroup, numerators[multiplicities >= 0.5],
+                                           len(numerators))
+    seen = []
     for values in decomposition.block_values:
         if any(abs(abs(v) - 1.0) > config.tol_char for v in values):
-            continue
-        if is_finite:
-            # distinct exact characters differ by a root of unity of order
-            # at most the monoid size, far beyond tol_cluster
-            chi = nearest_character(dual, values, 10 * config.tol_char, dual_values)
-            if chi is not None and chi.angles not in seen_angles:
-                seen_angles.add(chi.angles)
-                seen.append(chi)
             continue
         unit = tuple(v / abs(v) for v in values)
         chi = UnitaryCharacter(semigroup, gen_values=unit)
@@ -129,16 +140,18 @@ def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None,
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
-    outcome (a stable representation), not an error. `decomposition` is
-    joint_block_decomposition(rep.kernel_family(), config, seed) when the
-    caller already holds it; `splits`, the caller's GeneratorSplits of rep.
+    outcome (a stable representation), not an error. Each candidate
+    character is kept when its joint kernel is nonzero. Over N^k the
+    candidates come from the joint block decomposition of the generators,
+    `decomposition` when the caller already holds it; `splits` is the
+    caller's GeneratorSplits of rep.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("unitary_spectrum requires a Certified representation")
 
-    if decomposition is None:
-        decomposition = joint_block_decomposition(rep.kernel_family(), config, seed)
+    if decomposition is None and not rep.is_finite:
+        decomposition = joint_block_decomposition(rep.family(), config, seed)
     candidates = _candidate_characters(rep, decomposition, config)
 
     characters, spaces, witnesses = [], [], []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ergospec as es
-from ergospec.characters import UnitaryCharacter, nearest_character
+from ergospec.characters import UnitaryCharacter
 from ergospec.errors import MismatchedSemigroup
 from ergospec.semigroups import element_order
 
@@ -197,13 +197,6 @@ def test_canonical_order_is_deterministic(klein_monoid):
     second = es.enumerate_unitary_dual(klein_monoid)
     assert [chi.angles for chi in first] == [chi.angles for chi in second]
     assert first[0].angles == (Fraction(0),) * 4  # the trivial character sorts first
-
-
-def test_nearest_character(klein_monoid):
-    dual = es.enumerate_unitary_dual(klein_monoid)
-    noisy = tuple(v * np.exp(1e-10j) for v in dual[2].values())
-    assert nearest_character(dual, noisy, 1e-8).angles == dual[2].angles
-    assert nearest_character(dual, (0.5, 1, 1, 1), 1e-8) is None
 
 
 def test_exact_quarter_values():

@@ -188,12 +188,25 @@ def _fractional_rank(data):
     data["semigroup"]["rank"] = 1.9
 
 
+def _zero_dim(data):
+    data["dim"] = 0
+    for index in range(len(data["matrices"]["list"])):
+        data["matrices"]["list"][index] = {"rows": 0, "cols": 0, "re": [], "im": []}
+
+
+# rows * cols still matches the entry count
+def _negative_rows(data):
+    matrix = data["matrices"]["list"][0]
+    matrix["rows"], matrix["cols"] = -matrix["rows"], -matrix["cols"]
+
+
 @pytest.mark.parametrize("name, mutate", [
     pytest.param("klein_four", mutate, id=mutate.__name__) for mutate in (
         _drop_matrices, _ragged_table, _text_entry, _list_semigroup,
         _fractional_entry, _string_entry, _bool_entry, _wrong_size,
-        _fractional_dim)] + [
-    pytest.param("identity_3", _fractional_rank, id="_fractional_rank")])
+        _fractional_dim, _zero_dim, _negative_rows)] + [
+    pytest.param("identity_3", _fractional_rank, id="_fractional_rank"),
+    pytest.param("identity_3", _zero_dim, id="_zero_dim_free")])
 def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
     data = json.loads((FIXTURES / f"{name}.json").read_text())
     mutate(data)

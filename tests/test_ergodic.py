@@ -5,7 +5,7 @@ import pytest
 
 import ergospec as es
 from ergospec.characters import trivial_character
-from ergospec.config import DEFAULT_CONFIG
+from ergospec.config import DEFAULT_CONFIG, DEFAULT_SEED
 from ergospec.ensembles import random_certified_instance
 from ergospec import characters, ergodic, linalg, representations
 from ergospec.ergodic import _kernel_average
@@ -328,10 +328,11 @@ def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
 
 def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
     # L2 x Z4 has E_s != 0: its witness comes from the pole verdicts of T,
-    # not from a spectrum of T restricted to E_s
+    # not from a spectrum of T restricted to E_s. The candidates are read
+    # off the dual's trace multiplicities, with no block decomposition
     rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
     calls = {route: _count_calls(monkeypatch, route, module)
-             for route, module in (("enumerate_unitary_dual", characters),
+             for route, module in (("_dual_numerators", characters),
                                    ("unitary_spectrum", ergodic),
                                    ("joint_block_decomposition", linalg))}
     report = es.analyze(rep)
@@ -339,8 +340,8 @@ def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
     assert report.data["unitary_spectrum"]["count"] == 4
     assert report.data["peripheral_decomposition"]["stable_dim"] > 0
     assert {route: len(found) for route, found in calls.items()} == \
-        {"enumerate_unitary_dual": 1, "unitary_spectrum": 1,
-         "joint_block_decomposition": 1}
+        {"_dual_numerators": 1, "unitary_spectrum": 1,
+         "joint_block_decomposition": 0}
 
 
 @pytest.mark.parametrize("case", ["threshold", "semilattice", "jordan_half",
@@ -402,7 +403,9 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
             basis = np.eye(5) + 0.3 * np.random.default_rng(5).standard_normal((5, 5))
             t = basis @ t @ np.linalg.inv(basis)
         rep = n1_rep(t)
-    decomposition = es.joint_block_decomposition(rep.kernel_family())
+    # over N^k the decomposition is taken before the count, as analyze
+    # hands it to the Analysis; a finite monoid needs none
+    decomposition = None if rep.is_finite else es.joint_block_decomposition(rep.family())
     svd = np.linalg.svd
     factored = []
 
@@ -451,21 +454,24 @@ def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
     report = es.analyze(rep, input_json=raw, sections=["spectrum"])
     assert report.data["boundedness"]["status"] == "certified"
     assert len(calls) == 1
+    assert report.data["unitary_spectrum"]["decomposition_seed"] == DEFAULT_SEED
 
 
 @pytest.mark.parametrize("name", ["klein_four", "threshold", "semilattice"])
-def test_spectrum_op_decomposes_finite_generators_once(name, monkeypatch):
-    # one decomposition of T_(g+e), one matrix per generator g, not per element
+def test_spectrum_op_decomposes_no_finite_generators(name, monkeypatch):
+    # a finite monoid's candidates are its dual's trace multiplicities,
+    # so the report names no decomposition
     rep, raw = load_representation(str(FIXTURES / f"{name}.json"))
     calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
-    es.analyze(rep, input_json=raw, sections=["spectrum"])
-    assert [len(args[0]) for args in calls] == [len(rep.semigroup.generators)]
-    assert len(rep.semigroup.generators) < rep.semigroup.size
+    report = es.analyze(rep, input_json=raw, sections=["spectrum"])
+    assert calls == []
+    assert report.data["unitary_spectrum"]["count"] > 0
+    assert "decomposition_seed" not in report.data["unitary_spectrum"]
+    assert "decomposition_warnings" not in report.data["unitary_spectrum"]
 
 
 def test_spectrum_takes_each_operator_norm_once(monkeypatch):
     rep = es.regular_representation(cyclic_monoid(8))
-    decomposition = es.joint_block_decomposition(rep.kernel_family())
     single = _count_calls(monkeypatch, "operator_norm", linalg)
     stacked = []
     norms = linalg.operator_norms
@@ -477,7 +483,7 @@ def test_spectrum_takes_each_operator_norm_once(monkeypatch):
 
     for module in (linalg, representations):
         monkeypatch.setattr(module, "operator_norms", counted)
-    spectrum = es.unitary_spectrum(rep, decomposition=decomposition)
+    spectrum = es.unitary_spectrum(rep)
     assert len(spectrum) == 8
     # one norm per generator matrix, counted by the matrices each call takes
     assert len(single) + sum(stacked) == 1

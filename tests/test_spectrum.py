@@ -3,9 +3,12 @@ import pytest
 
 import ergospec as es
 from ergospec.errors import NotBounded, NotNormalized
-from ergospec.spectrum import brute_force_spectrum
+from ergospec.serialize import load_representation
+from ergospec.spectrum import _trace_multiplicities, brute_force_spectrum
 
 from conftest import (
+    FIXTURES,
+    chain_monoid,
     cyclic_monoid,
     free,
     n1_rep,
@@ -222,3 +225,53 @@ def test_spectrum_does_not_depend_on_the_labels(factors):
     rng = np.random.default_rng(monoid.size)
     for copy in range(20):
         assert spectrum_of(rng.permutation(monoid.size)) == expected, copy
+
+
+def _finite_cases():
+    for path in sorted(FIXTURES.glob("*.json")):
+        rep, _ = load_representation(str(path))
+        if rep.is_finite:
+            yield pytest.param(es.certify_boundedness(rep), id=path.stem)
+    for name, monoid in (("Z8", cyclic_monoid(8)),
+                         ("L2xZ4", product_monoid(chain_monoid(2), cyclic_monoid(4))),
+                         ("T7", truncated_monoid(7)),
+                         ("L3xZ2", product_monoid(chain_monoid(3), cyclic_monoid(2)))):
+        for seed in range(5):
+            relabeling = relabeled(monoid, np.random.default_rng(seed))
+            yield pytest.param(es.regular_representation(relabeling), id=f"{name}-{seed}")
+
+
+@pytest.mark.parametrize("rep", _finite_cases())
+def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
+    numerators, multiplicities = _trace_multiplicities(rep)
+    assert np.abs(multiplicities - np.round(multiplicities)).max() < 1e-12
+    dual = es.enumerate_unitary_dual(rep.semigroup)
+    assert len(dual) == len(numerators)
+    by_trace = {chi.angles: int(round(m)) for chi, m in zip(dual, multiplicities)
+                if round(m) > 0}
+    spectrum = es.unitary_spectrum(rep)
+    by_kernel = {chi.angles: space.dim
+                 for chi, space in zip(spectrum.characters, spectrum.eigenspaces)}
+    assert by_trace == by_kernel
+    assert {chi.angles for chi in brute_force_spectrum(rep)} == set(by_kernel)
+
+
+@pytest.mark.parametrize("monoid, count", [
+    (truncated_monoid(7), 1),
+    (product_monoid(chain_monoid(2), cyclic_monoid(4)), 4)], ids=["T7", "L2xZ4"])
+def test_an_ill_conditioned_conjugate_keeps_its_characters(monoid, count):
+    # the regular representation conjugated by a similarity of condition
+    # number 10^5.5 validates at default tolerances; its joint block
+    # values once strayed past tol_char and lost characters
+    n = monoid.size
+    rng = np.random.default_rng(55)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    similarity = u @ np.diag(np.logspace(0, 5.5, n)) @ v
+    inverse = np.linalg.inv(similarity)
+    regular = es.regular_representation(monoid)
+    rep = es.certify_boundedness(es.validate_representation(
+        monoid, [similarity @ a @ inverse for a in regular.matrices]))
+    report = es.analyze(rep, sections=["spectrum"])
+    assert report.ok
+    assert report.data["unitary_spectrum"]["count"] == count
