@@ -26,13 +26,11 @@ from .characters import (
 from .linalg import (
     BlockDecomposition,
     Subspace,
-    is_direct_complement,
     joint_block_decomposition,
     null_space,
+    oblique_projection,
     operator_norm,
     operator_norms,
-    subspace_intersect,
-    subspace_sum,
 )
 from .representations import (
     Representation,
@@ -60,7 +58,6 @@ from .ergodic import (
     mean_ergodic_analysis,
     peripheral_decomposition,
     quasi_compactness_verdict,
-    range_of_one_minus,
     semigroup_at_infinity,
     stability_verdict,
 )

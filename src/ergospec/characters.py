@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import MismatchedSemigroup
-from .semigroups import FreeCommutativeMonoid, element_order, kernel_group
+from .semigroups import FreeCommutativeMonoid, element_order
 
 
 _EXACT_QUARTERS = {
@@ -158,7 +158,7 @@ def _dual_numerators(monoid):
     numerators: the numerator at d*g is a multiple of |K| / |H|, H the
     subgroup reached so far, and d divides |K| / |H|.
     """
-    group = kernel_group(monoid)
+    group = monoid.kernel
     e = group.identity
     order = len(group.carrier)
 

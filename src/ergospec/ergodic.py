@@ -2,7 +2,7 @@
 stability, the semigroup at infinity, and quasi-compactness.
 
 Two independent routes are always computed and cross-checked: the algebraic
-route (fixed space versus the range of 1 - T, solved from bases) and the
+route (the fixed space paired with ker (1 - T)^H = rg(1 - T)^perp) and the
 constructive ergodic net (the exact kernel average for a finite monoid, a
 composed Cesaro rectangle mean for N^k).
 
@@ -22,52 +22,34 @@ from .errors import NonPoleSpectrum, NotBounded
 from .linalg import (
     Subspace,
     column_space,
-    is_direct_complement,
     largest_cross_product,
+    oblique_projection,
     operator_norm,
     operator_norms,
-    projection_coordinates,
-    subspace_sum,
 )
 from .representations import restrict
-from .semigroups import kernel_group
-from .spectrum import GeneratorSplits, eigenspace, unitary_spectrum
-
-
-def range_of_one_minus(rep, config=None, chi=None, splits=None):
-    """rg(chi - T), by default rg(1 - T): the sum of the column spaces of
-    chi(g) - T_g over the generators g, which suffice because
-    chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) + T_g (chi(h) - T_h).
-    Each column space comes from `splits` (by default a fresh
-    GeneratorSplits), with the kernel of the same SVD.
-    """
-    config = DEFAULT_CONFIG if config is None else config
-    if chi is None:
-        chi = trivial_character(rep.semigroup)
-    splits = GeneratorSplits(rep, config) if splits is None else splits
-    return subspace_sum([splits(chi, index)[1]
-                         for index in range(len(rep.semigroup.generators))],
-                        config.tol_rank)
+from .spectrum import GeneratorSplits, _joint_kernel, eigenspace, unitary_spectrum
 
 
 def _split(rep, chi, config, splits, fix=None):
-    """ker(chi - T), rg(chi - T) and the coordinates W^H of the projection
-    fix.basis @ W^H onto the first along the second, or None when they are
-    not direct complements. `fix`, when given, is eigenspace(rep, chi,
-    config, splits)."""
+    """ker(chi - T), the cokernel ker((chi - T)^H) = rg(chi - T)^perp and
+    the coordinates W^H of the projection fix.basis @ W^H onto the first
+    along rg(chi - T), or None when there is no such projection
+    (linalg.oblique_projection). The cokernel is the joint one over the
+    generators g, which suffice because rg(chi - T) is the sum of the
+    rg(chi(g) - T_g): chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) +
+    T_g (chi(h) - T_h). `fix`, when given, is eigenspace(rep, chi, config,
+    splits)."""
     if fix is None:
         fix = eigenspace(rep, chi, config, splits)
-    rng_space = range_of_one_minus(rep, config, chi, splits)
-    coordinates = None
-    if is_direct_complement(fix, rng_space, config.tol_rank):
-        coordinates = projection_coordinates(fix, rng_space)
-    return fix, rng_space, coordinates
+    cokernel = _joint_kernel(rep, chi, config, splits, adjoint=True)
+    return fix, cokernel, oblique_projection(fix, cokernel, config.tol_rank)
 
 
 def _kernel_average(rep):
     """The exact zero element of co T(S) for a finite monoid: the average
     of T over the kernel group."""
-    group = kernel_group(rep.semigroup)
+    group = rep.semigroup.kernel
     total = sum(rep.matrices[k] for k in group.carrier)
     return total / len(group.carrier)
 
@@ -112,7 +94,7 @@ def _cesaro_rectangle_chain(rep, reference, config):
 @dataclass
 class ErgodicReport:
     fix_space: Subspace
-    range_space: Subspace
+    cokernel: Subspace      # ker (1 - T)^H, the orthogonal complement of rg(1 - T)
     is_ume: bool
     mean_projection: np.ndarray = None
     cesaro_trace: list = field(default_factory=list)  # (side, plain, composed)
@@ -127,8 +109,9 @@ class ErgodicReport:
 def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED, splits=None):
     """Decide uniform mean ergodicity and build the mean ergodic projection.
 
-    The verdict comes from the direct-complement test fix(T) + rg(1-T);
-    the constructive ergodic net is then run and compared against the
+    The verdict comes from the pairing of fix(T) with ker (1 - T)^H, which
+    decides whether fix(T) and rg(1 - T) are direct complements; the
+    constructive ergodic net is then run and compared against the
     projection. A convergent-net failure while the algebraic verdict says
     ergodic is reported as net_divergence (a tolerance anomaly), never
     silently resolved. `splits` is the caller's GeneratorSplits of rep.
@@ -138,10 +121,10 @@ def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED, splits=None):
         raise NotBounded("mean_ergodic_analysis requires a Certified representation")
     splits = GeneratorSplits(rep, config) if splits is None else splits
 
-    fix, rng_space, coordinates = _split(rep, trivial_character(rep.semigroup), config,
-                                         splits)
+    fix, cokernel, coordinates = _split(rep, trivial_character(rep.semigroup), config,
+                                        splits)
     projection = None if coordinates is None else fix.basis @ coordinates
-    report = ErgodicReport(fix_space=fix, range_space=rng_space,
+    report = ErgodicReport(fix_space=fix, cokernel=cokernel,
                            is_ume=projection is not None, mean_projection=projection)
 
     if rep.is_finite:
@@ -317,12 +300,23 @@ def semigroup_at_infinity(rep, config=None):
         raise ValueError("the semigroup at infinity is only enumerated for "
                          "finite monoids; use peripheral_decomposition for N^k")
 
-    # the SVD decides only where ||D||_F / sqrt(n) <= ||D||_2 <= ||D||_F
-    # leaves it open
-    classes = []
+    # ||D x|| <= ||D||_2 <= ||D||_F for a unit x: one stacked norm of the
+    # images of x rules out every class whose image lies beyond twice the
+    # Frobenius screen (the factor 2 absorbs the rounding of the images).
+    # On the classes left, the SVD decides only where ||D||_F / sqrt(n) <=
+    # ||D||_2 <= ||D||_F leaves it open.
     screen = np.sqrt(rep.dim) * config.tol_hom
-    for k in kernel_group(rep.semigroup).carrier:
-        for representative in classes:
+    carrier = rep.semigroup.kernel.carrier
+    # distinct entries, so distinct permutation matrices move it apart
+    probe = np.cos(np.arange(rep.dim))
+    probe /= np.linalg.norm(probe)
+    classes = []
+    images = np.empty((len(carrier), rep.dim), dtype=np.complex128)
+    for k in carrier:
+        images[len(classes)] = rep.matrices[k] @ probe
+        near = np.linalg.norm(images[:len(classes)] - images[len(classes)],
+                              axis=1) <= 2 * screen
+        for representative in (classes[j] for j in np.flatnonzero(near)):
             diff = rep.matrices[k] - representative
             frobenius = np.linalg.norm(diff)
             if frobenius <= config.tol_hom or (
@@ -365,7 +359,8 @@ class Analysis:
         self.seed = seed
         self._block_decomposition = block_decomposition
         self._poles = {}
-        # ker and rg of chi(g) - T_g, one SVD per character and generator
+        # ker of chi(g) - T_g and of its adjoint, one SVD per character and
+        # generator
         self.splits = GeneratorSplits(rep, self.config)
 
     @cached_property

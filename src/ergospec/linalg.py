@@ -1,12 +1,11 @@
-"""Dense complex linear algebra: rank decisions, subspace arithmetic, and
-joint triangularization of commuting families.
+"""Dense complex linear algebra: rank decisions, kernels, oblique
+projections, and joint triangularization of commuting families.
 
 All routines work on O(1)-normed matrices at desk scale (n <= 256). Rank
 decisions use a relative singular-value threshold, anchored to the caller's
 scale where the input matrix itself may be numerically zero.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -131,90 +130,55 @@ def column_space(a, tol=None, scale=0.0):
     return Subspace(a.shape[0], u[:, :rank])
 
 
-def kernel_and_range(a, tol=None, scale=0.0):
-    """(null_space(a, tol, scale), column_space(a, tol, scale)) of a square
-    matrix, bit for bit, from the one SVD that both take: the trailing rows
-    of V^H span the kernel and the leading columns of U the range (Golub
-    and Van Loan, Matrix Computations, 4th ed., 2.4)."""
+def kernel_and_cokernel(a, tol=None, scale=0.0):
+    """(ker a, ker a^H) of a square matrix from one SVD: the trailing rows
+    of V^H span the kernel, bit for bit that of null_space(a, tol, scale),
+    and the trailing columns of U span ker a^H = rg(a)^perp (Golub and Van
+    Loan, Matrix Computations, 4th ed., 2.4). The cokernel is a copy, so U
+    is freed."""
     tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
     a = np.asarray(a, dtype=np.complex128)
     n = a.shape[0]
     if n == 0:
-        return Subspace.full(0), Subspace.zero(0)
+        return Subspace.full(0), Subspace.full(0)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     cutoff = tol * max(float(s[0]), scale)
     if cutoff == 0.0:
-        return Subspace.full(n), Subspace.zero(n)
+        return Subspace.full(n), Subspace.full(n)
     rank = int(np.sum(s > cutoff))
-    return Subspace(n, vh[rank:].conj().T), Subspace(n, u[:, :rank])
+    return Subspace(n, vh[rank:].conj().T), Subspace(n, u[:, rank:].copy())
 
 
-def _same_ambient(spaces, operation):
-    """The list of spaces, after checking that it is nonempty and that they
-    share one ambient dimension."""
-    spaces = list(spaces)
-    if not spaces:
-        raise ValueError("need at least one subspace")
-    for sp in spaces:
-        if sp.ambient_dim != spaces[0].ambient_dim:
-            raise DimensionMismatch(f"subspace {operation} across different "
-                                    f"ambient dimensions")
-    return spaces
+def oblique_projection(f, g, tol=None):
+    """W^H such that f.basis @ W^H projects onto F along G^perp, or None
+    when F and G^perp are not direct complements.
 
+    For F = ker(chi - T) and G = ker((chi - T)^H) = rg(chi - T)^perp this
+    is Sine's criterion in finite dimension (Proc. AMS 24, 1970): the fixed
+    space of conj(chi) T separates that of its adjoint exactly when the
+    d x d pairing G^H F is invertible, and then P = F (G^H F)^(-1) G^H.
 
-def subspace_sum(spaces, tol=None):
-    """Sum of subspaces via orthonormalization of the concatenated bases; a
-    single subspace is its own sum, its basis already orthonormal."""
-    spaces = _same_ambient(spaces, "sum")
-    if len(spaces) == 1:
-        return spaces[0]
-    n = spaces[0].ambient_dim
-    stacked = np.hstack([sp.basis for sp in spaces])
-    if stacked.shape[1] == 0:
-        return Subspace.zero(n)
-    return column_space(stacked, tol)
-
-
-def subspace_intersect(spaces, tol=None):
-    """Intersection via the joint kernel of the complement projections; a
-    single subspace is its own intersection."""
-    spaces = _same_ambient(spaces, "intersection")
-    if len(spaces) == 1:
-        return spaces[0]
-    n = spaces[0].ambient_dim
-    eye = np.eye(n, dtype=np.complex128)
-    stacked = np.vstack([eye - sp.projector() for sp in spaces])
-    return null_space(stacked, tol, scale=1.0)
-
-
-def is_direct_complement(f, r, tol=None):
-    """True iff dim F + dim R = n and the smallest principal angle between
-    F and R is bounded away from zero.
-
-    The test requires sigma_min([F R]) > sqrt(tol_rank); for small angles
-    sigma_min([F R]) is theta_min / sqrt(2), so this is an angle threshold
-    of about sqrt(2 * tol_rank).
+    The test requires dim F = dim G and sigma_min(G^H F)^2 > tol_rank
+    (2 - tol_rank). As sigma_min(G^H F) = sin theta_min and
+    sigma_min([F R])^2 = 1 - cos theta_min, theta_min the smallest
+    principal angle between F and R = G^perp, this is exactly
+    sigma_min([F R]) > sqrt(tol_rank), the angle test on F and an
+    orthonormal basis R of the range. It costs a d x d SVD and a d x d
+    solve.
     """
     tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    if f.ambient_dim != r.ambient_dim:
+    if f.ambient_dim != g.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient dimensions")
-    n = f.ambient_dim
-    if f.dim + r.dim != n:
-        return False
-    if f.dim == 0 or r.dim == 0:
-        return True
-    stacked = np.hstack([f.basis, r.basis])
-    smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-    return bool(smin > math.sqrt(tol))
-
-
-def projection_coordinates(f, r):
-    """W^H such that F.basis @ W^H is the (oblique) projection onto F along
-    R, given a direct complement: the first dim F rows of [F R]^(-1)."""
-    n = f.ambient_dim
-    basis = np.hstack([f.basis, r.basis])
-    coords = np.linalg.solve(basis, np.eye(n, dtype=np.complex128))
-    return coords[: f.dim, :]
+    if f.dim != g.dim:
+        return None
+    gh = g.basis.conj().T
+    if f.dim == 0:
+        return gh
+    pairing = gh @ f.basis
+    smin = float(np.linalg.svd(pairing, compute_uv=False)[-1])
+    if smin * smin <= tol * (2.0 - tol):
+        return None
+    return np.linalg.solve(pairing, gh)
 
 
 def largest_cross_product(factors):

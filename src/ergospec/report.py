@@ -104,7 +104,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
         entry = {
             "is_uniformly_mean_ergodic": ergodic.is_ume,
             "fix_dim": ergodic.fix_dim,
-            "range_dim": ergodic.range_space.dim,
+            "range_dim": rep.dim - ergodic.cokernel.dim,
             "net_divergence": ergodic.net_divergence,
         }
         def finite_or_none(x):

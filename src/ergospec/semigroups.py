@@ -69,6 +69,11 @@ class FiniteCommutativeMonoid:
             closure = best
         return tuple(gens) or (self.neutral,)
 
+    @cached_property
+    def kernel(self):
+        """The kernel group, computed once; see kernel_group."""
+        return kernel_group(self)
+
     def _multiples(self, s):
         """The elements 0, s, 2s, ... of the submonoid <s>."""
         seen, x = [], self.neutral
@@ -202,30 +207,36 @@ def kernel_group(monoid):
     """Compute the kernel K = S + e where e is the minimal idempotent.
 
     e is the sum of all idempotents; in a finite commutative monoid this is
-    the unique minimal idempotent and K is a group with identity e.
+    the unique minimal idempotent and K is a group with identity e. Each
+    group law is checked over the whole table at once, and the first
+    kernel element that breaks one is named.
     """
     idem = idempotents(monoid)
     e = idem[0]
     for x in idem[1:]:
         e = monoid.add(e, x)
-    carrier = sorted({monoid.add(s, e) for s in monoid.elements()})
-    cset = set(carrier)
+    table = np.asarray(monoid.table)
+    member = np.zeros(monoid.size, dtype=bool)
+    member[table[:, e]] = True
+    carrier = np.flatnonzero(member)
 
-    if monoid.add(e, e) != e or e not in cset:
+    if monoid.add(e, e) != e or not member[e]:
         raise InternalInconsistency("kernel identity is not idempotent")
-    inverse = {}
-    for k in carrier:
-        if monoid.add(e, k) != k:
-            raise InternalInconsistency(f"identity fails on kernel element {k}")
-        inv = [x for x in carrier if monoid.add(k, x) == e]
-        if len(inv) != 1:
-            raise InternalInconsistency(f"kernel element {k} has {len(inv)} inverses")
-        inverse[k] = inv[0]
-    for a in carrier:
-        for b in carrier:
-            if monoid.add(a, b) not in cset:
-                raise InternalInconsistency("kernel not closed under addition")
+    sums = table[carrier[:, None], carrier]
+    not_identity = table[e, carrier] != carrier
+    inverses = sums == e
+    counts = inverses.sum(axis=1)
+    bad = np.flatnonzero(not_identity | (counts != 1))
+    if bad.size:
+        i = bad[0]
+        if not_identity[i]:
+            raise InternalInconsistency(f"identity fails on kernel element {carrier[i]}")
+        raise InternalInconsistency(f"kernel element {carrier[i]} has {counts[i]} inverses")
+    if not member[sums].all():
+        raise InternalInconsistency("kernel not closed under addition")
 
+    carrier = carrier.tolist()
+    inverse = {k: carrier[j] for k, j in zip(carrier, inverses.argmax(axis=1).tolist())}
     return KernelGroup(carrier=tuple(carrier), identity=e, inverse=inverse)
 
 

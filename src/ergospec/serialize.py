@@ -120,11 +120,12 @@ def _read_json(path):
 @contextlib.contextmanager
 def _decoding(what):
     """Report data that does not have the shape the decoder reads as a
-    ParseError: a missing key, a ragged table, a non-numeric entry, a list
-    where an object belongs."""
+    ParseError: a missing key, a ragged table, a non-numeric entry, an
+    integer too large for its machine type, a list where an object belongs."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -25,7 +25,7 @@ from .errors import NotBounded, NotNormalized
 from .linalg import (
     Subspace,
     joint_block_decomposition,
-    kernel_and_range,
+    kernel_and_cokernel,
     null_space,
     operator_norm,
 )
@@ -47,8 +47,9 @@ class UnitarySpectrumResult:
 
 
 class GeneratorSplits:
-    """ker and rg of chi(g) - T_g per (character, generator index), each
-    pair from one SVD taken on first use (linalg.kernel_and_range).
+    """ker(chi(g) - T_g) and ker((chi(g) - T_g)^H) per (character,
+    generator index), each pair from one SVD taken on first use
+    (linalg.kernel_and_cokernel).
 
     An Analysis holds one, so the spectrum, the mean ergodic split and the
     poles factor each such matrix once. Characters are keyed by the repr of
@@ -68,35 +69,46 @@ class GeneratorSplits:
             a = chi(g) * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
             # the scale floor keeps chi(g) - T_g near zero from reading as
             # full rank
-            self._splits[key] = kernel_and_range(
+            self._splits[key] = kernel_and_cokernel(
                 a, self.config.tol_rank, scale=max(1.0, rep.generator_norms[index]))
         return self._splits[key]
 
 
-def eigenspace(rep, chi, config=None, splits=None):
-    """ker(chi - T): the joint kernel over the generator matrices, which
-    suffice because a joint generator eigenvector is an eigenvector of every
-    product.
+def _joint_kernel(rep, chi, config, splits, adjoint=False):
+    """The intersection over the generators g of ker(chi(g) - T_g), or of
+    ker((chi(g) - T_g)^H) when `adjoint` is set.
 
-    The first generator's kernel K comes from `splits` (by default a fresh
-    GeneratorSplits). Each later generator g cuts K down to the kernel of
-    (chi(g) - T_g) K, an n x dim K matrix, with the scale floor of its own
+    The first generator's kernel K comes from `splits`. Each later
+    generator g cuts K down to the kernel of (chi(g) - T_g) K, or of
+    (chi(g) - T_g)^H K, an n x dim K matrix, with the scale floor of its own
     kernel.
     """
-    config = DEFAULT_CONFIG if config is None else config
-    splits = GeneratorSplits(rep, config) if splits is None else splits
-    kernel, _ = splits(chi, 0)
+    kernel = splits(chi, 0)[int(adjoint)]
     family = rep.family()
     eye = np.eye(rep.dim, dtype=np.complex128)
     for index in range(1, len(family)):
         if kernel.dim == 0:
             break
         g = rep.semigroup.generators[index]
-        inner = null_space((chi(g) * eye - family[index]) @ kernel.basis, config.tol_rank,
+        a = chi(g) * eye - family[index]
+        if adjoint:
+            a = a.conj().T
+        inner = null_space(a @ kernel.basis, config.tol_rank,
                            scale=max(1.0, rep.generator_norms[index]))
         if inner.dim < kernel.dim:   # else K's basis stays as it is
             kernel = Subspace(rep.dim, kernel.basis @ inner.basis)
     return kernel
+
+
+def eigenspace(rep, chi, config=None, splits=None):
+    """ker(chi - T): the joint kernel over the generator matrices, which
+    suffice because a joint generator eigenvector is an eigenvector of every
+    product. `splits` is the caller's GeneratorSplits of rep, by default a
+    fresh one.
+    """
+    config = DEFAULT_CONFIG if config is None else config
+    splits = GeneratorSplits(rep, config) if splits is None else splits
+    return _joint_kernel(rep, chi, config, splits)
 
 
 def _trace_multiplicities(rep):

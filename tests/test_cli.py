@@ -200,13 +200,23 @@ def _negative_rows(data):
     matrix["rows"], matrix["cols"] = -matrix["rows"], -matrix["cols"]
 
 
+# integers beyond int64 and float64, which NumPy refuses with OverflowError
+def _oversized_entry(data):
+    data["semigroup"]["table"][1][1] = 10**20
+
+
+def _oversized_literal(data):
+    data["matrices"]["list"][0]["re"][0] = 10**400
+
+
 @pytest.mark.parametrize("name, mutate", [
     pytest.param("klein_four", mutate, id=mutate.__name__) for mutate in (
         _drop_matrices, _ragged_table, _text_entry, _list_semigroup,
         _fractional_entry, _string_entry, _bool_entry, _wrong_size,
-        _fractional_dim, _zero_dim, _negative_rows)] + [
+        _fractional_dim, _zero_dim, _negative_rows, _oversized_entry)] + [
     pytest.param("identity_3", _fractional_rank, id="_fractional_rank"),
-    pytest.param("identity_3", _zero_dim, id="_zero_dim_free")])
+    pytest.param("identity_3", _zero_dim, id="_zero_dim_free"),
+    pytest.param("identity_3", _oversized_literal, id="_oversized_literal")])
 def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
     data = json.loads((FIXTURES / f"{name}.json").read_text())
     mutate(data)

@@ -7,31 +7,51 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG, DEFAULT_SEED
 from ergospec.ensembles import random_certified_instance
-from ergospec import characters, ergodic, linalg, representations
+from ergospec import characters, ergodic, linalg, representations, semigroups
 from ergospec.ergodic import _kernel_average
 from ergospec.serialize import load_representation
 
-from conftest import FIXTURES, chain_monoid, cyclic_monoid, n1_rep, product_monoid
+from conftest import (
+    FIXTURES,
+    chain_monoid,
+    cyclic_monoid,
+    n1_rep,
+    product_monoid,
+    truncated_monoid,
+)
+
+
+def _range_oracle(rep, chi):
+    """rg(chi - T), computed here: the column space of the stacked
+    chi(g) - T_g over the generators g."""
+    eye = np.eye(rep.dim, dtype=complex)
+    stacked = np.hstack([chi(g) * eye - a
+                         for g, a in zip(rep.semigroup.generators, rep.family())])
+    return linalg.column_space(stacked, scale=max(1.0, *rep.generator_norms))
 
 
 def test_range_of_one_minus_identity():
+    # rg(1 - T) = 0, so its orthogonal complement ker (1 - T)^H is everything
     rep = n1_rep(np.eye(3, dtype=complex))
-    assert es.range_of_one_minus(rep).dim == 0
+    assert es.mean_ergodic_analysis(rep).cokernel.dim == 3
 
 
 def test_range_of_one_minus_klein(klein_rep):
-    space = es.range_of_one_minus(klein_rep)
-    assert space.dim == 2
+    cokernel = es.mean_ergodic_analysis(klein_rep).cokernel
+    assert cokernel.dim == 2
     fix = es.eigenspace(klein_rep, trivial_character(klein_rep.semigroup))
-    # for this unitary representation the range is the orthogonal complement
-    assert es.operator_norm(fix.projector() + space.projector() - np.eye(4)) < 1e-10
+    # for this unitary representation ker (1 - T)^H = ker (1 - T)
+    assert es.operator_norm(fix.projector() - cokernel.projector()) < 1e-10
+    rng_space = _range_oracle(klein_rep, trivial_character(klein_rep.semigroup))
+    assert es.operator_norm(cokernel.projector() + rng_space.projector() - np.eye(4)) < 1e-10
 
 
 def test_range_of_one_minus_diagonal():
+    # rg(1 - T) = span(e_2), so the cokernel is span(e_1)
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
-    space = es.range_of_one_minus(rep)
-    assert space.dim == 1
-    assert abs(abs(space.basis[1, 0]) - 1.0) < 1e-12
+    cokernel = es.mean_ergodic_analysis(rep).cokernel
+    assert cokernel.dim == 1
+    assert abs(abs(cokernel.basis[0, 0]) - 1.0) < 1e-12
 
 
 def test_mean_ergodic_klein(klein_rep):
@@ -87,7 +107,7 @@ def test_is_pole_diagonal_rotation():
     assert verdict.is_pole and verdict.counts_as_pole
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
     # oracle of the deleted post-check: chi is no eigenvalue of T|rg(chi - T)
-    rng_space = es.range_of_one_minus(rep, chi=chi)
+    rng_space = _range_oracle(rep, chi)
     assert es.eigenspace(es.restrict(rep, rng_space), chi).dim == 0
 
 
@@ -375,16 +395,18 @@ def test_the_identity_is_no_contraction_witness():
                          ids=["svd-basis", "reorthonormalized"])
 def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized,
                                                                monkeypatch):
-    # rg(1 - T) as the SVD gives it, or orthonormalized once more as an
-    # extra column_space did before; the two bases differ in their last
-    # bits, which once brought T_0 = I in as a witness of norm 1 - 4e-16
-    range_of_one_minus = ergodic.range_of_one_minus
+    # ker (1 - T)^H = rg(1 - T)^perp as the SVD gives it, or orthonormalized
+    # once more; the two bases differ in their last bits, which once brought
+    # T_0 = I in as a witness of norm 1 - 4e-16
+    joint_kernel = ergodic._joint_kernel
 
-    def patched(rep, config=None, chi=None, splits=None):
-        space = range_of_one_minus(rep, config, chi, splits)
-        return linalg.column_space(space.basis) if reorthonormalized else space
+    def patched(rep, chi, config, splits, adjoint=False):
+        space = joint_kernel(rep, chi, config, splits, adjoint)
+        if adjoint and reorthonormalized:
+            return linalg.column_space(space.basis)
+        return space
 
-    monkeypatch.setattr(ergodic, "range_of_one_minus", patched)
+    monkeypatch.setattr(ergodic, "_joint_kernel", patched)
     rep, _ = load_representation(str(FIXTURES / "threshold.json"))
     dec = es.peripheral_decomposition(es.certify_boundedness(rep))
     assert dec.stability_witness == 2
@@ -394,7 +416,7 @@ def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized
 @pytest.mark.parametrize("case", ["Z8", "N1", "N1-dense"])
 def test_each_character_factors_its_generator_once(case, monkeypatch):
     # one generator: the spectrum, the mean ergodic split and every pole
-    # read ker(chi - T) and rg(chi - T) off one n x n SVD per character
+    # read ker(chi - T) and ker((chi - T)^H) off one n x n SVD per character
     if case == "Z8":
         rep = es.regular_representation(cyclic_monoid(8))
     else:
@@ -501,7 +523,7 @@ def test_no_pole_is_an_eigenvalue_on_its_range(m, monkeypatch):
     assert restricted == []
     for chi, verdict in zip(analysis.spectrum.characters, verdicts):
         assert verdict.is_pole
-        rng_space = es.range_of_one_minus(rep, chi=chi)
+        rng_space = _range_oracle(rep, chi)
         full = es.restrict(rep, rng_space)
         assert len(full.matrices) == m
         assert es.eigenspace(full, chi).dim == 0
@@ -562,3 +584,90 @@ def test_cross_residual_matches_the_dense_loop():
     dense = max(es.operator_norm(projections[a] @ projections[b])
                 for a in range(3) for b in range(3) if a != b)
     assert abs(analysis.decomposition.cross_residual - dense) <= 1e-13
+
+
+def test_analyze_computes_the_kernel_group_once(monkeypatch):
+    # the dual, the kernel average and the semigroup at infinity all read
+    # the one kernel group that the monoid keeps
+    calls = _count_calls(monkeypatch, "kernel_group", semigroups)
+    report = es.analyze(es.regular_representation(cyclic_monoid(8)))
+    assert report.ok
+    assert len(calls) == 1
+
+
+# the fixtures, regular representations and planted N^k instances whose
+# spectral characters the oracle tests below walk through
+ORACLE_CASES = [*sorted(path.stem for path in FIXTURES.glob("*.json")),
+                "Z8", "L2xZ4", "T7", "non_pole", *range(600, 606)]
+
+
+def _oracle_rep(case):
+    if isinstance(case, int):
+        return random_certified_instance(case, max_rank=2, max_dim=10)[0]
+    monoids = {"Z8": cyclic_monoid(8), "T7": truncated_monoid(7),
+               "L2xZ4": product_monoid(chain_monoid(2), cyclic_monoid(4))}
+    if case in monoids:
+        return es.regular_representation(monoids[case])
+    if case == "non_pole":   # ker(1 - T) = rg(1 - T) = span(e_1)
+        return n1_rep(np.array([[1.0, 1.5e-10], [0.0, 1.0]], dtype=complex))
+    rep, _ = load_representation(str(FIXTURES / f"{case}.json"))
+    return es.certify_boundedness(rep)
+
+
+def _angle_verdict(rep, chi, fix):
+    """The direct-complement test that the pairing of ker(chi - T) with
+    ker((chi - T)^H) replaced: dim F + dim R = n and sigma_min([F R]) >
+    sqrt(tol_rank), R an orthonormal basis of rg(chi - T)."""
+    rng_space = _range_oracle(rep, chi)
+    if fix.dim + rng_space.dim != rep.dim:
+        return False
+    if fix.dim == 0 or rng_space.dim == 0:
+        return True
+    smin = np.linalg.svd(np.hstack([fix.basis, rng_space.basis]), compute_uv=False)[-1]
+    return bool(smin > np.sqrt(DEFAULT_CONFIG.tol_rank))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_pole_verdicts_decide_as_the_angle_test(case):
+    rep = _oracle_rep(case)
+    assert rep.boundedness.is_certified
+    analysis = ergodic.Analysis(rep)
+    spectrum = analysis.spectrum
+    for chi, fix in zip(spectrum.characters, spectrum.eigenspaces):
+        assert analysis.pole(chi).is_pole == _angle_verdict(rep, chi, fix)
+    trivial = trivial_character(rep.semigroup)
+    assert analysis.ergodic.is_ume == _angle_verdict(rep, trivial, analysis.ergodic.fix_space)
+    if case == "non_pole":
+        assert not analysis.ergodic.is_ume
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_verdicts_do_not_depend_on_the_basis(case):
+    # T_s -> U^H T_s U for a seeded random unitary U: the same spectrum,
+    # eigenspace dimensions and verdicts, and every projection P -> U^H P U
+    rep = _oracle_rep(case)
+    rng = np.random.default_rng(77)
+    n = rep.dim
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    turned = es.certify_boundedness(es.validate_representation(
+        rep.semigroup, [u.conj().T @ a @ u for a in rep.matrices]))
+    before, after = ergodic.Analysis(rep), ergodic.Analysis(turned)
+
+    def moved(p, q):
+        return es.operator_norm(u.conj().T @ p @ u - q) <= 1e-10
+
+    assert len(before.spectrum) == len(after.spectrum)
+    for chi, psi in zip(before.spectrum.characters, after.spectrum.characters):
+        assert es.char_distance(chi, psi) <= DEFAULT_CONFIG.tol_cluster
+    assert [space.dim for space in before.spectrum.eigenspaces] == \
+        [space.dim for space in after.spectrum.eigenspaces]
+    for chi in before.spectrum.characters:
+        old, new = before.pole(chi), after.pole(chi)
+        assert old.status == new.status
+        assert old.eigenspace_dim == new.eigenspace_dim
+        if old.is_pole:
+            assert moved(old.projection, new.projection)
+    assert before.ergodic.fix_dim == after.ergodic.fix_dim
+    assert before.ergodic.is_ume == after.ergodic.is_ume
+    if before.ergodic.is_ume:
+        assert moved(before.ergodic.mean_projection, after.ergodic.mean_projection)

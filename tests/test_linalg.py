@@ -17,10 +17,10 @@ from ergospec.linalg import (
     _single_linkage_clusters,
     as_complex_matrix,
     column_space,
-    kernel_and_range,
+    kernel_and_cokernel,
     largest_cross_product,
     null_space,
-    projection_coordinates,
+    oblique_projection,
 )
 
 from conftest import chain_monoid, cyclic_monoid, product_monoid, truncated_monoid
@@ -47,66 +47,103 @@ def test_null_space_scale_floor():
     assert column_space(noise, scale=1.0).dim == 0
 
 
-def test_subspace_sum_and_intersection():
-    e = np.eye(3, dtype=complex)
-    s1 = Subspace(3, e[:, :1])
-    s2 = Subspace(3, e[:, 1:2])
-    assert es.subspace_sum([s1, s2]).dim == 2
-    s12 = Subspace(3, e[:, :2])
-    s23 = Subspace(3, e[:, 1:])
-    meet = es.subspace_intersect([s12, s23])
-    assert meet.dim == 1
-    assert abs(abs(meet.basis[1, 0]) - 1.0) < 1e-10
-
-
 @pytest.mark.parametrize("rank, scale", [(0, 0.0), (0, 1.0), (1, 1.0), (3, 1.0),
                                          (5, 2.0), (6, 0.0)])
 def test_kernel_and_range_are_null_space_and_column_space(rank, scale):
+    # the kernel is null_space bit for bit; the cokernel is the orthogonal
+    # complement of column_space
     rng = np.random.default_rng(rank)
     n = 6
     a = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) \
         @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
     a += 1e-14 * rng.standard_normal((n, n))   # rank decided by the cutoff
-    kernel, range_ = kernel_and_range(a, scale=scale)
-    expected = null_space(a, scale=scale), column_space(a, scale=scale)
-    for got, want in zip((kernel, range_), expected):
-        assert got.ambient_dim == want.ambient_dim
-        assert got.basis.shape == want.basis.shape
-        assert got.basis.tobytes() == want.basis.tobytes()
+    kernel, cokernel = kernel_and_cokernel(a, scale=scale)
+    want = null_space(a, scale=scale)
+    assert kernel.ambient_dim == want.ambient_dim
+    assert kernel.basis.shape == want.basis.shape
+    assert kernel.basis.tobytes() == want.basis.tobytes()
+    range_ = column_space(a, scale=scale)
+    assert cokernel.ambient_dim == n
+    assert cokernel.dim + range_.dim == n
+    assert np.abs(cokernel.basis.conj().T @ range_.basis).max(initial=0.0) < 1e-12
+    gram = cokernel.basis.conj().T @ cokernel.basis
+    np.testing.assert_allclose(gram, np.eye(cokernel.dim), atol=1e-12)
+    assert cokernel.basis.base is None   # a copy: U is not kept alive
     zero = np.zeros((n, n), dtype=complex)
-    assert [space.dim for space in kernel_and_range(zero)] == [n, 0]
-    assert [space.dim for space in kernel_and_range(np.zeros((0, 0)))] == [0, 0]
-
-
-def test_a_single_subspace_is_its_own_sum_and_intersection(monkeypatch):
-    space = Subspace(3, np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1j)[0])
-    monkeypatch.setattr(np.linalg, "svd", None)   # no factorization at all
-    assert es.subspace_sum([space]) is space
-    assert es.subspace_intersect([space]) is space
+    assert [space.dim for space in kernel_and_cokernel(zero)] == [n, n]
+    assert [space.dim for space in kernel_and_cokernel(np.zeros((0, 0)))] == [0, 0]
 
 
 def test_is_direct_complement_45_degrees():
+    # F = span(e_1) against R = span(e_1 + e_2), given by G = R^perp
     e = np.eye(2, dtype=complex)
     f = Subspace(2, e[:, :1])
-    r = Subspace(2, np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2))
-    assert es.is_direct_complement(f, r)
-    assert not es.is_direct_complement(f, Subspace(2, e[:, :1]))  # dims 1+1 but equal
+    g = Subspace(2, np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2))
+    assert oblique_projection(f, g) is not None
+    # dims 1 + 1 but R = F, so G = F^perp pairs to zero with F
+    assert oblique_projection(f, Subspace(2, e[:, 1:])) is None
+    # dim F != dim G: F + R cannot be the whole space
+    assert oblique_projection(f, Subspace(2, e)) is None
+    assert oblique_projection(f, Subspace.zero(2)) is None
 
 
 def test_is_direct_complement_dimension_mismatch():
     f = Subspace(2, np.eye(2, dtype=complex)[:, :1])
-    r = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+    g = Subspace(3, np.eye(3, dtype=complex)[:, :1])
     with pytest.raises(DimensionMismatch):
-        es.is_direct_complement(f, r)
+        oblique_projection(f, g)
 
 
 def test_projection_onto_along_oblique():
     f = Subspace(2, np.eye(2, dtype=complex)[:, :1])
-    r = Subspace(2, np.array([[1.0], [1.0]], dtype=complex) / np.sqrt(2))
-    p = f.basis @ projection_coordinates(f, r)
+    g = Subspace(2, np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2))
+    p = f.basis @ oblique_projection(f, g)
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     np.testing.assert_allclose(p @ np.array([1.0, 0.0]), [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(p @ np.array([1.0, 1.0]), [0.0, 0.0], atol=1e-12)
+    # the zero space and the whole space project to 0 and to I
+    assert (Subspace.zero(2).basis @ oblique_projection(Subspace.zero(2),
+                                                       Subspace.zero(2))).shape == (2, 2)
+    np.testing.assert_allclose(oblique_projection(Subspace.full(2), Subspace.full(2)),
+                               np.eye(2), atol=1e-15)
+
+
+def _angle_test(f, g, tol):
+    """The direct-complement test that oblique_projection replaces:
+    dim F + dim R = n and sigma_min([F R]) > sqrt(tol), R an orthonormal
+    basis of G^perp."""
+    n = f.ambient_dim
+    if f.dim + (n - g.dim) != n:
+        return False
+    r = es.null_space(g.basis.conj().T) if g.dim else Subspace.full(n)
+    if f.dim == 0 or r.dim == 0:
+        return True
+    return bool(np.linalg.svd(np.hstack([f.basis, r.basis]), compute_uv=False)[-1]
+                > np.sqrt(tol))
+
+
+def test_oblique_projection_decides_as_the_angle_test():
+    # 1,000 seeded pairs whose smallest angle lies within 5 % of the
+    # threshold angle, on both sides of it: the pairing test and the angle
+    # test on an orthonormal range basis decide alike
+    tol = DEFAULT_CONFIG.tol_rank
+    threshold = np.arccos(1.0 - tol)
+    rng = np.random.default_rng(2024)
+    sides = {True: 0, False: 0}
+    for _ in range(1000):
+        n = int(rng.integers(2, 9))
+        d = int(rng.integers(1, n))
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        # R = span of q[:, d:]; F tilts q[:, 0] towards R by theta and keeps
+        # the rest of q[:, :d], so theta is the smallest angle
+        theta = threshold * rng.uniform(0.95, 1.05)
+        tilted = np.cos(theta) * q[:, d] + np.sin(theta) * q[:, 0]
+        f = Subspace(n, np.column_stack([tilted, q[:, 1:d]]))
+        g = Subspace(n, q[:, :d])
+        decided = oblique_projection(f, g, tol) is not None
+        assert decided == _angle_test(f, g, tol), theta / threshold
+        sides[decided] += 1
+    assert min(sides.values()) > 300
 
 
 def test_operator_norm_and_spectral_radius():
@@ -218,24 +255,6 @@ def test_null_space_matches_rational_elimination():
         assert es.null_space(mat.astype(float)).dim == _rational_nullity(mat.tolist())
 
 
-def test_subspace_arithmetic_matches_rational_elimination():
-    # ker A meet ker B = ker [A; B]; the sum dimension follows modularly
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        a = rng.integers(-2, 3, size=(n, n))
-        b = rng.integers(-2, 3, size=(n, n))
-        a[:, 0] = 0
-        b[:, -1] = 0
-        ker_a = es.null_space(a.astype(float))
-        ker_b = es.null_space(b.astype(float))
-        stacked = np.vstack([a, b])
-        meet_dim = _rational_nullity(stacked.tolist())
-        sum_dim = ker_a.dim + ker_b.dim - meet_dim
-        assert es.subspace_intersect([ker_a, ker_b]).dim == meet_dim
-        assert es.subspace_sum([ker_a, ker_b]).dim == sum_dim
-
-
 def test_subspace_membership_and_projector():
     basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2))
                          + 1j * np.random.default_rng(1).standard_normal((4, 2)))[0]
@@ -260,25 +279,6 @@ def test_null_space_properties_random(seed):
         assert np.linalg.norm(mat @ space.basis) < 1e-8 * max(1, np.linalg.norm(mat))
         gram = space.basis.conj().T @ space.basis
         assert np.linalg.norm(gram - np.eye(space.dim)) <= 1e-11
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_subspace_sum_dim_bounds_random(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    d1, d2 = int(rng.integers(0, n + 1)), int(rng.integers(0, n + 1))
-    q = np.linalg.qr(rng.standard_normal((n, n))
-                     + 1j * rng.standard_normal((n, n)))[0]
-    s1 = Subspace(n, q[:, :d1])
-    s2_basis = np.linalg.qr(rng.standard_normal((n, d2))
-                            + 1j * rng.standard_normal((n, d2)))[0][:, :d2] \
-        if d2 else np.zeros((n, 0), dtype=complex)
-    s2 = Subspace(n, s2_basis)
-    total = es.subspace_sum([s1, s2])
-    meet = es.subspace_intersect([s1, s2])
-    assert max(d1, d2) <= total.dim <= min(n, d1 + d2)
-    assert total.dim + meet.dim == d1 + d2  # modular law for dimensions
 
 
 def test_as_complex_matrix_rejects_nonfinite():
