@@ -72,8 +72,8 @@ def _emit(args, report):
 
 def _run_sections(args):
     config = _build_config(args)
-    rep, raw = load_representation(args.path, config)
-    report = analyze(rep, config, args.seed, input_json=raw, sections=args.sections)
+    rep = load_representation(args.path, config)
+    report = analyze(rep, config, args.seed, sections=args.sections)
     if getattr(args, "cesaro_csv", None):
         trace = report.to_json().get("ergodic", {}).get("cesaro_trace", [])
         with open(args.cesaro_csv, "w", newline="") as fh:
@@ -86,7 +86,7 @@ def _run_sections(args):
 
 def cmd_dual(args):
     config = _build_config(args)
-    rep, _ = load_representation(args.path, config)
+    rep = load_representation(args.path, config)
     if not rep.is_finite:
         print("the unitary dual of N^k is the k-torus; it is not enumerable",
               file=sys.stderr)
@@ -114,7 +114,7 @@ def cmd_falsify(args):
     config = _build_config(args)
     if args.trials < 1:
         raise ErgospecError(f"trials must be at least 1, got {args.trials}")
-    rep, _ = load_representation(args.path, config)
+    rep = load_representation(args.path, config)
     from .representations import certify_boundedness
     rep = certify_boundedness(rep, config, args.seed)
     chi = load_character(args.character, rep.semigroup)

@@ -17,9 +17,8 @@ from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
 from .serialize import (
     character_to_json,
-    digest,
     matrix_to_json,
-    representation_to_json,
+    representation_digest,
 )
 
 
@@ -40,8 +39,7 @@ def _complex_str(z):
     return f"{z.real:+.6f}{z.imag:+.6f}i"
 
 
-def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
-            sections=None):
+def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
     """Run the full pipeline and collect a structured report.
 
     sections: optional iterable restricting the analysis
@@ -57,8 +55,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, input_json=None,
     timings = {}
     report = {
         "schema": "v1",
-        "input_digest": digest(input_json if input_json is not None
-                               else representation_to_json(rep)),
+        "input_digest": representation_digest(rep),
         "tolerances": config.to_dict(),
         "seed": seed,
         "conventions": {"dual_pairing": "transpose (bilinear)"},

@@ -26,9 +26,16 @@ def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def digest(obj):
-    """Stable hex digest of a JSON-serializable object."""
-    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+def representation_digest(rep):
+    """The report's `input_digest`: SHA-256 over canonical_dumps({"dim": n,
+    "semigroup": rep.semigroup.to_json()}), then over each matrix in input
+    order as the row-major little-endian complex128 bytes of a + 0.0, which
+    folds -0.0 into 0.0. How the input file was written does not enter it."""
+    header = canonical_dumps({"dim": rep.dim, "semigroup": rep.semigroup.to_json()})
+    h = hashlib.sha256(header.encode())
+    for a in rep.matrices:
+        h.update(np.ascontiguousarray(a + 0.0, dtype="<c16"))
+    return h.hexdigest()
 
 
 def semigroup_to_json(semigroup):
@@ -61,12 +68,8 @@ def semigroup_from_json(data):
 
 def matrix_to_json(mat):
     mat = np.asarray(mat, dtype=np.complex128)
-    return {
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
-        "re": [float(x) for x in mat.real.ravel()],
-        "im": [float(x) for x in mat.imag.ravel()],
-    }
+    return {"rows": mat.shape[0], "cols": mat.shape[1],
+            "re": mat.real.ravel().tolist(), "im": mat.imag.ravel().tolist()}
 
 
 def matrix_from_json(data):
@@ -132,7 +135,7 @@ def _decoding(what):
 def load_representation(path, config=None):
     data = _read_json(path)
     with _decoding("representation"):
-        return representation_from_json(data, config), data
+        return representation_from_json(data, config)
 
 
 def load_character(path, semigroup):

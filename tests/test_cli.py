@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergospec import cli
 from ergospec.cli import main
@@ -226,6 +230,69 @@ def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
     assert code == 2
     assert err.startswith("error: malformed representation: ")
     assert err.count("\n") == 1
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+JUNK = [None, "x", [], True, -1, 0, 10**30]
+
+
+def _keys(obj):
+    """Every (dict, key) pair in a JSON tree."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield obj, key
+            yield from _keys(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _keys(value)
+
+
+def _number_lists(data):
+    """The re and im lists of every matrix and the rows of a Cayley table."""
+    for matrix in data["matrices"]["list"]:
+        yield matrix["re"]
+        yield matrix["im"]
+    yield from data["semigroup"].get("table", [])
+
+
+def _some_node(data, draw):
+    """(container, key) of a node of the tree, found by walking down from
+    the root and stopping at each level with a drawn bit."""
+    node = data
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        parent, node = node, node[key]
+        if not (isinstance(node, (dict, list)) and node) or draw(st.booleans()):
+            return parent, key
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_fixtures_exit_cleanly(tmp_path_factory, data):
+    """A fixture with a key dropped, a value replaced by junk, or a number
+    list cut or extended exits with 0, 1 or 2 and never raises."""
+    draw = data.draw
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    kind = draw(st.sampled_from(["drop", "replace", "resize"]))
+    if kind == "drop":
+        parent, key = draw(st.sampled_from(list(_keys(doc))))
+        del parent[key]
+    elif kind == "replace":
+        parent, key = _some_node(doc, draw)
+        parent[key] = draw(st.sampled_from(JUNK))
+    else:
+        numbers = draw(st.sampled_from(list(_number_lists(doc))))
+        if draw(st.booleans()):
+            del numbers[draw(st.integers(0, len(numbers) - 1)):]
+        else:
+            numbers.append(draw(st.sampled_from([0, 0.5])))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["analyze", str(path)])
+    assert code in (0, 1, 2)
 
 
 def test_malformed_character_exit_code(capsys, tmp_path):

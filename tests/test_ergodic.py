@@ -369,7 +369,7 @@ def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
 def test_stability_witness_matches_the_analysis_of_the_stable_part(case):
     # oracle: the stability verdict of a separate Analysis of T|E_s
     if isinstance(case, str):
-        rep, _ = load_representation(str(FIXTURES / f"{case}.json"))
+        rep = load_representation(str(FIXTURES / f"{case}.json"))
         rep = es.certify_boundedness(rep)
     else:
         rep, _ = random_certified_instance(case, max_rank=2, max_dim=10)
@@ -384,7 +384,7 @@ def test_stability_witness_matches_the_analysis_of_the_stable_part(case):
 def test_the_identity_is_no_contraction_witness():
     # semilattice {0, 1}: T_0 = I restricted to E_s has norm 1 up to
     # rounding, so the witness is 1, whose restriction vanishes
-    rep, _ = load_representation(str(FIXTURES / "semilattice.json"))
+    rep = load_representation(str(FIXTURES / "semilattice.json"))
     assert rep.semigroup.neutral == 0
     dec = es.peripheral_decomposition(es.certify_boundedness(rep))
     assert dec.stability_witness == 1
@@ -407,7 +407,7 @@ def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized
         return space
 
     monkeypatch.setattr(ergodic, "_joint_kernel", patched)
-    rep, _ = load_representation(str(FIXTURES / "threshold.json"))
+    rep = load_representation(str(FIXTURES / "threshold.json"))
     dec = es.peripheral_decomposition(es.certify_boundedness(rep))
     assert dec.stability_witness == 2
     assert dec.stability_norm < 1e-15
@@ -456,13 +456,13 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     ("circulant_stochastic_8", {"is_pole": 0, "_pole_verdict": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
-    rep, raw = load_representation(str(FIXTURES / f"{name}.json"))
+    rep = load_representation(str(FIXTURES / f"{name}.json"))
     calls = {route: _count_calls(monkeypatch, route, module)
              for route, module in (("mean_ergodic_analysis", ergodic),
                                    ("is_pole", ergodic),
                                    ("_pole_verdict", ergodic),
                                    ("joint_block_decomposition", linalg))}
-    report = es.analyze(rep, input_json=raw)
+    report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 1
     assert report.data["positivity"]["nisa"]["trivial_char_riesz"]
@@ -471,9 +471,9 @@ def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
 
 def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
     # certification and the spectrum share one joint block decomposition
-    rep, raw = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
+    rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
     calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
-    report = es.analyze(rep, input_json=raw, sections=["spectrum"])
+    report = es.analyze(rep, sections=["spectrum"])
     assert report.data["boundedness"]["status"] == "certified"
     assert len(calls) == 1
     assert report.data["unitary_spectrum"]["decomposition_seed"] == DEFAULT_SEED
@@ -483,9 +483,9 @@ def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
 def test_spectrum_op_decomposes_no_finite_generators(name, monkeypatch):
     # a finite monoid's candidates are its dual's trace multiplicities,
     # so the report names no decomposition
-    rep, raw = load_representation(str(FIXTURES / f"{name}.json"))
+    rep = load_representation(str(FIXTURES / f"{name}.json"))
     calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
-    report = es.analyze(rep, input_json=raw, sections=["spectrum"])
+    report = es.analyze(rep, sections=["spectrum"])
     assert calls == []
     assert report.data["unitary_spectrum"]["count"] > 0
     assert "decomposition_seed" not in report.data["unitary_spectrum"]
@@ -610,7 +610,7 @@ def _oracle_rep(case):
         return es.regular_representation(monoids[case])
     if case == "non_pole":   # ker(1 - T) = rg(1 - T) = span(e_1)
         return n1_rep(np.array([[1.0, 1.5e-10], [0.0, 1.0]], dtype=complex))
-    rep, _ = load_representation(str(FIXTURES / f"{case}.json"))
+    rep = load_representation(str(FIXTURES / f"{case}.json"))
     return es.certify_boundedness(rep)
 
 

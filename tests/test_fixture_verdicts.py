@@ -14,12 +14,15 @@ Re-record only on purpose, after a change meant to alter verdicts:
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ergospec.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 
 RECORDED = FIXTURES.parent / "tests" / "fixture_verdicts.json"
 NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
@@ -67,6 +70,33 @@ def test_every_fixture_is_recorded():
 @pytest.mark.parametrize("name", NAMES)
 def test_fixture_verdicts_match_the_record(name):
     assert verdicts(name) == json.loads(RECORDED.read_text())[name]
+
+
+# prints each fixture's `analyze` report without its timings, one a line
+REPORTS = """
+import sys
+from ergospec.report import analyze
+from ergospec.serialize import canonical_dumps, load_representation
+for path in sys.argv[1:]:
+    report = analyze(load_representation(path)).to_json()
+    del report["timings"]
+    print(canonical_dumps(report))
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    paths = [str(FIXTURES / f"{name}.json") for name in NAMES]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", REPORTS, *paths], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == len(NAMES)
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

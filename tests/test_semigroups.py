@@ -168,7 +168,7 @@ def _closure(monoid, gens):
 
 def _generator_cases():
     for name in ("klein_four", "semilattice", "threshold"):
-        semigroup = load_representation(str(FIXTURES / f"{name}.json"))[0].semigroup
+        semigroup = load_representation(str(FIXTURES / f"{name}.json")).semigroup
         yield name, semigroup
     atoms = [cyclic_monoid(5), cyclic_monoid(6), chain_monoid(3), truncated_monoid(4)]
     monoids = atoms + [product_monoid(a, b) for a, b in itertools.combinations(atoms, 2)]

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import tracemalloc
 
@@ -5,14 +8,16 @@ import numpy as np
 import pytest
 
 import ergospec as es
+from ergospec.cli import main
 from ergospec.errors import ParseError
 from ergospec.serialize import (
     canonical_dumps,
     character_from_json,
     character_to_json,
-    digest,
+    load_representation,
     matrix_from_json,
     matrix_to_json,
+    representation_digest,
     representation_from_json,
     representation_to_json,
     semigroup_from_json,
@@ -70,7 +75,6 @@ def test_representation_dim_mismatch(klein_rep):
 def test_parse_error_carries_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "semigroup": [,]\n}\n')
-    from ergospec.serialize import load_representation
     with pytest.raises(ParseError) as err:
         load_representation(bad)
     assert err.value.line == 2
@@ -97,9 +101,99 @@ def test_character_rejects_non_multiplicative(semilattice_monoid):
         character_from_json(data, semilattice_monoid)
 
 
-def test_digest_is_stable_under_key_order():
-    assert digest({"a": 1, "b": [2, 3]}) == digest({"b": [2, 3], "a": 1})
-    assert digest({"a": 1}) != digest({"a": 2})
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
+
+
+def _entrywise(data):
+    """The fixture's representation with each entry built as complex(re, im),
+    which keeps an imaginary -0.0 that the decoder's re + 1j * im drops."""
+    mats = []
+    for m in data["matrices"]["list"]:
+        entries = [complex(x, y) for x, y in zip(m["re"], m["im"])]
+        mats.append(np.array(entries).reshape(m["rows"], m["cols"]))
+    return es.validate_representation(semigroup_from_json(data["semigroup"]), mats)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cli_and_in_memory_inputs_share_the_digest(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["spectrum", str(FIXTURES / f"{name}.json"), "--format", "json"])
+    assert code == 0
+    from_file = json.loads(out.getvalue())["input_digest"]
+    for rep in (representation_from_json(load_fixture(name)), _entrywise(load_fixture(name))):
+        report = es.analyze(rep, sections=["spectrum"])
+        assert report.data["input_digest"] == from_file
+
+
+def _rewritten(obj, leaf=lambda x: x, order=list):
+    """A copy of a JSON tree with each dict's keys in order(dict) and each
+    leaf x replaced by leaf(x)."""
+    if isinstance(obj, dict):
+        return {key: _rewritten(obj[key], leaf, order) for key in order(obj)}
+    if isinstance(obj, list):
+        return [_rewritten(x, leaf, order) for x in obj]
+    return leaf(obj)
+
+
+REWRITES = {
+    "indent_2": lambda data: json.dumps(data, indent=2),
+    "reversed_keys": lambda data: json.dumps(
+        _rewritten(data, order=lambda d: reversed(list(d)))),
+    "1.0_as_1": lambda data: json.dumps(_rewritten(
+        data, lambda x: int(x) if isinstance(x, float) and x.is_integer() else x)),
+    "-0.0_as_0.0": lambda data: json.dumps(_rewritten(
+        data, lambda x: x + 0.0 if isinstance(x, float) else x)),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(REWRITES))
+def test_digest_is_stable_under_rewriting_the_file(rewrite, tmp_path):
+    # the circle fixtures hold -0.0 entries, most fixtures 1.0
+    for name in FIXTURE_NAMES:
+        path = FIXTURES / f"{name}.json"
+        again = tmp_path / f"{name}.json"
+        again.write_text(REWRITES[rewrite](load_fixture(name)))
+        assert (representation_digest(load_representation(again))
+                == representation_digest(load_representation(path))), name
+
+
+def _one_ulp_up(data):
+    data["matrices"]["list"][0]["re"][0] = float(np.nextafter(
+        data["matrices"]["list"][0]["re"][0], np.inf))
+
+
+def _swap_matrices(data):
+    mats = data["matrices"]["list"]
+    mats[0], mats[1] = mats[1], mats[0]
+
+
+@pytest.mark.parametrize("name, change", [
+    ("klein_four", _one_ulp_up),
+    ("circle_discretization_4", _one_ulp_up),
+    ("circle_discretization_4", _swap_matrices),
+])
+def test_digest_sees_the_matrices(name, change):
+    data = load_fixture(name)
+    before = representation_digest(representation_from_json(data))
+    change(data)
+    assert representation_digest(representation_from_json(data)) != before
+
+
+def test_digest_sees_the_semigroup():
+    # the trivial representations of the semilattice {0, 1} and of Z2,
+    # whose Cayley tables differ in the entry 1 + 1 alone
+    def trivial(table):
+        return representation_from_json({
+            "semigroup": {"type": "cayley", "size": 2, "neutral": 0, "table": table},
+            "dim": 1,
+            "matrices": {"per": "element", "list": [matrix_to_json(np.eye(1))] * 2}})
+
+    semilattice, z2 = trivial([[0, 1], [1, 1]]), trivial([[0, 1], [1, 0]])
+    assert representation_digest(semilattice) != representation_digest(z2)
+    moved = dataclasses.replace(
+        semilattice, semigroup=dataclasses.replace(semilattice.semigroup, neutral=1))
+    assert representation_digest(moved) != representation_digest(semilattice)
 
 
 def test_fixture_files_load_and_validate():

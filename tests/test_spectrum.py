@@ -229,7 +229,7 @@ def test_spectrum_does_not_depend_on_the_labels(factors):
 
 def _finite_cases():
     for path in sorted(FIXTURES.glob("*.json")):
-        rep, _ = load_representation(str(path))
+        rep = load_representation(str(path))
         if rep.is_finite:
             yield pytest.param(es.certify_boundedness(rep), id=path.stem)
     for name, monoid in (("Z8", cyclic_monoid(8)),
