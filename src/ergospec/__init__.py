@@ -24,9 +24,7 @@ from .characters import (
     trivial_character,
 )
 from .linalg import (
-    BlockDecomposition,
     Subspace,
-    joint_block_decomposition,
     null_space,
     oblique_projection,
     operator_norm,

@@ -116,7 +116,7 @@ def cmd_falsify(args):
         raise ErgospecError(f"trials must be at least 1, got {args.trials}")
     rep = load_representation(args.path, config)
     from .representations import certify_boundedness
-    rep = certify_boundedness(rep, config, args.seed)
+    rep = certify_boundedness(rep, config)
     chi = load_character(args.character, rep.semigroup)
     verdict = laplace_falsifier(rep, chi, trials=args.trials, config=config,
                                 seed=args.seed)
@@ -172,7 +172,7 @@ def cmd_ensemble(args):
             instance = maker(seed, max_rank=args.k, max_dim=args.n, config=config)
             rep = instance[0] if isinstance(instance, tuple) else instance
             if args.ensemble in ("circulant", "polynomial"):
-                analysis = Analysis(rep, config, seed)
+                analysis = Analysis(rep, config)
                 nisa_suite_of(analysis)
                 if check_positive(rep, config).is_positive:
                     domination_check_of(analysis)

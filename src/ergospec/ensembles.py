@@ -82,7 +82,7 @@ def random_certified_instance(seed, max_rank=3, max_dim=24, config=None):
     generators = [q @ a @ q_inv for a in mats]
 
     rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
-    rep = certify_boundedness(rep, config, seed=int(rng.integers(0, 2**31)))
+    rep = certify_boundedness(rep, config)
     if not rep.boundedness.is_certified:
         raise AssertionError("planted instance failed certification: "
                              + rep.boundedness.detail)
@@ -124,7 +124,7 @@ def random_circulant_stochastic_instance(seed, max_rank=3, max_dim=24, config=No
             row = weights / weights.sum()
         generators.append(_circulant(row))
     rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
-    return certify_boundedness(rep, config, seed=int(rng.integers(0, 2**31)))
+    return certify_boundedness(rep, config)
 
 
 def random_polynomial_instance(seed, max_rank=3, max_dim=24, config=None,
@@ -157,7 +157,9 @@ def random_polynomial_instance(seed, max_rank=3, max_dim=24, config=None,
                 mat = mat * (target / radius)
             generators.append(mat.astype(np.complex128))
         rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
-        rep = certify_boundedness(rep, config, seed=int(rng.integers(0, 2**31)))
+        # an unused draw that keeps the next attempt's samples of each seed
+        rng.integers(0, 2**31)
+        rep = certify_boundedness(rep, config)
         if rep.boundedness.is_certified:
             return rep
     raise RuntimeError("could not sample a certified positive instance")

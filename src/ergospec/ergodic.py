@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .characters import trivial_character
-from .config import DEFAULT_CONFIG, DEFAULT_SEED
+from .config import DEFAULT_CONFIG
 from .errors import NonPoleSpectrum, NotBounded
 from .linalg import (
     Subspace,
@@ -106,7 +106,7 @@ class ErgodicReport:
         return self.fix_space.dim
 
 
-def mean_ergodic_analysis(rep, config=None, seed=DEFAULT_SEED, splits=None):
+def mean_ergodic_analysis(rep, config=None, splits=None):
     """Decide uniform mean ergodicity and build the mean ergodic projection.
 
     The verdict comes from the pairing of fix(T) with ker (1 - T)^H, which
@@ -167,10 +167,10 @@ class PoleVerdict:
         return self.status in (POLE, NOT_IN_SPECTRUM)
 
 
-def is_pole(rep, chi, config=None, seed=DEFAULT_SEED):
+def is_pole(rep, chi, config=None):
     """Pole test: chi is a pole of T iff ker(chi - T) and rg(chi - T) are
     direct complements; see Analysis.pole."""
-    return Analysis(rep, config, seed).pole(chi)
+    return Analysis(rep, config).pole(chi)
 
 
 def _pole_verdict(rep, chi, config, spectrum, splits, fix=None):
@@ -344,33 +344,27 @@ class QuasiCompactnessVerdict:
 
 
 class Analysis:
-    """One Certified representation under one configuration and seed, with
-    each route computed on first use and at most once (poles per character).
+    """One Certified representation under one configuration, with each
+    route computed on first use and at most once (poles per character).
 
     Verdicts read the routes they need from here. Each route is
     deterministic, so sharing its result gives the bits of recomputing it.
-    `block_decomposition`, when given, is the joint block decomposition of
-    rep.family() under this config and seed (N^k only).
     """
 
-    def __init__(self, rep, config=None, seed=DEFAULT_SEED, block_decomposition=None):
+    def __init__(self, rep, config=None):
         self.rep = rep
         self.config = DEFAULT_CONFIG if config is None else config
-        self.seed = seed
-        self._block_decomposition = block_decomposition
         self._poles = {}
-        # ker of chi(g) - T_g and of its adjoint, one SVD per character and
-        # generator
+        # ker of z - T_g and of its adjoint, one SVD per generator and value
         self.splits = GeneratorSplits(rep, self.config)
 
     @cached_property
     def spectrum(self):
-        return unitary_spectrum(self.rep, self.config, self.seed,
-                                self._block_decomposition, self.splits)
+        return unitary_spectrum(self.rep, self.config, self.splits)
 
     @cached_property
     def ergodic(self):
-        return mean_ergodic_analysis(self.rep, self.config, self.seed, self.splits)
+        return mean_ergodic_analysis(self.rep, self.config, self.splits)
 
     @cached_property
     def _eigenspaces(self):
@@ -473,16 +467,16 @@ class Analysis:
         )
 
 
-def peripheral_decomposition(rep, config=None, seed=DEFAULT_SEED):
+def peripheral_decomposition(rep, config=None):
     """E_r + E_s with its projection; see Analysis.decomposition."""
-    return Analysis(rep, config, seed).decomposition
+    return Analysis(rep, config).decomposition
 
 
-def stability_verdict(rep, config=None, seed=DEFAULT_SEED):
+def stability_verdict(rep, config=None):
     """The stability verdict; see Analysis.stability."""
-    return Analysis(rep, config, seed).stability
+    return Analysis(rep, config).stability
 
 
-def quasi_compactness_verdict(rep, config=None, seed=DEFAULT_SEED):
+def quasi_compactness_verdict(rep, config=None):
     """The quasi-compactness verdict; see Analysis.quasi_compactness."""
-    return Analysis(rep, config, seed).quasi_compactness
+    return Analysis(rep, config).quasi_compactness

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import char_distance, trivial_character
-from .config import DEFAULT_CONFIG, DEFAULT_SEED
+from .config import DEFAULT_CONFIG
 from .errors import DominationViolation, EquivalenceViolation, NotBounded
 from .ergodic import Analysis
 
@@ -47,10 +47,10 @@ class NisaReport:
         return self.quasi_compact == self.ume_with_finite_fix == self.trivial_char_riesz
 
 
-def nisa_suite(rep, config=None, seed=DEFAULT_SEED):
+def nisa_suite(rep, config=None):
     """Evaluate the three equivalent verdicts for a positive representation
     by three independent routes and assert they agree."""
-    return nisa_suite_of(Analysis(rep, config, seed))
+    return nisa_suite_of(Analysis(rep, config))
 
 
 def nisa_suite_of(analysis):
@@ -101,10 +101,10 @@ class DominationReport:
     profile: list  # (character, eigenspace dim) per spectral character
 
 
-def domination_check(rep, config=None, seed=DEFAULT_SEED):
+def domination_check(rep, config=None):
     """dim ker(chi - T) <= dim fix(T) for every spectral character of a
     positive uniformly mean ergodic representation."""
-    return domination_check_of(Analysis(rep, config, seed))
+    return domination_check_of(Analysis(rep, config))
 
 
 def domination_check_of(analysis):

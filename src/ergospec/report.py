@@ -1,6 +1,6 @@
 """Full-pipeline analysis and its JSON report.
 
-The report is deterministic for a fixed input, seed, and tolerance
+The report is deterministic for a fixed input, recorded seed and tolerance
 configuration, except for the "timings" section, which is excluded from
 the determinism contract.
 """
@@ -12,14 +12,9 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .ergodic import Analysis, semigroup_at_infinity
 from .errors import NonPoleSpectrum
-from .linalg import joint_block_decomposition
 from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
-from .serialize import (
-    character_to_json,
-    matrix_to_json,
-    representation_digest,
-)
+from .serialize import matrix_to_json, representation_digest
 
 
 @dataclass
@@ -46,6 +41,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
     ("spectrum", "ergodic", "poles", "decomposition", "stability",
     "quasicompact", "positivity"); dependencies are pulled in as needed.
     Every section reads one shared Analysis, so each route runs at most once.
+    No route reads `seed`; the report records it.
     """
     config = DEFAULT_CONFIG if config is None else config
     wanted = set(sections) if sections is not None else {
@@ -67,15 +63,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         timings[name] = round(time.perf_counter() - start, 6)
         return result
 
-    def certify():
-        # over N^k certification and the spectrum read one joint block
-        # decomposition, the only one the analysis computes; a finite
-        # monoid needs none
-        decomposition = None if rep.is_finite else \
-            joint_block_decomposition(rep.family(), config, seed)
-        return certify_boundedness(rep, config, seed, decomposition), decomposition
-
-    rep, decomposition = timed("certify", certify)
+    rep = timed("certify", lambda: certify_boundedness(rep, config))
     report["boundedness"] = rep.boundedness.to_json()
     if not rep.boundedness.is_certified:
         report["skipped"] = {"reason": "representation is not certified bounded; "
@@ -83,18 +71,14 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         report["timings"] = timings
         return AnalysisReport(report, violations)
 
-    analysis = Analysis(rep, config, seed, decomposition)
+    analysis = Analysis(rep, config)
     spectrum = timed("spectrum", lambda: analysis.spectrum)
     report["unitary_spectrum"] = {
         "count": len(spectrum),
-        "characters": [character_to_json(c) for c in spectrum.characters],
+        "characters": [c.to_json() for c in spectrum.characters],
         "eigenspace_dims": [sp.dim for sp in spectrum.eigenspaces],
         "eigenspace_bases": [matrix_to_json(sp.basis) for sp in spectrum.eigenspaces],
     }
-    if spectrum.decomposition is not None:
-        report["unitary_spectrum"].update(
-            decomposition_seed=spectrum.decomposition.seed,
-            decomposition_warnings=list(spectrum.decomposition.warnings))
 
     if "ergodic" in wanted or "poles" in wanted or "quasicompact" in wanted:
         ergodic = timed("ergodic", lambda: analysis.ergodic)
@@ -128,7 +112,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             for chi in spectrum.characters:
                 verdict = analysis.pole(chi)
                 rows.append({
-                    "character": character_to_json(chi),
+                    "character": chi.to_json(),
                     "status": verdict.status,
                     "eigenspace_dim": verdict.eigenspace_dim,
                     "riesz": verdict.counts_as_pole,
@@ -151,7 +135,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             report["peripheral_decomposition"] = {
                 "reversible_dim": decomposition.reversible.dim,
                 "stable_dim": decomposition.stable.dim,
-                "characters": [character_to_json(c) for c in decomposition.characters],
+                "characters": [c.to_json() for c in decomposition.characters],
                 "projection": matrix_to_json(decomposition.projection),
                 "cross_residual": decomposition.cross_residual,
                 "stability_witness": list(decomposition.stability_witness)
@@ -173,7 +157,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             "witness_norm": stability.witness_norm,
             "budget_exceeded": stability.budget_exceeded,
             "zero_in_range": stability.zero_in_range,
-            "blocking_character": character_to_json(stability.blocking_character)
+            "blocking_character": stability.blocking_character.to_json()
             if stability.blocking_character is not None else None,
         }
         if rep.is_finite:
@@ -227,7 +211,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                     domination = domination_check_of(analysis)
                     out["domination"] = {
                         "fix_dim": domination.fix_dim,
-                        "profile": [{"character": character_to_json(c), "dim": d}
+                        "profile": [{"character": c.to_json(), "dim": d}
                                     for c, d in domination.profile],
                     }
                 except Exception as exc:

@@ -4,17 +4,19 @@ A representation stores one matrix per element (finite monoid) or one per
 generator (N^k). Validation certifies the homomorphism law from the
 generators, checking every pair against the Cayley table only when that
 certificate fails, or checks pairwise commutation of the generators.
-Boundedness over N^k is decided exactly from the joint block structure:
-every block whose joint value is unimodular in some generator must be
-acted on by that generator as the scalar itself.
+Boundedness over N^k is decided one generator at a time: every spectral
+subspace of a generator for a unimodular eigenvalue must be acted on by
+that generator as the scalar itself, and lie further from the rest of its
+spectrum than rounding can move it.
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .config import DEFAULT_CONFIG, DEFAULT_SEED
+from .config import DEFAULT_CONFIG
 from .errors import (
     BadNeutral,
     HomomorphismViolation,
@@ -24,8 +26,9 @@ from .errors import (
 )
 from .linalg import (
     BLOCK_ENTRIES,
+    _invariant_subspace,
+    _single_linkage_clusters,
     as_complex_matrix,
-    joint_block_decomposition,
     operator_norm,
     operator_norms,
 )
@@ -34,6 +37,14 @@ from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid
 CERTIFIED = "certified"
 UNBOUNDED = "unbounded"
 NOT_CHECKED = "not_checked"
+
+# Size of the perturbation by which rounding of the input and of its Schur
+# form moves eigenvalues, relative to ||T_g||_F. On seeded real and complex
+# inputs (n <= 12, similarity condition <= 1e3), a unimodular Jordan pair
+# that rounding split beyond tol_cluster sits within 2.7 eps ||T_g||_F / s
+# of its other half, and bounded unimodular clusters lie 8000 eps
+# ||T_g||_F / s or more from every other eigenvalue; 100 eps sits between.
+_ROUNDING = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -222,52 +233,60 @@ def representation_from_generators(monoid, generator_indices, generator_matrices
     return validate_representation(monoid, [known[s] for s in monoid.elements()], config)
 
 
-def certify_boundedness(rep, config=None, seed=DEFAULT_SEED, decomposition=None):
+def certify_boundedness(rep, config=None):
     """Attach a boundedness certificate.
 
-    Finite monoids are always bounded (finite range). Over N^k the joint
-    block decomposition of the generators is inspected: a block is
-    admissible iff every generator value has modulus <= 1 + tol_char, and
-    each generator with a peripheral value acts on the block as that exact
-    scalar (no nilpotent part). Any violation yields an Unbounded
-    certificate with the growth direction. `decomposition` is
-    joint_block_decomposition(rep.family(), config, seed) when the caller
-    already holds it.
+    Finite monoids are always bounded (finite range). Over N^k the
+    generators commute, so ||T_s|| <= prod_g ||T_g^(s_g)|| and T is bounded
+    iff every generator T_g is power-bounded: no eigenvalue of modulus above
+    1 + tol_char, and T_g acts on the spectral subspace Q of each unimodular
+    cluster psi of its eigenvalues as psi itself, ||Q^H T_g Q - psi I|| at
+    most tol_rank max(1, ||T_g||) max(1, w) for a cluster of w eigenvalues.
+    The clusters are those of the diagonal of one complex Schur form of
+    T_g at radius tol_cluster.
+
+    Rounding splits a defective eigenvalue into values whose spectral
+    subspaces are nearly parallel, possibly by more than tol_cluster. So a
+    unimodular cluster also fails when a perturbation of the size of the
+    rounding, _ROUNDING ||T_g||_F, can move its mean onto another
+    eigenvalue: when that distance is at most _ROUNDING ||T_g||_F / s, 1 / s
+    the norm of the cluster's spectral projector, which is also a lower
+    bound of sup_m ||T_g^m||. The first generator that fails is the witness
+    of an Unbounded certificate.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
         cert = BoundednessCertificate(CERTIFIED, detail="finite range")
         return replace(rep, boundedness=cert)
 
-    decomp = decomposition
-    if decomp is None:
-        decomp = joint_block_decomposition(rep.family(), config, seed)
-    u = decomp.unitary
-    transformed = [u.conj().T @ a @ u for a in rep.matrices]
-    for b, block in enumerate(decomp.block_slices()):
-        values = decomp.block_values[b]
-        for j, psi in enumerate(values):
+    for j, (label, a) in enumerate(zip(rep.semigroup.generators, rep.matrices)):
+        schur_form = scipy.linalg.schur(a, output="complex")
+        eigs = np.diag(schur_form[0])
+        rounding = _ROUNDING * np.linalg.norm(a)
+        for cluster in _single_linkage_clusters(eigs, config.tol_cluster):
+            psi = eigs[cluster].mean()
+            detail = None
             if abs(psi) > 1.0 + config.tol_char:
-                cert = BoundednessCertificate(
-                    UNBOUNDED,
-                    witness=rep.semigroup.generators[j],
-                    detail=f"block {b}: generator {j} has joint value of modulus "
-                           f"{abs(psi):.6f} > 1")
-                return replace(rep, boundedness=cert)
-            if abs(psi) >= 1.0 - config.tol_char:
-                width = block.stop - block.start
-                diag_block = transformed[j][block, block]
-                defect = operator_norm(diag_block - psi * np.eye(width))
+                detail = f"generator {j} has an eigenvalue of modulus {abs(psi):.6f} > 1"
+            elif abs(psi) >= 1.0 - config.tol_char:
+                q, width, s = _invariant_subspace(schur_form, eigs[cluster],
+                                                  config.tol_cluster)
+                defect = operator_norm(q.conj().T @ a @ q - psi * np.eye(width))
                 scale = max(1.0, rep.generator_norms[j])
+                gap = np.abs(np.delete(eigs, cluster) - psi).min(initial=np.inf)
                 if defect > config.tol_rank * scale * max(1, width):
-                    cert = BoundednessCertificate(
-                        UNBOUNDED,
-                        witness=rep.semigroup.generators[j],
-                        detail=f"block {b}: generator {j} is peripheral but acts "
-                               f"with nilpotent defect {defect:.3e}")
-                    return replace(rep, boundedness=cert)
+                    detail = (f"generator {j} is peripheral at {complex(psi):.6f} "
+                              f"but acts with nilpotent defect {defect:.3e}")
+                elif gap * s <= rounding:
+                    detail = (f"generator {j} is peripheral at {complex(psi):.6f} "
+                              f"with spectral projector norm {1 / s:.3e}, within "
+                              f"rounding of another eigenvalue {gap:.3e} away")
+            if detail:
+                cert = BoundednessCertificate(UNBOUNDED, witness=label, detail=detail)
+                return replace(rep, boundedness=cert)
     return replace(rep, boundedness=BoundednessCertificate(
-        CERTIFIED, detail="all peripheral blocks act as exact scalars"))
+        CERTIFIED, detail="every generator acts as a scalar on each peripheral "
+                          "spectral subspace"))
 
 
 def rotate(rep, chi):

@@ -38,10 +38,6 @@ def representation_digest(rep):
     return h.hexdigest()
 
 
-def semigroup_to_json(semigroup):
-    return semigroup.to_json()
-
-
 def _integer(value, name):
     """`value`, which schema/v1 requires to be an integer. Python counts a
     bool as an int, JSON does not."""
@@ -84,8 +80,11 @@ def matrix_from_json(data):
 
 
 def representation_to_json(rep):
+    """The wire format of a representation, which representation_from_json
+    reads back. The package itself writes no representation; the tests
+    round-trip inputs through it."""
     return {
-        "semigroup": semigroup_to_json(rep.semigroup),
+        "semigroup": rep.semigroup.to_json(),
         "dim": rep.dim,
         "matrices": {
             "per": "element" if rep.is_finite else "generator",
@@ -142,10 +141,6 @@ def load_character(path, semigroup):
     data = _read_json(path)
     with _decoding("character"):
         return character_from_json(data, semigroup)
-
-
-def character_to_json(chi):
-    return chi.to_json()
 
 
 def _angle(pair):

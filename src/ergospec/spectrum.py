@@ -3,8 +3,9 @@
 In finite dimension the unitary spectrum coincides with the unitary point
 spectrum: a unitary character belongs to the spectrum exactly when the
 commuting family has a joint eigenvector for it. Candidates are read off
-the trace multiplicities of the exact dual (finite monoid) or the joint
-block decomposition (N^k) and confirmed by a nonzero joint kernel.
+the trace multiplicities of the exact dual (finite monoid) or the
+generators' unimodular eigenvalue clusters (N^k) and confirmed by a
+nonzero joint kernel.
 The coefficient-inequality falsifier provides an independent one-sided
 refutation route.
 """
@@ -24,7 +25,7 @@ from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NotBounded, NotNormalized
 from .linalg import (
     Subspace,
-    joint_block_decomposition,
+    _single_linkage_clusters,
     kernel_and_cokernel,
     null_space,
     operator_norm,
@@ -36,7 +37,6 @@ class UnitarySpectrumResult:
     characters: list          # UnitaryCharacter, canonically ordered
     eigenspaces: list         # Subspace per character, each nonzero
     witnesses: list           # one joint eigenvector per character
-    decomposition: object = None  # the joint block decomposition (N^k only)
 
     def __len__(self):
         return len(self.characters)
@@ -47,56 +47,54 @@ class UnitarySpectrumResult:
 
 
 class GeneratorSplits:
-    """ker(chi(g) - T_g) and ker((chi(g) - T_g)^H) per (character,
-    generator index), each pair from one SVD taken on first use
-    (linalg.kernel_and_cokernel).
+    """ker(z - T_g) and ker((z - T_g)^H) per (generator index, value z),
+    each pair from one SVD taken on first use (linalg.kernel_and_cokernel).
 
     An Analysis holds one, so the spectrum, the mean ergodic split and the
-    poles factor each such matrix once. Characters are keyed by the repr of
-    their canonical key, which tells -0.0 from 0.0, so equal keys mean
-    bit-equal characters."""
+    poles factor each such matrix once, and characters that agree on a
+    generator share its factorization."""
 
     def __init__(self, rep, config):
         self.rep = rep
         self.config = config
         self._splits = {}
 
-    def __call__(self, chi, index):
-        key = (repr(chi.canonical_key()), index)
+    def __call__(self, index, z):
+        key = (index, z)
         if key not in self._splits:
             rep = self.rep
-            g = rep.semigroup.generators[index]
-            a = chi(g) * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
-            # the scale floor keeps chi(g) - T_g near zero from reading as
-            # full rank
+            a = z * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
+            # the scale floor keeps z - T_g near zero from reading as full rank
             self._splits[key] = kernel_and_cokernel(
                 a, self.config.tol_rank, scale=max(1.0, rep.generator_norms[index]))
         return self._splits[key]
 
 
+def _cut(rep, kernel, index, z, config, adjoint=False):
+    """The kernel of z - T_g, or of (z - T_g)^H when `adjoint` is set,
+    inside the subspace `kernel`, g the generator at `index`: the kernel of
+    the n x dim K matrix (z - T_g) K, with the scale floor of the full
+    kernel."""
+    a = z * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
+    if adjoint:
+        a = a.conj().T
+    inner = null_space(a @ kernel.basis, config.tol_rank,
+                       scale=max(1.0, rep.generator_norms[index]))
+    if inner.dim < kernel.dim:   # else K's basis stays as it is
+        kernel = Subspace(rep.dim, kernel.basis @ inner.basis)
+    return kernel
+
+
 def _joint_kernel(rep, chi, config, splits, adjoint=False):
     """The intersection over the generators g of ker(chi(g) - T_g), or of
-    ker((chi(g) - T_g)^H) when `adjoint` is set.
-
-    The first generator's kernel K comes from `splits`. Each later
-    generator g cuts K down to the kernel of (chi(g) - T_g) K, or of
-    (chi(g) - T_g)^H K, an n x dim K matrix, with the scale floor of its own
-    kernel.
-    """
-    kernel = splits(chi, 0)[int(adjoint)]
-    family = rep.family()
-    eye = np.eye(rep.dim, dtype=np.complex128)
-    for index in range(1, len(family)):
+    ker((chi(g) - T_g)^H) when `adjoint` is set: the first generator's
+    kernel from `splits`, cut by each later generator (_cut)."""
+    generators = rep.semigroup.generators
+    kernel = splits(0, chi(generators[0]))[int(adjoint)]
+    for index in range(1, len(generators)):
         if kernel.dim == 0:
             break
-        g = rep.semigroup.generators[index]
-        a = chi(g) * eye - family[index]
-        if adjoint:
-            a = a.conj().T
-        inner = null_space(a @ kernel.basis, config.tol_rank,
-                           scale=max(1.0, rep.generator_norms[index]))
-        if inner.dim < kernel.dim:   # else K's basis stays as it is
-            kernel = Subspace(rep.dim, kernel.basis @ inner.basis)
+        kernel = _cut(rep, kernel, index, chi(generators[index]), config, adjoint)
     return kernel
 
 
@@ -127,61 +125,88 @@ def _trace_multiplicities(rep):
     return numerators, (conjugates[numerators[:, group.carrier]] @ traces).real / order
 
 
-def _candidate_characters(rep, decomposition, config):
-    """Finite monoid: the dual characters of trace multiplicity at least
-    1/2. N^k: unimodular per-block value tuples of the joint block
-    decomposition, turned into characters."""
-    semigroup = rep.semigroup
-    if rep.is_finite:
-        numerators, multiplicities = _trace_multiplicities(rep)
-        return _characters_from_numerators(semigroup, numerators[multiplicities >= 0.5],
-                                           len(numerators))
-    seen = []
-    for values in decomposition.block_values:
-        if any(abs(abs(v) - 1.0) > config.tol_char for v in values):
-            continue
-        unit = tuple(v / abs(v) for v in values)
-        chi = UnitaryCharacter(semigroup, gen_values=unit)
-        if all(char_distance(chi, other) > config.tol_cluster for other in seen):
-            seen.append(chi)
-    return seen
+def _unimodular_values(eigenvalues, config):
+    """The mean of each cluster of the eigenvalues at radius tol_cluster
+    that lies within tol_char of the unit circle, scaled to modulus 1."""
+    values = []
+    for cluster in _single_linkage_clusters(eigenvalues, config.tol_cluster):
+        mean = complex(eigenvalues[cluster].mean())
+        if abs(abs(mean) - 1.0) <= config.tol_char:
+            values.append(mean / abs(mean))
+    return values
 
 
-def unitary_spectrum(rep, config=None, seed=DEFAULT_SEED, decomposition=None,
-                     splits=None):
+def _joint_unimodular_kernels(rep, config, splits):
+    """N^k: (generator values, joint kernel) of each unimodular joint
+    eigenvalue tuple of the generators with a nonzero joint kernel.
+
+    The walk takes each unimodular eigenvalue cluster z of T_1 and the
+    kernel K = ker(z - T_1), which every later generator leaves invariant
+    as it commutes with T_1. It continues with the clusters of
+    K^H T_2 K, cutting K by each (_cut), and so on through the
+    generators. A leaf's kernel is the joint kernel of its character."""
+    family = rep.family()
+    found = []
+
+    def walk(values, kernel):
+        index = len(values)
+        if index == len(family):
+            found.append((values, kernel))
+            return
+        a = family[index] if kernel is None else \
+            kernel.basis.conj().T @ family[index] @ kernel.basis
+        for z in _unimodular_values(np.linalg.eigvals(a), config):
+            cut = splits(index, z)[0] if kernel is None else \
+                _cut(rep, kernel, index, z, config)
+            if cut.dim:
+                walk(values + (z,), cut)
+
+    walk((), None)
+    return found
+
+
+def _spectral_order(chi):
+    """Exact angles for a finite monoid. Over N^k the generator values
+    rounded to 6 decimals first, and then the exact values. Rounding noise
+    then flips two characters with equal parts, such as a conjugate pair
+    on one vertical line, only when that part lies within the noise of a
+    rounding boundary, an odd multiple of 5e-7."""
+    if chi.is_exact:
+        return chi.canonical_key()
+    return (tuple((round(z.real, 6), round(z.imag, 6)) for z in chi.gen_values),
+            chi.canonical_key())
+
+
+def unitary_spectrum(rep, config=None, splits=None):
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
-    outcome (a stable representation), not an error. Each candidate
-    character is kept when its joint kernel is nonzero. Over N^k the
-    candidates come from the joint block decomposition of the generators,
-    `decomposition` when the caller already holds it; `splits` is the
-    caller's GeneratorSplits of rep.
+    outcome (a stable representation), not an error. Over a finite monoid
+    the candidates are the dual characters of trace multiplicity at least
+    1/2, each kept when its joint kernel is nonzero. Over N^k they come
+    from the walk of _joint_unimodular_kernels. `splits` is the caller's
+    GeneratorSplits of rep.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("unitary_spectrum requires a Certified representation")
+    splits = GeneratorSplits(rep, config) if splits is None else splits
 
-    if decomposition is None and not rep.is_finite:
-        decomposition = joint_block_decomposition(rep.family(), config, seed)
-    candidates = _candidate_characters(rep, decomposition, config)
+    if rep.is_finite:
+        numerators, multiplicities = _trace_multiplicities(rep)
+        candidates = _characters_from_numerators(
+            rep.semigroup, numerators[multiplicities >= 0.5], len(numerators))
+        found = [(chi, eigenspace(rep, chi, config, splits)) for chi in candidates]
+        found = [(chi, space) for chi, space in found if space.dim]
+    else:
+        found = [(UnitaryCharacter(rep.semigroup, gen_values=values), space)
+                 for values, space in _joint_unimodular_kernels(rep, config, splits)]
 
-    characters, spaces, witnesses = [], [], []
-    for chi in candidates:
-        space = eigenspace(rep, chi, config, splits)
-        if space.dim == 0:
-            continue
-        characters.append(chi)
-        spaces.append(space)
-        witnesses.append(space.basis[:, 0])
-
-    order = sorted(range(len(characters)),
-                   key=lambda i: characters[i].canonical_key())
+    found.sort(key=lambda pair: _spectral_order(pair[0]))
     return UnitarySpectrumResult(
-        characters=[characters[i] for i in order],
-        eigenspaces=[spaces[i] for i in order],
-        witnesses=[witnesses[i] for i in order],
-        decomposition=decomposition,
+        characters=[chi for chi, _ in found],
+        eigenspaces=[space for _, space in found],
+        witnesses=[space.basis[:, 0] for _, space in found],
     )
 
 

@@ -152,15 +152,14 @@ def test_criterion_3_uniform_ergodicity_equivalences(certified_ensemble):
     start = time.perf_counter()
     disagreements = []
     for seed, rep, _ in certified_ensemble:
-        ergodic = es.mean_ergodic_analysis(rep, seed=seed)
+        ergodic = es.mean_ergodic_analysis(rep)
         route_e = ergodic.is_ume
         if ergodic.mean_projection is not None:
             route_b = min(row[2] for row in ergodic.cesaro_trace) \
                 <= DEFAULT_CONFIG.cesaro_target
         else:
             route_b = False
-        route_d = es.is_pole(rep, trivial_character(rep.semigroup),
-                             seed=seed).counts_as_pole
+        route_d = es.is_pole(rep, trivial_character(rep.semigroup)).counts_as_pole
         if not (route_e == route_b == route_d):
             disagreements.append((seed, route_e, route_b, route_d))
     elapsed = time.perf_counter() - start
@@ -175,7 +174,7 @@ def test_criterion_4_peripheral_decomposition(certified_ensemble):
     start = time.perf_counter()
     failures = []
     for seed, rep, _ in certified_ensemble:
-        dec = es.peripheral_decomposition(rep, seed=seed)
+        dec = es.peripheral_decomposition(rep)
         p = dec.projection
         residual = es.operator_norm(p @ p - p)
         for a in rep.matrices:
@@ -198,7 +197,7 @@ def test_criterion_5_stability_witnesses(certified_ensemble, klein_rep,
     start = time.perf_counter()
     failures = []
     for seed, rep, _ in certified_ensemble:
-        verdict = es.stability_verdict(rep, seed=seed)
+        verdict = es.stability_verdict(rep)
         if verdict.is_stable:
             if verdict.budget_exceeded or verdict.witness_norm is None \
                     or verdict.witness_norm >= 1.0:
@@ -236,15 +235,15 @@ def test_criterion_6_positive_equivalence_suite():
     for seed in range(POSITIVE_SIZE):
         rep = random_circulant_stochastic_instance(seed, max_rank=3, max_dim=24)
         try:
-            es.nisa_suite(rep, seed=seed)
-            es.domination_check(rep, seed=seed)
+            es.nisa_suite(rep)
+            es.domination_check(rep)
         except Exception as exc:
             violations.append(("circulant", seed, str(exc)))
     for seed in range(POSITIVE_SIZE):
         rep = random_polynomial_instance(seed, max_rank=3, max_dim=24)
         try:
-            es.nisa_suite(rep, seed=seed)
-            es.domination_check(rep, seed=seed)
+            es.nisa_suite(rep)
+            es.domination_check(rep)
         except Exception as exc:
             violations.append(("polynomial", seed, str(exc)))
     elapsed = time.perf_counter() - start

@@ -2,10 +2,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ergospec as es
 from ergospec.characters import trivial_character
-from ergospec.config import DEFAULT_CONFIG, DEFAULT_SEED
+from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
 from ergospec import characters, ergodic, linalg, representations, semigroups
 from ergospec.ergodic import _kernel_average
@@ -349,19 +350,17 @@ def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
 def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
     # L2 x Z4 has E_s != 0: its witness comes from the pole verdicts of T,
     # not from a spectrum of T restricted to E_s. The candidates are read
-    # off the dual's trace multiplicities, with no block decomposition
+    # off the dual's trace multiplicities
     rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
     calls = {route: _count_calls(monkeypatch, route, module)
              for route, module in (("_dual_numerators", characters),
-                                   ("unitary_spectrum", ergodic),
-                                   ("joint_block_decomposition", linalg))}
+                                   ("unitary_spectrum", ergodic))}
     report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 4
     assert report.data["peripheral_decomposition"]["stable_dim"] > 0
     assert {route: len(found) for route, found in calls.items()} == \
-        {"_dual_numerators": 1, "unitary_spectrum": 1,
-         "joint_block_decomposition": 0}
+        {"_dual_numerators": 1, "unitary_spectrum": 1}
 
 
 @pytest.mark.parametrize("case", ["threshold", "semilattice", "jordan_half",
@@ -425,9 +424,6 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
             basis = np.eye(5) + 0.3 * np.random.default_rng(5).standard_normal((5, 5))
             t = basis @ t @ np.linalg.inv(basis)
         rep = n1_rep(t)
-    # over N^k the decomposition is taken before the count, as analyze
-    # hands it to the Analysis; a finite monoid needs none
-    decomposition = None if rep.is_finite else es.joint_block_decomposition(rep.family())
     svd = np.linalg.svd
     factored = []
 
@@ -437,7 +433,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    analysis = ergodic.Analysis(rep, block_decomposition=decomposition)
+    analysis = ergodic.Analysis(rep)
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
     assert all(verdict.is_pole for verdict in verdicts)
@@ -449,9 +445,8 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
 
 
 @pytest.mark.parametrize("name, expected", [
-    # N^k: the spectrum holds the trivial character exactly (block value 1)
-    ("identity_3", {"mean_ergodic_analysis": 1, "is_pole": 0,
-                    "joint_block_decomposition": 1}),
+    # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
+    ("identity_3", {"mean_ergodic_analysis": 1, "is_pole": 0}),
     # N^k: the spectrum holds it as v/|v|, which the positive suite reuses
     ("circulant_stochastic_8", {"is_pole": 0, "_pole_verdict": 1}),
 ])
@@ -460,8 +455,7 @@ def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     calls = {route: _count_calls(monkeypatch, route, module)
              for route, module in (("mean_ergodic_analysis", ergodic),
                                    ("is_pole", ergodic),
-                                   ("_pole_verdict", ergodic),
-                                   ("joint_block_decomposition", linalg))}
+                                   ("_pole_verdict", ergodic))}
     report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 1
@@ -469,27 +463,41 @@ def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     assert {route: len(calls[route]) for route in expected} == expected
 
 
+def _count_schur_forms(monkeypatch):
+    schur = scipy.linalg.schur
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    return calls
+
+
 def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
-    # certification and the spectrum share one joint block decomposition
+    # certification takes one complex Schur form per generator, and the
+    # spectrum walks eigenvalue clusters without another
     rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
-    calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
+    calls = _count_schur_forms(monkeypatch)
     report = es.analyze(rep, sections=["spectrum"])
     assert report.data["boundedness"]["status"] == "certified"
-    assert len(calls) == 1
-    assert report.data["unitary_spectrum"]["decomposition_seed"] == DEFAULT_SEED
+    assert calls == [(rep.dim, rep.dim)] * rep.semigroup.rank
+    assert set(report.data["unitary_spectrum"]) == \
+        {"count", "characters", "eigenspace_dims", "eigenspace_bases"}
 
 
 @pytest.mark.parametrize("name", ["klein_four", "threshold", "semilattice"])
 def test_spectrum_op_decomposes_no_finite_generators(name, monkeypatch):
-    # a finite monoid's candidates are its dual's trace multiplicities,
-    # so the report names no decomposition
+    # a finite monoid is bounded by its finite range, and its candidates
+    # are its dual's trace multiplicities
     rep = load_representation(str(FIXTURES / f"{name}.json"))
-    calls = _count_calls(monkeypatch, "joint_block_decomposition", linalg)
+    calls = _count_schur_forms(monkeypatch)
     report = es.analyze(rep, sections=["spectrum"])
     assert calls == []
     assert report.data["unitary_spectrum"]["count"] > 0
-    assert "decomposition_seed" not in report.data["unitary_spectrum"]
-    assert "decomposition_warnings" not in report.data["unitary_spectrum"]
+    assert set(report.data["unitary_spectrum"]) == \
+        {"count", "characters", "eigenspace_dims", "eigenspace_bases"}
 
 
 def test_spectrum_takes_each_operator_norm_once(monkeypatch):

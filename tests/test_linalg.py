@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergospec as es
-from ergospec import linalg
 from ergospec.config import DEFAULT_CONFIG
-from ergospec.errors import DimensionMismatch, NotCommuting
+from ergospec.errors import DimensionMismatch
 from ergospec.linalg import (
     Subspace,
-    _conjugated_diagonal,
     _invariant_subspace,
     _single_linkage_clusters,
     as_complex_matrix,
@@ -22,8 +20,6 @@ from ergospec.linalg import (
     null_space,
     oblique_projection,
 )
-
-from conftest import chain_monoid, cyclic_monoid, product_monoid, truncated_monoid
 
 
 def test_null_space_zero_matrix():
@@ -154,73 +150,6 @@ def test_operator_norm_and_spectral_radius():
     assert es.operator_norm(diag) == pytest.approx(0.9)
 
 
-def test_joint_decomposition_already_diagonal():
-    dec = es.joint_block_decomposition([np.diag([1.0, 2.0]), np.diag([3.0, 3.0])])
-    assert dec.block_starts == [0, 1]
-    values = sorted((round(v[0].real), round(v[1].real)) for v in dec.block_values)
-    assert values == [(1, 3), (2, 3)]
-
-
-def test_joint_decomposition_klein_family(klein_rep):
-    dec = es.joint_block_decomposition(klein_rep.family())
-    sizes = np.diff(list(dec.block_starts) + [4]).tolist()
-    rows = sorted(tuple(int(round(v.real)) for v in vals) for vals in dec.block_values)
-    # block values sit on the generators 1 and 2: the trivial pair is a joint
-    # eigenvalue of multiplicity two; det, (-1, -1), has no joint
-    # eigenvector and appears in no block
-    assert klein_rep.semigroup.generators == (1, 2)
-    assert sorted(sizes) == [1, 1, 2]
-    assert rows == sorted([(1, 1), (-1, 1), (1, -1)])
-
-
-def test_joint_decomposition_single_jordan_block():
-    j = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
-    dec = es.joint_block_decomposition([j])
-    assert dec.block_starts == [0]
-    assert dec.block_values[0][0] == pytest.approx(0.5)
-
-
-def test_joint_decomposition_not_commuting():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(NotCommuting):
-        es.joint_block_decomposition([a, b])
-
-
-def _reconstruction_checks(family, dec):
-    n = dec.n
-    u = dec.unitary
-    bounds = list(dec.block_starts) + [n]
-    for a in family:
-        t = u.conj().T @ a @ u
-        back = u @ t @ u.conj().T
-        assert es.operator_norm(back - a) <= 10 * n * np.finfo(float).eps \
-            * max(1.0, es.operator_norm(a))
-        for b in range(len(dec.block_starts)):
-            lo, hi = bounds[b], bounds[b + 1]
-            if hi < n:
-                assert np.abs(t[hi:, lo:hi]).max() < 1e-8
-            diag = np.diag(t)[lo:hi]
-            assert np.abs(diag - diag.mean()).max() <= DEFAULT_CONFIG.tol_cluster
-
-
-def test_decomposition_reconstruction_and_structure(klein_rep):
-    family = klein_rep.family()
-    _reconstruction_checks(family, es.joint_block_decomposition(family))
-
-
-def test_block_values_multiplicative():
-    # triangular diagonals multiply: the block value of A_i A_j is the product
-    rng = np.random.default_rng(5)
-    d = np.diag(rng.uniform(0.2, 0.9, 4) * np.exp(2j * np.pi * rng.random(4)))
-    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    a = q @ d @ q.conj().T
-    b = q @ (d * d) @ q.conj().T  # b = a^2 in the same eigenbasis
-    dec = es.joint_block_decomposition([a, b])
-    for va, vb in dec.block_values:
-        assert abs(va * va - vb) <= 10 * DEFAULT_CONFIG.tol_cluster
-
-
 def _rational_nullity(rows):
     """Exact Gaussian-elimination nullity over the rationals."""
     rows = [[Fraction(x) for x in row] for row in rows]
@@ -318,7 +247,7 @@ def test_reordered_schur_matches_sorted_schur(n):
                     return bool(np.min(np.abs(z - selected)) < radius / 2)
 
                 _, z, sdim = scipy.linalg.schur(mat, output="complex", sort=want)
-                basis, dim = _invariant_subspace(form, selected, radius)
+                basis, dim, _ = _invariant_subspace(form, selected, radius)
                 assert dim == sdim
                 assert basis.tobytes() == z[:, :sdim].tobytes()
 
@@ -420,7 +349,7 @@ def test_selection_matches_the_scalar_loop(n):
             clusters = _single_linkage_clusters(eigs, radius)
             assert clusters == _single_linkage_oracle(eigs, radius)
             for cluster in clusters:
-                basis, dim = _invariant_subspace(form, eigs[cluster], radius)
+                basis, dim, _ = _invariant_subspace(form, eigs[cluster], radius)
                 oracle_basis, oracle_dim = _invariant_subspace_oracle(
                     form, eigs[cluster], radius)
                 assert dim == oracle_dim
@@ -462,69 +391,3 @@ def test_cross_product_from_factors_matches_the_dense_loop(dims):
         factors.append((f, wh))
     dense = _dense_cross_product([f @ wh for f, wh in factors])
     assert largest_cross_product(factors) == pytest.approx(dense, rel=1e-13, abs=1e-13)
-
-
-def _kernel_family(monoid):
-    """T_(g+e) per generator g of the regular representation, e the
-    minimal idempotent: diagonalizable, unlike T_g itself."""
-    rep = es.regular_representation(monoid)
-    e = es.kernel_group(monoid).identity
-    return [rep.matrices[monoid.add(g, e)] for g in monoid.generators]
-
-
-def test_joint_decomposition_splits_repeated_matrices_once(monkeypatch):
-    # all 7 generators g of L8 have g + e = 7, so the family is seven
-    # copies of T_7
-    family = _kernel_family(chain_monoid(8))
-    assert len(family) == 7 and all(np.array_equal(a, family[0]) for a in family)
-    eigvals = np.linalg.eigvals
-    calls = []
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    dec = es.joint_block_decomposition(family)
-    # the 8 x 8 family is split once, along its generic combination; the
-    # 7 x 7 zero block is then tried against each copy and keeps the identity
-    assert calls.count((8, 8)) == 1 and len(calls) <= 9
-    assert all(len(values) == 7 and len(set(values)) == 1 for values in dec.block_values)
-    assert sorted(round(values[0].real, 9) for values in dec.block_values) == [0.0, 1.0]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
-def test_conjugated_diagonal_matches_the_searched_contraction(n):
-    rng = np.random.default_rng(n)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    unitaries = [np.eye(n, dtype=complex)]
-    if n > 1:  # the block decomposition's U is 1 at n = 1
-        unitaries.append(np.linalg.qr(rng.standard_normal((n, n))
-                                      + 1j * rng.standard_normal((n, n)))[0])
-    for u in unitaries:
-        searched = np.einsum("ij,jk,ki->i", u.conj().T, a, u, optimize=True)
-        assert np.array_equal(_conjugated_diagonal(u, a).view(float), searched.view(float))
-
-
-@pytest.mark.parametrize("monoid", [chain_monoid(8), truncated_monoid(7),
-                                    product_monoid(chain_monoid(2), cyclic_monoid(12))],
-                         ids=["L8", "T7", "L2xZ12"])
-def test_a_numerically_zero_block_keeps_the_identity(monoid, monkeypatch):
-    # each family has a kernel block on which every matrix is zero up to
-    # rounding; it is triangular as it is, so no common eigenvector is
-    # deflated from it
-    family = _kernel_family(monoid)
-    deflated = []
-    joint_eigenvector = linalg._joint_eigenvector
-    monkeypatch.setattr(linalg, "_joint_eigenvector",
-                        lambda *args: deflated.append(1) or joint_eigenvector(*args))
-    dec = es.joint_block_decomposition(family)
-    assert deflated == []
-    widths = [block.stop - block.start for block in dec.block_slices()]
-    assert any(width > 1 and max(map(abs, values)) < 1e-12
-               for width, values in zip(widths, dec.block_values))
-    # the residual that _try_split accepts
-    for a in family:
-        triangular = dec.unitary.conj().T @ a @ dec.unitary
-        assert np.abs(np.tril(triangular, -1)).max() <= \
-            DEFAULT_CONFIG.tol_commute * max(1.0, es.operator_norm(a))

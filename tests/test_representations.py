@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ergospec as es
 from ergospec import representations
@@ -98,6 +99,107 @@ def test_certified_norms_stay_bounded_on_grid():
         for b in exponents:
             worst = max(worst, es.operator_norm(rep.matrix((a, b))))
     assert worst < 10.0  # similarity condition is ~3, no growth permitted
+
+
+def _unimodular(rng, real):
+    return rng.choice([-1.0, 1.0]) if real else np.exp(2j * np.pi * rng.random())
+
+
+def _rotation(angle):
+    return np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+
+
+def _random_orthogonal(rng, n, real):
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _near_threshold_instance(seed, real=False):
+    """Generators of a planted N^k input (k <= 3, n <= 12) near the
+    certificate's thresholds, and for each generator whether it is
+    unbounded; real data when `real`.
+
+    Cells of size 1 to 3 on which generator j acts as alpha_j I + nu_j N, N
+    the nilpotent shift, conjugated by a similarity S with kappa(S) <= 1e3,
+    real orthogonal factors for real data. A generator is unbounded exactly
+    when one of its cells is a unimodular Jordan pair (1e-6 <= nu <= 100) or
+    has modulus 1 + 1e-7 to 1 + 1e-3. Bounded cells are unimodular scalars,
+    pairs of distinct unimodular values 1e-7 to 1e-4 apart (for real data
+    two rotations whose angles differ by that much), and values of modulus at most 1 - 1e-6,
+    with or without a Jordan part. Rounding splits a cell of size s by
+    about (nu^(s-1) kappa eps)^(1/s): a Jordan pair with nu kappa > 1 is
+    split beyond tol_cluster, for real data along the real axis or across
+    it, while contracting cells stay below modulus 1 - 1e-6, those of size
+    3 at modulus 0.99 or less."""
+    rng = np.random.default_rng([15, seed, int(real)])
+    k = int(rng.integers(1, 4))
+    n_max = int(rng.integers(2, 13))
+    kappa = 10 ** rng.uniform(0, 3)
+    cells, unbounded = [], [False] * k   # per cell, one block per generator
+    n = 0
+    while n < n_max:
+        width = 4 if real else 2
+        if n_max - n >= width and rng.random() < 0.15:
+            j = int(rng.integers(k))
+            gap = 10 ** rng.uniform(-7, -4)
+            if real:
+                angle = rng.uniform(0.2, np.pi - 0.2)
+                pair = scipy.linalg.block_diag(_rotation(angle), _rotation(angle + gap))
+            else:
+                pair = _unimodular(rng, real) * np.diag([1, np.exp(1j * gap)])
+            cells.append([pair if i == j else
+                          rng.uniform(0.1, 0.9) * _unimodular(rng, real) * np.eye(width)
+                          for i in range(k)])
+            n += width
+            continue
+        size = int(rng.integers(1, min(3, n_max - n) + 1))
+        shift = np.diag(np.ones(size - 1), 1)
+        blocks = []
+        for j in range(k):
+            kind = rng.choice(["unimodular", "contracting", "jordan", "expanding"],
+                              p=[0.4, 0.4, 0.1, 0.1])
+            alpha, nu = _unimodular(rng, real), 0.0
+            if kind == "contracting":
+                if size == 3:
+                    alpha *= 1 - 10 ** rng.uniform(-2, -0.2)
+                    nu = rng.uniform(0, 1)
+                else:
+                    alpha *= 1 - 10 ** rng.uniform(-6, -0.2)
+                    nu = rng.uniform(0, 1 / kappa)
+                nu = nu if rng.random() < 0.5 else 0.0
+            elif kind == "jordan" and size == 2:
+                nu = 10 ** rng.uniform(-6, 2)
+                unbounded[j] = True
+            elif kind == "expanding":
+                alpha *= 1 + 10 ** rng.uniform(-7, -3)
+                unbounded[j] = True
+            blocks.append(alpha * np.eye(size) + nu * shift)
+        cells.append(blocks)
+        n += size
+    mats = [scipy.linalg.block_diag(*blocks) for blocks in zip(*cells)]
+    sigma = 10 ** rng.uniform(0, np.log10(kappa), size=n)
+    sigma[0], sigma[-1] = 1.0, kappa
+    s = _random_orthogonal(rng, n, real) @ np.diag(sigma) @ _random_orthogonal(rng, n, real)
+    s_inv = np.linalg.inv(s)
+    return [s @ a @ s_inv for a in mats], unbounded
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_certificate_matches_planted_truth_near_the_thresholds(real):
+    wrong, bounded_witnesses = [], []
+    for seed in range(1500):
+        generators, unbounded = _near_threshold_instance(seed, real)
+        rep = es.validate_representation(free(len(generators)), generators)
+        cert = es.certify_boundedness(rep).boundedness
+        if cert.is_certified == any(unbounded):
+            wrong.append((seed, cert.status, unbounded))
+        if not cert.is_certified and not unbounded[cert.witness.index(1)]:
+            bounded_witnesses.append((seed, cert.witness, unbounded))
+    assert wrong == []
+    assert bounded_witnesses == []
 
 
 def test_rotate_by_trivial_character(klein_rep):

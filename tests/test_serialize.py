@@ -13,7 +13,6 @@ from ergospec.errors import ParseError
 from ergospec.serialize import (
     canonical_dumps,
     character_from_json,
-    character_to_json,
     load_representation,
     matrix_from_json,
     matrix_to_json,
@@ -21,17 +20,16 @@ from ergospec.serialize import (
     representation_from_json,
     representation_to_json,
     semigroup_from_json,
-    semigroup_to_json,
 )
 
 from conftest import FIXTURES, SCHEMAS, cyclic_monoid, free, load_fixture
 
 
 def test_semigroup_round_trip(klein_monoid):
-    data = semigroup_to_json(klein_monoid)
+    data = klein_monoid.to_json()
     assert semigroup_from_json(data) == klein_monoid
     n2 = free(2)
-    assert semigroup_from_json(semigroup_to_json(n2)) == n2
+    assert semigroup_from_json(n2.to_json()) == n2
 
 
 def test_semigroup_unknown_type():
@@ -83,14 +81,14 @@ def test_parse_error_carries_location(tmp_path):
 def test_character_round_trip_exact(klein_monoid):
     dual = es.enumerate_unitary_dual(klein_monoid)
     for chi in dual:
-        again = character_from_json(character_to_json(chi), klein_monoid)
+        again = character_from_json(chi.to_json(), klein_monoid)
         assert again.angles == chi.angles
 
 
 def test_character_round_trip_gen_values():
     n2 = free(2)
     chi = es.character_from_gen_values(n2, [1j, np.exp(0.7j)])
-    again = character_from_json(character_to_json(chi), n2)
+    again = character_from_json(chi.to_json(), n2)
     for a, b in zip(again.gen_values, chi.gen_values):
         assert abs(a - b) < 1e-15
 

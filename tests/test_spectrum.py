@@ -164,6 +164,44 @@ def test_approximate_eigenvector_requires_unit_norm(klein_rep):
         es.approximate_eigenvector_check(klein_rep, one, np.ones(4), 1e-6)
 
 
+def _branching_instance(k, seed):
+    """A certified N^k input whose joint unimodular tuples share values of
+    T_1, so that the walk branches on the restricted T_2 and T_3, and the
+    planted tuples.
+
+    Peripheral values are exact roots of unity, each tuple one to two
+    times; every other value has modulus at most 1 - 1e-6, with a
+    contracting Jordan pair now and then. A similarity with kappa <= 1e2
+    conjugates the whole."""
+    rng = np.random.default_rng([k, seed])
+    roots = [np.exp(2j * np.pi * p / q) for q in (1, 2, 3, 4, 6, 8) for p in range(q)]
+    shared = [roots[int(rng.integers(len(roots)))] for _ in range(2)]
+    tuples = set()
+    while len(tuples) < 4:
+        first = shared[int(rng.integers(2))]
+        rest = tuple(roots[int(rng.integers(len(roots)))] for _ in range(k - 1))
+        tuples.add((first, *rest))
+    tuples = sorted(tuples, key=lambda t: [(z.real, z.imag) for z in t])
+    columns = [t for t in tuples for _ in range(int(rng.integers(1, 3)))]
+    n = len(columns) + int(rng.integers(2, 5))
+    mats = [np.zeros((n, n), dtype=complex) for _ in range(k)]
+    for pos, tup in enumerate(columns):
+        for mat, z in zip(mats, tup):
+            mat[pos, pos] = z
+    for pos in range(len(columns), n):
+        for mat in mats:
+            mat[pos, pos] = (1 - 10 ** rng.uniform(-6, -0.2)) * np.exp(2j * np.pi * rng.random())
+    if rng.random() < 0.5:   # a contracting Jordan pair in the first generator
+        for mat in mats:
+            mat[n - 1, n - 1] = mat[n - 2, n - 2]
+        mats[0][n - 2, n - 1] = 0.01
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    similarity = q @ np.diag(10 ** rng.uniform(0, 2, size=n))
+    inverse = np.linalg.inv(similarity)
+    rep = es.validate_representation(free(k), [similarity @ a @ inverse for a in mats])
+    return es.certify_boundedness(rep), tuples
+
+
 def test_spectrum_matches_brute_force_small():
     cases = []
     z = np.exp(2j * np.pi * np.arange(4) / 4)
@@ -172,7 +210,14 @@ def test_spectrum_matches_brute_force_small():
     cases.append(n1_rep(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)))
     cases.append(n1_rep(np.eye(3, dtype=complex)))
     cases.append(n1_rep(np.diag([1.0, 1j, 0.5]).astype(complex)))
-    for rep in cases:
+    planted = [_branching_instance(k, seed) for k in (2, 3) for seed in range(8)]
+    for rep, tuples in planted:
+        assert rep.boundedness.is_certified
+        spectrum = es.unitary_spectrum(rep)
+        assert len(spectrum) == len(tuples)
+        for tup in tuples:
+            assert spectrum.contains(es.character_from_gen_values(rep.semigroup, tup))
+    for rep in cases + [rep for rep, _ in planted]:
         spectrum = es.unitary_spectrum(rep)
         oracle = brute_force_spectrum(rep)
         assert len(spectrum) == len(oracle)
