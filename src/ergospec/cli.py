@@ -43,7 +43,7 @@ def _build_config(args):
         config = ToleranceConfig(**overrides)
     except ValueError as exc:  # an out-of-range flag is an input error
         raise ErgospecError(str(exc)) from exc
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:   # only falsify and ensemble take one
         raise ErgospecError(f"seed must be non-negative, got {args.seed}")
     return config
 
@@ -52,7 +52,6 @@ def _add_common(parser):
     parser.add_argument("--tol-rank", dest="tol_rank", type=float, default=None)
     parser.add_argument("--tol-char", dest="tol_char", type=float, default=None)
     parser.add_argument("--max-cesaro", dest="max_cesaro", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--report", type=str, default=None,
                         help="write the JSON report to this path")
     parser.add_argument("--format", choices=["json", "text"], default="text")
@@ -73,7 +72,7 @@ def _emit(args, report):
 def _run_sections(args):
     config = _build_config(args)
     rep = load_representation(args.path, config)
-    report = analyze(rep, config, args.seed, sections=args.sections)
+    report = analyze(rep, config, sections=args.sections)
     if getattr(args, "cesaro_csv", None):
         trace = report.to_json().get("ergodic", {}).get("cesaro_trace", [])
         with open(args.cesaro_csv, "w", newline="") as fh:
@@ -216,6 +215,7 @@ def _add_falsify(parser):
     parser.add_argument("path")
     parser.add_argument("character", help="character JSON file")
     parser.add_argument("--trials", type=int, default=64)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(parser)
     parser.set_defaults(fn=cmd_falsify)
 
@@ -229,6 +229,7 @@ def _add_ensemble(parser):
     parser.add_argument("--config", default=None,
                         help='JSON config {"ensemble":..,"n":..,"k":..,"count":..,"seed":..}')
     parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(parser)
     parser.set_defaults(fn=cmd_ensemble)
 

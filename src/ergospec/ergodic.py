@@ -261,16 +261,17 @@ def _witness_search_free(rep, config):
 
 def _stable_verdict(rep, config):
     """The STABLE verdict of a representation whose unitary spectrum is
-    empty, with a norm-contraction witness: the first element with
-    ||T_s|| <= 1 - tol_char of a finite monoid, the smallest such exponent
-    of N^k. The margin keeps a norm that rounding pulled just below 1, as
-    that of an identity restricted to a subspace, from passing for a
-    contraction."""
+    empty, with a norm-contraction witness: the kernel identity e of a
+    finite monoid, whose T_e vanishes on a stable representation
+    (Analysis.stability), the smallest exponent of N^k with
+    ||T_s|| <= 1 - tol_char. The margin keeps a norm that rounding pulled
+    just below 1, as that of an identity restricted to a subspace, from
+    passing for a contraction."""
     if rep.is_finite:
-        for s, a in enumerate(rep.matrices):
-            norm = operator_norm(a)
-            if norm <= 1.0 - config.tol_char:
-                return StabilityVerdict(STABLE, witness=s, witness_norm=norm)
+        e = rep.semigroup.kernel.identity
+        norm = operator_norm(rep.matrices[e])
+        if norm <= 1.0 - config.tol_char:
+            return StabilityVerdict(STABLE, witness=e, witness_norm=norm)
         return StabilityVerdict(STABLE)
 
     if rep.dim == 0:
@@ -285,46 +286,13 @@ def _stable_verdict(rep, config):
 
 @dataclass
 class InfinitySemigroup:
-    operators: list  # distinct matrices, each a limit point of the net
+    classes: list     # labels of K with equal T_k, each class and the list by label
+    residual: float   # largest ||T_k - T_r|| over each class, r its first member
 
 
 def semigroup_at_infinity(rep, config=None):
-    """The exact intersection of the tail sets {T_s : s >= s0} over all s0
-    (finite monoid only), one operator per class of equal operators.
-
-    The intersection of the tail sets s0 + S is the minimal ideal, the
-    kernel group K, so the operators at infinity are T(K): its classes in
-    label order."""
-    config = DEFAULT_CONFIG if config is None else config
-    if not rep.is_finite:
-        raise ValueError("the semigroup at infinity is only enumerated for "
-                         "finite monoids; use peripheral_decomposition for N^k")
-
-    # ||D x|| <= ||D||_2 <= ||D||_F for a unit x: one stacked norm of the
-    # images of x rules out every class whose image lies beyond twice the
-    # Frobenius screen (the factor 2 absorbs the rounding of the images).
-    # On the classes left, the SVD decides only where ||D||_F / sqrt(n) <=
-    # ||D||_2 <= ||D||_F leaves it open.
-    screen = np.sqrt(rep.dim) * config.tol_hom
-    carrier = rep.semigroup.kernel.carrier
-    # distinct entries, so distinct permutation matrices move it apart
-    probe = np.cos(np.arange(rep.dim))
-    probe /= np.linalg.norm(probe)
-    classes = []
-    images = np.empty((len(carrier), rep.dim), dtype=np.complex128)
-    for k in carrier:
-        images[len(classes)] = rep.matrices[k] @ probe
-        near = np.linalg.norm(images[:len(classes)] - images[len(classes)],
-                              axis=1) <= 2 * screen
-        for representative in (classes[j] for j in np.flatnonzero(near)):
-            diff = rep.matrices[k] - representative
-            frobenius = np.linalg.norm(diff)
-            if frobenius <= config.tol_hom or (
-                    frobenius <= screen and operator_norm(diff) <= config.tol_hom):
-                break
-        else:
-            classes.append(rep.matrices[k])
-    return InfinitySemigroup(operators=classes)
+    """The operators at infinity by classes of labels; see Analysis.infinity."""
+    return Analysis(rep, config).infinity
 
 
 QUASI_COMPACT = "quasi_compact"
@@ -431,17 +399,42 @@ class Analysis:
         witness is produced whenever possible.
 
         For a finite monoid the verdict is cross-checked against the exact
-        criterion that the zero matrix occurs in T(S)."""
+        criterion that the zero matrix occurs in T(S), which holds exactly
+        when T_e = 0, e the kernel identity: if T_s = 0 and k is the
+        inverse of s + e in K, then e = s + (e + k) and T_e = T_s T_(e+k)."""
         rep, config = self.rep, self.config
-        zero_in_range = None
-        if rep.is_finite:
-            zero_in_range = min(operator_norms(rep.matrices)) <= config.tol_hom
+        verdict = _stable_verdict(rep, config) if len(self.spectrum) == 0 else \
+            StabilityVerdict(NOT_STABLE, blocking_character=self.spectrum.characters[0])
+        if rep.is_finite:   # a finite witness is e, with witness_norm ||T_e||
+            norm = verdict.witness_norm if verdict.witness is not None else \
+                operator_norm(rep.matrices[rep.semigroup.kernel.identity])
+            verdict = replace(verdict, zero_in_range=norm <= config.tol_hom)
+        return verdict
 
-        if len(self.spectrum) > 0:
-            return StabilityVerdict(NOT_STABLE,
-                                    blocking_character=self.spectrum.characters[0],
-                                    zero_in_range=zero_in_range)
-        return replace(_stable_verdict(rep, config), zero_in_range=zero_in_range)
+    @cached_property
+    def infinity(self):
+        """The exact intersection of the tail sets {T_s : s >= s0} over all
+        s0 (finite monoid only), as classes of labels with equal operators.
+
+        The tail sets s0 + S meet in the kernel group K, so the operators at
+        infinity are T(K). K acts on rg T_e as a finite abelian group and
+        T_k vanishes on ker T_e, so T_k is the sum of chi(k) P_chi over the
+        spectrum (Serre, Linear Representations of Finite Groups, 2.3):
+        T_k = T_k' exactly when every spectral character has the same angle
+        at k and k'. The residual checks this against the operators."""
+        rep = self.rep
+        if not rep.is_finite:
+            raise ValueError("the semigroup at infinity is only enumerated for "
+                             "finite monoids; use peripheral_decomposition for N^k")
+        classes = {}
+        for k in rep.semigroup.kernel.carrier:
+            key = tuple(chi.angles[k] for chi in self.spectrum.characters)
+            classes.setdefault(key, []).append(k)
+        classes = sorted(classes.values())
+        residual = max(operator_norms(rep.matrices[k] - rep.matrices[members[0]]
+                                      for members in classes for k in members[1:]),
+                       default=0.0)
+        return InfinitySemigroup(classes=classes, residual=residual)
 
     @cached_property
     def quasi_compactness(self):

@@ -72,14 +72,14 @@ def nisa_suite_of(analysis):
          if char_distance(chi, trivial) <= config.tol_cluster), trivial))
 
     fix_dim = ergodic.fix_dim
-    ume_finite = ergodic.is_ume and np.isfinite(fix_dim)
     projection_rank = 0
     if ergodic.mean_projection is not None:
         projection_rank = int(round(np.trace(ergodic.mean_projection).real))
 
     report = NisaReport(
         quasi_compact=qc.is_quasi_compact,
-        ume_with_finite_fix=bool(ume_finite),
+        # fix_dim counts the columns of a basis, so it is always finite
+        ume_with_finite_fix=ergodic.is_ume,
         trivial_char_riesz=pole.counts_as_pole,
         fix_dim=fix_dim,
         projection_rank=projection_rank,

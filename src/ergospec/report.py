@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
-from .ergodic import Analysis, semigroup_at_infinity
+from .ergodic import Analysis
 from .errors import NonPoleSpectrum
 from .positivity import check_positive, domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
@@ -164,12 +164,14 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             if stability.is_stable != bool(stability.zero_in_range):
                 violations.append("finite-monoid stability disagrees with the "
                                   "zero-in-range criterion")
-            infinity = timed("semigroup_at_infinity",
-                             lambda: semigroup_at_infinity(rep, config))
+            infinity = timed("semigroup_at_infinity", lambda: analysis.infinity)
             report["semigroup_at_infinity"] = {
-                "count": len(infinity.operators),
-                "operators": [matrix_to_json(op) for op in infinity.operators],
+                "count": len(infinity.classes),
+                "classes": infinity.classes,
+                "class_residual": infinity.residual,
             }
+            if infinity.residual > config.tol_hom:
+                violations.append("operators at infinity disagree with the spectrum")
 
     if "quasicompact" in wanted:
         qc = timed("quasicompact", lambda: analysis.quasi_compactness)

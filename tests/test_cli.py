@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergospec import cli
+from ergospec import cli, ergodic
 from ergospec.cli import main
-from ergospec.config import ToleranceConfig
+from ergospec.config import DEFAULT_SEED, ToleranceConfig
 
 from conftest import FIXTURES
 
@@ -51,12 +51,23 @@ def test_analyze_determinism_modulo_timings(capsys):
     runs = []
     for _ in range(2):
         code, out, _ = run(capsys, "analyze", fixture_path("klein_four"),
-                           "--format", "json", "--seed", "5")
+                           "--format", "json")
         assert code == 0
         data = json.loads(out)
         data.pop("timings")
         runs.append(json.dumps(data, sort_keys=True))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "stability", "dual"])
+def test_only_falsify_and_ensemble_take_a_seed(capsys, command):
+    # no analysis reads a seed; the report records the default one
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("klein_four"), "--seed", "5"])
+    assert exc.value.code == 2
+    if command != "dual":
+        code, out, _ = run(capsys, command, fixture_path("klein_four"), "--format", "json")
+        assert code == 0 and json.loads(out)["seed"] == DEFAULT_SEED
 
 
 def test_dual_prints_klein_table(capsys):
@@ -341,6 +352,19 @@ def test_non_pole_spectrum_is_a_violation(capsys, tmp_path, command, violation):
             "error": "spectral character failed the pole test"}
 
 
+def test_classes_at_infinity_off_their_operators_are_a_violation(capsys, monkeypatch):
+    # a class whose members' operators differ by more than tol_hom means
+    # the spectrum missed a character that tells them apart
+    off = ergodic.InfinitySemigroup(classes=[[0, 1, 2, 3]], residual=2.0)
+    monkeypatch.setattr(ergodic.Analysis, "infinity", property(lambda self: off))
+    code, out, _ = run(capsys, "stability", fixture_path("klein_four"), "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert data["semigroup_at_infinity"] == {"count": 1, "classes": [[0, 1, 2, 3]],
+                                             "class_residual": 2.0}
+    assert data["violations"] == ["operators at infinity disagree with the spectrum"]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/rep.json")
     assert code == 2
@@ -350,8 +374,8 @@ def test_missing_file_exit_code(capsys):
     (["--tol-rank", "0"], 2),
     (["--max-cesaro", "0"], 2),
     (["--tol-rank", "1e-13"], 0),
-    (["--seed", "-1"], 2),
-    (["dual", "--seed", "-1"], 2),
+    (["falsify", "--seed", "-1"], 2),
+    (["dual", "--tol-rank", "0"], 2),
     (["falsify", "--trials", "0"], 2),
     (["falsify", "--trials", "-1"], 2),
     (["ensemble", "--count", "-3"], 2),

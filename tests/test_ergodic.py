@@ -17,6 +17,7 @@ from conftest import (
     chain_monoid,
     cyclic_monoid,
     n1_rep,
+    permuted,
     product_monoid,
     truncated_monoid,
 )
@@ -207,7 +208,8 @@ def test_stability_jordan_witness_degree_three():
 
 def test_semigroup_at_infinity_klein(klein_rep):
     infinity = es.semigroup_at_infinity(klein_rep)
-    assert len(infinity.operators) == 4
+    assert infinity.classes == [[0], [1], [2], [3]]
+    assert infinity.residual == 0.0
 
 
 def test_semigroup_at_infinity_threshold_nilpotent(threshold_monoid):
@@ -216,30 +218,29 @@ def test_semigroup_at_infinity_threshold_nilpotent(threshold_monoid):
             np.zeros((2, 2), dtype=complex)]
     rep = es.certify_boundedness(es.validate_representation(threshold_monoid, mats))
     infinity = es.semigroup_at_infinity(rep)
-    assert len(infinity.operators) == 1
-    np.testing.assert_allclose(infinity.operators[0], np.zeros((2, 2)))
+    assert infinity.classes == [[2]]
+    assert infinity.residual == 0.0
 
 
 def test_semigroup_at_infinity_trivial_monoid():
     trivial = es.validate_monoid([[0]], 0)
     rep = es.certify_boundedness(
         es.validate_representation(trivial, [np.eye(2, dtype=complex)]))
-    infinity = es.semigroup_at_infinity(rep)
-    assert len(infinity.operators) == 1
-    np.testing.assert_allclose(infinity.operators[0], np.eye(2))
+    assert es.semigroup_at_infinity(rep).classes == [[0]]
 
 
-def test_semigroup_at_infinity_is_kernel_image(klein_rep, threshold_monoid):
-    # the tail intersection is exactly {T_k : k in kernel group}
-    mats = [np.eye(2, dtype=complex),
-            np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex),
-            np.zeros((2, 2), dtype=complex)]
-    rep = es.certify_boundedness(es.validate_representation(threshold_monoid, mats))
-    infinity = es.semigroup_at_infinity(rep)
-    kernel = es.kernel_group(threshold_monoid)
-    expected = {bytes(np.round(rep.matrices[k], 9)) for k in kernel.carrier}
-    got = {bytes(np.round(op, 9)) for op in infinity.operators}
-    assert expected == got
+def test_semigroup_at_infinity_is_kernel_image(klein_rep):
+    # the tail intersection is exactly {T_k : k in kernel group}, one
+    # operator per class
+    for rep in (klein_rep, _threshold_half()):
+        infinity = es.semigroup_at_infinity(rep)
+        kernel = es.kernel_group(rep.semigroup)
+        expected = {bytes(np.round(rep.matrices[k], 9)) for k in kernel.carrier}
+        got = [bytes(np.round(rep.matrices[members[0]], 9))
+               for members in infinity.classes]
+        assert len(got) == len(expected) and set(got) == expected
+        assert sorted(k for members in infinity.classes for k in members) == \
+            list(kernel.carrier)
 
 
 def test_quasi_compactness_klein(klein_rep):
@@ -390,6 +391,53 @@ def test_the_identity_is_no_contraction_witness():
     assert dec.stability_norm < 1e-15
 
 
+def _threshold_half():
+    """The threshold monoid {0, a, z} with T_a = [[0, 1/2], [0, 0]] and
+    T_z = 0: a and z both pass the contraction margin."""
+    mats = [np.eye(2, dtype=complex),
+            np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex),
+            np.zeros((2, 2), dtype=complex)]
+    monoid = es.validate_monoid([[0, 1, 2], [1, 2, 2], [2, 2, 2]], 0)
+    return es.certify_boundedness(es.validate_representation(monoid, mats))
+
+
+def _relabeled_rep(rep, perm):
+    """rep with element s renamed perm[s]: its table, its neutral element
+    and its matrices."""
+    mats = [None] * len(perm)
+    for s, a in enumerate(rep.matrices):
+        mats[perm[s]] = a
+    return es.certify_boundedness(
+        es.validate_representation(permuted(rep.semigroup, perm), mats))
+
+
+@pytest.mark.parametrize("case", ["threshold_half", "klein_four", "threshold",
+                                  "semilattice", "T7", "L2xZ4", "Z8",
+                                  "Z8/(0,4,4)", "Z8/(2,6,0,0)-dense"])
+def test_relabeling_moves_the_witnesses_and_the_classes_at_infinity(case):
+    # verdicts of a finite monoid do not depend on how its elements are
+    # named: the witnesses and the classes at infinity move with the names
+    if case == "threshold_half":
+        rep = _threshold_half()
+    elif case in NON_FAITHFUL_Z8:
+        rep = _z8_through(*NON_FAITHFUL_Z8[case])
+    else:
+        rep = _oracle_rep(case)
+    perm = np.random.default_rng(5).permutation(rep.semigroup.size).tolist()
+    before = ergodic.Analysis(rep)
+    after = ergodic.Analysis(_relabeled_rep(rep, perm))
+
+    def moved(label):
+        return None if label is None else perm[label]
+
+    assert after.stability.zero_in_range == before.stability.zero_in_range
+    assert after.stability.witness == moved(before.stability.witness)
+    assert after.decomposition.stability_witness == \
+        moved(before.decomposition.stability_witness)
+    assert {frozenset(members) for members in after.infinity.classes} == \
+        {frozenset(map(moved, members)) for members in before.infinity.classes}
+
+
 @pytest.mark.parametrize("reorthonormalized", [False, True],
                          ids=["svd-basis", "reorthonormalized"])
 def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized,
@@ -538,7 +586,8 @@ def test_no_pole_is_an_eigenvalue_on_its_range(m, monkeypatch):
 
 
 def _classes_at_infinity_oracle(rep, tol):
-    """semigroup_at_infinity with a dense 2-norm per comparison."""
+    """The classes at infinity by a dense 2-norm per comparison: the
+    labels in every tail set s0 + S, grouped by equal operators."""
     classes, class_of = [], {}
     for s in rep.semigroup.elements():
         for c_idx, representative in enumerate(classes):
@@ -548,37 +597,43 @@ def _classes_at_infinity_oracle(rep, tol):
         else:
             class_of[s] = len(classes)
             classes.append(rep.matrices[s])
-    common = None
+    at_infinity = set(rep.semigroup.elements())
     for s0 in rep.semigroup.elements():
-        tail = {class_of[s] for s in rep.semigroup.table[s0]}
-        common = tail if common is None else (common & tail)
-    return [classes[c] for c in sorted(common)]
+        at_infinity &= set(rep.semigroup.table[s0])
+    grouped = {}
+    for s in sorted(at_infinity):
+        grouped.setdefault(class_of[s], []).append(s)
+    return sorted(grouped.values())
 
 
-@pytest.mark.parametrize("rank", [1, 4])
-def test_frobenius_screen_keeps_the_classes_at_infinity(rank):
-    # Z8, a group, so every operator class is at infinity. T_0 = U and
-    # T_s = U + D_s with D_s of rank 1 (||D||_2 = ||D||_F) or spread over 4
-    # equal singular values (||D||_2 = ||D||_F / 2), with ||D||_2 on both
-    # sides of tol_hom, so matches and mismatches fall in and out of the
-    # screen
-    tol = DEFAULT_CONFIG.tol_hom
-    monoid = cyclic_monoid(8)
-    rng = np.random.default_rng(rank)
-    n = 4
-    top = np.linalg.qr(rng.standard_normal((n, n)))[0].astype(complex)
-    factors = (0.0, 0.5, 0.999, 1.001, 1.9, 2.1, 4.0, 0.25)
-    mats = []
-    for factor in factors:
+def _z8_through(numerators, dense):
+    """Z8 acting on C^d by s -> diag(exp(2 pi i j s / 8)) over the
+    numerators j, turned by a seeded dense unitary when `dense`: a
+    representation that is not faithful when the j share a factor."""
+    n = len(numerators)
+    u = np.eye(n, dtype=complex)
+    if dense:
+        rng = np.random.default_rng(8)
         u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-        v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-        diff = u[:, :rank] @ v[:, :rank].conj().T
-        mats.append(top + factor * tol * diff)
-    rep = es.Representation(semigroup=monoid, dim=n, matrices=tuple(mats))
-    got = es.semigroup_at_infinity(rep).operators
-    expected = _classes_at_infinity_oracle(rep, tol)
-    assert 1 < len(expected) < 8
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+    mats = [u @ np.diag(np.exp(2j * np.pi * np.array(numerators) * s / 8)) @ u.conj().T
+            for s in range(8)]
+    return es.certify_boundedness(es.validate_representation(cyclic_monoid(8), mats))
+
+
+NON_FAITHFUL_Z8 = {"Z8/(0,4,4)": ((0, 4, 4), False),
+                   "Z8/(2,6,0,0)-dense": ((2, 6, 0, 0), True)}
+
+
+def _ill_conditioned(rep, seed):
+    """rep conjugated by a seeded similarity of condition number 10^3."""
+    n = rep.dim
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    similarity = u @ np.diag(np.logspace(0, 3, n)) @ v
+    inverse = np.linalg.inv(similarity)
+    return es.certify_boundedness(es.validate_representation(
+        rep.semigroup, [similarity @ a @ inverse for a in rep.matrices]))
 
 
 def test_cross_residual_matches_the_dense_loop():
@@ -620,6 +675,24 @@ def _oracle_rep(case):
         return n1_rep(np.array([[1.0, 1.5e-10], [0.0, 1.0]], dtype=complex))
     rep = load_representation(str(FIXTURES / f"{case}.json"))
     return es.certify_boundedness(rep)
+
+
+# the finite monoids among ORACLE_CASES
+FINITE_ORACLE_CASES = ["klein_four", "semilattice", "threshold", "Z8", "L2xZ4", "T7"]
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "ill-conditioned"])
+@pytest.mark.parametrize("case", [*FINITE_ORACLE_CASES, *NON_FAITHFUL_Z8])
+def test_classes_at_infinity_match_the_dense_oracle(case, conjugated):
+    rep = _z8_through(*NON_FAITHFUL_Z8[case]) if case in NON_FAITHFUL_Z8 \
+        else _oracle_rep(case)
+    if conjugated:
+        rep = _ill_conditioned(rep, 55)
+    infinity = es.semigroup_at_infinity(rep)
+    assert infinity.classes == _classes_at_infinity_oracle(rep, DEFAULT_CONFIG.tol_hom)
+    assert infinity.residual <= DEFAULT_CONFIG.tol_hom
+    if case in NON_FAITHFUL_Z8:
+        assert len(infinity.classes) == {"Z8/(0,4,4)": 2, "Z8/(2,6,0,0)-dense": 4}[case]
 
 
 def _angle_verdict(rep, chi, fix):
