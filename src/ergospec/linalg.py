@@ -225,33 +225,63 @@ def largest_cross_product(factors):
 
 
 def _single_linkage_clusters(values, radius):
-    """Indices grouped by single-linkage chaining at the given radius."""
+    """Indices grouped by single-linkage chaining at the given radius, and
+    the centroid of each cluster, with the bits of np.mean over it.
+
+    Each cluster lists its indices in ascending order. The clusters are
+    ordered by centroid (real, imag), and clusters with equal centroids by
+    their least value in (real, imag) order."""
     values = np.asarray(values)
+    n = len(values)
+    if n == 0:
+        return [], np.zeros(0, dtype=np.complex128)
     near = np.abs(values[:, None] - values[None, :]) <= radius
     if near.all():
-        return [list(range(len(values)))]
-    unassigned = np.ones(len(values), dtype=bool)
-    clusters = []
-    # each cluster grows from the least unassigned value by (real, imag)
-    for seed_idx in np.lexsort((values.imag, values.real)):
-        if not unassigned[seed_idx]:
-            continue
-        frontier = np.zeros_like(unassigned)
-        frontier[seed_idx] = True
-        members = frontier.copy()
-        while frontier.any():
-            frontier = near[frontier].any(axis=0) & ~members
-            members |= frontier
-        unassigned &= ~members
-        clusters.append(np.flatnonzero(members).tolist())
+        return [list(range(n))], values[None, :].mean(axis=1)
+    order = np.lexsort((values.imag, values.real))
+    if np.count_nonzero(near) == n:   # singletons, each its own centroid
+        return order[:, None].tolist(), values[order, None].mean(axis=1)
+    # label each value with the least (real, imag) rank that it reaches
+    # by chaining, one step of the chain per round
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.arange(n)
+    while True:
+        reached = np.where(near, label, n).min(axis=1)
+        if np.array_equal(reached, label):
+            break
+        label = reached
+    # the clusters by least rank, each one's indices ascending
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    # the mean of a stacked row has the bits of np.mean of the cluster alone
+    centroids = np.empty(len(sizes), dtype=np.complex128)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        centroids[rows] = values[members[starts[rows, None] + np.arange(size)]].mean(axis=1)
+    by_centroid = np.lexsort((centroids.imag, centroids.real))
+    flat, bounds = members.tolist(), np.append(starts, n).tolist()
+    return ([flat[bounds[c]:bounds[c + 1]] for c in by_centroid.tolist()],
+            centroids[by_centroid])
 
-    def centroid(cluster):
-        mean = np.mean(values[cluster])
-        return mean.real, mean.imag
 
-    # deterministic order: by cluster centroid
-    clusters.sort(key=centroid)
-    return clusters
+def _peripheral_clusters(values, config):
+    """(indices, mean) of each cluster of the eigenvalues `values` at
+    radius tol_cluster whose mean has modulus at least 1 - tol_char, in
+    the order of _single_linkage_clusters."""
+    clusters, centroids = _single_linkage_clusters(values, config.tol_cluster)
+    for cluster, mean in zip(clusters, centroids.tolist()):
+        if abs(mean) >= 1.0 - config.tol_char:
+            yield cluster, mean
+
+
+def _unimodular_values(values, config):
+    """The mean of each cluster of the eigenvalues `values` at radius
+    tol_cluster that lies within tol_char of the unit circle, scaled to
+    modulus 1."""
+    return [mean / abs(mean) for _, mean in _peripheral_clusters(values, config)
+            if abs(mean) <= 1.0 + config.tol_char]
 
 
 def _invariant_subspace(schur_form, selected, cluster_gap):

@@ -27,7 +27,8 @@ from .errors import (
 from .linalg import (
     BLOCK_ENTRIES,
     _invariant_subspace,
-    _single_linkage_clusters,
+    _peripheral_clusters,
+    _unimodular_values,
     as_complex_matrix,
     operator_norm,
     operator_norms,
@@ -52,6 +53,9 @@ class BoundednessCertificate:
     status: str
     witness: tuple = None   # generator direction for unbounded growth
     detail: str = ""
+    # Certified N^k: per generator, the unit mean psi / |psi| of each
+    # peripheral eigenvalue cluster; None otherwise. Not reported.
+    peripheral: tuple = None
 
     @property
     def is_certified(self):
@@ -252,53 +256,64 @@ def certify_boundedness(rep, config=None):
     eigenvalue: when that distance is at most _ROUNDING ||T_g||_F / s, 1 / s
     the norm of the cluster's spectral projector, which is also a lower
     bound of sup_m ||T_g^m||. The first generator that fails is the witness
-    of an Unbounded certificate.
+    of an Unbounded certificate. A Certified one keeps the unit mean
+    psi / |psi| of every cluster it accepted, per generator, as
+    `peripheral`: the unitary spectrum's walk starts from those of T_1.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
         cert = BoundednessCertificate(CERTIFIED, detail="finite range")
         return replace(rep, boundedness=cert)
 
+    peripheral = []
     for j, (label, a) in enumerate(zip(rep.semigroup.generators, rep.matrices)):
         schur_form = scipy.linalg.schur(a, output="complex")
         eigs = np.diag(schur_form[0])
         rounding = _ROUNDING * np.linalg.norm(a)
-        for cluster in _single_linkage_clusters(eigs, config.tol_cluster):
-            psi = eigs[cluster].mean()
-            detail = None
+        units = []
+        for cluster, psi in _peripheral_clusters(eigs, config):
             if abs(psi) > 1.0 + config.tol_char:
                 detail = f"generator {j} has an eigenvalue of modulus {abs(psi):.6f} > 1"
-            elif abs(psi) >= 1.0 - config.tol_char:
+            else:
                 q, width, s = _invariant_subspace(schur_form, eigs[cluster],
                                                   config.tol_cluster)
                 defect = operator_norm(q.conj().T @ a @ q - psi * np.eye(width))
                 scale = max(1.0, rep.generator_norms[j])
                 gap = np.abs(np.delete(eigs, cluster) - psi).min(initial=np.inf)
+                detail = None
                 if defect > config.tol_rank * scale * max(1, width):
-                    detail = (f"generator {j} is peripheral at {complex(psi):.6f} "
+                    detail = (f"generator {j} is peripheral at {psi:.6f} "
                               f"but acts with nilpotent defect {defect:.3e}")
                 elif gap * s <= rounding:
-                    detail = (f"generator {j} is peripheral at {complex(psi):.6f} "
+                    detail = (f"generator {j} is peripheral at {psi:.6f} "
                               f"with spectral projector norm {1 / s:.3e}, within "
                               f"rounding of another eigenvalue {gap:.3e} away")
             if detail:
                 cert = BoundednessCertificate(UNBOUNDED, witness=label, detail=detail)
                 return replace(rep, boundedness=cert)
+            units.append(psi / abs(psi))
+        peripheral.append(tuple(units))
     return replace(rep, boundedness=BoundednessCertificate(
         CERTIFIED, detail="every generator acts as a scalar on each peripheral "
-                          "spectral subspace"))
+                          "spectral subspace", peripheral=tuple(peripheral)))
 
 
 def rotate(rep, chi):
     """The twisted representation s -> chi(s) T_s."""
     if chi.semigroup != rep.semigroup:
         raise MismatchedSemigroup("character over a different semigroup")
+    cert = rep.boundedness
     if rep.is_finite:
         mats = tuple(chi(s) * rep.matrices[s] for s in rep.semigroup.elements())
     else:
         mats = tuple(z * a for z, a in zip(chi.gen_values, rep.matrices))
-    # |chi| = 1, so the certificate transfers verbatim
-    return replace(rep, matrices=mats)
+        if cert.peripheral is not None:
+            cert = replace(cert, peripheral=tuple(
+                tuple(w * z for z in values)
+                for w, values in zip(chi.gen_values, cert.peripheral)))
+    # |chi| = 1, so the certificate transfers, and chi(g) T_g has the
+    # peripheral values chi(g) z of T_g's values z
+    return replace(rep, matrices=mats, boundedness=cert)
 
 
 def restrict(rep, subspace, config=None):
@@ -316,6 +331,8 @@ def restrict(rep, subspace, config=None):
         if residual > config.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
     mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
+    # the certificate and its peripheral values, a superset of those of the
+    # restricted generators, carry over
     return Representation(semigroup=rep.semigroup, dim=subspace.dim,
                           matrices=mats, boundedness=rep.boundedness)
 
@@ -335,7 +352,14 @@ def direct_sum(rep1, rep2):
         block[rep1.dim:, rep1.dim:] = b
         mats.append(block)
     if rep1.boundedness.is_certified and rep2.boundedness.is_certified:
-        cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands")
+        peripheral = None
+        if not rep1.is_finite:   # the union of the summands' values, per generator
+            peripheral = tuple(
+                tuple(_unimodular_values(np.array(values1 + values2), DEFAULT_CONFIG))
+                for values1, values2 in zip(rep1.boundedness.peripheral,
+                                            rep2.boundedness.peripheral))
+        cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands",
+                                      peripheral=peripheral)
     else:
         cert = BoundednessCertificate(NOT_CHECKED)
     return Representation(semigroup=rep1.semigroup, dim=rep1.dim + rep2.dim,

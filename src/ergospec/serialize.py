@@ -79,20 +79,6 @@ def matrix_from_json(data):
     return (re + 1j * im).reshape(rows, cols)
 
 
-def representation_to_json(rep):
-    """The wire format of a representation, which representation_from_json
-    reads back. The package itself writes no representation; the tests
-    round-trip inputs through it."""
-    return {
-        "semigroup": rep.semigroup.to_json(),
-        "dim": rep.dim,
-        "matrices": {
-            "per": "element" if rep.is_finite else "generator",
-            "list": [matrix_to_json(a) for a in rep.matrices],
-        },
-    }
-
-
 def representation_from_json(data, config=None):
     semigroup = semigroup_from_json(data["semigroup"])
     per = data["matrices"]["per"]

@@ -25,7 +25,7 @@ from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NotBounded, NotNormalized
 from .linalg import (
     Subspace,
-    _single_linkage_clusters,
+    _unimodular_values,
     kernel_and_cokernel,
     null_space,
     operator_norm,
@@ -125,26 +125,16 @@ def _trace_multiplicities(rep):
     return numerators, (conjugates[numerators[:, group.carrier]] @ traces).real / order
 
 
-def _unimodular_values(eigenvalues, config):
-    """The mean of each cluster of the eigenvalues at radius tol_cluster
-    that lies within tol_char of the unit circle, scaled to modulus 1."""
-    values = []
-    for cluster in _single_linkage_clusters(eigenvalues, config.tol_cluster):
-        mean = complex(eigenvalues[cluster].mean())
-        if abs(abs(mean) - 1.0) <= config.tol_char:
-            values.append(mean / abs(mean))
-    return values
-
-
 def _joint_unimodular_kernels(rep, config, splits):
     """N^k: (generator values, joint kernel) of each unimodular joint
     eigenvalue tuple of the generators with a nonzero joint kernel.
 
-    The walk takes each unimodular eigenvalue cluster z of T_1 and the
-    kernel K = ker(z - T_1), which every later generator leaves invariant
-    as it commutes with T_1. It continues with the clusters of
-    K^H T_2 K, cutting K by each (_cut), and so on through the
-    generators. A leaf's kernel is the joint kernel of its character."""
+    The walk takes each unimodular eigenvalue cluster z of T_1, as the
+    boundedness certificate recorded it, and the kernel
+    K = ker(z - T_1), which every later generator leaves invariant as it
+    commutes with T_1. It continues with the clusters of K^H T_2 K,
+    cutting K by each (_cut), and so on through the generators. A leaf's
+    kernel is the joint kernel of its character."""
     family = rep.family()
     found = []
 
@@ -153,15 +143,16 @@ def _joint_unimodular_kernels(rep, config, splits):
         if index == len(family):
             found.append((values, kernel))
             return
-        a = family[index] if kernel is None else \
-            kernel.basis.conj().T @ family[index] @ kernel.basis
+        a = kernel.basis.conj().T @ family[index] @ kernel.basis
         for z in _unimodular_values(np.linalg.eigvals(a), config):
-            cut = splits(index, z)[0] if kernel is None else \
-                _cut(rep, kernel, index, z, config)
+            cut = _cut(rep, kernel, index, z, config)
             if cut.dim:
                 walk(values + (z,), cut)
 
-    walk((), None)
+    for z in rep.boundedness.peripheral[0]:
+        kernel = splits(0, z)[0]
+        if kernel.dim:
+            walk((z,), kernel)
     return found
 
 

@@ -240,7 +240,7 @@ def test_reordered_schur_matches_sorted_schur(n):
         eigs = np.linalg.eigvals(mat)
         form = scipy.linalg.schur(mat, output="complex")
         for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
-            for cluster in _single_linkage_clusters(eigs, radius):
+            for cluster in _single_linkage_clusters(eigs, radius)[0]:
                 selected = eigs[cluster]
 
                 def want(z):
@@ -279,7 +279,8 @@ def test_tall_kernels_take_thin_factors(monkeypatch):
 
 
 def _single_linkage_oracle(values, radius):
-    """The scalar loop that _single_linkage_clusters replaced."""
+    """The scalar loop that _single_linkage_clusters replaced, and
+    np.mean of each cluster."""
     remaining = set(range(len(values)))
     clusters = []
     while remaining:
@@ -296,7 +297,15 @@ def _single_linkage_oracle(values, radius):
                 frontier.append(j)
         clusters.append(sorted(cluster))
     clusters.sort(key=lambda c: (np.mean(values[c]).real, np.mean(values[c]).imag))
-    return clusters
+    return clusters, [np.mean(values[c]) for c in clusters]
+
+
+def _assert_clusters_match_the_oracle(values, radius, name=None):
+    clusters, centroids = _single_linkage_clusters(values, radius)
+    oracle_clusters, oracle_centroids = _single_linkage_oracle(values, radius)
+    assert clusters == oracle_clusters, name
+    assert np.asarray(centroids).tobytes() == \
+        np.asarray(oracle_centroids, dtype=np.complex128).tobytes(), name
 
 
 def _invariant_subspace_oracle(schur_form, selected, cluster_gap):
@@ -329,13 +338,36 @@ def _tight_clusters(rng, radius):
     return rng.permutation(np.array(values, dtype=np.complex128))
 
 
+def _cluster_paths(rng, radius):
+    """Inputs that reach each path of _single_linkage_clusters, placed
+    and shuffled by `rng`."""
+    centre = complex(*rng.uniform(-1, 1, 2))
+    angle = np.exp(2j * np.pi * rng.random())
+    grid = 3 * radius * (rng.permutation(25)[:7] + 1j * rng.permutation(25)[:7])
+    chain = centre + angle * 0.9 * radius * np.arange(6)
+    disc = centre + 0.2 * radius * np.exp(2j * np.pi * rng.random(11)) * rng.random(11)
+    repeats = centre + 3 * radius * rng.integers(0, 3, 9)
+    upper = 0.5 + 0.5j + 0.3 * radius * (rng.random(5) + 1j * rng.random(5))
+    upper = np.append(upper, [0.2 + 0.4j, 0.2 + 0.7j])
+    return {
+        "empty": np.zeros(0, dtype=np.complex128),
+        "single": np.array([centre]),
+        "no near pair": centre + grid,
+        "every pair near": disc,
+        "chain of 6": rng.permutation(np.append(chain, chain[-1] + 5 * radius)),
+        "exact repeats": repeats,
+        "cluster of 11": rng.permutation(np.append(disc, centre + 3 * radius)),
+        "conjugate clusters": rng.permutation(np.concatenate([upper, upper.conj()])),
+    }
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_clusters_match_the_scalar_loop(seed):
     rng = np.random.default_rng([7, seed])
     for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
-        values = _tight_clusters(rng, radius)
-        assert _single_linkage_clusters(values, radius) == \
-            _single_linkage_oracle(values, radius)
+        _assert_clusters_match_the_oracle(_tight_clusters(rng, radius), radius)
+        for name, values in _cluster_paths(rng, radius).items():
+            _assert_clusters_match_the_oracle(values, radius, name)
 
 
 @pytest.mark.parametrize("n", [6, 24, 80])
@@ -346,9 +378,8 @@ def test_selection_matches_the_scalar_loop(n):
         eigs = np.linalg.eigvals(mat)
         form = scipy.linalg.schur(mat, output="complex")
         for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
-            clusters = _single_linkage_clusters(eigs, radius)
-            assert clusters == _single_linkage_oracle(eigs, radius)
-            for cluster in clusters:
+            _assert_clusters_match_the_oracle(eigs, radius)
+            for cluster in _single_linkage_clusters(eigs, radius)[0]:
                 basis, dim, _ = _invariant_subspace(form, eigs[cluster], radius)
                 oracle_basis, oracle_dim = _invariant_subspace_oracle(
                     form, eigs[cluster], radius)

@@ -18,11 +18,23 @@ from ergospec.serialize import (
     matrix_to_json,
     representation_digest,
     representation_from_json,
-    representation_to_json,
     semigroup_from_json,
 )
 
 from conftest import FIXTURES, SCHEMAS, cyclic_monoid, free, load_fixture
+
+
+def representation_to_json(rep):
+    """The wire format of a representation, which representation_from_json
+    reads back."""
+    return {
+        "semigroup": rep.semigroup.to_json(),
+        "dim": rep.dim,
+        "matrices": {
+            "per": "element" if rep.is_finite else "generator",
+            "list": [matrix_to_json(a) for a in rep.matrices],
+        },
+    }
 
 
 def test_semigroup_round_trip(klein_monoid):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ergospec as es
+from ergospec.config import DEFAULT_CONFIG
+from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec.errors import NotBounded, NotNormalized
+from ergospec.linalg import _unimodular_values
 from ergospec.serialize import load_representation
 from ergospec.spectrum import _trace_multiplicities, brute_force_spectrum
 
@@ -320,3 +324,106 @@ def test_an_ill_conditioned_conjugate_keeps_its_characters(monoid, count):
     report = es.analyze(rep, sections=["spectrum"])
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == count
+
+
+def _planted_n16(seed):
+    """A validated, uncertified N^2 input on C^16: four distinct tuples of
+    roots of unity, two of them sharing the value of T_1, and contractions
+    of modulus at most 0.8, conjugated by a similarity with kappa <= 1e2."""
+    rng = np.random.default_rng([16, seed])
+    n = 16
+    roots = np.exp(2j * np.pi * rng.integers(0, 8, size=(4, 2)) / 8)
+    roots[1, 0] = roots[0, 0]
+    roots[1, 1] = -roots[0, 1]
+    mats = [np.zeros((n, n), dtype=complex) for _ in range(2)]
+    for j, mat in enumerate(mats):
+        mat[np.arange(4), np.arange(4)] = roots[:, j]
+        mat[np.arange(4, n), np.arange(4, n)] = \
+            rng.uniform(0, 0.8, n - 4) * np.exp(2j * np.pi * rng.random(n - 4))
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    similarity = q @ np.diag(10 ** rng.uniform(0, 2, size=n))
+    inverse = np.linalg.inv(similarity)
+    return es.validate_representation(free(2), [similarity @ a @ inverse for a in mats])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_analyze_factors_each_generator_once(seed, monkeypatch):
+    # the certificate's Schur form is the only n x n spectral factorization:
+    # the spectrum walk starts from the values the certificate recorded
+    rep = _planted_n16(seed)
+    calls = {"eigvals": [], "schur": []}
+    eigvals, schur = np.linalg.eigvals, scipy.linalg.schur
+
+    def recording_eigvals(a):
+        calls["eigvals"].append(np.shape(a))
+        return eigvals(a)
+
+    def recording_schur(a, *args, **kwargs):
+        calls["schur"].append(np.shape(a))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
+    report = es.analyze(rep)
+    assert report.ok
+    assert report.data["unitary_spectrum"]["count"] == 4
+    assert calls["schur"] == [(16, 16), (16, 16)]
+    assert calls["eigvals"] and all(shape[0] < 16 for shape in calls["eigvals"])
+
+
+def _certified_ensemble():
+    for seed in range(40):
+        rep, _ = random_certified_instance(seed)
+        yield rep
+        yield random_circulant_stochastic_instance(seed)
+
+
+def test_certificate_keeps_the_unimodular_values_of_each_generator():
+    tol = DEFAULT_CONFIG.tol_cluster
+    for rep in _certified_ensemble():
+        peripheral = rep.boundedness.peripheral
+        assert len(peripheral) == rep.semigroup.rank
+        for a, kept in zip(rep.matrices, peripheral):
+            expected = _unimodular_values(np.linalg.eigvals(a), DEFAULT_CONFIG)
+            assert len(kept) == len(expected)
+            for z in kept:
+                assert np.abs(np.array(expected) - z).min() <= tol
+    finite = es.regular_representation(cyclic_monoid(4))
+    assert finite.boundedness.peripheral is None
+    assert "peripheral" not in finite.boundedness.to_json()
+
+
+def _spectrum_by_character(rep):
+    spectrum = es.unitary_spectrum(rep)
+    return [(chi, space.dim) for chi, space in zip(spectrum.characters, spectrum.eigenspaces)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derived_certificates_match_fresh_ones(seed):
+    # rotate, restrict and direct_sum carry the peripheral values instead of
+    # certifying again; the spectrum they give is that of a fresh certificate
+    tol = DEFAULT_CONFIG.tol_cluster
+    rng = np.random.default_rng([17, seed])
+    reps = [_branching_instance(2, seed)[0], _branching_instance(3, seed)[0],
+            random_circulant_stochastic_instance(seed)]
+    for rep in reps:
+        chi = es.character_from_gen_values(
+            rep.semigroup, np.exp(2j * np.pi * rng.random(rep.semigroup.rank)))
+        reversible = es.peripheral_decomposition(rep).reversible
+        derived = {
+            "rotate": es.rotate(rep, chi),
+            "restrict": es.restrict(rep, reversible),
+            "sum": es.direct_sum(rep, rep),
+            "rotated sum": es.direct_sum(rep, es.rotate(rep, chi)),
+        }
+        for name, sub in derived.items():
+            assert len(sub.boundedness.peripheral) == rep.semigroup.rank, name
+            fresh = es.certify_boundedness(
+                es.validate_representation(sub.semigroup, sub.matrices))
+            got, want = _spectrum_by_character(sub), _spectrum_by_character(fresh)
+            assert len(got) == len(want), name
+            for chi_got, dim in got:
+                matches = [d for tau, d in want if es.char_distance(chi_got, tau) <= tol]
+                assert matches == [dim], name
+            for i, (first, _) in enumerate(got):
+                assert all(es.char_distance(first, other) > tol for other, _ in got[i + 1:]), name
