@@ -233,20 +233,14 @@ def _single_linkage_clusters(values, radius):
     their least value in (real, imag) order."""
     values = np.asarray(values)
     n = len(values)
-    if n == 0:
-        return [], np.zeros(0, dtype=np.complex128)
     near = np.abs(values[:, None] - values[None, :]) <= radius
-    if near.all():
-        return [list(range(n))], values[None, :].mean(axis=1)
     order = np.lexsort((values.imag, values.real))
-    if np.count_nonzero(near) == n:   # singletons, each its own centroid
-        return order[:, None].tolist(), values[order, None].mean(axis=1)
     # label each value with the least (real, imag) rank that it reaches
     # by chaining, one step of the chain per round
     label = np.empty(n, dtype=np.intp)
     label[order] = np.arange(n)
     while True:
-        reached = np.where(near, label, n).min(axis=1)
+        reached = np.where(near, label, n).min(axis=1, initial=n)
         if np.array_equal(reached, label):
             break
         label = reached

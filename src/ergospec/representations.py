@@ -28,7 +28,6 @@ from .linalg import (
     BLOCK_ENTRIES,
     _invariant_subspace,
     _peripheral_clusters,
-    _unimodular_values,
     as_complex_matrix,
     operator_norm,
     operator_norms,
@@ -53,9 +52,9 @@ class BoundednessCertificate:
     status: str
     witness: tuple = None   # generator direction for unbounded growth
     detail: str = ""
-    # Certified N^k: per generator, the unit mean psi / |psi| of each
-    # peripheral eigenvalue cluster; None otherwise. Not reported.
-    peripheral: tuple = None
+    # Certified N^k: the eigenvalues of T_1, from its Schur form, which
+    # the unitary spectrum's walk starts from; None otherwise. Not reported.
+    eigenvalues: tuple = None
 
     @property
     def is_certified(self):
@@ -256,21 +255,22 @@ def certify_boundedness(rep, config=None):
     eigenvalue: when that distance is at most _ROUNDING ||T_g||_F / s, 1 / s
     the norm of the cluster's spectral projector, which is also a lower
     bound of sup_m ||T_g^m||. The first generator that fails is the witness
-    of an Unbounded certificate. A Certified one keeps the unit mean
-    psi / |psi| of every cluster it accepted, per generator, as
-    `peripheral`: the unitary spectrum's walk starts from those of T_1.
+    of an Unbounded certificate. A Certified one keeps the eigenvalues of
+    T_1, the diagonal of its Schur form: the unitary spectrum's walk
+    clusters them at its own tolerances instead of computing them again.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
         cert = BoundednessCertificate(CERTIFIED, detail="finite range")
         return replace(rep, boundedness=cert)
 
-    peripheral = []
+    eigenvalues = None
     for j, (label, a) in enumerate(zip(rep.semigroup.generators, rep.matrices)):
         schur_form = scipy.linalg.schur(a, output="complex")
         eigs = np.diag(schur_form[0])
         rounding = _ROUNDING * np.linalg.norm(a)
-        units = []
+        if j == 0:
+            eigenvalues = tuple(eigs.tolist())
         for cluster, psi in _peripheral_clusters(eigs, config):
             if abs(psi) > 1.0 + config.tol_char:
                 detail = f"generator {j} has an eigenvalue of modulus {abs(psi):.6f} > 1"
@@ -291,11 +291,9 @@ def certify_boundedness(rep, config=None):
             if detail:
                 cert = BoundednessCertificate(UNBOUNDED, witness=label, detail=detail)
                 return replace(rep, boundedness=cert)
-            units.append(psi / abs(psi))
-        peripheral.append(tuple(units))
     return replace(rep, boundedness=BoundednessCertificate(
         CERTIFIED, detail="every generator acts as a scalar on each peripheral "
-                          "spectral subspace", peripheral=tuple(peripheral)))
+                          "spectral subspace", eigenvalues=eigenvalues))
 
 
 def rotate(rep, chi):
@@ -307,18 +305,22 @@ def rotate(rep, chi):
         mats = tuple(chi(s) * rep.matrices[s] for s in rep.semigroup.elements())
     else:
         mats = tuple(z * a for z, a in zip(chi.gen_values, rep.matrices))
-        if cert.peripheral is not None:
-            cert = replace(cert, peripheral=tuple(
-                tuple(w * z for z in values)
-                for w, values in zip(chi.gen_values, cert.peripheral)))
-    # |chi| = 1, so the certificate transfers, and chi(g) T_g has the
-    # peripheral values chi(g) z of T_g's values z
+        if cert.eigenvalues is not None:
+            w = chi.gen_values[0]
+            cert = replace(cert, eigenvalues=tuple(w * z for z in cert.eigenvalues))
+    # |chi| = 1, so the certificate transfers, and chi(g_1) T_1 has the
+    # eigenvalues chi(g_1) z of T_1's eigenvalues z
     return replace(rep, matrices=mats, boundedness=cert)
 
 
 def restrict(rep, subspace, config=None):
     """Express the representation on an invariant subspace, after checking
-    that every generator leaves it invariant."""
+    that every generator leaves it invariant.
+
+    The certificate carries over, with the eigenvalues of the parent's T_1:
+    a superset of the restricted T_1's. The unitary spectrum then takes one
+    kernel of the restricted T_1 for each unimodular cluster of the
+    parent's, and drops those without an eigenvector in the subspace."""
     config = DEFAULT_CONFIG if config is None else config
     if subspace.ambient_dim != rep.dim:
         raise ValueError("subspace lives in a different ambient dimension")
@@ -331,8 +333,6 @@ def restrict(rep, subspace, config=None):
         if residual > config.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
     mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
-    # the certificate and its peripheral values, a superset of those of the
-    # restricted generators, carry over
     return Representation(semigroup=rep.semigroup, dim=subspace.dim,
                           matrices=mats, boundedness=rep.boundedness)
 
@@ -352,14 +352,11 @@ def direct_sum(rep1, rep2):
         block[rep1.dim:, rep1.dim:] = b
         mats.append(block)
     if rep1.boundedness.is_certified and rep2.boundedness.is_certified:
-        peripheral = None
-        if not rep1.is_finite:   # the union of the summands' values, per generator
-            peripheral = tuple(
-                tuple(_unimodular_values(np.array(values1 + values2), DEFAULT_CONFIG))
-                for values1, values2 in zip(rep1.boundedness.peripheral,
-                                            rep2.boundedness.peripheral))
+        eigenvalues = None
+        if not rep1.is_finite:   # T_1 of the sum is block diagonal
+            eigenvalues = rep1.boundedness.eigenvalues + rep2.boundedness.eigenvalues
         cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands",
-                                      peripheral=peripheral)
+                                      eigenvalues=eigenvalues)
     else:
         cert = BoundednessCertificate(NOT_CHECKED)
     return Representation(semigroup=rep1.semigroup, dim=rep1.dim + rep2.dim,

@@ -129,8 +129,8 @@ def _joint_unimodular_kernels(rep, config, splits):
     """N^k: (generator values, joint kernel) of each unimodular joint
     eigenvalue tuple of the generators with a nonzero joint kernel.
 
-    The walk takes each unimodular eigenvalue cluster z of T_1, as the
-    boundedness certificate recorded it, and the kernel
+    The walk takes each unimodular eigenvalue cluster z of T_1, whose
+    eigenvalues the boundedness certificate recorded, and the kernel
     K = ker(z - T_1), which every later generator leaves invariant as it
     commutes with T_1. It continues with the clusters of K^H T_2 K,
     cutting K by each (_cut), and so on through the generators. A leaf's
@@ -149,7 +149,7 @@ def _joint_unimodular_kernels(rep, config, splits):
             if cut.dim:
                 walk(values + (z,), cut)
 
-    for z in rep.boundedness.peripheral[0]:
+    for z in _unimodular_values(np.array(rep.boundedness.eigenvalues), config):
         kernel = splits(0, z)[0]
         if kernel.dim:
             walk((z,), kernel)

@@ -339,8 +339,8 @@ def _tight_clusters(rng, radius):
 
 
 def _cluster_paths(rng, radius):
-    """Inputs that reach each path of _single_linkage_clusters, placed
-    and shuffled by `rng`."""
+    """Inputs for _single_linkage_clusters at the edges of its chaining,
+    placed and shuffled by `rng`."""
     centre = complex(*rng.uniform(-1, 1, 2))
     angle = np.exp(2j * np.pi * rng.random())
     grid = 3 * radius * (rng.permutation(25)[:7] + 1j * rng.permutation(25)[:7])

@@ -378,29 +378,45 @@ def _certified_ensemble():
         yield random_circulant_stochastic_instance(seed)
 
 
-def test_certificate_keeps_the_unimodular_values_of_each_generator():
+def test_certificate_keeps_the_eigenvalues_of_the_first_generator():
     tol = DEFAULT_CONFIG.tol_cluster
     for rep in _certified_ensemble():
-        peripheral = rep.boundedness.peripheral
-        assert len(peripheral) == rep.semigroup.rank
-        for a, kept in zip(rep.matrices, peripheral):
-            expected = _unimodular_values(np.linalg.eigvals(a), DEFAULT_CONFIG)
-            assert len(kept) == len(expected)
-            for z in kept:
-                assert np.abs(np.array(expected) - z).min() <= tol
+        kept = np.array(rep.boundedness.eigenvalues)
+        expected = np.linalg.eigvals(rep.matrices[0])
+        assert len(kept) == rep.dim
+        assert np.abs(kept[:, None] - expected[None, :]).min(axis=0).max() <= tol
+        unimodular = _unimodular_values(expected, DEFAULT_CONFIG)
+        for got, want in zip(_unimodular_values(kept, DEFAULT_CONFIG), unimodular):
+            assert abs(got - want) <= tol
+        assert len(_unimodular_values(kept, DEFAULT_CONFIG)) == len(unimodular)
     finite = es.regular_representation(cyclic_monoid(4))
-    assert finite.boundedness.peripheral is None
-    assert "peripheral" not in finite.boundedness.to_json()
+    assert finite.boundedness.eigenvalues is None
+    assert "eigenvalues" not in finite.boundedness.to_json()
+    assert "eigenvalues" not in rep.boundedness.to_json()
 
 
-def _spectrum_by_character(rep):
-    spectrum = es.unitary_spectrum(rep)
+def _spectrum_by_character(rep, config=DEFAULT_CONFIG):
+    spectrum = es.unitary_spectrum(rep, config)
     return [(chi, space.dim) for chi, space in zip(spectrum.characters, spectrum.eigenspaces)]
+
+
+def _assert_same_spectrum(got, want, tol, name=None):
+    assert len(got) == len(want), name
+    for chi_got, dim in got:
+        matches = [d for tau, d in want if es.char_distance(chi_got, tau) <= tol]
+        assert matches == [dim], name
+    for i, (first, _) in enumerate(got):
+        assert all(es.char_distance(first, other) > tol for other, _ in got[i + 1:]), name
+
+
+def _certified_afresh(rep, config=DEFAULT_CONFIG):
+    return es.certify_boundedness(es.validate_representation(rep.semigroup, rep.matrices),
+                                  config)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_derived_certificates_match_fresh_ones(seed):
-    # rotate, restrict and direct_sum carry the peripheral values instead of
+    # rotate, restrict and direct_sum carry T_1's eigenvalues instead of
     # certifying again; the spectrum they give is that of a fresh certificate
     tol = DEFAULT_CONFIG.tol_cluster
     rng = np.random.default_rng([17, seed])
@@ -417,13 +433,36 @@ def test_derived_certificates_match_fresh_ones(seed):
             "rotated sum": es.direct_sum(rep, es.rotate(rep, chi)),
         }
         for name, sub in derived.items():
-            assert len(sub.boundedness.peripheral) == rep.semigroup.rank, name
-            fresh = es.certify_boundedness(
-                es.validate_representation(sub.semigroup, sub.matrices))
-            got, want = _spectrum_by_character(sub), _spectrum_by_character(fresh)
-            assert len(got) == len(want), name
-            for chi_got, dim in got:
-                matches = [d for tau, d in want if es.char_distance(chi_got, tau) <= tol]
-                assert matches == [dim], name
-            for i, (first, _) in enumerate(got):
-                assert all(es.char_distance(first, other) > tol for other, _ in got[i + 1:]), name
+            assert len(sub.boundedness.eigenvalues) >= sub.dim, name
+            _assert_same_spectrum(_spectrum_by_character(sub),
+                                  _spectrum_by_character(_certified_afresh(sub)), tol, name)
+
+
+def test_the_spectrum_follows_its_own_tolerances():
+    # the walk clusters the certificate's eigenvalues at the tolerances of
+    # the spectrum's config, whatever config certified them: a loose config
+    # admits the eigenvalue of modulus 1 - 1e-5 that the default rejects
+    loose = es.ToleranceConfig(tol_rank=1e-3, tol_char=1e-4)
+    t = np.diag([1.0, (1 - 1e-5) * np.exp(0.5j)])
+    rep = es.certify_boundedness(es.validate_representation(free(1), [t]))
+    assert len(_spectrum_by_character(rep)) == 1
+    got = _spectrum_by_character(rep, loose)
+    assert len(got) == 2
+    _assert_same_spectrum(got, _spectrum_by_character(_certified_afresh(rep, loose), loose),
+                          loose.tol_cluster)
+
+
+def test_a_direct_sum_merges_at_the_tolerances_of_the_spectrum():
+    # 1 and exp(3e-7 i), two characters at the default tol_cluster, chain
+    # into one cluster at 1e-6, on which a tol_rank of 1e-5 finds both
+    # eigenvectors: one character, of multiplicity 2, and no duplicate
+    coarse = es.ToleranceConfig(tol_rank=1e-5, tol_cluster=1e-6)
+    one = es.certify_boundedness(es.validate_representation(free(1), [np.eye(1)]))
+    near = es.certify_boundedness(
+        es.validate_representation(free(1), [np.exp(3e-7j) * np.eye(1)]))
+    total = es.direct_sum(one, near)
+    assert [dim for _, dim in _spectrum_by_character(total)] == [1, 1]
+    got = _spectrum_by_character(total, coarse)
+    assert [dim for _, dim in got] == [2]
+    _assert_same_spectrum(got, _spectrum_by_character(_certified_afresh(total, coarse), coarse),
+                          coarse.tol_cluster)
