@@ -1,5 +1,6 @@
 """Tolerance and budget configuration used by every numerical routine."""
 
+import math
 from dataclasses import dataclass, asdict
 
 
@@ -30,8 +31,10 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("tol_rank", "tol_char", "tol_cluster", "tol_hom",
                      "tol_commute", "cesaro_target"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            # NaN fails every comparison, so it would pass a test of <= 0
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.cesaro_max_side < 1 or self.cesaro_power < 1:
             raise ValueError("cesaro budgets must be positive")
 

@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import trivial_character
+from .characters import char_distance, trivial_character
 from .config import DEFAULT_CONFIG
-from .errors import NonPoleSpectrum, NotBounded
+from .errors import NonPoleSpectrum
 from .linalg import (
     Subspace,
     column_space,
@@ -28,22 +28,7 @@ from .linalg import (
     operator_norms,
 )
 from .representations import restrict
-from .spectrum import GeneratorSplits, _joint_kernel, eigenspace, unitary_spectrum
-
-
-def _split(rep, chi, config, splits, fix=None):
-    """ker(chi - T), the cokernel ker((chi - T)^H) = rg(chi - T)^perp and
-    the coordinates W^H of the projection fix.basis @ W^H onto the first
-    along rg(chi - T), or None when there is no such projection
-    (linalg.oblique_projection). The cokernel is the joint one over the
-    generators g, which suffice because rg(chi - T) is the sum of the
-    rg(chi(g) - T_g): chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) +
-    T_g (chi(h) - T_h). `fix`, when given, is eigenspace(rep, chi, config,
-    splits)."""
-    if fix is None:
-        fix = eigenspace(rep, chi, config, splits)
-    cokernel = _joint_kernel(rep, chi, config, splits, adjoint=True)
-    return fix, cokernel, oblique_projection(fix, cokernel, config.tol_rank)
+from .spectrum import JointKernels, unitary_spectrum
 
 
 def _kernel_average(rep):
@@ -106,42 +91,9 @@ class ErgodicReport:
         return self.fix_space.dim
 
 
-def mean_ergodic_analysis(rep, config=None, splits=None):
-    """Decide uniform mean ergodicity and build the mean ergodic projection.
-
-    The verdict comes from the pairing of fix(T) with ker (1 - T)^H, which
-    decides whether fix(T) and rg(1 - T) are direct complements; the
-    constructive ergodic net is then run and compared against the
-    projection. A convergent-net failure while the algebraic verdict says
-    ergodic is reported as net_divergence (a tolerance anomaly), never
-    silently resolved. `splits` is the caller's GeneratorSplits of rep.
-    """
-    config = DEFAULT_CONFIG if config is None else config
-    if not rep.boundedness.is_certified:
-        raise NotBounded("mean_ergodic_analysis requires a Certified representation")
-    splits = GeneratorSplits(rep, config) if splits is None else splits
-
-    fix, cokernel, coordinates = _split(rep, trivial_character(rep.semigroup), config,
-                                        splits)
-    projection = None if coordinates is None else fix.basis @ coordinates
-    report = ErgodicReport(fix_space=fix, cokernel=cokernel,
-                           is_ume=projection is not None, mean_projection=projection)
-
-    if rep.is_finite:
-        khat = _kernel_average(rep)
-        if projection is not None:
-            report.kernel_average_residual = operator_norm(khat - projection)
-            if report.kernel_average_residual > config.tol_hom:
-                report.net_divergence = True
-        else:
-            report.kernel_average_residual = float("nan")
-    else:
-        report.cesaro_trace = _cesaro_rectangle_chain(rep, projection, config)
-        if projection is not None:
-            best = min(t[2] for t in report.cesaro_trace)
-            if best > config.cesaro_target:
-                report.net_divergence = True
-    return report
+def mean_ergodic_analysis(rep, config=None):
+    """The mean ergodic split and its ergodic net; see Analysis.ergodic."""
+    return Analysis(rep, config).ergodic
 
 
 POLE = "pole"
@@ -171,27 +123,6 @@ def is_pole(rep, chi, config=None):
     """Pole test: chi is a pole of T iff ker(chi - T) and rg(chi - T) are
     direct complements; see Analysis.pole."""
     return Analysis(rep, config).pole(chi)
-
-
-def _pole_verdict(rep, chi, config, spectrum, splits, fix=None):
-    """is_pole, given the unitary spectrum of T, the GeneratorSplits of rep
-    and, when chi is in the spectrum, its eigenspace.
-
-    A pole needs no further check of the complement: when ker(chi - T) and
-    rg(chi - T) are direct complements, a chi-eigenvector of T restricted
-    to rg(chi - T) would lie in their intersection, which is 0.
-    """
-    if fix is None:
-        fix = eigenspace(rep, chi, config, splits)
-    if fix.dim == 0 and not spectrum.contains(chi, config.tol_cluster):
-        zero = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-        return PoleVerdict(NOT_IN_SPECTRUM, projection=zero, eigenspace_dim=0)
-
-    _, _, coordinates = _split(rep, chi, config, splits, fix)
-    if coordinates is None:
-        return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
-    return PoleVerdict(POLE, projection=fix.basis @ coordinates, eigenspace_dim=fix.dim,
-                       factors=(fix.basis, coordinates))
 
 
 @dataclass
@@ -323,29 +254,89 @@ class Analysis:
         self.rep = rep
         self.config = DEFAULT_CONFIG if config is None else config
         self._poles = {}
-        # ker of z - T_g and of its adjoint, one SVD per generator and value
-        self.splits = GeneratorSplits(rep, self.config)
+        # ker(chi - T) and ker((chi - T)^H) by generator values, each
+        # factored once for the spectrum, the poles and the mean ergodic split
+        self.kernels = JointKernels(rep, self.config)
 
     @cached_property
     def spectrum(self):
-        return unitary_spectrum(self.rep, self.config, self.splits)
+        return unitary_spectrum(self.rep, self.config, self.kernels)
 
     @cached_property
-    def ergodic(self):
-        return mean_ergodic_analysis(self.rep, self.config, self.splits)
+    def trivial(self):
+        """The trivial character as the spectrum holds it, so that the mean
+        ergodic split is its pole's: over N^k the spectrum holds it as v/|v|
+        for the generators' eigenvalues v near 1. When it is not spectral,
+        the exact one."""
+        trivial = trivial_character(self.rep.semigroup)
+        return next((chi for chi in self.spectrum.characters
+                     if char_distance(chi, trivial) <= self.config.tol_cluster), trivial)
 
-    @cached_property
-    def _eigenspaces(self):
-        return {repr(chi.canonical_key()): space for chi, space in
-                zip(self.spectrum.characters, self.spectrum.eigenspaces)}
+    def _values(self, chi):
+        """chi on the generators, the key of its kernels."""
+        return tuple(chi(g) for g in self.rep.semigroup.generators)
 
     def pole(self, chi):
+        """chi is a pole of T iff ker(chi - T) and rg(chi - T) are direct
+        complements, decided by their pairing (linalg.oblique_projection).
+
+        A pole needs no further check of the complement: when ker(chi - T)
+        and rg(chi - T) are direct complements, a chi-eigenvector of T
+        restricted to rg(chi - T) would lie in their intersection, which
+        is 0."""
         # repr tells -0.0 from 0.0, so equal keys mean bit-equal characters
         key = repr(chi.canonical_key())
         if key not in self._poles:
-            self._poles[key] = _pole_verdict(self.rep, chi, self.config, self.spectrum,
-                                             self.splits, self._eigenspaces.get(key))
+            values = self._values(chi)
+            fix = self.kernels.kernel(values)
+            if fix.dim == 0 and not self.spectrum.contains(chi, self.config.tol_cluster):
+                zero = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
+                verdict = PoleVerdict(NOT_IN_SPECTRUM, projection=zero, eigenspace_dim=0)
+            else:
+                coordinates = oblique_projection(fix, self.kernels.cokernel(values),
+                                                 self.config.tol_rank)
+                verdict = PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim) \
+                    if coordinates is None else \
+                    PoleVerdict(POLE, projection=fix.basis @ coordinates,
+                                eigenspace_dim=fix.dim, factors=(fix.basis, coordinates))
+            self._poles[key] = verdict
         return self._poles[key]
+
+    @cached_property
+    def ergodic(self):
+        """Uniform mean ergodicity and the mean ergodic projection: the
+        split of the trivial character, whose pole verdict pairs fix(T)
+        with ker (1 - T)^H and so decides whether fix(T) and rg(1 - T) are
+        direct complements. The constructive ergodic net is then run and
+        compared against the projection. A convergent-net failure while the
+        algebraic verdict says ergodic is reported as net_divergence (a
+        tolerance anomaly), never silently resolved."""
+        rep, config = self.rep, self.config
+        values = self._values(self.trivial)
+        fix, cokernel = self.kernels.kernel(values), self.kernels.cokernel(values)
+        pole = self.pole(self.trivial)
+        # outside the spectrum fix(T) = 0, a complement of rg(1 - T) only
+        # when that is all of C^n
+        projection = pole.projection \
+            if pole.counts_as_pole and fix.dim == cokernel.dim else None
+        report = ErgodicReport(fix_space=fix, cokernel=cokernel,
+                               is_ume=projection is not None, mean_projection=projection)
+
+        if rep.is_finite:
+            khat = _kernel_average(rep)
+            if projection is not None:
+                report.kernel_average_residual = operator_norm(khat - projection)
+                if report.kernel_average_residual > config.tol_hom:
+                    report.net_divergence = True
+            else:
+                report.kernel_average_residual = float("nan")
+        else:
+            report.cesaro_trace = _cesaro_rectangle_chain(rep, projection, config)
+            if projection is not None:
+                best = min(t[2] for t in report.cesaro_trace)
+                if best > config.cesaro_target:
+                    report.net_divergence = True
+        return report
 
     @cached_property
     def decomposition(self):

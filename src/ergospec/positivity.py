@@ -2,14 +2,15 @@
 positive representations: quasi-compactness, uniform mean ergodicity with
 finite fixed space, and the Riesz-point property of the constant character
 must coincide, and no unimodular eigenspace may exceed the fixed space in
-dimension.
+dimension. The last two verdicts read one split, the pole of the trivial
+character; quasi-compactness reads the pole verdicts of the whole spectrum
+and the peripheral decomposition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import char_distance, trivial_character
 from .config import DEFAULT_CONFIG
 from .errors import DominationViolation, EquivalenceViolation, NotBounded
 from .ergodic import Analysis
@@ -49,7 +50,9 @@ class NisaReport:
 
 def nisa_suite(rep, config=None):
     """Evaluate the three equivalent verdicts for a positive representation
-    by three independent routes and assert they agree."""
+    and assert they agree. ume_with_finite_fix and trivial_char_riesz read
+    one split, the trivial character's pole (Analysis.ergodic), and
+    quasi_compact the pole verdicts of the whole spectrum."""
     return nisa_suite_of(Analysis(rep, config))
 
 
@@ -64,12 +67,7 @@ def nisa_suite_of(analysis):
 
     qc = analysis.quasi_compactness
     ergodic = analysis.ergodic
-    # over N^k the spectrum holds the trivial character as v/|v|; its pole
-    # verdict is the one the spectral characters already have
-    trivial = trivial_character(rep.semigroup)
-    pole = analysis.pole(next(
-        (chi for chi in analysis.spectrum.characters
-         if char_distance(chi, trivial) <= config.tol_cluster), trivial))
+    pole = analysis.pole(analysis.trivial)
 
     fix_dim = ergodic.fix_dim
     projection_rank = 0

@@ -46,28 +46,46 @@ class UnitarySpectrumResult:
         return any(char_distance(chi, c) <= tol for c in self.characters)
 
 
-class GeneratorSplits:
-    """ker(z - T_g) and ker((z - T_g)^H) per (generator index, value z),
-    each pair from one SVD taken on first use (linalg.kernel_and_cokernel).
+class JointKernels:
+    """ker(chi - T) and ker((chi - T)^H) = rg(chi - T)^perp over the first
+    j generators, by the tuple (chi(g_1), ..., chi(g_j)) of generator
+    values, each computed on first use. The pair of a one-value tuple comes
+    from one SVD (linalg.kernel_and_cokernel); a longer tuple cuts its
+    prefix's space by the next generator (_cut).
 
-    An Analysis holds one, so the spectrum, the mean ergodic split and the
-    poles factor each such matrix once, and characters that agree on a
-    generator share its factorization."""
+    An Analysis holds one, so the spectrum walk, the eigenspaces, the poles
+    and the mean ergodic split read the same factorizations, and characters
+    that agree on the leading generators share them. The cokernel over all
+    generators is that of chi - T, since rg(chi - T) is the sum of the
+    rg(chi(g) - T_g): chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) +
+    T_g (chi(h) - T_h)."""
 
     def __init__(self, rep, config):
         self.rep = rep
         self.config = config
-        self._splits = {}
+        self._spaces = {}
 
-    def __call__(self, index, z):
-        key = (index, z)
-        if key not in self._splits:
-            rep = self.rep
-            a = z * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
-            # the scale floor keeps z - T_g near zero from reading as full rank
-            self._splits[key] = kernel_and_cokernel(
-                a, self.config.tol_rank, scale=max(1.0, rep.generator_norms[index]))
-        return self._splits[key]
+    def kernel(self, values):
+        return self._space(tuple(values), False)
+
+    def cokernel(self, values):
+        return self._space(tuple(values), True)
+
+    def _space(self, values, adjoint):
+        key = (values, adjoint)
+        if key not in self._spaces:
+            rep, config, index = self.rep, self.config, len(values) - 1
+            if index == 0:
+                a = values[0] * np.eye(rep.dim, dtype=np.complex128) - rep.family()[0]
+                # the scale floor keeps z - T_g near zero from reading as full rank
+                self._spaces[values, False], self._spaces[values, True] = \
+                    kernel_and_cokernel(a, config.tol_rank,
+                                        scale=max(1.0, rep.generator_norms[0]))
+            else:
+                prefix = self._space(values[:-1], adjoint)
+                self._spaces[key] = prefix if prefix.dim == 0 else \
+                    _cut(rep, prefix, index, values[index], config, adjoint)
+        return self._spaces[key]
 
 
 def _cut(rep, kernel, index, z, config, adjoint=False):
@@ -85,28 +103,15 @@ def _cut(rep, kernel, index, z, config, adjoint=False):
     return kernel
 
 
-def _joint_kernel(rep, chi, config, splits, adjoint=False):
-    """The intersection over the generators g of ker(chi(g) - T_g), or of
-    ker((chi(g) - T_g)^H) when `adjoint` is set: the first generator's
-    kernel from `splits`, cut by each later generator (_cut)."""
-    generators = rep.semigroup.generators
-    kernel = splits(0, chi(generators[0]))[int(adjoint)]
-    for index in range(1, len(generators)):
-        if kernel.dim == 0:
-            break
-        kernel = _cut(rep, kernel, index, chi(generators[index]), config, adjoint)
-    return kernel
-
-
-def eigenspace(rep, chi, config=None, splits=None):
+def eigenspace(rep, chi, config=None, kernels=None):
     """ker(chi - T): the joint kernel over the generator matrices, which
     suffice because a joint generator eigenvector is an eigenvector of every
-    product. `splits` is the caller's GeneratorSplits of rep, by default a
+    product. `kernels` is the caller's JointKernels of rep, by default a
     fresh one.
     """
     config = DEFAULT_CONFIG if config is None else config
-    splits = GeneratorSplits(rep, config) if splits is None else splits
-    return _joint_kernel(rep, chi, config, splits)
+    kernels = JointKernels(rep, config) if kernels is None else kernels
+    return kernels.kernel(chi(g) for g in rep.semigroup.generators)
 
 
 def _trace_multiplicities(rep):
@@ -125,7 +130,7 @@ def _trace_multiplicities(rep):
     return numerators, (conjugates[numerators[:, group.carrier]] @ traces).real / order
 
 
-def _joint_unimodular_kernels(rep, config, splits):
+def _joint_unimodular_kernels(rep, config, kernels):
     """N^k: (generator values, joint kernel) of each unimodular joint
     eigenvalue tuple of the generators with a nonzero joint kernel.
 
@@ -133,26 +138,26 @@ def _joint_unimodular_kernels(rep, config, splits):
     eigenvalues the boundedness certificate recorded, and the kernel
     K = ker(z - T_1), which every later generator leaves invariant as it
     commutes with T_1. It continues with the clusters of K^H T_2 K,
-    cutting K by each (_cut), and so on through the generators. A leaf's
-    kernel is the joint kernel of its character."""
+    cutting K by each, and so on through the generators, reading every
+    kernel from `kernels`. A leaf's kernel is the joint kernel of its
+    character."""
     family = rep.family()
     found = []
 
-    def walk(values, kernel):
+    def walk(values):
+        kernel = kernels.kernel(values)
+        if not kernel.dim:
+            return
         index = len(values)
         if index == len(family):
             found.append((values, kernel))
             return
         a = kernel.basis.conj().T @ family[index] @ kernel.basis
         for z in _unimodular_values(np.linalg.eigvals(a), config):
-            cut = _cut(rep, kernel, index, z, config)
-            if cut.dim:
-                walk(values + (z,), cut)
+            walk(values + (z,))
 
     for z in _unimodular_values(np.array(rep.boundedness.eigenvalues), config):
-        kernel = splits(0, z)[0]
-        if kernel.dim:
-            walk((z,), kernel)
+        walk((z,))
     return found
 
 
@@ -168,30 +173,30 @@ def _spectral_order(chi):
             chi.canonical_key())
 
 
-def unitary_spectrum(rep, config=None, splits=None):
+def unitary_spectrum(rep, config=None, kernels=None):
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. Over a finite monoid
     the candidates are the dual characters of trace multiplicity at least
     1/2, each kept when its joint kernel is nonzero. Over N^k they come
-    from the walk of _joint_unimodular_kernels. `splits` is the caller's
-    GeneratorSplits of rep.
+    from the walk of _joint_unimodular_kernels. `kernels` is the caller's
+    JointKernels of rep.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("unitary_spectrum requires a Certified representation")
-    splits = GeneratorSplits(rep, config) if splits is None else splits
+    kernels = JointKernels(rep, config) if kernels is None else kernels
 
     if rep.is_finite:
         numerators, multiplicities = _trace_multiplicities(rep)
         candidates = _characters_from_numerators(
             rep.semigroup, numerators[multiplicities >= 0.5], len(numerators))
-        found = [(chi, eigenspace(rep, chi, config, splits)) for chi in candidates]
+        found = [(chi, eigenspace(rep, chi, config, kernels)) for chi in candidates]
         found = [(chi, space) for chi, space in found if space.dim]
     else:
         found = [(UnitaryCharacter(rep.semigroup, gen_values=values), space)
-                 for values, space in _joint_unimodular_kernels(rep, config, splits)]
+                 for values, space in _joint_unimodular_kernels(rep, config, kernels)]
 
     found.sort(key=lambda pair: _spectral_order(pair[0]))
     return UnitarySpectrumResult(
@@ -238,55 +243,42 @@ def laplace_falsifier(rep, chi, trials=64, config=None, seed=DEFAULT_SEED):
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("laplace_falsifier requires a Certified representation")
-    rng = np.random.default_rng(seed)
-    attempts = 0
+    def candidates():
+        """(elements, coefficients): the deterministic patterns, then
+        `trials` seeded draws."""
+        if rep.is_finite:
+            elements = list(rep.semigroup.elements())
+            yield elements, [np.conj(chi(s)) for s in elements]
+            if rep.semigroup.size <= 16:
+                m = rep.semigroup.size
+                for bits in range(2 ** (m - 1)):
+                    yield elements, [1.0] + [1.0 if (bits >> i) & 1 == 0 else -1.0
+                                             for i in range(m - 1)]
+        else:
+            base = list(rep.semigroup.generators)
+            yield base, [np.conj(chi(g)) for g in base]
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            if rep.is_finite:
+                m = rep.semigroup.size
+                size = int(rng.integers(1, min(m, 8) + 1))
+                elements = [int(s) for s in rng.choice(m, size=size, replace=False)]
+            else:
+                k = rep.semigroup.rank
+                size = int(rng.integers(1, 9))
+                elements = [tuple(int(x) for x in rng.integers(0, 6, size=k))
+                            for _ in range(size)]
+            yield elements, rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
-    def check(elements, coeffs):
+    attempts = 0
+    for elements, coeffs in candidates():
+        attempts += 1
         lhs = abs(sum(c * chi(s) for c, s in zip(coeffs, elements)))
         rhs = operator_norm(sum(c * rep.matrix(s) for c, s in zip(coeffs, elements)))
-        return lhs, rhs
-
-    candidates = []
-    if rep.is_finite:
-        elements = list(rep.semigroup.elements())
-        candidates.append((elements, [np.conj(chi(s)) for s in elements]))
-        if rep.semigroup.size <= 16:
-            m = rep.semigroup.size
-            for bits in range(2 ** (m - 1)):
-                signs = [1.0] + [1.0 if (bits >> i) & 1 == 0 else -1.0
-                                 for i in range(m - 1)]
-                candidates.append((elements, signs))
-    else:
-        base = list(rep.semigroup.generators)
-        candidates.append((base, [np.conj(chi(g)) for g in base]))
-
-    for elements, coeffs in candidates:
-        attempts += 1
-        lhs, rhs = check(elements, coeffs)
         if lhs > rhs + config.tol_char:
             return FalsifierVerdict(True, [list(s) if isinstance(s, tuple) else s
                                            for s in elements],
                                     [complex(c) for c in coeffs], lhs, rhs, attempts)
-
-    for _ in range(trials):
-        attempts += 1
-        if rep.is_finite:
-            m = rep.semigroup.size
-            size = int(rng.integers(1, min(m, 8) + 1))
-            elements = list(rng.choice(m, size=size, replace=False))
-            elements = [int(s) for s in elements]
-        else:
-            k = rep.semigroup.rank
-            size = int(rng.integers(1, 9))
-            elements = [tuple(int(x) for x in rng.integers(0, 6, size=k))
-                        for _ in range(size)]
-        coeffs = rng.standard_normal(len(elements)) + 1j * rng.standard_normal(len(elements))
-        lhs, rhs = check(elements, coeffs)
-        if lhs > rhs + config.tol_char:
-            return FalsifierVerdict(True, [list(s) if isinstance(s, tuple) else s
-                                           for s in elements],
-                                    [complex(c) for c in coeffs], lhs, rhs, attempts)
-
     return FalsifierVerdict(False, trials=attempts)
 
 

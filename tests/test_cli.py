@@ -384,6 +384,10 @@ def test_missing_file_exit_code(capsys):
     (["ensemble", "--count", "1", "--n", "257"], 2),
     (["ensemble", "--count", "1", "--k", "0"], 2),
     (["ensemble", "--count", "1", "--seed", "-5"], 2),
+    # NaN fails every comparison, so a bare test of <= 0 lets it through
+    (["--tol-rank", "nan"], 2),
+    (["--tol-rank", "inf"], 2),
+    (["--tol-char", "nan"], 2),
 ])
 def test_tolerance_flags_exit_codes(capsys, tmp_path, flags, expected):
     # an out-of-range flag is an input error: one line on stderr, exit 2;

@@ -11,6 +11,7 @@ from ergospec.ensembles import random_certified_instance
 from ergospec import characters, ergodic, linalg, representations, semigroups
 from ergospec.ergodic import _kernel_average
 from ergospec.serialize import load_representation
+from ergospec.spectrum import JointKernels
 
 from conftest import (
     FIXTURES,
@@ -334,17 +335,19 @@ def _count_calls(monkeypatch, name, module=ergodic):
 
 
 def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
-    # PeripheralDecomposition is built once per run of the decomposition
+    # PeripheralDecomposition is built once per run of the decomposition.
+    # Each pairing of ker(chi - T) with ker((chi - T)^H) is a pole's, and the
+    # mean ergodic split is the trivial character's, not a route of its own
     calls = {name: _count_calls(monkeypatch, name)
-             for name in ("is_pole", "_pole_verdict", "PeripheralDecomposition",
+             for name in ("is_pole", "oblique_projection", "PeripheralDecomposition",
                           "mean_ergodic_analysis", "unitary_spectrum")}
     report = es.analyze(klein_rep)
     assert report.ok
     assert report.data["positivity"]["nisa"]["agree"]
-    assert len(calls["_pole_verdict"]) == 3       # one per spectral character
+    assert len(calls["oblique_projection"]) == 3  # one per spectral character
     assert len(calls["is_pole"]) == 0             # no second Analysis per pole
     assert len(calls["PeripheralDecomposition"]) == 1
-    assert len(calls["mean_ergodic_analysis"]) == 1
+    assert len(calls["mean_ergodic_analysis"]) == 0
     assert len(calls["unitary_spectrum"]) == 1    # E_s = 0, so T's alone
 
 
@@ -445,15 +448,13 @@ def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized
     # ker (1 - T)^H = rg(1 - T)^perp as the SVD gives it, or orthonormalized
     # once more; the two bases differ in their last bits, which once brought
     # T_0 = I in as a witness of norm 1 - 4e-16
-    joint_kernel = ergodic._joint_kernel
+    cokernel = JointKernels.cokernel
 
-    def patched(rep, chi, config, splits, adjoint=False):
-        space = joint_kernel(rep, chi, config, splits, adjoint)
-        if adjoint and reorthonormalized:
-            return linalg.column_space(space.basis)
-        return space
+    def patched(self, values):
+        space = cokernel(self, values)
+        return linalg.column_space(space.basis) if reorthonormalized else space
 
-    monkeypatch.setattr(ergodic, "_joint_kernel", patched)
+    monkeypatch.setattr(JointKernels, "cokernel", patched)
     rep = load_representation(str(FIXTURES / "threshold.json"))
     dec = es.peripheral_decomposition(es.certify_boundedness(rep))
     assert dec.stability_witness == 2
@@ -486,27 +487,73 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     verdicts = [analysis.pole(chi) for chi in characters]
     assert all(verdict.is_pole for verdict in verdicts)
     assert factored == [(rep.dim, rep.dim)] * len(characters)
-    if rep.is_finite:
-        # exact characters: the mean ergodic split is the trivial pole's
-        assert analysis.ergodic.is_ume
-        assert len(factored) == len(characters)
+    # the mean ergodic split is the trivial pole's, at the value the
+    # spectrum holds
+    assert analysis.ergodic.is_ume
+    assert len(factored) == len(characters)
+
+
+def _record_kernel_svds(monkeypatch):
+    """The input of each np.linalg.svd call that computes factors, as
+    (shape, dtype, bytes)."""
+    svd = np.linalg.svd
+    inputs = []
+
+    def recorded(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            a = np.ascontiguousarray(a)
+            inputs.append((a.shape, a.dtype.str, a.tobytes()))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return inputs
+
+
+def test_analyze_factors_no_kernel_twice(monkeypatch):
+    # the spectrum, the poles and the mean ergodic split read one cache of
+    # joint kernels: the trivial character's cuts and pairing are the pole's
+    rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
+    inputs = _record_kernel_svds(monkeypatch)
+    assert es.analyze(rep).ok
+    assert inputs
+    assert len(set(inputs)) == len(inputs)
+
+
+def test_the_first_generator_is_factored_once_near_one(monkeypatch):
+    # the spectrum holds the trivial character as v/|v|, and the mean
+    # ergodic split reads it there instead of at exactly 1
+    rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
+    inputs = _record_kernel_svds(monkeypatch)
+    assert es.analyze(rep).ok
+    t = rep.family()[0]
+    near_one = set()
+    for shape, dtype, data in inputs:
+        if shape != t.shape:
+            continue
+        shifted = np.frombuffer(data, dtype=dtype).reshape(shape) + t   # z I
+        z = shifted[0, 0]
+        if abs(z - 1.0) < 1e-6 and np.allclose(shifted, z * np.eye(len(t)), atol=1e-12):
+            near_one.add(complex(z))
+    assert len(near_one) == 1
 
 
 @pytest.mark.parametrize("name, expected", [
     # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
-    ("identity_3", {"mean_ergodic_analysis": 1, "is_pole": 0}),
-    # N^k: the spectrum holds it as v/|v|, which the positive suite reuses
-    ("circulant_stochastic_8", {"is_pole": 0, "_pole_verdict": 1}),
+    ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "oblique_projection": 1}),
+    # N^k: the spectrum holds it as v/|v|, which the mean ergodic split and
+    # the positive suite reuse
+    ("circulant_stochastic_8",
+     {"mean_ergodic_analysis": 0, "is_pole": 0, "oblique_projection": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
+    # the one pairing is the trivial pole's, read by the ergodic, pole,
+    # quasi-compactness and positivity sections
     rep = load_representation(str(FIXTURES / f"{name}.json"))
-    calls = {route: _count_calls(monkeypatch, route, module)
-             for route, module in (("mean_ergodic_analysis", ergodic),
-                                   ("is_pole", ergodic),
-                                   ("_pole_verdict", ergodic))}
+    calls = {route: _count_calls(monkeypatch, route) for route in expected}
     report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 1
+    assert report.data["ergodic"]["is_uniformly_mean_ergodic"]
     assert report.data["positivity"]["nisa"]["trivial_char_riesz"]
     assert {route: len(calls[route]) for route in expected} == expected
 

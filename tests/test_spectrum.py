@@ -135,6 +135,24 @@ def test_falsifier_refutes_on_contraction():
     assert verdict.lhs > verdict.rhs  # |1| > 1/2 already at the generator
 
 
+def test_falsifier_refutes_on_a_seeded_trial():
+    # T = diag(1, -1) and chi(g) = i: the conjugate pattern at the generator
+    # gives 1 <= 1, and the third seeded draw refutes. Its elements and
+    # coefficients are pinned, so the draw order stays as it is
+    rep = n1_rep(np.diag([1.0, -1.0]).astype(complex))
+    chi = es.character_from_gen_values(rep.semigroup, [1j])
+    verdict = es.laplace_falsifier(rep, chi)
+    assert verdict.refuted
+    assert verdict.trials == 4
+    assert verdict.elements == [[0], [1], [2], [4], [0], [3], [1], [5]]
+    assert verdict.coefficients == [
+        -0.8322640402333679 + 0.2986189594387649j, 0.601321794598111 + 1.1794009507846244j,
+        1.089255138815239 - 0.9414451654417698j, -0.2992425106413198 - 0.38770673868719935j,
+        -0.5599124849815853 + 1.3270246580685625j, 0.36352861391811203 - 0.0013504640980436112j,
+        -1.089734481861684 + 0.5412352376836578j, 2.0110335346157417 + 0.6667595771217304j]
+    assert verdict.lhs > verdict.rhs + DEFAULT_CONFIG.tol_char
+
+
 def test_approximate_eigenvector_check(klein_rep):
     chi = klein_char(klein_rep.semigroup, (1, -1, 1, -1))
     vec = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
