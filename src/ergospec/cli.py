@@ -19,7 +19,8 @@ from .ensembles import (
     random_polynomial_instance,
 )
 from .ergodic import Analysis
-from .positivity import check_positive, domination_check_of, nisa_suite_of
+from .positivity import domination_check_of, nisa_suite_of
+from .representations import MAX_DIM, certify_boundedness
 from .report import analyze, summarize
 from .serialize import (
     _decoding,
@@ -114,7 +115,6 @@ def cmd_falsify(args):
     if args.trials < 1:
         raise ErgospecError(f"trials must be at least 1, got {args.trials}")
     rep = load_representation(args.path, config)
-    from .representations import certify_boundedness
     rep = certify_boundedness(rep, config)
     chi = load_character(args.character, rep.semigroup)
     verdict = laplace_falsifier(rep, chi, trials=args.trials, config=config,
@@ -159,8 +159,8 @@ def cmd_ensemble(args):
     config = _build_config(args)
     if args.count < 1:
         raise ErgospecError(f"count must be at least 1, got {args.count}")
-    if not 2 <= args.n <= config.max_dim:
-        raise ErgospecError(f"n must lie in [2, {config.max_dim}], got {args.n}")
+    if not 2 <= args.n <= MAX_DIM:
+        raise ErgospecError(f"n must lie in [2, {MAX_DIM}], got {args.n}")
     if args.k < 1:
         raise ErgospecError(f"k must be at least 1, got {args.k}")
     maker = makers[args.ensemble]
@@ -172,9 +172,8 @@ def cmd_ensemble(args):
             rep = instance[0] if isinstance(instance, tuple) else instance
             if args.ensemble in ("circulant", "polynomial"):
                 analysis = Analysis(rep, config)
-                nisa_suite_of(analysis)
-                if check_positive(rep, config).is_positive:
-                    domination_check_of(analysis)
+                nisa_suite_of(analysis)  # raises on a non-positive instance
+                domination_check_of(analysis)
             else:
                 report = analyze(rep, config, seed,
                                  sections=["spectrum", "ergodic", "poles",

@@ -20,6 +20,7 @@ from .semigroups import FreeCommutativeMonoid
 # roots of unity with orders small enough that the composed Cesaro mean
 # passes cesaro_target within the side budget
 _PERIPHERAL_ORDERS = (1, 2, 3, 4, 6, 8)
+_POLYNOMIAL_ATTEMPTS = 50  # samples random_polynomial_instance tries
 
 
 def _random_unitary(rng, n):
@@ -127,8 +128,7 @@ def random_circulant_stochastic_instance(seed, max_rank=3, max_dim=24, config=No
     return certify_boundedness(rep, config)
 
 
-def random_polynomial_instance(seed, max_rank=3, max_dim=24, config=None,
-                               max_attempts=50):
+def random_polynomial_instance(seed, max_rank=3, max_dim=24, config=None):
     """Commuting positive generators: nonnegative-coefficient polynomials
     of one random nonnegative matrix, rescaled to spectral radius <= 1.
 
@@ -136,7 +136,7 @@ def random_polynomial_instance(seed, max_rank=3, max_dim=24, config=None,
     certificate and resampled."""
     config = DEFAULT_CONFIG if config is None else config
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_POLYNOMIAL_ATTEMPTS):
         k = int(rng.integers(1, max_rank + 1))
         n = int(rng.integers(2, max_dim + 1))
         density = rng.uniform(0.2, 1.0)

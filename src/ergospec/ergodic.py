@@ -30,6 +30,9 @@ from .linalg import (
 from .representations import restrict
 from .spectrum import JointKernels, unitary_spectrum
 
+_CESARO_POWER = 3  # p, the power of the composed Cesaro mean C_N^p
+_WITNESS_BUDGET = 1_000_000  # norms the N^k witness search takes at most
+
 
 def _kernel_average(rep):
     """The exact zero element of co T(S) for a finite monoid: the average
@@ -41,7 +44,7 @@ def _kernel_average(rep):
 
 def _cesaro_rectangle_chain(rep, reference, config):
     """The distances of the dyadic Cesaro rectangle means C_N and of their
-    cesaro_power-fold composition to `reference`, one entry per side.
+    _CESARO_POWER-fold composition to `reference`, one entry per side.
 
     C_N factors over the commuting generators as a product of one-
     dimensional averages A_g(N) = (1/N) sum_{i<N} T_g^i, which double via
@@ -70,7 +73,7 @@ def _cesaro_rectangle_chain(rep, reference, config):
             for avg in averages:
                 mean = mean @ avg
             yield mean - reference
-            yield np.linalg.matrix_power(mean, config.cesaro_power) - reference
+            yield np.linalg.matrix_power(mean, _CESARO_POWER) - reference
 
     norms = operator_norms(differences())
     return list(zip(sides, norms[0::2], norms[1::2]))
@@ -147,7 +150,6 @@ class StabilityVerdict:
     witness_norm: float = None
     blocking_character: object = None
     budget_exceeded: bool = False
-    max_degree_tried: int = None
     zero_in_range: bool = None      # finite monoid: 0 occurs among the T_s
 
     @property
@@ -156,8 +158,8 @@ class StabilityVerdict:
 
 
 def _witness_search_free(rep, config):
-    """Smallest (total-degree-lexicographic) exponent with
-    ||T_s|| <= 1 - tol_char."""
+    """Smallest (total-degree-lexicographic) exponent with ||T_s|| <=
+    1 - tol_char and that norm; (None, None) once the budget is spent."""
     k = rep.semigroup.rank
     power_cache = [{0: np.eye(rep.dim, dtype=np.complex128)} for _ in range(k)]
 
@@ -172,8 +174,7 @@ def _witness_search_free(rep, config):
         return cache[e]
 
     evaluations = 0
-    degree = 1
-    while True:
+    for degree in itertools.count(1):
         for exponents in itertools.product(range(degree + 1), repeat=k):
             if sum(exponents) != degree:
                 continue
@@ -184,10 +185,9 @@ def _witness_search_free(rep, config):
             evaluations += 1
             norm = operator_norm(mat)
             if norm <= 1.0 - config.tol_char:
-                return exponents, norm, degree, False
-            if evaluations >= config.witness_budget:
-                return None, None, degree, True
-        degree += 1
+                return exponents, norm
+            if evaluations >= _WITNESS_BUDGET:
+                return None, None
 
 
 def _stable_verdict(rep, config):
@@ -208,11 +208,9 @@ def _stable_verdict(rep, config):
     if rep.dim == 0:
         return StabilityVerdict(STABLE, witness=(0,) * rep.semigroup.rank,
                                 witness_norm=0.0)
-    exponents, norm, degree, exceeded = _witness_search_free(rep, config)
-    if exceeded:
-        return StabilityVerdict(STABLE, budget_exceeded=True,
-                                max_degree_tried=degree)
-    return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm)
+    exponents, norm = _witness_search_free(rep, config)
+    return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm,
+                            budget_exceeded=exponents is None)
 
 
 @dataclass
@@ -261,6 +259,11 @@ class Analysis:
     @cached_property
     def spectrum(self):
         return unitary_spectrum(self.rep, self.config, self.kernels)
+
+    @cached_property
+    def positivity(self):
+        from .positivity import check_positive  # positivity imports this module
+        return check_positive(self.rep, self.config)
 
     @cached_property
     def trivial(self):

@@ -67,8 +67,11 @@ def operator_norms(mats):
 class Subspace:
     """A subspace of C^n held as an orthonormal column basis."""
 
-    ambient_dim: int
     basis: np.ndarray  # shape (n, d), orthonormal columns
+
+    @property
+    def ambient_dim(self):
+        return self.basis.shape[0]
 
     @property
     def dim(self):
@@ -79,11 +82,18 @@ class Subspace:
 
     @staticmethod
     def full(n):
-        return Subspace(n, np.eye(n, dtype=np.complex128))
+        return Subspace(np.eye(n, dtype=np.complex128))
 
     @staticmethod
     def zero(n):
-        return Subspace(n, np.zeros((n, 0), dtype=np.complex128))
+        return Subspace(np.zeros((n, 0), dtype=np.complex128))
+
+
+def _rank(s, tol, scale):
+    """The count of singular values s[0] >= s[1] >= ... above
+    tol * max(s[0], scale); None for a cutoff of 0, a zero matrix."""
+    cutoff = tol * max(float(s[0]), scale)
+    return None if cutoff == 0.0 else int(np.sum(s > cutoff))
 
 
 def null_space(a, tol=None, scale=0.0):
@@ -98,34 +108,28 @@ def null_space(a, tol=None, scale=0.0):
     """
     tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] == 0:
+    if 0 in a.shape:
         return Subspace.full(a.shape[1])
     # V is square either way; only a wide matrix needs the full factors,
     # since its thin V^H lacks the kernel rows
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    if s.size == 0:
+    rank = _rank(s, tol, scale)
+    if rank is None:
         return Subspace.full(a.shape[1])
-    cutoff = tol * max(float(s[0]), scale)
-    if cutoff == 0.0:
-        return Subspace.full(a.shape[1])
-    rank = int(np.sum(s > cutoff))
-    return Subspace(a.shape[1], vh[rank:].conj().T)
+    return Subspace(vh[rank:].conj().T)
 
 
 def column_space(a, tol=None, scale=0.0):
     """Orthonormal basis of the numerical column space of `a`."""
     tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
     a = np.asarray(a, dtype=np.complex128)
-    if a.shape[1] == 0:
+    if 0 in a.shape:
         return Subspace.zero(a.shape[0])
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0:
+    rank = _rank(s, tol, scale)
+    if rank is None:
         return Subspace.zero(a.shape[0])
-    cutoff = tol * max(float(s[0]), scale)
-    if cutoff == 0.0:
-        return Subspace.zero(a.shape[0])
-    rank = int(np.sum(s > cutoff))
-    return Subspace(a.shape[0], u[:, :rank])
+    return Subspace(u[:, :rank])
 
 
 def kernel_and_cokernel(a, tol=None, scale=0.0):
@@ -140,11 +144,10 @@ def kernel_and_cokernel(a, tol=None, scale=0.0):
     if n == 0:
         return Subspace.full(0), Subspace.full(0)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol * max(float(s[0]), scale)
-    if cutoff == 0.0:
+    rank = _rank(s, tol, scale)
+    if rank is None:
         return Subspace.full(n), Subspace.full(n)
-    rank = int(np.sum(s > cutoff))
-    return Subspace(n, vh[rank:].conj().T), Subspace(n, u[:, rank:].copy())
+    return Subspace(vh[rank:].conj().T), Subspace(u[:, rank:].copy())
 
 
 def oblique_projection(f, g, tol=None):

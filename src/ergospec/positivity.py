@@ -58,10 +58,9 @@ def nisa_suite(rep, config=None):
 
 def nisa_suite_of(analysis):
     """nisa_suite on the routes already shared in `analysis`."""
-    rep, config = analysis.rep, analysis.config
-    if not rep.boundedness.is_certified:
+    if not analysis.rep.boundedness.is_certified:
         raise NotBounded("nisa_suite requires a Certified representation")
-    cert = check_positive(rep, config)
+    cert = analysis.positivity
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
 
@@ -107,8 +106,7 @@ def domination_check(rep, config=None):
 
 def domination_check_of(analysis):
     """domination_check on the routes already shared in `analysis`."""
-    rep, config = analysis.rep, analysis.config
-    cert = check_positive(rep, config)
+    cert = analysis.positivity
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
     ergodic = analysis.ergodic

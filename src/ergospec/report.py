@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .ergodic import Analysis
 from .errors import NonPoleSpectrum
-from .positivity import check_positive, domination_check_of, nisa_suite_of
+from .positivity import domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
 from .serialize import matrix_to_json, representation_digest
 
@@ -185,7 +185,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             violations.append("quasi-compactness cross-checks disagree")
 
     if "positivity" in wanted:
-        positivity = check_positive(rep, config)
+        positivity = analysis.positivity
         entry = {"is_positive": positivity.is_positive}
         if not positivity.is_positive:
             idx, (i, j), value = positivity.first_violation

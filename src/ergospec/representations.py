@@ -34,6 +34,8 @@ from .linalg import (
 )
 from .semigroups import FiniteCommutativeMonoid, FreeCommutativeMonoid
 
+MAX_DIM = 256  # the largest matrix dimension accepted
+
 CERTIFIED = "certified"
 UNBOUNDED = "unbounded"
 NOT_CHECKED = "not_checked"
@@ -143,8 +145,8 @@ def validate_representation(semigroup, matrices, config=None):
             raise ValueError("all matrices must be square of equal dimension")
     if n == 0:
         raise ValueError("dimension must be at least 1")
-    if n > config.max_dim:
-        raise ValueError(f"dimension {n} exceeds supported maximum {config.max_dim}")
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
 
     if isinstance(semigroup, FiniteCommutativeMonoid):
         if len(mats) != semigroup.size:
@@ -167,7 +169,7 @@ def validate_representation(semigroup, matrices, config=None):
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 residual = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                bound = config.tol_commute * norms[i] * norms[j]
+                bound = config.tol_hom * norms[i] * norms[j]
                 if residual > bound:
                     raise NotCommuting(i, j, residual)
     else:

@@ -11,7 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     BadNeutral,
     ExponentOverflow,
@@ -21,6 +20,8 @@ from .errors import (
 )
 
 _INT64_MAX = 2**63 - 1
+
+MAX_MONOID_SIZE = 512  # the largest finite monoid accepted
 
 # table entries compared per row block in the associativity check
 _ASSOCIATIVITY_BLOCK = 2**22
@@ -145,9 +146,8 @@ def validate_monoid(table, neutral):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("table must be square")
     m = arr.shape[0]
-    if m > DEFAULT_CONFIG.max_monoid_size:
-        raise ValueError(f"monoid size {m} exceeds supported maximum "
-                         f"{DEFAULT_CONFIG.max_monoid_size}")
+    if m > MAX_MONOID_SIZE:
+        raise ValueError(f"monoid size {m} exceeds supported maximum {MAX_MONOID_SIZE}")
     if arr.min() < 0 or arr.max() >= m:
         bad = np.argwhere((arr < 0) | (arr >= m))[0]
         raise ValueError(f"table entry at {tuple(bad)} out of range [0, {m})")

@@ -99,7 +99,7 @@ def _cut(rep, kernel, index, z, config, adjoint=False):
     inner = null_space(a @ kernel.basis, config.tol_rank,
                        scale=max(1.0, rep.generator_norms[index]))
     if inner.dim < kernel.dim:   # else K's basis stays as it is
-        kernel = Subspace(rep.dim, kernel.basis @ inner.basis)
+        kernel = Subspace(kernel.basis @ inner.basis)
     return kernel
 
 

@@ -410,8 +410,9 @@ def test_custom_tolerances_recorded(capsys):
                        "--max-cesaro", "256")
     assert code == 0
     data = json.loads(out)
-    assert data["tolerances"]["tol_rank"] == 1e-9
-    assert data["tolerances"]["cesaro_max_side"] == 256
+    assert data["tolerances"] == {"tol_rank": 1e-9, "tol_char": 1e-8, "tol_cluster": 1e-7,
+                                  "tol_hom": 1e-8, "cesaro_max_side": 256,
+                                  "cesaro_target": 1e-6}
     sides = [row["side"] for row in data["ergodic"]["cesaro_trace"]]
     assert max(sides) <= 256
 

@@ -73,26 +73,26 @@ def test_kernel_and_range_are_null_space_and_column_space(rank, scale):
 def test_is_direct_complement_45_degrees():
     # F = span(e_1) against R = span(e_1 + e_2), given by G = R^perp
     e = np.eye(2, dtype=complex)
-    f = Subspace(2, e[:, :1])
-    g = Subspace(2, np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2))
+    f = Subspace(e[:, :1])
+    g = Subspace(np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2))
     assert oblique_projection(f, g) is not None
     # dims 1 + 1 but R = F, so G = F^perp pairs to zero with F
-    assert oblique_projection(f, Subspace(2, e[:, 1:])) is None
+    assert oblique_projection(f, Subspace(e[:, 1:])) is None
     # dim F != dim G: F + R cannot be the whole space
-    assert oblique_projection(f, Subspace(2, e)) is None
+    assert oblique_projection(f, Subspace(e)) is None
     assert oblique_projection(f, Subspace.zero(2)) is None
 
 
 def test_is_direct_complement_dimension_mismatch():
-    f = Subspace(2, np.eye(2, dtype=complex)[:, :1])
-    g = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+    f = Subspace(np.eye(2, dtype=complex)[:, :1])
+    g = Subspace(np.eye(3, dtype=complex)[:, :1])
     with pytest.raises(DimensionMismatch):
         oblique_projection(f, g)
 
 
 def test_projection_onto_along_oblique():
-    f = Subspace(2, np.eye(2, dtype=complex)[:, :1])
-    g = Subspace(2, np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2))
+    f = Subspace(np.eye(2, dtype=complex)[:, :1])
+    g = Subspace(np.array([[1.0], [-1.0]], dtype=complex) / np.sqrt(2))
     p = f.basis @ oblique_projection(f, g)
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     np.testing.assert_allclose(p @ np.array([1.0, 0.0]), [1.0, 0.0], atol=1e-12)
@@ -134,8 +134,8 @@ def test_oblique_projection_decides_as_the_angle_test():
         # the rest of q[:, :d], so theta is the smallest angle
         theta = threshold * rng.uniform(0.95, 1.05)
         tilted = np.cos(theta) * q[:, d] + np.sin(theta) * q[:, 0]
-        f = Subspace(n, np.column_stack([tilted, q[:, 1:d]]))
-        g = Subspace(n, q[:, :d])
+        f = Subspace(np.column_stack([tilted, q[:, 1:d]]))
+        g = Subspace(q[:, :d])
         decided = oblique_projection(f, g, tol) is not None
         assert decided == _angle_test(f, g, tol), theta / threshold
         sides[decided] += 1
@@ -187,7 +187,7 @@ def test_null_space_matches_rational_elimination():
 def test_subspace_membership_and_projector():
     basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2))
                          + 1j * np.random.default_rng(1).standard_normal((4, 2)))[0]
-    space = Subspace(4, basis)
+    space = Subspace(basis)
     p = space.projector()
     assert np.linalg.norm(p @ basis[:, 0] - basis[:, 0]) <= 1e-12
     np.testing.assert_allclose(p @ p, p, atol=1e-12)

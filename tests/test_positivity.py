@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import ergospec as es
+from ergospec import positivity
+from ergospec.cli import main
 from ergospec.ensembles import (
     random_circulant_stochastic_instance,
     random_polynomial_instance,
@@ -9,7 +11,7 @@ from ergospec.ensembles import (
 from ergospec.linalg import Subspace
 from ergospec.serialize import representation_from_json
 
-from conftest import load_fixture, n1_rep
+from conftest import FIXTURES, load_fixture, n1_rep
 
 
 def test_klein_rep_is_positive(klein_rep):
@@ -60,6 +62,22 @@ def test_nilpotent_generator_nisa():
     np.testing.assert_allclose(ergodic.mean_projection, np.zeros((2, 2)), atol=1e-12)
 
 
+@pytest.mark.parametrize("argv, checks", [
+    (["analyze", str(FIXTURES / "klein_four.json")], 1),
+    (["analyze", str(FIXTURES / "circulant_stochastic_8.json")], 1),
+    (["ensemble", "--ensemble", "circulant", "--count", "2", "--n", "6"], 2),
+], ids=["klein_four", "circulant_stochastic_8", "ensemble"])
+def test_one_positivity_check_per_analysis(argv, checks, monkeypatch, capsys):
+    # the report, nisa and domination read Analysis.positivity
+    calls = []
+    check = positivity.check_positive
+    monkeypatch.setattr(positivity, "check_positive",
+                        lambda *args: calls.append(args) or check(*args))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == checks
+
+
 def test_nisa_rejects_non_positive():
     rep = n1_rep(np.diag([1j]))
     with pytest.raises(ValueError, match="not positive"):
@@ -96,7 +114,7 @@ def test_positivity_preserved_by_direct_sum(klein_rep):
 def test_positivity_preserved_by_coordinate_restriction():
     rep = n1_rep(np.diag([0.5, 0.25, 1.0]).astype(complex))
     basis = np.eye(3, dtype=complex)[:, :2]
-    sub = es.restrict(rep, Subspace(3, basis))
+    sub = es.restrict(rep, Subspace(basis))
     assert es.check_positive(sub).is_positive
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 
 import ergospec as es
 from ergospec import representations
-from ergospec.config import DEFAULT_CONFIG
+from ergospec.config import DEFAULT_CONFIG, ToleranceConfig
 from ergospec.errors import (
     BadNeutral,
     HomomorphismViolation,
@@ -48,6 +48,24 @@ def test_generators_must_commute():
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(NotCommuting):
         es.validate_representation(free(2), [a, b])
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_commutation_is_decided_at_tol_hom_times_the_norms(factor):
+    # commutation is the homomorphism law of N^k, decided at
+    # tol_hom * max(1, ||a||) * max(1, ||b||); here ||a|| = 3,
+    # ||b|| = 2 + O(t) and ||a b - b a|| = 2t
+    config = ToleranceConfig(tol_hom=1e-6)
+    a = np.diag([3.0, 1.0])
+    t = factor * config.tol_hom * 3.0
+    b = np.array([[2.0, t], [0.0, 2.0]])
+    residual = es.operator_norm(a @ b - b @ a)
+    assert (residual <= config.tol_hom * 3.0 * es.operator_norm(b)) == (factor < 1)
+    if factor < 1:
+        assert es.validate_representation(free(2), [a, b], config).dim == 2
+    else:
+        with pytest.raises(NotCommuting):
+            es.validate_representation(free(2), [a, b], config)
 
 
 def test_from_generators_matches_direct(klein_monoid, klein_rep):
@@ -241,7 +259,7 @@ def test_rotate_mismatched_semigroup(klein_rep):
 
 def test_restrict_klein_to_chi_line(klein_rep):
     vec = np.array([1.0, -1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
-    space = Subspace(4, vec.reshape(4, 1))
+    space = Subspace(vec.reshape(4, 1))
     sub = es.restrict(klein_rep, space)
     values = [complex(a[0, 0]) for a in sub.matrices]
     assert values == pytest.approx([1, -1, 1, -1])
@@ -250,7 +268,7 @@ def test_restrict_klein_to_chi_line(klein_rep):
 def test_restrict_rejects_non_invariant(klein_rep):
     vec = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(NotInvariant):
-        es.restrict(klein_rep, Subspace(4, vec.reshape(4, 1)))
+        es.restrict(klein_rep, Subspace(vec.reshape(4, 1)))
 
 
 def test_dual_is_transpose_involution(klein_rep):
