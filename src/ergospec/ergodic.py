@@ -44,14 +44,15 @@ def _kernel_average(rep):
 
 def _cesaro_rectangle_chain(rep, reference, config):
     """The distances of the dyadic Cesaro rectangle means C_N and of their
-    _CESARO_POWER-fold composition to `reference`, one entry per side.
+    _CESARO_POWER-fold composition to `reference`: one row per side, up to
+    and including the first whose composed distance is within
+    cesaro_target (all sides up to cesaro_max_side if none is).
 
     C_N factors over the commuting generators as a product of one-
     dimensional averages A_g(N) = (1/N) sum_{i<N} T_g^i, which double via
     A_g(2N) = (I + T_g^N) A_g(N) / 2. The composed mean C_N^p is itself a
     convex combination of the T_s, hence an ergodic net, and converges like
-    1/N^p instead of 1/N. The distances are taken by stacked norms as the
-    chain yields them, so at most one block of differences is held.
+    1/N^p instead of 1/N.
     """
     sides = [1]
     while sides[-1] * 2 <= config.cesaro_max_side:
@@ -59,24 +60,24 @@ def _cesaro_rectangle_chain(rep, reference, config):
     if reference is None:
         return [(side, float("nan"), float("nan")) for side in sides]
 
-    def differences():
-        """C_N - reference and C_N^p - reference, side after side."""
-        eye = np.eye(rep.dim, dtype=np.complex128)
-        averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
-        powers = [a.copy() for a in rep.matrices]       # T_g^N
-        for index in range(len(sides)):
-            if index:
-                averages = [(avg + powm @ avg) / 2.0
-                            for avg, powm in zip(averages, powers)]
-                powers = [powm @ powm for powm in powers]
-            mean = eye.copy()
-            for avg in averages:
-                mean = mean @ avg
-            yield mean - reference
-            yield np.linalg.matrix_power(mean, _CESARO_POWER) - reference
-
-    norms = operator_norms(differences())
-    return list(zip(sides, norms[0::2], norms[1::2]))
+    eye = np.eye(rep.dim, dtype=np.complex128)
+    averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
+    powers = [a.copy() for a in rep.matrices]       # T_g^N
+    trace = []
+    for index, side in enumerate(sides):
+        if index:
+            averages = [(avg + powm @ avg) / 2.0
+                        for avg, powm in zip(averages, powers)]
+            powers = [powm @ powm for powm in powers]
+        mean = eye.copy()
+        for avg in averages:
+            mean = mean @ avg
+        plain, composed = operator_norms(
+            [mean - reference, np.linalg.matrix_power(mean, _CESARO_POWER) - reference])
+        trace.append((side, plain, composed))
+        if composed <= config.cesaro_target:
+            break
+    return trace
 
 
 @dataclass

@@ -121,6 +121,17 @@ def test_cesaro_csv_export(capsys, tmp_path):
     assert lines[1].startswith("1,")
 
 
+def test_cesaro_chain_short_of_the_target_is_a_violation(capsys):
+    # jordan_half's composed mean first meets 1e-6 at side 512
+    code, out, _ = run(capsys, "ergodic", fixture_path("jordan_half"),
+                       "--max-cesaro", "4", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert [row["side"] for row in data["ergodic"]["cesaro_trace"]] == [1, 2, 4]
+    assert data["violations"] == ["ergodic net failed to reach cesaro_target "
+                                  "although the algebraic verdict is ergodic"]
+
+
 def test_ensemble_command(capsys):
     code, out, _ = run(capsys, "ensemble", "--ensemble", "circulant",
                        "--count", "5", "--n", "6", "--k", "2")

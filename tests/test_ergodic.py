@@ -86,6 +86,31 @@ def test_mean_ergodic_diag():
     assert min(row[2] for row in report.cesaro_trace) <= DEFAULT_CONFIG.cesaro_target
 
 
+def _trace_bits(trace):
+    return [(side, plain.hex(), composed.hex()) for side, plain, composed in trace]
+
+
+def test_cesaro_chain_stops_at_the_first_side_within_the_target():
+    rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
+    trace = es.mean_ergodic_analysis(rep).cesaro_trace
+    target = DEFAULT_CONFIG.cesaro_target
+    assert all(composed > target for _, _, composed in trace[:-1])
+    assert trace[-1][2] <= target
+    # no composed distance is within 1e-300, so this chain runs every side
+    full = es.mean_ergodic_analysis(rep, es.ToleranceConfig(cesaro_target=1e-300)).cesaro_trace
+    assert [row[0] for row in full] == [2**j for j in range(14)]
+    assert len(trace) < len(full)
+    assert _trace_bits(full[:len(trace)]) == _trace_bits(trace)
+
+
+def test_cesaro_chain_runs_every_side_short_of_the_target():
+    rep = es.certify_boundedness(load_representation(str(FIXTURES / "jordan_half.json")))
+    report = es.mean_ergodic_analysis(rep, es.ToleranceConfig(cesaro_max_side=4))
+    assert report.is_ume
+    assert [row[0] for row in report.cesaro_trace] == [1, 2, 4]
+    assert report.net_divergence
+
+
 def test_mean_ergodic_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
     report = es.mean_ergodic_analysis(rep)

@@ -66,6 +66,25 @@ def test_jordan_half_spectrum_empty():
     assert len(es.unitary_spectrum(rep)) == 0
 
 
+def _certified_just_outside_the_circle():
+    """diag(1 + 5e-9, 0.5) over N: its eigenvalue 1 + 5e-9 lies within
+    tol_char of the circle but beyond the rank cutoff tol_rank * ||T|| of 1."""
+    return n1_rep(np.diag([1.0 + 5e-9, 0.5]).astype(complex))
+
+
+def test_certified_just_outside_the_circle_keeps_one_in_brute_force():
+    rep = _certified_just_outside_the_circle()
+    assert rep.boundedness.status == "certified"
+    assert [chi.gen_values for chi in brute_force_spectrum(rep)] == [(1.0,)]
+
+
+@pytest.mark.xfail(strict=True, reason="the spectrum walk cuts the cluster at tol_rank; "
+                   "taking the eigenspace from the certificate's Schur form keeps it")
+def test_certified_just_outside_the_circle_keeps_one_in_the_spectrum():
+    rep = _certified_just_outside_the_circle()
+    assert [chi.gen_values for chi in es.unitary_spectrum(rep).characters] == [(1.0,)]
+
+
 def test_circle_discretization_m4():
     z = np.exp(2j * np.pi * np.arange(4) / 4)
     rep = es.certify_boundedness(es.validate_representation(
