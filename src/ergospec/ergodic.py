@@ -10,15 +10,14 @@ composed Cesaro rectangle mean for N^k).
 the public verdict functions are thin wrappers over it.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .characters import char_distance, trivial_character
 from .config import DEFAULT_CONFIG
-from .errors import NonPoleSpectrum
+from .errors import LostCharacter, NonPoleSpectrum
 from .linalg import (
     Subspace,
     column_space,
@@ -31,7 +30,6 @@ from .representations import restrict
 from .spectrum import JointKernels, unitary_spectrum
 
 _CESARO_POWER = 3  # p, the power of the composed Cesaro mean C_N^p
-_WITNESS_BUDGET = 1_000_000  # norms the N^k witness search takes at most
 
 
 def _kernel_average(rep):
@@ -150,7 +148,7 @@ class StabilityVerdict:
     witness: object = None          # element with ||T_s|| <= 1 - tol_char
     witness_norm: float = None
     blocking_character: object = None
-    budget_exceeded: bool = False
+    budget_exceeded: bool = False   # N^k: no witness within 52 squarings
     zero_in_range: bool = None      # finite monoid: 0 occurs among the T_s
 
     @property
@@ -158,47 +156,20 @@ class StabilityVerdict:
         return self.status == STABLE
 
 
-def _witness_search_free(rep, config):
-    """Smallest (total-degree-lexicographic) exponent with ||T_s|| <=
-    1 - tol_char and that norm; (None, None) once the budget is spent."""
-    k = rep.semigroup.rank
-    power_cache = [{0: np.eye(rep.dim, dtype=np.complex128)} for _ in range(k)]
-
-    def gen_power(j, e):
-        cache = power_cache[j]
-        if e not in cache:
-            top = max(cache)
-            mat = cache[top]
-            for i in range(top + 1, e + 1):
-                mat = mat @ rep.matrices[j]
-                cache[i] = mat
-        return cache[e]
-
-    evaluations = 0
-    for degree in itertools.count(1):
-        for exponents in itertools.product(range(degree + 1), repeat=k):
-            if sum(exponents) != degree:
-                continue
-            mat = np.eye(rep.dim, dtype=np.complex128)
-            for j, e in enumerate(exponents):
-                if e:
-                    mat = mat @ gen_power(j, e)
-            evaluations += 1
-            norm = operator_norm(mat)
-            if norm <= 1.0 - config.tol_char:
-                return exponents, norm
-            if evaluations >= _WITNESS_BUDGET:
-                return None, None
-
-
 def _stable_verdict(rep, config):
     """The STABLE verdict of a representation whose unitary spectrum is
     empty, with a norm-contraction witness: the kernel identity e of a
     finite monoid, whose T_e vanishes on a stable representation
-    (Analysis.stability), the smallest exponent of N^k with
-    ||T_s|| <= 1 - tol_char. The margin keeps a norm that rounding pulled
-    just below 1, as that of an identity restricted to a subspace, from
-    passing for a contraction."""
+    (Analysis.stability); over N^k the first 2^j u, u = (1, ..., 1), with
+    ||T_u^(2^j)|| <= 1 - tol_char, by squaring T_u. The margin keeps a
+    norm that rounding pulled just below 1, as that of an identity
+    restricted to a subspace, from passing for a contraction.
+
+    A bounded commuting family, jointly triangular with its joint
+    eigenvalues in the closed disc, is stable exactly when rho(T_u) < 1:
+    an empty spectrum with rho(T_u) >= 1 - tol_char lost a character.
+    rho <= ||T_u|| is taken only when that norm is above the margin. A
+    square that overflows is no witness."""
     if rep.is_finite:
         e = rep.semigroup.kernel.identity
         norm = operator_norm(rep.matrices[e])
@@ -206,12 +177,22 @@ def _stable_verdict(rep, config):
             return StabilityVerdict(STABLE, witness=e, witness_norm=norm)
         return StabilityVerdict(STABLE)
 
-    if rep.dim == 0:
-        return StabilityVerdict(STABLE, witness=(0,) * rep.semigroup.rank,
-                                witness_norm=0.0)
-    exponents, norm = _witness_search_free(rep, config)
-    return StabilityVerdict(STABLE, witness=exponents, witness_norm=norm,
-                            budget_exceeded=exponents is None)
+    power = reduce(np.matmul, rep.matrices)   # T_u
+    norm = operator_norm(power)
+    if norm > 1.0 - config.tol_char:
+        radius = float(np.abs(np.linalg.eigvals(power)).max())
+        if radius >= 1.0 - config.tol_char:
+            raise LostCharacter(radius)
+    for j in range(53):   # up to 2^52, an exact JSON integer
+        if j:
+            power = power @ power
+            if not np.isfinite(power).all():
+                break
+            norm = operator_norm(power)
+        if norm <= 1.0 - config.tol_char:
+            return StabilityVerdict(STABLE, witness=(2 ** j,) * rep.semigroup.rank,
+                                    witness_norm=norm)
+    return StabilityVerdict(STABLE, budget_exceeded=True)
 
 
 @dataclass

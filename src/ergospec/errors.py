@@ -75,6 +75,13 @@ class NonPoleSpectrum(ErgospecError):
         super().__init__("spectral character failed the pole test")
 
 
+class LostCharacter(ErgospecError):
+    def __init__(self, radius):
+        self.radius = radius
+        super().__init__(f"the unitary spectrum is empty but rho(T_u) = {radius:.10g} "
+                         f">= 1 - tol_char: the spectrum lost a character")
+
+
 class EquivalenceViolation(ErgospecError):
     def __init__(self, details):
         self.details = details

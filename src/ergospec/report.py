@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .ergodic import Analysis
-from .errors import NonPoleSpectrum
+from .errors import ErgospecError
 from .positivity import domination_check_of, nisa_suite_of
 from .representations import certify_boundedness
 from .serialize import matrix_to_json, representation_digest
@@ -62,6 +62,17 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         result = fn()
         timings[name] = round(time.perf_counter() - start, 6)
         return result
+
+    def checked(key, name, fn):
+        """timed(name, fn), or None once fn raised an ErgospecError: the
+        input was accepted, so that is a failed cross-check, which the
+        section `key` reports as its error and a violation."""
+        try:
+            return timed(name, fn)
+        except ErgospecError as exc:
+            report[key] = {"error": str(exc)}
+            violations.append(f"{key.replace('_', ' ')}: {exc}")
+            return None
 
     rep = timed("certify", lambda: certify_boundedness(rep, config))
     report["boundedness"] = rep.boundedness.to_json()
@@ -126,12 +137,9 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         report["poles"] = timed("poles", pole_table)
 
     if "decomposition" in wanted:
-        try:
-            decomposition = timed("decomposition", lambda: analysis.decomposition)
-        except NonPoleSpectrum as exc:  # a failed verdict, not an input error
-            report["peripheral_decomposition"] = {"error": str(exc)}
-            violations.append(f"peripheral decomposition: {exc}")
-        else:
+        decomposition = checked("peripheral_decomposition", "decomposition",
+                                lambda: analysis.decomposition)
+        if decomposition is not None:
             report["peripheral_decomposition"] = {
                 "reversible_dim": decomposition.reversible.dim,
                 "stable_dim": decomposition.stable.dim,
@@ -149,18 +157,19 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                 violations.append("pairwise products of spectral projections do not vanish")
 
     if "stability" in wanted:
-        stability = timed("stability", lambda: analysis.stability)
-        report["stability"] = {
-            "status": stability.status,
-            "witness": list(stability.witness) if isinstance(stability.witness, tuple)
-            else stability.witness,
-            "witness_norm": stability.witness_norm,
-            "budget_exceeded": stability.budget_exceeded,
-            "zero_in_range": stability.zero_in_range,
-            "blocking_character": stability.blocking_character.to_json()
-            if stability.blocking_character is not None else None,
-        }
-        if rep.is_finite:
+        stability = checked("stability", "stability", lambda: analysis.stability)
+        if stability is not None:
+            report["stability"] = {
+                "status": stability.status,
+                "witness": list(stability.witness) if isinstance(stability.witness, tuple)
+                else stability.witness,
+                "witness_norm": stability.witness_norm,
+                "budget_exceeded": stability.budget_exceeded,
+                "zero_in_range": stability.zero_in_range,
+                "blocking_character": stability.blocking_character.to_json()
+                if stability.blocking_character is not None else None,
+            }
+        if stability is not None and rep.is_finite:
             if stability.is_stable != bool(stability.zero_in_range):
                 violations.append("finite-monoid stability disagrees with the "
                                   "zero-in-range criterion")
@@ -174,15 +183,16 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                 violations.append("operators at infinity disagree with the spectrum")
 
     if "quasicompact" in wanted:
-        qc = timed("quasicompact", lambda: analysis.quasi_compactness)
-        report["quasi_compactness"] = {
-            "status": qc.status,
-            "eigenspace_dims": qc.eigenspace_dims,
-            "riesz_all": qc.riesz_all,
-            "decomposition_consistent": qc.decomposition_consistent,
-        }
-        if not qc.is_quasi_compact or not qc.decomposition_consistent:
-            violations.append("quasi-compactness cross-checks disagree")
+        qc = checked("quasi_compactness", "quasicompact", lambda: analysis.quasi_compactness)
+        if qc is not None:
+            report["quasi_compactness"] = {
+                "status": qc.status,
+                "eigenspace_dims": qc.eigenspace_dims,
+                "riesz_all": qc.riesz_all,
+                "decomposition_consistent": qc.decomposition_consistent,
+            }
+            if not qc.is_quasi_compact or not qc.decomposition_consistent:
+                violations.append("quasi-compactness cross-checks disagree")
 
     if "positivity" in wanted:
         positivity = analysis.positivity
@@ -242,19 +252,19 @@ def summarize(report_data):
     if erg:
         lines.append(f"ergodic      : ume={erg['is_uniformly_mean_ergodic']} "
                      f"fix_dim={erg['fix_dim']} range_dim={erg['range_dim']}")
-    dec = report_data.get("peripheral_decomposition")
-    if dec and "error" in dec:
-        lines.append(f"decomposition: {dec['error']}")
-    elif dec:
-        lines.append(f"decomposition: reversible {dec['reversible_dim']} + "
-                     f"stable {dec['stable_dim']}")
-    stab = report_data.get("stability")
-    if stab:
-        lines.append(f"stability    : {stab['status']} witness={stab['witness']} "
-                     f"norm={stab['witness_norm']}")
-    qc = report_data.get("quasi_compactness")
-    if qc:
-        lines.append(f"quasicompact : {qc['status']} dims={qc['eigenspace_dims']}")
+    sections = (
+        ("peripheral_decomposition", "decomposition",
+         lambda dec: f"reversible {dec['reversible_dim']} + stable {dec['stable_dim']}"),
+        ("stability", "stability",
+         lambda stab: f"{stab['status']} witness={stab['witness']} "
+                      f"norm={stab['witness_norm']}"),
+        ("quasi_compactness", "quasicompact",
+         lambda qc: f"{qc['status']} dims={qc['eigenspace_dims']}"),
+    )
+    for key, label, line in sections:
+        entry = report_data.get(key)
+        if entry:
+            lines.append(f"{label:<13}: {entry['error'] if 'error' in entry else line(entry)}")
     pos = report_data.get("positivity")
     if pos:
         lines.append(f"positivity   : {pos['is_positive']}")

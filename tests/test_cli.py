@@ -4,6 +4,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ergospec import cli, ergodic
 from ergospec.cli import main
 from ergospec.config import DEFAULT_SEED, ToleranceConfig
+from ergospec.serialize import matrix_to_json
 
 from conftest import FIXTURES
 
@@ -363,6 +365,38 @@ def test_non_pole_spectrum_is_a_violation(capsys, tmp_path, command, violation):
             "error": "spectral character failed the pole test"}
 
 
+def _ill_conditioned_roots_of_unity(seed):
+    """T = S D S^-1 over N: D holds the 7th roots of unity e^(2 pi i j / 7),
+    j = 0..5, and S = Q_1 diag(logspace(0, 3, 6)) Q_2 for seeded QR
+    unitaries, so that S has condition 1e3."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+              for _ in range(2))
+    s = q1 @ np.diag(np.logspace(0, 3, 6)) @ q2
+    t = s @ np.diag(np.exp(2j * np.pi * np.arange(6) / 7)) @ np.linalg.inv(s)
+    return {"semigroup": {"type": "free_commutative", "rank": 1}, "dim": 6,
+            "matrices": {"per": "generator", "list": [matrix_to_json(t)]}}
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose", "quasicompact"])
+def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command):
+    # the input is valid, but E_s gets two spurious dimensions from a rank
+    # cutoff, so restricting T to it fails the invariance check; that
+    # raises inside the analysis of an accepted input, a failed
+    # cross-check: exit 1 with a report, never 2 as an input error
+    path = tmp_path / "roots_of_unity.json"
+    path.write_text(json.dumps(_ill_conditioned_roots_of_unity(0)))
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["boundedness"]["status"] == "certified"
+    assert data["unitary_spectrum"]["count"] == 6
+    key = {"quasicompact": "quasi_compactness"}.get(command, "peripheral_decomposition")
+    error = data[key]["error"]
+    assert error.startswith("subspace not invariant under matrix for (1,), residual ")
+    assert f"{key.replace('_', ' ')}: {error}" in data["violations"]
+
+
 def test_classes_at_infinity_off_their_operators_are_a_violation(capsys, monkeypatch):
     # a class whose members' operators differ by more than tol_hom means
     # the spectrum missed a character that tells them apart
@@ -399,7 +433,11 @@ def test_missing_file_exit_code(capsys):
     (["--tol-rank", "nan"], 2),
     (["--tol-rank", "inf"], 2),
     (["--tol-char", "nan"], 2),
-])
+# explicit ids, so that a row inserted anywhere renames no other case; they
+# keep the names the index-based ids gave the first sixteen rows
+], ids=["flags0-2", "flags1-2", "flags2-0", "flags3-2", "flags4-2", "flags5-2",
+        "flags6-2", "flags7-2", "flags8-2", "flags9-2", "flags10-2", "flags11-2",
+        "flags12-2", "flags13-2", "flags14-2", "flags15-2"])
 def test_tolerance_flags_exit_codes(capsys, tmp_path, flags, expected):
     # an out-of-range flag is an input error: one line on stderr, exit 2;
     # flags that name no command are given to analyze

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
 from ergospec import characters, ergodic, linalg, representations, semigroups
 from ergospec.ergodic import _kernel_average
+from ergospec.errors import LostCharacter
 from ergospec.serialize import load_representation
 from ergospec.spectrum import JointKernels
 
@@ -222,14 +224,70 @@ def test_stability_klein_not_stable(klein_rep):
 
 
 def test_stability_jordan_witness_degree_three():
-    # oracle: ||T^n|| for T = [[1/2, 1], [0, 1/2]] first drops below 1 at n = 3
+    # oracle: ||T^n|| for T = [[1/2, 1], [0, 1/2]] first drops below 1 at
+    # n = 3, so the first power of two below 1 is T^4
     t = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
-    norms = [es.operator_norm(np.linalg.matrix_power(t, n)) for n in (1, 2, 3)]
-    assert norms[0] > 1 and norms[1] > 1 and norms[2] < 1
+    norms = [es.operator_norm(np.linalg.matrix_power(t, n)) for n in (1, 2, 3, 4)]
+    assert norms[0] > 1 and norms[1] > 1 and norms[2] < 1 and norms[3] < 1
     verdict = es.stability_verdict(n1_rep(t))
     assert verdict.is_stable
-    assert verdict.witness == (3,)
-    assert verdict.witness_norm == pytest.approx(norms[2])
+    assert verdict.witness == (4,)
+    assert verdict.witness_norm == pytest.approx(norms[3])
+
+
+@pytest.mark.parametrize("gap, j", [(1e-3, 10), (1e-4, 13), (1e-7, 23), (2e-8, 26)],
+                         ids=["1e-3", "1e-4", "1e-7", "2e-8"])
+def test_slowly_contracting_witness_is_a_power_of_two(gap, j):
+    # T = [[1 - gap, 1], [0, 1/2]] contracts only after about 1/gap steps;
+    # squaring T reaches the first power of two that does in j steps
+    rep = n1_rep(np.array([[1.0 - gap, 1.0], [0.0, 0.5]], dtype=complex))
+    start = time.perf_counter()
+    verdict = es.stability_verdict(rep)
+    elapsed = time.perf_counter() - start
+    assert verdict.is_stable and not verdict.budget_exceeded
+    assert verdict.witness == (2 ** j,)
+    assert verdict.witness_norm <= 1.0 - DEFAULT_CONFIG.tol_char
+    assert elapsed < 1.0
+
+
+def test_a_square_that_overflows_is_no_witness():
+    # rho(T) = 1/2, but T^2 has an entry 1e400: its norm would be inf or
+    # NaN, and no comparison may take that for a contraction
+    t = np.diag([0.5, 0.5, 0.5]).astype(complex) + np.diag([1e200, 1e200], 1)
+    rep = es.validate_representation(es.FreeCommutativeMonoid(1), [t])
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict = ergodic._stable_verdict(rep, DEFAULT_CONFIG)
+    assert verdict.is_stable and verdict.budget_exceeded
+    assert verdict.witness is None and verdict.witness_norm is None
+
+
+def test_stability_witness_is_diagonal_over_n2():
+    # neither generator contracts alone, their product T_(1, 1) does
+    rep = n1_rep(np.diag([1.0, 0.5]).astype(complex), np.diag([0.5, 1.0]).astype(complex))
+    verdict = es.stability_verdict(rep)
+    assert verdict.is_stable
+    assert verdict.witness == (1, 1)
+    assert verdict.witness_norm == pytest.approx(0.5)
+
+
+def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
+    # diag(1 + 5e-9, 0.5) is certified, but its spectrum drops the eigenvalue
+    # 1 + 5e-9 (tests/test_spectrum.py); rho(T_u) >= 1 - tol_char tells, and
+    # the report says so instead of squaring T toward overflow
+    rep = n1_rep(np.diag([1.0 + 5e-9, 0.5]).astype(complex))
+    assert len(es.unitary_spectrum(rep)) == 0
+    with pytest.raises(LostCharacter) as exc:
+        es.stability_verdict(rep)
+    assert exc.value.radius == pytest.approx(1.0 + 5e-9, abs=1e-15)
+    start = time.perf_counter()
+    report = es.analyze(rep)
+    assert time.perf_counter() - start < 1.0
+    assert not report.ok
+    for key, label in (("stability", "stability"),
+                       ("peripheral_decomposition", "peripheral decomposition")):
+        assert report.data[key] == {"error": str(exc.value)}
+        assert f"{label}: {exc.value}" in report.violations
+    assert f"stability    : {exc.value}" in es.summarize(report.data).splitlines()
 
 
 def test_semigroup_at_infinity_klein(klein_rep):
