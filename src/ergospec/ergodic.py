@@ -17,7 +17,7 @@ import numpy as np
 
 from .characters import char_distance, trivial_character
 from .config import DEFAULT_CONFIG
-from .errors import LostCharacter, NonPoleSpectrum
+from .errors import ErgospecError, LostCharacter, NonPoleSpectrum
 from .linalg import (
     Subspace,
     column_space,
@@ -148,7 +148,7 @@ class StabilityVerdict:
     witness: object = None          # element with ||T_s|| <= 1 - tol_char
     witness_norm: float = None
     blocking_character: object = None
-    budget_exceeded: bool = False   # N^k: no witness within 52 squarings
+    budget_exceeded: bool = False   # N^k: rho(T_u) < 1 - tol_char, no square contracts
     zero_in_range: bool = None      # finite monoid: 0 occurs among the T_s
 
     @property
@@ -166,10 +166,10 @@ def _stable_verdict(rep, config):
     restricted to a subspace, from passing for a contraction.
 
     A bounded commuting family, jointly triangular with its joint
-    eigenvalues in the closed disc, is stable exactly when rho(T_u) < 1:
-    an empty spectrum with rho(T_u) >= 1 - tol_char lost a character.
-    rho <= ||T_u|| is taken only when that norm is above the margin. A
-    square that overflows is no witness."""
+    eigenvalues in the closed disc, is stable exactly when rho(T_u) < 1,
+    and then some square contracts. When none does within 2^52, or a
+    square overflows, rho(T_u) >= 1 - tol_char means the empty spectrum
+    lost a character; a square that overflows is no witness."""
     if rep.is_finite:
         e = rep.semigroup.kernel.identity
         norm = operator_norm(rep.matrices[e])
@@ -177,21 +177,20 @@ def _stable_verdict(rep, config):
             return StabilityVerdict(STABLE, witness=e, witness_norm=norm)
         return StabilityVerdict(STABLE)
 
-    power = reduce(np.matmul, rep.matrices)   # T_u
-    norm = operator_norm(power)
-    if norm > 1.0 - config.tol_char:
-        radius = float(np.abs(np.linalg.eigvals(power)).max())
-        if radius >= 1.0 - config.tol_char:
-            raise LostCharacter(radius)
+    power = t_u = reduce(np.matmul, rep.matrices)
     for j in range(53):   # up to 2^52, an exact JSON integer
         if j:
-            power = power @ power
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = power @ power
             if not np.isfinite(power).all():
                 break
-            norm = operator_norm(power)
+        norm = operator_norm(power)
         if norm <= 1.0 - config.tol_char:
             return StabilityVerdict(STABLE, witness=(2 ** j,) * rep.semigroup.rank,
                                     witness_norm=norm)
+    radius = float(np.abs(np.linalg.eigvals(t_u)).max())
+    if radius >= 1.0 - config.tol_char:
+        raise LostCharacter(radius)
     return StabilityVerdict(STABLE, budget_exceeded=True)
 
 
@@ -216,6 +215,7 @@ class QuasiCompactnessVerdict:
     eigenspace_dims: list
     riesz_all: bool
     decomposition_consistent: bool
+    decomposition_error: object = None  # the ErgospecError of a failed split
 
     @property
     def is_quasi_compact(self):
@@ -324,14 +324,28 @@ class Analysis:
         return report
 
     @cached_property
+    def _decomposition(self):
+        """The decomposition or the ErgospecError it raised: it runs once."""
+        try:
+            return self._split()
+        except ErgospecError as exc:
+            return exc
+
+    @property
     def decomposition(self):
         """Split C^n into the reversible part E_r (joint unimodular
         eigenspaces) and the stable part E_s, with the commuting projection.
 
         P is the sum of the pole projections onto ker(chi - T) along
         rg(chi - T); pairwise products of those projections must vanish,
-        and their largest norm is read off the projections' factors.
+        and their largest norm is read off the projections' factors. A
+        failed split raises its one error on every read.
         """
+        if isinstance(self._decomposition, ErgospecError):
+            raise self._decomposition
+        return self._decomposition
+
+    def _split(self):
         rep, config = self.rep, self.config
         n = rep.dim
         verdicts = []
@@ -424,8 +438,11 @@ class Analysis:
         verdicts = [self.pole(chi) for chi in spectrum.characters]
         riesz_all = all(verdict.is_pole for verdict in verdicts)
         dims = [space.dim for space in spectrum.eigenspaces]
-        # the decomposition exists only when every spectral character is a pole
-        consistent = riesz_all and self.decomposition.reversible.dim == sum(dims)
+        # the decomposition exists only when every spectral character is a
+        # pole, and fails when a cross-check inside it does
+        split = self._decomposition if riesz_all else None
+        error = split if isinstance(split, ErgospecError) else None
+        consistent = riesz_all and error is None and split.reversible.dim == sum(dims)
         status = QUASI_COMPACT if riesz_all else "not_quasi_compact"
         return QuasiCompactnessVerdict(
             status=status,
@@ -433,6 +450,7 @@ class Analysis:
             eigenspace_dims=dims,
             riesz_all=riesz_all,
             decomposition_consistent=consistent,
+            decomposition_error=error,
         )
 
 

@@ -183,16 +183,17 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                 violations.append("operators at infinity disagree with the spectrum")
 
     if "quasicompact" in wanted:
-        qc = checked("quasi_compactness", "quasicompact", lambda: analysis.quasi_compactness)
-        if qc is not None:
-            report["quasi_compactness"] = {
-                "status": qc.status,
-                "eigenspace_dims": qc.eigenspace_dims,
-                "riesz_all": qc.riesz_all,
-                "decomposition_consistent": qc.decomposition_consistent,
-            }
-            if not qc.is_quasi_compact or not qc.decomposition_consistent:
-                violations.append("quasi-compactness cross-checks disagree")
+        qc = timed("quasicompact", lambda: analysis.quasi_compactness)
+        report["quasi_compactness"] = {
+            "status": qc.status,
+            "eigenspace_dims": qc.eigenspace_dims,
+            "riesz_all": qc.riesz_all,
+            "decomposition_consistent": qc.decomposition_consistent,
+        }
+        if qc.decomposition_error is not None:
+            report["quasi_compactness"]["decomposition_error"] = str(qc.decomposition_error)
+        if not qc.is_quasi_compact or not qc.decomposition_consistent:
+            violations.append("quasi-compactness cross-checks disagree")
 
     if "positivity" in wanted:
         positivity = analysis.positivity

@@ -391,10 +391,20 @@ def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command):
     data = json.loads(out)
     assert data["boundedness"]["status"] == "certified"
     assert data["unitary_spectrum"]["count"] == 6
-    key = {"quasicompact": "quasi_compactness"}.get(command, "peripheral_decomposition")
-    error = data[key]["error"]
-    assert error.startswith("subspace not invariant under matrix for (1,), residual ")
-    assert f"{key.replace('_', ' ')}: {error}" in data["violations"]
+    prefix = "subspace not invariant under matrix for (1,), residual "
+    if command != "quasicompact":
+        error = data["peripheral_decomposition"]["error"]
+        assert error.startswith(prefix)
+        assert f"peripheral decomposition: {error}" in data["violations"]
+    if command != "decompose":
+        # quasi-compactness keeps its own verdict, which the failed split
+        # cannot confirm
+        qc = data["quasi_compactness"]
+        assert (qc["riesz_all"], qc["eigenspace_dims"]) == (True, [1] * 6)
+        assert qc["decomposition_consistent"] is False
+        assert qc["decomposition_error"].startswith(prefix)
+        assert "quasi-compactness cross-checks disagree" in data["violations"]
+    assert len(set(data["violations"])) == len(data["violations"])
 
 
 def test_classes_at_infinity_off_their_operators_are_a_violation(capsys, monkeypatch):

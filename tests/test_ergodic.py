@@ -235,12 +235,18 @@ def test_stability_jordan_witness_degree_three():
     assert verdict.witness_norm == pytest.approx(norms[3])
 
 
-@pytest.mark.parametrize("gap, j", [(1e-3, 10), (1e-4, 13), (1e-7, 23), (2e-8, 26)],
-                         ids=["1e-3", "1e-4", "1e-7", "2e-8"])
-def test_slowly_contracting_witness_is_a_power_of_two(gap, j):
+@pytest.mark.parametrize("t, j", [
+    ([[1 - 1e-3, 1], [0, 0.5]], 10),
+    ([[1 - 1e-4, 1], [0, 0.5]], 13),
+    ([[1 - 1e-7, 1], [0, 0.5]], 23),
+    ([[1 - 2e-8, 1], [0, 0.5]], 26),
+    ([[1 - 5e-9, 0], [0, 0.5]], 2),
+], ids=["1e-3", "1e-4", "1e-7", "2e-8", "diag-5e-9"])
+def test_slowly_contracting_witness_is_a_power_of_two(t, j):
     # T = [[1 - gap, 1], [0, 1/2]] contracts only after about 1/gap steps;
-    # squaring T reaches the first power of two that does in j steps
-    rep = n1_rep(np.array([[1.0 - gap, 1.0], [0.0, 0.5]], dtype=complex))
+    # squaring T reaches the first power of two that does in j steps. At
+    # diag(1 - 5e-9, 1/2), rho(T) is within tol_char of 1, yet T^4 contracts
+    rep = n1_rep(np.array(t, dtype=complex))
     start = time.perf_counter()
     verdict = es.stability_verdict(rep)
     elapsed = time.perf_counter() - start
@@ -255,8 +261,7 @@ def test_a_square_that_overflows_is_no_witness():
     # NaN, and no comparison may take that for a contraction
     t = np.diag([0.5, 0.5, 0.5]).astype(complex) + np.diag([1e200, 1e200], 1)
     rep = es.validate_representation(es.FreeCommutativeMonoid(1), [t])
-    with np.errstate(over="ignore", invalid="ignore"):
-        verdict = ergodic._stable_verdict(rep, DEFAULT_CONFIG)
+    verdict = ergodic._stable_verdict(rep, DEFAULT_CONFIG)
     assert verdict.is_stable and verdict.budget_exceeded
     assert verdict.witness is None and verdict.witness_norm is None
 
@@ -272,8 +277,8 @@ def test_stability_witness_is_diagonal_over_n2():
 
 def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
     # diag(1 + 5e-9, 0.5) is certified, but its spectrum drops the eigenvalue
-    # 1 + 5e-9 (tests/test_spectrum.py); rho(T_u) >= 1 - tol_char tells, and
-    # the report says so instead of squaring T toward overflow
+    # 1 + 5e-9 (tests/test_spectrum.py); no square of T contracts before one
+    # overflows, and rho(T_u) >= 1 - tol_char names the lost character
     rep = n1_rep(np.diag([1.0 + 5e-9, 0.5]).astype(complex))
     assert len(es.unitary_spectrum(rep)) == 0
     with pytest.raises(LostCharacter) as exc:
@@ -288,6 +293,20 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
         assert report.data[key] == {"error": str(exc.value)}
         assert f"{label}: {exc.value}" in report.violations
     assert f"stability    : {exc.value}" in es.summarize(report.data).splitlines()
+    # quasi-compactness keeps its own verdict and names the failed split
+    assert report.data["quasi_compactness"] == {
+        "status": "quasi_compact", "eigenspace_dims": [], "riesz_all": True,
+        "decomposition_consistent": False, "decomposition_error": str(exc.value)}
+    assert len(set(report.violations)) == len(report.violations)
+    # each read of a failed split raises the error of its one run
+    analysis = ergodic.Analysis(rep)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(LostCharacter) as split:
+            analysis.decomposition
+        errors.append(split.value)
+    assert errors[0] is errors[1]
+    assert analysis.quasi_compactness.decomposition_error is errors[0]
 
 
 def test_semigroup_at_infinity_klein(klein_rep):
