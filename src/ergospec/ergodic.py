@@ -1,10 +1,10 @@
 """Mean ergodic structure: projections, poles, peripheral decomposition,
 stability, the semigroup at infinity, and quasi-compactness.
 
-Two independent routes are always computed and cross-checked: the algebraic
-route (the fixed space paired with ker (1 - T)^H = rg(1 - T)^perp) and the
-constructive ergodic net (the exact kernel average for a finite monoid, a
-composed Cesaro rectangle mean for N^k).
+Over a finite monoid every pole is an isotypic projection. Over N^k the
+algebraic route (the fixed space paired with ker (1 - T)^H =
+rg(1 - T)^perp) is cross-checked by the constructive ergodic net, a
+composed Cesaro rectangle mean.
 
 `Analysis` holds the routes of one input and computes each of them once;
 the public verdict functions are thin wrappers over it.
@@ -30,14 +30,6 @@ from .representations import restrict
 from .spectrum import JointKernels, unitary_spectrum
 
 _CESARO_POWER = 3  # p, the power of the composed Cesaro mean C_N^p
-
-
-def _kernel_average(rep):
-    """The exact zero element of co T(S) for a finite monoid: the average
-    of T over the kernel group."""
-    group = rep.semigroup.kernel
-    total = sum(rep.matrices[k] for k in group.carrier)
-    return total / len(group.carrier)
 
 
 def _cesaro_rectangle_chain(rep, reference, config):
@@ -86,7 +78,7 @@ class ErgodicReport:
     mean_projection: np.ndarray = None
     cesaro_trace: list = field(default_factory=list)  # (side, plain, composed)
     net_divergence: bool = False
-    kernel_average_residual: float = None  # finite monoid only
+    kernel_average_residual: float = None  # finite: max_g ||T_g P - P|| / max(1, ||P||)
 
     @property
     def fix_dim(self):
@@ -234,8 +226,7 @@ class Analysis:
         self.rep = rep
         self.config = DEFAULT_CONFIG if config is None else config
         self._poles = {}
-        # ker(chi - T) and ker((chi - T)^H) by generator values, each
-        # factored once for the spectrum, the poles and the mean ergodic split
+        # N^k: the joint kernels shared by the spectrum, the poles and the mean ergodic split
         self.kernels = JointKernels(rep, self.config)
 
     @cached_property
@@ -261,9 +252,21 @@ class Analysis:
         """chi on the generators, the key of its kernels."""
         return tuple(chi(g) for g in self.rep.semigroup.generators)
 
+    @cached_property
+    def _isotypic_poles(self):
+        """Finite monoid: the pole verdict of each spectral character, by key:
+        its isotypic projection P = F F^H P, F the eigenspace basis."""
+        spectrum = self.spectrum
+        return {repr(chi.canonical_key()): PoleVerdict(
+                    POLE, projection=p, eigenspace_dim=space.dim,
+                    factors=(space.basis, space.basis.conj().T @ p))
+                for chi, space, p in zip(spectrum.characters, spectrum.eigenspaces,
+                                         spectrum.projections)}
+
     def pole(self, chi):
         """chi is a pole of T iff ker(chi - T) and rg(chi - T) are direct
-        complements, decided by their pairing (linalg.oblique_projection).
+        complements: every spectral chi of a finite monoid is one
+        (_isotypic_poles), and over N^k their pairing decides it.
 
         A pole needs no further check of the complement: when ker(chi - T)
         and rg(chi - T) are direct complements, a chi-eigenvector of T
@@ -272,56 +275,58 @@ class Analysis:
         # repr tells -0.0 from 0.0, so equal keys mean bit-equal characters
         key = repr(chi.canonical_key())
         if key not in self._poles:
-            values = self._values(chi)
-            fix = self.kernels.kernel(values)
-            if fix.dim == 0 and not self.spectrum.contains(chi, self.config.tol_cluster):
+            verdict = self._isotypic_poles.get(key) if self.rep.is_finite else \
+                self._paired_pole(chi)
+            if verdict is None:
                 zero = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
-                verdict = PoleVerdict(NOT_IN_SPECTRUM, projection=zero, eigenspace_dim=0)
-            else:
-                coordinates = oblique_projection(fix, self.kernels.cokernel(values),
-                                                 self.config.tol_rank)
-                verdict = PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim) \
-                    if coordinates is None else \
-                    PoleVerdict(POLE, projection=fix.basis @ coordinates,
-                                eigenspace_dim=fix.dim, factors=(fix.basis, coordinates))
+                verdict = PoleVerdict(NOT_IN_SPECTRUM, projection=zero)
             self._poles[key] = verdict
         return self._poles[key]
+
+    def _paired_pole(self, chi):
+        """The pole verdict of an N^k character, None outside the spectrum."""
+        values = self._values(chi)
+        fix = self.kernels.kernel(values)
+        if fix.dim == 0 and not self.spectrum.contains(chi, self.config.tol_cluster):
+            return None
+        coordinates = oblique_projection(fix, self.kernels.cokernel(values),
+                                         self.config.tol_rank)
+        if coordinates is None:
+            return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
+        return PoleVerdict(POLE, projection=fix.basis @ coordinates,
+                           eigenspace_dim=fix.dim, factors=(fix.basis, coordinates))
 
     @cached_property
     def ergodic(self):
         """Uniform mean ergodicity and the mean ergodic projection: the
-        split of the trivial character, whose pole verdict pairs fix(T)
-        with ker (1 - T)^H and so decides whether fix(T) and rg(1 - T) are
-        direct complements. The constructive ergodic net is then run and
-        compared against the projection. A convergent-net failure while the
-        algebraic verdict says ergodic is reported as net_divergence (a
-        tolerance anomaly), never silently resolved."""
+        split of the trivial character's pole. Over a finite monoid that is
+        P_1, cross-checked by max_g ||T_g P_1 - P_1|| / max(1, ||P_1||) over
+        the generators; over N^k the Cesaro chain is run and compared
+        against it. A failed cross-check while the algebraic verdict says
+        ergodic is reported as net_divergence (a tolerance anomaly), never
+        silently resolved."""
         rep, config = self.rep, self.config
+        pole = self.pole(self.trivial)
+        if rep.is_finite:   # fix(T) = rg P_1, ker (1 - T)^H = (ker P_1)^perp = rg P_1^H
+            p = pole.projection
+            fix = pole.factors[0] if pole.is_pole else np.zeros((rep.dim, 0), dtype=np.complex128)
+            residual = max(operator_norms(a @ p - p for a in rep.family()))
+            residual /= max(1.0, operator_norm(p))
+            return ErgodicReport(fix_space=Subspace(fix),
+                                 cokernel=Subspace(np.linalg.qr(p.conj().T @ fix)[0]),
+                                 is_ume=True, mean_projection=p, kernel_average_residual=residual,
+                                 net_divergence=residual > config.tol_hom)
         values = self._values(self.trivial)
         fix, cokernel = self.kernels.kernel(values), self.kernels.cokernel(values)
-        pole = self.pole(self.trivial)
         # outside the spectrum fix(T) = 0, a complement of rg(1 - T) only
         # when that is all of C^n
         projection = pole.projection \
             if pole.counts_as_pole and fix.dim == cokernel.dim else None
-        report = ErgodicReport(fix_space=fix, cokernel=cokernel,
-                               is_ume=projection is not None, mean_projection=projection)
-
-        if rep.is_finite:
-            khat = _kernel_average(rep)
-            if projection is not None:
-                report.kernel_average_residual = operator_norm(khat - projection)
-                if report.kernel_average_residual > config.tol_hom:
-                    report.net_divergence = True
-            else:
-                report.kernel_average_residual = float("nan")
-        else:
-            report.cesaro_trace = _cesaro_rectangle_chain(rep, projection, config)
-            if projection is not None:
-                best = min(t[2] for t in report.cesaro_trace)
-                if best > config.cesaro_target:
-                    report.net_divergence = True
-        return report
+        trace = _cesaro_rectangle_chain(rep, projection, config)
+        return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=projection is not None,
+                             mean_projection=projection, cesaro_trace=trace,
+                             net_divergence=projection is not None and
+                             min(t[2] for t in trace) > config.cesaro_target)
 
     @cached_property
     def _decomposition(self):

@@ -105,8 +105,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         if ergodic.mean_projection is not None:
             entry["mean_projection"] = matrix_to_json(ergodic.mean_projection)
         if ergodic.kernel_average_residual is not None:
-            entry["kernel_average_residual"] = \
-                finite_or_none(ergodic.kernel_average_residual)
+            entry["kernel_average_residual"] = ergodic.kernel_average_residual
         if ergodic.cesaro_trace:
             entry["cesaro_trace"] = [
                 {"side": side, "plain": finite_or_none(plain),
@@ -114,8 +113,10 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                 for side, plain, comp in ergodic.cesaro_trace]
         report["ergodic"] = entry
         if ergodic.net_divergence:
-            violations.append("ergodic net failed to reach cesaro_target "
-                              "although the algebraic verdict is ergodic")
+            violations.append("generators move the mean projection P_1: relative residual "
+                              f"{ergodic.kernel_average_residual:.3e} exceeds tol_hom"
+                              if rep.is_finite else "ergodic net failed to reach "
+                              "cesaro_target although the algebraic verdict is ergodic")
 
     if "poles" in wanted:
         def pole_table():

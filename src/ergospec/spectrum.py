@@ -2,10 +2,10 @@
 
 In finite dimension the unitary spectrum coincides with the unitary point
 spectrum: a unitary character belongs to the spectrum exactly when the
-commuting family has a joint eigenvector for it. Candidates are read off
-the trace multiplicities of the exact dual (finite monoid) or the
-generators' unimodular eigenvalue clusters (N^k) and confirmed by a
-nonzero joint kernel.
+commuting family has a joint eigenvector for it. A finite monoid's
+eigenspaces are the ranges of the isotypic projections of its exact dual.
+Over N^k the candidates are the generators' unimodular eigenvalue
+clusters, each confirmed by a nonzero joint kernel.
 The coefficient-inequality falsifier provides an independent one-sided
 refutation route.
 """
@@ -13,6 +13,7 @@ refutation route.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .characters import (
     UnitaryCharacter,
@@ -37,6 +38,7 @@ class UnitarySpectrumResult:
     characters: list          # UnitaryCharacter, canonically ordered
     eigenspaces: list         # Subspace per character, each nonzero
     witnesses: list           # one joint eigenvector per character
+    projections: list = None  # finite monoid: the isotypic P_chi per character
 
     def __len__(self):
         return len(self.characters)
@@ -53,12 +55,12 @@ class JointKernels:
     from one SVD (linalg.kernel_and_cokernel); a longer tuple cuts its
     prefix's space by the next generator (_cut).
 
-    An Analysis holds one, so the spectrum walk, the eigenspaces, the poles
-    and the mean ergodic split read the same factorizations, and characters
-    that agree on the leading generators share them. The cokernel over all
-    generators is that of chi - T, since rg(chi - T) is the sum of the
-    rg(chi(g) - T_g): chi(g+h) - T_g T_h = chi(h) (chi(g) - T_g) +
-    T_g (chi(h) - T_h)."""
+    An Analysis over N^k holds one, so the spectrum walk, the eigenspaces,
+    the poles and the mean ergodic split read the same factorizations, and
+    characters that agree on the leading generators share them. The
+    cokernel over all generators is that of chi - T, since rg(chi - T) is
+    the sum of the rg(chi(g) - T_g): chi(g+h) - T_g T_h =
+    chi(h) (chi(g) - T_g) + T_g (chi(h) - T_h)."""
 
     def __init__(self, rep, config):
         self.rep = rep
@@ -114,20 +116,24 @@ def eigenspace(rep, chi, config=None, kernels=None):
     return kernels.kernel(chi(g) for g in rep.semigroup.generators)
 
 
-def _trace_multiplicities(rep):
-    """The dual of a finite monoid, as _dual_numerators gives it, and the
-    multiplicity of each character in T,
-
-        dim ker(chi - T) = (1/|K|) sum over k in K of conj chi(k) tr T_k,
-
-    by the orthogonality relations of the kernel group K (Serre, Linear
-    Representations of Finite Groups, 2.3): ker(chi - T) lies in rg T_e,
-    on which K acts as a group, and T_k vanishes on ker T_e."""
+def _isotypic_projections(rep):
+    """The characters chi of a finite monoid with tr P_chi >= 1/2, in
+    canonical order, their isotypic projections P_chi = (1/|K|) sum over
+    k in K of conj chi(k) T_k, from one matmul with the stacked T_k, and
+    their ranks, the rounded traces. The kernel group K acts as a group on
+    rg T_e and T_k vanishes on ker T_e, so P_chi projects onto ker(chi - T)
+    along rg(chi - T) (Serre, Linear Representations of Finite Groups,
+    2.6, Thm 8)."""
     group, numerators = _dual_numerators(rep.semigroup)
-    order = len(group.carrier)
-    traces = np.array([np.trace(rep.matrices[k]) for k in group.carrier])
-    conjugates = np.exp(-2j * np.pi * np.arange(order) / order)
-    return numerators, (conjugates[numerators[:, group.carrier]] @ traces).real / order
+    order, n = len(group.carrier), rep.dim
+    conjugates = np.exp(-2j * np.pi * np.arange(order) / order) / order
+    table = conjugates[numerators[:, group.carrier]]
+    stacked = np.stack([rep.matrices[k] for k in group.carrier])
+    ranks = np.floor((table @ np.trace(stacked, axis1=1, axis2=2)).real + 0.5).astype(int)
+    spectral = ranks >= 1
+    projections = (table[spectral] @ stacked.reshape(order, n * n)).reshape(-1, n, n)
+    return (_characters_from_numerators(rep.semigroup, numerators[spectral], order),
+            projections, ranks[spectral].tolist())
 
 
 def _joint_unimodular_kernels(rep, config, kernels):
@@ -161,49 +167,37 @@ def _joint_unimodular_kernels(rep, config, kernels):
     return found
 
 
-def _spectral_order(chi):
-    """Exact angles for a finite monoid. Over N^k the generator values
-    rounded to 6 decimals first, and then the exact values. Rounding noise
-    then flips two characters with equal parts, such as a conjugate pair
-    on one vertical line, only when that part lies within the noise of a
-    rounding boundary, an odd multiple of 5e-7."""
-    if chi.is_exact:
-        return chi.canonical_key()
-    return (tuple((round(z.real, 6), round(z.imag, 6)) for z in chi.gen_values),
-            chi.canonical_key())
-
-
 def unitary_spectrum(rep, config=None, kernels=None):
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. Over a finite monoid
-    the candidates are the dual characters of trace multiplicity at least
-    1/2, each kept when its joint kernel is nonzero. Over N^k they come
-    from the walk of _joint_unimodular_kernels. `kernels` is the caller's
-    JointKernels of rep.
+    each eigenspace is the first d columns of a pivoted QR of the isotypic
+    projection of rank d: no rank is decided. Over N^k the characters come
+    from the walk of _joint_unimodular_kernels, reading `kernels`, the
+    caller's JointKernels of rep.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
         raise NotBounded("unitary_spectrum requires a Certified representation")
-    kernels = JointKernels(rep, config) if kernels is None else kernels
 
     if rep.is_finite:
-        numerators, multiplicities = _trace_multiplicities(rep)
-        candidates = _characters_from_numerators(
-            rep.semigroup, numerators[multiplicities >= 0.5], len(numerators))
-        found = [(chi, eigenspace(rep, chi, config, kernels)) for chi in candidates]
-        found = [(chi, space) for chi, space in found if space.dim]
+        characters, projections, ranks = _isotypic_projections(rep)
+        spaces = [Subspace(scipy.linalg.qr(p, pivoting=True)[0][:, :d].copy())
+                  for p, d in zip(projections, ranks)]
     else:
-        found = [(UnitaryCharacter(rep.semigroup, gen_values=values), space)
-                 for values, space in _joint_unimodular_kernels(rep, config, kernels)]
-
-    found.sort(key=lambda pair: _spectral_order(pair[0]))
-    return UnitarySpectrumResult(
-        characters=[chi for chi, _ in found],
-        eigenspaces=[space for _, space in found],
-        witnesses=[space.basis[:, 0] for _, space in found],
-    )
+        # by the generator values rounded to 6 decimals, then the exact ones:
+        # rounding noise flips two characters with equal parts, such as a
+        # conjugate pair, only near a rounding boundary, an odd multiple of 5e-7
+        kernels = JointKernels(rep, config) if kernels is None else kernels
+        found = sorted(_joint_unimodular_kernels(rep, config, kernels), key=lambda pair: (
+            [(round(z.real, 6), round(z.imag, 6)) for z in pair[0]],
+            [(z.real, z.imag) for z in pair[0]]))
+        characters = [UnitaryCharacter(rep.semigroup, gen_values=values) for values, _ in found]
+        spaces, projections = [space for _, space in found], None
+    return UnitarySpectrumResult(characters=characters, eigenspaces=spaces,
+                                 witnesses=[space.basis[:, 0] for space in spaces],
+                                 projections=projections)
 
 
 def approximate_eigenvector_check(rep, chi, v, eps):

@@ -378,6 +378,39 @@ def _ill_conditioned_roots_of_unity(seed):
             "matrices": {"per": "generator", "list": [matrix_to_json(t)]}}
 
 
+def _ill_conditioned_regular_z8(condition, seed=0):
+    """The regular representation of Z8, T_s = S P^s S^-1 for the cyclic
+    shift P, with S = Q_1 diag(logspace(0, log10(condition), 8)) Q_2 for
+    seeded QR unitaries, so that S has the given condition number."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+              for _ in range(2))
+    s = q1 @ np.diag(np.logspace(0, np.log10(condition), 8)) @ q2
+    inverse = np.linalg.inv(s)
+    shift = np.roll(np.eye(8), 1, axis=0)
+    return {"semigroup": {"type": "cayley", "size": 8, "neutral": 0,
+                          "table": [[(i + j) % 8 for j in range(8)] for i in range(8)]},
+            "dim": 8, "matrices": {"per": "element", "list": [
+                matrix_to_json(s @ np.linalg.matrix_power(shift, k) @ inverse)
+                for k in range(8)]}}
+
+
+@pytest.mark.parametrize("condition", [1e3, 1e5, pytest.param(1e7, marks=pytest.mark.xfail(
+    strict=True, reason="F3: E_s gets spurious dimensions from the absolute "
+                        "column_space cutoff of the decomposition"))],
+    ids=["1e3", "1e5", "1e7"])
+def test_an_ill_conditioned_regular_z8_passes(capsys, tmp_path, condition):
+    # every pole is an isotypic projection, whose trace gives its rank, so
+    # no rank cutoff or pairing threshold meets the similarity's condition
+    path = tmp_path / "z8.json"
+    path.write_text(json.dumps(_ill_conditioned_regular_z8(condition)))
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    data = json.loads(out)
+    assert (code, err, data["violations"]) == (0, "", [])
+    assert data["unitary_spectrum"]["eigenspace_dims"] == [1] * 8
+    assert data["peripheral_decomposition"]["reversible_dim"] == 8
+
+
 @pytest.mark.parametrize("command", ["analyze", "decompose", "quasicompact"])
 def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command):
     # the input is valid, but E_s gets two spurious dimensions from a rank
@@ -418,6 +451,25 @@ def test_classes_at_infinity_off_their_operators_are_a_violation(capsys, monkeyp
     assert data["semigroup_at_infinity"] == {"count": 1, "classes": [[0, 1, 2, 3]],
                                              "class_residual": 2.0}
     assert data["violations"] == ["operators at infinity disagree with the spectrum"]
+
+
+def test_a_moved_finite_mean_projection_is_a_violation(capsys, monkeypatch):
+    # a finite monoid runs no Cesaro chain: its cross-check is the residual
+    # of P_1 under the generators
+    ergodic_of = ergodic.Analysis.ergodic.func
+
+    def moved(self):
+        report = ergodic_of(self)
+        report.kernel_average_residual, report.net_divergence = 2.5e-9, True
+        return report
+
+    monkeypatch.setattr(ergodic.Analysis, "ergodic", property(moved))
+    code, out, _ = run(capsys, "ergodic", fixture_path("klein_four"), "--format", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert data["ergodic"]["kernel_average_residual"] == 2.5e-9
+    assert data["violations"] == [
+        "generators move the mean projection P_1: relative residual 2.500e-09 exceeds tol_hom"]
 
 
 def test_missing_file_exit_code(capsys):

@@ -9,11 +9,9 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance
-from ergospec import characters, ergodic, linalg, representations, semigroups
-from ergospec.ergodic import _kernel_average
+from ergospec import characters, ergodic, linalg, representations, semigroups, spectrum
 from ergospec.errors import LostCharacter
 from ergospec.serialize import load_representation
-from ergospec.spectrum import JointKernels
 
 from conftest import (
     FIXTURES,
@@ -69,7 +67,8 @@ def test_mean_ergodic_klein(klein_rep):
     expected[2:, 2:] = half
     np.testing.assert_allclose(report.mean_projection, expected, atol=1e-10)
     # the kernel average is an exact zero element of the convex hull
-    khat = _kernel_average(klein_rep)
+    group = klein_rep.semigroup.kernel
+    khat = sum(klein_rep.matrices[k] for k in group.carrier) / len(group.carrier)
     np.testing.assert_allclose(khat, expected, atol=1e-14)
     for a in klein_rep.matrices:
         np.testing.assert_allclose(a @ khat, khat, atol=1e-14)
@@ -446,17 +445,31 @@ def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
     report = es.analyze(klein_rep)
     assert report.ok
     assert report.data["positivity"]["nisa"]["agree"]
-    assert len(calls["oblique_projection"]) == 3  # one per spectral character
+    assert len(calls["oblique_projection"]) == 0  # each pole is an isotypic projection
     assert len(calls["is_pole"]) == 0             # no second Analysis per pole
     assert len(calls["PeripheralDecomposition"]) == 1
     assert len(calls["mean_ergodic_analysis"]) == 0
     assert len(calls["unitary_spectrum"]) == 1    # E_s = 0, so T's alone
 
 
+@pytest.mark.parametrize("case", ["Z8", "klein_four"])
+def test_finite_analyze_reads_no_joint_kernel(case, monkeypatch):
+    # a finite monoid's spectrum, poles and mean ergodic split all come
+    # from its isotypic projections
+    rep = es.regular_representation(cyclic_monoid(8)) if case == "Z8" else \
+        es.certify_boundedness(load_representation(str(FIXTURES / f"{case}.json")))
+    calls = {name: _count_calls(monkeypatch, name, module)
+             for name, module in (("kernel_and_cokernel", linalg),
+                                  ("oblique_projection", linalg), ("_cut", spectrum))}
+    assert es.analyze(rep).ok
+    assert {name: len(found) for name, found in calls.items()} == \
+        {"kernel_and_cokernel": 0, "oblique_projection": 0, "_cut": 0}
+
+
 def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
     # L2 x Z4 has E_s != 0: its witness comes from the pole verdicts of T,
-    # not from a spectrum of T restricted to E_s. The candidates are read
-    # off the dual's trace multiplicities
+    # not from a spectrum of T restricted to E_s. The spectrum is read off
+    # the dual's isotypic projections
     rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
     calls = {route: _count_calls(monkeypatch, route, module)
              for route, module in (("_dual_numerators", characters),
@@ -543,20 +556,18 @@ def test_relabeling_moves_the_witnesses_and_the_classes_at_infinity(case):
         {frozenset(map(moved, members)) for members in before.infinity.classes}
 
 
-@pytest.mark.parametrize("reorthonormalized", [False, True],
-                         ids=["svd-basis", "reorthonormalized"])
-def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized,
-                                                               monkeypatch):
-    # ker (1 - T)^H = rg(1 - T)^perp as the SVD gives it, or orthonormalized
-    # once more; the two bases differ in their last bits, which once brought
-    # T_0 = I in as a witness of norm 1 - 4e-16
-    cokernel = JointKernels.cokernel
+@pytest.mark.parametrize("nudged", [False, True], ids=["as-computed", "nudged"])
+def test_threshold_witness_survives_the_last_bits_of_the_projection(nudged, monkeypatch):
+    # each isotypic projection as computed, or times 1 + 2^-52, which moves
+    # its entries by about an ulp, as the range bases of the pairing once
+    # did when they brought T_0 = I in as a witness of norm 1 - 4e-16
+    projections = spectrum._isotypic_projections
 
-    def patched(self, values):
-        space = cokernel(self, values)
-        return linalg.column_space(space.basis) if reorthonormalized else space
+    def patched(rep):
+        numerators, found, ranks = projections(rep)
+        return numerators, found * (1.0 + 2.0**-52) if nudged else found, ranks
 
-    monkeypatch.setattr(JointKernels, "cokernel", patched)
+    monkeypatch.setattr(spectrum, "_isotypic_projections", patched)
     rep = load_representation(str(FIXTURES / "threshold.json"))
     dec = es.peripheral_decomposition(es.certify_boundedness(rep))
     assert dec.stability_witness == 2
@@ -567,6 +578,7 @@ def test_threshold_witness_survives_the_last_bits_of_the_range(reorthonormalized
 def test_each_character_factors_its_generator_once(case, monkeypatch):
     # one generator: the spectrum, the mean ergodic split and every pole
     # read ker(chi - T) and ker((chi - T)^H) off one n x n SVD per character
+    # over N; over Z8 they read one pivoted QR of each isotypic projection
     if case == "Z8":
         rep = es.regular_representation(cyclic_monoid(8))
     else:
@@ -583,16 +595,27 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
             factored.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    qr = scipy.linalg.qr
+    pivoted = []
+
+    def counted_qr(a, *args, **kwargs):
+        pivoted.append((np.shape(a), kwargs.get("pivoting", False)))
+        return qr(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
     analysis = ergodic.Analysis(rep)
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
     assert all(verdict.is_pole for verdict in verdicts)
-    assert factored == [(rep.dim, rep.dim)] * len(characters)
     # the mean ergodic split is the trivial pole's, at the value the
     # spectrum holds
     assert analysis.ergodic.is_ume
-    assert len(factored) == len(characters)
+    once = [(rep.dim, rep.dim)] * len(characters)
+    if case == "Z8":
+        assert (factored, pivoted) == ([], [(shape, True) for shape in once])
+    else:
+        assert (factored, pivoted) == (once, [])
 
 
 def _record_kernel_svds(monkeypatch):
@@ -686,8 +709,8 @@ def test_spectrum_op_decomposes_free_generators_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["klein_four", "threshold", "semilattice"])
 def test_spectrum_op_decomposes_no_finite_generators(name, monkeypatch):
-    # a finite monoid is bounded by its finite range, and its candidates
-    # are its dual's trace multiplicities
+    # a finite monoid is bounded by its finite range, and its spectrum is
+    # read off its dual's isotypic projections
     rep = load_representation(str(FIXTURES / f"{name}.json"))
     calls = _count_schur_forms(monkeypatch)
     report = es.analyze(rep, sections=["spectrum"])
@@ -712,8 +735,9 @@ def test_spectrum_takes_each_operator_norm_once(monkeypatch):
         monkeypatch.setattr(module, "operator_norms", counted)
     spectrum = es.unitary_spectrum(rep)
     assert len(spectrum) == 8
-    # one norm per generator matrix, counted by the matrices each call takes
-    assert len(single) + sum(stacked) == 1
+    # the isotypic projections decide no rank, so no norm sets a scale;
+    # counted by the matrices each call takes
+    assert len(single) + sum(stacked) == 0
 
 
 @pytest.mark.parametrize("m", [6, 12])
@@ -799,8 +823,8 @@ def test_cross_residual_matches_the_dense_loop():
 
 
 def test_analyze_computes_the_kernel_group_once(monkeypatch):
-    # the dual, the kernel average and the semigroup at infinity all read
-    # the one kernel group that the monoid keeps
+    # the dual, the isotypic projections and the semigroup at infinity all
+    # read the one kernel group that the monoid keeps
     calls = _count_calls(monkeypatch, "kernel_group", semigroups)
     report = es.analyze(es.regular_representation(cyclic_monoid(8)))
     assert report.ok

@@ -102,6 +102,15 @@ def test_certify_unitary_diagonals():
     assert es.certify_boundedness(rep).boundedness.is_certified
 
 
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: certify_boundedness reads the 5e-9 "
+                   "spread of one tol_cluster cluster as a nilpotent defect")
+def test_certify_diagonal_with_a_near_double_one():
+    # diag(1, 1 - 5e-9) is diagonal with eigenvalues in the closed disc,
+    # so it is power-bounded
+    rep = n1_rep(np.diag([1.0, 1.0 - 5e-9]).astype(complex))
+    assert rep.boundedness.is_certified
+
+
 def test_certify_modulus_above_one():
     rep = es.validate_representation(free(1), [np.diag([1.2, 0.5])])
     rep = es.certify_boundedness(rep)

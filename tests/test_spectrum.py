@@ -6,9 +6,9 @@ import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec.errors import NotBounded, NotNormalized
-from ergospec.linalg import _unimodular_values
+from ergospec.linalg import _unimodular_values, oblique_projection
 from ergospec.serialize import load_representation
-from ergospec.spectrum import _trace_multiplicities, brute_force_spectrum
+from ergospec.spectrum import JointKernels, _isotypic_projections, brute_force_spectrum
 
 from conftest import (
     FIXTURES,
@@ -327,19 +327,38 @@ def _finite_cases():
             yield pytest.param(es.regular_representation(relabeling), id=f"{name}-{seed}")
 
 
-@pytest.mark.parametrize("rep", _finite_cases())
+def _paired_projection(rep, chi):
+    """The pole projection of chi by the SVD route: ker(chi - T) paired
+    with ker((chi - T)^H) = rg(chi - T)^perp."""
+    kernels = JointKernels(rep, DEFAULT_CONFIG)
+    values = [chi(g) for g in rep.semigroup.generators]
+    fix = kernels.kernel(values)
+    return fix.basis @ oblique_projection(fix, kernels.cokernel(values))
+
+
+@pytest.mark.parametrize("rep", [*_finite_cases(), pytest.param(
+    es.regular_representation(cyclic_monoid(64)), id="Z64")])
 def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
-    numerators, multiplicities = _trace_multiplicities(rep)
-    assert np.abs(multiplicities - np.round(multiplicities)).max() < 1e-12
-    dual = es.enumerate_unitary_dual(rep.semigroup)
-    assert len(dual) == len(numerators)
-    by_trace = {chi.angles: int(round(m)) for chi, m in zip(dual, multiplicities)
-                if round(m) > 0}
+    # the rank of each isotypic projection, read off its trace, is the
+    # dimension of the joint kernel, and the projection is the pole's
+    characters, projections, ranks = _isotypic_projections(rep)
     spectrum = es.unitary_spectrum(rep)
-    by_kernel = {chi.angles: space.dim
-                 for chi, space in zip(spectrum.characters, spectrum.eigenspaces)}
-    assert by_trace == by_kernel
-    assert {chi.angles for chi in brute_force_spectrum(rep)} == set(by_kernel)
+    assert spectrum.characters == characters
+    assert [space.dim for space in spectrum.eigenspaces] == ranks
+    assert [es.eigenspace(rep, chi).dim for chi in characters] == ranks
+    assert [chi.angles for chi in brute_force_spectrum(rep)] == \
+        [chi.angles for chi in characters]
+    for chi, projection, rank in zip(characters, projections, ranks):
+        assert abs(np.trace(projection) - rank) < 1e-12
+        paired = _paired_projection(rep, chi)
+        assert es.operator_norm(projection - paired) <= 1e-12 * es.operator_norm(paired)
+    # P_1 is the plain average of T over the kernel group
+    group = rep.semigroup.kernel
+    average = sum(rep.matrices[k] for k in group.carrier) / len(group.carrier)
+    trivial = es.trivial_character(rep.semigroup).angles
+    p_1 = next((p for chi, p in zip(characters, projections) if chi.angles == trivial),
+               np.zeros_like(average))
+    assert es.operator_norm(p_1 - average) <= 1e-12 * max(1.0, es.operator_norm(average))
 
 
 @pytest.mark.parametrize("monoid, count", [
