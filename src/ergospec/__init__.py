@@ -26,7 +26,6 @@ from .characters import (
 from .linalg import (
     Subspace,
     null_space,
-    oblique_projection,
     operator_norm,
     operator_norms,
 )

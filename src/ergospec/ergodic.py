@@ -1,10 +1,12 @@
 """Mean ergodic structure: projections, poles, peripheral decomposition,
 stability, the semigroup at infinity, and quasi-compactness.
 
-Over a finite monoid every pole is an isotypic projection. Over N^k the
-algebraic route (the fixed space paired with ker (1 - T)^H =
-rg(1 - T)^perp) is cross-checked by the constructive ergodic net, a
-composed Cesaro rectangle mean.
+Over a finite monoid every pole is an isotypic projection. Over N^k it is
+the product of the generators' Riesz projectors, from the certificate's
+Schur forms, and the mean ergodic projection so obtained is cross-checked
+by the constructive ergodic net, a composed Cesaro rectangle mean. The
+peripheral decomposition takes its parts at their known dimensions from
+pivoted QRs of the summed projections.
 
 `Analysis` holds the routes of one input and computes each of them once;
 the public verdict functions are thin wrappers over it.
@@ -20,14 +22,13 @@ from .config import DEFAULT_CONFIG
 from .errors import ErgospecError, LostCharacter, NonPoleSpectrum
 from .linalg import (
     Subspace,
-    column_space,
     largest_cross_product,
-    oblique_projection,
     operator_norm,
     operator_norms,
+    range_basis,
 )
 from .representations import restrict
-from .spectrum import JointKernels, unitary_spectrum
+from .spectrum import JointKernels, _cut, unitary_spectrum
 
 _CESARO_POWER = 3  # p, the power of the composed Cesaro mean C_N^p
 
@@ -266,7 +267,8 @@ class Analysis:
     def pole(self, chi):
         """chi is a pole of T iff ker(chi - T) and rg(chi - T) are direct
         complements: every spectral chi of a finite monoid is one
-        (_isotypic_poles), and over N^k their pairing decides it.
+        (_isotypic_poles), and over N^k the Riesz projectors decide it
+        (_riesz_pole).
 
         A pole needs no further check of the complement: when ker(chi - T)
         and rg(chi - T) are direct complements, a chi-eigenvector of T
@@ -276,30 +278,77 @@ class Analysis:
         key = repr(chi.canonical_key())
         if key not in self._poles:
             verdict = self._isotypic_poles.get(key) if self.rep.is_finite else \
-                self._paired_pole(chi)
+                self._riesz_pole(chi)
             if verdict is None:
                 zero = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
                 verdict = PoleVerdict(NOT_IN_SPECTRUM, projection=zero)
             self._poles[key] = verdict
         return self._poles[key]
 
-    def _paired_pole(self, chi):
-        """The pole verdict of an N^k character, None outside the spectrum."""
+    def _riesz_pole(self, chi):
+        """The pole verdict of an N^k character, None outside the spectrum.
+
+        The Riesz projectors of the T_g's clusters at chi(g) commute, and
+        their product P projects onto the joint spectral subspace along the
+        others: onto ker(chi - T) along rg(chi - T) where each T_g acts as
+        its cluster's mean psi_g. So chi is a pole when every cluster passes
+        the certificate's separation test on 1/s, P has the rank
+        d = dim ker(chi - T), and P meets its defining equations. With
+        P = F W^H, F an orthonormal basis of ker(chi - T), the residuals
+        ||P^2 - P|| and ||T_g P - psi_g P|| are at most ||W^H F - I|| ||P||
+        and ||(T_g - psi_g) F|| ||P||, so the test asks
+        ||W^H F - I|| <= tol_rank and
+        ||(T_g - psi_g) F|| <= tol_rank max(1, ||T_g||), norms of blocks of
+        at most n x d entries."""
+        config = self.config
         values = self._values(chi)
         fix = self.kernels.kernel(values)
-        if fix.dim == 0 and not self.spectrum.contains(chi, self.config.tol_cluster):
+        if fix.dim == 0 and not self.spectrum.contains(chi, config.tol_cluster):
             return None
-        coordinates = oblique_projection(fix, self.kernels.cokernel(values),
-                                         self.config.tol_rank)
-        if coordinates is None:
-            return PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
-        return PoleVerdict(POLE, projection=fix.basis @ coordinates,
-                           eigenspace_dim=fix.dim, factors=(fix.basis, coordinates))
+        not_pole = PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
+        clusters = [self.kernels.cluster(g, z) for g, z in enumerate(values)]
+        if fix.dim == 0 or None in clusters or not all(
+                form.separated(cluster) for cluster, form in zip(clusters, self.kernels.forms)):
+            return not_pole
+        # P = Q_1 Y with Y = W_1^H Q_2 W_2^H ... Q_k W_k^H; its trace, the
+        # trace of Y Q_1, is its rank
+        first, y = clusters[0].basis, clusters[0].coordinates
+        for cluster in clusters[1:]:
+            y = (y @ cluster.basis) @ cluster.coordinates
+        if abs((y * first.T).sum() - fix.dim) >= 0.5:
+            return not_pole
+        f = fix.basis
+        coordinates = y if f is first else (f.conj().T @ first) @ y
+        # the d x d block stands on zero rows, which leave its norm as it is
+        dual = np.zeros_like(f)
+        dual[:fix.dim] = coordinates @ f - np.eye(fix.dim)
+        residuals = operator_norms([dual, *((a @ f - cluster.mean * f)
+                                            for a, cluster in zip(self.rep.family(), clusters))])
+        scales = [1.0, *(max(1.0, norm) for norm in self.rep.generator_norms)]
+        if any(residual > config.tol_rank * scale for residual, scale in zip(residuals, scales)):
+            return not_pole
+        return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=fix.dim,
+                           factors=(f, coordinates))
+
+    def _cokernel(self, values):
+        """ker((chi - T)^H) = rg(chi - T)^perp for the generator values of
+        a spectral character that is no pole: it lies in rg P^H, P the
+        Riesz projector of T_1's cluster at chi(g_1), which is cut by the
+        adjoint of every chi(g) - T_g."""
+        cluster = self.kernels.cluster(0, values[0])
+        if cluster is None:
+            return Subspace.zero(self.rep.dim)
+        space = Subspace(np.linalg.qr(cluster.coordinates.conj().T)[0])
+        for index, z in enumerate(values):
+            if space.dim:
+                space = _cut(self.rep, space, index, z, self.config, adjoint=True)
+        return space
 
     @cached_property
     def ergodic(self):
         """Uniform mean ergodicity and the mean ergodic projection: the
-        split of the trivial character's pole. Over a finite monoid that is
+        split of the trivial character's pole, fix(T) = rg P and
+        ker (1 - T)^H = (ker P)^perp = rg P^H. Over a finite monoid that is
         P_1, cross-checked by max_g ||T_g P_1 - P_1|| / max(1, ||P_1||) over
         the generators; over N^k the Cesaro chain is run and compared
         against it. A failed cross-check while the algebraic verdict says
@@ -307,21 +356,21 @@ class Analysis:
         silently resolved."""
         rep, config = self.rep, self.config
         pole = self.pole(self.trivial)
-        if rep.is_finite:   # fix(T) = rg P_1, ker (1 - T)^H = (ker P_1)^perp = rg P_1^H
-            p = pole.projection
-            fix = pole.factors[0] if pole.is_pole else np.zeros((rep.dim, 0), dtype=np.complex128)
-            residual = max(operator_norms(a @ p - p for a in rep.family()))
-            residual /= max(1.0, operator_norm(p))
-            return ErgodicReport(fix_space=Subspace(fix),
-                                 cokernel=Subspace(np.linalg.qr(p.conj().T @ fix)[0]),
-                                 is_ume=True, mean_projection=p, kernel_average_residual=residual,
+        if pole.is_pole:
+            fix, coordinates = pole.factors
+            fix, cokernel = Subspace(fix), Subspace(np.linalg.qr(coordinates.conj().T)[0])
+        elif pole.counts_as_pole:   # outside the spectrum: 1 - T is invertible
+            fix = cokernel = Subspace.zero(rep.dim)
+        else:
+            values = self._values(self.trivial)
+            fix, cokernel = self.kernels.kernel(values), self._cokernel(values)
+        projection = pole.projection if pole.counts_as_pole else None
+        if rep.is_finite:
+            residual = max(operator_norms(a @ projection - projection for a in rep.family()))
+            residual /= max(1.0, operator_norm(projection))
+            return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=True,
+                                 mean_projection=projection, kernel_average_residual=residual,
                                  net_divergence=residual > config.tol_hom)
-        values = self._values(self.trivial)
-        fix, cokernel = self.kernels.kernel(values), self.kernels.cokernel(values)
-        # outside the spectrum fix(T) = 0, a complement of rg(1 - T) only
-        # when that is all of C^n
-        projection = pole.projection \
-            if pole.counts_as_pole and fix.dim == cokernel.dim else None
         trace = _cesaro_rectangle_chain(rep, projection, config)
         return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=projection is not None,
                              mean_projection=projection, cesaro_trace=trace,
@@ -362,10 +411,11 @@ class Analysis:
         projections = [verdict.projection for verdict in verdicts]
         cross = largest_cross_product([verdict.factors for verdict in verdicts])
 
+        # E_r and E_s have the known dimensions r = sum of the d_chi and n - r
         total = sum(projections) if projections else np.zeros((n, n), dtype=np.complex128)
-        reversible = column_space(total, config.tol_rank, scale=1.0)
-        eye = np.eye(n, dtype=np.complex128)
-        stable = column_space(eye - total, config.tol_rank, scale=1.0)
+        rank = sum(verdict.eigenspace_dim for verdict in verdicts)
+        reversible = range_basis(total, rank)
+        stable = range_basis(np.eye(n, dtype=np.complex128) - total, n - rank)
 
         # T|E_s is stable, its unitary spectrum empty, by the pole verdicts
         # of T alone. P_chi P_tau = 0 for distinct characters puts

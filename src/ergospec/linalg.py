@@ -1,18 +1,22 @@
-"""Dense complex linear algebra: rank decisions, kernels, oblique
-projections, eigenvalue clusters and spectral subspaces.
+"""Dense complex linear algebra: rank decisions, kernels, eigenvalue
+clusters and their spectral subspaces and Riesz projectors.
 
 All routines work on O(1)-normed matrices at desk scale (n <= 256). Rank
 decisions use a relative singular-value threshold, anchored to the caller's
-scale where the input matrix itself may be numerically zero.
+scale where the input matrix itself may be numerically zero. A subspace
+whose dimension is known comes from a pivoted QR and decides no rank. The
+spectral subspace and the Riesz projector of an eigenvalue cluster come
+from one complex Schur form, reordered per cluster (LAPACK trsen and
+trsyl).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.linalg.lapack
 
 from .config import DEFAULT_CONFIG
-from .errors import DimensionMismatch
 
 
 def as_complex_matrix(a):
@@ -119,69 +123,6 @@ def null_space(a, tol=None, scale=0.0):
     return Subspace(vh[rank:].conj().T)
 
 
-def column_space(a, tol=None, scale=0.0):
-    """Orthonormal basis of the numerical column space of `a`."""
-    tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    a = np.asarray(a, dtype=np.complex128)
-    if 0 in a.shape:
-        return Subspace.zero(a.shape[0])
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = _rank(s, tol, scale)
-    if rank is None:
-        return Subspace.zero(a.shape[0])
-    return Subspace(u[:, :rank])
-
-
-def kernel_and_cokernel(a, tol=None, scale=0.0):
-    """(ker a, ker a^H) of a square matrix from one SVD: the trailing rows
-    of V^H span the kernel, bit for bit that of null_space(a, tol, scale),
-    and the trailing columns of U span ker a^H = rg(a)^perp (Golub and Van
-    Loan, Matrix Computations, 4th ed., 2.4). The cokernel is a copy, so U
-    is freed."""
-    tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 0:
-        return Subspace.full(0), Subspace.full(0)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    rank = _rank(s, tol, scale)
-    if rank is None:
-        return Subspace.full(n), Subspace.full(n)
-    return Subspace(vh[rank:].conj().T), Subspace(u[:, rank:].copy())
-
-
-def oblique_projection(f, g, tol=None):
-    """W^H such that f.basis @ W^H projects onto F along G^perp, or None
-    when F and G^perp are not direct complements.
-
-    For F = ker(chi - T) and G = ker((chi - T)^H) = rg(chi - T)^perp this
-    is Sine's criterion in finite dimension (Proc. AMS 24, 1970): the fixed
-    space of conj(chi) T separates that of its adjoint exactly when the
-    d x d pairing G^H F is invertible, and then P = F (G^H F)^(-1) G^H.
-
-    The test requires dim F = dim G and sigma_min(G^H F)^2 > tol_rank
-    (2 - tol_rank). As sigma_min(G^H F) = sin theta_min and
-    sigma_min([F R])^2 = 1 - cos theta_min, theta_min the smallest
-    principal angle between F and R = G^perp, this is exactly
-    sigma_min([F R]) > sqrt(tol_rank), the angle test on F and an
-    orthonormal basis R of the range. It costs a d x d SVD and a d x d
-    solve.
-    """
-    tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    if f.ambient_dim != g.ambient_dim:
-        raise DimensionMismatch("subspaces in different ambient dimensions")
-    if f.dim != g.dim:
-        return None
-    gh = g.basis.conj().T
-    if f.dim == 0:
-        return gh
-    pairing = gh @ f.basis
-    smin = float(np.linalg.svd(pairing, compute_uv=False)[-1])
-    if smin * smin <= tol * (2.0 - tol):
-        return None
-    return np.linalg.solve(pairing, gh)
-
-
 def largest_cross_product(factors):
     """max ||P_a P_b|| over ordered pairs a != b of projections given by
     their factors (F, W^H), P = F W^H with F orthonormal; 0 for fewer than
@@ -236,6 +177,8 @@ def _single_linkage_clusters(values, radius):
     their least value in (real, imag) order."""
     values = np.asarray(values)
     n = len(values)
+    if n < 2:   # the walk's kernels are mostly of dimension 1
+        return [[0]] * n, values.astype(np.complex128)
     near = np.abs(values[:, None] - values[None, :]) <= radius
     order = np.lexsort((values.imag, values.real))
     # label each value with the least (real, imag) rank that it reaches
@@ -281,26 +224,138 @@ def _unimodular_values(values, config):
             if abs(mean) <= 1.0 + config.tol_char]
 
 
-def _invariant_subspace(schur_form, selected, cluster_gap):
-    """Orthonormal basis and dimension of the spectral subspace for the
-    eigenvalues in `selected`, by reordering the complex Schur form (t, z)
-    of the matrix so that they lead, and the reciprocal condition number
-    s of their mean: 1 / s is the norm of the spectral projector, and a
-    perturbation E moves the mean by at most about ||E|| / s (LAPACK
-    Users' Guide, 4.8).
 
-    This is the reordering (LAPACK trsen) that a sorted Schur
-    factorization applies to the unsorted one, with the same selection,
-    so one factorization serves every cluster and the bases keep their
-    bits."""
-    t, z = schur_form
-    selected = np.asarray(selected)
-    distance = np.abs(np.diag(t)[:, None] - selected[None, :]).min(axis=1)
-    select = (distance < cluster_gap / 2).astype(np.int32)
-    m = int(select.sum())
-    trsen, = scipy.linalg.lapack.get_lapack_funcs(("trsen",), (t,))
-    _, zs, _, sdim, s, _, info = trsen(select, t, z, job="E",
-                                       lwork=max(1, 2 * m * (len(select) - m)))
+
+# Size of the perturbation by which rounding of a matrix and of its Schur
+# form moves eigenvalues, relative to ||A||_F. On seeded real and complex
+# inputs (n <= 12, similarity condition <= 1e3), a unimodular Jordan pair
+# that rounding split beyond tol_cluster sits within 2.7 eps ||A||_F / s
+# of its other half, and bounded unimodular clusters lie 8000 eps
+# ||A||_F / s or more from every other eigenvalue; 100 eps sits between.
+_ROUNDING = 100 * np.finfo(float).eps
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralCluster:
+    """One cluster of eigenvalues of a matrix A, read off the complex Schur
+    form reordered so that the cluster leads (LAPACK trsen):
+    A = Z [[T11, T12], [0, T22]] Z^H with the cluster's m eigenvalues on
+    the diagonal of T11.
+
+    `basis` is Q, the first m columns of Z: an orthonormal basis of the
+    spectral subspace. The Riesz projector onto it along the spectral
+    subspace of the other eigenvalues is P = Z [[I, R], [0, 0]] Z^H, where
+    T11 R - R T22 = T12 (LAPACK trsyl; Golub and Van Loan, Matrix
+    Computations, 4th ed., 7.6), held as P = basis @ coordinates with
+    coordinates = Q^H + R Z_2^H. trsen's reciprocal condition number of
+    the cluster is s = 1 / sqrt(1 + ||R||_F^2), so ||P|| <= 1 / s, and a
+    perturbation E moves the cluster's mean by at most about ||E|| / s
+    (LAPACK Users' Guide, 4.8)."""
+
+    mean: complex             # the mean of the cluster's eigenvalues
+    basis: np.ndarray         # Q, n x m
+    coordinates: np.ndarray   # Q^H + R Z_2^H, m x n
+    s: float
+    defect: float             # ||T11 - mean I||: A on rg Q less the scalar mean
+    gap: float                # the distance of the mean to the other eigenvalues
+
+    def acts_as_mean(self, norm, tol_rank):
+        """A acts on the cluster's spectral subspace as its mean: a defect
+        of at most tol_rank max(1, ||A||) max(1, m), m the cluster's size."""
+        return self.defect <= tol_rank * max(1.0, norm) * max(1, self.basis.shape[1])
+
+
+class SchurForm:
+    """The complex Schur form A = Z T Z^H of one matrix, and the
+    SpectralCluster of each selection of its eigenvalues, each computed
+    on first use from this one factorization, so the bases keep their
+    bits whoever asks first."""
+
+    def __init__(self, t, z):
+        self.t, self.z = t, z
+        # how far rounding may move an eigenvalue times s: below it, a
+        # cluster cannot be told from a neighbouring eigenvalue
+        self.rounding = _ROUNDING * float(np.linalg.norm(t))
+        self._peripheral = {}
+        self._clusters = {}
+
+    @classmethod
+    def of(cls, a):
+        return cls(*scipy.linalg.schur(a, output="complex"))
+
+    @property
+    def eigenvalues(self):
+        return np.diag(self.t)
+
+    def separated(self, cluster):
+        """The cluster lies further from the other eigenvalues than a
+        perturbation of the size of the rounding can move its mean:
+        gap > rounding / s."""
+        return cluster.gap * cluster.s > self.rounding
+
+    def peripheral(self, config):
+        """(members, mean) of each cluster of the eigenvalues at radius
+        tol_cluster whose mean has modulus at least 1 - tol_char
+        (_peripheral_clusters), found once per pair of tolerances."""
+        key = (config.tol_cluster, config.tol_char)
+        if key not in self._peripheral:
+            self._peripheral[key] = [(tuple(members), mean) for members, mean
+                                     in _peripheral_clusters(self.eigenvalues, config)]
+        return self._peripheral[key]
+
+    def cluster(self, members):
+        """The SpectralCluster of the eigenvalues at the diagonal positions
+        `members`, in ascending order."""
+        members = tuple(members)
+        if members not in self._clusters:
+            self._clusters[members] = _spectral_cluster(self.t, self.z, members,
+                                                        self.eigenvalues)
+        return self._clusters[members]
+
+
+def _spectral_cluster(t, z, members, eigenvalues):
+    """The SpectralCluster of the eigenvalues at the diagonal positions
+    `members` of the Schur form (t, z): the reordering that a sorted Schur
+    factorization applies to the unsorted one with the same selection,
+    then R from the reordered blocks."""
+    n, m = len(t), len(members)
+    select = np.zeros(n, dtype=np.int32)
+    select[list(members)] = 1
+    trsen, trsyl = scipy.linalg.lapack.get_lapack_funcs(("trsen", "trsyl"), (t,))
+    ts, zs, _, _, _, _, info = trsen(select, t, z, job="N")
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
-    return zs[:, :sdim], int(sdim), float(s)
+    mean = eigenvalues[list(members)].mean()
+    basis = zs[:, :m].copy()
+    coordinates = basis.conj().T
+    s = 1.0
+    if m < n:
+        r, scale, info = trsyl(ts[:m, :m], ts[m:, m:], ts[:m, m:], isgn=-1)
+        if info < 0:
+            raise np.linalg.LinAlgError("Sylvester equation of the reordered form failed.")
+        r /= scale
+        s = 1.0 / np.sqrt(1.0 + float(np.linalg.norm(r)) ** 2)
+        coordinates += r @ zs[:, m:].conj().T
+    distance = np.abs(eigenvalues - mean)
+    distance[list(members)] = np.inf
+    # the one eigenvalue of a cluster of one is its mean
+    defect = operator_norm(ts[:m, :m] - mean * np.eye(m)) if m > 1 else 0.0
+    return SpectralCluster(mean=complex(mean), basis=basis, coordinates=coordinates,
+                           s=s, defect=defect, gap=float(distance.min()))
+
+
+def range_basis(a, rank):
+    """An orthonormal basis of the range of the square matrix `a`, whose
+    rank is known: the first `rank` columns of Q in a QR factorization of
+    `a` with column pivoting, which puts a basis of the range first
+    (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.2; LAPACK geqp3,
+    then ungqr for those columns alone). No rank is decided."""
+    if rank == 0:
+        return Subspace.zero(len(a))
+    geqp3, ungqr = scipy.linalg.lapack.get_lapack_funcs(("geqp3", "ungqr"), (a,))
+    factored, _, tau, _, info = geqp3(a)
+    if info == 0:
+        basis, _, info = ungqr(factored[:, :rank], tau[:rank])
+    if info != 0:
+        raise np.linalg.LinAlgError("pivoted QR failed")
+    return Subspace(basis)

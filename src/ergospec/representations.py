@@ -26,8 +26,7 @@ from .errors import (
 )
 from .linalg import (
     BLOCK_ENTRIES,
-    _invariant_subspace,
-    _peripheral_clusters,
+    SchurForm,
     as_complex_matrix,
     operator_norm,
     operator_norms,
@@ -40,23 +39,16 @@ CERTIFIED = "certified"
 UNBOUNDED = "unbounded"
 NOT_CHECKED = "not_checked"
 
-# Size of the perturbation by which rounding of the input and of its Schur
-# form moves eigenvalues, relative to ||T_g||_F. On seeded real and complex
-# inputs (n <= 12, similarity condition <= 1e3), a unimodular Jordan pair
-# that rounding split beyond tol_cluster sits within 2.7 eps ||T_g||_F / s
-# of its other half, and bounded unimodular clusters lie 8000 eps
-# ||T_g||_F / s or more from every other eigenvalue; 100 eps sits between.
-_ROUNDING = 100 * np.finfo(float).eps
-
-
 @dataclass(frozen=True)
 class BoundednessCertificate:
     status: str
     witness: tuple = None   # generator direction for unbounded growth
     detail: str = ""
-    # Certified N^k: the eigenvalues of T_1, from its Schur form, which
-    # the unitary spectrum's walk starts from; None otherwise. Not reported.
-    eigenvalues: tuple = None
+    # Certified N^k: the linalg.SchurForm of each generator, with the
+    # spectral cluster of each peripheral eigenvalue cluster that the
+    # certificate checked; the spectrum, the poles and the decomposition
+    # read them. None otherwise, and not reported.
+    schur_forms: tuple = None
 
     @property
     def is_certified(self):
@@ -248,54 +240,48 @@ def certify_boundedness(rep, config=None):
     cluster psi of its eigenvalues as psi itself, ||Q^H T_g Q - psi I|| at
     most tol_rank max(1, ||T_g||) max(1, w) for a cluster of w eigenvalues.
     The clusters are those of the diagonal of one complex Schur form of
-    T_g at radius tol_cluster.
+    T_g at radius tol_cluster, and Q^H T_g Q is the leading block of that
+    form reordered so that the cluster leads (linalg.SchurForm).
 
     Rounding splits a defective eigenvalue into values whose spectral
     subspaces are nearly parallel, possibly by more than tol_cluster. So a
     unimodular cluster also fails when a perturbation of the size of the
-    rounding, _ROUNDING ||T_g||_F, can move its mean onto another
+    rounding, linalg._ROUNDING ||T_g||_F, can move its mean onto another
     eigenvalue: when that distance is at most _ROUNDING ||T_g||_F / s, 1 / s
-    the norm of the cluster's spectral projector, which is also a lower
-    bound of sup_m ||T_g^m||. The first generator that fails is the witness
-    of an Unbounded certificate. A Certified one keeps the eigenvalues of
-    T_1, the diagonal of its Schur form: the unitary spectrum's walk
-    clusters them at its own tolerances instead of computing them again.
+    the bound on the norm of the cluster's spectral projector, which is
+    also a lower bound of sup_m ||T_g^m||. The first generator that fails
+    is the witness of an Unbounded certificate. A Certified one keeps the
+    Schur form of every generator with the clusters it checked, so that
+    nothing downstream factors a generator again.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
         cert = BoundednessCertificate(CERTIFIED, detail="finite range")
         return replace(rep, boundedness=cert)
 
-    eigenvalues = None
+    forms = []
     for j, (label, a) in enumerate(zip(rep.semigroup.generators, rep.matrices)):
-        schur_form = scipy.linalg.schur(a, output="complex")
-        eigs = np.diag(schur_form[0])
-        rounding = _ROUNDING * np.linalg.norm(a)
-        if j == 0:
-            eigenvalues = tuple(eigs.tolist())
-        for cluster, psi in _peripheral_clusters(eigs, config):
+        form = SchurForm.of(a)
+        forms.append(form)
+        for members, psi in form.peripheral(config):
             if abs(psi) > 1.0 + config.tol_char:
                 detail = f"generator {j} has an eigenvalue of modulus {abs(psi):.6f} > 1"
             else:
-                q, width, s = _invariant_subspace(schur_form, eigs[cluster],
-                                                  config.tol_cluster)
-                defect = operator_norm(q.conj().T @ a @ q - psi * np.eye(width))
-                scale = max(1.0, rep.generator_norms[j])
-                gap = np.abs(np.delete(eigs, cluster) - psi).min(initial=np.inf)
+                cluster = form.cluster(members)
                 detail = None
-                if defect > config.tol_rank * scale * max(1, width):
+                if not cluster.acts_as_mean(rep.generator_norms[j], config.tol_rank):
                     detail = (f"generator {j} is peripheral at {psi:.6f} "
-                              f"but acts with nilpotent defect {defect:.3e}")
-                elif gap * s <= rounding:
+                              f"but acts with nilpotent defect {cluster.defect:.3e}")
+                elif not form.separated(cluster):
                     detail = (f"generator {j} is peripheral at {psi:.6f} "
-                              f"with spectral projector norm {1 / s:.3e}, within "
-                              f"rounding of another eigenvalue {gap:.3e} away")
+                              f"with spectral projector norm {1 / cluster.s:.3e}, within "
+                              f"rounding of another eigenvalue {cluster.gap:.3e} away")
             if detail:
                 cert = BoundednessCertificate(UNBOUNDED, witness=label, detail=detail)
                 return replace(rep, boundedness=cert)
     return replace(rep, boundedness=BoundednessCertificate(
         CERTIFIED, detail="every generator acts as a scalar on each peripheral "
-                          "spectral subspace", eigenvalues=eigenvalues))
+                          "spectral subspace", schur_forms=tuple(forms)))
 
 
 def rotate(rep, chi):
@@ -307,11 +293,11 @@ def rotate(rep, chi):
         mats = tuple(chi(s) * rep.matrices[s] for s in rep.semigroup.elements())
     else:
         mats = tuple(z * a for z, a in zip(chi.gen_values, rep.matrices))
-        if cert.eigenvalues is not None:
-            w = chi.gen_values[0]
-            cert = replace(cert, eigenvalues=tuple(w * z for z in cert.eigenvalues))
-    # |chi| = 1, so the certificate transfers, and chi(g_1) T_1 has the
-    # eigenvalues chi(g_1) z of T_1's eigenvalues z
+        if cert.schur_forms is not None:
+            cert = replace(cert, schur_forms=tuple(SchurForm(z * form.t, form.z) for z, form
+                                                   in zip(chi.gen_values, cert.schur_forms)))
+    # |chi| = 1, so the certificate transfers, and chi(g) T_g has the Schur
+    # form (chi(g) T, Z) of T_g's (T, Z); its clusters are reordered afresh
     return replace(rep, matrices=mats, boundedness=cert)
 
 
@@ -319,10 +305,10 @@ def restrict(rep, subspace, config=None):
     """Express the representation on an invariant subspace, after checking
     that every generator leaves it invariant.
 
-    The certificate carries over, with the eigenvalues of the parent's T_1:
-    a superset of the restricted T_1's. The unitary spectrum then takes one
-    kernel of the restricted T_1 for each unimodular cluster of the
-    parent's, and drops those without an eigenvector in the subspace."""
+    The verdict of the certificate carries over, as a bounded family stays
+    bounded on an invariant subspace; its Schur forms do not, so the
+    spectrum of the restriction factors its own generators, and
+    certifying it again fills them."""
     config = DEFAULT_CONFIG if config is None else config
     if subspace.ambient_dim != rep.dim:
         raise ValueError("subspace lives in a different ambient dimension")
@@ -335,13 +321,16 @@ def restrict(rep, subspace, config=None):
         if residual > config.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
     mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
-    return Representation(semigroup=rep.semigroup, dim=subspace.dim,
-                          matrices=mats, boundedness=rep.boundedness)
+    return Representation(semigroup=rep.semigroup, dim=subspace.dim, matrices=mats,
+                          boundedness=replace(rep.boundedness, schur_forms=None))
 
 
 def dual_representation(rep):
-    """Transpose every matrix (bilinear dual pairing convention)."""
-    return replace(rep, matrices=tuple(a.T.copy() for a in rep.matrices))
+    """Transpose every matrix (bilinear dual pairing convention). T_g^T has
+    no Schur form of T_g's shape, so the certificate keeps its verdict but
+    no forms; certifying the dual again fills them."""
+    return replace(rep, matrices=tuple(a.T.copy() for a in rep.matrices),
+                   boundedness=replace(rep.boundedness, schur_forms=None))
 
 
 def direct_sum(rep1, rep2):
@@ -354,11 +343,17 @@ def direct_sum(rep1, rep2):
         block[rep1.dim:, rep1.dim:] = b
         mats.append(block)
     if rep1.boundedness.is_certified and rep2.boundedness.is_certified:
-        eigenvalues = None
-        if not rep1.is_finite:   # T_1 of the sum is block diagonal
-            eigenvalues = rep1.boundedness.eigenvalues + rep2.boundedness.eigenvalues
+        first, second = rep1.boundedness.schur_forms, rep2.boundedness.schur_forms
+        forms = None
+        if first is not None and second is not None:
+            # each T_g of the sum is block diagonal, and so is its Schur
+            # form; its clusters are reordered afresh, as eigenvalues of one
+            # summand may join those of the other
+            forms = tuple(SchurForm(scipy.linalg.block_diag(a.t, b.t),
+                                    scipy.linalg.block_diag(a.z, b.z))
+                          for a, b in zip(first, second))
         cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands",
-                                      eigenvalues=eigenvalues)
+                                      schur_forms=forms)
     else:
         cert = BoundednessCertificate(NOT_CHECKED)
     return Representation(semigroup=rep1.semigroup, dim=rep1.dim + rep2.dim,

@@ -5,15 +5,17 @@ spectrum: a unitary character belongs to the spectrum exactly when the
 commuting family has a joint eigenvector for it. A finite monoid's
 eigenspaces are the ranges of the isotypic projections of its exact dual.
 Over N^k the candidates are the generators' unimodular eigenvalue
-clusters, each confirmed by a nonzero joint kernel.
+clusters, read off the Schur forms that the boundedness certificate
+kept, each confirmed by a nonzero joint kernel: T_1's cluster's spectral
+subspace, cut by the later generators.
 The coefficient-inequality falsifier provides an independent one-sided
 refutation route.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .characters import (
     UnitaryCharacter,
@@ -25,11 +27,12 @@ from .characters import (
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NotBounded, NotNormalized
 from .linalg import (
+    SchurForm,
     Subspace,
     _unimodular_values,
-    kernel_and_cokernel,
     null_space,
     operator_norm,
+    range_basis,
 )
 
 
@@ -49,52 +52,79 @@ class UnitarySpectrumResult:
 
 
 class JointKernels:
-    """ker(chi - T) and ker((chi - T)^H) = rg(chi - T)^perp over the first
-    j generators, by the tuple (chi(g_1), ..., chi(g_j)) of generator
-    values, each computed on first use. The pair of a one-value tuple comes
-    from one SVD (linalg.kernel_and_cokernel); a longer tuple cuts its
-    prefix's space by the next generator (_cut).
+    """The spectral data of an N^k representation that the spectrum, the
+    eigenspaces, the poles and the mean ergodic split share: one Schur
+    form per generator (the certificate's, or one taken here when a
+    derived representation has none), the unimodular clusters of its
+    eigenvalues at this config, and ker(chi - T) over the first j
+    generators, by the tuple (chi(g_1), ..., chi(g_j)) of generator values,
+    each computed on first use.
 
-    An Analysis over N^k holds one, so the spectrum walk, the eigenspaces,
-    the poles and the mean ergodic split read the same factorizations, and
-    characters that agree on the leading generators share them. The
-    cokernel over all generators is that of chi - T, since rg(chi - T) is
-    the sum of the rg(chi(g) - T_g): chi(g+h) - T_g T_h =
-    chi(h) (chi(g) - T_g) + T_g (chi(h) - T_h)."""
+    The kernel of a one-value tuple z is the spectral subspace Q of T_1's
+    cluster at z, which T_1 acts on as the cluster's mean once it passes
+    the certificate's test, so no rank is decided there; a longer tuple
+    cuts its prefix's kernel by the next generator (_cut). Characters that
+    agree on the leading generators share their kernels."""
 
     def __init__(self, rep, config):
         self.rep = rep
         self.config = config
-        self._spaces = {}
+        self._unimodular = {}
+        self._kernels = {}
+
+    @cached_property
+    def forms(self):
+        return self.rep.boundedness.schur_forms or tuple(
+            SchurForm.of(a) for a in self.rep.family())
+
+    def clusters(self, index):
+        """(value, members) of each cluster of generator `index`'s
+        eigenvalues at radius tol_cluster whose mean lies within tol_char
+        of the unit circle, the value being that mean scaled to modulus 1."""
+        if index not in self._unimodular:
+            config = self.config
+            self._unimodular[index] = [
+                (mean / abs(mean), members) for members, mean
+                in self.forms[index].peripheral(config) if abs(mean) <= 1.0 + config.tol_char]
+        return self._unimodular[index]
+
+    def cluster(self, index, z):
+        """The SpectralCluster of generator `index` whose value is nearest
+        z, within tol_cluster; None when there is none."""
+        distance, members = min(((abs(value - z), members)
+                                 for value, members in self.clusters(index)),
+                                default=(np.inf, None))
+        if distance > self.config.tol_cluster:
+            return None
+        return self.forms[index].cluster(members)
 
     def kernel(self, values):
-        return self._space(tuple(values), False)
-
-    def cokernel(self, values):
-        return self._space(tuple(values), True)
-
-    def _space(self, values, adjoint):
-        key = (values, adjoint)
-        if key not in self._spaces:
+        values = tuple(values)
+        if values not in self._kernels:
             rep, config, index = self.rep, self.config, len(values) - 1
             if index == 0:
-                a = values[0] * np.eye(rep.dim, dtype=np.complex128) - rep.family()[0]
-                # the scale floor keeps z - T_g near zero from reading as full rank
-                self._spaces[values, False], self._spaces[values, True] = \
-                    kernel_and_cokernel(a, config.tol_rank,
-                                        scale=max(1.0, rep.generator_norms[0]))
+                cluster = self.cluster(0, values[0])
+                if cluster is None:
+                    space = Subspace.zero(rep.dim)
+                else:
+                    space = Subspace(cluster.basis)
+                    # a config looser than the certificate's admits clusters
+                    # that it never checked
+                    if not cluster.acts_as_mean(rep.generator_norms[0], config.tol_rank):
+                        space = _cut(rep, space, 0, values[0], config)
             else:
-                prefix = self._space(values[:-1], adjoint)
-                self._spaces[key] = prefix if prefix.dim == 0 else \
-                    _cut(rep, prefix, index, values[index], config, adjoint)
-        return self._spaces[key]
+                prefix = self.kernel(values[:-1])
+                space = prefix if prefix.dim == 0 else \
+                    _cut(rep, prefix, index, values[index], config)
+            self._kernels[values] = space
+        return self._kernels[values]
 
 
 def _cut(rep, kernel, index, z, config, adjoint=False):
     """The kernel of z - T_g, or of (z - T_g)^H when `adjoint` is set,
     inside the subspace `kernel`, g the generator at `index`: the kernel of
-    the n x dim K matrix (z - T_g) K, with the scale floor of the full
-    kernel."""
+    the n x dim K matrix (z - T_g) K, with the rank decided at tol_rank
+    times max(1, ||T_g||)."""
     a = z * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
     if adjoint:
         a = a.conj().T
@@ -140,13 +170,13 @@ def _joint_unimodular_kernels(rep, config, kernels):
     """N^k: (generator values, joint kernel) of each unimodular joint
     eigenvalue tuple of the generators with a nonzero joint kernel.
 
-    The walk takes each unimodular eigenvalue cluster z of T_1, whose
-    eigenvalues the boundedness certificate recorded, and the kernel
-    K = ker(z - T_1), which every later generator leaves invariant as it
-    commutes with T_1. It continues with the clusters of K^H T_2 K,
-    cutting K by each, and so on through the generators, reading every
-    kernel from `kernels`. A leaf's kernel is the joint kernel of its
-    character."""
+    The walk takes each unimodular eigenvalue cluster z of T_1, from the
+    Schur form that the boundedness certificate kept, and the kernel
+    K = ker(z - T_1), its spectral subspace, which every later generator
+    leaves invariant as it commutes with T_1. It continues with the
+    clusters of K^H T_2 K, cutting K by each, and so on through the
+    generators, reading every kernel from `kernels`. A leaf's kernel is the
+    joint kernel of its character."""
     family = rep.family()
     found = []
 
@@ -162,7 +192,7 @@ def _joint_unimodular_kernels(rep, config, kernels):
         for z in _unimodular_values(np.linalg.eigvals(a), config):
             walk(values + (z,))
 
-    for z in _unimodular_values(np.array(rep.boundedness.eigenvalues), config):
+    for z, _ in kernels.clusters(0):
         walk((z,))
     return found
 
@@ -183,8 +213,7 @@ def unitary_spectrum(rep, config=None, kernels=None):
 
     if rep.is_finite:
         characters, projections, ranks = _isotypic_projections(rep)
-        spaces = [Subspace(scipy.linalg.qr(p, pivoting=True)[0][:, :d].copy())
-                  for p, d in zip(projections, ranks)]
+        spaces = [range_basis(p, d) for p, d in zip(projections, ranks)]
     else:
         # by the generator values rounded to 6 decimals, then the exact ones:
         # rounding noise flips two characters with equal parts, such as a

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ergospec import cli, ergodic
 from ergospec.cli import main
 from ergospec.config import DEFAULT_SEED, ToleranceConfig
+from ergospec.errors import NotInvariant
 from ergospec.serialize import matrix_to_json
 
 from conftest import FIXTURES
@@ -396,12 +397,14 @@ def _ill_conditioned_regular_z8(condition, seed=0):
 
 
 @pytest.mark.parametrize("condition", [1e3, 1e5, pytest.param(1e7, marks=pytest.mark.xfail(
-    strict=True, reason="F3: E_s gets spurious dimensions from the absolute "
-                        "column_space cutoff of the decomposition"))],
+    strict=True, reason="F3: E_s is 0-dimensional, but the isotypic projections reach "
+                        "a cross residual max ||P_chi P_tau|| of 4.6e-4, above the absolute "
+                        "bound 10 tol_hom of the report"))],
     ids=["1e3", "1e5", "1e7"])
 def test_an_ill_conditioned_regular_z8_passes(capsys, tmp_path, condition):
-    # every pole is an isotypic projection, whose trace gives its rank, so
-    # no rank cutoff or pairing threshold meets the similarity's condition
+    # every pole is an isotypic projection, whose trace gives its rank, and
+    # E_r and E_s take their known dimensions 8 and 0, so no rank cutoff or
+    # pairing threshold meets the similarity's condition
     path = tmp_path / "z8.json"
     path.write_text(json.dumps(_ill_conditioned_regular_z8(condition)))
     code, out, err = run(capsys, "analyze", str(path), "--format", "json")
@@ -412,18 +415,37 @@ def test_an_ill_conditioned_regular_z8_passes(capsys, tmp_path, condition):
 
 
 @pytest.mark.parametrize("command", ["analyze", "decompose", "quasicompact"])
-def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command):
-    # the input is valid, but E_s gets two spurious dimensions from a rank
-    # cutoff, so restricting T to it fails the invariance check; that
-    # raises inside the analysis of an accepted input, a failed
-    # cross-check: exit 1 with a report, never 2 as an input error
+def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command, monkeypatch):
+    # six roots of unity on C^6 under a similarity of condition 1e3: E_r
+    # and E_s take their known dimensions 6 and 0, where a rank cutoff once
+    # gave E_s two spurious dimensions and failed its restriction. The
+    # Cesaro chain still misses cesaro_target: its composed distance is
+    # least, 3.7e-5, at side 256, and then doubles with the side as the
+    # rounding of T^N grows
     path = tmp_path / "roots_of_unity.json"
     path.write_text(json.dumps(_ill_conditioned_roots_of_unity(0)))
     code, out, err = run(capsys, command, str(path), "--format", "json")
+    data = json.loads(out)
+    missed = [] if command == "decompose" else [
+        "ergodic net failed to reach cesaro_target although the algebraic verdict is ergodic"]
+    assert (code, err, data["violations"]) == (1 if missed else 0, "", missed)
+    assert data["unitary_spectrum"]["count"] == 6
+    if command != "quasicompact":
+        assert (data["peripheral_decomposition"]["reversible_dim"],
+                data["peripheral_decomposition"]["stable_dim"]) == (6, 0)
+    # a restriction to E_s that fails its invariance check raises inside
+    # the analysis of an accepted input, a failed cross-check: exit 1 with
+    # a report, never 2 as an input error
+    def failing(rep, subspace, config=None):
+        raise NotInvariant((1,), 0.25)
+
+    monkeypatch.setattr(ergodic, "restrict", failing)
+    code, out, err = run(capsys, command, str(FIXTURES / "jordan_half.json"),
+                         "--format", "json")
     assert (code, err) == (1, "")
     data = json.loads(out)
     assert data["boundedness"]["status"] == "certified"
-    assert data["unitary_spectrum"]["count"] == 6
+    assert data["unitary_spectrum"]["count"] == 0
     prefix = "subspace not invariant under matrix for (1,), residual "
     if command != "quasicompact":
         error = data["peripheral_decomposition"]["error"]
@@ -433,7 +455,7 @@ def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command):
         # quasi-compactness keeps its own verdict, which the failed split
         # cannot confirm
         qc = data["quasi_compactness"]
-        assert (qc["riesz_all"], qc["eigenspace_dims"]) == (True, [1] * 6)
+        assert (qc["riesz_all"], qc["eigenspace_dims"]) == (True, [])
         assert qc["decomposition_consistent"] is False
         assert qc["decomposition_error"].startswith(prefix)
         assert "quasi-compactness cross-checks disagree" in data["violations"]

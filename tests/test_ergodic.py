@@ -8,11 +8,12 @@ import scipy.linalg
 import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
-from ergospec.ensembles import random_certified_instance
+from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec import characters, ergodic, linalg, representations, semigroups, spectrum
 from ergospec.errors import LostCharacter
 from ergospec.serialize import load_representation
 
+import svd_route
 from conftest import (
     FIXTURES,
     chain_monoid,
@@ -30,7 +31,7 @@ def _range_oracle(rep, chi):
     eye = np.eye(rep.dim, dtype=complex)
     stacked = np.hstack([chi(g) * eye - a
                          for g, a in zip(rep.semigroup.generators, rep.family())])
-    return linalg.column_space(stacked, scale=max(1.0, *rep.generator_norms))
+    return svd_route.column_space(stacked, scale=max(1.0, *rep.generator_norms))
 
 
 def test_range_of_one_minus_identity():
@@ -244,11 +245,15 @@ def test_stability_jordan_witness_degree_three():
 def test_slowly_contracting_witness_is_a_power_of_two(t, j):
     # T = [[1 - gap, 1], [0, 1/2]] contracts only after about 1/gap steps;
     # squaring T reaches the first power of two that does in j steps. At
-    # diag(1 - 5e-9, 1/2), rho(T) is within tol_char of 1, yet T^4 contracts
+    # diag(1 - 5e-9, 1/2), rho(T) is within tol_char of 1, yet T^4 contracts;
+    # its spectrum holds 1, the certified peripheral cluster 1 - 5e-9, so
+    # only the witness search itself runs on it
     rep = n1_rep(np.array(t, dtype=complex))
     start = time.perf_counter()
-    verdict = es.stability_verdict(rep)
+    verdict = ergodic._stable_verdict(rep, DEFAULT_CONFIG)
     elapsed = time.perf_counter() - start
+    if t[0][1] == 0:
+        assert not es.stability_verdict(rep).is_stable
     assert verdict.is_stable and not verdict.budget_exceeded
     assert verdict.witness == (2 ** j,)
     assert verdict.witness_norm <= 1.0 - DEFAULT_CONFIG.tol_char
@@ -275,10 +280,23 @@ def test_stability_witness_is_diagonal_over_n2():
 
 
 def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
-    # diag(1 + 5e-9, 0.5) is certified, but its spectrum drops the eigenvalue
-    # 1 + 5e-9 (tests/test_spectrum.py); no square of T contracts before one
-    # overflows, and rho(T_u) >= 1 - tol_char names the lost character
+    # diag(1 + 5e-9, 0.5) is certified, and its spectrum keeps the cluster
+    # 1 + 5e-9 that the certificate accepted as peripheral: not stable, and
+    # a pole whose Cesaro net cannot meet cesaro_target, as T^N grows like
+    # (1 + 5e-9)^N
     rep = n1_rep(np.diag([1.0 + 5e-9, 0.5]).astype(complex))
+    verdict = es.stability_verdict(rep)
+    assert not verdict.is_stable
+    assert verdict.blocking_character.gen_values == (1.0,)
+    report = es.analyze(rep)
+    assert report.violations == ["ergodic net failed to reach cesaro_target although "
+                                 "the algebraic verdict is ergodic"]
+    assert report.data["peripheral_decomposition"]["reversible_dim"] == 1
+    # over N^2 the later generator is cut at chi(g_2) = 1, 5e-9 from its
+    # eigenvalue: the spectrum drops the character, no square of T_u
+    # contracts before one overflows, and rho(T_u) >= 1 - tol_char names
+    # the lost character
+    rep = n1_rep(np.diag([1.0, 0.5]).astype(complex), np.diag([1.0 + 5e-9, 0.5]).astype(complex))
     assert len(es.unitary_spectrum(rep)) == 0
     with pytest.raises(LostCharacter) as exc:
         es.stability_verdict(rep)
@@ -435,17 +453,32 @@ def _count_calls(monkeypatch, name, module=ergodic):
     return calls
 
 
+def _count_riesz_poles(monkeypatch):
+    """The character of each call of Analysis._riesz_pole, the N^k pole
+    test."""
+    original = ergodic.Analysis._riesz_pole
+    calls = []
+
+    def counted(self, chi):
+        calls.append(chi)
+        return original(self, chi)
+
+    monkeypatch.setattr(ergodic.Analysis, "_riesz_pole", counted)
+    return calls
+
+
 def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
     # PeripheralDecomposition is built once per run of the decomposition.
     # Each pairing of ker(chi - T) with ker((chi - T)^H) is a pole's, and the
     # mean ergodic split is the trivial character's, not a route of its own
     calls = {name: _count_calls(monkeypatch, name)
-             for name in ("is_pole", "oblique_projection", "PeripheralDecomposition",
+             for name in ("is_pole", "PeripheralDecomposition",
                           "mean_ergodic_analysis", "unitary_spectrum")}
+    riesz = _count_riesz_poles(monkeypatch)
     report = es.analyze(klein_rep)
     assert report.ok
     assert report.data["positivity"]["nisa"]["agree"]
-    assert len(calls["oblique_projection"]) == 0  # each pole is an isotypic projection
+    assert riesz == []                            # each pole is an isotypic projection
     assert len(calls["is_pole"]) == 0             # no second Analysis per pole
     assert len(calls["PeripheralDecomposition"]) == 1
     assert len(calls["mean_ergodic_analysis"]) == 0
@@ -459,11 +492,13 @@ def test_finite_analyze_reads_no_joint_kernel(case, monkeypatch):
     rep = es.regular_representation(cyclic_monoid(8)) if case == "Z8" else \
         es.certify_boundedness(load_representation(str(FIXTURES / f"{case}.json")))
     calls = {name: _count_calls(monkeypatch, name, module)
-             for name, module in (("kernel_and_cokernel", linalg),
-                                  ("oblique_projection", linalg), ("_cut", spectrum))}
+             for name, module in (("_spectral_cluster", linalg), ("_cut", spectrum))}
+    schur_forms = _count_schur_forms(monkeypatch)
+    riesz = _count_riesz_poles(monkeypatch)
     assert es.analyze(rep).ok
     assert {name: len(found) for name, found in calls.items()} == \
-        {"kernel_and_cokernel": 0, "oblique_projection": 0, "_cut": 0}
+        {"_spectral_cluster": 0, "_cut": 0}
+    assert (schur_forms, riesz) == ([], [])
 
 
 def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
@@ -577,8 +612,9 @@ def test_threshold_witness_survives_the_last_bits_of_the_projection(nudged, monk
 @pytest.mark.parametrize("case", ["Z8", "N1", "N1-dense"])
 def test_each_character_factors_its_generator_once(case, monkeypatch):
     # one generator: the spectrum, the mean ergodic split and every pole
-    # read ker(chi - T) and ker((chi - T)^H) off one n x n SVD per character
-    # over N; over Z8 they read one pivoted QR of each isotypic projection
+    # read one Schur form of T and one reordering of it per character over
+    # N, and no SVD with factors; over Z8 one pivoted QR of each isotypic
+    # projection, at its known rank
     if case == "Z8":
         rep = es.regular_representation(cyclic_monoid(8))
     else:
@@ -586,7 +622,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
         if case == "N1-dense":
             basis = np.eye(5) + 0.3 * np.random.default_rng(5).standard_normal((5, 5))
             t = basis @ t @ np.linalg.inv(basis)
-        rep = n1_rep(t)
+        rep = es.validate_representation(es.FreeCommutativeMonoid(1), [t])
     svd = np.linalg.svd
     factored = []
 
@@ -595,16 +631,11 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
             factored.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
-    qr = scipy.linalg.qr
-    pivoted = []
-
-    def counted_qr(a, *args, **kwargs):
-        pivoted.append((np.shape(a), kwargs.get("pivoting", False)))
-        return qr(a, *args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(scipy.linalg, "qr", counted_qr)
-    analysis = ergodic.Analysis(rep)
+    pivoted = _count_calls(monkeypatch, "range_basis", linalg)
+    schur_forms = _count_schur_forms(monkeypatch)
+    reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
+    analysis = ergodic.Analysis(es.certify_boundedness(rep))
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
     assert all(verdict.is_pole for verdict in verdicts)
@@ -613,9 +644,13 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     assert analysis.ergodic.is_ume
     once = [(rep.dim, rep.dim)] * len(characters)
     if case == "Z8":
-        assert (factored, pivoted) == ([], [(shape, True) for shape in once])
+        assert factored == []
+        assert [(np.shape(p), rank) for p, rank in pivoted] == [(shape, 1) for shape in once]
+        assert (schur_forms, reordered) == ([], [])
     else:
-        assert (factored, pivoted) == (once, [])
+        assert (factored, pivoted) == ([], [])
+        assert schur_forms == [(rep.dim, rep.dim)]
+        assert sorted(call[2] for call in reordered) == [(0,), (1,), (2,)]
 
 
 def _record_kernel_svds(monkeypatch):
@@ -635,46 +670,45 @@ def _record_kernel_svds(monkeypatch):
 
 
 def test_analyze_factors_no_kernel_twice(monkeypatch):
-    # the spectrum, the poles and the mean ergodic split read one cache of
-    # joint kernels: the trivial character's cuts and pairing are the pole's
+    # the spectrum, the poles, the mean ergodic split and the decomposition
+    # of a finite monoid decide no rank: they take pivoted QRs of the
+    # isotypic projections and of their sum, and no SVD with factors
     rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
     inputs = _record_kernel_svds(monkeypatch)
     assert es.analyze(rep).ok
-    assert inputs
-    assert len(set(inputs)) == len(inputs)
+    assert inputs == []
 
 
 def test_the_first_generator_is_factored_once_near_one(monkeypatch):
-    # the spectrum holds the trivial character as v/|v|, and the mean
-    # ergodic split reads it there instead of at exactly 1
+    # the certificate reorders the Schur form of each generator once per
+    # peripheral cluster, and the spectrum, the poles, the mean ergodic
+    # split (the cluster near 1, read at v/|v|) and the decomposition read
+    # those reorderings: no other, and no SVD with factors
     rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
     inputs = _record_kernel_svds(monkeypatch)
-    assert es.analyze(rep).ok
-    t = rep.family()[0]
-    near_one = set()
-    for shape, dtype, data in inputs:
-        if shape != t.shape:
-            continue
-        shifted = np.frombuffer(data, dtype=dtype).reshape(shape) + t   # z I
-        z = shifted[0, 0]
-        if abs(z - 1.0) < 1e-6 and np.allclose(shifted, z * np.eye(len(t)), atol=1e-12):
-            near_one.add(complex(z))
-    assert len(near_one) == 1
+    reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
+    report = es.analyze(rep)
+    assert report.ok
+    assert inputs == []
+    assert [members for _, _, members, _ in reordered] == [(0,)]
+    assert report.data["ergodic"]["fix_dim"] == 1
 
 
 @pytest.mark.parametrize("name, expected", [
     # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
-    ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "oblique_projection": 1}),
+    ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_pole": 1}),
     # N^k: the spectrum holds it as v/|v|, which the mean ergodic split and
     # the positive suite reuse
     ("circulant_stochastic_8",
-     {"mean_ergodic_analysis": 0, "is_pole": 0, "oblique_projection": 1}),
+     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_pole": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
-    # the one pairing is the trivial pole's, read by the ergodic, pole,
-    # quasi-compactness and positivity sections
+    # the one Riesz pole test is the trivial character's, read by the
+    # ergodic, pole, quasi-compactness and positivity sections
     rep = load_representation(str(FIXTURES / f"{name}.json"))
-    calls = {route: _count_calls(monkeypatch, route) for route in expected}
+    calls = {route: _count_calls(monkeypatch, route) for route in expected
+             if route != "_riesz_pole"}
+    calls["_riesz_pole"] = _count_riesz_poles(monkeypatch)
     report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 1
@@ -925,3 +959,76 @@ def test_verdicts_do_not_depend_on_the_basis(case):
     assert before.ergodic.is_ume == after.ergodic.is_ume
     if before.ergodic.is_ume:
         assert moved(before.ergodic.mean_projection, after.ergodic.mean_projection)
+
+
+def _planted_free_cases():
+    """N^k inputs for the SVD-route oracle: the N^k fixtures, seeded
+    planted inputs over N^1 to N^3 (the first three of each rank with a
+    peripheral part) and seeded circulants."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        rep = load_representation(str(path))
+        if not rep.is_finite:
+            yield pytest.param(rep, id=path.stem)
+    ranks = {1: 0, 2: 0, 3: 0}
+    seed = 0
+    while min(ranks.values()) < 3:
+        rep, planted = random_certified_instance(seed, max_rank=3, max_dim=16)
+        if planted["tuples"] and ranks[rep.semigroup.rank] < 3:
+            ranks[rep.semigroup.rank] += 1
+            yield pytest.param(rep, id=f"planted-N{rep.semigroup.rank}-{seed}")
+        seed += 1
+    for seed in range(6):
+        yield pytest.param(random_circulant_stochastic_instance(seed, max_dim=16),
+                           id=f"circulant-{seed}")
+
+
+@pytest.mark.parametrize("rep", _planted_free_cases())
+def test_riesz_poles_match_the_svd_route(rep):
+    # every N^k pole projection, a product of the generators' Riesz
+    # projectors, is the pairing of ker(chi - T) with ker((chi - T)^H) by
+    # SVDs, within 1e-12 relative, and both routes decide alike
+    rep = es.certify_boundedness(rep)
+    assert rep.boundedness.is_certified
+    analysis = ergodic.Analysis(rep)
+    for chi, space in zip(analysis.spectrum.characters, analysis.spectrum.eigenspaces):
+        verdict = analysis.pole(chi)
+        oracle = svd_route.pole_projection(rep, chi)
+        assert verdict.is_pole == (oracle is not None)
+        assert verdict.eigenspace_dim == space.dim
+        if oracle is not None:
+            error = es.operator_norm(verdict.projection - oracle)
+            assert error <= 1e-12 * es.operator_norm(oracle)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
+    # one Schur form per generator, and no SVD with factors of an n x n
+    # matrix: the eigenspaces, poles and split come from reorderings of
+    # those forms and from cuts of the spectral subspaces
+    rep = _branching_free_instance(seed)
+    n = rep.dim
+    schur_forms = _count_schur_forms(monkeypatch)
+    inputs = _record_kernel_svds(monkeypatch)
+    report = es.analyze(rep)
+    assert report.ok
+    assert report.data["unitary_spectrum"]["count"] > 1
+    assert schur_forms == [(n, n)] * rep.semigroup.rank
+    assert [shape for shape, _, _ in inputs if shape == (n, n)] == []
+
+
+def _branching_free_instance(seed):
+    """A validated, uncertified N^2 input on C^12: three roots of unity
+    for T_1, two of them taken twice with different values of T_2, and
+    contractions, under a similarity with condition at most 1e2."""
+    rng = np.random.default_rng([12, seed])
+    n = 12
+    roots = np.exp(2j * np.pi * rng.permutation(8)[:3] / 8)
+    first = np.concatenate([roots[[0, 0, 1, 1, 2]], rng.uniform(0, 0.8, n - 5)
+                            * np.exp(2j * np.pi * rng.random(n - 5))])
+    second = np.concatenate([[1.0, -1.0, 1j, -1j, 1.0], rng.uniform(0, 0.8, n - 5)
+                             * np.exp(2j * np.pi * rng.random(n - 5))])
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    similarity = q @ np.diag(10 ** rng.uniform(0, 2, size=n))
+    inverse = np.linalg.inv(similarity)
+    return es.validate_representation(es.FreeCommutativeMonoid(2), [
+        similarity @ np.diag(d) @ inverse for d in (first, second)])

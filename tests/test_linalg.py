@@ -10,16 +10,16 @@ import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.errors import DimensionMismatch
 from ergospec.linalg import (
+    SchurForm,
     Subspace,
-    _invariant_subspace,
     _single_linkage_clusters,
     as_complex_matrix,
-    column_space,
-    kernel_and_cokernel,
     largest_cross_product,
     null_space,
-    oblique_projection,
+    range_basis,
 )
+
+from svd_route import column_space, kernel_and_cokernel, oblique_projection
 
 
 def test_null_space_zero_matrix():
@@ -237,19 +237,68 @@ def test_reordered_schur_matches_sorted_schur(n):
     # factorization per cluster; n = 80 takes LAPACK's multishift QR path
     for seed in range(4):
         mat = _clustered_matrix(np.random.default_rng([n, seed]), n)
-        eigs = np.linalg.eigvals(mat)
-        form = scipy.linalg.schur(mat, output="complex")
+        form = SchurForm.of(mat)
+        eigs = form.eigenvalues
         for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
-            for cluster in _single_linkage_clusters(eigs, radius)[0]:
-                selected = eigs[cluster]
+            for members in _single_linkage_clusters(eigs, radius)[0]:
+                selected = eigs[members]
 
                 def want(z):
                     return bool(np.min(np.abs(z - selected)) < radius / 2)
 
                 _, z, sdim = scipy.linalg.schur(mat, output="complex", sort=want)
-                basis, dim, _ = _invariant_subspace(form, selected, radius)
-                assert dim == sdim
+                basis = form.cluster(members).basis
+                assert basis.shape[1] == sdim
                 assert basis.tobytes() == z[:, :sdim].tobytes()
+
+
+def _riesz_oracle(mat, members, eigs):
+    """The spectral projector onto the eigenvectors of `mat` at the
+    positions `members` of its eigenvalues `eigs`, by an eigendecomposition
+    V diag(e) V^(-1): V E V^(-1), E selecting the cluster."""
+    values, vectors = np.linalg.eig(mat)
+    near = np.abs(values[:, None] - eigs[list(members)][None, :]).min(axis=1)
+    order = np.argsort(near)[:len(members)]
+    select = np.zeros(len(values))
+    select[order] = 1.0
+    return vectors @ np.diag(select) @ np.linalg.inv(vectors)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_spectral_cluster_is_the_riesz_projector(n):
+    # distinct eigenvalues under a seeded similarity: P = basis @ coordinates
+    # is the eigenprojector, P^2 = P, A P = P A, and ||P|| <= 1 / s
+    rng = np.random.default_rng([3, n])
+    values = np.exp(2j * np.pi * rng.random(n)) * rng.uniform(0.3, 1.0, n)
+    similarity = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+    mat = similarity @ np.diag(values) @ np.linalg.inv(similarity)
+    form = SchurForm.of(mat)
+    eigs = form.eigenvalues
+    for members in ([0], list(range(n // 2)), list(range(n))):
+        if not members:
+            continue
+        cluster = form.cluster(members)
+        p = cluster.basis @ cluster.coordinates
+        scale = es.operator_norm(p)
+        assert es.operator_norm(p - _riesz_oracle(mat, members, eigs)) <= 1e-12 * scale
+        assert es.operator_norm(p @ p - p) <= 1e-13 * scale
+        assert es.operator_norm(mat @ p - p @ mat) <= 1e-13 * scale * es.operator_norm(mat)
+        assert scale <= (1 + 1e-12) / cluster.s
+        assert cluster.mean == eigs[members].mean()
+        assert form.cluster(members) is cluster   # computed once
+
+
+def test_range_basis_takes_the_known_rank():
+    # an oblique projector of rank 3 under rounding noise far above any
+    # relative cutoff: the first 3 pivoted columns span its range
+    rng = np.random.default_rng(4)
+    f = np.linalg.qr(rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))[0]
+    wh = f.conj().T + 0.5 * (rng.standard_normal((3, 7)) @ (np.eye(7) - f @ f.conj().T))
+    p = f @ wh + 1e-9 * rng.standard_normal((7, 7))
+    space = range_basis(p, 3)
+    assert space.dim == 3
+    assert es.operator_norm(space.projector() - f @ f.conj().T) <= 1e-8
+    assert range_basis(p, 0).dim == 0
 
 
 def test_tall_kernels_take_thin_factors(monkeypatch):
@@ -308,8 +357,9 @@ def _assert_clusters_match_the_oracle(values, radius, name=None):
         np.asarray(oracle_centroids, dtype=np.complex128).tobytes(), name
 
 
-def _invariant_subspace_oracle(schur_form, selected, cluster_gap):
-    """_invariant_subspace with the per-entry selection loop it replaced."""
+def _reordered_basis_oracle(schur_form, selected, cluster_gap):
+    """The reordered basis of a cluster, selected by the per-entry loop
+    over the Schur diagonal that the selection by position replaced."""
     t, z = schur_form
     selected = np.asarray(selected)
 
@@ -375,15 +425,15 @@ def test_selection_matches_the_scalar_loop(n):
     # clustered spectra with Jordan scatter around the cluster radius
     for seed in range(4):
         mat = _clustered_matrix(np.random.default_rng([n, seed]), n)
-        eigs = np.linalg.eigvals(mat)
-        form = scipy.linalg.schur(mat, output="complex")
+        form = SchurForm.of(mat)
+        eigs = form.eigenvalues
         for radius in (DEFAULT_CONFIG.tol_cluster, 100 * DEFAULT_CONFIG.tol_cluster):
             _assert_clusters_match_the_oracle(eigs, radius)
-            for cluster in _single_linkage_clusters(eigs, radius)[0]:
-                basis, dim, _ = _invariant_subspace(form, eigs[cluster], radius)
-                oracle_basis, oracle_dim = _invariant_subspace_oracle(
-                    form, eigs[cluster], radius)
-                assert dim == oracle_dim
+            for members in _single_linkage_clusters(eigs, radius)[0]:
+                basis = form.cluster(members).basis
+                oracle_basis, oracle_dim = _reordered_basis_oracle(
+                    (form.t, form.z), eigs[members], radius)
+                assert basis.shape[1] == oracle_dim
                 assert basis.tobytes() == oracle_basis.tobytes()
 
 

@@ -6,10 +6,11 @@ import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec.errors import NotBounded, NotNormalized
-from ergospec.linalg import _unimodular_values, oblique_projection
+from ergospec.linalg import _peripheral_clusters
 from ergospec.serialize import load_representation
-from ergospec.spectrum import JointKernels, _isotypic_projections, brute_force_spectrum
+from ergospec.spectrum import _isotypic_projections, brute_force_spectrum
 
+import svd_route
 from conftest import (
     FIXTURES,
     chain_monoid,
@@ -78,11 +79,13 @@ def test_certified_just_outside_the_circle_keeps_one_in_brute_force():
     assert [chi.gen_values for chi in brute_force_spectrum(rep)] == [(1.0,)]
 
 
-@pytest.mark.xfail(strict=True, reason="the spectrum walk cuts the cluster at tol_rank; "
-                   "taking the eigenspace from the certificate's Schur form keeps it")
 def test_certified_just_outside_the_circle_keeps_one_in_the_spectrum():
+    # the certificate accepted the cluster 1 + 5e-9 as peripheral, and its
+    # eigenspace is the cluster's spectral subspace: no rank is cut at 1
     rep = _certified_just_outside_the_circle()
-    assert [chi.gen_values for chi in es.unitary_spectrum(rep).characters] == [(1.0,)]
+    spectrum = es.unitary_spectrum(rep)
+    assert [chi.gen_values for chi in spectrum.characters] == [(1.0,)]
+    assert abs(abs(spectrum.eigenspaces[0].basis[0, 0]) - 1.0) < 1e-15
 
 
 def test_circle_discretization_m4():
@@ -327,15 +330,6 @@ def _finite_cases():
             yield pytest.param(es.regular_representation(relabeling), id=f"{name}-{seed}")
 
 
-def _paired_projection(rep, chi):
-    """The pole projection of chi by the SVD route: ker(chi - T) paired
-    with ker((chi - T)^H) = rg(chi - T)^perp."""
-    kernels = JointKernels(rep, DEFAULT_CONFIG)
-    values = [chi(g) for g in rep.semigroup.generators]
-    fix = kernels.kernel(values)
-    return fix.basis @ oblique_projection(fix, kernels.cokernel(values))
-
-
 @pytest.mark.parametrize("rep", [*_finite_cases(), pytest.param(
     es.regular_representation(cyclic_monoid(64)), id="Z64")])
 def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
@@ -350,7 +344,7 @@ def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
         [chi.angles for chi in characters]
     for chi, projection, rank in zip(characters, projections, ranks):
         assert abs(np.trace(projection) - rank) < 1e-12
-        paired = _paired_projection(rep, chi)
+        paired = svd_route.pole_projection(rep, chi)
         assert es.operator_norm(projection - paired) <= 1e-12 * es.operator_norm(paired)
     # P_1 is the plain average of T over the kernel group
     group = rep.semigroup.kernel
@@ -434,21 +428,28 @@ def _certified_ensemble():
         yield random_circulant_stochastic_instance(seed)
 
 
-def test_certificate_keeps_the_eigenvalues_of_the_first_generator():
-    tol = DEFAULT_CONFIG.tol_cluster
+def _assert_factors(form, a):
+    """form is a complex Schur form of the matrix a."""
+    assert np.array_equal(form.t, np.triu(form.t))
+    scale = max(1.0, es.operator_norm(a))
+    assert es.operator_norm(form.z @ form.t @ form.z.conj().T - a) <= 1e-13 * scale
+    assert es.operator_norm(form.z.conj().T @ form.z - np.eye(len(a))) <= 1e-13
+
+
+def test_certificate_keeps_a_schur_form_of_every_generator():
+    # with the spectral cluster of each peripheral cluster that it checked
     for rep in _certified_ensemble():
-        kept = np.array(rep.boundedness.eigenvalues)
-        expected = np.linalg.eigvals(rep.matrices[0])
-        assert len(kept) == rep.dim
-        assert np.abs(kept[:, None] - expected[None, :]).min(axis=0).max() <= tol
-        unimodular = _unimodular_values(expected, DEFAULT_CONFIG)
-        for got, want in zip(_unimodular_values(kept, DEFAULT_CONFIG), unimodular):
-            assert abs(got - want) <= tol
-        assert len(_unimodular_values(kept, DEFAULT_CONFIG)) == len(unimodular)
+        forms = rep.boundedness.schur_forms
+        assert len(forms) == rep.semigroup.rank
+        for form, a in zip(forms, rep.matrices):
+            _assert_factors(form, a)
+            checked = [tuple(members) for members, _ in
+                       _peripheral_clusters(form.eigenvalues, DEFAULT_CONFIG)]
+            assert sorted(form._clusters) == sorted(checked)
     finite = es.regular_representation(cyclic_monoid(4))
-    assert finite.boundedness.eigenvalues is None
-    assert "eigenvalues" not in finite.boundedness.to_json()
-    assert "eigenvalues" not in rep.boundedness.to_json()
+    assert finite.boundedness.schur_forms is None
+    assert "schur_forms" not in finite.boundedness.to_json()
+    assert "schur_forms" not in rep.boundedness.to_json()
 
 
 def _spectrum_by_character(rep, config=DEFAULT_CONFIG):
@@ -472,8 +473,9 @@ def _certified_afresh(rep, config=DEFAULT_CONFIG):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_derived_certificates_match_fresh_ones(seed):
-    # rotate, restrict and direct_sum carry T_1's eigenvalues instead of
-    # certifying again; the spectrum they give is that of a fresh certificate
+    # rotate and direct_sum turn and stack the Schur forms of their parents,
+    # and restrict leaves none; the spectrum they give is that of a fresh
+    # certificate
     tol = DEFAULT_CONFIG.tol_cluster
     rng = np.random.default_rng([17, seed])
     reps = [_branching_instance(2, seed)[0], _branching_instance(3, seed)[0],
@@ -488,10 +490,44 @@ def test_derived_certificates_match_fresh_ones(seed):
             "sum": es.direct_sum(rep, rep),
             "rotated sum": es.direct_sum(rep, es.rotate(rep, chi)),
         }
+        parents = set(map(id, rep.boundedness.schur_forms))
         for name, sub in derived.items():
-            assert len(sub.boundedness.eigenvalues) >= sub.dim, name
+            forms = sub.boundedness.schur_forms
+            if name == "restrict":
+                assert forms is None
+            else:
+                assert not parents & set(map(id, forms)), name
+                for form, a in zip(forms, sub.matrices):
+                    _assert_factors(form, a)
             _assert_same_spectrum(_spectrum_by_character(sub),
                                   _spectrum_by_character(_certified_afresh(sub)), tol, name)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_spectrum_of_a_restriction(seed, monkeypatch):
+    # T on E_r has the spectrum of T, from one Schur form of each of its
+    # own generators; T on E_s has none
+    tol = DEFAULT_CONFIG.tol_cluster
+    rep = _branching_instance(2 + seed % 2, seed)[0]
+    decomposition = es.peripheral_decomposition(rep)
+    reversible = es.restrict(rep, decomposition.reversible)
+    stable = es.restrict(rep, decomposition.stable)
+    factored = []
+    schur = scipy.linalg.schur
+
+    def counted(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    got = _spectrum_by_character(reversible)
+    assert factored == [(reversible.dim, reversible.dim)] * rep.semigroup.rank
+    _assert_same_spectrum(got, _spectrum_by_character(rep), tol)
+    oracle = brute_force_spectrum(reversible)
+    assert len(oracle) == len(got)
+    assert all(any(es.char_distance(chi, tau) <= tol for tau, _ in got) for chi in oracle)
+    assert sum(dim for _, dim in got) == reversible.dim
+    assert _spectrum_by_character(stable) == []
 
 
 def test_the_spectrum_follows_its_own_tolerances():
