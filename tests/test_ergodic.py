@@ -50,6 +50,30 @@ def test_range_of_one_minus_klein(klein_rep):
     assert es.operator_norm(cokernel.projector() + rng_space.projector() - np.eye(4)) < 1e-10
 
 
+def test_a_cluster_the_certificate_never_checked_is_cut():
+    # [[1, 1e-9], [0, 1]] passes the defect test at tol_rank 1e-8 but not at
+    # the default 1e-10: there its cluster's spectral subspace C^2 is cut to
+    # ker(1 - T) = span(e_1), the Riesz projector I has rank 2, so 1 is no
+    # pole, and ker (1 - T)^H = rg(1 - T)^perp = span(e_2) is cut out of
+    # rg P^H
+    t = np.array([[1.0, 1e-9], [0.0, 1.0]], dtype=complex)
+    loose = es.ToleranceConfig(tol_rank=1e-8)
+    rep = es.certify_boundedness(es.validate_representation(es.FreeCommutativeMonoid(1), [t]),
+                                 loose)
+    assert rep.boundedness.is_certified
+    analysis = ergodic.Analysis(rep)
+    assert [space.dim for space in analysis.spectrum.eigenspaces] == [1]
+    assert abs(abs(analysis.spectrum.eigenspaces[0].basis[0, 0]) - 1.0) < 1e-12
+    chi = analysis.spectrum.characters[0]
+    assert analysis.pole(chi).status == ergodic.NOT_POLE
+    assert svd_route.pole_projection(rep, chi) is None
+    report = analysis.ergodic
+    assert not report.is_ume
+    assert (report.fix_dim, report.cokernel.dim) == (1, 1)
+    assert abs(abs(report.cokernel.basis[1, 0]) - 1.0) < 1e-12
+    assert ergodic.Analysis(rep, loose).pole(chi).is_pole
+
+
 def test_range_of_one_minus_diagonal():
     # rg(1 - T) = span(e_2), so the cokernel is span(e_1)
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
