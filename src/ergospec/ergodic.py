@@ -170,21 +170,31 @@ def _stable_verdict(rep, config):
             return StabilityVerdict(STABLE, witness=e, witness_norm=norm)
         return StabilityVerdict(STABLE)
 
-    power = t_u = reduce(np.matmul, rep.matrices)
+    verdict = _squaring_witness(rep, config)
+    if verdict is not None:
+        return verdict
+    radius = float(np.abs(np.linalg.eigvals(reduce(np.matmul, rep.matrices))).max())
+    if radius >= 1.0 - config.tol_char:
+        raise LostCharacter(radius)
+    return StabilityVerdict(STABLE, budget_exceeded=True)
+
+
+def _squaring_witness(rep, config):
+    """The STABLE verdict of an N^k representation with the first 2^j u,
+    j <= 52, whose norm ||T_u^(2^j)|| is at most 1 - tol_char; None when
+    no square up to 2^52 contracts or a square overflows."""
+    power = reduce(np.matmul, rep.matrices)
     for j in range(53):   # up to 2^52, an exact JSON integer
         if j:
             with np.errstate(over="ignore", invalid="ignore"):
                 power = power @ power
             if not np.isfinite(power).all():
-                break
+                return None
         norm = operator_norm(power)
         if norm <= 1.0 - config.tol_char:
             return StabilityVerdict(STABLE, witness=(2 ** j,) * rep.semigroup.rank,
                                     witness_norm=norm)
-    radius = float(np.abs(np.linalg.eigvals(t_u)).max())
-    if radius >= 1.0 - config.tol_char:
-        raise LostCharacter(radius)
-    return StabilityVerdict(STABLE, budget_exceeded=True)
+    return None
 
 
 @dataclass
@@ -330,6 +340,12 @@ class Analysis:
         return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=fix.dim,
                            factors=(f, coordinates))
 
+    def _inside(self, chi):
+        """The N^k character chi's cluster of T_1 lies strictly inside the
+        unit circle (SchurForm.inside)."""
+        cluster = self.kernels.cluster(0, self._values(chi)[0])
+        return cluster is not None and self.kernels.forms[0].inside(cluster)
+
     def _cokernel(self, values):
         """ker((chi - T)^H) = rg(chi - T)^perp for the generator values of
         a spectral character that is no pole: it lies in rg P^H, P the
@@ -443,13 +459,28 @@ class Analysis:
         """Stable iff the unitary spectrum is empty; a norm-contraction
         witness is produced whenever possible.
 
+        Over N^k the spectrum keeps a cluster of T_1 whose mean lies within
+        tol_char of the unit circle, inside it too. A contraction T_s has
+        no unimodular eigenvalue, so when every character's T_1 cluster
+        lies inside the circle by more than rounding can move its mean
+        (SchurForm.inside), the squaring witness is sought first, and one
+        that it finds refutes those characters: diag(1 - 5e-9, 1/2) is
+        stable with witness 4. The later generators are cut at the
+        unimodular values themselves (_cut), so they act on each joint
+        kernel as chi up to the rank cutoff.
+
         For a finite monoid the verdict is cross-checked against the exact
         criterion that the zero matrix occurs in T(S), which holds exactly
         when T_e = 0, e the kernel identity: if T_s = 0 and k is the
         inverse of s + e in K, then e = s + (e + k) and T_e = T_s T_(e+k)."""
         rep, config = self.rep, self.config
-        verdict = _stable_verdict(rep, config) if len(self.spectrum) == 0 else \
-            StabilityVerdict(NOT_STABLE, blocking_character=self.spectrum.characters[0])
+        if len(self.spectrum) == 0:
+            verdict = _stable_verdict(rep, config)
+        else:
+            verdict = StabilityVerdict(NOT_STABLE,
+                                       blocking_character=self.spectrum.characters[0])
+            if not rep.is_finite and all(map(self._inside, self.spectrum.characters)):
+                verdict = _squaring_witness(rep, config) or verdict
         if rep.is_finite:   # a finite witness is e, with witness_norm ||T_e||
             norm = verdict.witness_norm if verdict.witness is not None else \
                 operator_norm(rep.matrices[rep.semigroup.kernel.identity])

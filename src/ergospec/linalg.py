@@ -177,7 +177,9 @@ def _single_linkage_clusters(values, radius):
     their least value in (real, imag) order."""
     values = np.asarray(values)
     n = len(values)
-    if n < 2:   # the walk's kernels are mostly of dimension 1
+    # one value is one cluster; most of the N^k walk's compressions are
+    # 1 x 1, and the chaining below costs some 3% of a free_analyze op
+    if n < 2:
         return [[0]] * n, values.astype(np.complex128)
     near = np.abs(values[:, None] - values[None, :]) <= radius
     order = np.lexsort((values.imag, values.real))
@@ -216,14 +218,12 @@ def _peripheral_clusters(values, config):
             yield cluster, mean
 
 
-def _unimodular_values(values, config):
-    """The mean of each cluster of the eigenvalues `values` at radius
-    tol_cluster that lies within tol_char of the unit circle, scaled to
-    modulus 1."""
-    return [mean / abs(mean) for _, mean in _peripheral_clusters(values, config)
+def _unimodular_values(peripheral, config):
+    """(value, members) of each (members, mean) of `peripheral`, clusters
+    of _peripheral_clusters, whose mean lies within tol_char of the unit
+    circle, the value being that mean scaled to modulus 1."""
+    return [(mean / abs(mean), members) for members, mean in peripheral
             if abs(mean) <= 1.0 + config.tol_char]
-
-
 
 
 # Size of the perturbation by which rounding of a matrix and of its Schur
@@ -292,6 +292,12 @@ class SchurForm:
         perturbation of the size of the rounding can move its mean:
         gap > rounding / s."""
         return cluster.gap * cluster.s > self.rounding
+
+    def inside(self, cluster):
+        """The cluster's mean lies inside the unit circle by more than a
+        perturbation of the size of the rounding can move it:
+        1 - |mean| > rounding / s."""
+        return (1.0 - abs(cluster.mean)) * cluster.s > self.rounding
 
     def peripheral(self, config):
         """(members, mean) of each cluster of the eigenvalues at radius

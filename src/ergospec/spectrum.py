@@ -29,6 +29,7 @@ from .errors import NotBounded, NotNormalized
 from .linalg import (
     SchurForm,
     Subspace,
+    _peripheral_clusters,
     _unimodular_values,
     null_space,
     operator_norm,
@@ -69,7 +70,6 @@ class JointKernels:
     def __init__(self, rep, config):
         self.rep = rep
         self.config = config
-        self._unimodular = {}
         self._kernels = {}
 
     @cached_property
@@ -81,12 +81,7 @@ class JointKernels:
         """(value, members) of each cluster of generator `index`'s
         eigenvalues at radius tol_cluster whose mean lies within tol_char
         of the unit circle, the value being that mean scaled to modulus 1."""
-        if index not in self._unimodular:
-            config = self.config
-            self._unimodular[index] = [
-                (mean / abs(mean), members) for members, mean
-                in self.forms[index].peripheral(config) if abs(mean) <= 1.0 + config.tol_char]
-        return self._unimodular[index]
+        return _unimodular_values(self.forms[index].peripheral(self.config), self.config)
 
     def cluster(self, index, z):
         """The SpectralCluster of generator `index` whose value is nearest
@@ -189,7 +184,8 @@ def _joint_unimodular_kernels(rep, config, kernels):
             found.append((values, kernel))
             return
         a = kernel.basis.conj().T @ family[index] @ kernel.basis
-        for z in _unimodular_values(np.linalg.eigvals(a), config):
+        peripheral = _peripheral_clusters(np.linalg.eigvals(a), config)
+        for z, _ in _unimodular_values(peripheral, config):
             walk(values + (z,))
 
     for z, _ in kernels.clusters(0):

@@ -270,18 +270,31 @@ def test_slowly_contracting_witness_is_a_power_of_two(t, j):
     # T = [[1 - gap, 1], [0, 1/2]] contracts only after about 1/gap steps;
     # squaring T reaches the first power of two that does in j steps. At
     # diag(1 - 5e-9, 1/2), rho(T) is within tol_char of 1, yet T^4 contracts;
-    # its spectrum holds 1, the certified peripheral cluster 1 - 5e-9, so
-    # only the witness search itself runs on it
+    # its spectrum holds 1, the certified peripheral cluster 1 - 5e-9, which
+    # lies inside the circle, so the witness refutes it
     rep = n1_rep(np.array(t, dtype=complex))
     start = time.perf_counter()
-    verdict = ergodic._stable_verdict(rep, DEFAULT_CONFIG)
+    verdict = es.stability_verdict(rep)
     elapsed = time.perf_counter() - start
     if t[0][1] == 0:
-        assert not es.stability_verdict(rep).is_stable
+        assert [chi.gen_values for chi in es.unitary_spectrum(rep).characters] == [(1,)]
     assert verdict.is_stable and not verdict.budget_exceeded
     assert verdict.witness == (2 ** j,)
     assert verdict.witness_norm <= 1.0 - DEFAULT_CONFIG.tol_char
     assert elapsed < 1.0
+
+
+def test_a_character_on_the_circle_runs_no_witness_search(monkeypatch):
+    # T_1's cluster at 1 sits on the circle, at 1 + 5e-9 outside it, and the
+    # rotation's eigenvalue exp(0.3i) in a unitary basis on it up to
+    # rounding: no square of T contracts, so none is sought
+    calls = _count_calls(monkeypatch, "_squaring_witness")
+    u = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+    for t in (np.diag([1.0, 0.5]), np.diag([1 + 5e-9, 0.5]),
+              u @ np.diag([np.exp(0.3j), 0.5]) @ u.T):
+        verdict = es.stability_verdict(n1_rep(np.asarray(t, dtype=complex)))
+        assert not verdict.is_stable and verdict.blocking_character is not None
+    assert calls == []
 
 
 def test_a_square_that_overflows_is_no_witness():
