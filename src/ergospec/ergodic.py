@@ -1,10 +1,11 @@
 """Mean ergodic structure: projections, poles, peripheral decomposition,
 stability, the semigroup at infinity, and quasi-compactness.
 
-Over a finite monoid every pole is an isotypic projection. Over N^k it is
-the product of the generators' Riesz projectors, from the certificate's
-Schur forms, and the mean ergodic projection so obtained is cross-checked
-by the constructive ergodic net, a composed Cesaro rectangle mean. The
+Every pole is read off the spectrum: over a finite monoid it is the
+character's isotypic projection, over N^k the product of the generators'
+Riesz projectors that made the character spectral, from the certificate's
+Schur forms. The mean ergodic projection so obtained is cross-checked, over
+N^k by the constructive ergodic net, a composed Cesaro rectangle mean. The
 peripheral decomposition takes its parts at their known dimensions from
 pivoted QRs of the summed projections.
 
@@ -17,7 +18,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .characters import char_distance, trivial_character
+from .characters import trivial_character
 from .config import DEFAULT_CONFIG
 from .errors import ErgospecError, LostCharacter, NonPoleSpectrum
 from .linalg import (
@@ -28,7 +29,7 @@ from .linalg import (
     range_basis,
 )
 from .representations import restrict
-from .spectrum import JointKernels, _cut, unitary_spectrum
+from .spectrum import _cut, unitary_spectrum
 
 _CESARO_POWER = 3  # p, the power of the composed Cesaro mean C_N^p
 
@@ -236,13 +237,11 @@ class Analysis:
     def __init__(self, rep, config=None):
         self.rep = rep
         self.config = DEFAULT_CONFIG if config is None else config
-        self._poles = {}
-        # N^k: the joint kernels shared by the spectrum, the poles and the mean ergodic split
-        self.kernels = JointKernels(rep, self.config)
+        self._poles = {}   # by the position of the character in the spectrum
 
     @cached_property
     def spectrum(self):
-        return unitary_spectrum(self.rep, self.config, self.kernels)
+        return unitary_spectrum(self.rep, self.config)
 
     @cached_property
     def positivity(self):
@@ -256,108 +255,89 @@ class Analysis:
         for the generators' eigenvalues v near 1. When it is not spectral,
         the exact one."""
         trivial = trivial_character(self.rep.semigroup)
-        return next((chi for chi in self.spectrum.characters
-                     if char_distance(chi, trivial) <= self.config.tol_cluster), trivial)
-
-    def _values(self, chi):
-        """chi on the generators, the key of its kernels."""
-        return tuple(chi(g) for g in self.rep.semigroup.generators)
-
-    @cached_property
-    def _isotypic_poles(self):
-        """Finite monoid: the pole verdict of each spectral character, by key:
-        its isotypic projection P = F F^H P, F the eigenspace basis."""
-        spectrum = self.spectrum
-        return {repr(chi.canonical_key()): PoleVerdict(
-                    POLE, projection=p, eigenspace_dim=space.dim,
-                    factors=(space.basis, space.basis.conj().T @ p))
-                for chi, space, p in zip(spectrum.characters, spectrum.eigenspaces,
-                                         spectrum.projections)}
+        index = self.spectrum.index(trivial, self.config.tol_cluster)
+        return trivial if index is None else self.spectrum.characters[index]
 
     def pole(self, chi):
         """chi is a pole of T iff ker(chi - T) and rg(chi - T) are direct
-        complements: every spectral chi of a finite monoid is one
-        (_isotypic_poles), and over N^k the Riesz projectors decide it
-        (_riesz_pole).
+        complements. The spectral character nearest chi, within
+        tol_cluster, decides it: every one of a finite monoid is a pole,
+        its isotypic projection P = F F^H P, F the eigenspace basis, and
+        over N^k the Riesz projectors decide it (_riesz_pole). Any other
+        chi is no spectral value.
 
         A pole needs no further check of the complement: when ker(chi - T)
         and rg(chi - T) are direct complements, a chi-eigenvector of T
         restricted to rg(chi - T) would lie in their intersection, which
         is 0."""
-        # repr tells -0.0 from 0.0, so equal keys mean bit-equal characters
-        key = repr(chi.canonical_key())
-        if key not in self._poles:
-            verdict = self._isotypic_poles.get(key) if self.rep.is_finite else \
-                self._riesz_pole(chi)
-            if verdict is None:
-                zero = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
-                verdict = PoleVerdict(NOT_IN_SPECTRUM, projection=zero)
-            self._poles[key] = verdict
-        return self._poles[key]
+        spectrum = self.spectrum
+        index = spectrum.index(chi, self.config.tol_cluster)
+        if index is None:
+            zero = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
+            return PoleVerdict(NOT_IN_SPECTRUM, projection=zero)
+        if index not in self._poles:
+            if self.rep.is_finite:
+                space, p = spectrum.eigenspaces[index], spectrum.projections[index]
+                verdict = PoleVerdict(POLE, projection=p, eigenspace_dim=space.dim,
+                                      factors=(space.basis, space.basis.conj().T @ p))
+            else:
+                verdict = self._riesz_pole(index)
+            self._poles[index] = verdict
+        return self._poles[index]
 
-    def _riesz_pole(self, chi):
-        """The pole verdict of an N^k character, None outside the spectrum.
+    def _riesz_pole(self, index):
+        """The pole verdict of the N^k character at `index` in the spectrum.
 
         The Riesz projectors of the T_g's clusters at chi(g) commute, and
         their product P projects onto the joint spectral subspace along the
         others: onto ker(chi - T) along rg(chi - T) where each T_g acts as
-        its cluster's mean psi_g. So chi is a pole when every cluster passes
-        the certificate's separation test on 1/s, P has the rank
-        d = dim ker(chi - T), and P meets its defining equations. With
-        P = F W^H, F an orthonormal basis of ker(chi - T), the residuals
-        ||P^2 - P|| and ||T_g P - psi_g P|| are at most ||W^H F - I|| ||P||
-        and ||(T_g - psi_g) F|| ||P||, so the test asks
-        ||W^H F - I|| <= tol_rank and
+        its cluster's mean psi_g. The spectrum holds P = F W^H, F an
+        orthonormal basis of its range, of rank d. So chi is a pole when
+        every cluster passes the certificate's separation test on 1/s, the
+        eigenspace is F, of dimension d, and P meets its defining
+        equations. The residuals ||P^2 - P|| and ||T_g P - psi_g P|| are at
+        most ||W^H F - I|| ||P|| and ||(T_g - psi_g) F|| ||P||, so the test
+        asks ||W^H F - I|| <= tol_rank and
         ||(T_g - psi_g) F|| <= tol_rank max(1, ||T_g||), norms of blocks of
         at most n x d entries."""
-        config = self.config
-        values = self._values(chi)
-        fix = self.kernels.kernel(values)
-        if fix.dim == 0 and not self.spectrum.contains(chi, config.tol_cluster):
-            return None
-        not_pole = PoleVerdict(NOT_POLE, eigenspace_dim=fix.dim)
-        clusters = [self.kernels.cluster(g, z) for g, z in enumerate(values)]
-        if fix.dim == 0 or None in clusters or not all(
-                form.separated(cluster) for cluster, form in zip(clusters, self.kernels.forms)):
+        spectrum = self.spectrum
+        clusters, coordinates = spectrum.clusters[index], spectrum.coordinates[index]
+        f = spectrum.eigenspaces[index].basis
+        d = f.shape[1]
+        not_pole = PoleVerdict(NOT_POLE, eigenspace_dim=d)
+        # W^H has a row per dimension of rg P; a cut eigenspace has fewer
+        if d != len(coordinates) or not all(
+                form.separated(cluster) for cluster, form in zip(clusters, spectrum.forms)):
             return not_pole
-        # P = Q_1 Y with Y = W_1^H Q_2 W_2^H ... Q_k W_k^H; its trace, the
-        # trace of Y Q_1, is its rank
-        first, y = clusters[0].basis, clusters[0].coordinates
-        for cluster in clusters[1:]:
-            y = (y @ cluster.basis) @ cluster.coordinates
-        if abs((y * first.T).sum() - fix.dim) >= 0.5:
-            return not_pole
-        f = fix.basis
-        coordinates = y if f is first else (f.conj().T @ first) @ y
         # the d x d block stands on zero rows, which leave its norm as it is
         dual = np.zeros_like(f)
-        dual[:fix.dim] = coordinates @ f - np.eye(fix.dim)
+        dual[:d] = coordinates @ f - np.eye(d)
         residuals = operator_norms([dual, *((a @ f - cluster.mean * f)
                                             for a, cluster in zip(self.rep.family(), clusters))])
         scales = [1.0, *(max(1.0, norm) for norm in self.rep.generator_norms)]
-        if any(residual > config.tol_rank * scale for residual, scale in zip(residuals, scales)):
+        if any(residual > self.config.tol_rank * scale
+               for residual, scale in zip(residuals, scales)):
             return not_pole
-        return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=fix.dim,
+        return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=d,
                            factors=(f, coordinates))
 
-    def _inside(self, chi):
-        """The N^k character chi's cluster of T_1 lies strictly inside the
-        unit circle (SchurForm.inside)."""
-        cluster = self.kernels.cluster(0, self._values(chi)[0])
-        return cluster is not None and self.kernels.forms[0].inside(cluster)
+    def _inside(self, index):
+        """A cluster of the N^k character at `index` in the spectrum lies
+        strictly inside the unit circle (SchurForm.inside)."""
+        spectrum = self.spectrum
+        return any(form.inside(cluster)
+                   for form, cluster in zip(spectrum.forms, spectrum.clusters[index]))
 
-    def _cokernel(self, values):
-        """ker((chi - T)^H) = rg(chi - T)^perp for the generator values of
-        a spectral character that is no pole: it lies in rg P^H, P the
+    def _cokernel(self, index):
+        """ker((chi - T)^H) = rg(chi - T)^perp for the N^k character chi at
+        `index` in the spectrum when it is no pole: it lies in rg P^H, P the
         Riesz projector of T_1's cluster at chi(g_1), which is cut by the
         adjoint of every chi(g) - T_g."""
-        cluster = self.kernels.cluster(0, values[0])
-        if cluster is None:
-            return Subspace.zero(self.rep.dim)
-        space = Subspace(np.linalg.qr(cluster.coordinates.conj().T)[0])
-        for index, z in enumerate(values):
+        spectrum = self.spectrum
+        space = Subspace(np.linalg.qr(spectrum.clusters[index][0].coordinates.conj().T)[0])
+        for g, z in enumerate(spectrum.characters[index].gen_values):
             if space.dim:
-                space = _cut(self.rep, space, index, z, self.config, adjoint=True)
+                space = _cut(self.rep, space, g, z, self.config, adjoint=True)
         return space
 
     @cached_property
@@ -378,8 +358,8 @@ class Analysis:
         elif pole.counts_as_pole:   # outside the spectrum: 1 - T is invertible
             fix = cokernel = Subspace.zero(rep.dim)
         else:
-            values = self._values(self.trivial)
-            fix, cokernel = self.kernels.kernel(values), self._cokernel(values)
+            index = self.spectrum.index(self.trivial, config.tol_cluster)
+            fix, cokernel = self.spectrum.eigenspaces[index], self._cokernel(index)
         projection = pole.projection if pole.counts_as_pole else None
         if rep.is_finite:
             residual = max(operator_norms(a @ projection - projection for a in rep.family()))
@@ -459,15 +439,16 @@ class Analysis:
         """Stable iff the unitary spectrum is empty; a norm-contraction
         witness is produced whenever possible.
 
-        Over N^k the spectrum keeps a cluster of T_1 whose mean lies within
-        tol_char of the unit circle, inside it too. A contraction T_s has
-        no unimodular eigenvalue, so when every character's T_1 cluster
-        lies inside the circle by more than rounding can move its mean
-        (SchurForm.inside), the squaring witness is sought first, and one
-        that it finds refutes those characters: diag(1 - 5e-9, 1/2) is
-        stable with witness 4. The later generators are cut at the
-        unimodular values themselves (_cut), so they act on each joint
-        kernel as chi up to the rank cutoff.
+        Over N^k the spectrum keeps every tuple of certified clusters, one
+        per generator, whose means lie within tol_char of the unit circle,
+        inside it too, and whose joint spectral subspace is nonzero:
+        diag(1, 1/2), diag(1 + 5e-9, 1/2) over N^2 keeps (1, 1). A
+        contraction T_s has no unimodular eigenvalue, so when every
+        character has a cluster that lies inside the circle by more than
+        rounding can move its mean (SchurForm.inside), the squaring witness
+        is sought first, and one that it finds refutes those characters:
+        diag(1 - 5e-9, 1/2) is stable with witness 4, and so is
+        diag(1, 1/2), diag(1 - 5e-9, 1/2) over N^2 with witness (4, 4).
 
         For a finite monoid the verdict is cross-checked against the exact
         criterion that the zero matrix occurs in T(S), which holds exactly
@@ -479,7 +460,7 @@ class Analysis:
         else:
             verdict = StabilityVerdict(NOT_STABLE,
                                        blocking_character=self.spectrum.characters[0])
-            if not rep.is_finite and all(map(self._inside, self.spectrum.characters)):
+            if not rep.is_finite and all(map(self._inside, range(len(self.spectrum)))):
                 verdict = _squaring_witness(rep, config) or verdict
         if rep.is_finite:   # a finite witness is e, with witness_norm ||T_e||
             norm = verdict.witness_norm if verdict.witness is not None else \

@@ -177,10 +177,6 @@ def _single_linkage_clusters(values, radius):
     their least value in (real, imag) order."""
     values = np.asarray(values)
     n = len(values)
-    # one value is one cluster; most of the N^k walk's compressions are
-    # 1 x 1, and the chaining below costs some 3% of a free_analyze op
-    if n < 2:
-        return [[0]] * n, values.astype(np.complex128)
     near = np.abs(values[:, None] - values[None, :]) <= radius
     order = np.lexsort((values.imag, values.real))
     # label each value with the least (real, imag) rank that it reaches
@@ -351,8 +347,8 @@ def _spectral_cluster(t, z, members, eigenvalues):
 
 
 def range_basis(a, rank):
-    """An orthonormal basis of the range of the square matrix `a`, whose
-    rank is known: the first `rank` columns of Q in a QR factorization of
+    """An orthonormal basis of the range of the matrix `a`, whose rank is
+    known: the first `rank` columns of Q in a QR factorization of
     `a` with column pivoting, which puts a basis of the range first
     (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.2; LAPACK geqp3,
     then ungqr for those columns alone). No rank is decided."""

@@ -4,10 +4,11 @@ In finite dimension the unitary spectrum coincides with the unitary point
 spectrum: a unitary character belongs to the spectrum exactly when the
 commuting family has a joint eigenvector for it. A finite monoid's
 eigenspaces are the ranges of the isotypic projections of its exact dual.
-Over N^k the candidates are the generators' unimodular eigenvalue
-clusters, read off the Schur forms that the boundedness certificate
-kept, each confirmed by a nonzero joint kernel: T_1's cluster's spectral
-subspace, cut by the later generators.
+Over N^k the candidates are the tuples of the generators' unimodular
+eigenvalue clusters, read off the Schur forms that the boundedness
+certificate kept, and a tuple is a character when the product of the
+clusters' Riesz projectors, the projection onto its joint spectral
+subspace, has a nonzero trace, its rank.
 The coefficient-inequality falsifier provides an independent one-sided
 refutation route.
 """
@@ -29,7 +30,6 @@ from .errors import NotBounded, NotNormalized
 from .linalg import (
     SchurForm,
     Subspace,
-    _peripheral_clusters,
     _unimodular_values,
     null_space,
     operator_norm,
@@ -43,76 +43,36 @@ class UnitarySpectrumResult:
     eigenspaces: list         # Subspace per character, each nonzero
     witnesses: list           # one joint eigenvector per character
     projections: list = None  # finite monoid: the isotypic P_chi per character
+    clusters: list = None     # N^k: the SpectralCluster of each T_g at chi(g), per character
+    coordinates: list = None  # N^k: W^H with P_chi = F W^H, F the range basis of P_chi
+    forms: tuple = None       # N^k: the Schur form of each generator
 
     def __len__(self):
         return len(self.characters)
 
-    def contains(self, chi, tol=None):
-        tol = DEFAULT_CONFIG.tol_cluster if tol is None else tol
-        return any(char_distance(chi, c) <= tol for c in self.characters)
-
-
-class JointKernels:
-    """The spectral data of an N^k representation that the spectrum, the
-    eigenspaces, the poles and the mean ergodic split share: one Schur
-    form per generator (the certificate's, or one taken here when a
-    derived representation has none), the unimodular clusters of its
-    eigenvalues at this config, and ker(chi - T) over the first j
-    generators, by the tuple (chi(g_1), ..., chi(g_j)) of generator values,
-    each computed on first use.
-
-    The kernel of a one-value tuple z is the spectral subspace Q of T_1's
-    cluster at z, which T_1 acts on as the cluster's mean once it passes
-    the certificate's test, so no rank is decided there; a longer tuple
-    cuts its prefix's kernel by the next generator (_cut). Characters that
-    agree on the leading generators share their kernels."""
-
-    def __init__(self, rep, config):
-        self.rep = rep
-        self.config = config
-        self._kernels = {}
-
     @cached_property
-    def forms(self):
-        return self.rep.boundedness.schur_forms or tuple(
-            SchurForm.of(a) for a in self.rep.family())
+    def _positions(self):
+        # callers mostly ask for the spectrum's own characters, and a scan per
+        # call would take 0.14 s of a 0.69 s Z128 analyze; repr tells -0.0
+        # from 0.0, so equal keys mean bit-equal characters
+        return {repr(chi.canonical_key()): i for i, chi in enumerate(self.characters)}
 
-    def clusters(self, index):
-        """(value, members) of each cluster of generator `index`'s
-        eigenvalues at radius tol_cluster whose mean lies within tol_char
-        of the unit circle, the value being that mean scaled to modulus 1."""
-        return _unimodular_values(self.forms[index].peripheral(self.config), self.config)
+    def index(self, chi, tol=None):
+        """The position of the spectral character nearest chi, found by its
+        key when the spectrum holds chi itself; None when none lies within
+        tol (default tol_cluster)."""
+        tol = DEFAULT_CONFIG.tol_cluster if tol is None else tol
+        position = self._positions.get(repr(chi.canonical_key()))
+        if position is None:
+            distance, position = min(((char_distance(chi, c), i)
+                                      for i, c in enumerate(self.characters)),
+                                     default=(np.inf, None))
+            if distance > tol:
+                return None
+        return position
 
-    def cluster(self, index, z):
-        """The SpectralCluster of generator `index` whose value is nearest
-        z, within tol_cluster; None when there is none."""
-        distance, members = min(((abs(value - z), members)
-                                 for value, members in self.clusters(index)),
-                                default=(np.inf, None))
-        if distance > self.config.tol_cluster:
-            return None
-        return self.forms[index].cluster(members)
-
-    def kernel(self, values):
-        values = tuple(values)
-        if values not in self._kernels:
-            rep, config, index = self.rep, self.config, len(values) - 1
-            if index == 0:
-                cluster = self.cluster(0, values[0])
-                if cluster is None:
-                    space = Subspace.zero(rep.dim)
-                else:
-                    space = Subspace(cluster.basis)
-                    # a config looser than the certificate's admits clusters
-                    # that it never checked
-                    if not cluster.acts_as_mean(rep.generator_norms[0], config.tol_rank):
-                        space = _cut(rep, space, 0, values[0], config)
-            else:
-                prefix = self.kernel(values[:-1])
-                space = prefix if prefix.dim == 0 else \
-                    _cut(rep, prefix, index, values[index], config)
-            self._kernels[values] = space
-        return self._kernels[values]
+    def contains(self, chi, tol=None):
+        return self.index(chi, tol) is not None
 
 
 def _cut(rep, kernel, index, z, config, adjoint=False):
@@ -130,15 +90,14 @@ def _cut(rep, kernel, index, z, config, adjoint=False):
     return kernel
 
 
-def eigenspace(rep, chi, config=None, kernels=None):
-    """ker(chi - T): the joint kernel over the generator matrices, which
-    suffice because a joint generator eigenvector is an eigenvector of every
-    product. `kernels` is the caller's JointKernels of rep, by default a
-    fresh one.
-    """
+def eigenspace(rep, chi, config=None):
+    """ker(chi - T): the eigenspace of the spectral character nearest chi,
+    within tol_cluster, and {0} when there is none. Requires a Certified
+    representation."""
     config = DEFAULT_CONFIG if config is None else config
-    kernels = JointKernels(rep, config) if kernels is None else kernels
-    return kernels.kernel(chi(g) for g in rep.semigroup.generators)
+    spectrum = unitary_spectrum(rep, config)
+    index = spectrum.index(chi, config.tol_cluster)
+    return Subspace.zero(rep.dim) if index is None else spectrum.eigenspaces[index]
 
 
 def _isotypic_projections(rep):
@@ -161,47 +120,67 @@ def _isotypic_projections(rep):
             projections, ranks[spectral].tolist())
 
 
-def _joint_unimodular_kernels(rep, config, kernels):
-    """N^k: (generator values, joint kernel) of each unimodular joint
-    eigenvalue tuple of the generators with a nonzero joint kernel.
+def _riesz_products(rep, config):
+    """N^k: the Schur form of each generator (the certificate's, or one
+    taken here when a derived representation has none), and (values,
+    clusters, eigenspace, W^H) of each tuple of unimodular clusters, one
+    per generator, whose product P of Riesz projectors is nonzero: the
+    clusters' means scaled to modulus 1, and P = F W^H, F an orthonormal
+    basis of its range.
 
-    The walk takes each unimodular eigenvalue cluster z of T_1, from the
-    Schur form that the boundedness certificate kept, and the kernel
-    K = ker(z - T_1), its spectral subspace, which every later generator
-    leaves invariant as it commutes with T_1. It continues with the
-    clusters of K^H T_2 K, cutting K by each, and so on through the
-    generators, reading every kernel from `kernels`. A leaf's kernel is the
-    joint kernel of its character."""
-    family = rep.family()
+    The generators commute, so their Riesz projectors do, and a product of
+    them is the projection onto the joint spectral subspace of its
+    clusters, with its rank as its trace. The walk holds the product as
+    P = Q_1 Y, Q_1 the basis of T_1's cluster: it takes each cluster of
+    T_1, with Y = W_1^H, tries each cluster of the next generator,
+    Y <- Y Q_g W_g^H, and drops a prefix once round(tr(Y Q_1)) = 0. A
+    leaf of rank d has F = Q_1 when d is the size of T_1's cluster, as
+    always over N, else Q_1 times the first d columns of a pivoted QR of
+    Y. Each generator acts on the spectral subspace of a cluster that the
+    certificate checked as the cluster's mean, so F is the eigenspace and
+    no rank is decided; a config looser than the certificate's admits
+    clusters that it never checked, which cut F to ker(chi(g) - T_g)."""
+    forms = rep.boundedness.schur_forms or tuple(SchurForm.of(a) for a in rep.family())
+    choices = [[(value, form.cluster(members)) for value, members
+                in _unimodular_values(form.peripheral(config), config)] for form in forms]
     found = []
 
-    def walk(values):
-        kernel = kernels.kernel(values)
-        if not kernel.dim:
+    def walk(values, clusters, y):
+        first = clusters[0].basis
+        rank = int(np.floor((y * first.T).sum().real + 0.5))
+        if rank < 1:
             return
-        index = len(values)
-        if index == len(family):
-            found.append((values, kernel))
+        if len(clusters) < len(forms):
+            for value, cluster in choices[len(clusters)]:
+                walk(values + (value,), clusters + (cluster,),
+                     (y @ cluster.basis) @ cluster.coordinates)
             return
-        a = kernel.basis.conj().T @ family[index] @ kernel.basis
-        peripheral = _peripheral_clusters(np.linalg.eigvals(a), config)
-        for z, _ in _unimodular_values(peripheral, config):
-            walk(values + (z,))
+        if rank == first.shape[1]:
+            basis, coordinates = first, y
+        else:
+            inner = range_basis(y, rank).basis
+            basis, coordinates = first @ inner, inner.conj().T @ y
+        space = Subspace(basis)
+        for index, (z, cluster) in enumerate(zip(values, clusters)):
+            if not cluster.acts_as_mean(rep.generator_norms[index], config.tol_rank):
+                space = _cut(rep, space, index, z, config)
+        if space.dim:
+            found.append((values, clusters, space, coordinates))
 
-    for z, _ in kernels.clusters(0):
-        walk((z,))
-    return found
+    for value, cluster in choices[0]:
+        walk((value,), (cluster,), cluster.coordinates)
+    return forms, found
 
 
-def unitary_spectrum(rep, config=None, kernels=None):
+def unitary_spectrum(rep, config=None):
     """Compute sigma_uni(T) with eigenspaces and witnesses.
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. Over a finite monoid
     each eigenspace is the first d columns of a pivoted QR of the isotypic
-    projection of rank d: no rank is decided. Over N^k the characters come
-    from the walk of _joint_unimodular_kernels, reading `kernels`, the
-    caller's JointKernels of rep.
+    projection of rank d; over N^k it is the range of the character's
+    product of Riesz projectors (_riesz_products), which the result keeps
+    with its clusters for the pole test.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
@@ -210,19 +189,22 @@ def unitary_spectrum(rep, config=None, kernels=None):
     if rep.is_finite:
         characters, projections, ranks = _isotypic_projections(rep)
         spaces = [range_basis(p, d) for p, d in zip(projections, ranks)]
+        extra = {"projections": projections}
     else:
+        forms, found = _riesz_products(rep, config)
         # by the generator values rounded to 6 decimals, then the exact ones:
         # rounding noise flips two characters with equal parts, such as a
         # conjugate pair, only near a rounding boundary, an odd multiple of 5e-7
-        kernels = JointKernels(rep, config) if kernels is None else kernels
-        found = sorted(_joint_unimodular_kernels(rep, config, kernels), key=lambda pair: (
-            [(round(z.real, 6), round(z.imag, 6)) for z in pair[0]],
-            [(z.real, z.imag) for z in pair[0]]))
-        characters = [UnitaryCharacter(rep.semigroup, gen_values=values) for values, _ in found]
-        spaces, projections = [space for _, space in found], None
+        found.sort(key=lambda leaf: ([(round(z.real, 6), round(z.imag, 6)) for z in leaf[0]],
+                                     [(z.real, z.imag) for z in leaf[0]]))
+        characters = [UnitaryCharacter(rep.semigroup, gen_values=values)
+                      for values, _, _, _ in found]
+        spaces = [space for _, _, space, _ in found]
+        extra = {"clusters": [clusters for _, clusters, _, _ in found],
+                 "coordinates": [coordinates for _, _, _, coordinates in found],
+                 "forms": forms}
     return UnitarySpectrumResult(characters=characters, eigenspaces=spaces,
-                                 witnesses=[space.basis[:, 0] for space in spaces],
-                                 projections=projections)
+                                 witnesses=[space.basis[:, 0] for space in spaces], **extra)
 
 
 def approximate_eigenvector_check(rep, chi, v, eps):

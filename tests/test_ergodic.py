@@ -1,3 +1,4 @@
+import json
 import sys
 import time
 
@@ -9,9 +10,9 @@ import ergospec as es
 from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
-from ergospec import characters, ergodic, linalg, representations, semigroups, spectrum
+from ergospec import characters, cli, ergodic, linalg, representations, semigroups, spectrum
 from ergospec.errors import LostCharacter
-from ergospec.serialize import load_representation
+from ergospec.serialize import load_representation, matrix_to_json
 
 import svd_route
 from conftest import (
@@ -316,7 +317,7 @@ def test_stability_witness_is_diagonal_over_n2():
     assert verdict.witness_norm == pytest.approx(0.5)
 
 
-def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
+def test_an_empty_spectrum_on_the_circle_is_a_lost_character(tmp_path, monkeypatch):
     # diag(1 + 5e-9, 0.5) is certified, and its spectrum keeps the cluster
     # 1 + 5e-9 that the certificate accepted as peripheral: not stable, and
     # a pole whose Cesaro net cannot meet cesaro_target, as T^N grows like
@@ -329,15 +330,25 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
     assert report.violations == ["ergodic net failed to reach cesaro_target although "
                                  "the algebraic verdict is ergodic"]
     assert report.data["peripheral_decomposition"]["reversible_dim"] == 1
-    # over N^2 the later generator is cut at chi(g_2) = 1, 5e-9 from its
-    # eigenvalue: the spectrum drops the character, no square of T_u
-    # contracts before one overflows, and rho(T_u) >= 1 - tol_char names
-    # the lost character
+    # over N^2 the spectrum keeps (1, 1) too (see the test below). Were it to
+    # come back empty, no square of T_u would contract before one
+    # overflows, and rho(T_u) >= 1 - tol_char names the lost character
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex), np.diag([1.0 + 5e-9, 0.5]).astype(complex))
-    assert len(es.unitary_spectrum(rep)) == 0
+    assert len(es.unitary_spectrum(rep)) == 1
+
+    def empty(rep, config=None):
+        return spectrum.UnitarySpectrumResult(characters=[], eigenspaces=[], witnesses=[])
+
+    monkeypatch.setattr(ergodic, "unitary_spectrum", empty)
     with pytest.raises(LostCharacter) as exc:
         es.stability_verdict(rep)
     assert exc.value.radius == pytest.approx(1.0 + 5e-9, abs=1e-15)
+    path = tmp_path / "lost_character.json"
+    path.write_text(json.dumps({
+        "semigroup": {"type": "free_commutative", "rank": 2}, "dim": 2,
+        "matrices": {"per": "generator", "list": [matrix_to_json(a) for a in rep.matrices]}}))
+    for command in ("analyze", "stability", "decompose"):
+        assert cli.main([command, str(path), "--format", "json"]) == 1
     start = time.perf_counter()
     report = es.analyze(rep)
     assert time.perf_counter() - start < 1.0
@@ -361,6 +372,40 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character():
         errors.append(split.value)
     assert errors[0] is errors[1]
     assert analysis.quasi_compactness.decomposition_error is errors[0]
+
+
+def test_a_certified_later_generator_just_outside_the_circle_keeps_its_character():
+    # diag(1, 0.5), diag(1 + 5e-9, 0.5) over N^2: the certificate accepted
+    # T_2's cluster 1 + 5e-9 as peripheral, and the product of the Riesz
+    # projectors at (1, 1) is e_1 e_1^T, so the character stays, as over N
+    # it does for diag(1 + 5e-9, 0.5); no generator is cut at a rank cutoff
+    rep = n1_rep(np.diag([1.0, 0.5]).astype(complex), np.diag([1.0 + 5e-9, 0.5]).astype(complex))
+    assert rep.boundedness.is_certified
+    analysis = ergodic.Analysis(rep)
+    assert [chi.gen_values for chi in analysis.spectrum.characters] == [(1.0, 1.0)]
+    chi = analysis.spectrum.characters[0]
+    e_1 = np.array([[1.0], [0.0]])
+    fix = es.eigenspace(rep, chi)
+    assert es.operator_norm(fix.projector() - e_1 @ e_1.T) <= 1e-15
+    verdict = analysis.pole(chi)
+    assert verdict.is_pole and verdict.eigenspace_dim == 1
+    assert es.operator_norm(verdict.projection - e_1 @ e_1.T) <= 1e-15
+    stability = es.stability_verdict(rep)
+    assert stability.status == ergodic.NOT_STABLE
+    assert stability.blocking_character.gen_values == (1.0, 1.0)
+
+
+def test_a_later_generator_inside_the_circle_seeks_the_witness():
+    # diag(1, 0.5), diag(1 - 5e-9, 0.5) over N^2 keeps (1, 1), whose cluster
+    # of T_2 lies inside the circle: T_u^4 contracts, and refutes it, as over
+    # N for diag(1 - 5e-9, 0.5), whichever generator holds the cluster
+    for first, second in ((1.0, 1.0 - 5e-9), (1.0 - 5e-9, 1.0)):
+        rep = n1_rep(np.diag([first, 0.5]).astype(complex),
+                     np.diag([second, 0.5]).astype(complex))
+        assert [chi.gen_values for chi in es.unitary_spectrum(rep).characters] == [(1.0, 1.0)]
+        verdict = es.stability_verdict(rep)
+        assert verdict.is_stable and verdict.witness == (4, 4)
+        assert verdict.witness_norm <= 1.0 - DEFAULT_CONFIG.tol_char
 
 
 def test_semigroup_at_infinity_klein(klein_rep):
@@ -650,7 +695,8 @@ def test_threshold_witness_survives_the_last_bits_of_the_projection(nudged, monk
 def test_each_character_factors_its_generator_once(case, monkeypatch):
     # one generator: the spectrum, the mean ergodic split and every pole
     # read one Schur form of T and one reordering of it per character over
-    # N, and no SVD with factors; over Z8 one pivoted QR of each isotypic
+    # N, whose basis Q is the eigenspace, with no SVD with factors, no
+    # pivoted QR and no cut; over Z8 one pivoted QR of each isotypic
     # projection, at its known rank
     if case == "Z8":
         rep = es.regular_representation(cyclic_monoid(8))
@@ -672,6 +718,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     pivoted = _count_calls(monkeypatch, "range_basis", linalg)
     schur_forms = _count_schur_forms(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
+    cuts = _count_calls(monkeypatch, "_cut", spectrum)
     analysis = ergodic.Analysis(es.certify_boundedness(rep))
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
@@ -685,7 +732,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
         assert [(np.shape(p), rank) for p, rank in pivoted] == [(shape, 1) for shape in once]
         assert (schur_forms, reordered) == ([], [])
     else:
-        assert (factored, pivoted) == ([], [])
+        assert (factored, pivoted, cuts) == ([], [], [])
         assert schur_forms == [(rep.dim, rep.dim)]
         assert sorted(call[2] for call in reordered) == [(0,), (1,), (2,)]
 
@@ -720,31 +767,41 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
     # the certificate reorders the Schur form of each generator once per
     # peripheral cluster, and the spectrum, the poles, the mean ergodic
     # split (the cluster near 1, read at v/|v|) and the decomposition read
-    # those reorderings: no other, and no SVD with factors
+    # those reorderings: no other, no SVD with factors and no cut. The
+    # only pivoted QRs are the decomposition's, at ranks 1 and n - 1
     rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
+    n = rep.dim
     inputs = _record_kernel_svds(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
+    pivoted = _count_calls(monkeypatch, "range_basis", linalg)
+    cuts = _count_calls(monkeypatch, "_cut", spectrum)
     report = es.analyze(rep)
     assert report.ok
-    assert inputs == []
+    assert (inputs, cuts) == ([], [])
     assert [members for _, _, members, _ in reordered] == [(0,)]
+    assert [(np.shape(a), rank) for a, rank in pivoted] == [((n, n), 1), ((n, n), n - 1)]
     assert report.data["ergodic"]["fix_dim"] == 1
 
 
 @pytest.mark.parametrize("name, expected", [
     # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
-    ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_pole": 1}),
+    ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1,
+                    "_cut": 0, "_riesz_pole": 1}),
     # N^k: the spectrum holds it as v/|v|, which the mean ergodic split and
     # the positive suite reuse
     ("circulant_stochastic_8",
-     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_pole": 1}),
+     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1, "_cut": 0,
+      "_riesz_pole": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     # the one Riesz pole test is the trivial character's, read by the
-    # ergodic, pole, quasi-compactness and positivity sections
+    # ergodic, pole, quasi-compactness and positivity sections, on the one
+    # product of Riesz projectors that the spectrum walk formed; no rank
+    # is cut
     rep = load_representation(str(FIXTURES / f"{name}.json"))
-    calls = {route: _count_calls(monkeypatch, route) for route in expected
-             if route != "_riesz_pole"}
+    calls = {route: _count_calls(monkeypatch, route,
+                                 spectrum if route in ("_riesz_products", "_cut") else ergodic)
+             for route in expected if route != "_riesz_pole"}
     calls["_riesz_pole"] = _count_riesz_poles(monkeypatch)
     report = es.analyze(rep)
     assert report.ok
@@ -1041,16 +1098,33 @@ def test_riesz_poles_match_the_svd_route(rep):
 def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     # one Schur form per generator, and no SVD with factors of an n x n
     # matrix: the eigenspaces, poles and split come from reorderings of
-    # those forms and from cuts of the spectral subspaces
+    # those forms, one product of Riesz projectors per character and
+    # pivoted QRs. No rank is cut and no eigenvalue is taken again: each of
+    # the two clusters of T_1 of size 2 splits into two characters, whose
+    # eigenspaces come from pivoted QRs of the 2 x n factors Y, and the
+    # split takes two more
     rep = _branching_free_instance(seed)
     n = rep.dim
     schur_forms = _count_schur_forms(monkeypatch)
     inputs = _record_kernel_svds(monkeypatch)
+    calls = {name: _count_calls(monkeypatch, name, module)
+             for name, module in (("_cut", spectrum), ("null_space", linalg),
+                                  ("range_basis", linalg))}
+    eigvals, taken = np.linalg.eigvals, []
+
+    def counted(a):
+        taken.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
     report = es.analyze(rep)
     assert report.ok
-    assert report.data["unitary_spectrum"]["count"] > 1
+    assert report.data["unitary_spectrum"]["count"] == 5
     assert schur_forms == [(n, n)] * rep.semigroup.rank
     assert [shape for shape, _, _ in inputs if shape == (n, n)] == []
+    assert (len(calls["_cut"]), len(calls["null_space"]), len(taken)) == (0, 0, 0)
+    assert sorted((np.shape(a), rank) for a, rank in calls["range_basis"]) == \
+        [((2, n), 1)] * 4 + [((n, n), 5), ((n, n), n - 5)]
 
 
 def _branching_free_instance(seed):
