@@ -24,12 +24,13 @@ from .errors import ErgospecError, LostCharacter, NonPoleSpectrum
 from .linalg import (
     Subspace,
     largest_cross_product,
+    null_space,
     operator_norm,
     operator_norms,
     range_basis,
 )
 from .representations import restrict
-from .spectrum import _cut, unitary_spectrum
+from .spectrum import unitary_spectrum
 
 _CESARO_POWER = 3  # p, the power of the composed Cesaro mean C_N^p
 
@@ -49,9 +50,6 @@ def _cesaro_rectangle_chain(rep, reference, config):
     sides = [1]
     while sides[-1] * 2 <= config.cesaro_max_side:
         sides.append(sides[-1] * 2)
-    if reference is None:
-        return [(side, float("nan"), float("nan")) for side in sides]
-
     eye = np.eye(rep.dim, dtype=np.complex128)
     averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
     powers = [a.copy() for a in rep.matrices]       # T_g^N
@@ -292,23 +290,18 @@ class Analysis:
         their product P projects onto the joint spectral subspace along the
         others: onto ker(chi - T) along rg(chi - T) where each T_g acts as
         its cluster's mean psi_g. The spectrum holds P = F W^H, F an
-        orthonormal basis of its range, of rank d. So chi is a pole when
-        every cluster passes the certificate's separation test on 1/s, the
-        eigenspace is F, of dimension d, and P meets its defining
-        equations. The residuals ||P^2 - P|| and ||T_g P - psi_g P|| are at
-        most ||W^H F - I|| ||P|| and ||(T_g - psi_g) F|| ||P||, so the test
-        asks ||W^H F - I|| <= tol_rank and
+        orthonormal basis of its range, of rank d, and each cluster passed
+        the certificate's separation test at the analysis's config. So chi
+        is a pole when P meets its defining equations. The residuals
+        ||P^2 - P|| and ||T_g P - psi_g P|| are at most ||W^H F - I|| ||P||
+        and ||(T_g - psi_g) F|| ||P||, so the test asks
+        ||W^H F - I|| <= tol_rank and
         ||(T_g - psi_g) F|| <= tol_rank max(1, ||T_g||), norms of blocks of
         at most n x d entries."""
         spectrum = self.spectrum
         clusters, coordinates = spectrum.clusters[index], spectrum.coordinates[index]
         f = spectrum.eigenspaces[index].basis
         d = f.shape[1]
-        not_pole = PoleVerdict(NOT_POLE, eigenspace_dim=d)
-        # W^H has a row per dimension of rg P; a cut eigenspace has fewer
-        if d != len(coordinates) or not all(
-                form.separated(cluster) for cluster, form in zip(clusters, spectrum.forms)):
-            return not_pole
         # the d x d block stands on zero rows, which leave its norm as it is
         dual = np.zeros_like(f)
         dual[:d] = coordinates @ f - np.eye(d)
@@ -317,28 +310,32 @@ class Analysis:
         scales = [1.0, *(max(1.0, norm) for norm in self.rep.generator_norms)]
         if any(residual > self.config.tol_rank * scale
                for residual, scale in zip(residuals, scales)):
-            return not_pole
+            return PoleVerdict(NOT_POLE, eigenspace_dim=d)
         return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=d,
                            factors=(f, coordinates))
 
     def _inside(self, index):
         """A cluster of the N^k character at `index` in the spectrum lies
-        strictly inside the unit circle (SchurForm.inside)."""
-        spectrum = self.spectrum
-        return any(form.inside(cluster)
-                   for form, cluster in zip(spectrum.forms, spectrum.clusters[index]))
+        strictly inside the unit circle (SpectralCluster.inside)."""
+        return any(cluster.inside() for cluster in self.spectrum.clusters[index])
 
     def _cokernel(self, index):
         """ker((chi - T)^H) = rg(chi - T)^perp for the N^k character chi at
         `index` in the spectrum when it is no pole: it lies in rg P^H, P the
-        Riesz projector of T_1's cluster at chi(g_1), which is cut by the
-        adjoint of every chi(g) - T_g."""
-        spectrum = self.spectrum
-        space = Subspace(np.linalg.qr(spectrum.clusters[index][0].coordinates.conj().T)[0])
-        for g, z in enumerate(spectrum.characters[index].gen_values):
-            if space.dim:
-                space = _cut(self.rep, space, g, z, self.config, adjoint=True)
-        return space
+        Riesz projector of T_1's cluster at chi(g_1). Each generator cuts
+        that basis K to the kernel of (chi(g) - T_g)^H K, with the rank
+        decided at tol_rank times max(1, ||T_g||)."""
+        spectrum, rep = self.spectrum, self.rep
+        basis = np.linalg.qr(spectrum.clusters[index][0].coordinates.conj().T)[0]
+        eye = np.eye(rep.dim, dtype=np.complex128)
+        for z, a, norm in zip(spectrum.characters[index].gen_values, rep.family(),
+                              rep.generator_norms):
+            if basis.shape[1]:
+                inner = null_space((z * eye - a).conj().T @ basis, self.config.tol_rank,
+                                   scale=max(1.0, norm))
+                if inner.dim < basis.shape[1]:   # else K stays as it is
+                    basis = basis @ inner.basis
+        return Subspace(basis)
 
     @cached_property
     def ergodic(self):
@@ -367,7 +364,8 @@ class Analysis:
             return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=True,
                                  mean_projection=projection, kernel_average_residual=residual,
                                  net_divergence=residual > config.tol_hom)
-        trace = _cesaro_rectangle_chain(rep, projection, config)
+        # no chain runs without a mean projection to compare it against
+        trace = [] if projection is None else _cesaro_rectangle_chain(rep, projection, config)
         return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=projection is not None,
                              mean_projection=projection, cesaro_trace=trace,
                              net_divergence=projection is not None and
@@ -445,9 +443,9 @@ class Analysis:
         diag(1, 1/2), diag(1 + 5e-9, 1/2) over N^2 keeps (1, 1). A
         contraction T_s has no unimodular eigenvalue, so when every
         character has a cluster that lies inside the circle by more than
-        rounding can move its mean (SchurForm.inside), the squaring witness
-        is sought first, and one that it finds refutes those characters:
-        diag(1 - 5e-9, 1/2) is stable with witness 4, and so is
+        rounding can move its mean (SpectralCluster.inside), the squaring
+        witness is sought first, and one that it finds refutes those
+        characters: diag(1 - 5e-9, 1/2) is stable with witness 4, and so is
         diag(1, 1/2), diag(1 - 5e-9, 1/2) over N^2 with witness (4, 4).
 
         For a finite monoid the verdict is cross-checked against the exact

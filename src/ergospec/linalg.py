@@ -214,14 +214,6 @@ def _peripheral_clusters(values, config):
             yield cluster, mean
 
 
-def _unimodular_values(peripheral, config):
-    """(value, members) of each (members, mean) of `peripheral`, clusters
-    of _peripheral_clusters, whose mean lies within tol_char of the unit
-    circle, the value being that mean scaled to modulus 1."""
-    return [(mean / abs(mean), members) for members, mean in peripheral
-            if abs(mean) <= 1.0 + config.tol_char]
-
-
 # Size of the perturbation by which rounding of a matrix and of its Schur
 # form moves eigenvalues, relative to ||A||_F. On seeded real and complex
 # inputs (n <= 12, similarity condition <= 1e3), a unimodular Jordan pair
@@ -254,26 +246,33 @@ class SpectralCluster:
     s: float
     defect: float             # ||T11 - mean I||: A on rg Q less the scalar mean
     gap: float                # the distance of the mean to the other eigenvalues
+    rounding: float           # _ROUNDING ||A||_F, how far rounding may move an eigenvalue
 
     def acts_as_mean(self, norm, tol_rank):
         """A acts on the cluster's spectral subspace as its mean: a defect
         of at most tol_rank max(1, ||A||) max(1, m), m the cluster's size."""
         return self.defect <= tol_rank * max(1.0, norm) * max(1, self.basis.shape[1])
 
+    def separated(self):
+        """The cluster lies further from the other eigenvalues than a
+        perturbation of the size of the rounding can move its mean:
+        gap > rounding / s."""
+        return self.gap * self.s > self.rounding
+
+    def inside(self):
+        """The cluster's mean lies inside the unit circle by more than a
+        perturbation of the size of the rounding can move it:
+        1 - |mean| > rounding / s."""
+        return (1.0 - abs(self.mean)) * self.s > self.rounding
+
 
 class SchurForm:
     """The complex Schur form A = Z T Z^H of one matrix, and the
-    SpectralCluster of each selection of its eigenvalues, each computed
-    on first use from this one factorization, so the bases keep their
-    bits whoever asks first."""
+    SpectralCluster of a selection of its eigenvalues, each read off this
+    one factorization."""
 
     def __init__(self, t, z):
         self.t, self.z = t, z
-        # how far rounding may move an eigenvalue times s: below it, a
-        # cluster cannot be told from a neighbouring eigenvalue
-        self.rounding = _ROUNDING * float(np.linalg.norm(t))
-        self._peripheral = {}
-        self._clusters = {}
 
     @classmethod
     def of(cls, a):
@@ -283,36 +282,10 @@ class SchurForm:
     def eigenvalues(self):
         return np.diag(self.t)
 
-    def separated(self, cluster):
-        """The cluster lies further from the other eigenvalues than a
-        perturbation of the size of the rounding can move its mean:
-        gap > rounding / s."""
-        return cluster.gap * cluster.s > self.rounding
-
-    def inside(self, cluster):
-        """The cluster's mean lies inside the unit circle by more than a
-        perturbation of the size of the rounding can move it:
-        1 - |mean| > rounding / s."""
-        return (1.0 - abs(cluster.mean)) * cluster.s > self.rounding
-
-    def peripheral(self, config):
-        """(members, mean) of each cluster of the eigenvalues at radius
-        tol_cluster whose mean has modulus at least 1 - tol_char
-        (_peripheral_clusters), found once per pair of tolerances."""
-        key = (config.tol_cluster, config.tol_char)
-        if key not in self._peripheral:
-            self._peripheral[key] = [(tuple(members), mean) for members, mean
-                                     in _peripheral_clusters(self.eigenvalues, config)]
-        return self._peripheral[key]
-
     def cluster(self, members):
         """The SpectralCluster of the eigenvalues at the diagonal positions
         `members`, in ascending order."""
-        members = tuple(members)
-        if members not in self._clusters:
-            self._clusters[members] = _spectral_cluster(self.t, self.z, members,
-                                                        self.eigenvalues)
-        return self._clusters[members]
+        return _spectral_cluster(self.t, self.z, tuple(members), self.eigenvalues)
 
 
 def _spectral_cluster(t, z, members, eigenvalues):
@@ -343,7 +316,8 @@ def _spectral_cluster(t, z, members, eigenvalues):
     # the one eigenvalue of a cluster of one is its mean
     defect = operator_norm(ts[:m, :m] - mean * np.eye(m)) if m > 1 else 0.0
     return SpectralCluster(mean=complex(mean), basis=basis, coordinates=coordinates,
-                           s=s, defect=defect, gap=float(distance.min()))
+                           s=s, defect=defect, gap=float(distance.min()),
+                           rounding=_ROUNDING * float(np.linalg.norm(t)))
 
 
 def range_basis(a, rank):

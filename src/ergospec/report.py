@@ -5,7 +5,6 @@ configuration, except for the "timings" section, which is excluded from
 the determinism contract.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -99,17 +98,13 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             "range_dim": rep.dim - ergodic.cokernel.dim,
             "net_divergence": ergodic.net_divergence,
         }
-        def finite_or_none(x):
-            return x if x is not None and math.isfinite(x) else None
-
         if ergodic.mean_projection is not None:
             entry["mean_projection"] = matrix_to_json(ergodic.mean_projection)
         if ergodic.kernel_average_residual is not None:
             entry["kernel_average_residual"] = ergodic.kernel_average_residual
         if ergodic.cesaro_trace:
             entry["cesaro_trace"] = [
-                {"side": side, "plain": finite_or_none(plain),
-                 "composed": finite_or_none(comp)}
+                {"side": side, "plain": plain, "composed": comp}
                 for side, plain, comp in ergodic.cesaro_trace]
         report["ergodic"] = entry
         if ergodic.net_divergence:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_CONFIG
 from .errors import (
@@ -27,6 +26,7 @@ from .errors import (
 from .linalg import (
     BLOCK_ENTRIES,
     SchurForm,
+    _peripheral_clusters,
     as_complex_matrix,
     operator_norm,
     operator_norms,
@@ -44,11 +44,13 @@ class BoundednessCertificate:
     status: str
     witness: tuple = None   # generator direction for unbounded growth
     detail: str = ""
-    # Certified N^k: the linalg.SchurForm of each generator, with the
-    # spectral cluster of each peripheral eigenvalue cluster that the
-    # certificate checked; the spectrum, the poles and the decomposition
-    # read them. None otherwise, and not reported.
-    schur_forms: tuple = None
+    # Certified N^k: the ToleranceConfig it was issued at, and per
+    # generator the (mean / |mean|, linalg.SpectralCluster) of each
+    # peripheral eigenvalue cluster that it checked there; the spectrum,
+    # the poles and the stability test read them. None otherwise, and not
+    # reported.
+    config: object = None
+    clusters: tuple = None
 
     @property
     def is_certified(self):
@@ -250,20 +252,20 @@ def certify_boundedness(rep, config=None):
     eigenvalue: when that distance is at most _ROUNDING ||T_g||_F / s, 1 / s
     the bound on the norm of the cluster's spectral projector, which is
     also a lower bound of sup_m ||T_g^m||. The first generator that fails
-    is the witness of an Unbounded certificate. A Certified one keeps the
-    Schur form of every generator with the clusters it checked, so that
-    nothing downstream factors a generator again.
+    is the witness of an Unbounded certificate. A Certified one keeps
+    `config` and every cluster it checked, with its mean scaled to modulus
+    1, so that nothing downstream factors a generator again.
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
         cert = BoundednessCertificate(CERTIFIED, detail="finite range")
         return replace(rep, boundedness=cert)
 
-    forms = []
+    clusters = []
     for j, (label, a) in enumerate(zip(rep.semigroup.generators, rep.matrices)):
         form = SchurForm.of(a)
-        forms.append(form)
-        for members, psi in form.peripheral(config):
+        checked = []
+        for members, psi in _peripheral_clusters(form.eigenvalues, config):
             if abs(psi) > 1.0 + config.tol_char:
                 detail = f"generator {j} has an eigenvalue of modulus {abs(psi):.6f} > 1"
             else:
@@ -272,33 +274,31 @@ def certify_boundedness(rep, config=None):
                 if not cluster.acts_as_mean(rep.generator_norms[j], config.tol_rank):
                     detail = (f"generator {j} is peripheral at {psi:.6f} "
                               f"but acts with nilpotent defect {cluster.defect:.3e}")
-                elif not form.separated(cluster):
+                elif not cluster.separated():
                     detail = (f"generator {j} is peripheral at {psi:.6f} "
                               f"with spectral projector norm {1 / cluster.s:.3e}, within "
                               f"rounding of another eigenvalue {cluster.gap:.3e} away")
+                checked.append((psi / abs(psi), cluster))
             if detail:
                 cert = BoundednessCertificate(UNBOUNDED, witness=label, detail=detail)
                 return replace(rep, boundedness=cert)
+        clusters.append(tuple(checked))
     return replace(rep, boundedness=BoundednessCertificate(
         CERTIFIED, detail="every generator acts as a scalar on each peripheral "
-                          "spectral subspace", schur_forms=tuple(forms)))
+                          "spectral subspace", config=config, clusters=tuple(clusters)))
 
 
 def rotate(rep, chi):
-    """The twisted representation s -> chi(s) T_s."""
+    """The twisted representation s -> chi(s) T_s. |chi| = 1, so the
+    verdict of the certificate carries over, but not its clusters: the
+    spectrum of the rotation certifies it again."""
     if chi.semigroup != rep.semigroup:
         raise MismatchedSemigroup("character over a different semigroup")
-    cert = rep.boundedness
     if rep.is_finite:
         mats = tuple(chi(s) * rep.matrices[s] for s in rep.semigroup.elements())
     else:
         mats = tuple(z * a for z, a in zip(chi.gen_values, rep.matrices))
-        if cert.schur_forms is not None:
-            cert = replace(cert, schur_forms=tuple(SchurForm(z * form.t, form.z) for z, form
-                                                   in zip(chi.gen_values, cert.schur_forms)))
-    # |chi| = 1, so the certificate transfers, and chi(g) T_g has the Schur
-    # form (chi(g) T, Z) of T_g's (T, Z); its clusters are reordered afresh
-    return replace(rep, matrices=mats, boundedness=cert)
+    return replace(rep, matrices=mats, boundedness=replace(rep.boundedness, clusters=None))
 
 
 def restrict(rep, subspace, config=None):
@@ -306,9 +306,8 @@ def restrict(rep, subspace, config=None):
     that every generator leaves it invariant.
 
     The verdict of the certificate carries over, as a bounded family stays
-    bounded on an invariant subspace; its Schur forms do not, so the
-    spectrum of the restriction factors its own generators, and
-    certifying it again fills them."""
+    bounded on an invariant subspace, but not its clusters: the spectrum
+    of the restriction certifies it again."""
     config = DEFAULT_CONFIG if config is None else config
     if subspace.ambient_dim != rep.dim:
         raise ValueError("subspace lives in a different ambient dimension")
@@ -322,18 +321,22 @@ def restrict(rep, subspace, config=None):
             raise NotInvariant(label, residual)
     mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
     return Representation(semigroup=rep.semigroup, dim=subspace.dim, matrices=mats,
-                          boundedness=replace(rep.boundedness, schur_forms=None))
+                          boundedness=replace(rep.boundedness, clusters=None))
 
 
 def dual_representation(rep):
-    """Transpose every matrix (bilinear dual pairing convention). T_g^T has
-    no Schur form of T_g's shape, so the certificate keeps its verdict but
-    no forms; certifying the dual again fills them."""
+    """Transpose every matrix (bilinear dual pairing convention). The
+    certificate keeps its verdict, but not its clusters: the spectrum of
+    the dual certifies it again."""
     return replace(rep, matrices=tuple(a.T.copy() for a in rep.matrices),
-                   boundedness=replace(rep.boundedness, schur_forms=None))
+                   boundedness=replace(rep.boundedness, clusters=None))
 
 
 def direct_sum(rep1, rep2):
+    """The block diagonal sum. It is bounded when both summands are; its
+    certificate keeps that verdict but no clusters, as eigenvalues of one
+    summand may join those of the other: its spectrum certifies it
+    again."""
     if rep1.semigroup != rep2.semigroup:
         raise MismatchedSemigroup("summands over different semigroups")
     mats = []
@@ -343,17 +346,7 @@ def direct_sum(rep1, rep2):
         block[rep1.dim:, rep1.dim:] = b
         mats.append(block)
     if rep1.boundedness.is_certified and rep2.boundedness.is_certified:
-        first, second = rep1.boundedness.schur_forms, rep2.boundedness.schur_forms
-        forms = None
-        if first is not None and second is not None:
-            # each T_g of the sum is block diagonal, and so is its Schur
-            # form; its clusters are reordered afresh, as eigenvalues of one
-            # summand may join those of the other
-            forms = tuple(SchurForm(scipy.linalg.block_diag(a.t, b.t),
-                                    scipy.linalg.block_diag(a.z, b.z))
-                          for a, b in zip(first, second))
-        cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands",
-                                      schur_forms=forms)
+        cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands")
     else:
         cert = BoundednessCertificate(NOT_CHECKED)
     return Representation(semigroup=rep1.semigroup, dim=rep1.dim + rep2.dim,

@@ -5,8 +5,8 @@ spectrum: a unitary character belongs to the spectrum exactly when the
 commuting family has a joint eigenvector for it. A finite monoid's
 eigenspaces are the ranges of the isotypic projections of its exact dual.
 Over N^k the candidates are the tuples of the generators' unimodular
-eigenvalue clusters, read off the Schur forms that the boundedness
-certificate kept, and a tuple is a character when the product of the
+eigenvalue clusters that the boundedness certificate checked, at the
+spectrum's own config, and a tuple is a character when the product of the
 clusters' Riesz projectors, the projection onto its joint spectral
 subspace, has a nonzero trace, its rank.
 The coefficient-inequality falsifier provides an independent one-sided
@@ -27,14 +27,8 @@ from .characters import (
 )
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NotBounded, NotNormalized
-from .linalg import (
-    SchurForm,
-    Subspace,
-    _unimodular_values,
-    null_space,
-    operator_norm,
-    range_basis,
-)
+from .linalg import Subspace, null_space, operator_norm, range_basis
+from .representations import certify_boundedness
 
 
 @dataclass
@@ -45,7 +39,6 @@ class UnitarySpectrumResult:
     projections: list = None  # finite monoid: the isotypic P_chi per character
     clusters: list = None     # N^k: the SpectralCluster of each T_g at chi(g), per character
     coordinates: list = None  # N^k: W^H with P_chi = F W^H, F the range basis of P_chi
-    forms: tuple = None       # N^k: the Schur form of each generator
 
     def __len__(self):
         return len(self.characters)
@@ -73,21 +66,6 @@ class UnitarySpectrumResult:
 
     def contains(self, chi, tol=None):
         return self.index(chi, tol) is not None
-
-
-def _cut(rep, kernel, index, z, config, adjoint=False):
-    """The kernel of z - T_g, or of (z - T_g)^H when `adjoint` is set,
-    inside the subspace `kernel`, g the generator at `index`: the kernel of
-    the n x dim K matrix (z - T_g) K, with the rank decided at tol_rank
-    times max(1, ||T_g||)."""
-    a = z * np.eye(rep.dim, dtype=np.complex128) - rep.family()[index]
-    if adjoint:
-        a = a.conj().T
-    inner = null_space(a @ kernel.basis, config.tol_rank,
-                       scale=max(1.0, rep.generator_norms[index]))
-    if inner.dim < kernel.dim:   # else K's basis stays as it is
-        kernel = Subspace(kernel.basis @ inner.basis)
-    return kernel
 
 
 def eigenspace(rep, chi, config=None):
@@ -120,13 +98,11 @@ def _isotypic_projections(rep):
             projections, ranks[spectral].tolist())
 
 
-def _riesz_products(rep, config):
-    """N^k: the Schur form of each generator (the certificate's, or one
-    taken here when a derived representation has none), and (values,
-    clusters, eigenspace, W^H) of each tuple of unimodular clusters, one
-    per generator, whose product P of Riesz projectors is nonzero: the
-    clusters' means scaled to modulus 1, and P = F W^H, F an orthonormal
-    basis of its range.
+def _riesz_products(clusters):
+    """N^k: (values, clusters, eigenspace, W^H) of each tuple of a
+    certificate's `clusters`, one per generator, whose product P of Riesz
+    projectors is nonzero: the clusters' means scaled to modulus 1, and
+    P = F W^H, F an orthonormal basis of its range.
 
     The generators commute, so their Riesz projectors do, and a product of
     them is the projection onto the joint spectral subspace of its
@@ -136,23 +112,19 @@ def _riesz_products(rep, config):
     Y <- Y Q_g W_g^H, and drops a prefix once round(tr(Y Q_1)) = 0. A
     leaf of rank d has F = Q_1 when d is the size of T_1's cluster, as
     always over N, else Q_1 times the first d columns of a pivoted QR of
-    Y. Each generator acts on the spectral subspace of a cluster that the
-    certificate checked as the cluster's mean, so F is the eigenspace and
-    no rank is decided; a config looser than the certificate's admits
-    clusters that it never checked, which cut F to ker(chi(g) - T_g)."""
-    forms = rep.boundedness.schur_forms or tuple(SchurForm.of(a) for a in rep.family())
-    choices = [[(value, form.cluster(members)) for value, members
-                in _unimodular_values(form.peripheral(config), config)] for form in forms]
+    Y. The certificate checked that each generator acts on the spectral
+    subspace of each cluster as the cluster's mean, so F is the
+    eigenspace and no rank is decided."""
     found = []
 
-    def walk(values, clusters, y):
-        first = clusters[0].basis
+    def walk(values, chosen, y):
+        first = chosen[0].basis
         rank = int(np.floor((y * first.T).sum().real + 0.5))
         if rank < 1:
             return
-        if len(clusters) < len(forms):
-            for value, cluster in choices[len(clusters)]:
-                walk(values + (value,), clusters + (cluster,),
+        if len(chosen) < len(clusters):
+            for value, cluster in clusters[len(chosen)]:
+                walk(values + (value,), chosen + (cluster,),
                      (y @ cluster.basis) @ cluster.coordinates)
             return
         if rank == first.shape[1]:
@@ -160,16 +132,11 @@ def _riesz_products(rep, config):
         else:
             inner = range_basis(y, rank).basis
             basis, coordinates = first @ inner, inner.conj().T @ y
-        space = Subspace(basis)
-        for index, (z, cluster) in enumerate(zip(values, clusters)):
-            if not cluster.acts_as_mean(rep.generator_norms[index], config.tol_rank):
-                space = _cut(rep, space, index, z, config)
-        if space.dim:
-            found.append((values, clusters, space, coordinates))
+        found.append((values, chosen, Subspace(basis), coordinates))
 
-    for value, cluster in choices[0]:
+    for value, cluster in clusters[0]:
         walk((value,), (cluster,), cluster.coordinates)
-    return forms, found
+    return found
 
 
 def unitary_spectrum(rep, config=None):
@@ -180,7 +147,10 @@ def unitary_spectrum(rep, config=None):
     each eigenspace is the first d columns of a pivoted QR of the isotypic
     projection of rank d; over N^k it is the range of the character's
     product of Riesz projectors (_riesz_products), which the result keeps
-    with its clusters for the pole test.
+    with its clusters for the pole test. Those clusters are the ones that
+    a certificate checked at `config`: an N^k certificate issued at
+    another config, or one that a derived representation holds without
+    clusters, is issued again, and NotBounded is raised if that fails.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
@@ -191,7 +161,12 @@ def unitary_spectrum(rep, config=None):
         spaces = [range_basis(p, d) for p, d in zip(projections, ranks)]
         extra = {"projections": projections}
     else:
-        forms, found = _riesz_products(rep, config)
+        cert = rep.boundedness
+        if cert.clusters is None or cert.config != config:
+            cert = certify_boundedness(rep, config).boundedness
+            if not cert.is_certified:
+                raise NotBounded(f"not bounded at the spectrum's config: {cert.detail}")
+        found = _riesz_products(cert.clusters)
         # by the generator values rounded to 6 decimals, then the exact ones:
         # rounding noise flips two characters with equal parts, such as a
         # conjugate pair, only near a rounding boundary, an odd multiple of 5e-7
@@ -201,8 +176,7 @@ def unitary_spectrum(rep, config=None):
                       for values, _, _, _ in found]
         spaces = [space for _, _, space, _ in found]
         extra = {"clusters": [clusters for _, clusters, _, _ in found],
-                 "coordinates": [coordinates for _, _, _, coordinates in found],
-                 "forms": forms}
+                 "coordinates": [coordinates for _, _, _, coordinates in found]}
     return UnitarySpectrumResult(characters=characters, eigenspaces=spaces,
                                  witnesses=[space.basis[:, 0] for space in spaces], **extra)
 

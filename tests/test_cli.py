@@ -366,6 +366,21 @@ def test_non_pole_spectrum_is_a_violation(capsys, tmp_path, command, violation):
             "error": "spectral character failed the pole test"}
 
 
+def test_no_cesaro_chain_without_a_mean_projection(capsys, tmp_path):
+    # 1 is no pole of NON_POLE, so T is not uniformly mean ergodic: no
+    # chain runs, the report has no Cesaro trace and the CSV only its header
+    path, csv_path = tmp_path / "non_pole.json", tmp_path / "trace.csv"
+    path.write_text(json.dumps(NON_POLE))
+    code, out, err = run(capsys, "ergodic", str(path), "--format", "json",
+                         "--cesaro-csv", str(csv_path))
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["ergodic"]
+    assert not entry["is_uniformly_mean_ergodic"]
+    assert (entry["fix_dim"], entry["range_dim"]) == (2, 1)
+    assert "cesaro_trace" not in entry
+    assert csv_path.read_text().splitlines() == ["side,distance,composed_distance"]
+
+
 def _ill_conditioned_roots_of_unity(seed):
     """T = S D S^-1 over N: D holds the 7th roots of unity e^(2 pi i j / 7),
     j = 0..5, and S = Q_1 diag(logspace(0, 3, 6)) Q_2 for seeded QR

@@ -11,7 +11,7 @@ from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec import characters, cli, ergodic, linalg, representations, semigroups, spectrum
-from ergospec.errors import LostCharacter
+from ergospec.errors import LostCharacter, NotBounded
 from ergospec.serialize import load_representation, matrix_to_json
 
 import svd_route
@@ -51,28 +51,43 @@ def test_range_of_one_minus_klein(klein_rep):
     assert es.operator_norm(cokernel.projector() + rng_space.projector() - np.eye(4)) < 1e-10
 
 
-def test_a_cluster_the_certificate_never_checked_is_cut():
+def test_a_certificate_at_another_config_is_issued_again():
     # [[1, 1e-9], [0, 1]] passes the defect test at tol_rank 1e-8 but not at
-    # the default 1e-10: there its cluster's spectral subspace C^2 is cut to
-    # ker(1 - T) = span(e_1), the Riesz projector I has rank 2, so 1 is no
-    # pole, and ker (1 - T)^H = rg(1 - T)^perp = span(e_2) is cut out of
-    # rg P^H
+    # the default 1e-10: an analysis at the default config certifies it
+    # again and finds it unbounded, and one at the loose config reads the
+    # certificate's cluster, on which T acts as 1 within 1e-8
     t = np.array([[1.0, 1e-9], [0.0, 1.0]], dtype=complex)
     loose = es.ToleranceConfig(tol_rank=1e-8)
     rep = es.certify_boundedness(es.validate_representation(es.FreeCommutativeMonoid(1), [t]),
                                  loose)
     assert rep.boundedness.is_certified
+    with pytest.raises(NotBounded):
+        ergodic.Analysis(rep).spectrum
+    analysis = ergodic.Analysis(rep, loose)
+    assert [space.dim for space in analysis.spectrum.eigenspaces] == [2]
+    assert analysis.pole(analysis.spectrum.characters[0]).is_pole
+
+
+def test_a_non_pole_cokernel_is_cut_by_the_adjoint():
+    # [[1, 1.5e-10], [0, 1]] passes the certificate's defect test, at most
+    # tol_rank max(1, ||T||) times the cluster size 2, but not the pole
+    # test's ||(T - 1) F|| <= tol_rank max(1, ||T||): its cluster's
+    # spectral subspace C^2 is the eigenspace, 1 is no pole, and
+    # ker (1 - T)^H = rg(1 - T)^perp = span(e_2) is cut out of rg P^H
+    t = np.array([[1.0, 1.5e-10], [0.0, 1.0]], dtype=complex)
+    rep = es.certify_boundedness(es.validate_representation(es.FreeCommutativeMonoid(1), [t]))
+    assert rep.boundedness.is_certified
     analysis = ergodic.Analysis(rep)
-    assert [space.dim for space in analysis.spectrum.eigenspaces] == [1]
-    assert abs(abs(analysis.spectrum.eigenspaces[0].basis[0, 0]) - 1.0) < 1e-12
+    assert [space.dim for space in analysis.spectrum.eigenspaces] == [2]
     chi = analysis.spectrum.characters[0]
     assert analysis.pole(chi).status == ergodic.NOT_POLE
     assert svd_route.pole_projection(rep, chi) is None
     report = analysis.ergodic
     assert not report.is_ume
-    assert (report.fix_dim, report.cokernel.dim) == (1, 1)
+    assert (report.fix_dim, report.cokernel.dim) == (2, 1)
     assert abs(abs(report.cokernel.basis[1, 0]) - 1.0) < 1e-12
-    assert ergodic.Analysis(rep, loose).pole(chi).is_pole
+    # no Cesaro chain runs without a mean projection to compare it with
+    assert (report.cesaro_trace, report.net_divergence) == ([], False)
 
 
 def test_range_of_one_minus_diagonal():
@@ -574,12 +589,12 @@ def test_finite_analyze_reads_no_joint_kernel(case, monkeypatch):
     rep = es.regular_representation(cyclic_monoid(8)) if case == "Z8" else \
         es.certify_boundedness(load_representation(str(FIXTURES / f"{case}.json")))
     calls = {name: _count_calls(monkeypatch, name, module)
-             for name, module in (("_spectral_cluster", linalg), ("_cut", spectrum))}
+             for name, module in (("_spectral_cluster", linalg), ("null_space", linalg))}
     schur_forms = _count_schur_forms(monkeypatch)
     riesz = _count_riesz_poles(monkeypatch)
     assert es.analyze(rep).ok
     assert {name: len(found) for name, found in calls.items()} == \
-        {"_spectral_cluster": 0, "_cut": 0}
+        {"_spectral_cluster": 0, "null_space": 0}
     assert (schur_forms, riesz) == ([], [])
 
 
@@ -718,7 +733,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     pivoted = _count_calls(monkeypatch, "range_basis", linalg)
     schur_forms = _count_schur_forms(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
-    cuts = _count_calls(monkeypatch, "_cut", spectrum)
+    cuts = _count_calls(monkeypatch, "null_space", linalg)
     analysis = ergodic.Analysis(es.certify_boundedness(rep))
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
@@ -774,7 +789,7 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
     inputs = _record_kernel_svds(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
     pivoted = _count_calls(monkeypatch, "range_basis", linalg)
-    cuts = _count_calls(monkeypatch, "_cut", spectrum)
+    cuts = _count_calls(monkeypatch, "null_space", linalg)
     report = es.analyze(rep)
     assert report.ok
     assert (inputs, cuts) == ([], [])
@@ -786,11 +801,11 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
 @pytest.mark.parametrize("name, expected", [
     # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
     ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1,
-                    "_cut": 0, "_riesz_pole": 1}),
+                    "null_space": 0, "_riesz_pole": 1}),
     # N^k: the spectrum holds it as v/|v|, which the mean ergodic split and
     # the positive suite reuse
     ("circulant_stochastic_8",
-     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1, "_cut": 0,
+     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1, "null_space": 0,
       "_riesz_pole": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
@@ -800,7 +815,8 @@ def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     # is cut
     rep = load_representation(str(FIXTURES / f"{name}.json"))
     calls = {route: _count_calls(monkeypatch, route,
-                                 spectrum if route in ("_riesz_products", "_cut") else ergodic)
+                                 linalg if route == "null_space" else
+                                 spectrum if route == "_riesz_products" else ergodic)
              for route in expected if route != "_riesz_pole"}
     calls["_riesz_pole"] = _count_riesz_poles(monkeypatch)
     report = es.analyze(rep)
@@ -1107,9 +1123,8 @@ def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     n = rep.dim
     schur_forms = _count_schur_forms(monkeypatch)
     inputs = _record_kernel_svds(monkeypatch)
-    calls = {name: _count_calls(monkeypatch, name, module)
-             for name, module in (("_cut", spectrum), ("null_space", linalg),
-                                  ("range_basis", linalg))}
+    calls = {name: _count_calls(monkeypatch, name, linalg)
+             for name in ("null_space", "range_basis")}
     eigvals, taken = np.linalg.eigvals, []
 
     def counted(a):
@@ -1122,7 +1137,7 @@ def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     assert report.data["unitary_spectrum"]["count"] == 5
     assert schur_forms == [(n, n)] * rep.semigroup.rank
     assert [shape for shape, _, _ in inputs if shape == (n, n)] == []
-    assert (len(calls["_cut"]), len(calls["null_space"]), len(taken)) == (0, 0, 0)
+    assert (len(calls["null_space"]), len(taken)) == (0, 0)
     assert sorted((np.shape(a), rank) for a, rank in calls["range_basis"]) == \
         [((2, n), 1)] * 4 + [((n, n), 5), ((n, n), n - 5)]
 

@@ -285,7 +285,18 @@ def test_spectral_cluster_is_the_riesz_projector(n):
         assert es.operator_norm(mat @ p - p @ mat) <= 1e-13 * scale * es.operator_norm(mat)
         assert scale <= (1 + 1e-12) / cluster.s
         assert cluster.mean == eigs[members].mean()
-        assert form.cluster(members) is cluster   # computed once
+    # on the unit circle, the certificate keeps the one list of clusters
+    # that it checked, and the spectrum reads those very clusters
+    unitary = similarity @ np.diag(values / np.abs(values)) @ np.linalg.inv(similarity)
+    rep = es.certify_boundedness(
+        es.validate_representation(es.FreeCommutativeMonoid(1), [unitary]))
+    (checked,) = rep.boundedness.clusters
+    assert len(checked) == n
+    spectrum = es.unitary_spectrum(rep)
+    assert sorted(id(cluster) for (cluster,) in spectrum.clusters) == \
+        sorted(id(cluster) for _, cluster in checked)
+    for value, cluster in checked:
+        assert value == cluster.mean / abs(cluster.mean)
 
 
 def test_range_basis_takes_the_known_rank():

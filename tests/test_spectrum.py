@@ -6,7 +6,7 @@ import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec.errors import NotBounded, NotNormalized
-from ergospec.linalg import _peripheral_clusters
+from ergospec.linalg import SchurForm, _peripheral_clusters
 from ergospec.serialize import load_representation
 from ergospec.spectrum import _isotypic_projections, brute_force_spectrum
 
@@ -438,19 +438,26 @@ def _assert_factors(form, a):
 
 
 def test_certificate_keeps_a_schur_form_of_every_generator():
-    # with the spectral cluster of each peripheral cluster that it checked
+    # with the config it was issued at, its clusters: per generator, the
+    # (mean / |mean|, SpectralCluster) of each peripheral cluster of the
+    # eigenvalues of the generator's Schur form, with the bits of a fresh
+    # reordering of that form
     for rep in _certified_ensemble():
-        forms = rep.boundedness.schur_forms
-        assert len(forms) == rep.semigroup.rank
-        for form, a in zip(forms, rep.matrices):
+        cert = rep.boundedness
+        assert cert.config == DEFAULT_CONFIG
+        assert len(cert.clusters) == rep.semigroup.rank
+        for checked, a in zip(cert.clusters, rep.matrices):
+            form = SchurForm.of(a)
             _assert_factors(form, a)
-            checked = [tuple(members) for members, _ in
-                       _peripheral_clusters(form.eigenvalues, DEFAULT_CONFIG)]
-            assert sorted(form._clusters) == sorted(checked)
+            peripheral = list(_peripheral_clusters(form.eigenvalues, DEFAULT_CONFIG))
+            assert len(checked) == len(peripheral)
+            for (value, cluster), (members, mean) in zip(checked, peripheral):
+                assert value == mean / abs(mean)
+                assert cluster.basis.tobytes() == form.cluster(members).basis.tobytes()
     finite = es.regular_representation(cyclic_monoid(4))
-    assert finite.boundedness.schur_forms is None
-    assert "schur_forms" not in finite.boundedness.to_json()
-    assert "schur_forms" not in rep.boundedness.to_json()
+    assert finite.boundedness.clusters is None
+    for cert in (finite.boundedness, rep.boundedness):
+        assert not {"config", "clusters"} & set(cert.to_json())
 
 
 def _spectrum_by_character(rep, config=DEFAULT_CONFIG):
@@ -474,9 +481,9 @@ def _certified_afresh(rep, config=DEFAULT_CONFIG):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_derived_certificates_match_fresh_ones(seed):
-    # rotate and direct_sum turn and stack the Schur forms of their parents,
-    # and restrict leaves none; the spectrum they give is that of a fresh
-    # certificate
+    # rotate, restrict, dual_representation and direct_sum keep the verdict
+    # of their parents' certificates but no clusters; the spectrum they
+    # give is that of a fresh certificate
     tol = DEFAULT_CONFIG.tol_cluster
     rng = np.random.default_rng([17, seed])
     reps = [_branching_instance(2, seed)[0], _branching_instance(3, seed)[0],
@@ -488,18 +495,13 @@ def test_derived_certificates_match_fresh_ones(seed):
         derived = {
             "rotate": es.rotate(rep, chi),
             "restrict": es.restrict(rep, reversible),
+            "dual": es.dual_representation(rep),
             "sum": es.direct_sum(rep, rep),
             "rotated sum": es.direct_sum(rep, es.rotate(rep, chi)),
         }
-        parents = set(map(id, rep.boundedness.schur_forms))
         for name, sub in derived.items():
-            forms = sub.boundedness.schur_forms
-            if name == "restrict":
-                assert forms is None
-            else:
-                assert not parents & set(map(id, forms)), name
-                for form, a in zip(forms, sub.matrices):
-                    _assert_factors(form, a)
+            assert sub.boundedness.is_certified, name
+            assert sub.boundedness.clusters is None, name
             _assert_same_spectrum(_spectrum_by_character(sub),
                                   _spectrum_by_character(_certified_afresh(sub)), tol, name)
 
