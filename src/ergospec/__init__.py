@@ -42,7 +42,6 @@ from .representations import (
 )
 from .spectrum import (
     UnitarySpectrumResult,
-    approximate_eigenvector_check,
     eigenspace,
     laplace_falsifier,
     unitary_spectrum,

@@ -7,7 +7,7 @@ Riesz projectors that made the character spectral, from the certificate's
 Schur forms. The mean ergodic projection so obtained is cross-checked, over
 N^k by the constructive ergodic net, a composed Cesaro rectangle mean. The
 peripheral decomposition takes its parts at their known dimensions from
-pivoted QRs of the summed projections.
+QRs of the poles' factors.
 
 `Analysis` holds the routes of one input and computes each of them once;
 the public verdict functions are thin wrappers over it.
@@ -27,7 +27,6 @@ from .linalg import (
     null_space,
     operator_norm,
     operator_norms,
-    range_basis,
 )
 from .representations import restrict
 from .spectrum import unitary_spectrum
@@ -405,11 +404,19 @@ class Analysis:
         projections = [verdict.projection for verdict in verdicts]
         cross = largest_cross_product([verdict.factors for verdict in verdicts])
 
-        # E_r and E_s have the known dimensions r = sum of the d_chi and n - r
+        # P = sum of F W^H over the poles, with the F jointly independent
+        # and the W too: E_r = rg P = rg [F ...] and E_s = ker P =
+        # rg [W ...]^perp, of the known dimensions r = sum of the d_chi and
+        # n - r. One stacked complete QR of [F ...] and [W ...] gives both:
+        # the first r columns of the one and the last n - r of the other
         total = sum(projections) if projections else np.zeros((n, n), dtype=np.complex128)
-        rank = sum(verdict.eigenspace_dim for verdict in verdicts)
-        reversible = range_basis(total, rank)
-        stable = range_basis(np.eye(n, dtype=np.complex128) - total, n - rank)
+        if verdicts:
+            fs, whs = zip(*(verdict.factors for verdict in verdicts))
+            rank = sum(f.shape[1] for f in fs)
+            q = np.linalg.qr(np.stack([np.hstack(fs), np.vstack(whs).conj().T]), mode="complete")[0]
+            reversible, stable = Subspace(q[0, :, :rank]), Subspace(q[1, :, rank:])
+        else:
+            reversible, stable = Subspace.zero(n), Subspace.full(n)
 
         # T|E_s is stable, its unitary spectrum empty, by the pole verdicts
         # of T alone. P_chi P_tau = 0 for distinct characters puts

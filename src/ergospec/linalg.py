@@ -4,17 +4,20 @@ clusters and their spectral subspaces and Riesz projectors.
 All routines work on O(1)-normed matrices at desk scale (n <= 256). Rank
 decisions use a relative singular-value threshold, anchored to the caller's
 scale where the input matrix itself may be numerically zero. A subspace
-whose dimension is known comes from a pivoted QR and decides no rank. The
-spectral subspace and the Riesz projector of an eigenvalue cluster come
-from one complex Schur form, reordered per cluster (LAPACK trsen and
-trsyl).
+whose dimension is known comes from a pivoted Gram-Schmidt that stops at
+that dimension and decides no rank. The spectral subspace and the Riesz
+projector of an eigenvalue cluster come from one complex Schur form,
+reordered per cluster (LAPACK trsen and trsyl).
+
+SchurForm.of and _spectral_cluster are the only users of scipy.linalg and
+import it on their first call. The N^k certificate is their one caller,
+so an analysis of a finite monoid runs on numpy alone and never pays for
+loading scipy.linalg.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .config import DEFAULT_CONFIG
 
@@ -276,6 +279,7 @@ class SchurForm:
 
     @classmethod
     def of(cls, a):
+        import scipy.linalg
         return cls(*scipy.linalg.schur(a, output="complex"))
 
     @property
@@ -293,6 +297,7 @@ def _spectral_cluster(t, z, members, eigenvalues):
     `members` of the Schur form (t, z): the reordering that a sorted Schur
     factorization applies to the unsorted one with the same selection,
     then R from the reordered blocks."""
+    import scipy.linalg.lapack
     n, m = len(t), len(members)
     select = np.zeros(n, dtype=np.int32)
     select[list(members)] = 1
@@ -322,16 +327,26 @@ def _spectral_cluster(t, z, members, eigenvalues):
 
 def range_basis(a, rank):
     """An orthonormal basis of the range of the matrix `a`, whose rank is
-    known: the first `rank` columns of Q in a QR factorization of
-    `a` with column pivoting, which puts a basis of the range first
-    (Golub and Van Loan, Matrix Computations, 4th ed., 5.4.2; LAPACK geqp3,
-    then ungqr for those columns alone). No rank is decided."""
-    if rank == 0:
-        return Subspace.zero(len(a))
-    geqp3, ungqr = scipy.linalg.lapack.get_lapack_funcs(("geqp3", "ungqr"), (a,))
-    factored, _, tau, _, info = geqp3(a)
-    if info == 0:
-        basis, _, info = ungqr(factored[:, :rank], tau[:rank])
-    if info != 0:
-        raise np.linalg.LinAlgError("pivoted QR failed")
+    known: Gram-Schmidt with column pivoting that stops after `rank`
+    steps, O(n m rank) for `a` of shape (n, m) where a full pivoted QR
+    takes O(n m min(n, m)). Each step takes the remaining column of
+    largest norm, orthogonalizes it twice against the basis so far (CGS2;
+    Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005),
+    normalizes it and deflates the remaining columns by it, which puts a
+    basis of the range first (Golub and Van Loan, Matrix Computations,
+    4th ed., 5.4.2). No rank is decided."""
+    basis = np.empty((len(a), rank), dtype=np.complex128)
+    rest = np.asarray(a, dtype=np.complex128)
+    for j in range(rank):
+        norms = (rest.real ** 2 + rest.imag ** 2).sum(axis=0)
+        pivot = norms.argmax()
+        v, norm = rest[:, pivot], norms[pivot]
+        if j:
+            done = basis[:, :j]
+            for _ in range(2):
+                v = v - done @ (done.conj().T @ v)
+            norm = np.vdot(v, v).real
+        basis[:, j] = v = v / np.sqrt(norm)
+        if j + 1 < rank:   # the last step leaves nothing to deflate
+            rest = rest - v[:, None] * (v.conj() @ rest)
     return Subspace(basis)

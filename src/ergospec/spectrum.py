@@ -23,11 +23,10 @@ from .characters import (
     _characters_from_numerators,
     _dual_numerators,
     char_distance,
-    enumerate_unitary_dual,
 )
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
-from .errors import NotBounded, NotNormalized
-from .linalg import Subspace, null_space, operator_norm, range_basis
+from .errors import NotBounded
+from .linalg import Subspace, operator_norm, range_basis
 from .representations import certify_boundedness
 
 
@@ -85,15 +84,28 @@ def _isotypic_projections(rep):
     their ranks, the rounded traces. The kernel group K acts as a group on
     rg T_e and T_k vanishes on ker T_e, so P_chi projects onto ker(chi - T)
     along rg(chi - T) (Serre, Linear Representations of Finite Groups,
-    2.6, Thm 8)."""
+    2.6, Thm 8). Real T_k, as in every regular representation, take two
+    real matmuls, one per part of the table: half the flops of one complex
+    matmul."""
     group, numerators = _dual_numerators(rep.semigroup)
     order, n = len(group.carrier), rep.dim
     conjugates = np.exp(-2j * np.pi * np.arange(order) / order) / order
     table = conjugates[numerators[:, group.carrier]]
-    stacked = np.stack([rep.matrices[k] for k in group.carrier])
-    ranks = np.floor((table @ np.trace(stacked, axis1=1, axis2=2)).real + 0.5).astype(int)
+    stacked = np.stack([rep.matrices[k] for k in group.carrier]).reshape(order, n * n)
+    real = not stacked.imag.any()
+    if real:
+        stacked = np.ascontiguousarray(stacked.real)
+    ranks = np.floor((table @ np.trace(stacked.reshape(order, n, n), axis1=1, axis2=2)).real
+                     + 0.5).astype(int)
     spectral = ranks >= 1
-    projections = (table[spectral] @ stacked.reshape(order, n * n)).reshape(-1, n, n)
+    rows = table[spectral]
+    if real:
+        projections = np.empty((len(rows), n * n), dtype=np.complex128)
+        projections.real = np.ascontiguousarray(rows.real) @ stacked
+        projections.imag = np.ascontiguousarray(rows.imag) @ stacked
+    else:
+        projections = rows @ stacked
+    projections = projections.reshape(-1, n, n)
     return (_characters_from_numerators(rep.semigroup, numerators[spectral], order),
             projections, ranks[spectral].tolist())
 
@@ -111,10 +123,10 @@ def _riesz_products(clusters):
     T_1, with Y = W_1^H, tries each cluster of the next generator,
     Y <- Y Q_g W_g^H, and drops a prefix once round(tr(Y Q_1)) = 0. A
     leaf of rank d has F = Q_1 when d is the size of T_1's cluster, as
-    always over N, else Q_1 times the first d columns of a pivoted QR of
-    Y. The certificate checked that each generator acts on the spectral
-    subspace of each cluster as the cluster's mean, so F is the
-    eigenspace and no rank is decided."""
+    always over N, else Q_1 times the range basis of Y at rank d
+    (range_basis). The certificate checked that each generator acts on
+    the spectral subspace of each cluster as the cluster's mean, so F is
+    the eigenspace and no rank is decided."""
     found = []
 
     def walk(values, chosen, y):
@@ -144,13 +156,14 @@ def unitary_spectrum(rep, config=None):
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. Over a finite monoid
-    each eigenspace is the first d columns of a pivoted QR of the isotypic
-    projection of rank d; over N^k it is the range of the character's
-    product of Riesz projectors (_riesz_products), which the result keeps
-    with its clusters for the pole test. Those clusters are the ones that
-    a certificate checked at `config`: an N^k certificate issued at
-    another config, or one that a derived representation holds without
-    clusters, is issued again, and NotBounded is raised if that fails.
+    each eigenspace is the range basis of the isotypic projection at its
+    rank d, the rounded trace (range_basis); over N^k it is the range of
+    the character's product of Riesz projectors (_riesz_products), which
+    the result keeps with its clusters for the pole test. Those clusters
+    are the ones that a certificate checked at `config`: an N^k
+    certificate issued at another config, or one that a derived
+    representation holds without clusters, is issued again, and
+    NotBounded is raised if that fails.
     """
     config = DEFAULT_CONFIG if config is None else config
     if not rep.boundedness.is_certified:
@@ -179,17 +192,6 @@ def unitary_spectrum(rep, config=None):
                  "coordinates": [coordinates for _, _, _, coordinates in found]}
     return UnitarySpectrumResult(characters=characters, eigenspaces=spaces,
                                  witnesses=[space.basis[:, 0] for space in spaces], **extra)
-
-
-def approximate_eigenvector_check(rep, chi, v, eps):
-    """True iff max_g ||chi(g) v - T_g v|| <= eps over the generators g."""
-    v = np.asarray(v, dtype=np.complex128)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-        raise NotNormalized("test vector must have unit norm")
-    worst = 0.0
-    for g, mat in zip(rep.semigroup.generators, rep.family()):
-        worst = max(worst, float(np.linalg.norm(chi(g) * v - mat @ v)))
-    return worst <= eps
 
 
 @dataclass
@@ -255,41 +257,3 @@ def laplace_falsifier(rep, chi, trials=64, config=None, seed=DEFAULT_SEED):
                                            for s in elements],
                                     [complex(c) for c in coeffs], lhs, rhs, attempts)
     return FalsifierVerdict(False, trials=attempts)
-
-
-def brute_force_spectrum(rep, config=None):
-    """Independent oracle: enumerate joint eigenvalue tuples directly.
-
-    Finite monoid: test every character of the enumerated dual for a
-    nonzero joint kernel. N^k: try every tuple of per-generator
-    eigenvalues. Only intended for small dimensions.
-    """
-    config = DEFAULT_CONFIG if config is None else config
-    n = rep.dim
-    eye = np.eye(n, dtype=np.complex128)
-
-    def joint_kernel_dim(values, mats):
-        stacked = np.vstack([v * eye - a for v, a in zip(values, mats)])
-        scale = max(1.0, max(operator_norm(a) for a in mats))
-        return null_space(stacked, config.tol_rank, scale=scale).dim
-
-    found = []
-    if rep.is_finite:
-        for chi in enumerate_unitary_dual(rep.semigroup):
-            values = chi.values()
-            if joint_kernel_dim(values, rep.matrices) > 0:
-                found.append(chi)
-        return found
-
-    import itertools
-    spectra = [np.linalg.eigvals(a) for a in rep.matrices]
-    for combo in itertools.product(*spectra):
-        if any(abs(abs(v) - 1.0) > config.tol_char for v in combo):
-            continue
-        if joint_kernel_dim(combo, rep.matrices) == 0:
-            continue
-        unit = tuple(v / abs(v) for v in combo)
-        chi = UnitaryCharacter(rep.semigroup, gen_values=unit)
-        if all(char_distance(chi, other) > config.tol_cluster for other in found):
-            found.append(chi)
-    return found

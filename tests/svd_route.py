@@ -1,16 +1,21 @@
-"""The SVD route to kernels, ranges and pole projections, kept as a test
-oracle: every subspace from an SVD and a relative rank cutoff, every pole
-projection from the pairing of ker(chi - T) with ker((chi - T)^H).
+"""The SVD route to kernels, ranges, pole projections and the unitary
+spectrum, kept as a test oracle: every subspace from an SVD and a relative
+rank cutoff, every pole projection from the pairing of ker(chi - T) with
+ker((chi - T)^H), and the spectrum from a joint kernel per candidate
+character.
 
 The package computes these from isotypic projections (finite monoids) and
 from the generators' Schur forms (N^k); the tests hold it to this route.
 """
 
+import itertools
+
 import numpy as np
 
+from ergospec.characters import UnitaryCharacter, char_distance, enumerate_unitary_dual
 from ergospec.config import DEFAULT_CONFIG
-from ergospec.errors import DimensionMismatch
-from ergospec.linalg import Subspace, _rank, null_space
+from ergospec.errors import DimensionMismatch, NotNormalized
+from ergospec.linalg import Subspace, _rank, null_space, operator_norm
 
 
 def column_space(a, tol=None, scale=0.0):
@@ -103,3 +108,51 @@ def pole_projection(rep, chi, config=DEFAULT_CONFIG):
     fix, cokernel = joint_kernels(rep, [chi(g) for g in rep.semigroup.generators], config)
     coordinates = oblique_projection(fix, cokernel, config.tol_rank)
     return None if coordinates is None else fix.basis @ coordinates
+
+
+def approximate_eigenvector_check(rep, chi, v, eps):
+    """True iff max_g ||chi(g) v - T_g v|| <= eps over the generators g."""
+    v = np.asarray(v, dtype=np.complex128)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+        raise NotNormalized("test vector must have unit norm")
+    worst = 0.0
+    for g, mat in zip(rep.semigroup.generators, rep.family()):
+        worst = max(worst, float(np.linalg.norm(chi(g) * v - mat @ v)))
+    return worst <= eps
+
+
+def brute_force_spectrum(rep, config=None):
+    """Independent oracle: enumerate joint eigenvalue tuples directly.
+
+    Finite monoid: test every character of the enumerated dual for a
+    nonzero joint kernel. N^k: try every tuple of per-generator
+    eigenvalues. Only intended for small dimensions.
+    """
+    config = DEFAULT_CONFIG if config is None else config
+    n = rep.dim
+    eye = np.eye(n, dtype=np.complex128)
+
+    def joint_kernel_dim(values, mats):
+        stacked = np.vstack([v * eye - a for v, a in zip(values, mats)])
+        scale = max(1.0, max(operator_norm(a) for a in mats))
+        return null_space(stacked, config.tol_rank, scale=scale).dim
+
+    found = []
+    if rep.is_finite:
+        for chi in enumerate_unitary_dual(rep.semigroup):
+            values = chi.values()
+            if joint_kernel_dim(values, rep.matrices) > 0:
+                found.append(chi)
+        return found
+
+    spectra = [np.linalg.eigvals(a) for a in rep.matrices]
+    for combo in itertools.product(*spectra):
+        if any(abs(abs(v) - 1.0) > config.tol_char for v in combo):
+            continue
+        if joint_kernel_dim(combo, rep.matrices) == 0:
+            continue
+        unit = tuple(v / abs(v) for v in combo)
+        chi = UnitaryCharacter(rep.semigroup, gen_values=unit)
+        if all(char_distance(chi, other) > config.tol_cluster for other in found):
+            found.append(chi)
+    return found

@@ -28,10 +28,10 @@ from ergospec.ensembles import (
     random_polynomial_instance,
 )
 from ergospec.serialize import representation_from_json
-from ergospec.spectrum import brute_force_spectrum
 
 import conftest
 from conftest import load_fixture, monoid_pool
+from svd_route import brute_force_spectrum
 from test_characters import brute_force_dual
 
 ENSEMBLE_SIZE = 500

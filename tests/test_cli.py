@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -15,7 +17,7 @@ from ergospec.config import DEFAULT_SEED, ToleranceConfig
 from ergospec.errors import NotInvariant
 from ergospec.serialize import matrix_to_json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 
 
 def fixture_path(name):
@@ -427,6 +429,33 @@ def test_an_ill_conditioned_regular_z8_passes(capsys, tmp_path, condition):
     assert (code, err, data["violations"]) == (0, "", [])
     assert data["unitary_spectrum"]["eigenspace_dims"] == [1] * 8
     assert data["peripheral_decomposition"]["reversible_dim"] == 8
+
+
+def _analyze_in_a_fresh_process(paths):
+    """[exit codes, whether scipy.linalg was loaded] of a fresh interpreter
+    that imports ergospec.cli and runs main(["analyze", path, "--format",
+    "json"]) on each path."""
+    code = ("import contextlib, io, json, sys\n"
+            "import ergospec.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [ergospec.cli.main(['analyze', path, '--format', 'json'])\n"
+            "             for path in sys.argv[1:]]\n"
+            "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, *paths], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_a_finite_analyze_never_loads_scipy_linalg():
+    # a finite monoid's answers come from numpy alone, in the whole
+    # process; the N^k certificate's Schur forms are what loads scipy.linalg
+    finite = sorted(str(path) for path in FIXTURES.glob("*.json")
+                    if '"cayley"' in path.read_text())
+    assert len(finite) == 3
+    assert _analyze_in_a_fresh_process(finite) == [[0] * len(finite), False]
+    assert _analyze_in_a_fresh_process([fixture_path("identity_3")]) == [[0], True]
 
 
 @pytest.mark.parametrize("command", ["analyze", "decompose", "quasicompact"])

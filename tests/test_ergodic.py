@@ -12,7 +12,7 @@ from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec import characters, cli, ergodic, linalg, representations, semigroups, spectrum
 from ergospec.errors import LostCharacter, NotBounded
-from ergospec.serialize import load_representation, matrix_to_json
+from ergospec.serialize import load_representation, matrix_to_json, representation_from_json
 
 import svd_route
 from conftest import (
@@ -24,6 +24,7 @@ from conftest import (
     product_monoid,
     truncated_monoid,
 )
+from test_cli import _ill_conditioned_regular_z8
 
 
 def _range_oracle(rep, chi):
@@ -234,6 +235,46 @@ def test_peripheral_decomposition_stable_only():
     assert dec.reversible.dim == 0
     assert dec.stable.dim == 2
     assert dec.stability_norm is not None and dec.stability_norm < 1
+
+
+SPLIT_INPUTS = sorted(path.stem for path in FIXTURES.glob("*.json")) + \
+    [f"branching-{seed}" for seed in range(3)] + ["z8-1e3", "mixed-n1"]
+
+
+def _split_input(name):
+    if name.startswith("branching-"):
+        return _branching_free_instance(int(name.split("-")[1]))
+    if name == "z8-1e3":
+        return representation_from_json(_ill_conditioned_regular_z8(1e3))
+    if name == "mixed-n1":
+        return n1_rep(np.diag([1.0, 1j, 0.5]).astype(complex))
+    return load_representation(str(FIXTURES / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", SPLIT_INPUTS)
+def test_the_split_takes_its_parts_from_the_pole_factors(name):
+    # E_r is the range of the stacked F of the poles and E_s the orthogonal
+    # complement of the stacked W, for P = sum of F W^H: orthonormal bases
+    # of dimensions r and n - r that together span C^n, E_s orthogonal to
+    # every W column, and both within 1e-12 of the SVD route's rg P and
+    # ker P
+    rep = es.certify_boundedness(_split_input(name))
+    analysis = ergodic.Analysis(rep)
+    dec = analysis.decomposition
+    factors = [analysis.pole(chi).factors for chi in analysis.spectrum.characters]
+    n, r = rep.dim, sum(f.shape[1] for f, _ in factors)
+    reversible, stable = dec.reversible.basis, dec.stable.basis
+    assert (reversible.shape, stable.shape) == ((n, r), (n, n - r))
+    for basis in (reversible, stable):
+        assert es.operator_norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-14
+    assert np.linalg.svd(np.hstack([reversible, stable]), compute_uv=False).min() >= 1e-3
+    for f, wh in factors:
+        assert es.operator_norm(wh @ stable) <= 1e-12 * max(1.0, es.operator_norm(wh))
+        assert es.operator_norm(f - reversible @ (reversible.conj().T @ f)) <= 1e-12
+    oracle_range = svd_route.column_space(dec.projection)
+    oracle_kernel = linalg.null_space(dec.projection, scale=1.0)
+    assert es.operator_norm(dec.reversible.projector() - oracle_range.projector()) <= 1e-12
+    assert es.operator_norm(dec.stable.projector() - oracle_kernel.projector()) <= 1e-12
 
 
 def test_invariance_of_peripheral_parts(klein_rep):
@@ -778,23 +819,39 @@ def test_analyze_factors_no_kernel_twice(monkeypatch):
     assert inputs == []
 
 
+def _record_qrs(monkeypatch):
+    """(shape, mode) of each np.linalg.qr call."""
+    qr = np.linalg.qr
+    calls = []
+
+    def recorded(a, mode="reduced"):
+        calls.append((np.shape(a), mode))
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return calls
+
+
 def test_the_first_generator_is_factored_once_near_one(monkeypatch):
     # the certificate reorders the Schur form of each generator once per
     # peripheral cluster, and the spectrum, the poles, the mean ergodic
     # split (the cluster near 1, read at v/|v|) and the decomposition read
-    # those reorderings: no other, no SVD with factors and no cut. The
-    # only pivoted QRs are the decomposition's, at ranks 1 and n - 1
+    # those reorderings: no other, no SVD with factors, no cut and no
+    # range basis. The QRs are of the trivial pole's n x 1 factors: the
+    # mean ergodic split's W, then one stacked QR of the decomposition's F
+    # (E_r) and W (E_s)
     rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
     n = rep.dim
     inputs = _record_kernel_svds(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
     pivoted = _count_calls(monkeypatch, "range_basis", linalg)
     cuts = _count_calls(monkeypatch, "null_space", linalg)
+    qrs = _record_qrs(monkeypatch)
     report = es.analyze(rep)
     assert report.ok
-    assert (inputs, cuts) == ([], [])
+    assert (inputs, cuts, pivoted) == ([], [], [])
     assert [members for _, _, members, _ in reordered] == [(0,)]
-    assert [(np.shape(a), rank) for a, rank in pivoted] == [((n, n), 1), ((n, n), n - 1)]
+    assert qrs == [((n, 1), "reduced"), ((2, n, 1), "complete")]
     assert report.data["ergodic"]["fix_dim"] == 1
 
 
@@ -1115,16 +1172,17 @@ def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     # one Schur form per generator, and no SVD with factors of an n x n
     # matrix: the eigenspaces, poles and split come from reorderings of
     # those forms, one product of Riesz projectors per character and
-    # pivoted QRs. No rank is cut and no eigenvalue is taken again: each of
+    # range bases. No rank is cut and no eigenvalue is taken again: each of
     # the two clusters of T_1 of size 2 splits into two characters, whose
-    # eigenspaces come from pivoted QRs of the 2 x n factors Y, and the
-    # split takes two more
+    # eigenspaces are the range bases of the 2 x n factors Y, and the split
+    # takes one stacked QR of the five poles' F and W
     rep = _branching_free_instance(seed)
     n = rep.dim
     schur_forms = _count_schur_forms(monkeypatch)
     inputs = _record_kernel_svds(monkeypatch)
     calls = {name: _count_calls(monkeypatch, name, linalg)
              for name in ("null_space", "range_basis")}
+    qrs = _record_qrs(monkeypatch)
     eigvals, taken = np.linalg.eigvals, []
 
     def counted(a):
@@ -1138,8 +1196,8 @@ def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     assert schur_forms == [(n, n)] * rep.semigroup.rank
     assert [shape for shape, _, _ in inputs if shape == (n, n)] == []
     assert (len(calls["null_space"]), len(taken)) == (0, 0)
-    assert sorted((np.shape(a), rank) for a, rank in calls["range_basis"]) == \
-        [((2, n), 1)] * 4 + [((n, n), 5), ((n, n), n - 5)]
+    assert sorted((np.shape(a), rank) for a, rank in calls["range_basis"]) == [((2, n), 1)] * 4
+    assert qrs == [((2, n, 5), "complete")]
 
 
 def _branching_free_instance(seed):

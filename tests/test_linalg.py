@@ -18,8 +18,11 @@ from ergospec.linalg import (
     null_space,
     range_basis,
 )
+from ergospec.serialize import representation_from_json
+from ergospec.spectrum import _isotypic_projections
 
 from svd_route import column_space, kernel_and_cokernel, oblique_projection
+from test_cli import _ill_conditioned_regular_z8
 
 
 def test_null_space_zero_matrix():
@@ -310,6 +313,55 @@ def test_range_basis_takes_the_known_rank():
     assert space.dim == 3
     assert es.operator_norm(space.projector() - f @ f.conj().T) <= 1e-8
     assert range_basis(p, 0).dim == 0
+
+
+def _oblique_projections(n, seed):
+    """An oblique projection on C^n of each rank 1 to n, F (W^H F)^-1 W^H
+    for seeded complex F and W."""
+    rng = np.random.default_rng([n, seed])
+    for rank in range(1, n + 1):
+        f, w = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+                for _ in range(2))
+        yield f"rank{rank}", f @ np.linalg.solve(w.conj().T @ f, w.conj().T), rank
+
+
+def _z8_isotypic_projections(condition):
+    """The isotypic projections of the regular representation of Z8 under a
+    similarity of the given condition, each of rank 1."""
+    rep = representation_from_json(_ill_conditioned_regular_z8(condition))
+    _, projections, ranks = _isotypic_projections(rep)
+    for index, (p, rank) in enumerate(zip(projections, ranks)):
+        yield f"z8-{condition:.0e}-{index}", p, rank
+
+
+def _dependent_leading_columns():
+    """A rank-3 matrix on C^6 whose three columns of largest norm are
+    multiples of one vector, so that a pivot order that ignored the
+    deflation would take a dependent column second."""
+    rng = np.random.default_rng(11)
+    u, v, w = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3))
+    u *= 10.0 / np.linalg.norm(u)
+    columns = [u, -0.9 * u, 0.8j * u, v, w, v + w]
+    yield "dependent-leading", np.stack(columns, axis=1), 3
+
+
+RANGE_INPUTS = [*_oblique_projections(8, 0), *_z8_isotypic_projections(1e3),
+                *_z8_isotypic_projections(1e5), *_z8_isotypic_projections(1e7),
+                *_dependent_leading_columns()]
+
+
+@pytest.mark.parametrize("name, a, rank", RANGE_INPUTS, ids=[case[0] for case in RANGE_INPUTS])
+def test_range_basis_matches_the_svd_oracle(name, a, rank):
+    # the pivoted Gram-Schmidt stops at the known rank; its columns are
+    # orthonormal and span the range that the SVD route finds, on oblique
+    # projections of every rank, on the isotypic projections of an
+    # ill-conditioned Z8 (norms up to 2e6 at condition 1e7) and on columns
+    # whose largest ones are dependent
+    basis = range_basis(a, rank).basis
+    oracle = column_space(a)
+    assert basis.shape == (len(a), rank) and oracle.dim == rank
+    assert es.operator_norm(basis.conj().T @ basis - np.eye(rank)) <= 1e-14
+    assert es.operator_norm(basis @ basis.conj().T - oracle.projector()) <= 1e-12
 
 
 def test_tall_kernels_take_thin_factors(monkeypatch):

@@ -8,7 +8,7 @@ from ergospec.ensembles import random_certified_instance, random_circulant_stoch
 from ergospec.errors import NotBounded, NotNormalized
 from ergospec.linalg import SchurForm, _peripheral_clusters
 from ergospec.serialize import load_representation
-from ergospec.spectrum import _isotypic_projections, brute_force_spectrum
+from ergospec.spectrum import _isotypic_projections
 
 import svd_route
 from conftest import (
@@ -76,7 +76,7 @@ def _certified_just_outside_the_circle():
 def test_certified_just_outside_the_circle_keeps_one_in_brute_force():
     rep = _certified_just_outside_the_circle()
     assert rep.boundedness.status == "certified"
-    assert [chi.gen_values for chi in brute_force_spectrum(rep)] == [(1.0,)]
+    assert [chi.gen_values for chi in svd_route.brute_force_spectrum(rep)] == [(1.0,)]
 
 
 def test_certified_just_outside_the_circle_keeps_one_in_the_spectrum():
@@ -178,7 +178,7 @@ def test_falsifier_refutes_on_a_seeded_trial():
 def test_approximate_eigenvector_check(klein_rep):
     chi = klein_char(klein_rep.semigroup, (1, -1, 1, -1))
     vec = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
-    assert es.approximate_eigenvector_check(klein_rep, chi, vec, 1e-12)
+    assert svd_route.approximate_eigenvector_check(klein_rep, chi, vec, 1e-12)
 
     det = klein_char(klein_rep.semigroup, (1, -1, -1, 1))
     # the defect form is bounded below on the unit sphere: lambda_min of
@@ -192,20 +192,20 @@ def test_approximate_eigenvector_check(klein_rep):
     for _ in range(10):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
-        assert not es.approximate_eigenvector_check(klein_rep, det, v, 0.1)
+        assert not svd_route.approximate_eigenvector_check(klein_rep, det, v, 0.1)
 
 
 def test_approximate_eigenvector_check_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
     one = es.trivial_character(rep.semigroup)
     v = np.array([1.0, 0.0, 0.0])
-    assert es.approximate_eigenvector_check(rep, one, v, 1e-15)
+    assert svd_route.approximate_eigenvector_check(rep, one, v, 1e-15)
 
 
 def test_approximate_eigenvector_requires_unit_norm(klein_rep):
     one = es.trivial_character(klein_rep.semigroup)
     with pytest.raises(NotNormalized):
-        es.approximate_eigenvector_check(klein_rep, one, np.ones(4), 1e-6)
+        svd_route.approximate_eigenvector_check(klein_rep, one, np.ones(4), 1e-6)
 
 
 def _branching_instance(k, seed):
@@ -263,7 +263,7 @@ def test_spectrum_matches_brute_force_small():
             assert spectrum.contains(es.character_from_gen_values(rep.semigroup, tup))
     for rep in cases + [rep for rep, _ in planted]:
         spectrum = es.unitary_spectrum(rep)
-        oracle = brute_force_spectrum(rep)
+        oracle = svd_route.brute_force_spectrum(rep)
         assert len(spectrum) == len(oracle)
         for chi in oracle:
             assert spectrum.contains(chi)
@@ -271,14 +271,14 @@ def test_spectrum_matches_brute_force_small():
 
 def test_spectrum_matches_brute_force_finite(klein_rep):
     spectrum = es.unitary_spectrum(klein_rep)
-    oracle = brute_force_spectrum(klein_rep)
+    oracle = svd_route.brute_force_spectrum(klein_rep)
     assert {c.angles for c in spectrum.characters} == {c.angles for c in oracle}
 
 
 def test_witnesses_are_joint_eigenvectors(klein_rep):
     spectrum = es.unitary_spectrum(klein_rep)
     for chi, witness in zip(spectrum.characters, spectrum.witnesses):
-        assert es.approximate_eigenvector_check(klein_rep, chi, witness, 1e-8)
+        assert svd_route.approximate_eigenvector_check(klein_rep, chi, witness, 1e-8)
 
 
 def test_truncated_regular_representation_keeps_its_one_character():
@@ -340,7 +340,7 @@ def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
     assert spectrum.characters == characters
     assert [space.dim for space in spectrum.eigenspaces] == ranks
     assert [es.eigenspace(rep, chi).dim for chi in characters] == ranks
-    assert [chi.angles for chi in brute_force_spectrum(rep)] == \
+    assert [chi.angles for chi in svd_route.brute_force_spectrum(rep)] == \
         [chi.angles for chi in characters]
     for chi, projection, rank in zip(characters, projections, ranks):
         assert abs(np.trace(projection) - rank) < 1e-12
@@ -353,6 +353,24 @@ def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
     p_1 = next((p for chi, p in zip(characters, projections) if chi.angles == trivial),
                np.zeros_like(average))
     assert es.operator_norm(p_1 - average) <= 1e-12 * max(1.0, es.operator_norm(average))
+
+
+@pytest.mark.parametrize("conjugated", [False, True], ids=["real", "complex"])
+def test_isotypic_projections_are_the_character_averages(conjugated):
+    # real T_k take two real matmuls, complex ones one complex matmul; both
+    # give P_chi = (1/|K|) sum over k in K of conj chi(k) T_k, summed here
+    rep = es.regular_representation(product_monoid(chain_monoid(2), cyclic_monoid(4)))
+    if conjugated:
+        rng = np.random.default_rng(3)
+        u = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))[0]
+        rep = es.validate_representation(rep.semigroup,
+                                         [u @ a @ u.conj().T for a in rep.matrices])
+    characters, projections, ranks = _isotypic_projections(rep)
+    assert ranks == [1, 1, 1, 1]
+    carrier = rep.semigroup.kernel.carrier
+    for chi, projection in zip(characters, projections):
+        average = sum(np.conj(chi(k)) * rep.matrices[k] for k in carrier) / len(carrier)
+        assert es.operator_norm(projection - average) <= 1e-14
 
 
 @pytest.mark.parametrize("monoid, count", [
@@ -526,7 +544,7 @@ def test_the_spectrum_of_a_restriction(seed, monkeypatch):
     got = _spectrum_by_character(reversible)
     assert factored == [(reversible.dim, reversible.dim)] * rep.semigroup.rank
     _assert_same_spectrum(got, _spectrum_by_character(rep), tol)
-    oracle = brute_force_spectrum(reversible)
+    oracle = svd_route.brute_force_spectrum(reversible)
     assert len(oracle) == len(got)
     assert all(any(es.char_distance(chi, tau) <= tol for tau, _ in got) for chi in oracle)
     assert sum(dim for _, dim in got) == reversible.dim
