@@ -23,12 +23,7 @@ from .characters import (
     enumerate_unitary_dual,
     trivial_character,
 )
-from .linalg import (
-    Subspace,
-    null_space,
-    operator_norm,
-    operator_norms,
-)
+from .linalg import Subspace, operator_norm, operator_norms
 from .representations import (
     Representation,
     certify_boundedness,

@@ -21,13 +21,7 @@ import numpy as np
 from .characters import trivial_character
 from .config import DEFAULT_CONFIG
 from .errors import ErgospecError, LostCharacter, NonPoleSpectrum
-from .linalg import (
-    Subspace,
-    largest_cross_product,
-    null_space,
-    operator_norm,
-    operator_norms,
-)
+from .linalg import Subspace, largest_cross_product, operator_norm, operator_norms
 from .representations import restrict
 from .spectrum import unitary_spectrum
 
@@ -90,7 +84,6 @@ def mean_ergodic_analysis(rep, config=None):
 
 
 POLE = "pole"
-NOT_POLE = "not_pole"
 NOT_IN_SPECTRUM = "not_in_spectrum"
 
 
@@ -257,11 +250,12 @@ class Analysis:
 
     def pole(self, chi):
         """chi is a pole of T iff ker(chi - T) and rg(chi - T) are direct
-        complements. The spectral character nearest chi, within
-        tol_cluster, decides it: every one of a finite monoid is a pole,
-        its isotypic projection P = F F^H P, F the eigenspace basis, and
-        over N^k the Riesz projectors decide it (_riesz_pole). Any other
-        chi is no spectral value.
+        complements. In finite dimension a bounded representation has only
+        poles, so the spectral character nearest chi, within tol_cluster,
+        is one: over a finite monoid its pole projection is the isotypic
+        projection P = F F^H P, F the eigenspace basis, and over N^k the
+        product of Riesz projectors (_riesz_pole), whose factors must pass
+        a rounding check. Any other chi is no spectral value.
 
         A pole needs no further check of the complement: when ker(chi - T)
         and rg(chi - T) are direct complements, a chi-eigenvector of T
@@ -287,29 +281,24 @@ class Analysis:
 
         The Riesz projectors of the T_g's clusters at chi(g) commute, and
         their product P projects onto the joint spectral subspace along the
-        others: onto ker(chi - T) along rg(chi - T) where each T_g acts as
-        its cluster's mean psi_g. The spectrum holds P = F W^H, F an
-        orthonormal basis of its range, of rank d, and each cluster passed
-        the certificate's separation test at the analysis's config. So chi
-        is a pole when P meets its defining equations. The residuals
-        ||P^2 - P|| and ||T_g P - psi_g P|| are at most ||W^H F - I|| ||P||
-        and ||(T_g - psi_g) F|| ||P||, so the test asks
-        ||W^H F - I|| <= tol_rank and
-        ||(T_g - psi_g) F|| <= tol_rank max(1, ||T_g||), norms of blocks of
-        at most n x d entries."""
+        others. The spectrum holds P = F W^H, F an orthonormal basis of its
+        range, of rank d. The certificate, at the analysis's config, checked
+        each cluster's separation and that T_g acts on the cluster's
+        spectral subspace rg Q_g as the cluster's mean psi_g. F lies in
+        every rg Q_g, so ||(T_g - psi_g) F|| <= ||T11 - psi_g I||, T11 the
+        cluster's block of the Schur form, at most its certified defect
+        plus its spread: P is the projection onto ker(chi - T) along
+        rg(chi - T). What is left to check is rounding,
+        as P^2 - P = F (W^H F - I) W^H: NonPoleSpectrum is raised when
+        ||W^H F - I|| exceeds tol_rank."""
         spectrum = self.spectrum
-        clusters, coordinates = spectrum.clusters[index], spectrum.coordinates[index]
-        f = spectrum.eigenspaces[index].basis
+        f, coordinates = spectrum.eigenspaces[index].basis, spectrum.coordinates[index]
         d = f.shape[1]
-        # the d x d block stands on zero rows, which leave its norm as it is
-        dual = np.zeros_like(f)
-        dual[:d] = coordinates @ f - np.eye(d)
-        residuals = operator_norms([dual, *((a @ f - cluster.mean * f)
-                                            for a, cluster in zip(self.rep.family(), clusters))])
-        scales = [1.0, *(max(1.0, norm) for norm in self.rep.generator_norms)]
-        if any(residual > self.config.tol_rank * scale
-               for residual, scale in zip(residuals, scales)):
-            return PoleVerdict(NOT_POLE, eigenspace_dim=d)
+        rounding = operator_norm(coordinates @ f - np.eye(d))
+        if rounding > self.config.tol_rank:
+            raise NonPoleSpectrum(spectrum.characters[index],
+                                  f"rounding check ||W^H F - I|| = {rounding:.3e} exceeds "
+                                  f"tol_rank {self.config.tol_rank:.3e}")
         return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=d,
                            factors=(f, coordinates))
 
@@ -318,57 +307,35 @@ class Analysis:
         strictly inside the unit circle (SpectralCluster.inside)."""
         return any(cluster.inside() for cluster in self.spectrum.clusters[index])
 
-    def _cokernel(self, index):
-        """ker((chi - T)^H) = rg(chi - T)^perp for the N^k character chi at
-        `index` in the spectrum when it is no pole: it lies in rg P^H, P the
-        Riesz projector of T_1's cluster at chi(g_1). Each generator cuts
-        that basis K to the kernel of (chi(g) - T_g)^H K, with the rank
-        decided at tol_rank times max(1, ||T_g||)."""
-        spectrum, rep = self.spectrum, self.rep
-        basis = np.linalg.qr(spectrum.clusters[index][0].coordinates.conj().T)[0]
-        eye = np.eye(rep.dim, dtype=np.complex128)
-        for z, a, norm in zip(spectrum.characters[index].gen_values, rep.family(),
-                              rep.generator_norms):
-            if basis.shape[1]:
-                inner = null_space((z * eye - a).conj().T @ basis, self.config.tol_rank,
-                                   scale=max(1.0, norm))
-                if inner.dim < basis.shape[1]:   # else K stays as it is
-                    basis = basis @ inner.basis
-        return Subspace(basis)
-
     @cached_property
     def ergodic(self):
         """Uniform mean ergodicity and the mean ergodic projection: the
         split of the trivial character's pole, fix(T) = rg P and
-        ker (1 - T)^H = (ker P)^perp = rg P^H. Over a finite monoid that is
-        P_1, cross-checked by max_g ||T_g P_1 - P_1|| / max(1, ||P_1||) over
-        the generators; over N^k the Cesaro chain is run and compared
-        against it. A failed cross-check while the algebraic verdict says
-        ergodic is reported as net_divergence (a tolerance anomaly), never
-        silently resolved."""
+        ker (1 - T)^H = (ker P)^perp = rg P^H. The trivial character is a
+        pole, or outside the spectrum, so T is uniformly mean ergodic. Over
+        a finite monoid P is P_1, cross-checked by
+        max_g ||T_g P_1 - P_1|| / max(1, ||P_1||) over the generators; over
+        N^k the Cesaro chain is run and compared against it. A failed
+        cross-check is reported as net_divergence (a tolerance anomaly),
+        never silently resolved."""
         rep, config = self.rep, self.config
         pole = self.pole(self.trivial)
         if pole.is_pole:
             fix, coordinates = pole.factors
             fix, cokernel = Subspace(fix), Subspace(np.linalg.qr(coordinates.conj().T)[0])
-        elif pole.counts_as_pole:   # outside the spectrum: 1 - T is invertible
+        else:   # outside the spectrum: 1 - T is invertible
             fix = cokernel = Subspace.zero(rep.dim)
-        else:
-            index = self.spectrum.index(self.trivial, config.tol_cluster)
-            fix, cokernel = self.spectrum.eigenspaces[index], self._cokernel(index)
-        projection = pole.projection if pole.counts_as_pole else None
+        projection = pole.projection
         if rep.is_finite:
             residual = max(operator_norms(a @ projection - projection for a in rep.family()))
             residual /= max(1.0, operator_norm(projection))
             return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=True,
                                  mean_projection=projection, kernel_average_residual=residual,
                                  net_divergence=residual > config.tol_hom)
-        # no chain runs without a mean projection to compare it against
-        trace = [] if projection is None else _cesaro_rectangle_chain(rep, projection, config)
-        return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=projection is not None,
+        trace = _cesaro_rectangle_chain(rep, projection, config)
+        return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=True,
                              mean_projection=projection, cesaro_trace=trace,
-                             net_divergence=projection is not None and
-                             min(t[2] for t in trace) > config.cesaro_target)
+                             net_divergence=min(t[2] for t in trace) > config.cesaro_target)
 
     @cached_property
     def _decomposition(self):
@@ -395,12 +362,7 @@ class Analysis:
     def _split(self):
         rep, config = self.rep, self.config
         n = rep.dim
-        verdicts = []
-        for chi in self.spectrum.characters:
-            verdict = self.pole(chi)
-            if not verdict.is_pole:
-                raise NonPoleSpectrum(chi)
-            verdicts.append(verdict)
+        verdicts = [self.pole(chi) for chi in self.spectrum.characters]
         projections = [verdict.projection for verdict in verdicts]
         cross = largest_cross_product([verdict.factors for verdict in verdicts])
 
@@ -504,24 +466,22 @@ class Analysis:
         decomposition.
 
         For valid Certified finite-dimensional input the verdict is always
-        quasi-compact; the value of the operation is the agreement of the
-        two independent computations."""
+        quasi-compact, as every spectral character is a pole; the value of
+        the operation is the agreement of the two independent computations.
+        A pole test that fails raises its NonPoleSpectrum here."""
         spectrum = self.spectrum
-        verdicts = [self.pole(chi) for chi in spectrum.characters]
-        riesz_all = all(verdict.is_pole for verdict in verdicts)
+        for chi in spectrum.characters:
+            self.pole(chi)
         dims = [space.dim for space in spectrum.eigenspaces]
-        # the decomposition exists only when every spectral character is a
-        # pole, and fails when a cross-check inside it does
-        split = self._decomposition if riesz_all else None
+        # the decomposition fails when a cross-check inside it does
+        split = self._decomposition
         error = split if isinstance(split, ErgospecError) else None
-        consistent = riesz_all and error is None and split.reversible.dim == sum(dims)
-        status = QUASI_COMPACT if riesz_all else "not_quasi_compact"
         return QuasiCompactnessVerdict(
-            status=status,
+            status=QUASI_COMPACT,
             characters=spectrum.characters,
             eigenspace_dims=dims,
-            riesz_all=riesz_all,
-            decomposition_consistent=consistent,
+            riesz_all=True,
+            decomposition_consistent=error is None and split.reversible.dim == sum(dims),
             decomposition_error=error,
         )
 

@@ -61,18 +61,14 @@ class NotInvariant(ErgospecError):
         super().__init__(f"subspace not invariant under matrix for {s}, residual {residual:.3e}")
 
 
-class NotNormalized(ErgospecError):
-    pass
-
-
 class NotBounded(ErgospecError):
     """Raised when an analysis requires a Certified boundedness certificate."""
 
 
 class NonPoleSpectrum(ErgospecError):
-    def __init__(self, character):
-        self.character = character
-        super().__init__("spectral character failed the pole test")
+    def __init__(self, character, detail):
+        self.character, self.detail = character, detail
+        super().__init__(f"spectral character failed the pole test: {detail}")
 
 
 class LostCharacter(ErgospecError):

@@ -1,11 +1,9 @@
-"""Dense complex linear algebra: rank decisions, kernels, eigenvalue
+"""Dense complex linear algebra: operator norms, subspaces, eigenvalue
 clusters and their spectral subspaces and Riesz projectors.
 
-All routines work on O(1)-normed matrices at desk scale (n <= 256). Rank
-decisions use a relative singular-value threshold, anchored to the caller's
-scale where the input matrix itself may be numerically zero. A subspace
-whose dimension is known comes from a pivoted Gram-Schmidt that stops at
-that dimension and decides no rank. The spectral subspace and the Riesz
+All routines work on O(1)-normed matrices at desk scale (n <= 256), and
+none decides a rank. A subspace of known dimension comes from a pivoted
+Gram-Schmidt that stops at that dimension. The spectral subspace and the Riesz
 projector of an eigenvalue cluster come from one complex Schur form,
 reordered per cluster (LAPACK trsen and trsyl).
 
@@ -18,8 +16,6 @@ loading scipy.linalg.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .config import DEFAULT_CONFIG
 
 
 def as_complex_matrix(a):
@@ -94,36 +90,6 @@ class Subspace:
     @staticmethod
     def zero(n):
         return Subspace(np.zeros((n, 0), dtype=np.complex128))
-
-
-def _rank(s, tol, scale):
-    """The count of singular values s[0] >= s[1] >= ... above
-    tol * max(s[0], scale); None for a cutoff of 0, a zero matrix."""
-    cutoff = tol * max(float(s[0]), scale)
-    return None if cutoff == 0.0 else int(np.sum(s > cutoff))
-
-
-def null_space(a, tol=None, scale=0.0):
-    """Orthonormal basis of the numerical kernel of `a`.
-
-    Right singular vectors whose singular value is at most
-    tol_rank * max(sigma_max, scale). A positive `scale` anchors the rank
-    decision to the caller's context when `a` itself may be numerically
-    zero (e.g. I - T_s for T_s near the identity). `a` is read as it is,
-    with no copy and no finiteness scan: the package builds its matrices
-    from inputs that as_complex_matrix has checked.
-    """
-    tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
-    a = np.asarray(a, dtype=np.complex128)
-    if 0 in a.shape:
-        return Subspace.full(a.shape[1])
-    # V is square either way; only a wide matrix needs the full factors,
-    # since its thin V^H lacks the kernel rows
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    rank = _rank(s, tol, scale)
-    if rank is None:
-        return Subspace.full(a.shape[1])
-    return Subspace(vh[rank:].conj().T)
 
 
 def largest_cross_product(factors):
@@ -247,14 +213,17 @@ class SpectralCluster:
     basis: np.ndarray         # Q, n x m
     coordinates: np.ndarray   # Q^H + R Z_2^H, m x n
     s: float
-    defect: float             # ||T11 - mean I||: A on rg Q less the scalar mean
+    defect: float             # ||N||, N the strictly upper triangle of T11
     gap: float                # the distance of the mean to the other eigenvalues
     rounding: float           # _ROUNDING ||A||_F, how far rounding may move an eigenvalue
 
     def acts_as_mean(self, norm, tol_rank):
         """A acts on the cluster's spectral subspace as its mean: a defect
-        of at most tol_rank max(1, ||A||) max(1, m), m the cluster's size."""
-        return self.defect <= tol_rank * max(1.0, norm) * max(1, self.basis.shape[1])
+        of at most tol_rank max(1, ||A||). T11 = D + N, D the diagonal of
+        the cluster's eigenvalues, so this bounds the nilpotent part N; the
+        spread of D about the mean is the clustering's, at most
+        (m - 1) tol_cluster for m eigenvalues."""
+        return self.defect <= tol_rank * max(1.0, norm)
 
     def separated(self):
         """The cluster lies further from the other eigenvalues than a
@@ -318,8 +287,8 @@ def _spectral_cluster(t, z, members, eigenvalues):
         coordinates += r @ zs[:, m:].conj().T
     distance = np.abs(eigenvalues - mean)
     distance[list(members)] = np.inf
-    # the one eigenvalue of a cluster of one is its mean
-    defect = operator_norm(ts[:m, :m] - mean * np.eye(m)) if m > 1 else 0.0
+    # a cluster of one has no strictly upper triangle
+    defect = operator_norm(np.triu(ts[:m, :m], 1)) if m > 1 else 0.0
     return SpectralCluster(mean=complex(mean), basis=basis, coordinates=coordinates,
                            s=s, defect=defect, gap=float(distance.min()),
                            rounding=_ROUNDING * float(np.linalg.norm(t)))

@@ -69,9 +69,7 @@ def nisa_suite_of(analysis):
     pole = analysis.pole(analysis.trivial)
 
     fix_dim = ergodic.fix_dim
-    projection_rank = 0
-    if ergodic.mean_projection is not None:
-        projection_rank = int(round(np.trace(ergodic.mean_projection).real))
+    projection_rank = int(round(np.trace(ergodic.mean_projection).real))
 
     report = NisaReport(
         quasi_compact=qc.is_quasi_compact,
@@ -86,7 +84,7 @@ def nisa_suite_of(analysis):
             f"quasi_compact={report.quasi_compact}, "
             f"ume_with_finite_fix={report.ume_with_finite_fix}, "
             f"trivial_char_riesz={report.trivial_char_riesz}")
-    if projection_rank != fix_dim and ergodic.mean_projection is not None:
+    if projection_rank != fix_dim:
         raise EquivalenceViolation(
             f"mean projection rank {projection_rank} != fix dimension {fix_dim}")
     return report
@@ -109,11 +107,7 @@ def domination_check_of(analysis):
     cert = analysis.positivity
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
-    ergodic = analysis.ergodic
-    if not ergodic.is_ume:
-        raise ValueError("domination check requires a uniformly mean ergodic input")
-
-    fix_dim = ergodic.fix_dim
+    fix_dim = analysis.ergodic.fix_dim
     profile = []
     for chi, space in zip(analysis.spectrum.characters, analysis.spectrum.eigenspaces):
         profile.append((chi, space.dim))

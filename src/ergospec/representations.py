@@ -239,11 +239,17 @@ def certify_boundedness(rep, config=None):
     generators commute, so ||T_s|| <= prod_g ||T_g^(s_g)|| and T is bounded
     iff every generator T_g is power-bounded: no eigenvalue of modulus above
     1 + tol_char, and T_g acts on the spectral subspace Q of each unimodular
-    cluster psi of its eigenvalues as psi itself, ||Q^H T_g Q - psi I|| at
-    most tol_rank max(1, ||T_g||) max(1, w) for a cluster of w eigenvalues.
-    The clusters are those of the diagonal of one complex Schur form of
-    T_g at radius tol_cluster, and Q^H T_g Q is the leading block of that
-    form reordered so that the cluster leads (linalg.SchurForm).
+    cluster psi of its eigenvalues as psi itself. The clusters are those of
+    the diagonal of one complex Schur form of T_g at radius tol_cluster,
+    and Q^H T_g Q = D + N is the leading block of that form reordered so
+    that the cluster leads (linalg.SchurForm), D the diagonal of the
+    cluster's eigenvalues and N the strictly upper triangle. The clustering
+    bounds the spread of D about psi, so the one criterion for a Jordan
+    defect is ||N|| <= tol_rank max(1, ||T_g||). No other test decides one:
+    in finite dimension a power-bounded matrix has only semisimple
+    unimodular eigenvalues, so every unitary character of a Certified
+    representation is a pole (Engel and Nagel, One-Parameter Semigroups for
+    Linear Evolution Equations, V.4; Krengel, Ergodic Theorems, 2.2).
 
     Rounding splits a defective eigenvalue into values whose spectral
     subspaces are nearly parallel, possibly by more than tol_cluster. So a

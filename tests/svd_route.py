@@ -1,8 +1,8 @@
 """The SVD route to kernels, ranges, pole projections and the unitary
 spectrum, kept as a test oracle: every subspace from an SVD and a relative
-rank cutoff, every pole projection from the pairing of ker(chi - T) with
-ker((chi - T)^H), and the spectrum from a joint kernel per candidate
-character.
+rank cutoff (null_space, column_space), every pole projection from the
+pairing of ker(chi - T) with ker((chi - T)^H), and the spectrum from a
+joint kernel per candidate character.
 
 The package computes these from isotypic projections (finite monoids) and
 from the generators' Schur forms (N^k); the tests hold it to this route.
@@ -14,8 +14,40 @@ import numpy as np
 
 from ergospec.characters import UnitaryCharacter, char_distance, enumerate_unitary_dual
 from ergospec.config import DEFAULT_CONFIG
-from ergospec.errors import DimensionMismatch, NotNormalized
-from ergospec.linalg import Subspace, _rank, null_space, operator_norm
+from ergospec.errors import DimensionMismatch, ErgospecError
+from ergospec.linalg import Subspace, operator_norm
+
+
+class NotNormalized(ErgospecError):
+    pass
+
+
+def _rank(s, tol, scale):
+    """The count of singular values s[0] >= s[1] >= ... above
+    tol * max(s[0], scale); None for a cutoff of 0, a zero matrix."""
+    cutoff = tol * max(float(s[0]), scale)
+    return None if cutoff == 0.0 else int(np.sum(s > cutoff))
+
+
+def null_space(a, tol=None, scale=0.0):
+    """Orthonormal basis of the numerical kernel of `a`.
+
+    Right singular vectors whose singular value is at most
+    tol_rank * max(sigma_max, scale). A positive `scale` anchors the rank
+    decision to the caller's context when `a` itself may be numerically
+    zero (e.g. I - T_s for T_s near the identity).
+    """
+    tol = DEFAULT_CONFIG.tol_rank if tol is None else tol
+    a = np.asarray(a, dtype=np.complex128)
+    if 0 in a.shape:
+        return Subspace.full(a.shape[1])
+    # V is square either way; only a wide matrix needs the full factors,
+    # since its thin V^H lacks the kernel rows
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = _rank(s, tol, scale)
+    if rank is None:
+        return Subspace.full(a.shape[1])
+    return Subspace(vh[rank:].conj().T)
 
 
 def column_space(a, tol=None, scale=0.0):

@@ -337,49 +337,56 @@ def test_malformed_character_exit_code(capsys, tmp_path):
         assert err.count("\n") == 1, err
 
 
-# N^1 with T = [[1, 1.5e-10], [0, 1]]: certified, spectrum {1}, and 1 is
-# not a pole, since ker(1 - T) = rg(1 - T) = span(e_1)
+# N^1 with T = [[1, 1.5e-10], [0, 1]]: ker(1 - T) = rg(1 - T) = span(e_1),
+# so 1 is no pole, and the certificate finds the Jordan defect 1.5e-10
+# beyond tol_rank: T is Unbounded, with witness its generator
 NON_POLE = {"semigroup": {"type": "free_commutative", "rank": 1}, "dim": 2,
             "matrices": {"per": "generator", "list": [
                 {"rows": 2, "cols": 2, "re": [1.0, 1.5e-10, 0.0, 1.0],
                  "im": [0.0, 0.0, 0.0, 0.0]}]}}
 
+ROUNDING_FAILURE = ("spectral character failed the pole test: rounding check "
+                    "||W^H F - I|| = 1.000e+00 exceeds tol_rank 1.000e-10")
 
-@pytest.mark.parametrize("command, violation", [
-    ("analyze", "spectral character failed the pole test"),
-    ("decompose", "peripheral decomposition: spectral character failed the pole test"),
-    ("quasicompact", "quasi-compactness cross-checks disagree"),
+
+@pytest.mark.parametrize("command, section", [
+    ("analyze", "poles"),
+    ("decompose", "peripheral_decomposition"),
+    ("quasicompact", "quasi_compactness"),
 ], ids=["analyze", "decompose", "quasicompact"])
-def test_non_pole_spectrum_is_a_violation(capsys, tmp_path, command, violation):
-    # a failed verdict exits 1 with a report, never 2 as an input error
-    path = tmp_path / "non_pole.json"
-    path.write_text(json.dumps(NON_POLE))
-    code, out, err = run(capsys, command, str(path), "--format", "json")
+def test_non_pole_spectrum_is_a_violation(capsys, monkeypatch, command, section):
+    # a pole whose factors P = F W^H fail the rounding check
+    # ||W^H F - I|| <= tol_rank raises NonPoleSpectrum: a violation with
+    # exit 1 and a report, never 2 as an input error. W^H is doubled here,
+    # so W^H F - I is the identity
+    spectrum = ergodic.unitary_spectrum
+
+    def doubled(rep, config=None):
+        result = spectrum(rep, config)
+        result.coordinates[0] = 2 * result.coordinates[0]
+        return result
+
+    monkeypatch.setattr(ergodic, "unitary_spectrum", doubled)
+    code, out, err = run(capsys, command, fixture_path("identity_3"), "--format", "json")
     assert (code, err) == (1, "")
     data = json.loads(out)
     assert data["boundedness"]["status"] == "certified"
     assert data["unitary_spectrum"]["count"] == 1
-    assert violation in data["violations"]
-    if "quasi_compactness" in data:
-        assert data["quasi_compactness"]["status"] == "not_quasi_compact"
-        assert data["quasi_compactness"]["decomposition_consistent"] is False
-    if "peripheral_decomposition" in data:
-        assert data["peripheral_decomposition"] == {
-            "error": "spectral character failed the pole test"}
+    assert data[section] == {"error": ROUNDING_FAILURE}
+    assert f"{section.replace('_', ' ')}: {ROUNDING_FAILURE}" in data["violations"]
 
 
 def test_no_cesaro_chain_without_a_mean_projection(capsys, tmp_path):
-    # 1 is no pole of NON_POLE, so T is not uniformly mean ergodic: no
-    # chain runs, the report has no Cesaro trace and the CSV only its header
+    # NON_POLE is Unbounded, so no analysis has a mean projection: no chain
+    # runs, the report has no ergodic section and the CSV only its header
     path, csv_path = tmp_path / "non_pole.json", tmp_path / "trace.csv"
     path.write_text(json.dumps(NON_POLE))
     code, out, err = run(capsys, "ergodic", str(path), "--format", "json",
                          "--cesaro-csv", str(csv_path))
     assert (code, err) == (0, "")
-    entry = json.loads(out)["ergodic"]
-    assert not entry["is_uniformly_mean_ergodic"]
-    assert (entry["fix_dim"], entry["range_dim"]) == (2, 1)
-    assert "cesaro_trace" not in entry
+    data = json.loads(out)
+    assert (data["boundedness"]["status"], data["boundedness"]["witness"]) == ("unbounded", [1])
+    assert "ergodic" not in data
     assert csv_path.read_text().splitlines() == ["side,distance,composed_distance"]
 
 

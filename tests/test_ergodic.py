@@ -69,26 +69,36 @@ def test_a_certificate_at_another_config_is_issued_again():
     assert analysis.pole(analysis.spectrum.characters[0]).is_pole
 
 
-def test_a_non_pole_cokernel_is_cut_by_the_adjoint():
-    # [[1, 1.5e-10], [0, 1]] passes the certificate's defect test, at most
-    # tol_rank max(1, ||T||) times the cluster size 2, but not the pole
-    # test's ||(T - 1) F|| <= tol_rank max(1, ||T||): its cluster's
-    # spectral subspace C^2 is the eigenspace, 1 is no pole, and
-    # ker (1 - T)^H = rg(1 - T)^perp = span(e_2) is cut out of rg P^H
-    t = np.array([[1.0, 1.5e-10], [0.0, 1.0]], dtype=complex)
-    rep = es.certify_boundedness(es.validate_representation(es.FreeCommutativeMonoid(1), [t]))
-    assert rep.boundedness.is_certified
-    analysis = ergodic.Analysis(rep)
-    assert [space.dim for space in analysis.spectrum.eigenspaces] == [2]
-    chi = analysis.spectrum.characters[0]
-    assert analysis.pole(chi).status == ergodic.NOT_POLE
-    assert svd_route.pole_projection(rep, chi) is None
-    report = analysis.ergodic
-    assert not report.is_ume
-    assert (report.fix_dim, report.cokernel.dim) == (2, 1)
-    assert abs(abs(report.cokernel.basis[1, 0]) - 1.0) < 1e-12
-    # no Cesaro chain runs without a mean projection to compare it with
-    assert (report.cesaro_trace, report.net_divergence) == ([], False)
+def test_a_near_double_one_gets_one_consistent_answer(capsys, tmp_path):
+    # a power-bounded matrix has only semisimple unimodular eigenvalues, so
+    # a Certified input has only poles, and the certificate alone decides a
+    # Jordan defect: the strictly upper triangle of a cluster's Schur block
+    # against tol_rank max(1, ||T||). [[1, 1.5e-10], [0, 1]] exceeds it and
+    # is Unbounded, as the SVD route finds 1 no pole of it; the spread of
+    # diag(1, 1 - 5e-9) is no defect, so 1 is a pole on all of C^2
+    jordan, spread = (np.array(t, dtype=complex) for t in
+                      ([[1.0, 1.5e-10], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0 - 5e-9]]))
+    one = trivial_character(es.FreeCommutativeMonoid(1))
+    assert svd_route.pole_projection(n1_rep(jordan), one) is None
+    path = tmp_path / "input.json"
+    reports = []
+    for t in (jordan, spread):
+        path.write_text(json.dumps({"semigroup": {"type": "free_commutative", "rank": 1},
+                                    "dim": 2, "matrices": {"per": "generator",
+                                                           "list": [matrix_to_json(t)]}}))
+        code = cli.main(["analyze", str(path), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out))
+    unbounded, certified = reports
+    assert unbounded["boundedness"]["status"] == "unbounded"
+    assert unbounded["boundedness"]["witness"] == [1]
+    assert certified["boundedness"]["status"] == "certified"
+    assert certified["unitary_spectrum"]["eigenspace_dims"] == [2]
+    assert [row["status"] for row in certified["poles"]] == ["pole"]
+    assert certified["quasi_compactness"]["status"] == "quasi_compact"
+    assert (certified["ergodic"]["fix_dim"], certified["ergodic"]["range_dim"]) == (2, 0)
+    assert certified["violations"] == []
 
 
 def test_range_of_one_minus_diagonal():
@@ -272,7 +282,7 @@ def test_the_split_takes_its_parts_from_the_pole_factors(name):
         assert es.operator_norm(wh @ stable) <= 1e-12 * max(1.0, es.operator_norm(wh))
         assert es.operator_norm(f - reversible @ (reversible.conj().T @ f)) <= 1e-12
     oracle_range = svd_route.column_space(dec.projection)
-    oracle_kernel = linalg.null_space(dec.projection, scale=1.0)
+    oracle_kernel = svd_route.null_space(dec.projection, scale=1.0)
     assert es.operator_norm(dec.reversible.projector() - oracle_range.projector()) <= 1e-12
     assert es.operator_norm(dec.stable.projector() - oracle_kernel.projector()) <= 1e-12
 
@@ -629,14 +639,11 @@ def test_finite_analyze_reads_no_joint_kernel(case, monkeypatch):
     # from its isotypic projections
     rep = es.regular_representation(cyclic_monoid(8)) if case == "Z8" else \
         es.certify_boundedness(load_representation(str(FIXTURES / f"{case}.json")))
-    calls = {name: _count_calls(monkeypatch, name, module)
-             for name, module in (("_spectral_cluster", linalg), ("null_space", linalg))}
+    reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
     schur_forms = _count_schur_forms(monkeypatch)
     riesz = _count_riesz_poles(monkeypatch)
     assert es.analyze(rep).ok
-    assert {name: len(found) for name, found in calls.items()} == \
-        {"_spectral_cluster": 0, "null_space": 0}
-    assert (schur_forms, riesz) == ([], [])
+    assert (reordered, schur_forms, riesz) == ([], [], [])
 
 
 def test_analyze_enumerates_the_dual_once_per_spectrum(monkeypatch):
@@ -774,7 +781,6 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     pivoted = _count_calls(monkeypatch, "range_basis", linalg)
     schur_forms = _count_schur_forms(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
-    cuts = _count_calls(monkeypatch, "null_space", linalg)
     analysis = ergodic.Analysis(es.certify_boundedness(rep))
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
@@ -788,7 +794,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
         assert [(np.shape(p), rank) for p, rank in pivoted] == [(shape, 1) for shape in once]
         assert (schur_forms, reordered) == ([], [])
     else:
-        assert (factored, pivoted, cuts) == ([], [], [])
+        assert (factored, pivoted) == ([], [])
         assert schur_forms == [(rep.dim, rep.dim)]
         assert sorted(call[2] for call in reordered) == [(0,), (1,), (2,)]
 
@@ -845,11 +851,10 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
     inputs = _record_kernel_svds(monkeypatch)
     reordered = _count_calls(monkeypatch, "_spectral_cluster", linalg)
     pivoted = _count_calls(monkeypatch, "range_basis", linalg)
-    cuts = _count_calls(monkeypatch, "null_space", linalg)
     qrs = _record_qrs(monkeypatch)
     report = es.analyze(rep)
     assert report.ok
-    assert (inputs, cuts, pivoted) == ([], [], [])
+    assert (inputs, pivoted) == ([], [])
     assert [members for _, _, members, _ in reordered] == [(0,)]
     assert qrs == [((n, 1), "reduced"), ((2, n, 1), "complete")]
     assert report.data["ergodic"]["fix_dim"] == 1
@@ -858,12 +863,11 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
 @pytest.mark.parametrize("name, expected", [
     # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
     ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1,
-                    "null_space": 0, "_riesz_pole": 1}),
+                    "_riesz_pole": 1}),
     # N^k: the spectrum holds it as v/|v|, which the mean ergodic split and
     # the positive suite reuse
     ("circulant_stochastic_8",
-     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1, "null_space": 0,
-      "_riesz_pole": 1}),
+     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1, "_riesz_pole": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     # the one Riesz pole test is the trivial character's, read by the
@@ -872,7 +876,6 @@ def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     # is cut
     rep = load_representation(str(FIXTURES / f"{name}.json"))
     calls = {route: _count_calls(monkeypatch, route,
-                                 linalg if route == "null_space" else
                                  spectrum if route == "_riesz_products" else ergodic)
              for route in expected if route != "_riesz_pole"}
     calls["_riesz_pole"] = _count_riesz_poles(monkeypatch)
@@ -1045,7 +1048,7 @@ def _oracle_rep(case):
                "L2xZ4": product_monoid(chain_monoid(2), cyclic_monoid(4))}
     if case in monoids:
         return es.regular_representation(monoids[case])
-    if case == "non_pole":   # ker(1 - T) = rg(1 - T) = span(e_1)
+    if case == "non_pole":   # ker(1 - T) = rg(1 - T) = span(e_1): 1 is no pole
         return n1_rep(np.array([[1.0, 1.5e-10], [0.0, 1.0]], dtype=complex))
     rep = load_representation(str(FIXTURES / f"{case}.json"))
     return es.certify_boundedness(rep)
@@ -1085,15 +1088,20 @@ def _angle_verdict(rep, chi, fix):
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_pole_verdicts_decide_as_the_angle_test(case):
     rep = _oracle_rep(case)
+    trivial = trivial_character(rep.semigroup)
+    if case == "non_pole":
+        # the certificate refuses the Jordan defect for which the angle test
+        # finds 1 no pole
+        assert rep.boundedness.status == "unbounded"
+        fix = svd_route.null_space(np.eye(2) - rep.matrices[0], scale=1.0)
+        assert not _angle_verdict(rep, trivial, fix)
+        return
     assert rep.boundedness.is_certified
     analysis = ergodic.Analysis(rep)
     spectrum = analysis.spectrum
     for chi, fix in zip(spectrum.characters, spectrum.eigenspaces):
         assert analysis.pole(chi).is_pole == _angle_verdict(rep, chi, fix)
-    trivial = trivial_character(rep.semigroup)
     assert analysis.ergodic.is_ume == _angle_verdict(rep, trivial, analysis.ergodic.fix_space)
-    if case == "non_pole":
-        assert not analysis.ergodic.is_ume
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -1106,6 +1114,10 @@ def test_verdicts_do_not_depend_on_the_basis(case):
     u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     turned = es.certify_boundedness(es.validate_representation(
         rep.semigroup, [u.conj().T @ a @ u for a in rep.matrices]))
+    assert (turned.boundedness.status, turned.boundedness.witness) == \
+        (rep.boundedness.status, rep.boundedness.witness)
+    if not rep.boundedness.is_certified:
+        return
     before, after = ergodic.Analysis(rep), ergodic.Analysis(turned)
 
     def moved(p, q):
@@ -1180,8 +1192,7 @@ def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     n = rep.dim
     schur_forms = _count_schur_forms(monkeypatch)
     inputs = _record_kernel_svds(monkeypatch)
-    calls = {name: _count_calls(monkeypatch, name, linalg)
-             for name in ("null_space", "range_basis")}
+    pivoted = _count_calls(monkeypatch, "range_basis", linalg)
     qrs = _record_qrs(monkeypatch)
     eigvals, taken = np.linalg.eigvals, []
 
@@ -1195,8 +1206,8 @@ def test_an_nk_analyze_factors_each_generator_once(seed, monkeypatch):
     assert report.data["unitary_spectrum"]["count"] == 5
     assert schur_forms == [(n, n)] * rep.semigroup.rank
     assert [shape for shape, _, _ in inputs if shape == (n, n)] == []
-    assert (len(calls["null_space"]), len(taken)) == (0, 0)
-    assert sorted((np.shape(a), rank) for a, rank in calls["range_basis"]) == [((2, n), 1)] * 4
+    assert taken == []
+    assert sorted((np.shape(a), rank) for a, rank in pivoted) == [((2, n), 1)] * 4
     assert qrs == [((2, n, 5), "complete")]
 
 

@@ -15,26 +15,25 @@ from ergospec.linalg import (
     _single_linkage_clusters,
     as_complex_matrix,
     largest_cross_product,
-    null_space,
     range_basis,
 )
 from ergospec.serialize import representation_from_json
 from ergospec.spectrum import _isotypic_projections
 
-from svd_route import column_space, kernel_and_cokernel, oblique_projection
+from svd_route import column_space, kernel_and_cokernel, null_space, oblique_projection
 from test_cli import _ill_conditioned_regular_z8
 
 
 def test_null_space_zero_matrix():
-    assert es.null_space(np.zeros((3, 3))).dim == 3
+    assert null_space(np.zeros((3, 3))).dim == 3
 
 
 def test_null_space_identity():
-    assert es.null_space(np.eye(3)).dim == 0
+    assert null_space(np.eye(3)).dim == 0
 
 
 def test_null_space_near_singular_diagonal():
-    space = es.null_space(np.diag([1.0, 1e-15, 2.0]))
+    space = null_space(np.diag([1.0, 1e-15, 2.0]))
     assert space.dim == 1
     assert abs(abs(space.basis[1, 0]) - 1.0) < 1e-12
 
@@ -42,7 +41,7 @@ def test_null_space_near_singular_diagonal():
 def test_null_space_scale_floor():
     # a numerically-zero matrix is all kernel once anchored to an O(1) scale
     noise = 1e-16 * np.arange(9, dtype=float).reshape(3, 3)
-    assert es.null_space(noise, scale=1.0).dim == 3
+    assert null_space(noise, scale=1.0).dim == 3
     assert column_space(noise, scale=1.0).dim == 0
 
 
@@ -114,7 +113,7 @@ def _angle_test(f, g, tol):
     n = f.ambient_dim
     if f.dim + (n - g.dim) != n:
         return False
-    r = es.null_space(g.basis.conj().T) if g.dim else Subspace.full(n)
+    r = null_space(g.basis.conj().T) if g.dim else Subspace.full(n)
     if f.dim == 0 or r.dim == 0:
         return True
     return bool(np.linalg.svd(np.hstack([f.basis, r.basis]), compute_uv=False)[-1]
@@ -184,7 +183,7 @@ def test_null_space_matches_rational_elimination():
         mat = rng.integers(-3, 4, size=(n, n))
         if rng.random() < 0.5:
             mat[:, -1] = mat[:, 0]  # force singularity often
-        assert es.null_space(mat.astype(float)).dim == _rational_nullity(mat.tolist())
+        assert null_space(mat.astype(float)).dim == _rational_nullity(mat.tolist())
 
 
 def test_subspace_membership_and_projector():
@@ -205,7 +204,7 @@ def test_null_space_properties_random(seed):
     factor_left = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     factor_right = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
     mat = factor_left @ factor_right if rank else np.zeros((n, n), dtype=complex)
-    space = es.null_space(mat)
+    space = null_space(mat)
     assert space.dim == n - rank
     if space.dim:
         assert np.linalg.norm(mat @ space.basis) < 1e-8 * max(1, np.linalg.norm(mat))

@@ -102,11 +102,10 @@ def test_certify_unitary_diagonals():
     assert es.certify_boundedness(rep).boundedness.is_certified
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: certify_boundedness reads the 5e-9 "
-                   "spread of one tol_cluster cluster as a nilpotent defect")
 def test_certify_diagonal_with_a_near_double_one():
     # diag(1, 1 - 5e-9) is diagonal with eigenvalues in the closed disc,
-    # so it is power-bounded
+    # so it is power-bounded: the 5e-9 spread of its one tol_cluster
+    # cluster is no nilpotent defect
     rep = n1_rep(np.diag([1.0, 1.0 - 5e-9]).astype(complex))
     assert rep.boundedness.is_certified
 

@@ -5,7 +5,7 @@ import scipy.linalg
 import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
-from ergospec.errors import NotBounded, NotNormalized
+from ergospec.errors import NotBounded
 from ergospec.linalg import SchurForm, _peripheral_clusters
 from ergospec.serialize import load_representation
 from ergospec.spectrum import _isotypic_projections
@@ -204,7 +204,7 @@ def test_approximate_eigenvector_check_identity():
 
 def test_approximate_eigenvector_requires_unit_norm(klein_rep):
     one = es.trivial_character(klein_rep.semigroup)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(svd_route.NotNormalized):
         svd_route.approximate_eigenvector_check(klein_rep, one, np.ones(4), 1e-6)
 
 
