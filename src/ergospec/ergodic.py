@@ -67,7 +67,6 @@ def _cesaro_rectangle_chain(rep, reference, config):
 class ErgodicReport:
     fix_space: Subspace
     cokernel: Subspace      # ker (1 - T)^H, the orthogonal complement of rg(1 - T)
-    is_ume: bool
     mean_projection: np.ndarray = None
     cesaro_trace: list = field(default_factory=list)  # (side, plain, composed)
     net_divergence: bool = False
@@ -97,12 +96,6 @@ class PoleVerdict:
     @property
     def is_pole(self):
         return self.status == POLE
-
-    @property
-    def counts_as_pole(self):
-        """A character outside the spectrum is trivially a pole (the zero
-        projection onto the zero eigenspace works)."""
-        return self.status in (POLE, NOT_IN_SPECTRUM)
 
 
 def is_pole(rep, chi, config=None):
@@ -199,21 +192,11 @@ def semigroup_at_infinity(rep, config=None):
     return Analysis(rep, config).infinity
 
 
-QUASI_COMPACT = "quasi_compact"
-
-
 @dataclass
 class QuasiCompactnessVerdict:
-    status: str
-    characters: list
     eigenspace_dims: list
-    riesz_all: bool
     decomposition_consistent: bool
     decomposition_error: object = None  # the ErgospecError of a failed split
-
-    @property
-    def is_quasi_compact(self):
-        return self.status == QUASI_COMPACT
 
 
 class Analysis:
@@ -329,12 +312,12 @@ class Analysis:
         if rep.is_finite:
             residual = max(operator_norms(a @ projection - projection for a in rep.family()))
             residual /= max(1.0, operator_norm(projection))
-            return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=True,
-                                 mean_projection=projection, kernel_average_residual=residual,
+            return ErgodicReport(fix_space=fix, cokernel=cokernel, mean_projection=projection,
+                                 kernel_average_residual=residual,
                                  net_divergence=residual > config.tol_hom)
         trace = _cesaro_rectangle_chain(rep, projection, config)
-        return ErgodicReport(fix_space=fix, cokernel=cokernel, is_ume=True,
-                             mean_projection=projection, cesaro_trace=trace,
+        return ErgodicReport(fix_space=fix, cokernel=cokernel, mean_projection=projection,
+                             cesaro_trace=trace,
                              net_divergence=min(t[2] for t in trace) > config.cesaro_target)
 
     @cached_property
@@ -462,13 +445,11 @@ class Analysis:
 
     @cached_property
     def quasi_compactness(self):
-        """Riesz-point criterion, cross-checked against the peripheral
-        decomposition.
-
-        For valid Certified finite-dimensional input the verdict is always
-        quasi-compact, as every spectral character is a pole; the value of
-        the operation is the agreement of the two independent computations.
-        A pole test that fails raises its NonPoleSpectrum here."""
+        """Quasi-compactness, which holds by theorem: every spectral
+        character of a Certified input is a pole. What still decides is the
+        pole test of each spectral character, which raises its
+        NonPoleSpectrum here, and whether the peripheral decomposition
+        splits with E_r of dimension the sum of the eigenspaces'."""
         spectrum = self.spectrum
         for chi in spectrum.characters:
             self.pole(chi)
@@ -477,10 +458,7 @@ class Analysis:
         split = self._decomposition
         error = split if isinstance(split, ErgospecError) else None
         return QuasiCompactnessVerdict(
-            status=QUASI_COMPACT,
-            characters=spectrum.characters,
             eigenspace_dims=dims,
-            riesz_all=True,
             decomposition_consistent=error is None and split.reversible.dim == sum(dims),
             decomposition_error=error,
         )

