@@ -33,6 +33,19 @@ def _angle_value(angle):
     return cmath.exp(2j * math.pi * float(angle))
 
 
+_ANGLE_PARTS = {}   # id(angle) -> (angle, (str(p), str(q))); holding the angle keeps its id
+
+
+def _angle_parts(angle):
+    # one dual's characters share one Fraction per angle, which hashes slowly
+    entry = _ANGLE_PARTS.get(id(angle))
+    if entry is None:
+        if len(_ANGLE_PARTS) >= 1024:   # twice the angles of a dual of 512
+            _ANGLE_PARTS.clear()
+        entry = _ANGLE_PARTS[id(angle)] = (angle, (str(angle.numerator), str(angle.denominator)))
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class UnitaryCharacter:
     """A unitary character, exact (rational angles) over a finite monoid or
@@ -69,8 +82,7 @@ class UnitaryCharacter:
 
     def to_json(self):
         if self.is_exact:
-            return {"angles": [[str(a.numerator), str(a.denominator)]
-                               for a in self.angles]}
+            return {"angles": [list(_angle_parts(a)) for a in self.angles]}
         return {"gen_values": [{"re": z.real, "im": z.imag}
                                for z in self.gen_values]}
 

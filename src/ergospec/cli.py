@@ -8,7 +8,7 @@ applicable cross-check passed; 1 on verdict violations; 2 on input errors.
 import argparse
 import csv
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .config import DEFAULT_SEED, ToleranceConfig
 from .errors import ErgospecError, ParseError
@@ -33,13 +33,9 @@ from .spectrum import laplace_falsifier
 
 
 def _build_config(args):
-    overrides = {}
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["tol_rank"] = args.tol_rank
-    if getattr(args, "tol_char", None) is not None:
-        overrides["tol_char"] = args.tol_char
-    if getattr(args, "max_cesaro", None) is not None:
-        overrides["cesaro_max_side"] = args.max_cesaro
+    fields = {"tol_rank": "tol_rank", "tol_char": "tol_char", "max_cesaro": "cesaro_max_side"}
+    overrides = {field: getattr(args, flag) for flag, field in fields.items()
+                 if getattr(args, flag) is not None}
     try:
         config = ToleranceConfig(**overrides)
     except ValueError as exc:  # an out-of-range flag is an input error
@@ -201,13 +197,13 @@ def _add_sections(parser, sections, cesaro_csv=False):
     if cesaro_csv:
         parser.add_argument("--cesaro-csv", dest="cesaro_csv", default=None,
                             help="export the Cesaro trace as CSV")
-    parser.set_defaults(fn=_run_sections, sections=sections)
+    parser.set_defaults(fn="_run_sections", sections=sections)
 
 
 def _add_dual(parser):
     parser.add_argument("path")
     _add_common(parser)
-    parser.set_defaults(fn=cmd_dual)
+    parser.set_defaults(fn="cmd_dual")
 
 
 def _add_falsify(parser):
@@ -216,7 +212,7 @@ def _add_falsify(parser):
     parser.add_argument("--trials", type=int, default=64)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(parser)
-    parser.set_defaults(fn=cmd_falsify)
+    parser.set_defaults(fn="cmd_falsify")
 
 
 def _add_ensemble(parser):
@@ -230,7 +226,7 @@ def _add_ensemble(parser):
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_common(parser)
-    parser.set_defaults(fn=cmd_ensemble)
+    parser.set_defaults(fn="cmd_ensemble")
 
 
 # name -> (help listed by `ergospec --help`, or None; the function that adds
@@ -265,20 +261,23 @@ def _top_level_parser():
     return parser
 
 
+@cache
+def _command_parser(name):
+    """One command's parser, built once per process: ten times its parse."""
+    parser = argparse.ArgumentParser(prog=f"ergospec {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in COMMANDS:
         parser = _top_level_parser()
         parser.parse_args(argv)  # exits 0 after the help, 2 after an error
         parser.error("the command must come first")  # should it return
-    # build only the invoked command's parser: building all ten took about a
-    # fifth of a small `analyze` call
-    name = argv[0]
-    parser = argparse.ArgumentParser(prog=f"ergospec {name}")
-    COMMANDS[name][1](parser)
-    args = parser.parse_args(argv[1:])
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)   # by name: a patched handler is called
     # an unreadable path (missing, a directory) is an input error too
     except (ErgospecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,14 +44,13 @@ def _cesaro_rectangle_chain(rep, reference, config):
     while sides[-1] * 2 <= config.cesaro_max_side:
         sides.append(sides[-1] * 2)
     eye = np.eye(rep.dim, dtype=np.complex128)
-    averages = [eye.copy() for _ in rep.matrices]   # A_g(1) = I
-    powers = [a.copy() for a in rep.matrices]       # T_g^N
+    averages = np.broadcast_to(eye, rep.matrices.shape)   # A_g(1) = I, stacked
+    powers = rep.matrices                                 # T_g^N, stacked
     trace = []
     for index, side in enumerate(sides):
         if index:
-            averages = [(avg + powm @ avg) / 2.0
-                        for avg, powm in zip(averages, powers)]
-            powers = [powm @ powm for powm in powers]
+            averages = (averages + powers @ averages) / 2.0
+            powers = powers @ powers
         mean = eye.copy()
         for avg in averages:
             mean = mean @ avg
@@ -210,7 +209,7 @@ class Analysis:
     def __init__(self, rep, config=None):
         self.rep = rep
         self.config = DEFAULT_CONFIG if config is None else config
-        self._poles = {}   # by the position of the character in the spectrum
+        self._poles = {}   # verdict or NonPoleSpectrum, by position in the spectrum
 
     @cached_property
     def spectrum(self):
@@ -243,7 +242,7 @@ class Analysis:
         A pole needs no further check of the complement: when ker(chi - T)
         and rg(chi - T) are direct complements, a chi-eigenvector of T
         restricted to rg(chi - T) would lie in their intersection, which
-        is 0."""
+        is 0. A verdict, or the NonPoleSpectrum raised, is kept per character."""
         spectrum = self.spectrum
         index = spectrum.index(chi, self.config.tol_cluster)
         if index is None:
@@ -252,12 +251,17 @@ class Analysis:
         if index not in self._poles:
             if self.rep.is_finite:
                 space, p = spectrum.eigenspaces[index], spectrum.projections[index]
-                verdict = PoleVerdict(POLE, projection=p, eigenspace_dim=space.dim,
-                                      factors=(space.basis, space.basis.conj().T @ p))
+                self._poles[index] = PoleVerdict(POLE, projection=p, eigenspace_dim=space.dim,
+                                                 factors=(space.basis, space.basis.conj().T @ p))
             else:
-                verdict = self._riesz_pole(index)
-            self._poles[index] = verdict
-        return self._poles[index]
+                try:
+                    self._poles[index] = self._riesz_pole(index)
+                except NonPoleSpectrum as exc:
+                    self._poles[index] = exc
+        verdict = self._poles[index]
+        if isinstance(verdict, NonPoleSpectrum):
+            raise verdict
+        return verdict
 
     def _riesz_pole(self, index):
         """The pole verdict of the N^k character at `index` in the spectrum.
@@ -310,7 +314,7 @@ class Analysis:
             fix = cokernel = Subspace.zero(rep.dim)
         projection = pole.projection
         if rep.is_finite:
-            residual = max(operator_norms(a @ projection - projection for a in rep.family()))
+            residual = max(operator_norms(rep.family() @ projection - projection))
             residual /= max(1.0, operator_norm(projection))
             return ErgodicReport(fix_space=fix, cokernel=cokernel, mean_projection=projection,
                                  kernel_average_residual=residual,

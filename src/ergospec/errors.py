@@ -39,10 +39,6 @@ class MismatchedSemigroup(ErgospecError):
     pass
 
 
-class DimensionMismatch(ErgospecError):
-    pass
-
-
 class HomomorphismViolation(ErgospecError):
     def __init__(self, s, t, residual):
         self.s, self.t, self.residual = s, t, residual

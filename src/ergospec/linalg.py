@@ -18,15 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_complex_matrix(a):
-    arr = np.array(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
-        raise ValueError("matrix entries must be finite")
-    return arr
-
-
 # entries of one stacked array of same-shape matrices (4 MB of complex128)
 BLOCK_ENTRIES = 2**18
 

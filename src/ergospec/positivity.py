@@ -26,15 +26,14 @@ class PositivityCertificate:
 
 
 def check_positive(rep, config=None):
-    """Entrywise nonnegativity of the representing matrices."""
+    """Entrywise nonnegativity of the representing matrices; the first
+    violation in (matrix, row, col) order."""
     config = DEFAULT_CONFIG if config is None else config
-    for idx, mat in enumerate(rep.matrices):
-        bad_real = mat.real < -config.tol_char
-        bad_imag = np.abs(mat.imag) > config.tol_char
-        bad = bad_real | bad_imag
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            return PositivityCertificate(False, (idx, (i, j), complex(mat[i, j])))
+    mats, tol = rep.matrices, config.tol_char
+    bad = (mats.real < -tol) | (mats.imag > tol) | (mats.imag < -tol)
+    if bad.any():
+        idx, i, j = map(int, np.argwhere(bad)[0])
+        return PositivityCertificate(False, (idx, (i, j), complex(mats[idx, i, j])))
     return PositivityCertificate(True)
 
 
@@ -46,8 +45,8 @@ class NisaReport:
 
 def nisa_suite(rep, config=None):
     """The checks of the equivalence suite for a positive representation:
-    the pole test of every spectral character (Analysis.quasi_compactness)
-    and rank P = dim fix(T) for the mean projection P (Analysis.ergodic).
+    the pole test of every spectral character (Analysis.pole) and
+    rank P = dim fix(T) for the mean projection P (Analysis.ergodic).
     The three verdicts the suite ties together hold by theorem."""
     return nisa_suite_of(Analysis(rep, config))
 
@@ -60,7 +59,8 @@ def nisa_suite_of(analysis):
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
 
-    analysis.quasi_compactness   # raises when a pole test fails
+    for chi in analysis.spectrum.characters:
+        analysis.pole(chi)   # raises when a pole test fails
     ergodic = analysis.ergodic
     fix_dim = ergodic.fix_dim
     projection_rank = int(round(np.trace(ergodic.mean_projection).real))

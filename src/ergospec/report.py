@@ -29,10 +29,6 @@ class AnalysisReport:
         return self.data
 
 
-def _complex_str(z):
-    return f"{z.real:+.6f}{z.imag:+.6f}i"
-
-
 # On C^n a bounded representation has only poles in its unitary spectrum,
 # and it is uniformly mean ergodic and quasi-compact (Engel-Nagel,
 # One-Parameter Semigroups, V.4). A Certified input's analysis confirms
@@ -205,7 +201,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         if not positivity.is_positive:
             idx, (i, j), value = positivity.first_violation
             entry["first_violation"] = {"matrix": idx, "row": i, "col": j,
-                                        "value": _complex_str(value)}
+                                        "value": f"{value.real:+.6f}{value.imag:+.6f}i"}
             entry["nisa"] = {"skipped": "representation is not positive"}
             entry["domination"] = {"skipped": "representation is not positive"}
         else:

@@ -1,7 +1,8 @@
 """Matrix representations of commutative monoids and their derived forms.
 
-A representation stores one matrix per element (finite monoid) or one per
-generator (N^k). Validation certifies the homomorphism law from the
+A representation stores one read-only complex128 stack of shape (count, n, n),
+one matrix per element (finite monoid) or per generator (N^k), built once;
+every layer reads it. Validation certifies the homomorphism law from the
 generators, checking every pair against the Cayley table only when that
 certificate fails, or checks pairwise commutation of the generators.
 Boundedness over N^k is decided one generator at a time: every spectral
@@ -27,7 +28,6 @@ from .linalg import (
     BLOCK_ENTRIES,
     SchurForm,
     _peripheral_clusters,
-    as_complex_matrix,
     operator_norm,
     operator_norms,
 )
@@ -69,7 +69,7 @@ class BoundednessCertificate:
 class Representation:
     semigroup: object
     dim: int
-    matrices: tuple  # per element (finite) or per generator (N^k)
+    matrices: np.ndarray  # (count, n, n): per element (finite) or per generator (N^k)
     boundedness: BoundednessCertificate = BoundednessCertificate(NOT_CHECKED)
 
     @property
@@ -77,10 +77,10 @@ class Representation:
         return isinstance(self.semigroup, FiniteCommutativeMonoid)
 
     def family(self):
-        """The matrices of the semigroup's generators."""
+        """The matrices of the semigroup's generators, as a stack."""
         if self.is_finite:
-            return [self.matrices[g] for g in self.semigroup.generators]
-        return list(self.matrices)
+            return self.matrices[list(self.semigroup.generators)]
+        return self.matrices
 
     @cached_property
     def generator_norms(self):
@@ -100,8 +100,9 @@ class Representation:
 
 
 def validate_representation(semigroup, matrices, config=None):
-    """Check the homomorphism law and wrap the matrices, an iterable read
-    once: each is copied as it is read.
+    """Check the homomorphism law and wrap the matrices, an iterable or an
+    array of shape (count, n, n): a C-contiguous complex128 array is kept,
+    read-only, and anything else is copied into one.
 
     Over a finite monoid the law T_s T_t = T_(s+t) is first certified from
     the generators G. With D(s, g) = T_(s+g) - T_s T_g and
@@ -130,82 +131,88 @@ def validate_representation(semigroup, matrices, config=None):
     HomomorphismViolation witness is the one it alone gives.
     """
     config = DEFAULT_CONFIG if config is None else config
-    mats = tuple(as_complex_matrix(a) for a in matrices)
-    if not mats:
-        raise ValueError("representation needs at least one matrix")
-    n = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (n, n):
-            raise ValueError("all matrices must be square of equal dimension")
+    mats = _stack(matrices)
+    rep = Representation(semigroup=semigroup, dim=mats.shape[1], matrices=mats)
+    count, n = len(mats), rep.dim
     if n == 0:
         raise ValueError("dimension must be at least 1")
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
 
     if isinstance(semigroup, FiniteCommutativeMonoid):
-        if len(mats) != semigroup.size:
+        if count != semigroup.size:
             raise ValueError("finite monoid needs one matrix per element")
         eye = np.eye(n)
         eta = operator_norm(mats[semigroup.neutral] - eye)
         if eta > config.tol_hom:
             raise BadNeutral(semigroup.neutral)
         if _homomorphism_bound(semigroup, mats, eta) > config.tol_hom / 2:
-            scale = max(1.0, max(operator_norm(a) for a in mats) ** 2)
+            scale = max(1.0, max(operator_norms(mats)) ** 2)
             for s in semigroup.elements():
                 for t in range(s, semigroup.size):
                     residual = operator_norm(mats[s] @ mats[t] - mats[semigroup.add(s, t)])
                     if residual > config.tol_hom * scale:
                         raise HomomorphismViolation(s, t, residual)
     elif isinstance(semigroup, FreeCommutativeMonoid):
-        if len(mats) != semigroup.rank:
+        if count != semigroup.rank:
             raise ValueError("N^k needs one matrix per generator")
-        norms = [max(1.0, norm) for norm in operator_norms(mats)]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
+        norms = rep.generator_norms   # kept: the certificate reads them
+        for i in range(count):
+            for j in range(i + 1, count):
                 residual = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                bound = config.tol_hom * norms[i] * norms[j]
+                bound = config.tol_hom * max(1.0, norms[i]) * max(1.0, norms[j])
                 if residual > bound:
                     raise NotCommuting(i, j, residual)
     else:
         raise TypeError("unsupported semigroup type")
 
-    return Representation(semigroup=semigroup, dim=n, matrices=mats)
+    return rep
+
+
+def _stack(matrices):
+    """`matrices` as one read-only C-contiguous complex128 array of shape
+    (count, n, n), count >= 1, with finite entries."""
+    if not isinstance(matrices, np.ndarray):
+        matrices = list(matrices)
+        if len({np.shape(a) for a in matrices}) > 1:
+            raise ValueError("all matrices must be square of equal dimension")
+    mats = np.ascontiguousarray(matrices, dtype=np.complex128)
+    if not len(mats):
+        raise ValueError("representation needs at least one matrix")
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("all matrices must be square of equal dimension")
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite")
+    mats.flags.writeable = False
+    return mats
 
 
 def _homomorphism_bound(monoid, mats, eta):
     """2 L M delta + M eta, the bound on every ||T_s T_t - T_(s+t)|| that
-    validate_representation derives. The products T_s T_g and T_g T_s are
-    taken for one row block of elements at a time."""
-    n = mats[0].shape[0]
+    validate_representation derives, for the stack `mats`. The products
+    T_s T_g and T_g T_s and the norms are taken for one row block of
+    elements at a time, in real arithmetic when every T_s is real."""
+    n = mats.shape[1]
     block = max(1, BLOCK_ENTRIES // (n * n))
     table = np.asarray(monoid.table)
-    delta = 0.0
+    real = not mats.imag.any()
+    source = mats.real if real else mats   # strided when real: copy one block
+    delta = bound_m = 0.0
     for lo in range(0, monoid.size, block):
-        rows = np.stack(mats[lo:lo + block])
+        rows = np.ascontiguousarray(source[lo:lo + block])
+        bound_m = max(bound_m, float(np.linalg.norm(rows, axis=(1, 2)).max()))
         for g in monoid.generators:
-            target = np.stack([mats[t] for t in table[lo:lo + block, g]])
-            delta = max(delta, _largest_difference(rows @ mats[g], target),
-                        _largest_difference(mats[g] @ rows, target))
-    bound_m = max(float(np.linalg.norm(a)) for a in mats)
+            gen, target = np.ascontiguousarray(source[g]), source[table[lo:lo + block, g]]
+            for products in (rows @ gen, gen @ rows):
+                products -= target
+                delta = max(delta, float(np.linalg.norm(products, axis=(1, 2)).max()))
 
-    depth = {monoid.neutral: 0}
-    frontier = [monoid.neutral]
+    # L, the number of breadth-first rounds over G from e after the first
+    depth, reached, frontier = -1, set(), {monoid.neutral}
     while frontier:
-        successors = []
-        for t in frontier:
-            for g in monoid.generators:
-                u = monoid.add(t, g)
-                if u not in depth:
-                    depth[u] = depth[t] + 1
-                    successors.append(u)
-        frontier = successors
-    return 2 * max(depth.values()) * bound_m * delta + bound_m * eta
-
-
-def _largest_difference(products, targets):
-    """The largest ||products[i] - targets[i]||_F; overwrites `products`."""
-    products -= targets
-    return max(float(np.linalg.norm(a)) for a in products)
+        depth, reached = depth + 1, reached | frontier
+        frontier = {monoid.add(t, g) for t in frontier for g in monoid.generators} - reached
+    return 2 * depth * bound_m * delta + bound_m * eta
 
 
 def representation_from_generators(monoid, generator_indices, generator_matrices,
@@ -213,7 +220,7 @@ def representation_from_generators(monoid, generator_indices, generator_matrices
     """Materialize a finite-monoid representation from matrices on a
     generating set, by walking the Cayley table, then validate it."""
     config = DEFAULT_CONFIG if config is None else config
-    gens = [as_complex_matrix(a) for a in generator_matrices]
+    gens = np.array(list(generator_matrices), dtype=np.complex128)
     if len(gens) != len(generator_indices):
         raise ValueError("one matrix per generator index required")
     n = gens[0].shape[0]
@@ -300,11 +307,10 @@ def rotate(rep, chi):
     spectrum of the rotation certifies it again."""
     if chi.semigroup != rep.semigroup:
         raise MismatchedSemigroup("character over a different semigroup")
-    if rep.is_finite:
-        mats = tuple(chi(s) * rep.matrices[s] for s in rep.semigroup.elements())
-    else:
-        mats = tuple(z * a for z, a in zip(chi.gen_values, rep.matrices))
-    return replace(rep, matrices=mats, boundedness=replace(rep.boundedness, clusters=None))
+    values = chi.values() if rep.is_finite else chi.gen_values
+    mats = np.asarray(values, dtype=np.complex128)[:, None, None] * rep.matrices
+    return replace(rep, matrices=_stack(mats),
+                   boundedness=replace(rep.boundedness, clusters=None))
 
 
 def restrict(rep, subspace, config=None):
@@ -320,13 +326,13 @@ def restrict(rep, subspace, config=None):
     basis = subspace.basis
     proj = basis @ basis.conj().T
     eye = np.eye(rep.dim)
-    residuals = operator_norms((eye - proj) @ a @ proj for a in rep.family())
+    residuals = operator_norms((eye - proj) @ rep.family() @ proj)
     for label, residual, norm in zip(rep.semigroup.generators, residuals,
                                      rep.generator_norms):
         if residual > config.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
-    mats = tuple(basis.conj().T @ a @ basis for a in rep.matrices)
-    return Representation(semigroup=rep.semigroup, dim=subspace.dim, matrices=mats,
+    mats = basis.conj().T @ rep.matrices @ basis
+    return Representation(semigroup=rep.semigroup, dim=subspace.dim, matrices=_stack(mats),
                           boundedness=replace(rep.boundedness, clusters=None))
 
 
@@ -334,7 +340,7 @@ def dual_representation(rep):
     """Transpose every matrix (bilinear dual pairing convention). The
     certificate keeps its verdict, but not its clusters: the spectrum of
     the dual certifies it again."""
-    return replace(rep, matrices=tuple(a.T.copy() for a in rep.matrices),
+    return replace(rep, matrices=_stack(rep.matrices.transpose(0, 2, 1)),
                    boundedness=replace(rep.boundedness, clusters=None))
 
 
@@ -345,28 +351,21 @@ def direct_sum(rep1, rep2):
     again."""
     if rep1.semigroup != rep2.semigroup:
         raise MismatchedSemigroup("summands over different semigroups")
-    mats = []
-    for a, b in zip(rep1.matrices, rep2.matrices):
-        block = np.zeros((rep1.dim + rep2.dim,) * 2, dtype=np.complex128)
-        block[: rep1.dim, : rep1.dim] = a
-        block[rep1.dim:, rep1.dim:] = b
-        mats.append(block)
+    n = rep1.dim + rep2.dim
+    mats = np.zeros((len(rep1.matrices), n, n), dtype=np.complex128)
+    mats[:, : rep1.dim, : rep1.dim], mats[:, rep1.dim:, rep1.dim:] = rep1.matrices, rep2.matrices
     if rep1.boundedness.is_certified and rep2.boundedness.is_certified:
         cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands")
     else:
         cert = BoundednessCertificate(NOT_CHECKED)
-    return Representation(semigroup=rep1.semigroup, dim=rep1.dim + rep2.dim,
-                          matrices=tuple(mats), boundedness=cert)
+    return Representation(semigroup=rep1.semigroup, dim=n, matrices=_stack(mats),
+                          boundedness=cert)
 
 
 def regular_representation(monoid):
     """Left translations on C^|S|; entrywise 0/1, hence positive."""
     m = monoid.size
-    mats = []
-    for s in monoid.elements():
-        a = np.zeros((m, m), dtype=np.complex128)
-        for t in monoid.elements():
-            a[monoid.add(s, t), t] = 1.0
-        mats.append(a)
-    rep = validate_representation(monoid, mats)
-    return certify_boundedness(rep)
+    mats = np.zeros((m, m, m), dtype=np.complex128)
+    s, t = np.indices((m, m))
+    mats[s, np.asarray(monoid.table), t] = 1.0   # T_s e_t = e_(s+t)
+    return certify_boundedness(validate_representation(monoid, mats))

@@ -83,10 +83,6 @@ class FiniteCommutativeMonoid:
             x = self.table[x][s]
         return seen
 
-    @property
-    def is_finite(self):
-        return True
-
     def to_json(self):
         return {
             "type": "cayley",
@@ -118,10 +114,6 @@ class FreeCommutativeMonoid:
         """The k unit exponent tuples."""
         return tuple(tuple(int(i == j) for i in range(self.rank))
                      for j in range(self.rank))
-
-    @property
-    def is_finite(self):
-        return False
 
     def to_json(self):
         return {"type": "free_commutative", "rank": self.rank}
@@ -173,7 +165,7 @@ def validate_monoid(table, neutral):
             i, j, k = np.argwhere(diff)[0]
             raise NotAssociative(int(i) + lo, int(j), int(k))
 
-    rows = tuple(tuple(int(x) for x in row) for row in arr)
+    rows = tuple(map(tuple, arr.tolist()))
     return FiniteCommutativeMonoid(size=m, table=rows, neutral=int(neutral))
 
 

@@ -30,11 +30,11 @@ def representation_digest(rep):
     """The report's `input_digest`: SHA-256 over canonical_dumps({"dim": n,
     "semigroup": rep.semigroup.to_json()}), then over each matrix in input
     order as the row-major little-endian complex128 bytes of a + 0.0, which
-    folds -0.0 into 0.0. How the input file was written does not enter it."""
+    folds -0.0 into 0.0: one update with the whole stack. How the input
+    file was written does not enter it."""
     header = canonical_dumps({"dim": rep.dim, "semigroup": rep.semigroup.to_json()})
     h = hashlib.sha256(header.encode())
-    for a in rep.matrices:
-        h.update(np.ascontiguousarray(a + 0.0, dtype="<c16"))
+    h.update(np.ascontiguousarray(rep.matrices + 0.0, dtype="<c16"))
     return h.hexdigest()
 
 
@@ -85,9 +85,16 @@ def representation_from_json(data, config=None):
     expected = "element" if isinstance(semigroup, FiniteCommutativeMonoid) else "generator"
     if per != expected:
         raise ParseError(f'matrices must be given per "{expected}" for this semigroup')
-    # decoded one at a time, so that each is dropped once validation copies it
-    mats = (matrix_from_json(m) for m in data["matrices"]["list"])
-    rep = validate_representation(semigroup, mats, config)
+    # each matrix goes into its row of the one stack that validation keeps
+    entries, stack = data["matrices"]["list"], []
+    for index, entry in enumerate(entries):
+        a = matrix_from_json(entry)
+        if not index:
+            stack = np.empty((len(entries),) + a.shape, dtype=np.complex128)
+        elif a.shape != stack.shape[1:]:
+            raise ValueError("all matrices must be square of equal dimension")
+        stack[index] = a
+    rep = validate_representation(semigroup, stack, config)
     if rep.dim != _integer(data["dim"], "dim"):
         raise ParseError(f'declared dim {data["dim"]} does not match matrices ({rep.dim})')
     return rep

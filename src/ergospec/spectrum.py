@@ -44,17 +44,21 @@ class UnitarySpectrumResult:
 
     @cached_property
     def _positions(self):
-        # callers mostly ask for the spectrum's own characters, and a scan per
-        # call would take 0.14 s of a 0.69 s Z128 analyze; repr tells -0.0
-        # from 0.0, so equal keys mean bit-equal characters
-        return {repr(chi.canonical_key()): i for i, chi in enumerate(self.characters)}
+        # by id, which the list keeps, or by key: a scan per call would take
+        # 0.14 s of a 0.69 s Z128 analyze; repr tells -0.0 from 0.0, so equal
+        # keys mean bit-equal characters
+        positions = {repr(chi.canonical_key()): i for i, chi in enumerate(self.characters)}
+        positions.update((id(chi), i) for i, chi in enumerate(self.characters))
+        return positions
 
     def index(self, chi, tol=None):
-        """The position of the spectral character nearest chi, found by its
-        key when the spectrum holds chi itself; None when none lies within
-        tol (default tol_cluster)."""
+        """The position of the spectral character nearest chi, found by
+        identity or by its key when the spectrum holds chi itself; None
+        when none lies within tol (default tol_cluster)."""
         tol = DEFAULT_CONFIG.tol_cluster if tol is None else tol
-        position = self._positions.get(repr(chi.canonical_key()))
+        position = self._positions.get(id(chi))
+        if position is None:
+            position = self._positions.get(repr(chi.canonical_key()))
         if position is None:
             distance, position = min(((char_distance(chi, c), i)
                                       for i, c in enumerate(self.characters)),
@@ -91,7 +95,7 @@ def _isotypic_projections(rep):
     order, n = len(group.carrier), rep.dim
     conjugates = np.exp(-2j * np.pi * np.arange(order) / order) / order
     table = conjugates[numerators[:, group.carrier]]
-    stacked = np.stack([rep.matrices[k] for k in group.carrier]).reshape(order, n * n)
+    stacked = rep.matrices[list(group.carrier)].reshape(order, n * n)
     real = not stacked.imag.any()
     if real:
         stacked = np.ascontiguousarray(stacked.real)

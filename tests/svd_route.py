@@ -14,11 +14,15 @@ import numpy as np
 
 from ergospec.characters import UnitaryCharacter, char_distance, enumerate_unitary_dual
 from ergospec.config import DEFAULT_CONFIG
-from ergospec.errors import DimensionMismatch, ErgospecError
+from ergospec.errors import ErgospecError
 from ergospec.linalg import Subspace, operator_norm
 
 
 class NotNormalized(ErgospecError):
+    pass
+
+
+class DimensionMismatch(ErgospecError):
     pass
 
 

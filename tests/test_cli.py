@@ -435,6 +435,47 @@ def test_nisa_checks_the_rank_of_the_mean_projection(capsys, monkeypatch):
     assert data["violations"] == [f"nisa suite: {error}"]
 
 
+def _count_analysis_calls(monkeypatch, name):
+    """The number of calls of the Analysis method `name`, in a list."""
+    original = getattr(ergodic.Analysis, name)
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ergodic.Analysis, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "nisa"])
+def test_a_failed_pole_test_runs_once(capsys, monkeypatch, command):
+    # the ergodic, poles, quasi-compactness and positivity sections all read
+    # the one character's pole: its rounding check runs once, and each
+    # section still reports the error it raised
+    _doubled_coordinates(monkeypatch, lambda characters: 0)
+    riesz = _count_analysis_calls(monkeypatch, "_riesz_pole")
+    code, out, _ = run(capsys, command, fixture_path("identity_3"), "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ergodic"] == {"error": ROUNDING_FAILURE}
+    assert data["positivity"]["nisa"] == {"error": ROUNDING_FAILURE}
+    assert f"nisa suite: {ROUNDING_FAILURE}" in data["violations"]
+    assert len(riesz) == 1
+
+
+@pytest.mark.parametrize("command, splits", [("nisa", 0), ("analyze", 1)])
+def test_nisa_builds_no_decomposition(capsys, monkeypatch, command, splits):
+    # the nisa suite runs the pole test of each spectral character itself,
+    # not through the quasi-compactness verdict, which splits C^n too
+    split = _count_analysis_calls(monkeypatch, "_split")
+    riesz = _count_analysis_calls(monkeypatch, "_riesz_pole")
+    code, out, _ = run(capsys, command, fixture_path("circulant_stochastic_8"), "--format", "json")
+    assert code == 0
+    count = json.loads(out)["unitary_spectrum"]["count"]
+    assert (len(split), sorted(index for index, in riesz)) == (splits, list(range(count)))
+
+
 def test_no_cesaro_chain_without_a_mean_projection(capsys, tmp_path):
     # NON_POLE is Unbounded, so no analysis has a mean projection: no chain
     # runs, the report has no ergodic section and the CSV only its header
@@ -701,7 +742,8 @@ def test_malformed_ensemble_config_exit_code(capsys, tmp_path, text, message):
 
 
 def test_known_command_builds_one_parser(capsys, monkeypatch):
-    # only the invoked command's parser is built, not all ten
+    # only the invoked command's parser is built, not all ten, and only on
+    # the command's first call in the process
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -710,8 +752,10 @@ def test_known_command_builds_one_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    code, _, _ = run(capsys, "analyze", fixture_path("klein_four"), "--format", "json")
-    assert code == 0
+    cli._command_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run(capsys, "analyze", fixture_path("klein_four"), "--format", "json")
+        assert code == 0
     assert built == ["ergospec analyze"]
 
 

@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 
 import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
-from ergospec.errors import DimensionMismatch
 from ergospec.linalg import (
     SchurForm,
     Subspace,
     _single_linkage_clusters,
-    as_complex_matrix,
     largest_cross_product,
     range_basis,
 )
 from ergospec.serialize import representation_from_json
 from ergospec.spectrum import _isotypic_projections
 
-from svd_route import column_space, kernel_and_cokernel, null_space, oblique_projection
+from svd_route import (
+    DimensionMismatch,
+    column_space,
+    kernel_and_cokernel,
+    null_space,
+    oblique_projection,
+)
 from test_cli import _ill_conditioned_regular_z8
 
 
@@ -210,11 +214,6 @@ def test_null_space_properties_random(seed):
         assert np.linalg.norm(mat @ space.basis) < 1e-8 * max(1, np.linalg.norm(mat))
         gram = space.basis.conj().T @ space.basis
         assert np.linalg.norm(gram - np.eye(space.dim)) <= 1e-11
-
-
-def test_as_complex_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_complex_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def _clustered_matrix(rng, n):

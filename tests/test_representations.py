@@ -366,7 +366,8 @@ def test_certificate_and_all_pairs_agree_across_the_thresholds(monkeypatch, kind
     eta = es.operator_norm(base[monoid.neutral] - np.eye(6))
 
     def certified(eps):
-        return representations._homomorphism_bound(monoid, perturbed(eps), eta) <= tol / 2
+        stack = np.stack(perturbed(eps))
+        return representations._homomorphism_bound(monoid, stack, eta) <= tol / 2
 
     def all_pairs_accept(eps):
         return _all_pairs_verdict(monoid, perturbed(eps), monkeypatch) == "accept"
@@ -404,3 +405,133 @@ def test_regular_representation_validates_without_pair_svds(monkeypatch, m, conj
                         lambda a: calls.append(a.shape) or norm(a))
     es.validate_representation(monoid, mats)
     assert calls == [(m, m)]
+
+
+def test_validate_representation_rejects_nonfinite(klein_rep):
+    # finiteness is checked once, on the whole stack, whatever the input
+    for where in ([np.nan, 0.0], [0.0, np.inf]):
+        mats = np.array(klein_rep.matrices)
+        mats[2, 1, 3] = complex(*where)
+        for given in (mats, list(mats)):
+            with pytest.raises(ValueError, match="finite"):
+                es.validate_representation(klein_rep.semigroup, given)
+    with pytest.raises(ValueError, match="finite"):
+        es.validate_representation(free(1), [np.array([[np.nan]])])
+
+
+def test_validate_representation_stacks_any_iterable(klein_rep):
+    # a tuple, a list, a generator and an array give one equal stack; an
+    # array that is already a C-contiguous complex128 stack is kept
+    mats = np.array(klein_rep.matrices)
+    stacks = [es.validate_representation(klein_rep.semigroup, given).matrices
+              for given in (tuple(mats), list(mats), (a for a in mats),
+                            mats.real.tolist(), mats)]
+    for stack in stacks:
+        assert (stack.shape, stack.dtype) == ((4, 4, 4), np.complex128)
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        assert stack.tobytes() == mats.tobytes()
+    assert stacks[-1] is mats
+
+
+def test_validate_representation_keeps_its_shape_errors():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        es.validate_representation(free(1), [])
+    for mats in ([np.ones(2)], [np.eye(2), np.eye(3)]):
+        with pytest.raises(ValueError, match="square of equal dimension"):
+            es.validate_representation(free(len(mats)), mats)
+    with pytest.raises(ValueError, match="square of equal dimension"):
+        es.validate_representation(free(1), np.ones((1, 2, 3)))
+
+
+def _bytes(mats):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in mats)
+
+
+def test_derived_representations_match_the_matrix_by_matrix_forms():
+    # every derived stack has the bits of the matrix-by-matrix product
+    monoid = product_monoid(chain_monoid(2), cyclic_monoid(4))
+    mats, _ = _conjugated_regular(monoid, 7)
+    rep = es.certify_boundedness(es.validate_representation(monoid, mats))
+    chi = es.enumerate_unitary_dual(monoid)[3]
+    assert _bytes(es.rotate(rep, chi).matrices) == _bytes(chi(s) * a for s, a in enumerate(mats))
+    assert _bytes(es.dual_representation(rep).matrices) == _bytes(a.T.copy() for a in mats)
+
+    space = es.peripheral_decomposition(rep).reversible
+    basis = space.basis
+    assert _bytes(es.restrict(rep, space).matrices) == \
+        _bytes(basis.conj().T @ a @ basis for a in mats)
+
+    scalars = es.rotate(es.regular_representation(monoid), chi)
+    total = es.direct_sum(rep, scalars)
+    blocks = []
+    for a, b in zip(mats, scalars.matrices):
+        block = np.zeros((2 * monoid.size,) * 2, dtype=np.complex128)
+        block[:monoid.size, :monoid.size], block[monoid.size:, monoid.size:] = a, b
+        blocks.append(block)
+    assert _bytes(total.matrices) == _bytes(blocks)
+
+    regular = []
+    for s in monoid.elements():
+        a = np.zeros((monoid.size,) * 2, dtype=np.complex128)
+        for t in monoid.elements():
+            a[monoid.add(s, t), t] = 1.0
+        regular.append(a)
+    assert _bytes(es.regular_representation(monoid).matrices) == _bytes(regular)
+
+    generators = list(monoid.generators)
+    rebuilt = representation_from_generators(monoid, generators, [mats[g] for g in generators])
+    walked = {monoid.neutral: np.eye(monoid.size, dtype=np.complex128)}
+    frontier = [monoid.neutral]
+    while frontier:
+        s = frontier.pop()
+        for g in generators:
+            t = monoid.add(s, g)
+            if t not in walked:
+                walked[t] = walked[s] @ mats[g]
+                frontier.append(t)
+    assert _bytes(rebuilt.matrices) == _bytes(walked[s] for s in monoid.elements())
+
+    planted = es.certify_boundedness(es.validate_representation(
+        free(2), [np.diag([1j, 0.5, -1.0]), np.diag([-1.0, 1.0, 0.25j])]))
+    tau = es.character_from_gen_values(planted.semigroup, [np.exp(0.3j), -1j])
+    assert _bytes(es.rotate(planted, tau).matrices) == \
+        _bytes(z * a for z, a in zip(tau.gen_values, planted.matrices))
+
+
+def test_a_real_input_near_the_certificate_threshold_falls_to_all_pairs(monkeypatch):
+    # a real input takes the certificate in real arithmetic; just above its
+    # threshold tol_hom / 2 the all-pairs loop decides, with the verdict
+    # and the witness that it alone gives
+    monoid = product_monoid(chain_monoid(2), cyclic_monoid(3))
+    base = es.regular_representation(monoid).matrices
+    assert not base.imag.any()
+    rng = np.random.default_rng(5)
+    direction = rng.standard_normal((6, 6))
+    direction /= np.linalg.norm(direction)
+    element = monoid.add(*monoid.generators)
+
+    def perturbed(eps):
+        mats = np.array(base)
+        mats[element] += eps * direction
+        return mats
+
+    tol = DEFAULT_CONFIG.tol_hom
+    eps_certificate = _threshold(
+        lambda eps: representations._homomorphism_bound(monoid, perturbed(eps), 0.0) <= tol / 2,
+        1e-14, 1.0)
+    eps_all_pairs = _threshold(
+        lambda eps: _all_pairs_verdict(monoid, perturbed(eps), monkeypatch) == "accept",
+        1e-14, 1.0)
+    assert eps_certificate < eps_all_pairs
+    calls = []
+    norm = representations.operator_norm
+    monkeypatch.setattr(representations, "operator_norm",
+                        lambda a: calls.append(a.shape) or norm(a))
+    for eps, pairs in ((eps_certificate * (1 - 1e-6), False),
+                       (eps_certificate * (1 + 1e-6), True),
+                       (eps_all_pairs * (1 + 1e-6), True)):
+        calls.clear()
+        verdict = _verdict(monoid, perturbed(eps))
+        assert (len(calls) > 1) == pairs
+        assert verdict == _all_pairs_verdict(monoid, perturbed(eps), monkeypatch)
+    assert verdict != "accept"

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import tracemalloc
@@ -190,6 +191,19 @@ def test_digest_sees_the_matrices(name, change):
     assert representation_digest(representation_from_json(data)) != before
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_digest_hashes_the_matrices_in_input_order(path):
+    # the one update over the stack gives the bytes of one update per
+    # matrix, in input order, of a + 0.0 as little-endian complex128
+    rep = load_representation(str(path))
+    header = canonical_dumps({"dim": rep.dim, "semigroup": rep.semigroup.to_json()})
+    expected = hashlib.sha256(header.encode())
+    for entry in load_fixture(path.stem)["matrices"]["list"]:
+        a = matrix_from_json(entry)
+        expected.update(np.ascontiguousarray(a + 0.0, dtype="<c16"))
+    assert representation_digest(rep) == expected.hexdigest()
+
+
 def test_digest_sees_the_semigroup():
     # the trivial representations of the semilattice {0, 1} and of Z2,
     # whose Cayley tables differ in the entry 1 + 1 alone
@@ -249,8 +263,9 @@ def test_canonical_dumps_round_trip(klein_rep):
 
 
 def test_decoding_holds_the_matrices_once():
-    # each matrix is decoded only when validation copies it, so decoding never
-    # holds the input twice: the peak above what is retained stays below it
+    # each matrix is written into its row of the stack that the
+    # representation keeps, so decoding never holds the input twice: the
+    # peak above what is retained stays below it
     data = representation_to_json(es.regular_representation(cyclic_monoid(128)))
     tracemalloc.start()
     try:
