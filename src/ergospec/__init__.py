@@ -41,17 +41,7 @@ from .spectrum import (
     laplace_falsifier,
     unitary_spectrum,
 )
-from .ergodic import (
-    Analysis,
-    ErgodicReport,
-    PeripheralDecomposition,
-    is_pole,
-    mean_ergodic_analysis,
-    peripheral_decomposition,
-    quasi_compactness_verdict,
-    semigroup_at_infinity,
-    stability_verdict,
-)
+from .ergodic import Analysis, ErgodicReport, PeripheralDecomposition
 from .positivity import check_positive, domination_check, nisa_suite
 from .report import AnalysisReport, analyze, summarize
 

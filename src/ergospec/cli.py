@@ -19,7 +19,7 @@ from .ensembles import (
     random_polynomial_instance,
 )
 from .ergodic import Analysis
-from .positivity import domination_check_of, nisa_suite_of
+from .positivity import domination_check, nisa_suite
 from .representations import MAX_DIM, certify_boundedness
 from .report import analyze, summarize
 from .serialize import (
@@ -168,8 +168,8 @@ def cmd_ensemble(args):
             rep = instance[0] if isinstance(instance, tuple) else instance
             if args.ensemble in ("circulant", "polynomial"):
                 analysis = Analysis(rep, config)
-                nisa_suite_of(analysis)  # raises on a non-positive instance
-                domination_check_of(analysis)
+                nisa_suite(analysis)  # raises on a non-positive instance
+                domination_check(analysis)
             else:
                 report = analyze(rep, config, seed,
                                  sections=["spectrum", "ergodic", "poles",

@@ -9,8 +9,7 @@ N^k by the constructive ergodic net, a composed Cesaro rectangle mean. The
 peripheral decomposition takes its parts at their known dimensions from
 QRs of the poles' factors.
 
-`Analysis` holds the routes of one input and computes each of them once;
-the public verdict functions are thin wrappers over it.
+`Analysis` holds the routes of one input and computes each of them once.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,6 +21,7 @@ from .characters import trivial_character
 from .config import DEFAULT_CONFIG
 from .errors import ErgospecError, LostCharacter, NonPoleSpectrum
 from .linalg import Subspace, largest_cross_product, operator_norm, operator_norms
+from .positivity import check_positive
 from .representations import restrict
 from .spectrum import unitary_spectrum
 
@@ -76,11 +76,6 @@ class ErgodicReport:
         return self.fix_space.dim
 
 
-def mean_ergodic_analysis(rep, config=None):
-    """The mean ergodic split and its ergodic net; see Analysis.ergodic."""
-    return Analysis(rep, config).ergodic
-
-
 POLE = "pole"
 NOT_IN_SPECTRUM = "not_in_spectrum"
 
@@ -95,12 +90,6 @@ class PoleVerdict:
     @property
     def is_pole(self):
         return self.status == POLE
-
-
-def is_pole(rep, chi, config=None):
-    """Pole test: chi is a pole of T iff ker(chi - T) and rg(chi - T) are
-    direct complements; see Analysis.pole."""
-    return Analysis(rep, config).pole(chi)
 
 
 @dataclass
@@ -186,11 +175,6 @@ class InfinitySemigroup:
     residual: float   # largest ||T_k - T_r|| over each class, r its first member
 
 
-def semigroup_at_infinity(rep, config=None):
-    """The operators at infinity by classes of labels; see Analysis.infinity."""
-    return Analysis(rep, config).infinity
-
-
 @dataclass
 class QuasiCompactnessVerdict:
     eigenspace_dims: list
@@ -217,7 +201,6 @@ class Analysis:
 
     @cached_property
     def positivity(self):
-        from .positivity import check_positive  # positivity imports this module
         return check_positive(self.rep, self.config)
 
     @cached_property
@@ -436,7 +419,7 @@ class Analysis:
         rep = self.rep
         if not rep.is_finite:
             raise ValueError("the semigroup at infinity is only enumerated for "
-                             "finite monoids; use peripheral_decomposition for N^k")
+                             "finite monoids; use Analysis.decomposition for N^k")
         classes = {}
         for k in rep.semigroup.kernel.carrier:
             key = tuple(chi.angles[k] for chi in self.spectrum.characters)
@@ -466,18 +449,3 @@ class Analysis:
             decomposition_consistent=error is None and split.reversible.dim == sum(dims),
             decomposition_error=error,
         )
-
-
-def peripheral_decomposition(rep, config=None):
-    """E_r + E_s with its projection; see Analysis.decomposition."""
-    return Analysis(rep, config).decomposition
-
-
-def stability_verdict(rep, config=None):
-    """The stability verdict; see Analysis.stability."""
-    return Analysis(rep, config).stability
-
-
-def quasi_compactness_verdict(rep, config=None):
-    """The quasi-compactness verdict; see Analysis.quasi_compactness."""
-    return Analysis(rep, config).quasi_compactness

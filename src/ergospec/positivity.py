@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import DominationViolation, EquivalenceViolation, NotBounded
-from .ergodic import Analysis
 
 
 @dataclass
@@ -43,16 +42,12 @@ class NisaReport:
     projection_rank: int
 
 
-def nisa_suite(rep, config=None):
-    """The checks of the equivalence suite for a positive representation:
-    the pole test of every spectral character (Analysis.pole) and
-    rank P = dim fix(T) for the mean projection P (Analysis.ergodic).
-    The three verdicts the suite ties together hold by theorem."""
-    return nisa_suite_of(Analysis(rep, config))
-
-
-def nisa_suite_of(analysis):
-    """nisa_suite on the routes already shared in `analysis`."""
+def nisa_suite(analysis):
+    """The checks of the equivalence suite for the positive representation
+    of `analysis`: the pole test of every spectral character
+    (Analysis.pole) and rank P = dim fix(T) for the mean projection P
+    (Analysis.ergodic). The three verdicts the suite ties together hold
+    by theorem."""
     if not analysis.rep.boundedness.is_certified:
         raise NotBounded("nisa_suite requires a Certified representation")
     cert = analysis.positivity
@@ -76,14 +71,9 @@ class DominationReport:
     profile: list  # (character, eigenspace dim) per spectral character
 
 
-def domination_check(rep, config=None):
-    """dim ker(chi - T) <= dim fix(T) for every spectral character of a
-    positive uniformly mean ergodic representation."""
-    return domination_check_of(Analysis(rep, config))
-
-
-def domination_check_of(analysis):
-    """domination_check on the routes already shared in `analysis`."""
+def domination_check(analysis):
+    """dim ker(chi - T) <= dim fix(T) for every spectral character of the
+    positive uniformly mean ergodic representation of `analysis`."""
     cert = analysis.positivity
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .ergodic import Analysis
 from .errors import ErgospecError
-from .positivity import domination_check_of, nisa_suite_of
+from .positivity import domination_check, nisa_suite
 from .representations import certify_boundedness
 from .serialize import matrix_to_json, representation_digest
 
@@ -208,7 +208,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             def positive_suites():
                 out = {}
                 try:
-                    nisa = nisa_suite_of(analysis)
+                    nisa = nisa_suite(analysis)
                     out["nisa"] = {
                         "quasi_compact": True,
                         "ume_with_finite_fix": True,
@@ -221,7 +221,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                     out["nisa"] = {"error": str(exc)}
                     violations.append(f"nisa suite: {exc}")
                 try:
-                    domination = domination_check_of(analysis)
+                    domination = domination_check(analysis)
                     out["domination"] = {
                         "fix_dim": domination.fix_dim,
                         "profile": [{"character": c.to_json(), "dim": d}

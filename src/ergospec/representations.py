@@ -271,8 +271,7 @@ def certify_boundedness(rep, config=None):
     """
     config = DEFAULT_CONFIG if config is None else config
     if rep.is_finite:
-        cert = BoundednessCertificate(CERTIFIED, detail="finite range")
-        return replace(rep, boundedness=cert)
+        return _with_certificate(rep, BoundednessCertificate(CERTIFIED, detail="finite range"))
 
     clusters = []
     for j, (label, a) in enumerate(zip(rep.semigroup.generators, rep.matrices)):
@@ -294,11 +293,20 @@ def certify_boundedness(rep, config=None):
                 checked.append((psi / abs(psi), cluster))
             if detail:
                 cert = BoundednessCertificate(UNBOUNDED, witness=label, detail=detail)
-                return replace(rep, boundedness=cert)
+                return _with_certificate(rep, cert)
         clusters.append(tuple(checked))
-    return replace(rep, boundedness=BoundednessCertificate(
+    return _with_certificate(rep, BoundednessCertificate(
         CERTIFIED, detail="every generator acts as a scalar on each peripheral "
                           "spectral subspace", config=config, clusters=tuple(clusters)))
+
+
+def _with_certificate(rep, cert):
+    """`rep` with the certificate `cert` and the generator norms that `rep`
+    already took, which restrict reads again."""
+    out = replace(rep, boundedness=cert)
+    if "generator_norms" in vars(rep):
+        vars(out)["generator_norms"] = rep.generator_norms
+    return out
 
 
 def rotate(rep, chi):

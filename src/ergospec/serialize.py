@@ -10,6 +10,7 @@ Characters:      {"angles": [["p", "q"], ...]} or {"gen_values": [{"re": .., "im
 
 import contextlib
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -53,9 +54,11 @@ def semigroup_from_json(data):
         size = _integer(data["size"], "size")
         if size != len(table):
             raise ValueError(f"size {size} does not match the {len(table)} rows of the table")
-        for row in table:
-            for entry in row:
-                _integer(entry, "a Cayley table entry")
+        # one pass over the entries' types; the loop names the first bad one
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
+            for row in table:
+                for entry in row:
+                    _integer(entry, "a Cayley table entry")
         return validate_monoid(table, _integer(data["neutral"], "neutral"))
     if kind == "free_commutative":
         return FreeCommutativeMonoid(rank=_integer(data["rank"], "rank"))

@@ -130,3 +130,16 @@ def n1_rep(*matrices):
 def load_fixture(name):
     with open(FIXTURES / f"{name}.json") as fh:
         return json.load(fh)
+
+
+def count_analyses(monkeypatch):
+    """The representation of each Analysis built while the patch holds."""
+    init = es.Analysis.__init__
+    reps = []
+
+    def counted(self, rep, config=None):
+        reps.append(rep)
+        init(self, rep, config)
+
+    monkeypatch.setattr(es.Analysis, "__init__", counted)
+    return reps

@@ -156,7 +156,7 @@ def test_criterion_3_uniform_ergodicity_equivalences(certified_ensemble):
     start = time.perf_counter()
     failures = []
     for seed, rep, planted in certified_ensemble:
-        ergodic = es.mean_ergodic_analysis(rep)
+        ergodic = es.Analysis(rep).ergodic
         closest = min(row[2] for row in ergodic.cesaro_trace)
         if closest > DEFAULT_CONFIG.cesaro_target or ergodic.fix_dim != planted["fix_dim"]:
             failures.append((seed, closest, ergodic.fix_dim, planted["fix_dim"]))
@@ -172,7 +172,7 @@ def test_criterion_4_peripheral_decomposition(certified_ensemble):
     start = time.perf_counter()
     failures = []
     for seed, rep, _ in certified_ensemble:
-        dec = es.peripheral_decomposition(rep)
+        dec = es.Analysis(rep).decomposition
         p = dec.projection
         residual = es.operator_norm(p @ p - p)
         for a in rep.matrices:
@@ -195,7 +195,7 @@ def test_criterion_5_stability_witnesses(certified_ensemble, klein_rep,
     start = time.perf_counter()
     failures = []
     for seed, rep, _ in certified_ensemble:
-        verdict = es.stability_verdict(rep)
+        verdict = es.Analysis(rep).stability
         if verdict.is_stable:
             if verdict.budget_exceeded or verdict.witness_norm is None \
                     or verdict.witness_norm >= 1.0:
@@ -210,7 +210,7 @@ def test_criterion_5_stability_witnesses(certified_ensemble, klein_rep,
          np.zeros((2, 2), dtype=complex)]))
     finite_cases.append(nil)
     for rep in finite_cases:
-        verdict = es.stability_verdict(rep)
+        verdict = es.Analysis(rep).stability
         zero_present = any(es.operator_norm(a) <= DEFAULT_CONFIG.tol_hom
                            for a in rep.matrices)
         if verdict.is_stable != zero_present or \
@@ -232,16 +232,18 @@ def test_criterion_6_positive_equivalence_suite():
     violations = []
     for seed in range(POSITIVE_SIZE):
         rep = random_circulant_stochastic_instance(seed, max_rank=3, max_dim=24)
+        analysis = es.Analysis(rep)
         try:
-            es.nisa_suite(rep)
-            es.domination_check(rep)
+            es.nisa_suite(analysis)
+            es.domination_check(analysis)
         except Exception as exc:
             violations.append(("circulant", seed, str(exc)))
     for seed in range(POSITIVE_SIZE):
         rep = random_polynomial_instance(seed, max_rank=3, max_dim=24)
+        analysis = es.Analysis(rep)
         try:
-            es.nisa_suite(rep)
-            es.domination_check(rep)
+            es.nisa_suite(analysis)
+            es.domination_check(analysis)
         except Exception as exc:
             violations.append(("polynomial", seed, str(exc)))
     elapsed = time.perf_counter() - start
@@ -297,7 +299,7 @@ def test_criterion_7_compatibility_laws():
         if not _same_char_sets(total, union):
             failures.append(("sum", index))
 
-        decomposition = es.peripheral_decomposition(rep)
+        decomposition = es.Analysis(rep).decomposition
         if decomposition.reversible.dim > 0:
             sub = es.restrict(rep, decomposition.reversible)
             sub_chars = es.unitary_spectrum(sub).characters

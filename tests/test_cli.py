@@ -139,10 +139,12 @@ def test_cesaro_chain_short_of_the_target_is_a_violation(capsys):
 
 
 def test_ensemble_command(capsys):
-    code, out, _ = run(capsys, "ensemble", "--ensemble", "circulant",
-                       "--count", "5", "--n", "6", "--k", "2")
-    assert code == 0
-    assert "5/5 pass" in out
+    # general runs analyze on its sections, the others the positive suites
+    for ensemble in ("circulant", "polynomial", "general"):
+        code, out, _ = run(capsys, "ensemble", "--ensemble", ensemble,
+                           "--count", "5", "--n", "6", "--k", "2")
+        assert code == 0, ensemble
+        assert "5/5 pass" in out
 
 
 def test_ensemble_json_config(capsys, tmp_path):
@@ -208,6 +210,13 @@ def _bool_entry(data):
     data["semigroup"]["table"][1][0] = True
 
 
+# the message names the first bad Cayley entry
+BAD_ENTRY_MESSAGES = {
+    mutate: f"TypeError: a Cayley table entry must be an integer, got {value}\n"
+    for mutate, value in ((_fractional_entry, "1.5"), (_string_entry, "'1'"),
+                          (_bool_entry, "True"))}
+
+
 def _wrong_size(data):
     data["semigroup"]["size"] = 7
 
@@ -258,6 +267,8 @@ def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
     assert code == 2
     assert err.startswith("error: malformed representation: ")
     assert err.count("\n") == 1
+    if mutate in BAD_ENTRY_MESSAGES:
+        assert err == "error: malformed representation: " + BAD_ENTRY_MESSAGES[mutate]
 
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))

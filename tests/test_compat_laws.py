@@ -86,7 +86,7 @@ def test_direct_sum_unions_spectra(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_restriction_spectrum_contained(seed):
     rep = instance_pool(8, 5000)[seed]
-    decomposition = es.peripheral_decomposition(rep)
+    decomposition = es.Analysis(rep).decomposition
     full = es.unitary_spectrum(rep)
     if decomposition.reversible.dim == 0:
         return

@@ -18,6 +18,7 @@ import svd_route
 from conftest import (
     FIXTURES,
     chain_monoid,
+    count_analyses,
     cyclic_monoid,
     n1_rep,
     permuted,
@@ -39,11 +40,11 @@ def _range_oracle(rep, chi):
 def test_range_of_one_minus_identity():
     # rg(1 - T) = 0, so its orthogonal complement ker (1 - T)^H is everything
     rep = n1_rep(np.eye(3, dtype=complex))
-    assert es.mean_ergodic_analysis(rep).cokernel.dim == 3
+    assert es.Analysis(rep).ergodic.cokernel.dim == 3
 
 
 def test_range_of_one_minus_klein(klein_rep):
-    cokernel = es.mean_ergodic_analysis(klein_rep).cokernel
+    cokernel = es.Analysis(klein_rep).ergodic.cokernel
     assert cokernel.dim == 2
     fix = es.eigenspace(klein_rep, trivial_character(klein_rep.semigroup))
     # for this unitary representation ker (1 - T)^H = ker (1 - T)
@@ -104,13 +105,13 @@ def test_a_near_double_one_gets_one_consistent_answer(capsys, tmp_path):
 def test_range_of_one_minus_diagonal():
     # rg(1 - T) = span(e_2), so the cokernel is span(e_1)
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
-    cokernel = es.mean_ergodic_analysis(rep).cokernel
+    cokernel = es.Analysis(rep).ergodic.cokernel
     assert cokernel.dim == 1
     assert abs(abs(cokernel.basis[0, 0]) - 1.0) < 1e-12
 
 
 def test_mean_ergodic_klein(klein_rep):
-    report = es.mean_ergodic_analysis(klein_rep)
+    report = es.Analysis(klein_rep).ergodic
     assert (report.fix_dim, report.cokernel.dim) == (2, 2)
     half = 0.5 * np.array([[1, 1], [1, 1]])
     expected = np.zeros((4, 4), dtype=complex)
@@ -130,7 +131,7 @@ def test_mean_ergodic_klein(klein_rep):
 
 def test_mean_ergodic_diag():
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
-    report = es.mean_ergodic_analysis(rep)
+    report = es.Analysis(rep).ergodic
     assert (report.fix_dim, report.cokernel.dim) == (1, 1)
     np.testing.assert_allclose(report.mean_projection, np.diag([1.0, 0.0]), atol=1e-10)
     sides = [row[0] for row in report.cesaro_trace]
@@ -144,12 +145,12 @@ def _trace_bits(trace):
 
 def test_cesaro_chain_stops_at_the_first_side_within_the_target():
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
-    trace = es.mean_ergodic_analysis(rep).cesaro_trace
+    trace = es.Analysis(rep).ergodic.cesaro_trace
     target = DEFAULT_CONFIG.cesaro_target
     assert all(composed > target for _, _, composed in trace[:-1])
     assert trace[-1][2] <= target
     # no composed distance is within 1e-300, so this chain runs every side
-    full = es.mean_ergodic_analysis(rep, es.ToleranceConfig(cesaro_target=1e-300)).cesaro_trace
+    full = es.Analysis(rep, es.ToleranceConfig(cesaro_target=1e-300)).ergodic.cesaro_trace
     assert [row[0] for row in full] == [2**j for j in range(14)]
     assert len(trace) < len(full)
     assert _trace_bits(full[:len(trace)]) == _trace_bits(trace)
@@ -157,7 +158,7 @@ def test_cesaro_chain_stops_at_the_first_side_within_the_target():
 
 def test_cesaro_chain_runs_every_side_short_of_the_target():
     rep = es.certify_boundedness(load_representation(str(FIXTURES / "jordan_half.json")))
-    report = es.mean_ergodic_analysis(rep, es.ToleranceConfig(cesaro_max_side=4))
+    report = es.Analysis(rep, es.ToleranceConfig(cesaro_max_side=4)).ergodic
     assert (report.fix_dim, report.cokernel.dim) == (0, 0)
     assert not report.mean_projection.any()
     assert [row[0] for row in report.cesaro_trace] == [1, 2, 4]
@@ -166,7 +167,7 @@ def test_cesaro_chain_runs_every_side_short_of_the_target():
 
 def test_mean_ergodic_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
-    report = es.mean_ergodic_analysis(rep)
+    report = es.Analysis(rep).ergodic
     assert (report.fix_dim, report.cokernel.dim) == (3, 3)
     np.testing.assert_allclose(report.mean_projection, np.eye(3), atol=1e-12)
 
@@ -175,7 +176,7 @@ def test_cesaro_means_are_convex_combinations():
     # closed form for the dyadic average of diag(c): (1 - c^N) / (N (1 - c))
     c = 0.7 * np.exp(0.3j)
     rep = n1_rep(np.diag([c]).astype(complex))
-    report = es.mean_ergodic_analysis(rep)
+    report = es.Analysis(rep).ergodic
     for side, plain, _ in report.cesaro_trace:
         expected = abs((1 - c**side) / (side * (1 - c)))
         assert plain == pytest.approx(expected, rel=1e-9)
@@ -184,7 +185,7 @@ def test_cesaro_means_are_convex_combinations():
 def test_is_pole_diagonal_rotation():
     rep = n1_rep(np.diag([1j, 0.5]).astype(complex))
     chi = es.character_from_gen_values(rep.semigroup, [1j])
-    verdict = es.is_pole(rep, chi)
+    verdict = es.Analysis(rep).pole(chi)
     assert verdict.is_pole and verdict.eigenspace_dim == 1
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
     # oracle of the deleted post-check: chi is no eigenvalue of T|rg(chi - T)
@@ -196,7 +197,7 @@ def test_is_pole_det_not_in_spectrum(klein_rep):
     dual = es.enumerate_unitary_dual(klein_rep.semigroup)
     det = [c for c in dual
            if tuple(int(round(v.real)) for v in c.values()) == (1, -1, -1, 1)][0]
-    verdict = es.is_pole(klein_rep, det)
+    verdict = es.Analysis(klein_rep).pole(det)
     assert verdict.status == "not_in_spectrum"
     assert verdict.eigenspace_dim == 0 and verdict.factors is None
     assert not verdict.projection.any()
@@ -204,15 +205,15 @@ def test_is_pole_det_not_in_spectrum(klein_rep):
 
 def test_is_pole_identity():
     rep = n1_rep(np.eye(2, dtype=complex))
-    verdict = es.is_pole(rep, trivial_character(rep.semigroup))
+    verdict = es.Analysis(rep).pole(trivial_character(rep.semigroup))
     assert verdict.is_pole
     np.testing.assert_allclose(verdict.projection, np.eye(2), atol=1e-12)
 
 
 def test_pole_projection_equals_mean_projection():
     rep, _ = random_certified_instance(23, max_rank=2, max_dim=10)
-    report = es.mean_ergodic_analysis(rep)
-    verdict = es.is_pole(rep, trivial_character(rep.semigroup))
+    report = es.Analysis(rep).ergodic
+    verdict = es.Analysis(rep).pole(trivial_character(rep.semigroup))
     if report.fix_dim > 0:
         assert verdict.is_pole
         assert es.operator_norm(verdict.projection - report.mean_projection) \
@@ -220,7 +221,7 @@ def test_pole_projection_equals_mean_projection():
 
 
 def test_peripheral_decomposition_klein(klein_rep):
-    dec = es.peripheral_decomposition(klein_rep)
+    dec = es.Analysis(klein_rep).decomposition
     assert dec.reversible.dim == 4
     assert dec.stable.dim == 0
     assert len(dec.characters) == 3
@@ -230,7 +231,7 @@ def test_peripheral_decomposition_klein(klein_rep):
 
 def test_peripheral_decomposition_mixed():
     rep = n1_rep(np.diag([1.0, 1j, 0.5]).astype(complex))
-    dec = es.peripheral_decomposition(rep)
+    dec = es.Analysis(rep).decomposition
     assert dec.reversible.dim == 2
     assert dec.stable.dim == 1
     values = sorted((chi.gen_values[0] for chi in dec.characters),
@@ -242,7 +243,7 @@ def test_peripheral_decomposition_mixed():
 
 def test_peripheral_decomposition_stable_only():
     rep = n1_rep(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-    dec = es.peripheral_decomposition(rep)
+    dec = es.Analysis(rep).decomposition
     assert dec.reversible.dim == 0
     assert dec.stable.dim == 2
     assert dec.stability_norm is not None and dec.stability_norm < 1
@@ -291,7 +292,7 @@ def test_the_split_takes_its_parts_from_the_pole_factors(name):
 def test_invariance_of_peripheral_parts(klein_rep):
     rep = n1_rep(np.diag([1.0, 1j, 0.5]).astype(complex))
     for current in (rep, klein_rep):
-        dec = es.peripheral_decomposition(current)
+        dec = es.Analysis(current).decomposition
         for space in (dec.reversible, dec.stable):
             if space.dim == 0:
                 continue
@@ -303,14 +304,14 @@ def test_invariance_of_peripheral_parts(klein_rep):
 
 def test_stability_contraction():
     rep = n1_rep(np.diag([0.9, 0.5]).astype(complex))
-    verdict = es.stability_verdict(rep)
+    verdict = es.Analysis(rep).stability
     assert verdict.is_stable
     assert verdict.witness == (1,)
     assert verdict.witness_norm == pytest.approx(0.9)
 
 
 def test_stability_klein_not_stable(klein_rep):
-    verdict = es.stability_verdict(klein_rep)
+    verdict = es.Analysis(klein_rep).stability
     assert not verdict.is_stable
     assert verdict.zero_in_range is False
 
@@ -321,7 +322,7 @@ def test_stability_jordan_witness_degree_three():
     t = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
     norms = [es.operator_norm(np.linalg.matrix_power(t, n)) for n in (1, 2, 3, 4)]
     assert norms[0] > 1 and norms[1] > 1 and norms[2] < 1 and norms[3] < 1
-    verdict = es.stability_verdict(n1_rep(t))
+    verdict = es.Analysis(n1_rep(t)).stability
     assert verdict.is_stable
     assert verdict.witness == (4,)
     assert verdict.witness_norm == pytest.approx(norms[3])
@@ -342,7 +343,7 @@ def test_slowly_contracting_witness_is_a_power_of_two(t, j):
     # lies inside the circle, so the witness refutes it
     rep = n1_rep(np.array(t, dtype=complex))
     start = time.perf_counter()
-    verdict = es.stability_verdict(rep)
+    verdict = es.Analysis(rep).stability
     elapsed = time.perf_counter() - start
     if t[0][1] == 0:
         assert [chi.gen_values for chi in es.unitary_spectrum(rep).characters] == [(1,)]
@@ -360,7 +361,7 @@ def test_a_character_on_the_circle_runs_no_witness_search(monkeypatch):
     u = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
     for t in (np.diag([1.0, 0.5]), np.diag([1 + 5e-9, 0.5]),
               u @ np.diag([np.exp(0.3j), 0.5]) @ u.T):
-        verdict = es.stability_verdict(n1_rep(np.asarray(t, dtype=complex)))
+        verdict = es.Analysis(n1_rep(np.asarray(t, dtype=complex))).stability
         assert not verdict.is_stable and verdict.blocking_character is not None
     assert calls == []
 
@@ -378,7 +379,7 @@ def test_a_square_that_overflows_is_no_witness():
 def test_stability_witness_is_diagonal_over_n2():
     # neither generator contracts alone, their product T_(1, 1) does
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex), np.diag([0.5, 1.0]).astype(complex))
-    verdict = es.stability_verdict(rep)
+    verdict = es.Analysis(rep).stability
     assert verdict.is_stable
     assert verdict.witness == (1, 1)
     assert verdict.witness_norm == pytest.approx(0.5)
@@ -390,7 +391,7 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character(tmp_path, monkeypat
     # a pole whose Cesaro net cannot meet cesaro_target, as T^N grows like
     # (1 + 5e-9)^N
     rep = n1_rep(np.diag([1.0 + 5e-9, 0.5]).astype(complex))
-    verdict = es.stability_verdict(rep)
+    verdict = es.Analysis(rep).stability
     assert not verdict.is_stable
     assert verdict.blocking_character.gen_values == (1.0,)
     report = es.analyze(rep)
@@ -408,7 +409,7 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character(tmp_path, monkeypat
 
     monkeypatch.setattr(ergodic, "unitary_spectrum", empty)
     with pytest.raises(LostCharacter) as exc:
-        es.stability_verdict(rep)
+        es.Analysis(rep).stability
     assert exc.value.radius == pytest.approx(1.0 + 5e-9, abs=1e-15)
     path = tmp_path / "lost_character.json"
     path.write_text(json.dumps({
@@ -457,7 +458,7 @@ def test_a_certified_later_generator_just_outside_the_circle_keeps_its_character
     verdict = analysis.pole(chi)
     assert verdict.is_pole and verdict.eigenspace_dim == 1
     assert es.operator_norm(verdict.projection - e_1 @ e_1.T) <= 1e-15
-    stability = es.stability_verdict(rep)
+    stability = es.Analysis(rep).stability
     assert stability.status == ergodic.NOT_STABLE
     assert stability.blocking_character.gen_values == (1.0, 1.0)
 
@@ -470,13 +471,13 @@ def test_a_later_generator_inside_the_circle_seeks_the_witness():
         rep = n1_rep(np.diag([first, 0.5]).astype(complex),
                      np.diag([second, 0.5]).astype(complex))
         assert [chi.gen_values for chi in es.unitary_spectrum(rep).characters] == [(1.0, 1.0)]
-        verdict = es.stability_verdict(rep)
+        verdict = es.Analysis(rep).stability
         assert verdict.is_stable and verdict.witness == (4, 4)
         assert verdict.witness_norm <= 1.0 - DEFAULT_CONFIG.tol_char
 
 
 def test_semigroup_at_infinity_klein(klein_rep):
-    infinity = es.semigroup_at_infinity(klein_rep)
+    infinity = es.Analysis(klein_rep).infinity
     assert infinity.classes == [[0], [1], [2], [3]]
     assert infinity.residual == 0.0
 
@@ -486,7 +487,7 @@ def test_semigroup_at_infinity_threshold_nilpotent(threshold_monoid):
             np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
             np.zeros((2, 2), dtype=complex)]
     rep = es.certify_boundedness(es.validate_representation(threshold_monoid, mats))
-    infinity = es.semigroup_at_infinity(rep)
+    infinity = es.Analysis(rep).infinity
     assert infinity.classes == [[2]]
     assert infinity.residual == 0.0
 
@@ -495,14 +496,14 @@ def test_semigroup_at_infinity_trivial_monoid():
     trivial = es.validate_monoid([[0]], 0)
     rep = es.certify_boundedness(
         es.validate_representation(trivial, [np.eye(2, dtype=complex)]))
-    assert es.semigroup_at_infinity(rep).classes == [[0]]
+    assert es.Analysis(rep).infinity.classes == [[0]]
 
 
 def test_semigroup_at_infinity_is_kernel_image(klein_rep):
     # the tail intersection is exactly {T_k : k in kernel group}, one
     # operator per class
     for rep in (klein_rep, _threshold_half()):
-        infinity = es.semigroup_at_infinity(rep)
+        infinity = es.Analysis(rep).infinity
         kernel = es.kernel_group(rep.semigroup)
         expected = {bytes(np.round(rep.matrices[k], 9)) for k in kernel.carrier}
         got = [bytes(np.round(rep.matrices[members[0]], 9))
@@ -513,21 +514,21 @@ def test_semigroup_at_infinity_is_kernel_image(klein_rep):
 
 
 def test_quasi_compactness_klein(klein_rep):
-    verdict = es.quasi_compactness_verdict(klein_rep)
+    verdict = es.Analysis(klein_rep).quasi_compactness
     assert sorted(verdict.eigenspace_dims) == [1, 1, 2]
     assert verdict.decomposition_consistent
 
 
 def test_quasi_compactness_empty_spectrum():
     rep = n1_rep(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-    verdict = es.quasi_compactness_verdict(rep)
+    verdict = es.Analysis(rep).quasi_compactness
     assert verdict.eigenspace_dims == []
     assert verdict.decomposition_consistent and verdict.decomposition_error is None
 
 
 def test_quasi_compactness_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
-    verdict = es.quasi_compactness_verdict(rep)
+    verdict = es.Analysis(rep).quasi_compactness
     assert verdict.eigenspace_dims == [3]
     assert verdict.decomposition_consistent and verdict.decomposition_error is None
 
@@ -541,8 +542,8 @@ def test_rotation_covariance_of_poles():
         rotated = es.rotate(rep, tau)
         # ker(tau chi - tau T) = ker(chi - T), and so for the ranges
         for chi in [trivial_character(rep.semigroup), *es.unitary_spectrum(rep).characters]:
-            before = es.is_pole(rep, chi)
-            after = es.is_pole(rotated, es.char_mul(tau, chi))
+            before = es.Analysis(rep).pole(chi)
+            after = es.Analysis(rotated).pole(es.char_mul(tau, chi))
             assert (before.status, before.eigenspace_dim) == (after.status, after.eigenspace_dim)
             assert es.operator_norm(before.projection - after.projection) <= 1e-10
 
@@ -558,8 +559,8 @@ def test_pole_matches_the_rotated_mean_ergodic_analysis(seed, klein_rep):
     spectrum = es.unitary_spectrum(rep)
     assert len(spectrum) > 0
     for chi in spectrum.characters:
-        verdict = es.is_pole(rep, chi)
-        rotated = es.mean_ergodic_analysis(es.rotate(rep, es.char_conj(chi)))
+        verdict = es.Analysis(rep).pole(chi)
+        rotated = es.Analysis(es.rotate(rep, es.char_conj(chi))).ergodic
         assert verdict.is_pole
         assert verdict.eigenspace_dim == rotated.fix_dim
         assert es.operator_norm(verdict.projection - rotated.mean_projection) <= 1e-10
@@ -581,7 +582,7 @@ def test_norm_convergence_implies_mean_projection():
     limit = np.diag([1.0, 0.0])
     powers = [np.linalg.matrix_power(rep.matrices[0], t) for t in (16, 32)]
     assert es.operator_norm(powers[1] - limit) < es.operator_norm(powers[0] - limit)
-    report = es.mean_ergodic_analysis(rep)
+    report = es.Analysis(rep).ergodic
     assert es.operator_norm(report.mean_projection - limit) < 1e-10
 
 
@@ -619,19 +620,19 @@ def _count_riesz_poles(monkeypatch):
 
 def test_analyze_computes_each_route_once(klein_rep, monkeypatch):
     # PeripheralDecomposition is built once per run of the decomposition.
-    # Each pairing of ker(chi - T) with ker((chi - T)^H) is a pole's, and the
-    # mean ergodic split is the trivial character's, not a route of its own
+    # Every section, the poles and the mean ergodic split included, reads
+    # the one Analysis; the mean ergodic split is the trivial character's
+    # pole, not a route of its own
     calls = {name: _count_calls(monkeypatch, name)
-             for name in ("is_pole", "PeripheralDecomposition",
-                          "mean_ergodic_analysis", "unitary_spectrum")}
+             for name in ("PeripheralDecomposition", "unitary_spectrum")}
+    analyses = count_analyses(monkeypatch)
     riesz = _count_riesz_poles(monkeypatch)
     report = es.analyze(klein_rep)
     assert report.ok
     assert report.data["positivity"]["nisa"]["agree"]
     assert riesz == []                            # each pole is an isotypic projection
-    assert len(calls["is_pole"]) == 0             # no second Analysis per pole
+    assert len(analyses) == 1                     # no second Analysis per pole or section
     assert len(calls["PeripheralDecomposition"]) == 1
-    assert len(calls["mean_ergodic_analysis"]) == 0
     assert len(calls["unitary_spectrum"]) == 1    # E_s = 0, so T's alone
 
 
@@ -673,7 +674,7 @@ def test_stability_witness_matches_the_analysis_of_the_stable_part(case):
         rep = es.certify_boundedness(rep)
     else:
         rep, _ = random_certified_instance(case, max_rank=2, max_dim=10)
-    dec = es.peripheral_decomposition(rep)
+    dec = es.Analysis(rep).decomposition
     assert dec.stable.dim > 0
     oracle = ergodic.Analysis(es.restrict(rep, dec.stable)).stability
     assert oracle.is_stable
@@ -686,7 +687,7 @@ def test_the_identity_is_no_contraction_witness():
     # rounding, so the witness is 1, whose restriction vanishes
     rep = load_representation(str(FIXTURES / "semilattice.json"))
     assert rep.semigroup.neutral == 0
-    dec = es.peripheral_decomposition(es.certify_boundedness(rep))
+    dec = es.Analysis(es.certify_boundedness(rep)).decomposition
     assert dec.stability_witness == 1
     assert dec.stability_norm < 1e-15
 
@@ -751,7 +752,7 @@ def test_threshold_witness_survives_the_last_bits_of_the_projection(nudged, monk
 
     monkeypatch.setattr(spectrum, "_isotypic_projections", patched)
     rep = load_representation(str(FIXTURES / "threshold.json"))
-    dec = es.peripheral_decomposition(es.certify_boundedness(rep))
+    dec = es.Analysis(es.certify_boundedness(rep)).decomposition
     assert dec.stability_witness == 2
     assert dec.stability_norm < 1e-15
 
@@ -864,23 +865,20 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
 
 @pytest.mark.parametrize("name, expected", [
     # N^k: the spectrum holds the trivial character exactly (eigenvalue 1)
-    ("identity_3", {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1,
-                    "_riesz_pole": 1}),
+    ("identity_3", {"Analysis": 1, "_riesz_products": 1, "_riesz_pole": 1}),
     # N^k: the spectrum holds it as v/|v|, which the mean ergodic split and
     # the positive suite reuse
-    ("circulant_stochastic_8",
-     {"mean_ergodic_analysis": 0, "is_pole": 0, "_riesz_products": 1, "_riesz_pole": 1}),
+    ("circulant_stochastic_8", {"Analysis": 1, "_riesz_products": 1, "_riesz_pole": 1}),
 ])
 def test_analyze_runs_the_trivial_pole_test_once(name, expected, monkeypatch):
     # the one Riesz pole test is the trivial character's, read by the
-    # ergodic, pole, quasi-compactness and positivity sections, on the one
-    # product of Riesz projectors that the spectrum walk formed; no rank
-    # is cut
+    # ergodic, pole, quasi-compactness and positivity sections of the one
+    # Analysis, on the one product of Riesz projectors that the spectrum
+    # walk formed; no rank is cut
     rep = load_representation(str(FIXTURES / f"{name}.json"))
-    calls = {route: _count_calls(monkeypatch, route,
-                                 spectrum if route == "_riesz_products" else ergodic)
-             for route in expected if route != "_riesz_pole"}
-    calls["_riesz_pole"] = _count_riesz_poles(monkeypatch)
+    calls = {"Analysis": count_analyses(monkeypatch),
+             "_riesz_products": _count_calls(monkeypatch, "_riesz_products", spectrum),
+             "_riesz_pole": _count_riesz_poles(monkeypatch)}
     report = es.analyze(rep)
     assert report.ok
     assert report.data["unitary_spectrum"]["count"] == 1
@@ -1067,7 +1065,7 @@ def test_classes_at_infinity_match_the_dense_oracle(case, conjugated):
         else _oracle_rep(case)
     if conjugated:
         rep = _ill_conditioned(rep, 55)
-    infinity = es.semigroup_at_infinity(rep)
+    infinity = es.Analysis(rep).infinity
     assert infinity.classes == _classes_at_infinity_oracle(rep, DEFAULT_CONFIG.tol_hom)
     assert infinity.residual <= DEFAULT_CONFIG.tol_hom
     if case in NON_FAITHFUL_Z8:

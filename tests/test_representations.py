@@ -6,6 +6,7 @@ import scipy.linalg
 
 import ergospec as es
 from ergospec import representations
+from ergospec.cli import main
 from ergospec.config import DEFAULT_CONFIG, ToleranceConfig
 from ergospec.errors import (
     BadNeutral,
@@ -17,7 +18,7 @@ from ergospec.errors import (
 from ergospec.linalg import Subspace
 from ergospec.representations import representation_from_generators
 
-from conftest import chain_monoid, cyclic_monoid, free, n1_rep, product_monoid
+from conftest import FIXTURES, chain_monoid, cyclic_monoid, free, n1_rep, product_monoid
 
 
 def test_validate_klein_permutation_rep(klein_rep):
@@ -114,6 +115,28 @@ def test_certify_modulus_above_one():
     rep = es.validate_representation(free(1), [np.diag([1.2, 0.5])])
     rep = es.certify_boundedness(rep)
     assert rep.boundedness.status == "unbounded"
+
+
+@pytest.mark.parametrize("t", [np.diag([1.0, 0.5]), np.diag([2.0, 1.0]),
+                               np.array([[1.0, 1.0], [0.0, 1.0]])],
+                         ids=["certified", "modulus_above_one", "defect"])
+def test_certification_keeps_the_generator_norms(t):
+    rep = n1_rep(t.astype(complex))
+    norms = rep.generator_norms
+    assert es.certify_boundedness(rep).generator_norms is norms
+
+
+def test_analyze_takes_the_generator_norms_once(monkeypatch, capsys):
+    # validation takes them, and restricting the certified representation
+    # to E_s for its stability witness reads them again: one more stacked
+    # norm, that of the restriction's residuals
+    calls = []
+    norms = representations.operator_norms
+    monkeypatch.setattr(representations, "operator_norms",
+                        lambda mats: calls.append(np.shape(mats)) or norms(mats))
+    assert main(["analyze", str(FIXTURES / "jordan_half.json")]) == 0
+    capsys.readouterr()
+    assert calls == [(1, 2, 2), (1, 2, 2)]
 
 
 def test_certified_norms_stay_bounded_on_grid():
@@ -456,7 +479,7 @@ def test_derived_representations_match_the_matrix_by_matrix_forms():
     assert _bytes(es.rotate(rep, chi).matrices) == _bytes(chi(s) * a for s, a in enumerate(mats))
     assert _bytes(es.dual_representation(rep).matrices) == _bytes(a.T.copy() for a in mats)
 
-    space = es.peripheral_decomposition(rep).reversible
+    space = es.Analysis(rep).decomposition.reversible
     basis = space.basis
     assert _bytes(es.restrict(rep, space).matrices) == \
         _bytes(basis.conj().T @ a @ basis for a in mats)

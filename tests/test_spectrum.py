@@ -509,7 +509,7 @@ def test_derived_certificates_match_fresh_ones(seed):
     for rep in reps:
         chi = es.character_from_gen_values(
             rep.semigroup, np.exp(2j * np.pi * rng.random(rep.semigroup.rank)))
-        reversible = es.peripheral_decomposition(rep).reversible
+        reversible = es.Analysis(rep).decomposition.reversible
         derived = {
             "rotate": es.rotate(rep, chi),
             "restrict": es.restrict(rep, reversible),
@@ -530,7 +530,7 @@ def test_the_spectrum_of_a_restriction(seed, monkeypatch):
     # own generators; T on E_s has none
     tol = DEFAULT_CONFIG.tol_cluster
     rep = _branching_instance(2 + seed % 2, seed)[0]
-    decomposition = es.peripheral_decomposition(rep)
+    decomposition = es.Analysis(rep).decomposition
     reversible = es.restrict(rep, decomposition.reversible)
     stable = es.restrict(rep, decomposition.stable)
     factored = []
