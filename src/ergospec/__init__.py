@@ -45,4 +45,16 @@ from .ergodic import Analysis, ErgodicReport, PeripheralDecomposition
 from .positivity import check_positive, domination_check, nisa_suite
 from .report import AnalysisReport, analyze, summarize
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Analysis", "AnalysisReport", "DEFAULT_CONFIG", "DEFAULT_SEED", "ErgodicReport",
+    "FiniteCommutativeMonoid", "FreeCommutativeMonoid", "KernelGroup",
+    "PeripheralDecomposition", "Representation", "Subspace", "ToleranceConfig",
+    "UnitaryCharacter", "UnitarySpectrumResult", "analyze", "certify_boundedness",
+    "char_conj", "char_distance", "char_mul", "character_from_gen_values",
+    "check_positive", "direct_sum", "domination_check", "dual_representation",
+    "eigenspace", "enumerate_unitary_dual", "idempotents", "kernel_group",
+    "laplace_falsifier", "leq", "nisa_suite", "operator_norm", "operator_norms",
+    "regular_representation", "representation_from_generators", "restrict", "rotate",
+    "summarize", "trivial_character", "unitary_spectrum", "validate_monoid",
+    "validate_representation",
+]

@@ -733,6 +733,53 @@ def test_binary_input_exit_code(capsys, tmp_path):
     assert err.startswith("error: not a text file: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"semigroup": ' + "[" * 5_000 + "]" * 5_000 + ', "angles": [], "count": 1}'],
+    ids=["200000_deep", "5000_deep_under_a_key"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "DEEP"], ["falsify", fixture_path("klein_four"), "DEEP"],
+    ["ensemble", "--config", "DEEP"]], ids=["analyze", "falsify", "ensemble"])
+def test_deeply_nested_input_exit_code(capsys, tmp_path, command, text):
+    # json raises RecursionError on such a text; orjson, which has no depth
+    # limit, must never see it, since it would overflow the C stack
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    code, out, err = run(capsys, *[str(deep) if arg == "DEEP" else arg for arg in command])
+    assert (code, out, err) == (2, "", "error: the JSON text is nested too deeply\n")
+
+
+def _set(*keys):
+    def mutate(data, value):
+        *path, last = keys
+        for key in path:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("value", [2**64, 10**20], ids=["2**64", "10**20"])
+@pytest.mark.parametrize("name, mutate", [
+    ("klein_four", _set("semigroup", "size")),
+    ("klein_four", _set("semigroup", "neutral")),
+    ("klein_four", _set("semigroup", "table", 1, 1)),
+    ("klein_four", _set("matrices", "list", 0, "rows")),
+    ("klein_four", _set("matrices", "list", 0, "cols")),
+    ("klein_four", _set("dim")),
+    ("identity_3", _set("semigroup", "rank"))],
+    ids=["size", "neutral", "table_entry", "rows", "cols", "dim", "rank"])
+def test_an_integer_beyond_64_bits_is_malformed(capsys, tmp_path, name, mutate, value):
+    # orjson reads such a literal as the nearest double, which no integer
+    # field accepts
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    mutate(data, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("error: malformed representation: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, message", [
     ("{bad", "error: Expecting property name enclosed in double quotes"),
     ('{"count": "many"}', "error: malformed ensemble config: ValueError: "),

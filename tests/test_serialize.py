@@ -1,17 +1,21 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import ergospec as es
+from ergospec import serialize
 from ergospec.cli import main
 from ergospec.errors import ParseError
 from ergospec.serialize import (
+    _read_json,
     canonical_dumps,
     character_from_json,
     load_representation,
@@ -22,7 +26,7 @@ from ergospec.serialize import (
     semigroup_from_json,
 )
 
-from conftest import FIXTURES, SCHEMAS, cyclic_monoid, free, load_fixture
+from conftest import FIXTURES, REPO, SCHEMAS, cyclic_monoid, free, load_fixture
 
 
 def representation_to_json(rep):
@@ -275,3 +279,133 @@ def test_decoding_holds_the_matrices_once():
         tracemalloc.stop()
     assert rep.dim == 128
     assert peak - retained < retained
+
+
+# the parse path: _read_json must return what json.loads returns
+
+json_loads = json.loads   # bound before the `parsers` fixture wraps it
+
+
+def _bits(obj):
+    """`obj` with each float as its IEEE 754 bytes and each other leaf with
+    its type, so that == tells -0.0 from 0.0, an int from a float and dict
+    keys in another order apart, and NaN equals itself."""
+    if isinstance(obj, dict):
+        return dict, [(key, _bits(value)) for key, value in obj.items()]
+    if isinstance(obj, list):
+        return [_bits(x) for x in obj]
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    return type(obj), obj
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """The names of the parsers that _read_json ran, in order."""
+    ran = []
+
+    def spy(name, parse):
+        def wrapped(*args, **kwargs):
+            ran.append(name)
+            return parse(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(serialize.orjson, "loads", spy("orjson", serialize.orjson.loads))
+    monkeypatch.setattr(serialize.json, "loads", spy("json", json_loads))
+    return ran
+
+
+def _read_back(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    return _read_json(path)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_read_json_matches_json_on_the_fixtures(tmp_path, parsers, name):
+    text = (FIXTURES / f"{name}.json").read_text(encoding="utf-8")
+    assert _bits(_read_back(tmp_path, text)) == _bits(json_loads(text))
+    assert parsers == ["orjson"]
+
+
+def _bench_workloads():
+    """bench/workloads.py, imported from its file without a change to
+    sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["finite_small", "free_analyze", "large_spectrum"])
+def test_read_json_matches_json_on_a_bench_deck(tmp_path, parsers, workload):
+    deck = _bench_workloads().make_deck(workload, 1)
+    for case in deck:
+        assert _bits(_read_back(tmp_path, case.text)) == _bits(json_loads(case.text)), case.name
+    assert parsers == ["orjson"] * len(deck)
+
+
+def test_read_json_matches_json_on_random_doubles(tmp_path, parsers):
+    rng = np.random.default_rng(31)
+    values = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+    values = [float(x) for x in values[np.isfinite(values)]] + [0.0, -0.0]
+    text = "[" + ", ".join(map(repr, values)) + "]"
+    assert _bits(_read_back(tmp_path, text)) == _bits(values) == _bits(json_loads(text))
+    assert parsers == ["orjson"]
+
+
+HARD_LITERALS = [
+    "-0.0", "-0e0", "0e-999", "1e-400", "1e23", "8.988465674311579e307",
+    "2.2250738585072011e-308", "2.2250738585072012e-308",       # near the least normal
+    "4.9406564584124654e-324", "2.4703282292062327e-324",       # near the least subnormal
+    "2.4703282292062328e-324", "1.7976931348623157e308", "1.7976931348623158e308",
+    "9007199254740993.0", "9007199254740993e0",                  # 2^53 + 1 ties to even
+    "0.1000000000000000055511151231257827021181583404541015625",
+    "1.00000000000000011102230246251565404236316680908203125",   # 1 + 2^-53, a tie
+    "1.00000000000000011102230246251565404236316680908203125" + "0" * 900 + "1",
+    "1" + "0" * 400 + "e-400", "0." + "0" * 400 + "1e401",
+]
+
+
+def test_read_json_matches_json_on_long_literals(tmp_path, parsers):
+    # seeded mantissas of 1 to 40 digits, at exponents from the subnormals to 1e300
+    rng = np.random.default_rng(32)
+    literals = list(HARD_LITERALS)
+    for _ in range(5_000):
+        digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 41)))))
+        literals.append(f"{rng.integers(1, 10)}.{digits}e{rng.integers(-330, 301)}")
+    text = "[" + ", ".join(literals) + "]"
+    got = _bits(_read_back(tmp_path, text))
+    assert got == _bits([float(x) for x in literals]) == _bits(json_loads(text))
+    assert parsers == ["orjson"]
+
+
+@pytest.mark.parametrize("text", [
+    "NaN", "[Infinity, -Infinity]", "[1e400]", "[1.7976931348623159e308]",
+    "[" + str(10**400) + "]", '["\\ud800"]', '{"type": "\\udfff"}'],
+    ids=["nan", "infinity", "1e400", "past_max", "10**400", "lone_high", "lone_low"])
+def test_texts_orjson_rejects_are_read_by_json(tmp_path, parsers, text):
+    assert _bits(_read_back(tmp_path, text)) == _bits(json_loads(text))
+    assert parsers == ["orjson", "json"]
+
+
+def test_the_largest_cayley_input_takes_orjson(tmp_path, parsers):
+    m = 512
+    data = {"semigroup": {"type": "cayley", "size": m, "neutral": 0,
+                          "table": [[(i + j) % m for j in range(m)] for i in range(m)]},
+            "dim": 1,
+            "matrices": {"per": "element",
+                         "list": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}] * m}}
+    text = json.dumps(data)
+    assert text.count("[") + text.count("{") == 4 * m + 5 == 2053
+    assert _bits(_read_back(tmp_path, text)) == _bits(data)
+    assert parsers == ["orjson"]
+
+
+@pytest.mark.parametrize("openers, ran", [(4096, ["orjson"]), (4097, ["json"])])
+def test_texts_with_more_openers_than_the_guard_skip_orjson(tmp_path, parsers, openers, ran):
+    # shallow, but the guard counts openers, a bound on the depth
+    text = "[" + ", ".join(["[]"] * (openers - 1)) + "]"
+    assert _read_back(tmp_path, text) == [[]] * (openers - 1)
+    assert parsers == ran
