@@ -1,71 +1,67 @@
 """Unitary semigroup characters and the dual group of a finite monoid.
 
-Characters of a finite monoid are stored exactly, as rational angles p/q
-(the value at s is exp(2*pi*i*p/q)); this keeps deduplication and the group
-structure of the dual exact. Characters of N^k are stored by their values
-on the k generators, as unit complex floats.
+A character of a finite monoid factors through its kernel group K (see
+_dual_numerators), so each of its values is a |K|-th root of unity. It is
+stored exactly, as one integer numerator p in [0, |K|) per element, its
+value at s being exp(2*pi*i*p/|K|); integer numerators keep deduplication
+and the group structure of the dual exact. Characters of N^k are stored by
+their values on the k generators, as unit complex floats.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG
 from .errors import MismatchedSemigroup
-from .semigroups import FreeCommutativeMonoid, element_order
+from .semigroups import FreeCommutativeMonoid
+
+_QUARTERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-_EXACT_QUARTERS = {
-    Fraction(0): 1.0 + 0.0j,
-    Fraction(1, 4): 1.0j,
-    Fraction(1, 2): -1.0 + 0.0j,
-    Fraction(3, 4): -1.0j,
-}
+def _root(p, q):
+    """exp(2*pi*i*p/q) for 0 <= p < q, exact at the quarter turns."""
+    if 4 * p % q == 0:
+        return _QUARTERS[4 * p // q]
+    return cmath.exp(2j * math.pi * (p / q))
 
 
-def _angle_value(angle):
-    exact = _EXACT_QUARTERS.get(angle % 1)
-    if exact is not None:
-        return exact
-    return cmath.exp(2j * math.pi * float(angle))
-
-
-_ANGLE_PARTS = {}   # id(angle) -> (angle, (str(p), str(q))); holding the angle keeps its id
-
-
-def _angle_parts(angle):
-    # one dual's characters share one Fraction per angle, which hashes slowly
-    entry = _ANGLE_PARTS.get(id(angle))
-    if entry is None:
-        if len(_ANGLE_PARTS) >= 1024:   # twice the angles of a dual of 512
-            _ANGLE_PARTS.clear()
-        entry = _ANGLE_PARTS[id(angle)] = (angle, (str(angle.numerator), str(angle.denominator)))
-    return entry[1]
+@cache
+def _angle_strings(order):
+    """The pair [str(p'), str(q')] of each angle p/order in lowest terms,
+    for p in range(order)."""
+    return tuple((str(p // math.gcd(p, order)), str(order // math.gcd(p, order)))
+                 for p in range(order))
 
 
 @dataclass(frozen=True)
 class UnitaryCharacter:
-    """A unitary character, exact (rational angles) over a finite monoid or
-    generator values over N^k."""
+    """A unitary character, exact (integer numerators over |K|) over a
+    finite monoid or generator values over N^k."""
 
     semigroup: object
-    angles: tuple = None      # finite monoid: one Fraction in [0,1) per element
+    numerators: tuple = None  # finite monoid: one int in [0, order) per element
     gen_values: tuple = None  # N^k: one unit complex number per generator
 
     def __post_init__(self):
-        if (self.angles is None) == (self.gen_values is None):
-            raise ValueError("exactly one of angles / gen_values required")
+        if (self.numerators is None) == (self.gen_values is None):
+            raise ValueError("exactly one of numerators / gen_values required")
 
     @property
     def is_exact(self):
-        return self.angles is not None
+        return self.numerators is not None
+
+    @property
+    def order(self):
+        """|K|, the common denominator of a finite character's angles."""
+        return len(self.semigroup.kernel.carrier)
 
     def __call__(self, s):
         if self.is_exact:
-            return _angle_value(self.angles[s])
+            return _root(self.numerators[s], self.order)
         value = 1.0 + 0.0j
         for z, exponent in zip(self.gen_values, s):
             value *= z ** exponent
@@ -73,16 +69,18 @@ class UnitaryCharacter:
 
     def values(self):
         """Value on every element (finite monoid only)."""
-        return tuple(_angle_value(a) for a in self.angles)
+        order = self.order
+        return tuple(_root(p, order) for p in self.numerators)
 
     def canonical_key(self):
         if self.is_exact:
-            return self.angles
+            return self.numerators
         return tuple((z.real, z.imag) for z in self.gen_values)
 
     def to_json(self):
         if self.is_exact:
-            return {"angles": [list(_angle_parts(a)) for a in self.angles]}
+            strings = _angle_strings(self.order)
+            return {"angles": [list(strings[p]) for p in self.numerators]}
         return {"gen_values": [{"re": z.real, "im": z.imag}
                                for z in self.gen_values]}
 
@@ -90,7 +88,7 @@ class UnitaryCharacter:
 def trivial_character(semigroup):
     if isinstance(semigroup, FreeCommutativeMonoid):
         return UnitaryCharacter(semigroup, gen_values=(1.0 + 0.0j,) * semigroup.rank)
-    return UnitaryCharacter(semigroup, angles=(Fraction(0),) * semigroup.size)
+    return UnitaryCharacter(semigroup, numerators=(0,) * semigroup.size)
 
 
 def character_from_gen_values(semigroup, gen_values, tol=None):
@@ -112,16 +110,18 @@ def char_mul(chi, tau):
     if chi.semigroup != tau.semigroup:
         raise MismatchedSemigroup("characters over different semigroups")
     if chi.is_exact and tau.is_exact:
-        angles = tuple((a + b) % 1 for a, b in zip(chi.angles, tau.angles))
-        return UnitaryCharacter(chi.semigroup, angles=angles)
+        order = chi.order
+        numerators = tuple((a + b) % order for a, b in zip(chi.numerators, tau.numerators))
+        return UnitaryCharacter(chi.semigroup, numerators=numerators)
     values = tuple(a * b for a, b in zip(chi.gen_values, tau.gen_values))
     return UnitaryCharacter(chi.semigroup, gen_values=values)
 
 
 def char_conj(chi):
     if chi.is_exact:
+        order = chi.order
         return UnitaryCharacter(chi.semigroup,
-                                angles=tuple((-a) % 1 for a in chi.angles))
+                                numerators=tuple(-p % order for p in chi.numerators))
     return UnitaryCharacter(chi.semigroup,
                             gen_values=tuple(z.conjugate() for z in chi.gen_values))
 
@@ -129,9 +129,9 @@ def char_conj(chi):
 def char_distance(chi, tau):
     """Canonical metric: max angular distance over the generators."""
     if chi.is_exact and tau.is_exact:
-        worst = 0.0
+        order, worst = chi.order, 0.0
         for g in chi.semigroup.generators:
-            d = float((chi.angles[g] - tau.angles[g]) % 1)
+            d = (chi.numerators[g] - tau.numerators[g]) % order / order
             worst = max(worst, min(d, 1.0 - d) * 2 * math.pi)
         return worst
     return max(abs(cmath.phase(a / b)) for a, b in zip(chi.gen_values, tau.gen_values))
@@ -140,16 +140,8 @@ def char_distance(chi, tau):
 def enumerate_unitary_dual(monoid):
     """Every unitary character of a finite commutative monoid, exactly, in
     canonical order; see _dual_numerators."""
-    group, numerators = _dual_numerators(monoid)
-    return _characters_from_numerators(monoid, numerators, len(group.carrier))
-
-
-def _characters_from_numerators(monoid, rows, order):
-    """The exact characters whose angles are p / order, one row of
-    numerators p per character and one numerator per element."""
-    angles = [Fraction(p, order) for p in range(order)]
-    return [UnitaryCharacter(monoid, angles=tuple(angles[p] for p in row))
-            for row in rows.tolist()]
+    return [UnitaryCharacter(monoid, numerators=tuple(row))
+            for row in _dual_numerators(monoid)[1].tolist()]
 
 
 def _dual_numerators(monoid):
@@ -160,15 +152,18 @@ def _dual_numerators(monoid):
     Characters factor through s -> s + e (e the minimal idempotent): any
     unimodular idempotent value must be 1, so restriction to the kernel
     group K is a bijection onto the dual of K. The dual of K is built
-    cyclic extension by cyclic extension: adjoin a generator g of maximal
-    order, and extend each character by the d-th roots of its value on
-    d*g, where d is the index of the step. The result has exactly |K|
-    characters.
+    cyclic extension by cyclic extension: adjoin the image g + e of each of
+    the monoid's generators g in turn, and extend each character by the
+    d-th roots of its value on d*g, where d is the index of the step. The
+    images generate K, since s + e is the sum of the images of the
+    generators that sum to s, so the result has exactly |K| characters.
 
     Every character of K takes |K|-th roots of unity, so each angle is
     carried as an integer numerator over |K|. The d-th roots keep integer
-    numerators: the numerator at d*g is a multiple of |K| / |H|, H the
-    subgroup reached so far, and d divides |K| / |H|.
+    numerators whatever the order of the adjoined g: the numerator at d*g
+    is a multiple of |K| / |H|, H the subgroup reached so far, and d
+    divides |K| / |H| by Lagrange, d|H| being the order of the subgroup
+    that H and g generate.
     """
     group = monoid.kernel
     e = group.identity
@@ -178,12 +173,12 @@ def _dual_numerators(monoid):
     column = {e: 0}                           # element -> column of `numerators`
     numerators = np.zeros((1, 1), dtype=np.int64)  # one row per partial character
 
-    while len(subgroup) < order:
-        outside = [g for g in group.carrier if g not in column]
-        g = max(outside, key=lambda x: element_order(monoid, group, x))
+    for g in monoid.generators:
+        g = monoid.add(g, e)
+        if g in column:   # already in the subgroup: the step adjoins nothing
+            continue
         # d = index of the extension: smallest j >= 1 with j*g in the subgroup
-        d = 1
-        power = g
+        d, power = 1, g
         while power not in column:
             power = monoid.add(power, g)
             d += 1
@@ -201,10 +196,12 @@ def _dual_numerators(monoid):
         column.update((x, len(subgroup) + i) for i, x in enumerate(new_elements))
         subgroup.extend(new_elements)
 
+    if len(subgroup) != order:
+        raise AssertionError("the generators' images do not generate the kernel group")
     columns = [column[monoid.add(s, e)] for s in monoid.elements()]
     table = numerators[:, columns]
     # lexicographic row order, that of the angle tuples
     table = table[np.lexsort(table.T[::-1])]
-    if len(table) != order or not np.diff(table, axis=0).any(axis=1).all():
-        raise AssertionError("dual enumeration lost or duplicated characters")
+    if not np.diff(table, axis=0).any(axis=1).all():
+        raise AssertionError("dual enumeration duplicated characters")
     return group, table

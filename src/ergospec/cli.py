@@ -24,6 +24,7 @@ from .representations import MAX_DIM, certify_boundedness
 from .report import analyze, summarize
 from .serialize import (
     _decoding,
+    _integer,
     _read_json,
     canonical_dumps,
     load_character,
@@ -145,10 +146,10 @@ def cmd_ensemble(args):
         loaded = _read_json(args.config)
         with _decoding("ensemble config"):
             args.ensemble = loaded.get("ensemble", args.ensemble)
-            args.count = int(loaded.get("count", args.count))
-            args.n = int(loaded.get("n", args.n))
-            args.k = int(loaded.get("k", args.k))
-            args.seed = int(loaded.get("seed", args.seed))
+            if not isinstance(args.ensemble, str):
+                raise TypeError(f"ensemble must be a string, got {args.ensemble!r}")
+            for name in ("count", "n", "k", "seed"):
+                setattr(args, name, _integer(loaded.get(name, getattr(args, name)), name))
         if args.ensemble not in makers:
             raise ParseError(f"unknown ensemble {args.ensemble!r} in the ensemble config")
     # checked after the merge, so that values read from the config are too

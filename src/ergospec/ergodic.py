@@ -414,15 +414,15 @@ class Analysis:
         infinity are T(K). K acts on rg T_e as a finite abelian group and
         T_k vanishes on ker T_e, so T_k is the sum of chi(k) P_chi over the
         spectrum (Serre, Linear Representations of Finite Groups, 2.3):
-        T_k = T_k' exactly when every spectral character has the same angle
-        at k and k'. The residual checks this against the operators."""
+        T_k = T_k' exactly when every spectral character has the same
+        numerator at k and k'. The residual checks this against the operators."""
         rep = self.rep
         if not rep.is_finite:
             raise ValueError("the semigroup at infinity is only enumerated for "
                              "finite monoids; use Analysis.decomposition for N^k")
         classes = {}
         for k in rep.semigroup.kernel.carrier:
-            key = tuple(chi.angles[k] for chi in self.spectrum.characters)
+            key = tuple(chi.numerators[k] for chi in self.spectrum.characters)
             classes.setdefault(key, []).append(k)
         classes = sorted(classes.values())
         residual = max(operator_norms(rep.matrices[k] - rep.matrices[members[0]]

@@ -29,7 +29,7 @@ def check_positive(rep, config=None):
     violation in (matrix, row, col) order."""
     config = DEFAULT_CONFIG if config is None else config
     mats, tol = rep.matrices, config.tol_char
-    bad = (mats.real < -tol) | (mats.imag > tol) | (mats.imag < -tol)
+    bad = (mats.real < -tol) | (np.abs(mats.imag) > tol)
     if bad.any():
         idx, i, j = map(int, np.argwhere(bad)[0])
         return PositivityCertificate(False, (idx, (i, j), complex(mats[idx, i, j])))

@@ -231,14 +231,3 @@ def kernel_group(monoid):
     inverse = {k: carrier[j] for k, j in zip(carrier, inverses.argmax(axis=1).tolist())}
     return KernelGroup(carrier=tuple(carrier), identity=e, inverse=inverse)
 
-
-def element_order(monoid, group, g):
-    """Order of g in the kernel group (smallest d >= 1 with d*g = identity)."""
-    x = g
-    d = 1
-    while x != group.identity:
-        x = monoid.add(x, g)
-        d += 1
-        if d > monoid.size:
-            raise InternalInconsistency("order computation did not terminate")
-    return d

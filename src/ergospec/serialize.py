@@ -23,12 +23,11 @@ import hashlib
 import itertools
 import json
 import re
-from fractions import Fraction
 
 import numpy as np
 import orjson
 
-from .characters import UnitaryCharacter, character_from_gen_values
+from .characters import UnitaryCharacter, _root, character_from_gen_values
 from .errors import ParseError
 from .representations import validate_representation
 from .semigroups import (
@@ -171,14 +170,17 @@ def load_character(path, semigroup):
 
 def _angle(pair):
     """The angle p/q mod 1 of a pair ["p", "q"], two strings holding
-    integers as schema/v1 requires."""
+    integers as schema/v1 requires, as (p, q) with q > 0 and 0 <= p < q."""
     p, q = pair
     for part in (p, q):
         if not isinstance(part, str) or not re.fullmatch(r"-?[0-9]+", part):
             raise ValueError(f"an angle part must be a string holding an integer, got {part!r}")
-    if int(q) == 0:
+    num, den = int(p), int(q)
+    if den == 0:
         raise ValueError(f"angle {p}/{q} has a zero denominator")
-    return Fraction(int(p), int(q)) % 1
+    if den < 0:
+        num, den = -num, -den
+    return num % den, den
 
 
 def character_from_json(data, semigroup):
@@ -188,13 +190,19 @@ def character_from_json(data, semigroup):
         angles = tuple(_angle(pair) for pair in data["angles"])
         if len(angles) != semigroup.size:
             raise ParseError("need one angle per element")
-        chi = UnitaryCharacter(semigroup, angles=angles)
-        values = chi.values()
+        values = [_root(p, q) for p, q in angles]
         for s in semigroup.elements():
             for t in semigroup.elements():
                 if abs(values[s] * values[t] - values[semigroup.add(s, t)]) > 1e-9:
                     raise ParseError(f"angles are not multiplicative at ({s}, {t})")
-        return chi
+        # a character's angles are multiples of 1/|K|; see characters
+        order = len(semigroup.kernel.carrier)
+        for s, (p, q) in enumerate(angles):
+            if p * order % q:
+                raise ParseError(f"angle {p}/{q} at element {s} is not a multiple of "
+                                 f"1/{order}, one over the order of the kernel group")
+        return UnitaryCharacter(semigroup,
+                                numerators=tuple(p * order // q for p, q in angles))
     if "gen_values" in data:
         values = [complex(v["re"], v["im"]) for v in data["gen_values"]]
         return character_from_gen_values(semigroup, values)

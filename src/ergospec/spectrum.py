@@ -18,12 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import (
-    UnitaryCharacter,
-    _characters_from_numerators,
-    _dual_numerators,
-    char_distance,
-)
+from .characters import UnitaryCharacter, _dual_numerators, char_distance
 from .config import DEFAULT_CONFIG, DEFAULT_SEED
 from .errors import NotBounded
 from .linalg import Subspace, operator_norm, range_basis
@@ -44,21 +39,15 @@ class UnitarySpectrumResult:
 
     @cached_property
     def _positions(self):
-        # by id, which the list keeps, or by key: a scan per call would take
-        # 0.14 s of a 0.69 s Z128 analyze; repr tells -0.0 from 0.0, so equal
-        # keys mean bit-equal characters
-        positions = {repr(chi.canonical_key()): i for i, chi in enumerate(self.characters)}
-        positions.update((id(chi), i) for i, chi in enumerate(self.characters))
-        return positions
+        # by key: a scan per call would take 0.14 s of a 0.69 s Z128 analyze
+        return {chi.canonical_key(): i for i, chi in enumerate(self.characters)}
 
     def index(self, chi, tol=None):
-        """The position of the spectral character nearest chi, found by
-        identity or by its key when the spectrum holds chi itself; None
-        when none lies within tol (default tol_cluster)."""
+        """The position of the spectral character nearest chi, found by its
+        key when the spectrum holds chi itself; None when none lies within
+        tol (default tol_cluster)."""
         tol = DEFAULT_CONFIG.tol_cluster if tol is None else tol
-        position = self._positions.get(id(chi))
-        if position is None:
-            position = self._positions.get(repr(chi.canonical_key()))
+        position = self._positions.get(chi.canonical_key())
         if position is None:
             distance, position = min(((char_distance(chi, c), i)
                                       for i, c in enumerate(self.characters)),
@@ -110,7 +99,8 @@ def _isotypic_projections(rep):
     else:
         projections = rows @ stacked
     projections = projections.reshape(-1, n, n)
-    return (_characters_from_numerators(rep.semigroup, numerators[spectral], order),
+    return ([UnitaryCharacter(rep.semigroup, numerators=tuple(row))
+             for row in numerators[spectral].tolist()],
             projections, ranks[spectral].tolist())
 
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,12 @@ def monoid_pool():
     pool.append(product_monoid(pool[1], cyclic_monoid(2)))          # semilattice x Z2
     pool.append(product_monoid(cyclic_monoid(2), cyclic_monoid(3)))  # Z6 as a product
     return pool
+
+
+def angles(chi):
+    """A finite character's angles as Fractions in [0, 1), one per element:
+    the reference form of its integer numerators over |K|."""
+    return tuple(Fraction(p, chi.order) for p in chi.numerators)
 
 
 def free(rank):

@@ -4,11 +4,13 @@ captures.
     PYTHONPATH=src python tests/sweep.py OUT
     python tests/sweep.py --compare A B
 
-The deck is the 9 fixtures, `random_certified_instance` seeds 0-299 and
-`random_circulant_stochastic_instance` seeds 0-99, each analyzed at the
-default configuration. A capture holds one line per input: its name and its
-report, `timings` excluded, as canonical JSON. To compare two checkouts,
-capture once with each one's `src` on PYTHONPATH.
+The deck is the 9 fixtures, `random_certified_instance` seeds 0-299,
+`random_circulant_stochastic_instance` seeds 0-99 and the regular
+representations of the 33 finite monoids in `MONOIDS`, each under
+relabelings seeded 0-2: 508 inputs, each analyzed at the default
+configuration. A capture holds one line per input: its name and its report,
+`timings` excluded, as canonical JSON. To compare two checkouts, capture
+once with each one's `src` on PYTHONPATH.
 
 `--compare` prints every input whose verdicts, spectrum or pole statuses
 differ between the captures, then the counts of those inputs, of the
@@ -22,11 +24,53 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# products of the atoms Z<m> (a + b mod m), L<c> (the chain {0..c-1} under
+# max) and T<c> (min(a + b, c) on {0..c}): cyclic groups, products of cyclic
+# groups, semilattices times cyclic groups, truncated and chain monoids
+MONOIDS = ("Z2", "Z3", "Z5", "Z7", "Z8", "Z12", "Z16", "Z24", "Z30", "Z48", "Z64",
+           "Z2xZ2", "Z2xZ4", "Z3xZ6", "Z4xZ4", "Z2xZ2xZ2", "Z2xZ4xZ4", "Z6xZ10",
+           "Z2xZ2xZ2xZ2xZ2xZ2",
+           "L2xZ3", "L3xZ4", "L2xZ8", "L2xL2xZ6", "L4xZ2xZ4",
+           "T3", "T7", "L4", "L6", "T3xT3", "T3xL3", "T2xZ4", "T5xZ6", "T7xZ4")
+
+
+def _atom(token):
+    """The Cayley table of one atom of a name in MONOIDS."""
+    kind, c = token[0], int(token[1:])
+    a = np.arange(c + (kind == "T"))
+    if kind == "Z":
+        return (a[:, None] + a) % c
+    if kind == "L":
+        return np.maximum(a[:, None], a)
+    return np.minimum(a[:, None] + a, c)
+
+
+def _cayley_table(name):
+    """The table of a product of atoms, row-major in the factors, with
+    neutral element 0."""
+    table = np.zeros((1, 1), dtype=np.int64)
+    for atom in map(_atom, name.split("x")):
+        b = len(atom)
+        table = (table[:, None, :, None] * b + atom[None, :, None, :]).reshape(
+            len(table) * b, len(table) * b)
+    return table
+
+
+def _relabeled(table, seed):
+    """(table, neutral) with the elements renamed by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(len(table))
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out.tolist(), int(perm[0])
 
 
 def _inputs():
     """(name, representation) of every input of the deck, in order."""
+    from ergospec import regular_representation, validate_monoid
     from ergospec.ensembles import (
         random_certified_instance,
         random_circulant_stochastic_instance,
@@ -39,6 +83,10 @@ def _inputs():
         yield f"certified-{seed}", random_certified_instance(seed)[0]
     for seed in range(100):
         yield f"circulant-{seed}", random_circulant_stochastic_instance(seed)
+    for name in MONOIDS:
+        for seed in range(3):
+            monoid = validate_monoid(*_relabeled(_cayley_table(name), seed))
+            yield f"regular-{name}-{seed}", regular_representation(monoid)
 
 
 def capture(out):

@@ -30,7 +30,7 @@ from ergospec.ensembles import (
 from ergospec.serialize import representation_from_json
 
 import conftest
-from conftest import load_fixture, monoid_pool
+from conftest import angles, load_fixture, monoid_pool
 from svd_route import brute_force_spectrum
 from test_characters import brute_force_dual
 
@@ -333,8 +333,7 @@ def test_criterion_8_oracle_equivalence(klein_rep):
     for monoid in monoid_pool():
         if monoid.size > 6:
             continue
-        enumerated = sorted(tuple(chi.angles)
-                            for chi in es.enumerate_unitary_dual(monoid))
+        enumerated = sorted(angles(chi) for chi in es.enumerate_unitary_dual(monoid))
         if enumerated != brute_force_dual(monoid):
             dual_failures.append(monoid.size)
 

@@ -1,15 +1,17 @@
+import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ergospec as es
-from ergospec.characters import UnitaryCharacter
+from ergospec.characters import UnitaryCharacter, _dual_numerators, _root
 from ergospec.errors import MismatchedSemigroup
-from ergospec.semigroups import element_order
 
 from conftest import (
+    angles,
     cyclic_monoid,
     free,
     monoid_pool,
@@ -21,6 +23,15 @@ from conftest import (
 def sign_rows(characters):
     return sorted(tuple(int(round(v.real)) for v in chi.values())
                   for chi in characters)
+
+
+def element_order(monoid, group, g):
+    """Order of g in the kernel group (smallest d >= 1 with d*g = identity)."""
+    x, d = g, 1
+    while x != group.identity:
+        x, d = monoid.add(x, g), d + 1
+        assert d <= monoid.size, "order computation did not terminate"
+    return d
 
 
 def brute_force_dual(monoid):
@@ -58,13 +69,13 @@ def test_semilattice_dual_trivial_only(semilattice_monoid):
     dual = es.enumerate_unitary_dual(semilattice_monoid)
     assert len(dual) == 1
     assert all(v == 1 for v in dual[0].values())
-    assert brute_force_dual(semilattice_monoid) == [tuple(dual[0].angles)]
+    assert brute_force_dual(semilattice_monoid) == [angles(dual[0])]
 
 
 def test_threshold_dual_trivial_only(threshold_monoid):
     dual = es.enumerate_unitary_dual(threshold_monoid)
     assert len(dual) == 1
-    assert brute_force_dual(threshold_monoid) == [tuple(dual[0].angles)]
+    assert brute_force_dual(threshold_monoid) == [angles(dual[0])]
 
 
 def test_dual_agrees_with_exhaustive_search_small_monoids():
@@ -72,12 +83,13 @@ def test_dual_agrees_with_exhaustive_search_small_monoids():
         if monoid.size > 6:
             continue
         dual = es.enumerate_unitary_dual(monoid)
-        assert sorted(tuple(chi.angles) for chi in dual) == brute_force_dual(monoid)
+        assert sorted(angles(chi) for chi in dual) == brute_force_dual(monoid)
 
 
 def fraction_dual(monoid):
-    """Reference: the cyclic-extension construction of enumerate_unitary_dual
-    in Fraction arithmetic, one dict of angles per partial character."""
+    """Reference: the cyclic-extension construction in Fraction arithmetic,
+    adjoining an element of maximal order at each step, one dict of angles
+    per partial character."""
     group = es.kernel_group(monoid)
     e = group.identity
     subgroup, in_subgroup = [e], {e}
@@ -113,13 +125,19 @@ def fraction_dual(monoid):
 
 
 def test_dual_matches_the_fraction_reference():
-    # same characters in the same order, exact angles included
+    # same characters in the same order, exact angles included: the order in
+    # which the generator tower adjoins elements does not change the table
     monoids = monoid_pool() + [cyclic_monoid(512), product_monoid(cyclic_monoid(4),
                                                                   cyclic_monoid(6)),
-                               product_monoid(truncated_monoid(3), cyclic_monoid(4))]
+                               product_monoid(truncated_monoid(3), cyclic_monoid(4)),
+                               product_monoid(cyclic_monoid(2), product_monoid(
+                                   cyclic_monoid(4), cyclic_monoid(8)))]
     for monoid in monoids:
-        dual = es.enumerate_unitary_dual(monoid)
-        assert [chi.angles for chi in dual] == fraction_dual(monoid)
+        reference = fraction_dual(monoid)
+        group, table = _dual_numerators(monoid)
+        order = len(group.carrier)
+        assert [tuple(Fraction(p, order) for p in row) for row in table.tolist()] == reference
+        assert [angles(chi) for chi in es.enumerate_unitary_dual(monoid)] == reference
 
 
 def test_dual_size_is_kernel_size():
@@ -131,13 +149,20 @@ def test_dual_size_is_kernel_size():
 def test_dual_group_closure():
     for monoid in monoid_pool():
         dual = es.enumerate_unitary_dual(monoid)
-        keys = {chi.angles for chi in dual}
+        members = set(dual)
+        keys = {angles(chi) for chi in dual}
         for chi, tau in itertools.product(dual, dual):
-            assert es.char_mul(chi, tau).angles in keys
+            product = es.char_mul(chi, tau)
+            # == and hash are canonical: the product is a member of the dual
+            assert product in members
+            assert angles(product) == tuple((a + b) % 1 for a, b in
+                                            zip(angles(chi), angles(tau)))
         for chi in dual:
-            assert es.char_conj(chi).angles in keys
-            product = es.char_mul(chi, es.char_conj(chi))
-            assert all(a == 0 for a in product.angles)
+            conj = es.char_conj(chi)
+            assert conj in members and angles(conj) in keys
+            assert angles(conj) == tuple(-a % 1 for a in angles(chi))
+            assert es.char_mul(chi, conj) == es.trivial_character(monoid)
+            assert hash(es.char_mul(chi, conj)) == hash(es.trivial_character(monoid))
 
 
 def test_characters_are_one_on_idempotents():
@@ -145,7 +170,7 @@ def test_characters_are_one_on_idempotents():
         dual = es.enumerate_unitary_dual(monoid)
         for chi in dual:
             for e in es.idempotents(monoid):
-                assert chi.angles[e] == 0
+                assert chi.numerators[e] == 0
 
 
 def test_klein_chi_times_tau_is_det(klein_monoid):
@@ -154,12 +179,12 @@ def test_klein_chi_times_tau_is_det(klein_monoid):
     chi = by_row[(1, -1, 1, -1)]
     tau = by_row[(1, 1, -1, -1)]
     det = by_row[(1, -1, -1, 1)]
-    assert es.char_mul(chi, tau).angles == det.angles
+    assert es.char_mul(chi, tau) == det
 
 
 def test_conj_of_trivial_is_trivial(klein_monoid):
     one = es.trivial_character(klein_monoid)
-    assert es.char_conj(one).angles == one.angles
+    assert es.char_conj(one) == one
 
 
 def test_free_character_evaluation():
@@ -195,13 +220,16 @@ def test_char_distance_metric(klein_monoid):
 def test_canonical_order_is_deterministic(klein_monoid):
     first = es.enumerate_unitary_dual(klein_monoid)
     second = es.enumerate_unitary_dual(klein_monoid)
-    assert [chi.angles for chi in first] == [chi.angles for chi in second]
-    assert first[0].angles == (Fraction(0),) * 4  # the trivial character sorts first
+    assert [angles(chi) for chi in first] == [angles(chi) for chi in second]
+    assert angles(first[0]) == (Fraction(0),) * 4  # the trivial character sorts first
 
 
 def test_exact_quarter_values():
     chi = UnitaryCharacter(free(1), gen_values=(1j,))
     assert chi((3,)) == -1j
-    from ergospec.characters import _angle_value
-    assert _angle_value(Fraction(1, 2)) == -1.0 + 0.0j
-    assert _angle_value(Fraction(3, 4)) == -1.0j
+    assert _root(2, 4) == -1.0 + 0.0j
+    assert _root(3, 4) == -1.0j
+    assert _root(6, 24) == 1j and _root(0, 7) == 1.0
+    # elsewhere the value is the one exp gives at the Fraction's float
+    for p, q in ((1, 3), (5, 12), (7, 512), (2, 6)):
+        assert _root(p, q) == cmath.exp(2j * math.pi * float(Fraction(p, q)))

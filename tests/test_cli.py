@@ -99,6 +99,22 @@ def test_falsify_det(capsys, tmp_path):
     assert "Refuted" in out
 
 
+def test_a_near_character_is_an_input_error(capsys, tmp_path):
+    # angles within 1e-12 of 0, 1/3 and 2/3 pass the 1e-9 multiplicativity
+    # test over Z3, but a character's angles are multiples of 1/|K| = 1/3
+    rep_path, char_path = tmp_path / "z3.json", tmp_path / "near.json"
+    rep_path.write_text(json.dumps({
+        "semigroup": {"type": "cayley", "size": 3, "neutral": 0,
+                      "table": [[(i + j) % 3 for j in range(3)] for i in range(3)]},
+        "dim": 1, "matrices": {"per": "element", "list": [matrix_to_json(np.eye(1))] * 3}}))
+    char_path.write_text(json.dumps({"angles": [
+        ["0", "1"], ["333333333333", "1000000000000"], ["666666666666", "1000000000000"]]}))
+    code, out, err = run(capsys, "falsify", str(rep_path), str(char_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: angle 333333333333/1000000000000 at element 1 is not a multiple "
+                   "of 1/3, one over the order of the kernel group\n")
+
+
 def test_falsify_member_consistent(capsys, tmp_path):
     char_path = tmp_path / "one.json"
     char_path.write_text(json.dumps(
@@ -782,14 +798,29 @@ def test_an_integer_beyond_64_bits_is_malformed(capsys, tmp_path, name, mutate, 
 
 @pytest.mark.parametrize("text, message", [
     ("{bad", "error: Expecting property name enclosed in double quotes"),
-    ('{"count": "many"}', "error: malformed ensemble config: ValueError: "),
+    ('{"count": "many"}', "error: malformed ensemble config: TypeError: count must be an "
+                          "integer, got 'many'"),
     ("[1, 2]", "error: malformed ensemble config: AttributeError: "),
+    ('{"ensemble": []}', "error: malformed ensemble config: TypeError: ensemble must be a "
+                         "string, got []"),
+    ('{"ensemble": {}}', "error: malformed ensemble config: TypeError: ensemble must be a "
+                         "string, got {}"),
+    ('{"count": 8.7}', "error: malformed ensemble config: TypeError: count must be an "
+                       "integer, got 8.7"),
+    ('{"n": "8"}', "error: malformed ensemble config: TypeError: n must be an integer, "
+                   "got '8'"),
+    ('{"k": true}', "error: malformed ensemble config: TypeError: k must be an integer, "
+                    "got True"),
+    # beyond 64 bits the parser gives the nearest double, not the integer
+    ('{"seed": 18446744073709551617}', "error: malformed ensemble config: TypeError: seed "
+                                       "must be an integer, got 1.8446744073709552e+19"),
     ('{"ensemble": "nope"}', "error: unknown ensemble 'nope' in the ensemble config"),
     ('{"count": 0}', "error: count must be at least 1, got 0"),
     ('{"n": 1}', "error: n must lie in [2, 256], got 1"),
     ('{"k": 0}', "error: k must be at least 1, got 0"),
     ('{"seed": -5}', "error: seed must be non-negative, got -5"),
-], ids=["not_json", "text_count", "list", "unknown_ensemble",
+], ids=["not_json", "text_count", "list", "list_ensemble", "object_ensemble",
+        "float_count", "text_n", "bool_k", "wide_seed", "unknown_ensemble",
         "zero_count", "n_one", "k_zero", "negative_seed"])
 def test_malformed_ensemble_config_exit_code(capsys, tmp_path, text, message):
     config = tmp_path / "ensemble.json"

@@ -11,7 +11,7 @@ from ergospec.errors import (
     NotCommutative,
 )
 from ergospec import semigroups
-from ergospec.semigroups import add_exponents, element_order
+from ergospec.semigroups import add_exponents
 from ergospec.serialize import load_representation
 
 from conftest import (
@@ -19,7 +19,6 @@ from conftest import (
     chain_monoid,
     cyclic_monoid,
     free,
-    klein_table,
     monoid_pool,
     product_monoid,
     relabeled,
@@ -132,13 +131,6 @@ def test_idempotents_closed_and_kernel_identity_maximal():
         e = es.kernel_group(monoid).identity
         for x in idem:
             assert es.leq(x, e, monoid)
-
-
-def test_element_order():
-    monoid = es.validate_monoid(klein_table(), 0)
-    group = es.kernel_group(monoid)
-    assert element_order(monoid, group, 0) == 1
-    assert element_order(monoid, group, 1) == 2
 
 
 def test_exponent_overflow():

@@ -26,7 +26,16 @@ from ergospec.serialize import (
     semigroup_from_json,
 )
 
-from conftest import FIXTURES, REPO, SCHEMAS, cyclic_monoid, free, load_fixture
+from conftest import (
+    FIXTURES,
+    REPO,
+    SCHEMAS,
+    angles,
+    cyclic_monoid,
+    free,
+    load_fixture,
+    monoid_pool,
+)
 
 
 def representation_to_json(rep):
@@ -99,7 +108,41 @@ def test_character_round_trip_exact(klein_monoid):
     dual = es.enumerate_unitary_dual(klein_monoid)
     for chi in dual:
         again = character_from_json(chi.to_json(), klein_monoid)
-        assert again.angles == chi.angles
+        assert again == chi and angles(again) == angles(chi)
+
+
+# bench/workloads.py monoids, which list their characters as Fractions
+WORKLOAD_MONOIDS = ("Z12", "Z2xZ4", "Z2xZ2xZ8", "L3xZ6", "T2xZ4", "L2xT3xZ10")
+
+
+def test_to_json_writes_each_angle_in_lowest_terms():
+    workloads = _bench_workloads()
+    for monoid in monoid_pool() + [es.validate_monoid(workloads.make_monoid(name).table, 0)
+                                   for name in WORKLOAD_MONOIDS]:
+        for chi in es.enumerate_unitary_dual(monoid):
+            assert chi.to_json() == {"angles": [[str(a.numerator), str(a.denominator)]
+                                                for a in angles(chi)]}
+    for name in WORKLOAD_MONOIDS:
+        planted = workloads.make_monoid(name)
+        dual = es.enumerate_unitary_dual(es.validate_monoid(planted.table, 0))
+        assert sorted(tuple("/".join(pair) for pair in chi.to_json()["angles"])
+                      for chi in dual) == \
+            sorted(workloads._char_key(c) for c in planted.unitary_chars()), name
+
+
+def test_any_form_of_an_angle_loads_the_spectrum_character():
+    # unreduced, negative-denominator and out-of-range pairs name the same
+    # angle, and load equal to the spectrum's own character
+    rep = es.regular_representation(cyclic_monoid(6))
+    spectrum = es.unitary_spectrum(rep)
+    for index, chi in enumerate(spectrum.characters):
+        reduced = [(a.numerator, a.denominator) for a in angles(chi)]
+        for form in (lambda p, q: (3 * p, 3 * q), lambda p, q: (-p, -q),
+                     lambda p, q: (p - 2 * q, q), lambda p, q: (q - p, -q)):
+            data = {"angles": [[str(x) for x in form(p, q)] for p, q in reduced]}
+            loaded = character_from_json(data, rep.semigroup)
+            assert loaded == chi and hash(loaded) == hash(chi)
+            assert spectrum.index(loaded, tol=0.0) == index
 
 
 def test_character_round_trip_gen_values():
