@@ -10,7 +10,7 @@ their values on the k generators, as unit complex floats.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -42,7 +42,9 @@ class UnitaryCharacter:
     """A unitary character, exact (integer numerators over |K|) over a
     finite monoid or generator values over N^k."""
 
-    semigroup: object
+    # not hashed: a finite monoid hashes its whole Cayley table, and equal
+    # characters still compare their semigroups
+    semigroup: object = field(hash=False)
     numerators: tuple = None  # finite monoid: one int in [0, order) per element
     gen_values: tuple = None  # N^k: one unit complex number per generator
 

@@ -16,6 +16,13 @@ a ParseError. So does a text orjson rejects: json reads NaN, Infinity,
 literals beyond float64 and lone surrogates, and reports any other fault
 with a line and column. orjson reads an integer literal beyond 64 bits as
 the nearest double, which every integer field of schema/v1 rejects.
+
+Every JSON text the package writes, reports and the digest header alike,
+comes from `canonical_dumps`: orjson with sorted keys and no whitespace.
+It prints the shortest digits that read back as the same double, as json
+does, but spells the exponent its own way: 1e-05 as 0.00001, 1.5e-07 as
+1.5e-7, 1e+16 as 1e16. It would write a non-finite float as null; no report
+holds one. A report's keys are strings and its text is ASCII.
 """
 
 import contextlib
@@ -43,7 +50,8 @@ _MAX_OPENERS = 8 * MAX_MONOID_SIZE
 
 
 def canonical_dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """`obj` as compact JSON text with sorted keys, as orjson writes it."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode()
 
 
 def representation_digest(rep):

@@ -244,7 +244,7 @@ def laplace_falsifier(rep, chi, trials=64, config=None, seed=DEFAULT_SEED):
     attempts = 0
     for elements, coeffs in candidates():
         attempts += 1
-        lhs = abs(sum(c * chi(s) for c, s in zip(coeffs, elements)))
+        lhs = float(abs(sum(c * chi(s) for c, s in zip(coeffs, elements))))
         rhs = operator_norm(sum(c * rep.matrix(s) for c, s in zip(coeffs, elements)))
         if lhs > rhs + config.tol_char:
             return FalsifierVerdict(True, [list(s) if isinstance(s, tuple) else s

@@ -14,8 +14,11 @@ once with each one's `src` on PYTHONPATH.
 
 `--compare` prints every input whose verdicts, spectrum or pole statuses
 differ between the captures, then the counts of those inputs, of the
-byte-identical reports and of the reports that differ only elsewhere. It
-exits 1 when any input differs in those, or is missing from one capture.
+value-identical reports (the same values, types and signs of zero once
+parsed, so a change of how numbers are spelled leaves a report
+value-identical), of the byte-identical ones among them and of the reports
+that differ only elsewhere. It exits 1 when any input differs in verdicts,
+spectrum or pole statuses, or is missing from one capture.
 This file is a script, not a test module: pytest does not collect it.
 """
 
@@ -148,7 +151,7 @@ def summary(report):
 def compare(first, second):
     a, b = _load(first), _load(second)
     names = [*a, *(name for name in b if name not in a)]
-    differing = identical = 0
+    differing = identical = equal = 0
     for name in names:
         if name not in a or name not in b:
             print(f"{name}: only in {first if name in a else second}")
@@ -156,15 +159,20 @@ def compare(first, second):
             continue
         if a[name] == b[name]:
             identical += 1
+            equal += 1
             continue
-        left, right = (summary(json.loads(line)["report"]) for line in (a[name], b[name]))
+        left, right = (json.loads(line)["report"] for line in (a[name], b[name]))
+        if json.dumps(left) == json.dumps(right):  # keeps 1 and 1.0, -0.0 and 0.0 apart
+            equal += 1
+            continue
+        left, right = summary(left), summary(right)
         for part in left:
             if left[part] != right[part]:
                 print(f"{name}: {part}\n  {first}: {left[part]}\n  {second}: {right[part]}")
         differing += left != right
     print(f"{len(names)} inputs: {differing} differ in verdicts, spectrum or pole statuses; "
-          f"{identical} reports byte-identical, {len(names) - differing - identical} "
-          f"differ only elsewhere")
+          f"{equal} reports value-identical ({identical} of them byte-identical), "
+          f"{len(names) - differing - equal} differ only elsewhere")
     return 1 if differing else 0
 
 

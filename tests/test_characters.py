@@ -9,6 +9,7 @@ import pytest
 import ergospec as es
 from ergospec.characters import UnitaryCharacter, _dual_numerators, _root
 from ergospec.errors import MismatchedSemigroup
+from ergospec.semigroups import FiniteCommutativeMonoid
 
 from conftest import (
     angles,
@@ -163,6 +164,19 @@ def test_dual_group_closure():
             assert angles(conj) == tuple(-a % 1 for a in angles(chi))
             assert es.char_mul(chi, conj) == es.trivial_character(monoid)
             assert hash(es.char_mul(chi, conj)) == hash(es.trivial_character(monoid))
+
+
+def test_a_character_hashes_without_its_monoid(monkeypatch):
+    # a finite monoid hashes its whole Cayley table, 1 ms at Z512
+    def refuse(monoid):
+        raise AssertionError("hashed the Cayley table")
+
+    monkeypatch.setattr(FiniteCommutativeMonoid, "__hash__", refuse)
+    for monoid in monoid_pool() + [cyclic_monoid(512)]:
+        dual = es.enumerate_unitary_dual(monoid)
+        hash(dual[-1])
+        assert len(set(dual)) == len(dual)
+    test_dual_group_closure()
 
 
 def test_characters_are_one_on_idempotents():

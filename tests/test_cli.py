@@ -16,7 +16,7 @@ from ergospec import cli, ergodic
 from ergospec.cli import main
 from ergospec.config import DEFAULT_SEED, ToleranceConfig
 from ergospec.errors import NotInvariant
-from ergospec.serialize import matrix_to_json
+from ergospec.serialize import canonical_dumps, matrix_to_json
 
 from conftest import FIXTURES, REPO
 
@@ -130,6 +130,64 @@ def test_falsify_member_consistent(capsys, tmp_path):
 def test_subcommands_run_on_fixture(capsys, command):
     code, _, _ = run(capsys, command, fixture_path("circulant_stochastic_8"))
     assert code == 0
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in the JSON text")
+
+
+def _recorded_dumps(monkeypatch):
+    """The (object, text) pairs of the CLI's calls to canonical_dumps."""
+    calls = []
+
+    def recording(obj):
+        calls.append((obj, canonical_dumps(obj)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "canonical_dumps", recording)
+    return calls
+
+
+def _assert_reads_back(obj, text):
+    """`text` is ASCII without NaN or Infinity, and reads back as the values,
+    types and sorted keys that json writes for `obj`."""
+    assert text.isascii()
+    again = json.loads(text, parse_constant=_refuse)
+    assert json.dumps(again) == json.dumps(obj, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", [
+    "analyze", "spectrum", "ergodic", "decompose", "stability", "quasicompact", "nisa",
+    "dual"])
+def test_every_fixture_report_reads_back(capsys, monkeypatch, command):
+    calls = _recorded_dumps(monkeypatch)
+    for path in sorted(FIXTURES.glob("*.json")):
+        code, out, _ = run(capsys, command, str(path), "--format", "json")
+        if command == "dual" and code == 2:  # the dual of N^k is not enumerable
+            assert not calls
+            continue
+        assert code == 0, path.stem
+        (obj, text), = calls
+        assert out == text + "\n"
+        _assert_reads_back(obj, text)
+        calls.clear()
+
+
+def test_falsify_and_ensemble_json_read_back(capsys, monkeypatch, tmp_path):
+    calls = _recorded_dumps(monkeypatch)
+    char_path = tmp_path / "det.json"
+    char_path.write_text(json.dumps(
+        {"angles": [["0", "1"], ["1", "2"], ["1", "2"], ["0", "1"]]}))
+    code, out, _ = run(capsys, "falsify", fixture_path("klein_four"), str(char_path),
+                       "--format", "json")
+    assert code == 0
+    (obj, text), = calls
+    assert out == text + "\n" and obj["verdict"] == "Refuted"
+    _assert_reads_back(obj, text)
+    # ensemble prints its pass count, not JSON, under either format
+    calls.clear()
+    code, out, _ = run(capsys, "ensemble", "--count", "2", "--n", "4", "--format", "json")
+    assert (code, out, calls) == (0, "2/2 pass\n", [])
 
 
 def test_cesaro_csv_export(capsys, tmp_path):

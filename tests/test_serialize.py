@@ -184,6 +184,27 @@ def test_cli_and_in_memory_inputs_share_the_digest(name):
         assert report.data["input_digest"] == from_file
 
 
+# each fixture's input_digest as recorded when json wrote the header: a
+# change of encoder, or of how the header is spelled, fails here
+FIXTURE_DIGESTS = {
+    "circle_discretization_16": "628bc64c6dca1fe09371842077390977e36873e47cf1db28bf153d7d84d136b1",
+    "circle_discretization_4": "8bed1c33dd2246784fd36981c02a9968ee66fcb7eb0daaa0df7be0447dcb7e9f",
+    "circle_discretization_8": "f1e2787775eed4af6d017998870f78a1305bf7b032f2a1b18272bf04cda98bbc",
+    "circulant_stochastic_8": "a224cc47f833fe0497e133878b1b239c71170e3e6da7c4a6947e8ff509079829",
+    "identity_3": "4955761eaeddbc86726d6afc6aaeaf08cc5f537815fccfee76c7a0e9f9987889",
+    "jordan_half": "eb43af80e48b4a23e3530da364ff8e3e66f059631261aeb599e7fe96eafed234",
+    "klein_four": "953a2d5cb10e85d10483e7e8bcdf8cc29b706680256ebd53bac2aab760188fe2",
+    "semilattice": "4b2b23bf89f7c72249530244494eb8df4d27c029e2569eba96f7d11c91c70358",
+    "threshold": "3d03b3b32b1ef18515bd9cd2a2673adc96edf1a7e5c055a0f972e21c0810a2b8",
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_digests_are_pinned(name):
+    rep = load_representation(str(FIXTURES / f"{name}.json"))
+    assert representation_digest(rep) == FIXTURE_DIGESTS[name]
+
+
 def _rewritten(obj, leaf=lambda x: x, order=list):
     """A copy of a JSON tree with each dict's keys in order(dict) and each
     leaf x replaced by leaf(x)."""
