@@ -37,7 +37,6 @@ from .representations import (
 )
 from .spectrum import (
     UnitarySpectrumResult,
-    eigenspace,
     laplace_falsifier,
     unitary_spectrum,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "UnitaryCharacter", "UnitarySpectrumResult", "analyze", "certify_boundedness",
     "char_conj", "char_distance", "char_mul", "character_from_gen_values",
     "check_positive", "direct_sum", "domination_check", "dual_representation",
-    "eigenspace", "enumerate_unitary_dual", "idempotents", "kernel_group",
+    "enumerate_unitary_dual", "idempotents", "kernel_group",
     "laplace_falsifier", "leq", "nisa_suite", "operator_norm", "operator_norms",
     "regular_representation", "representation_from_generators", "restrict", "rotate",
     "summarize", "trivial_character", "unitary_spectrum", "validate_monoid",

@@ -1,5 +1,5 @@
 """Mean ergodic structure: projections, poles, peripheral decomposition,
-stability, the semigroup at infinity, and quasi-compactness.
+stability and the semigroup at infinity.
 
 Every pole is read off the spectrum: over a finite monoid it is the
 character's isotypic projection, over N^k the product of the generators'
@@ -64,16 +64,11 @@ def _cesaro_rectangle_chain(rep, reference, config):
 
 @dataclass
 class ErgodicReport:
-    fix_space: Subspace
-    cokernel: Subspace      # ker (1 - T)^H, the orthogonal complement of rg(1 - T)
+    fix_dim: int            # dim fix(T) = rank P
     mean_projection: np.ndarray = None
     cesaro_trace: list = field(default_factory=list)  # (side, plain, composed)
     net_divergence: bool = False
     kernel_average_residual: float = None  # finite: max_g ||T_g P - P|| / max(1, ||P||)
-
-    @property
-    def fix_dim(self):
-        return self.fix_space.dim
 
 
 POLE = "pole"
@@ -94,7 +89,6 @@ class PoleVerdict:
 
 @dataclass
 class PeripheralDecomposition:
-    characters: list
     reversible: Subspace        # E_r, the sum of the unimodular eigenspaces
     stable: Subspace            # E_s, where the net decays to zero
     projection: np.ndarray      # onto E_r along E_s
@@ -173,13 +167,6 @@ def _squaring_witness(rep, config):
 class InfinitySemigroup:
     classes: list     # labels of K with equal T_k, each class and the list by label
     residual: float   # largest ||T_k - T_r|| over each class, r its first member
-
-
-@dataclass
-class QuasiCompactnessVerdict:
-    eigenspace_dims: list
-    decomposition_consistent: bool
-    decomposition_error: object = None  # the ErgospecError of a failed split
 
 
 class Analysis:
@@ -280,31 +267,24 @@ class Analysis:
     @cached_property
     def ergodic(self):
         """Uniform mean ergodicity and the mean ergodic projection: the
-        split of the trivial character's pole, fix(T) = rg P and
-        ker (1 - T)^H = (ker P)^perp = rg P^H. The trivial character is a
-        pole, or outside the spectrum, so T is uniformly mean ergodic. Over
-        a finite monoid P is P_1, cross-checked by
+        split of the trivial character's pole, fix(T) = rg P. The trivial
+        character is a pole, or outside the spectrum, so T is uniformly mean
+        ergodic. Over a finite monoid P is P_1, cross-checked by
         max_g ||T_g P_1 - P_1|| / max(1, ||P_1||) over the generators; over
         N^k the Cesaro chain is run and compared against it. A failed
         cross-check is reported as net_divergence (a tolerance anomaly),
         never silently resolved."""
         rep, config = self.rep, self.config
         pole = self.pole(self.trivial)
-        if pole.is_pole:
-            fix, coordinates = pole.factors
-            fix, cokernel = Subspace(fix), Subspace(np.linalg.qr(coordinates.conj().T)[0])
-        else:   # outside the spectrum: 1 - T is invertible
-            fix = cokernel = Subspace.zero(rep.dim)
-        projection = pole.projection
+        fix, projection = pole.eigenspace_dim, pole.projection
         if rep.is_finite:
             residual = max(operator_norms(rep.family() @ projection - projection))
             residual /= max(1.0, operator_norm(projection))
-            return ErgodicReport(fix_space=fix, cokernel=cokernel, mean_projection=projection,
+            return ErgodicReport(fix_dim=fix, mean_projection=projection,
                                  kernel_average_residual=residual,
                                  net_divergence=residual > config.tol_hom)
         trace = _cesaro_rectangle_chain(rep, projection, config)
-        return ErgodicReport(fix_space=fix, cokernel=cokernel, mean_projection=projection,
-                             cesaro_trace=trace,
+        return ErgodicReport(fix_dim=fix, mean_projection=projection, cesaro_trace=trace,
                              net_divergence=min(t[2] for t in trace) > config.cesaro_target)
 
     @cached_property
@@ -362,7 +342,6 @@ class Analysis:
             witness, witness_norm = verdict.witness, verdict.witness_norm
 
         return PeripheralDecomposition(
-            characters=self.spectrum.characters,
             reversible=reversible,
             stable=stable,
             projection=total,
@@ -429,23 +408,3 @@ class Analysis:
                                       for members in classes for k in members[1:]),
                        default=0.0)
         return InfinitySemigroup(classes=classes, residual=residual)
-
-    @cached_property
-    def quasi_compactness(self):
-        """Quasi-compactness, which holds by theorem: every spectral
-        character of a Certified input is a pole. What still decides is the
-        pole test of each spectral character, which raises its
-        NonPoleSpectrum here, and whether the peripheral decomposition
-        splits with E_r of dimension the sum of the eigenspaces'."""
-        spectrum = self.spectrum
-        for chi in spectrum.characters:
-            self.pole(chi)
-        dims = [space.dim for space in spectrum.eigenspaces]
-        # the decomposition fails when a cross-check inside it does
-        split = self._decomposition
-        error = split if isinstance(split, ErgospecError) else None
-        return QuasiCompactnessVerdict(
-            eigenspace_dims=dims,
-            decomposition_consistent=error is None and split.reversible.dim == sum(dims),
-            decomposition_error=error,
-        )

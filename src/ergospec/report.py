@@ -43,7 +43,8 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
 
     sections: optional iterable restricting the analysis
     ("spectrum", "ergodic", "poles", "decomposition", "stability",
-    "quasicompact", "positivity"); dependencies are pulled in as needed.
+    "quasicompact", "positivity"); the spectrum is always written, and no
+    section writes another.
     Every section reads one shared Analysis, so each route runs at most once.
     No route reads `seed`; the report records it.
     """
@@ -95,13 +96,13 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         "eigenspace_bases": [matrix_to_json(sp.basis) for sp in spectrum.eigenspaces],
     }
 
-    if "ergodic" in wanted or "poles" in wanted or "quasicompact" in wanted:
+    if "ergodic" in wanted:
         ergodic = checked("ergodic", "ergodic", lambda: analysis.ergodic)
         if ergodic is not None:
             entry = {
                 "is_uniformly_mean_ergodic": True,
                 "fix_dim": ergodic.fix_dim,
-                "range_dim": rep.dim - ergodic.cokernel.dim,
+                "range_dim": rep.dim - ergodic.fix_dim,   # rg(1 - T) = ker P
                 "net_divergence": ergodic.net_divergence,
                 "mean_projection": matrix_to_json(ergodic.mean_projection),
             }
@@ -142,7 +143,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
             report["peripheral_decomposition"] = {
                 "reversible_dim": decomposition.reversible.dim,
                 "stable_dim": decomposition.stable.dim,
-                "characters": [c.to_json() for c in decomposition.characters],
+                "characters": report["unitary_spectrum"]["characters"],
                 "projection": matrix_to_json(decomposition.projection),
                 "cross_residual": decomposition.cross_residual,
                 "stability_witness": list(decomposition.stability_witness)
@@ -182,17 +183,29 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                 violations.append("operators at infinity disagree with the spectrum")
 
     if "quasicompact" in wanted:
-        qc = checked("quasi_compactness", "quasicompact", lambda: analysis.quasi_compactness)
+        def split():
+            """The pole test of each spectral character, which raises its
+            NonPoleSpectrum, then dim E_r or the error the decomposition raised."""
+            for chi in spectrum.characters:
+                analysis.pole(chi)
+            try:
+                return analysis.decomposition.reversible.dim, None
+            except ErgospecError as exc:
+                return None, exc
+        qc = checked("quasi_compactness", "quasicompact", split)
         if qc is not None:
+            reversible_dim, error = qc
+            dims = report["unitary_spectrum"]["eigenspace_dims"]
+            consistent = error is None and reversible_dim == sum(dims)
             report["quasi_compactness"] = {
                 "status": "quasi_compact",
-                "eigenspace_dims": qc.eigenspace_dims,
+                "eigenspace_dims": dims,
                 "riesz_all": True,
-                "decomposition_consistent": qc.decomposition_consistent,
+                "decomposition_consistent": consistent,
             }
-            if qc.decomposition_error is not None:
-                report["quasi_compactness"]["decomposition_error"] = str(qc.decomposition_error)
-            if not qc.decomposition_consistent:
+            if error is not None:
+                report["quasi_compactness"]["decomposition_error"] = str(error)
+            if not consistent:
                 violations.append("quasi-compactness cross-checks disagree")
 
     if "positivity" in wanted:

@@ -6,7 +6,7 @@ divisibility preorder s <= t iff s + r = t for some r, and both name a
 generating set, `generators`, which every linear-algebra route reads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -125,7 +125,6 @@ class KernelGroup:
 
     carrier: tuple  # sorted element indices
     identity: int
-    inverse: dict = field(compare=False)
 
 
 def validate_monoid(table, neutral):
@@ -216,8 +215,7 @@ def kernel_group(monoid):
         raise InternalInconsistency("kernel identity is not idempotent")
     sums = table[carrier[:, None], carrier]
     not_identity = table[e, carrier] != carrier
-    inverses = sums == e
-    counts = inverses.sum(axis=1)
+    counts = (sums == e).sum(axis=1)
     bad = np.flatnonzero(not_identity | (counts != 1))
     if bad.size:
         i = bad[0]
@@ -227,7 +225,5 @@ def kernel_group(monoid):
     if not member[sums].all():
         raise InternalInconsistency("kernel not closed under addition")
 
-    carrier = carrier.tolist()
-    inverse = {k: carrier[j] for k, j in zip(carrier, inverses.argmax(axis=1).tolist())}
-    return KernelGroup(carrier=tuple(carrier), identity=e, inverse=inverse)
+    return KernelGroup(carrier=tuple(carrier.tolist()), identity=e)
 

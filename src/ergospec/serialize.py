@@ -74,6 +74,13 @@ def _integer(value, name):
     return value
 
 
+def _number(value, name):
+    """`value`, which schema/v1 requires to be a number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def semigroup_from_json(data):
     kind = data.get("type")
     if kind == "cayley":
@@ -212,6 +219,8 @@ def character_from_json(data, semigroup):
         return UnitaryCharacter(semigroup,
                                 numerators=tuple(p * order // q for p, q in angles))
     if "gen_values" in data:
-        values = [complex(v["re"], v["im"]) for v in data["gen_values"]]
+        values = [complex(_number(v["re"], f"gen_values[{i}].re"),
+                          _number(v["im"], f"gen_values[{i}].im"))
+                  for i, v in enumerate(data["gen_values"])]
         return character_from_gen_values(semigroup, values)
     raise ParseError("character needs either angles or gen_values")

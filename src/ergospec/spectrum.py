@@ -29,7 +29,6 @@ from .representations import certify_boundedness
 class UnitarySpectrumResult:
     characters: list          # UnitaryCharacter, canonically ordered
     eigenspaces: list         # Subspace per character, each nonzero
-    witnesses: list           # one joint eigenvector per character
     projections: list = None  # finite monoid: the isotypic P_chi per character
     clusters: list = None     # N^k: the SpectralCluster of each T_g at chi(g), per character
     coordinates: list = None  # N^k: W^H with P_chi = F W^H, F the range basis of P_chi
@@ -58,16 +57,6 @@ class UnitarySpectrumResult:
 
     def contains(self, chi, tol=None):
         return self.index(chi, tol) is not None
-
-
-def eigenspace(rep, chi, config=None):
-    """ker(chi - T): the eigenspace of the spectral character nearest chi,
-    within tol_cluster, and {0} when there is none. Requires a Certified
-    representation."""
-    config = DEFAULT_CONFIG if config is None else config
-    spectrum = unitary_spectrum(rep, config)
-    index = spectrum.index(chi, config.tol_cluster)
-    return Subspace.zero(rep.dim) if index is None else spectrum.eigenspaces[index]
 
 
 def _isotypic_projections(rep):
@@ -146,7 +135,7 @@ def _riesz_products(clusters):
 
 
 def unitary_spectrum(rep, config=None):
-    """Compute sigma_uni(T) with eigenspaces and witnesses.
+    """Compute sigma_uni(T) with its eigenspaces.
 
     Requires a Certified representation. An empty result is a valid
     outcome (a stable representation), not an error. Over a finite monoid
@@ -184,8 +173,7 @@ def unitary_spectrum(rep, config=None):
         spaces = [space for _, _, space, _ in found]
         extra = {"clusters": [clusters for _, clusters, _, _ in found],
                  "coordinates": [coordinates for _, _, _, coordinates in found]}
-    return UnitarySpectrumResult(characters=characters, eigenspaces=spaces,
-                                 witnesses=[space.basis[:, 0] for space in spaces], **extra)
+    return UnitarySpectrumResult(characters=characters, eigenspaces=spaces, **extra)
 
 
 @dataclass

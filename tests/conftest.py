@@ -125,6 +125,21 @@ def angles(chi):
     return tuple(Fraction(p, chi.order) for p in chi.numerators)
 
 
+def eigenspace(rep, chi, config=None):
+    """ker(chi - T): the eigenspace of the spectral character nearest chi,
+    within tol_cluster, and {0} when there is none."""
+    spectrum = es.Analysis(rep, config).spectrum
+    index = spectrum.index(chi, (config or es.DEFAULT_CONFIG).tol_cluster)
+    return es.Subspace.zero(rep.dim) if index is None else spectrum.eigenspaces[index]
+
+
+def quasi_compactness(rep):
+    """The report's quasi_compactness section, of a report with no violation."""
+    report = es.analyze(rep, sections=["spectrum", "quasicompact"])
+    assert report.ok, report.violations
+    return report.data["quasi_compactness"]
+
+
 def free(rank):
     return FreeCommutativeMonoid(rank)
 

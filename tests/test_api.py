@@ -16,7 +16,7 @@ def test_public_names_are_pinned():
         "UnitaryCharacter", "UnitarySpectrumResult", "analyze", "certify_boundedness",
         "char_conj", "char_distance", "char_mul", "character_from_gen_values",
         "check_positive", "direct_sum", "domination_check", "dual_representation",
-        "eigenspace", "enumerate_unitary_dual", "idempotents", "kernel_group",
+        "enumerate_unitary_dual", "idempotents", "kernel_group",
         "laplace_falsifier", "leq", "nisa_suite", "operator_norm", "operator_norms",
         "regular_representation", "representation_from_generators", "restrict", "rotate",
         "summarize", "trivial_character", "unitary_spectrum", "validate_monoid",

@@ -423,6 +423,59 @@ def test_malformed_character_exit_code(capsys, tmp_path):
         assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("part, shown", [(True, "True"), ("1", "'1'"), (None, "None")],
+                         ids=["bool", "text", "null"])
+def test_a_gen_values_part_must_be_a_number(capsys, tmp_path, part, shown):
+    # schema/v1 requires re and im to be JSON numbers: Python reads true as
+    # the number 1, which once loaded {"re": true, "im": 0} as the character 1
+    rep_path, char_path = tmp_path / "identity.json", tmp_path / "character.json"
+    rep_path.write_text(json.dumps({
+        "semigroup": {"type": "free_commutative", "rank": 2}, "dim": 1,
+        "matrices": {"per": "generator", "list": [matrix_to_json(np.eye(1))] * 2}}))
+    char_path.write_text(json.dumps({"gen_values": [{"re": 1.0, "im": 0}, {"re": part, "im": 0}]}))
+    code, out, err = run(capsys, "falsify", str(rep_path), str(char_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: malformed character: TypeError: gen_values[1].re must be a "
+                   f"number, got {shown}\n")
+    char_path.write_text(json.dumps({"gen_values": [{"re": 1, "im": 0}, {"re": -1.0, "im": 0}]}))
+    assert run(capsys, "falsify", str(rep_path), str(char_path))[0] == 0
+
+
+# N^1 with T = [[0.9999, 1], [0, 0.5]]: certified and stable, with an empty
+# unitary spectrum and the mean projection 0, which the Cesaro chain, whose
+# distance decays like 0.9999^N / N, does not reach by the largest side
+SLOW_CESARO = {"semigroup": {"type": "free_commutative", "rank": 1}, "dim": 2,
+               "matrices": {"per": "generator", "list": [
+                   {"rows": 2, "cols": 2, "re": [0.9999, 1.0, 0.0, 0.5],
+                    "im": [0.0, 0.0, 0.0, 0.0]}]}}
+
+
+@pytest.mark.parametrize("command, sections, violations", [
+    ("quasicompact", ["quasi_compactness"], []),
+    ("decompose", ["peripheral_decomposition"], []),
+    ("analyze", ["ergodic", "peripheral_decomposition", "poles", "positivity",
+                 "quasi_compactness", "stability"],
+     ["ergodic net failed to reach cesaro_target although the algebraic verdict is ergodic"]),
+])
+def test_only_the_ergodic_section_runs_the_cesaro_chain(capsys, tmp_path, command, sections,
+                                                         violations):
+    # quasi-compactness reads the poles and the decomposition, not the
+    # ergodic section, so its command runs no Cesaro chain and reports no
+    # violation of one
+    path = tmp_path / "slow_cesaro.json"
+    path.write_text(json.dumps(SLOW_CESARO))
+    code, out, err = run(capsys, command, str(path), "--format", "json")
+    data = json.loads(out)
+    assert (code, err, data["violations"]) == (1 if violations else 0, "", violations)
+    assert sorted(set(data) - {"boundedness", "conventions", "input_digest", "schema", "seed",
+                               "timings", "tolerances", "unitary_spectrum", "violations"}) \
+        == sections
+    assert data["unitary_spectrum"]["count"] == 0
+    if command != "decompose":
+        assert data["quasi_compactness"] == {"status": "quasi_compact", "eigenspace_dims": [],
+                                             "riesz_all": True, "decomposition_consistent": True}
+
+
 # N^1 with T = [[1, 1.5e-10], [0, 1]]: ker(1 - T) = rg(1 - T) = span(e_1),
 # so 1 is no pole, and the certificate finds the Jordan defect 1.5e-10
 # beyond tol_rank: T is Unbounded, with witness its generator
@@ -657,12 +710,13 @@ def test_a_failed_restriction_is_a_violation(capsys, tmp_path, command, monkeypa
     # gave E_s two spurious dimensions and failed its restriction. The
     # Cesaro chain still misses cesaro_target: its composed distance is
     # least, 3.7e-5, at side 256, and then doubles with the side as the
-    # rounding of T^N grows
+    # rounding of T^N grows, a violation of the ergodic section, which only
+    # analyze writes
     path = tmp_path / "roots_of_unity.json"
     path.write_text(json.dumps(_ill_conditioned_roots_of_unity(0)))
     code, out, err = run(capsys, command, str(path), "--format", "json")
     data = json.loads(out)
-    missed = [] if command == "decompose" else [
+    missed = [] if command != "analyze" else [
         "ergodic net failed to reach cesaro_target although the algebraic verdict is ergodic"]
     assert (code, err, data["violations"]) == (1 if missed else 0, "", missed)
     assert data["unitary_spectrum"]["count"] == 6

@@ -20,9 +20,11 @@ from conftest import (
     chain_monoid,
     count_analyses,
     cyclic_monoid,
+    eigenspace,
     n1_rep,
     permuted,
     product_monoid,
+    quasi_compactness,
     truncated_monoid,
 )
 from test_cli import _ill_conditioned_regular_z8
@@ -37,16 +39,26 @@ def _range_oracle(rep, chi):
     return svd_route.column_space(stacked, scale=max(1.0, *rep.generator_norms))
 
 
+def _cokernel(rep, report):
+    """ker (1 - T)^H, the orthogonal complement of rg(1 - T), as rg P^H for
+    the mean projection P of `report`, once P (1 - T_g) = 0 is checked for
+    every g of the family."""
+    p = report.mean_projection
+    for a in rep.family():
+        assert es.operator_norm(p - p @ a) < 1e-10
+    return svd_route.column_space(p.conj().T)
+
+
 def test_range_of_one_minus_identity():
     # rg(1 - T) = 0, so its orthogonal complement ker (1 - T)^H is everything
     rep = n1_rep(np.eye(3, dtype=complex))
-    assert es.Analysis(rep).ergodic.cokernel.dim == 3
+    assert _cokernel(rep, es.Analysis(rep).ergodic).dim == 3
 
 
 def test_range_of_one_minus_klein(klein_rep):
-    cokernel = es.Analysis(klein_rep).ergodic.cokernel
+    cokernel = _cokernel(klein_rep, es.Analysis(klein_rep).ergodic)
     assert cokernel.dim == 2
-    fix = es.eigenspace(klein_rep, trivial_character(klein_rep.semigroup))
+    fix = eigenspace(klein_rep, trivial_character(klein_rep.semigroup))
     # for this unitary representation ker (1 - T)^H = ker (1 - T)
     assert es.operator_norm(fix.projector() - cokernel.projector()) < 1e-10
     rng_space = _range_oracle(klein_rep, trivial_character(klein_rep.semigroup))
@@ -105,14 +117,14 @@ def test_a_near_double_one_gets_one_consistent_answer(capsys, tmp_path):
 def test_range_of_one_minus_diagonal():
     # rg(1 - T) = span(e_2), so the cokernel is span(e_1)
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
-    cokernel = es.Analysis(rep).ergodic.cokernel
+    cokernel = _cokernel(rep, es.Analysis(rep).ergodic)
     assert cokernel.dim == 1
     assert abs(abs(cokernel.basis[0, 0]) - 1.0) < 1e-12
 
 
 def test_mean_ergodic_klein(klein_rep):
     report = es.Analysis(klein_rep).ergodic
-    assert (report.fix_dim, report.cokernel.dim) == (2, 2)
+    assert (report.fix_dim, _cokernel(klein_rep, report).dim) == (2, 2)
     half = 0.5 * np.array([[1, 1], [1, 1]])
     expected = np.zeros((4, 4), dtype=complex)
     expected[:2, :2] = half
@@ -132,7 +144,7 @@ def test_mean_ergodic_klein(klein_rep):
 def test_mean_ergodic_diag():
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
     report = es.Analysis(rep).ergodic
-    assert (report.fix_dim, report.cokernel.dim) == (1, 1)
+    assert (report.fix_dim, _cokernel(rep, report).dim) == (1, 1)
     np.testing.assert_allclose(report.mean_projection, np.diag([1.0, 0.0]), atol=1e-10)
     sides = [row[0] for row in report.cesaro_trace]
     assert sides == [2**j for j in range(len(sides))]
@@ -159,7 +171,7 @@ def test_cesaro_chain_stops_at_the_first_side_within_the_target():
 def test_cesaro_chain_runs_every_side_short_of_the_target():
     rep = es.certify_boundedness(load_representation(str(FIXTURES / "jordan_half.json")))
     report = es.Analysis(rep, es.ToleranceConfig(cesaro_max_side=4)).ergodic
-    assert (report.fix_dim, report.cokernel.dim) == (0, 0)
+    assert (report.fix_dim, _cokernel(rep, report).dim) == (0, 0)
     assert not report.mean_projection.any()
     assert [row[0] for row in report.cesaro_trace] == [1, 2, 4]
     assert report.net_divergence
@@ -168,7 +180,7 @@ def test_cesaro_chain_runs_every_side_short_of_the_target():
 def test_mean_ergodic_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
     report = es.Analysis(rep).ergodic
-    assert (report.fix_dim, report.cokernel.dim) == (3, 3)
+    assert (report.fix_dim, _cokernel(rep, report).dim) == (3, 3)
     np.testing.assert_allclose(report.mean_projection, np.eye(3), atol=1e-12)
 
 
@@ -190,7 +202,7 @@ def test_is_pole_diagonal_rotation():
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
     # oracle of the deleted post-check: chi is no eigenvalue of T|rg(chi - T)
     rng_space = _range_oracle(rep, chi)
-    assert es.eigenspace(es.restrict(rep, rng_space), chi).dim == 0
+    assert eigenspace(es.restrict(rep, rng_space), chi).dim == 0
 
 
 def test_is_pole_det_not_in_spectrum(klein_rep):
@@ -221,20 +233,22 @@ def test_pole_projection_equals_mean_projection():
 
 
 def test_peripheral_decomposition_klein(klein_rep):
-    dec = es.Analysis(klein_rep).decomposition
+    analysis = es.Analysis(klein_rep)
+    dec = analysis.decomposition
     assert dec.reversible.dim == 4
     assert dec.stable.dim == 0
-    assert len(dec.characters) == 3
+    assert len(analysis.spectrum) == 3
     assert dec.cross_residual <= 1e-10
     np.testing.assert_allclose(dec.projection, np.eye(4), atol=1e-9)
 
 
 def test_peripheral_decomposition_mixed():
     rep = n1_rep(np.diag([1.0, 1j, 0.5]).astype(complex))
-    dec = es.Analysis(rep).decomposition
+    analysis = es.Analysis(rep)
+    dec = analysis.decomposition
     assert dec.reversible.dim == 2
     assert dec.stable.dim == 1
-    values = sorted((chi.gen_values[0] for chi in dec.characters),
+    values = sorted((chi.gen_values[0] for chi in analysis.spectrum.characters),
                     key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     assert abs(values[0] - 1j) < 1e-9 and abs(values[1] - 1.0) < 1e-9
     assert dec.stability_witness == (1,)
@@ -405,7 +419,7 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character(tmp_path, monkeypat
     assert len(es.unitary_spectrum(rep)) == 1
 
     def empty(rep, config=None):
-        return spectrum.UnitarySpectrumResult(characters=[], eigenspaces=[], witnesses=[])
+        return spectrum.UnitarySpectrumResult(characters=[], eigenspaces=[])
 
     monkeypatch.setattr(ergodic, "unitary_spectrum", empty)
     with pytest.raises(LostCharacter) as exc:
@@ -439,7 +453,12 @@ def test_an_empty_spectrum_on_the_circle_is_a_lost_character(tmp_path, monkeypat
             analysis.decomposition
         errors.append(split.value)
     assert errors[0] is errors[1]
-    assert analysis.quasi_compactness.decomposition_error is errors[0]
+    # the decomposition and quasi-compactness sections read that one run
+    split, runs = ergodic.Analysis._split, []
+    monkeypatch.setattr(ergodic.Analysis, "_split", lambda self: runs.append(self) or split(self))
+    report = es.analyze(rep)
+    assert report.data["quasi_compactness"]["decomposition_error"] == str(errors[0])
+    assert len(runs) == 1
 
 
 def test_a_certified_later_generator_just_outside_the_circle_keeps_its_character():
@@ -453,7 +472,7 @@ def test_a_certified_later_generator_just_outside_the_circle_keeps_its_character
     assert [chi.gen_values for chi in analysis.spectrum.characters] == [(1.0, 1.0)]
     chi = analysis.spectrum.characters[0]
     e_1 = np.array([[1.0], [0.0]])
-    fix = es.eigenspace(rep, chi)
+    fix = eigenspace(rep, chi)
     assert es.operator_norm(fix.projector() - e_1 @ e_1.T) <= 1e-15
     verdict = analysis.pole(chi)
     assert verdict.is_pole and verdict.eigenspace_dim == 1
@@ -514,23 +533,23 @@ def test_semigroup_at_infinity_is_kernel_image(klein_rep):
 
 
 def test_quasi_compactness_klein(klein_rep):
-    verdict = es.Analysis(klein_rep).quasi_compactness
-    assert sorted(verdict.eigenspace_dims) == [1, 1, 2]
-    assert verdict.decomposition_consistent
+    section = quasi_compactness(klein_rep)
+    assert sorted(section["eigenspace_dims"]) == [1, 1, 2]
+    assert section["decomposition_consistent"]
 
 
 def test_quasi_compactness_empty_spectrum():
     rep = n1_rep(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-    verdict = es.Analysis(rep).quasi_compactness
-    assert verdict.eigenspace_dims == []
-    assert verdict.decomposition_consistent and verdict.decomposition_error is None
+    section = quasi_compactness(rep)
+    assert section["eigenspace_dims"] == []
+    assert section["decomposition_consistent"] and "decomposition_error" not in section
 
 
 def test_quasi_compactness_identity():
     rep = n1_rep(np.eye(3, dtype=complex))
-    verdict = es.Analysis(rep).quasi_compactness
-    assert verdict.eigenspace_dims == [3]
-    assert verdict.decomposition_consistent and verdict.decomposition_error is None
+    section = quasi_compactness(rep)
+    assert section["eigenspace_dims"] == [3]
+    assert section["decomposition_consistent"] and "decomposition_error" not in section
 
 
 def test_rotation_covariance_of_poles():
@@ -846,9 +865,8 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
     # peripheral cluster, and the spectrum, the poles, the mean ergodic
     # split (the cluster near 1, read at v/|v|) and the decomposition read
     # those reorderings: no other, no SVD with factors, no cut and no
-    # range basis. The QRs are of the trivial pole's n x 1 factors: the
-    # mean ergodic split's W, then one stacked QR of the decomposition's F
-    # (E_r) and W (E_s)
+    # range basis. The one QR is the decomposition's, stacked over the
+    # trivial pole's n x 1 factors F (E_r) and W (E_s)
     rep = load_representation(str(FIXTURES / "circulant_stochastic_8.json"))
     n = rep.dim
     inputs = _record_kernel_svds(monkeypatch)
@@ -859,7 +877,7 @@ def test_the_first_generator_is_factored_once_near_one(monkeypatch):
     assert report.ok
     assert (inputs, pivoted) == ([], [])
     assert [members for _, _, members, _ in reordered] == [(0,)]
-    assert qrs == [((n, 1), "reduced"), ((2, n, 1), "complete")]
+    assert qrs == [((2, n, 1), "complete")]
     assert report.data["ergodic"]["fix_dim"] == 1
 
 
@@ -959,7 +977,7 @@ def test_no_pole_is_an_eigenvalue_on_its_range(m, monkeypatch):
         rng_space = _range_oracle(rep, chi)
         full = es.restrict(rep, rng_space)
         assert len(full.matrices) == m
-        assert es.eigenspace(full, chi).dim == 0
+        assert eigenspace(full, chi).dim == 0
 
 
 def _classes_at_infinity_oracle(rep, tol):
@@ -1101,9 +1119,12 @@ def test_pole_verdicts_decide_as_the_angle_test(case):
     spectrum = analysis.spectrum
     for chi, fix in zip(spectrum.characters, spectrum.eigenspaces):
         assert analysis.pole(chi).is_pole == _angle_verdict(rep, chi, fix)
-    # the oracle confirms the trivial character's split, also where 1 is no
-    # spectral value and 1 - T must be invertible
-    assert _angle_verdict(rep, trivial, analysis.ergodic.fix_space)
+    # the oracle confirms the trivial character's split, fix(T) the range of
+    # the mean projection, also where 1 is no spectral value and 1 - T must
+    # be invertible
+    fix = svd_route.column_space(analysis.ergodic.mean_projection)
+    assert fix.dim == analysis.ergodic.fix_dim
+    assert _angle_verdict(rep, trivial, fix)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

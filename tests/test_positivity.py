@@ -12,7 +12,7 @@ from ergospec.linalg import Subspace
 from ergospec.serialize import representation_from_json
 
 import svd_route
-from conftest import FIXTURES, count_analyses, load_fixture, n1_rep
+from conftest import FIXTURES, count_analyses, load_fixture, n1_rep, quasi_compactness
 
 
 def _nisa_checked(rep):
@@ -24,7 +24,7 @@ def _nisa_checked(rep):
     mean = es.Analysis(rep).ergodic.mean_projection
     assert es.operator_norm(mean - oracle) <= 1e-8
     assert report.fix_dim == report.projection_rank == round(np.trace(oracle).real)
-    assert es.Analysis(rep).quasi_compactness.decomposition_consistent
+    assert quasi_compactness(rep)["decomposition_consistent"]
     return report
 
 
@@ -54,7 +54,7 @@ def test_circulant_fixture_nisa():
     assert es.check_positive(rep).is_positive
     report = _nisa_checked(rep)
     assert report.fix_dim == 1          # irreducible aperiodic circulant
-    assert es.Analysis(rep).quasi_compactness.eigenspace_dims == [1]
+    assert quasi_compactness(rep)["eigenspace_dims"] == [1]
     mean = es.Analysis(rep).ergodic.mean_projection
     np.testing.assert_allclose(mean, np.full((8, 8), 1 / 8), atol=1e-8)
 
@@ -66,7 +66,7 @@ def test_klein_nisa(klein_rep):
 def test_nilpotent_generator_nisa():
     rep = n1_rep(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     assert _nisa_checked(rep).fix_dim == 0
-    assert es.Analysis(rep).quasi_compactness.eigenspace_dims == []
+    assert quasi_compactness(rep)["eigenspace_dims"] == []
     ergodic = es.Analysis(rep).ergodic
     np.testing.assert_allclose(ergodic.mean_projection, np.zeros((2, 2)), atol=1e-12)
 

@@ -16,6 +16,7 @@ from conftest import (
     angles,
     chain_monoid,
     cyclic_monoid,
+    eigenspace,
     free,
     n1_rep,
     permuted,
@@ -47,20 +48,20 @@ def test_klein_spectrum_excludes_det(klein_rep):
 
 def test_klein_eigenspaces_match_hand_solution(klein_rep):
     one = es.trivial_character(klein_rep.semigroup)
-    fix = es.eigenspace(klein_rep, one)
+    fix = eigenspace(klein_rep, one)
     expected = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex) / np.sqrt(2)
     p_fix = fix.projector()
     p_expected = expected @ expected.conj().T
     assert es.operator_norm(p_fix - p_expected) < 1e-10
 
     det = klein_char(klein_rep.semigroup, (1, -1, -1, 1))
-    assert es.eigenspace(klein_rep, det).dim == 0
+    assert eigenspace(klein_rep, det).dim == 0
 
 
 def test_identity_rep_full_fixed_space():
     rep = n1_rep(np.eye(3, dtype=complex))
     one = es.trivial_character(rep.semigroup)
-    assert es.eigenspace(rep, one).dim == 3
+    assert eigenspace(rep, one).dim == 3
 
 
 def test_jordan_half_spectrum_empty():
@@ -276,10 +277,16 @@ def test_spectrum_matches_brute_force_finite(klein_rep):
     assert {angles(c) for c in spectrum.characters} == {angles(c) for c in oracle}
 
 
-def test_witnesses_are_joint_eigenvectors(klein_rep):
-    spectrum = es.unitary_spectrum(klein_rep)
-    for chi, witness in zip(spectrum.characters, spectrum.witnesses):
-        assert svd_route.approximate_eigenvector_check(klein_rep, chi, witness, 1e-8)
+def test_eigenspace_bases_are_joint_eigenvectors(klein_rep):
+    # every column of every basis, over Klein and planted N and N^2 inputs
+    # with eigenspaces of dimension 2
+    planted = [random_certified_instance(seed, max_rank=2, max_dim=8)[0] for seed in (6, 7, 9)]
+    for rep in (klein_rep, *planted):
+        spectrum = es.unitary_spectrum(rep)
+        assert len(spectrum) > 0
+        for chi, space in zip(spectrum.characters, spectrum.eigenspaces):
+            for column in space.basis.T:
+                assert svd_route.approximate_eigenvector_check(rep, chi, column, 1e-8)
 
 
 def test_truncated_regular_representation_keeps_its_one_character():
@@ -340,7 +347,7 @@ def test_trace_multiplicities_match_eigenspaces_and_brute_force(rep):
     spectrum = es.unitary_spectrum(rep)
     assert spectrum.characters == characters
     assert [space.dim for space in spectrum.eigenspaces] == ranks
-    assert [es.eigenspace(rep, chi).dim for chi in characters] == ranks
+    assert [eigenspace(rep, chi).dim for chi in characters] == ranks
     assert [angles(chi) for chi in svd_route.brute_force_spectrum(rep)] == \
         [angles(chi) for chi in characters]
     for chi, projection, rank in zip(characters, projections, ranks):
