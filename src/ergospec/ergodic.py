@@ -71,20 +71,11 @@ class ErgodicReport:
     kernel_average_residual: float = None  # finite: max_g ||T_g P - P|| / max(1, ||P||)
 
 
-POLE = "pole"
-NOT_IN_SPECTRUM = "not_in_spectrum"
-
-
 @dataclass
 class PoleVerdict:
-    status: str
-    projection: np.ndarray = None
-    eigenspace_dim: int = 0
-    factors: tuple = None  # a pole's (F, W^H): projection = F @ W^H, F orthonormal
-
-    @property
-    def is_pole(self):
-        return self.status == POLE
+    projection: np.ndarray
+    eigenspace_dim: int
+    factors: tuple  # (F, W^H): projection = F @ W^H, F orthonormal
 
 
 @dataclass
@@ -190,16 +181,6 @@ class Analysis:
     def positivity(self):
         return check_positive(self.rep, self.config)
 
-    @cached_property
-    def trivial(self):
-        """The trivial character as the spectrum holds it, so that the mean
-        ergodic split is its pole's: over N^k the spectrum holds it as v/|v|
-        for the generators' eigenvalues v near 1. When it is not spectral,
-        the exact one."""
-        trivial = trivial_character(self.rep.semigroup)
-        index = self.spectrum.index(trivial, self.config.tol_cluster)
-        return trivial if index is None else self.spectrum.characters[index]
-
     def pole(self, chi):
         """chi is a pole of T iff ker(chi - T) and rg(chi - T) are direct
         complements. In finite dimension a bounded representation has only
@@ -207,7 +188,7 @@ class Analysis:
         is one: over a finite monoid its pole projection is the isotypic
         projection P = F F^H P, F the eigenspace basis, and over N^k the
         product of Riesz projectors (_riesz_pole), whose factors must pass
-        a rounding check. Any other chi is no spectral value.
+        a rounding check. Any other chi is no spectral value: None.
 
         A pole needs no further check of the complement: when ker(chi - T)
         and rg(chi - T) are direct complements, a chi-eigenvector of T
@@ -216,13 +197,12 @@ class Analysis:
         spectrum = self.spectrum
         index = spectrum.index(chi, self.config.tol_cluster)
         if index is None:
-            zero = np.zeros((self.rep.dim, self.rep.dim), dtype=np.complex128)
-            return PoleVerdict(NOT_IN_SPECTRUM, projection=zero)
+            return None
         if index not in self._poles:
             if self.rep.is_finite:
                 space, p = spectrum.eigenspaces[index], spectrum.projections[index]
-                self._poles[index] = PoleVerdict(POLE, projection=p, eigenspace_dim=space.dim,
-                                                 factors=(space.basis, space.basis.conj().T @ p))
+                self._poles[index] = PoleVerdict(p, space.dim,
+                                                 (space.basis, space.basis.conj().T @ p))
             else:
                 try:
                     self._poles[index] = self._riesz_pole(index)
@@ -256,8 +236,13 @@ class Analysis:
             raise NonPoleSpectrum(spectrum.characters[index],
                                   f"rounding check ||W^H F - I|| = {rounding:.3e} exceeds "
                                   f"tol_rank {self.config.tol_rank:.3e}")
-        return PoleVerdict(POLE, projection=f @ coordinates, eigenspace_dim=d,
-                           factors=(f, coordinates))
+        return PoleVerdict(f @ coordinates, d, (f, coordinates))
+
+    @cached_property
+    def poles(self):
+        """The pole verdict of every spectral character, in spectrum order;
+        raises the first NonPoleSpectrum."""
+        return [self.pole(chi) for chi in self.spectrum.characters]
 
     def _inside(self, index):
         """A cluster of the N^k character at `index` in the spectrum lies
@@ -267,16 +252,19 @@ class Analysis:
     @cached_property
     def ergodic(self):
         """Uniform mean ergodicity and the mean ergodic projection: the
-        split of the trivial character's pole, fix(T) = rg P. The trivial
-        character is a pole, or outside the spectrum, so T is uniformly mean
-        ergodic. Over a finite monoid P is P_1, cross-checked by
+        split of the trivial character's pole, fix(T) = rg P, which pole()
+        takes at the nearest spectral character: over N^k v/|v| for the
+        generators' eigenvalues v near 1. The trivial character is a pole,
+        or outside the spectrum (P = 0), so T is uniformly mean ergodic.
+        Over a finite monoid P is P_1, cross-checked by
         max_g ||T_g P_1 - P_1|| / max(1, ||P_1||) over the generators; over
         N^k the Cesaro chain is run and compared against it. A failed
         cross-check is reported as net_divergence (a tolerance anomaly),
         never silently resolved."""
         rep, config = self.rep, self.config
-        pole = self.pole(self.trivial)
-        fix, projection = pole.eigenspace_dim, pole.projection
+        pole = self.pole(trivial_character(rep.semigroup))
+        fix, projection = (0, np.zeros((rep.dim, rep.dim), dtype=np.complex128)) \
+            if pole is None else (pole.eigenspace_dim, pole.projection)
         if rep.is_finite:
             residual = max(operator_norms(rep.family() @ projection - projection))
             residual /= max(1.0, operator_norm(projection))
@@ -312,7 +300,7 @@ class Analysis:
     def _split(self):
         rep, config = self.rep, self.config
         n = rep.dim
-        verdicts = [self.pole(chi) for chi in self.spectrum.characters]
+        verdicts = self.poles
         projections = [verdict.projection for verdict in verdicts]
         cross = largest_cross_product([verdict.factors for verdict in verdicts])
 

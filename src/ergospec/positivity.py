@@ -45,7 +45,7 @@ class NisaReport:
 def nisa_suite(analysis):
     """The checks of the equivalence suite for the positive representation
     of `analysis`: the pole test of every spectral character
-    (Analysis.pole) and rank P = dim fix(T) for the mean projection P
+    (Analysis.poles) and rank P = dim fix(T) for the mean projection P
     (Analysis.ergodic). The three verdicts the suite ties together hold
     by theorem."""
     if not analysis.rep.boundedness.is_certified:
@@ -54,8 +54,7 @@ def nisa_suite(analysis):
     if not cert.is_positive:
         raise ValueError(f"representation is not positive: {cert.first_violation}")
 
-    for chi in analysis.spectrum.characters:
-        analysis.pole(chi)   # raises when a pole test fails
+    analysis.poles   # raises when a pole test fails
     ergodic = analysis.ergodic
     fix_dim = ergodic.fix_dim
     projection_rank = int(round(np.trace(ergodic.mean_projection).real))

@@ -33,9 +33,10 @@ class AnalysisReport:
 # and it is uniformly mean ergodic and quasi-compact (Engel-Nagel,
 # One-Parameter Semigroups, V.4). A Certified input's analysis confirms
 # each spectral character a pole or raises, so the report writes these
-# verdicts as constants: is_uniformly_mean_ergodic, each pole's riesz and
-# complement_clear (ker and rg of chi - T meet in 0), the quasi_compactness
-# status and riesz_all, and the nisa suite's three verdicts and agree.
+# verdicts as constants: is_uniformly_mean_ergodic, each pole's status,
+# riesz and complement_clear (ker and rg of chi - T meet in 0), the
+# quasi_compactness status and riesz_all, and the nisa suite's three
+# verdicts and agree.
 
 
 def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
@@ -120,21 +121,12 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
                                   "cesaro_target although the algebraic verdict is ergodic")
 
     if "poles" in wanted:
-        def pole_table():
-            rows = []
-            for chi in spectrum.characters:
-                verdict = analysis.pole(chi)
-                rows.append({
-                    "character": chi.to_json(),
-                    "status": verdict.status,
-                    "eigenspace_dim": verdict.eigenspace_dim,
-                    "riesz": True,
-                    "complement_clear": True,
-                })
-            return rows
-        rows = checked("poles", "poles", pole_table)
-        if rows is not None:
-            report["poles"] = rows
+        poles = checked("poles", "poles", lambda: analysis.poles)
+        if poles is not None:
+            report["poles"] = [{"character": chi.to_json(), "status": "pole",
+                                "eigenspace_dim": verdict.eigenspace_dim,
+                                "riesz": True, "complement_clear": True}
+                               for chi, verdict in zip(spectrum.characters, poles)]
 
     if "decomposition" in wanted:
         decomposition = checked("peripheral_decomposition", "decomposition",
@@ -186,8 +178,7 @@ def analyze(rep, config=None, seed=DEFAULT_SEED, sections=None):
         def split():
             """The pole test of each spectral character, which raises its
             NonPoleSpectrum, then dim E_r or the error the decomposition raised."""
-            for chi in spectrum.characters:
-                analysis.pole(chi)
+            analysis.poles
             try:
                 return analysis.decomposition.reversible.dim, None
             except ErgospecError as exc:

@@ -111,6 +111,8 @@ def matrix_from_json(data):
         raise ValueError(f"rows and cols must be nonnegative, got {rows} x {cols}")
     re = np.asarray(data["re"], dtype=np.float64)
     im = np.asarray(data["im"], dtype=np.float64)
+    if re.ndim != 1 or im.ndim != 1:   # schema/v1: flat arrays of numbers, row-major
+        raise ParseError(f"matrix re and im must be flat arrays, got {re.ndim}-d and {im.ndim}-d")
     if re.size != rows * cols or im.size != rows * cols:
         raise ParseError("matrix entry count does not match rows * cols")
     return (re + 1j * im).reshape(rows, cols)

@@ -1,5 +1,5 @@
-"""Capture the `analyze` reports of a fixed deck of inputs, and compare two
-captures.
+"""Capture the reports of every section command on a fixed deck of inputs,
+and compare two captures.
 
     PYTHONPATH=src python tests/sweep.py OUT
     python tests/sweep.py --compare A B
@@ -7,10 +7,15 @@ captures.
 The deck is the 9 fixtures, `random_certified_instance` seeds 0-299,
 `random_circulant_stochastic_instance` seeds 0-99 and the regular
 representations of the 33 finite monoids in `MONOIDS`, each under
-relabelings seeded 0-2: 508 inputs, each analyzed at the default
-configuration. A capture holds one line per input: its name and its report,
-`timings` excluded, as canonical JSON. To compare two checkouts, capture
-once with each one's `src` on PYTHONPATH.
+relabelings seeded 0-2: 508 inputs. Each is analyzed at the default
+configuration by every command of `cli.COMMANDS` that reports sections of
+one representation: `analyze` and the section commands `spectrum`,
+`ergodic`, `decompose`, `stability`, `quasicompact` and `nisa`, each with
+the sections that the command writes. A capture holds one line per command
+and input, 3,556 in all: the name "<command> <input>" and the report,
+`timings` excluded, as canonical JSON. `--compare` counts each line as one
+input. To compare two checkouts, capture once with each one's `src` on
+PYTHONPATH.
 
 `--compare` prints every input whose verdicts, spectrum or pole statuses
 differ between the captures, then the counts of those inputs, of the
@@ -92,18 +97,30 @@ def _inputs():
             yield f"regular-{name}-{seed}", regular_representation(monoid)
 
 
+def _commands():
+    """The sections of each command that reports sections of one
+    representation, by command name, in the order of `cli.COMMANDS`: None
+    (all of them) for `analyze`."""
+    from ergospec.cli import COMMANDS, _add_sections
+
+    return {name: add.keywords["sections"] for name, (_, add) in COMMANDS.items()
+            if getattr(add, "func", None) is _add_sections}
+
+
 def capture(out):
     from ergospec.report import analyze
     from ergospec.serialize import canonical_dumps
 
+    commands = _commands()
     count = 0
     with open(out, "w") as fh:
         for name, rep in _inputs():
-            data = dict(analyze(rep).to_json())
-            data.pop("timings", None)
-            fh.write(canonical_dumps({"name": name, "report": data}) + "\n")
-            count += 1
-    print(f"{count} reports written to {out}")
+            for command, sections in commands.items():
+                data = dict(analyze(rep, sections=sections).to_json())
+                data.pop("timings", None)
+                fh.write(canonical_dumps({"name": f"{command} {name}", "report": data}) + "\n")
+                count += 1
+    print(f"{count} reports of {len(commands)} commands written to {out}")
 
 
 def _load(path):

@@ -38,7 +38,8 @@ def test_readme_python_api_runs():
     assert not rep.matrices.flags.writeable
     np.testing.assert_array_equal(rep.matrices, es.regular_representation(rep.semigroup).matrices)
     assert len(names["spectrum"]) == 4
-    assert names["pole"].is_pole
+    assert names["pole"] is not None
+    assert names["poles"][0] is names["pole"] and len(names["poles"]) == 4
     assert names["decomp"].reversible.dim == 4
     assert not analysis.stability.is_stable
     assert analysis.infinity.classes == [[0], [1], [2], [3]]

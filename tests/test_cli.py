@@ -441,6 +441,33 @@ def test_a_gen_values_part_must_be_a_number(capsys, tmp_path, part, shown):
     assert run(capsys, "falsify", str(rep_path), str(char_path))[0] == 0
 
 
+@pytest.mark.parametrize("nested", ["rows", "scalar"])
+def test_matrix_re_and_im_must_be_flat(capsys, tmp_path, nested):
+    # schema/v1 requires re and im to be flat arrays of numbers, row-major:
+    # identity_3 with each matrix's re and im as three rows of three, and a
+    # 1 x 1 matrix with bare numbers, once loaded as the flat input
+    path = tmp_path / "nested.json"
+    if nested == "rows":
+        data = json.loads((FIXTURES / "identity_3.json").read_text())
+        for entry in data["matrices"]["list"]:
+            for part in ("re", "im"):
+                entry[part] = [entry[part][i:i + 3] for i in range(0, 9, 3)]
+        shown = "2-d and 2-d"
+    else:
+        data = {"semigroup": {"type": "free_commutative", "rank": 1}, "dim": 1,
+                "matrices": {"per": "generator", "list": [
+                    {"rows": 1, "cols": 1, "re": 1.0, "im": 0.0}]}}
+        shown = "0-d and 0-d"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix re and im must be flat arrays, got {shown}\n"
+    if nested == "scalar":
+        data["matrices"]["list"][0].update(re=[1.0], im=[0.0])
+        path.write_text(json.dumps(data))
+        assert run(capsys, "analyze", str(path), "--format", "json")[0] == 0
+
+
 # N^1 with T = [[0.9999, 1], [0, 0.5]]: certified and stable, with an empty
 # unitary spectrum and the mean projection 0, which the Cesaro chain, whose
 # distance decays like 0.9999^N / N, does not reach by the largest side

@@ -11,7 +11,7 @@ from ergospec.characters import trivial_character
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
 from ergospec import characters, cli, ergodic, linalg, representations, semigroups, spectrum
-from ergospec.errors import LostCharacter, NotBounded
+from ergospec.errors import LostCharacter, NonPoleSpectrum, NotBounded
 from ergospec.serialize import load_representation, matrix_to_json, representation_from_json
 
 import svd_route
@@ -27,7 +27,7 @@ from conftest import (
     quasi_compactness,
     truncated_monoid,
 )
-from test_cli import _ill_conditioned_regular_z8
+from test_cli import _doubled_coordinates, _ill_conditioned_regular_z8
 
 
 def _range_oracle(rep, chi):
@@ -79,7 +79,7 @@ def test_a_certificate_at_another_config_is_issued_again():
         ergodic.Analysis(rep).spectrum
     analysis = ergodic.Analysis(rep, loose)
     assert [space.dim for space in analysis.spectrum.eigenspaces] == [2]
-    assert analysis.pole(analysis.spectrum.characters[0]).is_pole
+    assert analysis.pole(analysis.spectrum.characters[0]) is not None
 
 
 def test_a_near_double_one_gets_one_consistent_answer(capsys, tmp_path):
@@ -198,7 +198,7 @@ def test_is_pole_diagonal_rotation():
     rep = n1_rep(np.diag([1j, 0.5]).astype(complex))
     chi = es.character_from_gen_values(rep.semigroup, [1j])
     verdict = es.Analysis(rep).pole(chi)
-    assert verdict.is_pole and verdict.eigenspace_dim == 1
+    assert verdict is not None and verdict.eigenspace_dim == 1
     np.testing.assert_allclose(verdict.projection, np.diag([1.0, 0.0]), atol=1e-10)
     # oracle of the deleted post-check: chi is no eigenvalue of T|rg(chi - T)
     rng_space = _range_oracle(rep, chi)
@@ -209,17 +209,58 @@ def test_is_pole_det_not_in_spectrum(klein_rep):
     dual = es.enumerate_unitary_dual(klein_rep.semigroup)
     det = [c for c in dual
            if tuple(int(round(v.real)) for v in c.values()) == (1, -1, -1, 1)][0]
-    verdict = es.Analysis(klein_rep).pole(det)
-    assert verdict.status == "not_in_spectrum"
-    assert verdict.eigenspace_dim == 0 and verdict.factors is None
-    assert not verdict.projection.any()
+    assert es.Analysis(klein_rep).pole(det) is None
 
 
 def test_is_pole_identity():
     rep = n1_rep(np.eye(2, dtype=complex))
     verdict = es.Analysis(rep).pole(trivial_character(rep.semigroup))
-    assert verdict.is_pole
+    assert verdict is not None
     np.testing.assert_allclose(verdict.projection, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["klein_four", "Z8", "rotations", "planted"])
+def test_poles_are_the_pole_of_each_spectral_character(case, klein_rep):
+    # the walk over the spectrum returns the verdicts that pole() keeps per
+    # character, in spectrum order, whichever runs first
+    rep = {"klein_four": lambda: klein_rep,
+           "Z8": lambda: es.regular_representation(cyclic_monoid(8)),
+           "rotations": lambda: n1_rep(np.diag([1, 1j, -1, 0.5]).astype(complex)),
+           "planted": lambda: random_certified_instance(500, max_rank=2, max_dim=10)[0]}[case]()
+    for walk_first in (True, False):
+        analysis = ergodic.Analysis(rep)
+        characters = analysis.spectrum.characters
+        assert len(characters) > 0
+        if walk_first:
+            poles = analysis.poles
+        verdicts = [analysis.pole(chi) for chi in characters]
+        if not walk_first:
+            poles = analysis.poles
+        assert len(poles) == len(characters)
+        assert all(walked is verdict for walked, verdict in zip(poles, verdicts))
+        assert [verdict.eigenspace_dim for verdict in poles] == \
+            [space.dim for space in analysis.spectrum.eigenspaces]
+
+
+def test_poles_raise_the_failed_pole_test(monkeypatch):
+    # W^H of the second spectral character, i, doubled: its pole fails the
+    # rounding check, so the walk over the spectrum raises that character's
+    # error, on every read, while the mean ergodic split reads only the
+    # trivial character's pole and passes
+    _doubled_coordinates(monkeypatch, lambda characters: 1)
+    analysis = ergodic.Analysis(n1_rep(np.diag([1, 1j, -1, 0.5]).astype(complex)))
+    characters = analysis.spectrum.characters
+    assert [chi.gen_values for chi in characters] == [(-1,), (1j,), (1,)]
+    with pytest.raises(NonPoleSpectrum, match="rounding check") as raised:
+        analysis.poles
+    assert raised.value.character is characters[1]
+    with pytest.raises(NonPoleSpectrum) as again:
+        analysis.poles
+    assert again.value is raised.value
+    assert analysis.pole(characters[0]) is not None
+    report = analysis.ergodic
+    assert (report.fix_dim, report.net_divergence) == (1, False)
+    assert es.operator_norm(report.mean_projection - np.diag([1, 0, 0, 0])) <= 1e-12
 
 
 def test_pole_projection_equals_mean_projection():
@@ -227,7 +268,7 @@ def test_pole_projection_equals_mean_projection():
     report = es.Analysis(rep).ergodic
     verdict = es.Analysis(rep).pole(trivial_character(rep.semigroup))
     if report.fix_dim > 0:
-        assert verdict.is_pole
+        assert verdict is not None
         assert es.operator_norm(verdict.projection - report.mean_projection) \
             <= DEFAULT_CONFIG.tol_hom
 
@@ -475,7 +516,7 @@ def test_a_certified_later_generator_just_outside_the_circle_keeps_its_character
     fix = eigenspace(rep, chi)
     assert es.operator_norm(fix.projector() - e_1 @ e_1.T) <= 1e-15
     verdict = analysis.pole(chi)
-    assert verdict.is_pole and verdict.eigenspace_dim == 1
+    assert verdict is not None and verdict.eigenspace_dim == 1
     assert es.operator_norm(verdict.projection - e_1 @ e_1.T) <= 1e-15
     stability = es.Analysis(rep).stability
     assert stability.status == ergodic.NOT_STABLE
@@ -563,8 +604,10 @@ def test_rotation_covariance_of_poles():
         for chi in [trivial_character(rep.semigroup), *es.unitary_spectrum(rep).characters]:
             before = es.Analysis(rep).pole(chi)
             after = es.Analysis(rotated).pole(es.char_mul(tau, chi))
-            assert (before.status, before.eigenspace_dim) == (after.status, after.eigenspace_dim)
-            assert es.operator_norm(before.projection - after.projection) <= 1e-10
+            assert (before is None) == (after is None)
+            if before is not None:
+                assert before.eigenspace_dim == after.eigenspace_dim
+                assert es.operator_norm(before.projection - after.projection) <= 1e-10
 
 
 # the first five seeds from 500 whose instance has a nonempty unitary spectrum
@@ -580,7 +623,7 @@ def test_pole_matches_the_rotated_mean_ergodic_analysis(seed, klein_rep):
     for chi in spectrum.characters:
         verdict = es.Analysis(rep).pole(chi)
         rotated = es.Analysis(es.rotate(rep, es.char_conj(chi))).ergodic
-        assert verdict.is_pole
+        assert verdict is not None
         assert verdict.eigenspace_dim == rotated.fix_dim
         assert es.operator_norm(verdict.projection - rotated.mean_projection) <= 1e-10
 
@@ -607,7 +650,8 @@ def test_norm_convergence_implies_mean_projection():
 
 def _count_calls(monkeypatch, name, module=ergodic):
     """Record the positional arguments of each call of <module>.<name>
-    through every package binding of it."""
+    through every package binding of it; fails when no package module binds
+    it, as for a method looked up on its class, since nothing would count."""
     original = getattr(module, name)
     calls = []
 
@@ -615,12 +659,20 @@ def _count_calls(monkeypatch, name, module=ergodic):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module_name, package_module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "ergospec":
-            for attr, value in list(vars(package_module).items()):
-                if value is original:
-                    monkeypatch.setattr(package_module, attr, counted)
+    bindings = [(package_module, attr)
+                for module_name, package_module in list(sys.modules.items())
+                if module_name.split(".")[0] == "ergospec"
+                for attr, value in vars(package_module).items() if value is original]
+    assert bindings, f"no package module binds {name!r} of {module!r}"
+    for package_module, attr in bindings:
+        monkeypatch.setattr(package_module, attr, counted)
     return calls
+
+
+def test_count_calls_fails_when_it_patches_nothing(monkeypatch):
+    # a method looked up on its class is bound by no package module
+    with pytest.raises(AssertionError, match="no package module binds '_split'"):
+        _count_calls(monkeypatch, "_split", ergodic.Analysis)
 
 
 def _count_riesz_poles(monkeypatch):
@@ -806,7 +858,7 @@ def test_each_character_factors_its_generator_once(case, monkeypatch):
     analysis = ergodic.Analysis(es.certify_boundedness(rep))
     characters = analysis.spectrum.characters
     verdicts = [analysis.pole(chi) for chi in characters]
-    assert all(verdict.is_pole for verdict in verdicts)
+    assert None not in verdicts
     # the mean ergodic split is the trivial pole's, at the value the
     # spectrum holds
     assert analysis.ergodic.fix_dim == 1
@@ -973,7 +1025,7 @@ def test_no_pole_is_an_eigenvalue_on_its_range(m, monkeypatch):
     verdicts = [analysis.pole(chi) for chi in analysis.spectrum.characters]
     assert restricted == []
     for chi, verdict in zip(analysis.spectrum.characters, verdicts):
-        assert verdict.is_pole
+        assert verdict is not None
         rng_space = _range_oracle(rep, chi)
         full = es.restrict(rep, rng_space)
         assert len(full.matrices) == m
@@ -1118,7 +1170,7 @@ def test_pole_verdicts_decide_as_the_angle_test(case):
     analysis = ergodic.Analysis(rep)
     spectrum = analysis.spectrum
     for chi, fix in zip(spectrum.characters, spectrum.eigenspaces):
-        assert analysis.pole(chi).is_pole == _angle_verdict(rep, chi, fix)
+        assert (analysis.pole(chi) is not None) == _angle_verdict(rep, chi, fix)
     # the oracle confirms the trivial character's split, fix(T) the range of
     # the mean projection, also where 1 is no spectral value and 1 - T must
     # be invertible
@@ -1153,9 +1205,9 @@ def test_verdicts_do_not_depend_on_the_basis(case):
         [space.dim for space in after.spectrum.eigenspaces]
     for chi in before.spectrum.characters:
         old, new = before.pole(chi), after.pole(chi)
-        assert old.status == new.status
-        assert old.eigenspace_dim == new.eigenspace_dim
-        if old.is_pole:
+        assert (old is None) == (new is None)
+        if old is not None:
+            assert old.eigenspace_dim == new.eigenspace_dim
             assert moved(old.projection, new.projection)
     assert before.ergodic.fix_dim == after.ergodic.fix_dim
     assert moved(before.ergodic.mean_projection, after.ergodic.mean_projection)
@@ -1193,7 +1245,7 @@ def test_riesz_poles_match_the_svd_route(rep):
     for chi, space in zip(analysis.spectrum.characters, analysis.spectrum.eigenspaces):
         verdict = analysis.pole(chi)
         oracle = svd_route.pole_projection(rep, chi)
-        assert verdict.is_pole == (oracle is not None)
+        assert (verdict is not None) == (oracle is not None)
         assert verdict.eigenspace_dim == space.dim
         if oracle is not None:
             error = es.operator_norm(verdict.projection - oracle)
