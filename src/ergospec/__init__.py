@@ -11,14 +11,11 @@ from .semigroups import (
     KernelGroup,
     idempotents,
     kernel_group,
-    leq,
     validate_monoid,
 )
 from .characters import (
     UnitaryCharacter,
-    char_conj,
     char_distance,
-    char_mul,
     character_from_gen_values,
     enumerate_unitary_dual,
     trivial_character,
@@ -27,12 +24,9 @@ from .linalg import Subspace, operator_norm, operator_norms
 from .representations import (
     Representation,
     certify_boundedness,
-    direct_sum,
-    dual_representation,
     regular_representation,
     representation_from_generators,
     restrict,
-    rotate,
     validate_representation,
 )
 from .spectrum import (
@@ -49,11 +43,9 @@ __all__ = [
     "FiniteCommutativeMonoid", "FreeCommutativeMonoid", "KernelGroup",
     "PeripheralDecomposition", "Representation", "Subspace", "ToleranceConfig",
     "UnitaryCharacter", "UnitarySpectrumResult", "analyze", "certify_boundedness",
-    "char_conj", "char_distance", "char_mul", "character_from_gen_values",
-    "check_positive", "direct_sum", "domination_check", "dual_representation",
-    "enumerate_unitary_dual", "idempotents", "kernel_group",
-    "laplace_falsifier", "leq", "nisa_suite", "operator_norm", "operator_norms",
-    "regular_representation", "representation_from_generators", "restrict", "rotate",
-    "summarize", "trivial_character", "unitary_spectrum", "validate_monoid",
-    "validate_representation",
+    "char_distance", "character_from_gen_values", "check_positive", "domination_check",
+    "enumerate_unitary_dual", "idempotents", "kernel_group", "laplace_falsifier",
+    "nisa_suite", "operator_norm", "operator_norms", "regular_representation",
+    "representation_from_generators", "restrict", "summarize", "trivial_character",
+    "unitary_spectrum", "validate_monoid", "validate_representation",
 ]

@@ -16,7 +16,6 @@ from functools import cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import MismatchedSemigroup
 from .semigroups import FreeCommutativeMonoid
 
 _QUARTERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -106,26 +105,6 @@ def character_from_gen_values(semigroup, gen_values, tol=None):
             raise ValueError(f"generator value {z} is not unimodular")
     values = tuple(z / abs(z) for z in values)
     return UnitaryCharacter(semigroup, gen_values=values)
-
-
-def char_mul(chi, tau):
-    if chi.semigroup != tau.semigroup:
-        raise MismatchedSemigroup("characters over different semigroups")
-    if chi.is_exact and tau.is_exact:
-        order = chi.order
-        numerators = tuple((a + b) % order for a, b in zip(chi.numerators, tau.numerators))
-        return UnitaryCharacter(chi.semigroup, numerators=numerators)
-    values = tuple(a * b for a, b in zip(chi.gen_values, tau.gen_values))
-    return UnitaryCharacter(chi.semigroup, gen_values=values)
-
-
-def char_conj(chi):
-    if chi.is_exact:
-        order = chi.order
-        return UnitaryCharacter(chi.semigroup,
-                                numerators=tuple(-p % order for p in chi.numerators))
-    return UnitaryCharacter(chi.semigroup,
-                            gen_values=tuple(z.conjugate() for z in chi.gen_values))
 
 
 def char_distance(chi, tau):

@@ -28,6 +28,10 @@ class ToleranceConfig:
             # NaN fails every comparison, so it would pass a test of <= 0
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        # a unimodular eigenvalue lies within tol_char of the unit circle, so
+        # at tol_char >= 1 the eigenvalue 0 would count as peripheral
+        if self.tol_char >= 1:
+            raise ValueError(f"tol_char must be below 1, got {self.tol_char}")
         if self.cesaro_max_side < 1:
             raise ValueError("cesaro budgets must be positive")
 

@@ -85,8 +85,8 @@ def random_certified_instance(seed, max_rank=3, max_dim=24, config=None):
     rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
     rep = certify_boundedness(rep, config)
     if not rep.boundedness.is_certified:
-        raise AssertionError("planted instance failed certification: "
-                             + rep.boundedness.detail)
+        raise RuntimeError("planted instance failed certification: "
+                           + rep.boundedness.detail)
 
     fix_dim = sum(1 for tup in planted_tuples
                   if all(abs(z - 1) < 1e-12 for z in tup))

@@ -27,16 +27,8 @@ class BadNeutral(ErgospecError):
         super().__init__(f"neutral violated at element {i}")
 
 
-class ExponentOverflow(ErgospecError):
-    pass
-
-
 class InternalInconsistency(ErgospecError):
     """A theorem-backed invariant failed; indicates a bug, not bad input."""
-
-
-class MismatchedSemigroup(ErgospecError):
-    pass
 
 
 class HomomorphismViolation(ErgospecError):

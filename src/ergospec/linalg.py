@@ -71,9 +71,6 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    def projector(self):
-        return self.basis @ self.basis.conj().T
-
     @staticmethod
     def full(n):
         return Subspace(np.eye(n, dtype=np.complex128))

@@ -1,4 +1,4 @@
-"""Matrix representations of commutative monoids and their derived forms.
+"""Matrix representations of commutative monoids.
 
 A representation stores one read-only complex128 stack of shape (count, n, n),
 one matrix per element (finite monoid) or per generator (N^k), built once;
@@ -20,7 +20,6 @@ from .config import DEFAULT_CONFIG
 from .errors import (
     BadNeutral,
     HomomorphismViolation,
-    MismatchedSemigroup,
     NotCommuting,
     NotInvariant,
 )
@@ -309,18 +308,6 @@ def _with_certificate(rep, cert):
     return out
 
 
-def rotate(rep, chi):
-    """The twisted representation s -> chi(s) T_s. |chi| = 1, so the
-    verdict of the certificate carries over, but not its clusters: the
-    spectrum of the rotation certifies it again."""
-    if chi.semigroup != rep.semigroup:
-        raise MismatchedSemigroup("character over a different semigroup")
-    values = chi.values() if rep.is_finite else chi.gen_values
-    mats = np.asarray(values, dtype=np.complex128)[:, None, None] * rep.matrices
-    return replace(rep, matrices=_stack(mats),
-                   boundedness=replace(rep.boundedness, clusters=None))
-
-
 def restrict(rep, subspace, config=None):
     """Express the representation on an invariant subspace, after checking
     that every generator leaves it invariant.
@@ -342,32 +329,6 @@ def restrict(rep, subspace, config=None):
     mats = basis.conj().T @ rep.matrices @ basis
     return Representation(semigroup=rep.semigroup, dim=subspace.dim, matrices=_stack(mats),
                           boundedness=replace(rep.boundedness, clusters=None))
-
-
-def dual_representation(rep):
-    """Transpose every matrix (bilinear dual pairing convention). The
-    certificate keeps its verdict, but not its clusters: the spectrum of
-    the dual certifies it again."""
-    return replace(rep, matrices=_stack(rep.matrices.transpose(0, 2, 1)),
-                   boundedness=replace(rep.boundedness, clusters=None))
-
-
-def direct_sum(rep1, rep2):
-    """The block diagonal sum. It is bounded when both summands are; its
-    certificate keeps that verdict but no clusters, as eigenvalues of one
-    summand may join those of the other: its spectrum certifies it
-    again."""
-    if rep1.semigroup != rep2.semigroup:
-        raise MismatchedSemigroup("summands over different semigroups")
-    n = rep1.dim + rep2.dim
-    mats = np.zeros((len(rep1.matrices), n, n), dtype=np.complex128)
-    mats[:, : rep1.dim, : rep1.dim], mats[:, rep1.dim:, rep1.dim:] = rep1.matrices, rep2.matrices
-    if rep1.boundedness.is_certified and rep2.boundedness.is_certified:
-        cert = BoundednessCertificate(CERTIFIED, detail="sum of certified summands")
-    else:
-        cert = BoundednessCertificate(NOT_CHECKED)
-    return Representation(semigroup=rep1.semigroup, dim=n, matrices=_stack(mats),
-                          boundedness=cert)
 
 
 def regular_representation(monoid):

@@ -1,9 +1,8 @@
 """Commutative monoids: Cayley tables, the free monoid N^k, and kernel groups.
 
 Finite monoids are given by explicit row-major Cayley tables with a named
-neutral element; N^k elements are exponent tuples. Both carriers share the
-divisibility preorder s <= t iff s + r = t for some r, and both name a
-generating set, `generators`, which every linear-algebra route reads.
+neutral element; N^k elements are exponent tuples. Both name a generating
+set, `generators`, which every linear-algebra route reads.
 """
 
 from dataclasses import dataclass
@@ -13,13 +12,10 @@ import numpy as np
 
 from .errors import (
     BadNeutral,
-    ExponentOverflow,
     InternalInconsistency,
     NotAssociative,
     NotCommutative,
 )
-
-_INT64_MAX = 2**63 - 1
 
 MAX_MONOID_SIZE = 512  # the largest finite monoid accepted
 
@@ -102,13 +98,6 @@ class FreeCommutativeMonoid:
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
 
-    def add(self, s, t):
-        return add_exponents(s, t)
-
-    @property
-    def neutral(self):
-        return (0,) * self.rank
-
     @property
     def generators(self):
         """The k unit exponent tuples."""
@@ -166,27 +155,6 @@ def validate_monoid(table, neutral):
 
     rows = tuple(map(tuple, arr.tolist()))
     return FiniteCommutativeMonoid(size=m, table=rows, neutral=int(neutral))
-
-
-def add_exponents(s, t):
-    """Componentwise sum of two exponent tuples; overflow is an error."""
-    if len(s) != len(t):
-        raise ValueError("exponent tuples of different rank")
-    out = []
-    for a, b in zip(s, t):
-        c = a + b
-        if c > _INT64_MAX:
-            raise ExponentOverflow(f"exponent sum {a} + {b} exceeds 64 bits")
-        out.append(c)
-    return tuple(out)
-
-
-def leq(s, t, semigroup):
-    """Divisibility preorder: true iff s + r = t for some r."""
-    if isinstance(semigroup, FreeCommutativeMonoid):
-        return all(a <= b for a, b in zip(s, t))
-    row = semigroup.table[s]
-    return any(row[r] == t for r in range(semigroup.size))
 
 
 def idempotents(monoid):

@@ -55,9 +55,6 @@ class UnitarySpectrumResult:
                 return None
         return position
 
-    def contains(self, chi, tol=None):
-        return self.index(chi, tol) is not None
-
 
 def _isotypic_projections(rep):
     """The characters chi of a finite monoid with tr P_chi >= 1/2, in

@@ -8,9 +8,9 @@ import pytest
 
 import ergospec as es
 from ergospec.characters import UnitaryCharacter, _dual_numerators, _root
-from ergospec.errors import MismatchedSemigroup
 from ergospec.semigroups import FiniteCommutativeMonoid
 
+import derived
 from conftest import (
     angles,
     cyclic_monoid,
@@ -87,15 +87,17 @@ def test_dual_agrees_with_exhaustive_search_small_monoids():
         assert sorted(angles(chi) for chi in dual) == brute_force_dual(monoid)
 
 
-def fraction_dual(monoid):
-    """Reference: the cyclic-extension construction in Fraction arithmetic,
-    adjoining an element of maximal order at each step, one dict of angles
-    per partial character."""
+def reference_dual(monoid):
+    """Reference: the cyclic-extension construction, adjoining an element of
+    maximal order at each step, one dict of integer angle numerators over
+    |K| per partial character. Each d-th root of an angle p / |K| is
+    (p + t |K|) / (d |K|), and its numerator (p + t |K|) / d is checked to
+    be an integer, so the arithmetic stays exact."""
     group = es.kernel_group(monoid)
-    e = group.identity
+    e, order = group.identity, len(group.carrier)
     subgroup, in_subgroup = [e], {e}
-    chars = [{e: Fraction(0)}]
-    while len(subgroup) < len(group.carrier):
+    chars = [{e: 0}]
+    while len(subgroup) < order:
         outside = [g for g in group.carrier if g not in in_subgroup]
         g = max(outside, key=lambda x: element_order(monoid, group, x))
         d, power = 1, g
@@ -105,13 +107,14 @@ def fraction_dual(monoid):
         new_chars = []
         for partial in chars:
             for t in range(d):
-                root = Fraction(partial[power] + t, d) % 1
+                root, remainder = divmod(partial[power] + t * order, d)
+                assert remainder == 0
                 extended = dict(partial)
                 jg = None
                 for j in range(1, d):
                     jg = g if jg is None else monoid.add(jg, g)
                     for h in subgroup:
-                        extended[monoid.add(h, jg)] = (partial[h] + j * root) % 1
+                        extended[monoid.add(h, jg)] = (partial[h] + j * root) % order
                 new_chars.append(extended)
         chars = new_chars
         new_elements = []
@@ -134,11 +137,10 @@ def test_dual_matches_the_fraction_reference():
                                product_monoid(cyclic_monoid(2), product_monoid(
                                    cyclic_monoid(4), cyclic_monoid(8)))]
     for monoid in monoids:
-        reference = fraction_dual(monoid)
-        group, table = _dual_numerators(monoid)
-        order = len(group.carrier)
-        assert [tuple(Fraction(p, order) for p in row) for row in table.tolist()] == reference
-        assert [angles(chi) for chi in es.enumerate_unitary_dual(monoid)] == reference
+        reference = reference_dual(monoid)
+        _, table = _dual_numerators(monoid)
+        assert list(map(tuple, table.tolist())) == reference
+        assert [chi.numerators for chi in es.enumerate_unitary_dual(monoid)] == reference
 
 
 def test_dual_size_is_kernel_size():
@@ -153,17 +155,17 @@ def test_dual_group_closure():
         members = set(dual)
         keys = {angles(chi) for chi in dual}
         for chi, tau in itertools.product(dual, dual):
-            product = es.char_mul(chi, tau)
+            product = derived.char_mul(chi, tau)
             # == and hash are canonical: the product is a member of the dual
             assert product in members
             assert angles(product) == tuple((a + b) % 1 for a, b in
                                             zip(angles(chi), angles(tau)))
         for chi in dual:
-            conj = es.char_conj(chi)
+            conj = derived.char_conj(chi)
             assert conj in members and angles(conj) in keys
             assert angles(conj) == tuple(-a % 1 for a in angles(chi))
-            assert es.char_mul(chi, conj) == es.trivial_character(monoid)
-            assert hash(es.char_mul(chi, conj)) == hash(es.trivial_character(monoid))
+            assert derived.char_mul(chi, conj) == es.trivial_character(monoid)
+            assert hash(derived.char_mul(chi, conj)) == hash(es.trivial_character(monoid))
 
 
 def test_a_character_hashes_without_its_monoid(monkeypatch):
@@ -193,12 +195,12 @@ def test_klein_chi_times_tau_is_det(klein_monoid):
     chi = by_row[(1, -1, 1, -1)]
     tau = by_row[(1, 1, -1, -1)]
     det = by_row[(1, -1, -1, 1)]
-    assert es.char_mul(chi, tau) == det
+    assert derived.char_mul(chi, tau) == det
 
 
 def test_conj_of_trivial_is_trivial(klein_monoid):
     one = es.trivial_character(klein_monoid)
-    assert es.char_conj(one) == one
+    assert derived.char_conj(one) == one
 
 
 def test_free_character_evaluation():
@@ -211,13 +213,6 @@ def test_free_character_evaluation():
 def test_free_character_rejects_non_unimodular():
     with pytest.raises(ValueError):
         es.character_from_gen_values(free(1), [0.5])
-
-
-def test_char_mul_mismatched_semigroups(klein_monoid, semilattice_monoid):
-    a = es.trivial_character(klein_monoid)
-    b = es.trivial_character(semilattice_monoid)
-    with pytest.raises(MismatchedSemigroup):
-        es.char_mul(a, b)
 
 
 def test_char_distance_metric(klein_monoid):

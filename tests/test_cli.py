@@ -247,6 +247,37 @@ def test_ensemble_counts_a_raising_instance_as_failed(capsys, monkeypatch):
     assert "Traceback" not in out + err
 
 
+
+def test_ensemble_counts_an_uncertified_planted_instance_as_failed(capsys):
+    # at tol_char 0.5 a planted eigenvalue of modulus 0.5 to 0.8 counts as
+    # peripheral, and the certificate rejects its generator: that instance
+    # fails, the run goes on
+    code, out, err = run(capsys, "ensemble", "--ensemble", "general", "--count", "4",
+                         "--tol-char", "0.5")
+    assert code == 1
+    assert "instance 0 (seed 20240901): FAIL - RuntimeError: planted instance " \
+           "failed certification" in out
+    assert "2/4 pass" in out
+    assert "Traceback" not in out + err
+    code, out, _ = run(capsys, "ensemble", "--ensemble", "general", "--count", "20",
+                       "--tol-char", "0.1")
+    assert code == 0 and "20/20 pass" in out
+
+
+@pytest.mark.parametrize("value", ["1", "1.5"])
+def test_a_tol_char_of_one_or_more_is_an_input_error(capsys, tmp_path, value):
+    # at 1 - tol_char <= 0 the eigenvalue 0 of diag(1, 0) would count as
+    # peripheral
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({
+        "semigroup": {"type": "free_commutative", "rank": 1}, "dim": 2,
+        "matrices": {"per": "generator", "list": [
+            {"rows": 2, "cols": 2, "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}]}}))
+    code, _, err = run(capsys, "analyze", str(path), "--tol-char", value)
+    assert code == 2
+    assert err == f"error: tol_char must be below 1, got {float(value)}\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

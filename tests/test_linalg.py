@@ -18,6 +18,7 @@ from ergospec.linalg import (
 from ergospec.serialize import representation_from_json
 from ergospec.spectrum import _isotypic_projections
 
+import derived
 from svd_route import (
     DimensionMismatch,
     column_space,
@@ -194,7 +195,7 @@ def test_subspace_membership_and_projector():
     basis = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2))
                          + 1j * np.random.default_rng(1).standard_normal((4, 2)))[0]
     space = Subspace(basis)
-    p = space.projector()
+    p = derived.projector(space)
     assert np.linalg.norm(p @ basis[:, 0] - basis[:, 0]) <= 1e-12
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
@@ -309,7 +310,7 @@ def test_range_basis_takes_the_known_rank():
     p = f @ wh + 1e-9 * rng.standard_normal((7, 7))
     space = range_basis(p, 3)
     assert space.dim == 3
-    assert es.operator_norm(space.projector() - f @ f.conj().T) <= 1e-8
+    assert es.operator_norm(derived.projector(space) - f @ f.conj().T) <= 1e-8
     assert range_basis(p, 0).dim == 0
 
 
@@ -359,7 +360,7 @@ def test_range_basis_matches_the_svd_oracle(name, a, rank):
     oracle = column_space(a)
     assert basis.shape == (len(a), rank) and oracle.dim == rank
     assert es.operator_norm(basis.conj().T @ basis - np.eye(rank)) <= 1e-14
-    assert es.operator_norm(basis @ basis.conj().T - oracle.projector()) <= 1e-12
+    assert es.operator_norm(basis @ basis.conj().T - derived.projector(oracle)) <= 1e-12
 
 
 def test_tall_kernels_take_thin_factors(monkeypatch):

@@ -11,6 +11,7 @@ from ergospec.ensembles import (
 from ergospec.linalg import Subspace
 from ergospec.serialize import representation_from_json
 
+import derived
 import svd_route
 from conftest import FIXTURES, count_analyses, load_fixture, n1_rep, quasi_compactness
 
@@ -119,7 +120,7 @@ def test_domination_identity():
 
 
 def test_positivity_preserved_by_direct_sum(klein_rep):
-    total = es.direct_sum(klein_rep, klein_rep)
+    total = derived.direct_sum(klein_rep, klein_rep)
     assert es.check_positive(total).is_positive
 
 
