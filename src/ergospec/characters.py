@@ -92,16 +92,16 @@ def trivial_character(semigroup):
     return UnitaryCharacter(semigroup, numerators=(0,) * semigroup.size)
 
 
-def character_from_gen_values(semigroup, gen_values, tol=None):
-    """Build and validate an N^k character from generator values."""
-    tol = DEFAULT_CONFIG.tol_char if tol is None else tol
+def character_from_gen_values(semigroup, gen_values):
+    """Build and validate an N^k character from generator values, each
+    unimodular within tol_char."""
     if not isinstance(semigroup, FreeCommutativeMonoid):
         raise ValueError("gen_values characters only exist over N^k")
     values = tuple(complex(z) for z in gen_values)
     if len(values) != semigroup.rank:
         raise ValueError("need one generator value per generator")
     for z in values:
-        if abs(abs(z) - 1.0) > tol:
+        if abs(abs(z) - 1.0) > DEFAULT_CONFIG.tol_char:
             raise ValueError(f"generator value {z} is not unimodular")
     values = tuple(z / abs(z) for z in values)
     return UnitaryCharacter(semigroup, gen_values=values)

@@ -17,6 +17,7 @@ from .ensembles import (
     random_certified_instance,
     random_circulant_stochastic_instance,
     random_polynomial_instance,
+    stable_modulus_cap,
 )
 from .ergodic import Analysis
 from .positivity import domination_check, nisa_suite
@@ -69,7 +70,7 @@ def _emit(args, report):
 
 def _run_sections(args):
     config = _build_config(args)
-    rep = load_representation(args.path, config)
+    rep = load_representation(args.path)
     report = analyze(rep, config, sections=args.sections)
     if getattr(args, "cesaro_csv", None):
         trace = report.to_json().get("ergodic", {}).get("cesaro_trace", [])
@@ -82,8 +83,8 @@ def _run_sections(args):
 
 
 def cmd_dual(args):
-    config = _build_config(args)
-    rep = load_representation(args.path, config)
+    _build_config(args)   # an out-of-range flag is an input error here too
+    rep = load_representation(args.path)
     if not rep.is_finite:
         print("the unitary dual of N^k is the k-torus; it is not enumerable",
               file=sys.stderr)
@@ -111,7 +112,7 @@ def cmd_falsify(args):
     config = _build_config(args)
     if args.trials < 1:
         raise ErgospecError(f"trials must be at least 1, got {args.trials}")
-    rep = load_representation(args.path, config)
+    rep = load_representation(args.path)
     rep = certify_boundedness(rep, config)
     chi = load_character(args.character, rep.semigroup)
     verdict = laplace_falsifier(rep, chi, trials=args.trials, config=config,
@@ -160,6 +161,8 @@ def cmd_ensemble(args):
         raise ErgospecError(f"n must lie in [2, {MAX_DIM}], got {args.n}")
     if args.k < 1:
         raise ErgospecError(f"k must be at least 1, got {args.k}")
+    if args.ensemble == "general":
+        stable_modulus_cap(config)   # an input error when tol_char leaves none
     maker = makers[args.ensemble]
     failures = 0
     for index in range(args.count):

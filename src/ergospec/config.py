@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds and budgets.
+    """Numerical thresholds and budgets: the three fields that the CLI sets
+    (--tol-rank, --tol-char, --max-cesaro) and three class constants.
 
     tol_rank is relative to the largest singular value; the remaining
     tolerances are absolute (representation matrices are O(1) in norm).
@@ -17,13 +19,13 @@ class ToleranceConfig:
 
     tol_rank: float = 1e-10
     tol_char: float = 1e-8
-    tol_cluster: float = 1e-7
-    tol_hom: float = 1e-8
     cesaro_max_side: int = 10_000
-    cesaro_target: float = 1e-6
+    tol_cluster: ClassVar[float] = 1e-7
+    tol_hom: ClassVar[float] = 1e-8
+    cesaro_target: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_char", "tol_cluster", "tol_hom", "cesaro_target"):
+        for name in ("tol_rank", "tol_char"):
             value = getattr(self, name)
             # NaN fails every comparison, so it would pass a test of <= 0
             if not (math.isfinite(value) and value > 0):
@@ -36,7 +38,9 @@ class ToleranceConfig:
             raise ValueError("cesaro budgets must be positive")
 
     def to_dict(self):
-        return asdict(self)
+        """The fields and the constants: the report's `tolerances`."""
+        return asdict(self) | {name: getattr(self, name)
+                               for name in ("tol_cluster", "tol_hom", "cesaro_target")}
 
 
 DEFAULT_CONFIG = ToleranceConfig()

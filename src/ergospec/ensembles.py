@@ -14,6 +14,7 @@ Three families:
 import numpy as np
 
 from .config import DEFAULT_CONFIG
+from .errors import ErgospecError
 from .representations import certify_boundedness, validate_representation
 from .semigroups import FreeCommutativeMonoid
 
@@ -29,6 +30,19 @@ def _random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def stable_modulus_cap(config):
+    """The bound below which random_certified_instance draws the moduli of
+    its stable eigenvalues: 0.8, or 1 - 2 tol_char when lower, which keeps
+    them tol_char clear of the peripheral ring |z| >= 1 - tol_char. A
+    tol_char that puts the bound under the least modulus, 0.05, is an
+    input error."""
+    cap = min(0.8, 1.0 - 2 * config.tol_char)
+    if cap < 0.05:
+        raise ErgospecError(f"tol_char {config.tol_char} leaves no stable modulus "
+                            "in [0.05, 1 - 2 tol_char)")
+    return cap
+
+
 def random_certified_instance(seed, max_rank=3, max_dim=24, config=None):
     """A certified representation of N^k with known peripheral structure.
 
@@ -36,6 +50,7 @@ def random_certified_instance(seed, max_rank=3, max_dim=24, config=None):
     joint tuples with multiplicity and the fixed-space dimension.
     """
     config = DEFAULT_CONFIG if config is None else config
+    cap = stable_modulus_cap(config)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, max_rank + 1))
     n = int(rng.integers(2, max_dim + 1))
@@ -64,13 +79,13 @@ def random_certified_instance(seed, max_rank=3, max_dim=24, config=None):
         cell = int(rng.integers(1, min(3, n - pos) + 1))
         jordan = cell > 1 and rng.random() < 0.5
         for j in range(k):
-            alpha = rng.uniform(0.05, 0.8) * np.exp(2j * np.pi * rng.random())
+            alpha = rng.uniform(0.05, cap) * np.exp(2j * np.pi * rng.random())
             block = alpha * np.eye(cell, dtype=np.complex128)
             if jordan:
                 nu = rng.uniform(0.1, 0.4)
                 block += nu * np.diag(np.ones(cell - 1), 1)
             elif cell > 1:
-                moduli = rng.uniform(0.05, 0.8, size=cell)
+                moduli = rng.uniform(0.05, cap, size=cell)
                 phases = np.exp(2j * np.pi * rng.random(cell))
                 block = np.diag(moduli * phases)
             mats[j][pos:pos + cell, pos:pos + cell] = block
@@ -82,7 +97,7 @@ def random_certified_instance(seed, max_rank=3, max_dim=24, config=None):
     q_inv = np.linalg.inv(q)
     generators = [q @ a @ q_inv for a in mats]
 
-    rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
+    rep = validate_representation(FreeCommutativeMonoid(k), generators)
     rep = certify_boundedness(rep, config)
     if not rep.boundedness.is_certified:
         raise RuntimeError("planted instance failed certification: "
@@ -124,7 +139,7 @@ def random_circulant_stochastic_instance(seed, max_rank=3, max_dim=24, config=No
             weights = rng.uniform(0.0, 1.0, size=n)
             row = weights / weights.sum()
         generators.append(_circulant(row))
-    rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
+    rep = validate_representation(FreeCommutativeMonoid(k), generators)
     return certify_boundedness(rep, config)
 
 
@@ -156,7 +171,7 @@ def random_polynomial_instance(seed, max_rank=3, max_dim=24, config=None):
                 target = 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 0.95)
                 mat = mat * (target / radius)
             generators.append(mat.astype(np.complex128))
-        rep = validate_representation(FreeCommutativeMonoid(k), generators, config)
+        rep = validate_representation(FreeCommutativeMonoid(k), generators)
         # an unused draw that keeps the next attempt's samples of each seed
         rng.integers(0, 2**31)
         rep = certify_boundedness(rep, config)

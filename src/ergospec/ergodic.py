@@ -195,7 +195,7 @@ class Analysis:
         restricted to rg(chi - T) would lie in their intersection, which
         is 0. A verdict, or the NonPoleSpectrum raised, is kept per character."""
         spectrum = self.spectrum
-        index = spectrum.index(chi, self.config.tol_cluster)
+        index = spectrum.index(chi)
         if index is None:
             return None
         if index not in self._poles:
@@ -326,7 +326,7 @@ class Analysis:
         # for a pole.
         witness, witness_norm = None, None
         if stable.dim > 0:
-            verdict = _stable_verdict(restrict(rep, stable, config), config)
+            verdict = _stable_verdict(restrict(rep, stable), config)
             witness, witness_norm = verdict.witness, verdict.witness_norm
 
         return PeripheralDecomposition(

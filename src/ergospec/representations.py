@@ -11,6 +11,7 @@ that generator as the scalar itself, and lie further from the rest of its
 spectrum than rounding can move it.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -19,6 +20,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .errors import (
     BadNeutral,
+    ErgospecError,
     HomomorphismViolation,
     NotCommuting,
     NotInvariant,
@@ -98,7 +100,7 @@ class Representation:
         return result
 
 
-def validate_representation(semigroup, matrices, config=None):
+def validate_representation(semigroup, matrices):
     """Check the homomorphism law and wrap the matrices, an iterable or an
     array of shape (count, n, n): a C-contiguous complex128 array is kept,
     read-only, and anything else is copied into one.
@@ -127,9 +129,9 @@ def validate_representation(semigroup, matrices, config=None):
     every pair: the factor 1/2 absorbs the rounding of the computed
     products and norms, which is about n * eps relative. Otherwise the
     all-pairs loop decides, so every verdict and every
-    HomomorphismViolation witness is the one it alone gives.
+    HomomorphismViolation witness is the one it alone gives. A bound or a
+    threshold that overflows float64 is an input error.
     """
-    config = DEFAULT_CONFIG if config is None else config
     mats = _stack(matrices)
     rep = Representation(semigroup=semigroup, dim=mats.shape[1], matrices=mats)
     count, n = len(mats), rep.dim
@@ -143,14 +145,21 @@ def validate_representation(semigroup, matrices, config=None):
             raise ValueError("finite monoid needs one matrix per element")
         eye = np.eye(n)
         eta = operator_norm(mats[semigroup.neutral] - eye)
-        if eta > config.tol_hom:
+        if eta > DEFAULT_CONFIG.tol_hom:
             raise BadNeutral(semigroup.neutral)
-        if _homomorphism_bound(semigroup, mats, eta) > config.tol_hom / 2:
-            scale = max(1.0, max(operator_norms(mats)) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below
+            bound = _homomorphism_bound(semigroup, mats, eta)
+        if not bound <= DEFAULT_CONFIG.tol_hom / 2:   # NaN, after an overflow, fails it too
+            norm = max(operator_norms(mats))
+            # beyond 1.3e154 the square of a norm overflows float64
+            if not (math.isfinite(bound) and norm < 1e154):
+                raise ErgospecError("matrix products overflow float64 in the "
+                                    "homomorphism check")
+            scale = max(1.0, norm ** 2)
             for s in semigroup.elements():
                 for t in range(s, semigroup.size):
                     residual = operator_norm(mats[s] @ mats[t] - mats[semigroup.add(s, t)])
-                    if residual > config.tol_hom * scale:
+                    if residual > DEFAULT_CONFIG.tol_hom * scale:
                         raise HomomorphismViolation(s, t, residual)
     elif isinstance(semigroup, FreeCommutativeMonoid):
         if count != semigroup.rank:
@@ -159,7 +168,7 @@ def validate_representation(semigroup, matrices, config=None):
         for i in range(count):
             for j in range(i + 1, count):
                 residual = operator_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                bound = config.tol_hom * max(1.0, norms[i]) * max(1.0, norms[j])
+                bound = DEFAULT_CONFIG.tol_hom * max(1.0, norms[i]) * max(1.0, norms[j])
                 if residual > bound:
                     raise NotCommuting(i, j, residual)
     else:
@@ -214,11 +223,9 @@ def _homomorphism_bound(monoid, mats, eta):
     return 2 * depth * bound_m * delta + bound_m * eta
 
 
-def representation_from_generators(monoid, generator_indices, generator_matrices,
-                                   config=None):
+def representation_from_generators(monoid, generator_indices, generator_matrices):
     """Materialize a finite-monoid representation from matrices on a
     generating set, by walking the Cayley table, then validate it."""
-    config = DEFAULT_CONFIG if config is None else config
     gens = np.array(list(generator_matrices), dtype=np.complex128)
     if len(gens) != len(generator_indices):
         raise ValueError("one matrix per generator index required")
@@ -235,7 +242,7 @@ def representation_from_generators(monoid, generator_indices, generator_matrices
     if len(known) != monoid.size:
         missing = [s for s in monoid.elements() if s not in known]
         raise ValueError(f"generators do not generate the monoid; missing {missing}")
-    return validate_representation(monoid, [known[s] for s in monoid.elements()], config)
+    return validate_representation(monoid, [known[s] for s in monoid.elements()])
 
 
 def certify_boundedness(rep, config=None):
@@ -308,14 +315,13 @@ def _with_certificate(rep, cert):
     return out
 
 
-def restrict(rep, subspace, config=None):
+def restrict(rep, subspace):
     """Express the representation on an invariant subspace, after checking
     that every generator leaves it invariant.
 
     The verdict of the certificate carries over, as a bounded family stays
     bounded on an invariant subspace, but not its clusters: the spectrum
     of the restriction certifies it again."""
-    config = DEFAULT_CONFIG if config is None else config
     if subspace.ambient_dim != rep.dim:
         raise ValueError("subspace lives in a different ambient dimension")
     basis = subspace.basis
@@ -324,7 +330,7 @@ def restrict(rep, subspace, config=None):
     residuals = operator_norms((eye - proj) @ rep.family() @ proj)
     for label, residual, norm in zip(rep.semigroup.generators, residuals,
                                      rep.generator_norms):
-        if residual > config.tol_hom * max(1.0, norm):
+        if residual > DEFAULT_CONFIG.tol_hom * max(1.0, norm):
             raise NotInvariant(label, residual)
     mats = basis.conj().T @ rep.matrices @ basis
     return Representation(semigroup=rep.semigroup, dim=subspace.dim, matrices=_stack(mats),

@@ -118,7 +118,7 @@ def matrix_from_json(data):
     return (re + 1j * im).reshape(rows, cols)
 
 
-def representation_from_json(data, config=None):
+def representation_from_json(data):
     semigroup = semigroup_from_json(data["semigroup"])
     per = data["matrices"]["per"]
     expected = "element" if isinstance(semigroup, FiniteCommutativeMonoid) else "generator"
@@ -133,7 +133,7 @@ def representation_from_json(data, config=None):
         elif a.shape != stack.shape[1:]:
             raise ValueError("all matrices must be square of equal dimension")
         stack[index] = a
-    rep = validate_representation(semigroup, stack, config)
+    rep = validate_representation(semigroup, stack)
     if rep.dim != _integer(data["dim"], "dim"):
         raise ParseError(f'declared dim {data["dim"]} does not match matrices ({rep.dim})')
     return rep
@@ -173,10 +173,10 @@ def _decoding(what):
         raise ParseError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
-def load_representation(path, config=None):
+def load_representation(path):
     data = _read_json(path)
     with _decoding("representation"):
-        return representation_from_json(data, config)
+        return representation_from_json(data)
 
 
 def load_character(path, semigroup):

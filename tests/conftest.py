@@ -129,7 +129,7 @@ def eigenspace(rep, chi, config=None):
     """ker(chi - T): the eigenspace of the spectral character nearest chi,
     within tol_cluster, and {0} when there is none."""
     spectrum = es.Analysis(rep, config).spectrum
-    index = spectrum.index(chi, (config or es.DEFAULT_CONFIG).tol_cluster)
+    index = spectrum.index(chi)
     return es.Subspace.zero(rep.dim) if index is None else spectrum.eigenspaces[index]
 
 

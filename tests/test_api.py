@@ -1,9 +1,12 @@
 import ast
+import dataclasses
 import re
 
 import numpy as np
+import pytest
 
 import ergospec as es
+from ergospec import cli
 
 from conftest import REPO
 
@@ -72,3 +75,17 @@ def test_every_export_is_read_by_the_package():
                     used.add(name)
     unused = sorted(name for name in es.__all__ if name not in used)
     assert unused == sorted(_UNUSED_EXPORTS)
+
+
+def test_every_config_field_is_set_by_a_cli_flag():
+    # a ToleranceConfig field that no flag sets is a class constant: the
+    # three flags move every field off its default
+    args = cli._command_parser("analyze").parse_args(
+        ["input.json", "--tol-rank", "1e-9", "--tol-char", "1e-7", "--max-cesaro", "64"])
+    config = cli._build_config(args)
+    assert [field.name for field in dataclasses.fields(es.ToleranceConfig)
+            if getattr(config, field.name) == getattr(es.DEFAULT_CONFIG, field.name)] == []
+    for name, value in (("tol_cluster", 1e-7), ("tol_hom", 1e-8), ("cesaro_target", 1e-6)):
+        assert getattr(config, name) == getattr(es.DEFAULT_CONFIG, name) == value
+        with pytest.raises(TypeError):
+            es.ToleranceConfig(**{name: value})

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergospec import cli, ergodic
+from ergospec import cli, ensembles, ergodic
 from ergospec.cli import main
 from ergospec.config import DEFAULT_SEED, ToleranceConfig
 from ergospec.errors import NotInvariant
@@ -248,10 +248,13 @@ def test_ensemble_counts_a_raising_instance_as_failed(capsys, monkeypatch):
 
 
 
-def test_ensemble_counts_an_uncertified_planted_instance_as_failed(capsys):
-    # at tol_char 0.5 a planted eigenvalue of modulus 0.5 to 0.8 counts as
-    # peripheral, and the certificate rejects its generator: that instance
-    # fails, the run goes on
+def test_ensemble_counts_an_uncertified_planted_instance_as_failed(capsys, monkeypatch):
+    # with stable moduli drawn up to 0.8 whatever tol_char, a planted
+    # eigenvalue of modulus 0.5 to 0.8 counts as peripheral at tol_char 0.5,
+    # and the certificate rejects its generator: that instance fails, the
+    # run goes on
+    for module in (cli, ensembles):
+        monkeypatch.setattr(module, "stable_modulus_cap", lambda config: 0.8)
     code, out, err = run(capsys, "ensemble", "--ensemble", "general", "--count", "4",
                          "--tol-char", "0.5")
     assert code == 1
@@ -262,6 +265,19 @@ def test_ensemble_counts_an_uncertified_planted_instance_as_failed(capsys):
     code, out, _ = run(capsys, "ensemble", "--ensemble", "general", "--count", "20",
                        "--tol-char", "0.1")
     assert code == 0 and "20/20 pass" in out
+
+
+@pytest.mark.parametrize("tol_char, code, out", [
+    pytest.param("0.3", 0, "20/20 pass\n", id="0.3"), pytest.param("0.5", 2, "", id="0.5")])
+def test_the_general_ensemble_plants_its_stable_part_clear_of_tol_char(capsys, tol_char,
+                                                                      code, out):
+    # the stable moduli lie below 1 - 2 tol_char, so no planted instance is
+    # peripheral at tol_char 0.3; at 0.5 none lies in [0.05, 1 - 2 tol_char)
+    got = run(capsys, "ensemble", "--ensemble", "general", "--count", "20",
+              "--tol-char", tol_char)
+    assert got[:2] == (code, out)
+    assert got[2] == ("" if code == 0 else
+                      "error: tol_char 0.5 leaves no stable modulus in [0.05, 1 - 2 tol_char)\n")
 
 
 @pytest.mark.parametrize("value", ["1", "1.5"])
@@ -374,6 +390,41 @@ def test_malformed_representation_exit_code(capsys, tmp_path, name, mutate):
     assert err.count("\n") == 1
     if mutate in BAD_ENTRY_MESSAGES:
         assert err == "error: malformed representation: " + BAD_ENTRY_MESSAGES[mutate]
+
+
+# entries of klein_four beyond what float64 validation decides: a matrix
+# product that overflows, isotypic traces that round to ranks up to 130,
+# which do not fit in C^4, and both, whose ranks of about 3e13 asked for a
+# range basis of 1.7 PiB before the products were checked
+def _overflowing_product(data):
+    data["matrices"]["list"][3]["re"][4] = 1e160
+
+
+def _ranks_beyond_n(data):
+    mats = data["matrices"]["list"]
+    mats[2]["re"][4], mats[2]["re"][5], mats[3]["re"][4] = 1e30, 512, 512
+
+
+def _rank_beyond_memory(data):
+    mats = data["matrices"]["list"]
+    mats[1]["im"][0], mats[3]["re"][4] = 1e30, 1e308
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(_overflowing_product, "overflow float64", id="overflowing_product"),
+    pytest.param(_ranks_beyond_n, "do not fit in C^4", id="ranks_beyond_n"),
+    pytest.param(_rank_beyond_memory, "overflow float64", id="rank_beyond_memory")])
+def test_an_input_beyond_float64_validation_is_an_input_error(capsys, tmp_path, command,
+                                                              mutate, message):
+    data = json.loads((FIXTURES / "klein_four.json").read_text())
+    mutate(data)
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))

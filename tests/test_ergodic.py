@@ -157,14 +157,15 @@ def _trace_bits(trace):
     return [(side, plain.hex(), composed.hex()) for side, plain, composed in trace]
 
 
-def test_cesaro_chain_stops_at_the_first_side_within_the_target():
+def test_cesaro_chain_stops_at_the_first_side_within_the_target(monkeypatch):
     rep = n1_rep(np.diag([1.0, 0.5]).astype(complex))
     trace = es.Analysis(rep).ergodic.cesaro_trace
     target = DEFAULT_CONFIG.cesaro_target
     assert all(composed > target for _, _, composed in trace[:-1])
     assert trace[-1][2] <= target
     # no composed distance is within 1e-300, so this chain runs every side
-    full = es.Analysis(rep, es.ToleranceConfig(cesaro_target=1e-300)).ergodic.cesaro_trace
+    monkeypatch.setattr(es.ToleranceConfig, "cesaro_target", 1e-300)
+    full = es.Analysis(rep).ergodic.cesaro_trace
     assert [row[0] for row in full] == [2**j for j in range(14)]
     assert len(trace) < len(full)
     assert _trace_bits(full[:len(trace)]) == _trace_bits(trace)

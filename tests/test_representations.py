@@ -7,7 +7,7 @@ import scipy.linalg
 import ergospec as es
 from ergospec import representations
 from ergospec.cli import main
-from ergospec.config import DEFAULT_CONFIG, ToleranceConfig
+from ergospec.config import DEFAULT_CONFIG
 from ergospec.errors import (
     BadNeutral,
     HomomorphismViolation,
@@ -56,17 +56,17 @@ def test_commutation_is_decided_at_tol_hom_times_the_norms(factor):
     # commutation is the homomorphism law of N^k, decided at
     # tol_hom * max(1, ||a||) * max(1, ||b||); here ||a|| = 3,
     # ||b|| = 2 + O(t) and ||a b - b a|| = 2t
-    config = ToleranceConfig(tol_hom=1e-6)
+    tol = DEFAULT_CONFIG.tol_hom
     a = np.diag([3.0, 1.0])
-    t = factor * config.tol_hom * 3.0
+    t = factor * tol * 3.0
     b = np.array([[2.0, t], [0.0, 2.0]])
     residual = es.operator_norm(a @ b - b @ a)
-    assert (residual <= config.tol_hom * 3.0 * es.operator_norm(b)) == (factor < 1)
+    assert (residual <= tol * 3.0 * es.operator_norm(b)) == (factor < 1)
     if factor < 1:
-        assert es.validate_representation(free(2), [a, b], config).dim == 2
+        assert es.validate_representation(free(2), [a, b]).dim == 2
     else:
         with pytest.raises(NotCommuting):
-            es.validate_representation(free(2), [a, b], config)
+            es.validate_representation(free(2), [a, b])
 
 
 def test_from_generators_matches_direct(klein_monoid, klein_rep):
@@ -346,7 +346,8 @@ def _verdict(monoid, mats):
 
 def _all_pairs_verdict(monoid, mats, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(representations, "_homomorphism_bound", lambda *args: math.inf)
+        # a finite bound above tol_hom / 2: a non-finite one is an overflow
+        patch.setattr(representations, "_homomorphism_bound", lambda *args: 1.0)
         return _verdict(monoid, mats)
 
 

@@ -142,7 +142,7 @@ def test_any_form_of_an_angle_loads_the_spectrum_character():
             data = {"angles": [[str(x) for x in form(p, q)] for p, q in reduced]}
             loaded = character_from_json(data, rep.semigroup)
             assert loaded == chi and hash(loaded) == hash(chi)
-            assert spectrum.index(loaded, tol=0.0) == index
+            assert spectrum.index(loaded) == index
 
 
 def test_character_round_trip_gen_values():

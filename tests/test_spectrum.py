@@ -5,7 +5,7 @@ import scipy.linalg
 import ergospec as es
 from ergospec.config import DEFAULT_CONFIG
 from ergospec.ensembles import random_certified_instance, random_circulant_stochastic_instance
-from ergospec.errors import NotBounded
+from ergospec.errors import ErgospecError, NotBounded
 from ergospec.linalg import SchurForm, _peripheral_clusters
 from ergospec.serialize import load_representation
 from ergospec.spectrum import _isotypic_projections
@@ -575,16 +575,34 @@ def test_the_spectrum_follows_its_own_tolerances():
 
 
 def test_a_direct_sum_merges_at_the_tolerances_of_the_spectrum():
-    # 1 and exp(3e-7 i), two characters at the default tol_cluster, chain
-    # into one cluster at 1e-6, on which a tol_rank of 1e-5 finds both
-    # eigenvectors: one character, of multiplicity 2, and no duplicate
-    coarse = es.ToleranceConfig(tol_rank=1e-5, tol_cluster=1e-6)
+    # 1 and exp(3e-8 i) chain into one cluster at tol_cluster, on which a
+    # tol_rank of 1e-5 finds both eigenvectors: one character, of
+    # multiplicity 2, and no duplicate; 1 and exp(3e-7 i) stay two
+    coarse = es.ToleranceConfig(tol_rank=1e-5)
     one = es.certify_boundedness(es.validate_representation(free(1), [np.eye(1)]))
-    near = es.certify_boundedness(
-        es.validate_representation(free(1), [np.exp(3e-7j) * np.eye(1)]))
-    total = derived.direct_sum(one, near)
-    assert [dim for _, dim in _spectrum_by_character(total)] == [1, 1]
+
+    def summed(angle):
+        near = es.certify_boundedness(
+            es.validate_representation(free(1), [np.exp(1j * angle) * np.eye(1)]))
+        return derived.direct_sum(one, near)
+
+    for config in (DEFAULT_CONFIG, coarse):
+        assert [dim for _, dim in _spectrum_by_character(summed(3e-7), config)] == [1, 1]
+    total = summed(3e-8)
     got = _spectrum_by_character(total, coarse)
     assert [dim for _, dim in got] == [2]
     _assert_same_spectrum(got, _spectrum_by_character(_certified_afresh(total, coarse), coarse),
                           coarse.tol_cluster)
+
+
+def test_isotypic_ranks_that_do_not_fit_are_refused_before_any_allocation():
+    # klein_four with two entries that break the homomorphism law beyond
+    # float64, certified without validation: its isotypic traces round to
+    # ranks of about 3e13, whose range bases would take 1.7 PiB
+    klein = load_representation(str(FIXTURES / "klein_four.json"))
+    mats = np.array(klein.matrices)
+    mats[1, 0, 0] += 1e30j
+    mats[3, 1, 0] = 1e308
+    rep = es.certify_boundedness(es.Representation(klein.semigroup, 4, mats))
+    with pytest.raises(ErgospecError, match="do not fit in C"):
+        es.unitary_spectrum(rep)
